@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import BlockCovariance
-from .errors import DimensionError, PcsftError
+from .errors import DimensionError
 from .hilbert import BipartiteState, _as_matrix, require_selfadjoint
 from .sampler import BiSignalSample, SampleBatch
 
@@ -166,29 +166,3 @@ def propagate(h: Hamiltonian, t: float, x):
         return apply_to_covariance(ch, x)
     raise TypeError(f"cannot propagate object of type {type(x).__name__}")
 
-
-def _selftest_coefficient_transform():
-    """Guard against the transpose convention silently rotting.
-
-    Checks on a random case that U1 Ψ̂ U2ᵀ agrees with the explicit
-    kron(U1, U2) action on the row-major flattened state vector.
-    """
-    rng = np.random.default_rng(20240817)
-    d1, d2 = 3, 4
-    g = rng.standard_normal((d1, d2)) + 1j * rng.standard_normal((d1, d2))
-    psi = g / np.linalg.norm(g)
-    qs = []
-    for d in (d1, d2):
-        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        q, r = np.linalg.qr(m)
-        qs.append(q * np.sign(np.diagonal(r).real)[None, :])
-    u1, u2 = qs
-    lhs = (u1 @ psi @ u2.T).reshape(-1)
-    rhs = np.kron(u1, u2) @ psi.reshape(-1)
-    if np.max(np.abs(lhs - rhs)) > 1e-12:
-        raise PcsftError(
-            "coefficient-matrix channel transform disagrees with the tensor action"
-        )
-
-
-_selftest_coefficient_transform()

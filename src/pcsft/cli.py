@@ -31,10 +31,10 @@ from . import __version__
 from .channels import UnitaryChannel, apply_to_state, evolution_channel
 from .covariance import build_covariance, classify_symmetry, epsilon_min
 from .errors import PcsftError
-from .experiments import beamsplitter_unitary, run_beamsplitter
+from .experiments import AUTO_EPSILON_MARGIN, beamsplitter_unitary, run_beamsplitter
 from .hilbert import quantum_average_tensor, quantum_average_trace
-from .quadratic import QuadraticForm, analytic_cov, mc_cov
-from .sampler import PRNG_ID, draw
+from .quadratic import QuadraticForm, analytic_cov, cov_estimate, sample_forms
+from .sampler import PRNG_ID
 from . import serialize
 
 EXIT_PASS = 0
@@ -62,15 +62,25 @@ def _emit(text: str, output: str | None):
         Path(output).write_text(text, encoding="utf-8")
 
 
-def _resolve_epsilon(spec: str, state) -> float:
+def _parse_epsilon(spec: str) -> float | str:
+    """The --epsilon value: 'auto' or a finite number."""
     if spec == "auto":
-        return epsilon_min(state) + 0.05
+        return spec
     try:
         value = float(spec)
     except ValueError:
         raise PcsftError(
             f"field 'epsilon': expected a number or 'auto', got {spec!r}"
         ) from None
+    if not np.isfinite(value):
+        raise PcsftError(f"field 'epsilon': expected a finite number, got {spec!r}")
+    return value
+
+
+def _resolve_epsilon(spec: str, state) -> float:
+    value = _parse_epsilon(spec)
+    if value == "auto":
+        return epsilon_min(state) + AUTO_EPSILON_MARGIN
     return value
 
 
@@ -105,8 +115,14 @@ def cmd_verify_identity(args) -> int:
     f1 = QuadraticForm(operator=a1, side=1)
     f2 = QuadraticForm(operator=a2, side=2)
     cov_value = analytic_cov(cov, f1, f2)
-    batch = draw(cov, seed=args.seed, count=args.samples)
-    est = mc_cov(batch, f1, f2, analytic=cov_value)
+    values = sample_forms(cov, seed=args.seed, count=args.samples, forms=[f1, f2])
+    est = cov_estimate(
+        values[:, 0],
+        values[:, 1],
+        analytic=cov_value,
+        seed=args.seed,
+        prng_id=PRNG_ID,
+    )
 
     checks = {
         "trace_vs_tensor": abs(trace - tensor) <= IDENTITY_TOL,
@@ -139,7 +155,7 @@ def cmd_experiment(args) -> int:
     report = run_beamsplitter(
         statistics=args.statistics,
         spin=args.spin,
-        epsilon="auto" if args.epsilon == "auto" else float(args.epsilon),
+        epsilon=_parse_epsilon(args.epsilon),
         seed=args.seed,
         n_samples=args.samples,
     )

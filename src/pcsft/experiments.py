@@ -22,8 +22,14 @@ from .channels import UnitaryChannel, apply_to_state
 from .covariance import build_covariance, classify_symmetry, epsilon_min
 from .errors import DimensionError
 from .hilbert import BipartiteState
-from .quadratic import Estimate, QuadraticForm, analytic_cov, mc_cov
-from .sampler import draw
+from .quadratic import (
+    Estimate,
+    QuadraticForm,
+    analytic_cov,
+    cov_estimate,
+    sample_forms,
+)
+from .sampler import PRNG_ID
 
 PORTS = ("R", "L")
 PORT_INDEX = {"R": 0, "L": 1}
@@ -180,8 +186,10 @@ def run_beamsplitter(
     """Full pipeline: input state -> beam splitter -> covariance ->
     analytic g-matrix and seeded Monte Carlo confirmation.
 
-    epsilon="auto" resolves to epsilon_min + 0.05.  Every g entry is
-    flagged as passing when |mc - analytic| <= 5 standard errors.
+    epsilon="auto" resolves to epsilon_min + AUTO_EPSILON_MARGIN.  Every
+    g entry is flagged as passing when |mc - analytic| <= SE_BAND
+    standard errors.  The four port intensities are evaluated once per
+    sample; each g entry pairs a side-1 column with a side-2 column.
     """
     if n_samples < 1000:
         raise ValueError(f"need n_samples >= 1000, got {n_samples}")
@@ -197,15 +205,22 @@ def run_beamsplitter(
     else:
         eps = float(epsilon)
     cov = build_covariance(psi_out, eps)
-    batch = draw(cov, seed=seed, count=n_samples)
+    side1 = [intensity_observable(x, layout, side=1) for x in PORTS]
+    side2 = [intensity_observable(y, layout, side=2) for y in PORTS]
+    values = sample_forms(cov, seed=seed, count=n_samples, forms=side1 + side2)
+    k = len(PORTS)
 
     entries: dict[str, PortCorrelation] = {}
-    for x in PORTS:
-        f1 = intensity_observable(x, layout, side=1)
-        for y in PORTS:
-            f2 = intensity_observable(y, layout, side=2)
-            g_xy = analytic_cov(cov, f1, f2)
-            est = mc_cov(batch, f1, f2, analytic=g_xy)
+    for i, x in enumerate(PORTS):
+        for j, y in enumerate(PORTS):
+            g_xy = analytic_cov(cov, side1[i], side2[j])
+            est = cov_estimate(
+                values[:, i],
+                values[:, k + j],
+                analytic=g_xy,
+                seed=int(seed),
+                prng_id=PRNG_ID,
+            )
             entries[x + y] = PortCorrelation(
                 analytic=g_xy, estimate=est, passed=est.within(SE_BAND)
             )
@@ -219,6 +234,6 @@ def run_beamsplitter(
         n_samples=int(n_samples),
         g=g,
         passed=g.passed,
-        prng_id=batch.prng_id,
+        prng_id=PRNG_ID,
         classified_symmetry=symmetry.tag.value,
     )

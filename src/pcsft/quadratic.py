@@ -17,13 +17,14 @@ diagnostics only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .covariance import BlockCovariance
 from .errors import DimensionError, RealityError
 from .hilbert import as_real, require_selfadjoint
-from .sampler import BiSignalSample, SampleBatch
+from .sampler import BiSignalSample, SampleBatch, draw_chunks, require_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +87,41 @@ def _component(batch: SampleBatch, side: int) -> np.ndarray:
     return batch.phi1 if side == 1 else batch.phi2
 
 
+def _diagonal_values(phi: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """<A phi_n, phi_n> for A = diag(weights): weighted row intensities."""
+    return (phi.real**2 + phi.imag**2) @ weights
+
+
+def _dense_values(
+    phi: np.ndarray, operator_t: np.ndarray, conjugate: bool
+) -> np.ndarray:
+    """<A psi_n, psi_n> over the rows, psi = conj(phi) if ``conjugate``
+    else phi, given A^T; the result must be real up to rounding."""
+    psi = np.conj(phi) if conjugate else phi
+    values = np.einsum("nk,nk->n", psi @ operator_t, np.conj(psi))
+    worst = float(np.max(np.abs(values.imag)))
+    scale = max(1.0, float(np.max(np.abs(values.real))))
+    if worst > 1e-10 * scale:
+        raise RealityError(
+            f"quadratic form returned imaginary part {worst:.3e}; operator corrupt?"
+        )
+    return values.real
+
+
+def _form_kernel(operator: np.ndarray) -> Callable[[np.ndarray, bool], np.ndarray]:
+    """Evaluator ``(phi, conjugate) -> values`` for one operator.
+
+    A diagonal operator takes the intensity branch, which conjugation
+    does not change; any other operator takes the dense row-dot branch.
+    """
+    diag = np.diagonal(operator)
+    if np.array_equal(operator, np.diag(diag)):
+        weights = diag.real.copy()
+        return lambda phi, conjugate: _diagonal_values(phi, weights)
+    operator_t = operator.T.copy()
+    return lambda phi, conjugate: _dense_values(phi, operator_t, conjugate)
+
+
 def eval_form_batch(
     form: QuadraticForm, batch: SampleBatch, conjugate: bool = False
 ) -> np.ndarray:
@@ -95,16 +131,44 @@ def eval_form_batch(
         raise DimensionError(
             f"batch component has dimension {phi.shape[1]}, operator needs {form.dim}"
         )
-    if conjugate:
-        phi = np.conj(phi)
-    values = np.einsum("kl,nl,nk->n", form.operator, phi, np.conj(phi))
-    worst = float(np.max(np.abs(values.imag)))
-    scale = max(1.0, float(np.max(np.abs(values.real))))
-    if worst > 1e-10 * scale:
-        raise RealityError(
-            f"quadratic form returned imaginary part {worst:.3e}; operator corrupt?"
-        )
-    return values.real
+    return _form_kernel(form.operator)(phi, conjugate)
+
+
+def sample_forms(
+    cov: BlockCovariance,
+    seed: int,
+    count: int,
+    forms: Sequence[QuadraticForm],
+    workers: int | None = None,
+) -> np.ndarray:
+    """Values of each form on ``count`` fresh samples, drawn and evaluated
+    in one pass.
+
+    Returns a (count, len(forms)) float64 matrix whose column j holds
+    form j on the same samples ``draw(cov, seed, count)`` would return:
+    side-1 forms on phi1, side-2 forms on conj(phi2), the pairing of
+    analytic_cov.  Each form is evaluated once per chunk inside the
+    sampler's workers, and no complex batch of all samples is kept, so
+    memory is O(count * len(forms)) floats.  Pass each distinct form
+    once; the result is bit-identical for any worker count.
+    """
+    for form in forms:
+        size = cov.d1 if form.side == 1 else cov.d2
+        if form.dim != size:
+            raise DimensionError(f"operator dim {form.dim} != d{form.side} = {size}")
+    kernels = [_form_kernel(form.operator) for form in forms]
+    # Columns are rows of a (k, count) array, so each estimator reads a
+    # contiguous vector, exactly as it would from eval_form_batch.
+    values = np.empty((len(forms), require_count(count)))
+
+    def evaluate(start: int, phi: np.ndarray):
+        sides = {1: phi[:, : cov.d1], 2: phi[:, cov.d1 :]}
+        stop = start + phi.shape[0]
+        for row, form, kernel in zip(values, forms, kernels):
+            row[start:stop] = kernel(sides[form.side], form.side == 2)
+
+    draw_chunks(cov, seed, count, evaluate, workers)
+    return values.T
 
 
 def analytic_mean(cov: BlockCovariance, form: QuadraticForm) -> float:
@@ -152,25 +216,32 @@ def analytic_cov(
     return as_real(value)
 
 
-def _mc_estimate(
+def cov_estimate(
     x: np.ndarray,
     y: np.ndarray,
-    batch: SampleBatch,
-    analytic: float | None,
+    analytic: float | None = None,
+    seed: int | None = None,
+    prng_id: str | None = None,
 ) -> Estimate:
+    """Sample covariance of two paired value vectors, with standard error.
+
+    Both vectors are centred on their global means; the value is the sum
+    of the centred products over n - 1 and the standard error is the
+    plug-in one (Bessel-corrected standard deviation of the centred
+    products over sqrt(n)).  Quadratic forms of Gaussians have finite
+    fourth moments, so the CLT applies.
+    """
     n = x.shape[0]
-    xc = x - x.mean()
-    yc = y - y.mean()
-    products = xc * yc
-    value = float(products.sum() / (n - 1))
-    std_error = float(products.std(ddof=1) / np.sqrt(n))
+    if n < 2:
+        raise ValueError(f"need at least 2 samples, got {n}")
+    products = (x - x.mean()) * (y - y.mean())
     return Estimate(
-        value=value,
-        std_error=std_error,
+        value=float(products.sum() / (n - 1)),
+        std_error=float(products.std(ddof=1) / np.sqrt(n)),
         n=n,
         analytic=analytic,
-        seed=batch.seed,
-        prng_id=batch.prng_id,
+        seed=seed,
+        prng_id=prng_id,
     )
 
 
@@ -185,18 +256,13 @@ def mc_cov(
 
     The second form is evaluated on conjugated samples by default,
     matching the pairing of analytic_cov; pass conjugate_second=False
-    only for diagnostics.  The standard error is the plugin estimator
-    (Bessel-corrected standard deviation of the centered products over
-    sqrt(n)); quadratic forms of Gaussians have finite fourth moments,
-    so the CLT applies.
+    only for diagnostics.  See cov_estimate for the estimator.
     """
-    if batch.count < 2:
-        raise ValueError(f"need at least 2 samples, got {batch.count}")
     if f1.side != 1 or f2.side != 2:
         raise ValueError("mc_cov expects f1 on side 1 and f2 on side 2")
     x = eval_form_batch(f1, batch)
     y = eval_form_batch(f2, batch, conjugate=conjugate_second)
-    return _mc_estimate(x, y, batch, analytic)
+    return cov_estimate(x, y, analytic, batch.seed, batch.prng_id)
 
 
 def mc_mean(

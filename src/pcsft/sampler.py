@@ -28,12 +28,13 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
 
 from .covariance import PSD_TOL, BlockCovariance
-from .errors import DimensionError, NotPositiveError, SchemaError
+from .errors import DimensionError, NotPositiveError, PcsftError, SchemaError
 
 PRNG_ID = "philox4x64:invcdf-ndtri:v1"
 
@@ -51,15 +52,22 @@ def resolve_workers(workers: int | None = None) -> int:
     """Worker count for chunk-parallel generation.
 
     Explicit argument wins; otherwise the PCSFT_THREADS environment
-    variable caps the hardware parallelism.  Results never depend on the
-    resolved value.
+    variable, capped at the CPU count, and by default the CPU count.
+    Results never depend on the resolved value.
     """
     if workers is not None:
         return max(1, int(workers))
+    cpus = max(1, os.cpu_count() or 1)
     env = os.environ.get("PCSFT_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
+    if env is None:
+        return cpus
+    try:
+        requested = int(env)
+    except ValueError:
+        raise PcsftError(
+            f"environment variable 'PCSFT_THREADS': expected an integer, got {env!r}"
+        ) from None
+    return min(max(1, requested), cpus)
 
 
 def _substream(seed: int, domain: int, chunk: int) -> np.random.Philox:
@@ -169,6 +177,13 @@ def factor_covariance(cov: BlockCovariance) -> np.ndarray:
     return f
 
 
+def require_count(count: int) -> int:
+    """Validate a sample count (at least one) and return it."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    return count
+
+
 def _chunk_bounds(count: int) -> list[tuple[int, int, int]]:
     """(chunk_index, start, size) triples covering [0, count)."""
     bounds = []
@@ -182,6 +197,40 @@ def _chunk_bounds(count: int) -> list[tuple[int, int, int]]:
     return bounds
 
 
+def draw_chunks(
+    cov: BlockCovariance,
+    seed: int,
+    count: int,
+    consume: Callable[[int, np.ndarray], None],
+    workers: int | None = None,
+) -> None:
+    """Draw ``count`` samples chunk by chunk and hand each chunk over.
+
+    For every ``CHUNK_SIZE`` chunk a worker builds the joint samples
+    ``phi = w @ F^T`` (shape (size, d1 + d2), components side by side)
+    and calls ``consume(start, phi)``, where ``start`` is the index of the
+    chunk's first sample.  Calls may run concurrently on disjoint chunks;
+    the values a chunk carries never depend on the worker count.
+    """
+    require_count(count)
+    f = factor_covariance(cov)
+    dim = f.shape[0]
+    ft = f.T.copy()
+
+    def run(chunk: int, start: int, size: int):
+        w = _standard_complex(seed, _DOMAIN_BISIGNAL, chunk, size, dim)
+        consume(start, w @ ft)
+
+    bounds = _chunk_bounds(count)
+    nworkers = min(resolve_workers(workers), len(bounds))
+    if nworkers > 1:
+        with ThreadPoolExecutor(max_workers=nworkers) as pool:
+            list(pool.map(lambda b: run(*b), bounds))
+    else:
+        for b in bounds:
+            run(*b)
+
+
 def draw(
     cov: BlockCovariance, seed: int, count: int, workers: int | None = None
 ) -> SampleBatch:
@@ -190,25 +239,12 @@ def draw(
     Deterministic in (cov, seed, count): chunk substreams are indexed by
     position, so any worker split merges back to the same batch.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    f = factor_covariance(cov)
-    dim = f.shape[0]
-    ft = f.T.copy()
-    out = np.empty((count, dim), dtype=complex)
+    out = np.empty((require_count(count), cov.d1 + cov.d2), dtype=complex)
 
-    def fill(chunk: int, start: int, size: int):
-        w = _standard_complex(seed, _DOMAIN_BISIGNAL, chunk, size, dim)
-        out[start : start + size] = w @ ft
+    def store(start: int, phi: np.ndarray):
+        out[start : start + phi.shape[0]] = phi
 
-    bounds = _chunk_bounds(count)
-    nworkers = min(resolve_workers(workers), len(bounds))
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
-    else:
-        for b in bounds:
-            fill(*b)
+    draw_chunks(cov, seed, count, store, workers)
     return SampleBatch(phi1=out[:, : cov.d1], phi2=out[:, cov.d1 :], seed=seed)
 
 
@@ -216,8 +252,7 @@ def draw_background(dim: int, epsilon: float, seed: int, count: int) -> Componen
     """White-noise background: iid circular complex Gaussian, covariance eps I."""
     if dim < 1:
         raise DimensionError(f"dim must be >= 1, got {dim}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    require_count(count)
     eps = float(epsilon)
     if eps < 0.0:
         raise NotPositiveError(f"epsilon must be nonnegative, got {eps}")

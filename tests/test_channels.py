@@ -131,6 +131,16 @@ class TestApplyToState:
         ch = rand_channel(rng, 3, 4)
         assert apply_to_state(ch, state).norm() == pytest.approx(1.0, abs=1e-12)
 
+    def test_coefficient_transform_matches_tensor_action(self):
+        # Guards the transpose convention: U1 Ψ̂ U2ᵀ must equal kron(U1, U2)
+        # acting on the row-major flattened state vector.
+        rng = np.random.default_rng(20240817)
+        state = rand_state(rng, 3, 4)
+        ch = rand_channel(rng, 3, 4)
+        lhs = apply_to_state(ch, state).amplitudes.reshape(-1)
+        rhs = np.kron(ch.u1, ch.u2) @ state.amplitudes.reshape(-1)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
 
 class TestApplyToCovariance:
     def test_identity(self):

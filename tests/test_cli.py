@@ -210,6 +210,24 @@ class TestExperimentCommand:
             main(["experiment", "--experiment", "beamsplitter", "--statistics", "anyon"])
         assert exc_info.value.code == 2
 
+    @pytest.mark.parametrize("epsilon", ["abc", "nan", "inf", ""])
+    def test_invalid_epsilon_exits_2(self, epsilon, capsys):
+        code = main(
+            [
+                "experiment",
+                "--experiment",
+                "beamsplitter",
+                "--statistics",
+                "fermion",
+                "--samples",
+                "2000",
+                "--epsilon",
+                epsilon,
+            ]
+        )
+        assert code == 2
+        assert "'epsilon'" in capsys.readouterr().err
+
     def test_statistical_failure_exits_1(self, monkeypatch, capsys):
         # exercise the exit-code mapping by forcing a failed report
         import pcsft.cli as cli_module
@@ -414,6 +432,24 @@ class TestChannelCommand:
         a = serialize.state_from_json(json.loads(step2.read_text())).amplitudes
         b = serialize.state_from_json(json.loads(direct.read_text())).amplitudes
         np.testing.assert_allclose(a, b, atol=1e-10)
+
+    @pytest.mark.parametrize("epsilon", ["abc", "nan", "inf"])
+    def test_invalid_epsilon_exits_2(self, tmp_path, singlet_file, epsilon, capsys):
+        code = main(
+            [
+                "channel",
+                str(singlet_file),
+                "beamsplitter5050",
+                "--epsilon",
+                epsilon,
+                "--output-state",
+                str(tmp_path / "out_state.json"),
+                "--output-covariance",
+                str(tmp_path / "out_cov.json"),
+            ]
+        )
+        assert code == 2
+        assert "'epsilon'" in capsys.readouterr().err
 
 
 class TestDeterminismAcrossCommands:

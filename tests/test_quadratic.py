@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from pcsft import (
+    PRNG_ID,
     BiSignalSample,
     DimensionError,
+    IndexLayout,
     PhasePair,
     QuadraticForm,
+    RealityError,
     SelfAdjointnessError,
     analytic_cov,
     analytic_mean,
@@ -16,7 +19,9 @@ from pcsft import (
     draw,
     epsilon_min,
     eval_form,
+    eval_form_batch,
     input_state,
+    intensity_observable,
     marginal_average,
     matricize,
     mc_cov,
@@ -24,9 +29,12 @@ from pcsft import (
     phase_transform,
     quantum_average_tensor,
     renormalized_mean,
+    sample_forms,
+    spin_state,
     UnitaryChannel,
     apply_to_state,
 )
+from pcsft.quadratic import _dense_values, _diagonal_values, cov_estimate
 from conftest import rand_complex, rand_selfadjoint, rand_state
 
 C = 1.0 / np.sqrt(2.0)
@@ -323,3 +331,126 @@ class TestEstimate:
         est = Estimate(value=0.0, std_error=1.0, n=10)
         with pytest.raises(ValueError):
             est.within()
+
+
+def spin_half_projectors():
+    layout = IndexLayout(space_dim=2, internal_dim=2)
+    return [
+        intensity_observable(port, layout, side) for side in (1, 2) for port in "RL"
+    ]
+
+
+def spin_half_cov():
+    u = np.kron(beamsplitter_unitary(), np.eye(2))
+    state = apply_to_state(UnitaryChannel(u1=u, u2=u), spin_state("sb5"))
+    return build_covariance(state, epsilon_min(state) + 0.05)
+
+
+def random_dense_case(seed: int):
+    rng = np.random.default_rng(seed)
+    state = rand_state(rng, 3, 2)
+    cov = build_covariance(state, epsilon_min(state) + 0.1)
+    forms = [
+        QuadraticForm(operator=rand_selfadjoint(rng, 3), side=1),
+        QuadraticForm(operator=rand_selfadjoint(rng, 2), side=2),
+    ]
+    return cov, forms
+
+
+class TestSampleForms:
+    def test_bit_identical_across_worker_counts(self):
+        cov, forms = random_dense_case(90)
+        forms.append(QuadraticForm(operator=np.diag([0.5, 0.0, 2.0]), side=1))
+        single = sample_forms(cov, seed=91, count=50_000, forms=forms, workers=1)
+        split = sample_forms(cov, seed=91, count=50_000, forms=forms, workers=3)
+        assert single.shape == (50_000, 3)
+        assert single.dtype == np.float64
+        assert np.array_equal(single, split)
+
+    @pytest.mark.parametrize("case", ["projectors", "dense"])
+    def test_columns_equal_batch_evaluation(self, case):
+        if case == "projectors":
+            cov, forms = spin_half_cov(), spin_half_projectors()
+        else:
+            cov, forms = random_dense_case(92)
+        values = sample_forms(cov, seed=93, count=40_000, forms=forms)
+        batch = draw(cov, seed=93, count=40_000)
+        for j, form in enumerate(forms):
+            expected = eval_form_batch(form, batch, conjugate=form.side == 2)
+            assert np.array_equal(values[:, j], expected)
+
+    def test_estimates_equal_batch_estimators(self):
+        cov, (f1, f2) = random_dense_case(94)
+        values = sample_forms(cov, seed=95, count=30_000, forms=[f1, f2])
+        fused = cov_estimate(values[:, 0], values[:, 1], seed=95, prng_id=PRNG_ID)
+        batched = mc_cov(draw(cov, seed=95, count=30_000), f1, f2)
+        assert fused == batched
+
+    def test_each_form_evaluated_once_per_chunk(self, monkeypatch):
+        # run_beamsplitter evaluates its 4 port intensities once per chunk
+        # and never assembles a full sample batch.
+        import pcsft.quadratic as quadratic
+        import pcsft.sampler as sampler
+        from pcsft import CHUNK_SIZE, run_beamsplitter
+
+        calls = []
+        real_kernel = quadratic._form_kernel
+
+        def counting_kernel(operator):
+            kernel = real_kernel(operator)
+            index = len(calls)
+            calls.append(0)
+
+            def counted(phi, conjugate):
+                calls[index] += 1
+                return kernel(phi, conjugate)
+
+            return counted
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a full sample batch was assembled")
+
+        monkeypatch.setattr(quadratic, "_form_kernel", counting_kernel)
+        monkeypatch.setattr(sampler.SampleBatch, "__init__", no_batch)
+        n = 3 * CHUNK_SIZE + 5
+        run_beamsplitter("boson", "half", seed=96, n_samples=n)
+        assert calls == [4, 4, 4, 4]
+
+    def test_dimension_mismatch(self):
+        cov, _ = random_dense_case(97)
+        form = QuadraticForm(operator=np.eye(2), side=1)
+        with pytest.raises(DimensionError):
+            sample_forms(cov, seed=0, count=100, forms=[form])
+
+
+class TestFormKernel:
+    def test_diagonal_branch_equals_dense_branch(self):
+        rng = np.random.default_rng(98)
+        phi = rand_complex(rng, 1000, 4)
+        weights = rng.standard_normal(4)
+        operator_t = np.diag(weights).astype(complex)
+        fast = _diagonal_values(phi, weights)
+        for conjugate in (False, True):
+            np.testing.assert_allclose(
+                fast, _dense_values(phi, operator_t, conjugate), rtol=1e-13, atol=1e-13
+            )
+
+    def test_diagonal_operator_takes_intensity_branch(self):
+        rng = np.random.default_rng(99)
+        form = QuadraticForm(operator=np.diag([1.0, -2.0, 0.5]), side=1)
+        batch = draw(build_covariance(rand_state(rng, 3, 2), 0.3), seed=0, count=100)
+        assert np.array_equal(
+            eval_form_batch(form, batch),
+            _diagonal_values(batch.phi1, np.array([1.0, -2.0, 0.5])),
+        )
+
+    def test_dense_branch_rejects_corrupted_operator(self):
+        cov, (f1, f2) = random_dense_case(100)
+        batch = draw(cov, seed=101, count=1_000)
+        corrupt = np.array(f1.operator)
+        corrupt[0, 1] += 0.5j  # no longer self-adjoint
+        object.__setattr__(f1, "operator", corrupt)
+        with pytest.raises(RealityError):
+            eval_form_batch(f1, batch)
+        with pytest.raises(RealityError):
+            sample_forms(cov, seed=101, count=1_000, forms=[f1, f2])

@@ -221,8 +221,11 @@ class TestScaledFieldMoments:
 
 class TestWorkerResolution:
     def test_env_variable_caps_workers(self, monkeypatch):
-        from pcsft.sampler import resolve_workers
+        from pcsft.sampler import os, resolve_workers
 
+        # The value is capped at the CPU count; fix it so the test does not
+        # depend on the host.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setenv("PCSFT_THREADS", "2")
         assert resolve_workers() == 2
         monkeypatch.delenv("PCSFT_THREADS")
@@ -233,6 +236,27 @@ class TestWorkerResolution:
 
         monkeypatch.setenv("PCSFT_THREADS", "8")
         assert resolve_workers(3) == 3
+
+    def test_non_integer_env_names_variable(self, monkeypatch):
+        from pcsft import PcsftError
+        from pcsft.sampler import resolve_workers
+
+        monkeypatch.setenv("PCSFT_THREADS", "abc")
+        with pytest.raises(PcsftError, match="PCSFT_THREADS"):
+            resolve_workers()
+
+    def test_env_capped_at_cpu_count(self, monkeypatch):
+        # Only resolves the count; no thread is started.
+        from pcsft import sampler
+
+        monkeypatch.setattr(sampler.os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("PCSFT_THREADS", "100000")
+        assert sampler.resolve_workers() == 3
+        monkeypatch.setenv("PCSFT_THREADS", "-4")
+        assert sampler.resolve_workers() == 1
+        monkeypatch.setattr(sampler.os, "cpu_count", lambda: None)
+        monkeypatch.setenv("PCSFT_THREADS", "8")
+        assert sampler.resolve_workers() == 1
 
     def test_env_split_matches_serial(self, monkeypatch):
         cov = build_covariance(BELL_SINGLET, 0.3)
