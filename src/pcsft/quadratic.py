@@ -87,9 +87,22 @@ def _component(batch: SampleBatch, side: int) -> np.ndarray:
     return batch.phi1 if side == 1 else batch.phi2
 
 
-def _diagonal_values(phi: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """<A phi_n, phi_n> for A = diag(weights): weighted row intensities."""
-    return (phi.real**2 + phi.imag**2) @ weights
+class _Rows:
+    """Rows of one component, read by one thread; their intensities
+    |phi|^2 are computed on first use and shared by every diagonal form
+    read off them.  (No functools.cached_property: before Python 3.12 it
+    takes one lock for all instances, which would serialize the sampler's
+    workers.)"""
+
+    def __init__(self, phi: np.ndarray):
+        self.phi = phi
+        self._intensity = None
+
+    @property
+    def intensity(self) -> np.ndarray:
+        if self._intensity is None:
+            self._intensity = self.phi.real**2 + self.phi.imag**2
+        return self._intensity
 
 
 def _dense_values(
@@ -108,18 +121,19 @@ def _dense_values(
     return values.real
 
 
-def _form_kernel(operator: np.ndarray) -> Callable[[np.ndarray, bool], np.ndarray]:
-    """Evaluator ``(phi, conjugate) -> values`` for one operator.
+def _form_kernel(operator: np.ndarray) -> Callable[[_Rows, bool], np.ndarray]:
+    """Evaluator ``(rows, conjugate) -> values`` for one operator.
 
-    A diagonal operator takes the intensity branch, which conjugation
-    does not change; any other operator takes the dense row-dot branch.
+    A diagonal operator A = diag(weights) takes the intensity branch,
+    ``rows.intensity @ weights``, which conjugation does not change; any
+    other operator takes the dense row-dot branch.
     """
     diag = np.diagonal(operator)
     if np.array_equal(operator, np.diag(diag)):
         weights = diag.real.copy()
-        return lambda phi, conjugate: _diagonal_values(phi, weights)
+        return lambda rows, conjugate: rows.intensity @ weights
     operator_t = operator.T.copy()
-    return lambda phi, conjugate: _dense_values(phi, operator_t, conjugate)
+    return lambda rows, conjugate: _dense_values(rows.phi, operator_t, conjugate)
 
 
 def eval_form_batch(
@@ -131,7 +145,7 @@ def eval_form_batch(
         raise DimensionError(
             f"batch component has dimension {phi.shape[1]}, operator needs {form.dim}"
         )
-    return _form_kernel(form.operator)(phi, conjugate)
+    return _form_kernel(form.operator)(_Rows(phi), conjugate)
 
 
 def sample_forms(
@@ -149,8 +163,9 @@ def sample_forms(
     side-1 forms on phi1, side-2 forms on conj(phi2), the pairing of
     analytic_cov.  Each form is evaluated once per chunk inside the
     sampler's workers, and no complex batch of all samples is kept, so
-    memory is O(count * len(forms)) floats.  Pass each distinct form
-    once; the result is bit-identical for any worker count.
+    memory is O(count * len(forms)) floats.  Diagonal forms on one side
+    share that side's intensities, computed once per chunk.  Pass each
+    distinct form once; the result is bit-identical for any worker count.
     """
     for form in forms:
         size = cov.d1 if form.side == 1 else cov.d2
@@ -162,7 +177,7 @@ def sample_forms(
     values = np.empty((len(forms), require_count(count)))
 
     def evaluate(start: int, phi: np.ndarray):
-        sides = {1: phi[:, : cov.d1], 2: phi[:, cov.d1 :]}
+        sides = {1: _Rows(phi[:, : cov.d1]), 2: _Rows(phi[:, cov.d1 :])}
         stop = start + phi.shape[0]
         for row, form, kernel in zip(values, forms, kernels):
             row[start:stop] = kernel(sides[form.side], form.side == 2)

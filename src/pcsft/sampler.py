@@ -12,12 +12,21 @@ Determinism contract
 All randomness flows through the counter-based Philox 4x64 generator.
 A batch is produced in fixed-size chunks; chunk ``c`` of a draw with seed
 ``s`` uses the substream ``Philox(key=(s, domain << 56 | c))``, where the
-domain separates bi-signal draws from background draws.  Raw 64-bit words
-are mapped to open-interval uniforms and then through the inverse normal
-CDF (scipy.special.ndtri), a branch-free transform, so regenerating with
-the same (covariance, seed, count) is bit-identical no matter how many
-worker threads are used.  The generator identity is recorded on every
-batch as ``prng_id``.
+domain separates bi-signal draws from background draws.  numpy's
+ziggurat sampler (``Generator.standard_normal``) turns the substream's
+words into standard normals, written straight into the chunk's buffer:
+row k holds the real and imaginary parts of sample k's modes,
+interleaved, so the buffer read as complex is the chunk's standard
+complex draw w.  The ziggurat consumes the words in order, so a chunk
+never depends on the worker count and a shorter draw is a prefix of a
+longer one.  Samples are ``w @ F^T / sqrt(2)`` with F the unique
+positive semi-definite square root of the covariance, which, unlike an
+eigenvector factor, does not depend on the basis LAPACK picks inside a
+repeated eigenvalue.  Regenerating with the same (covariance, seed,
+count) is therefore bit-identical for any worker count.  The generator
+identity is recorded on every batch as ``prng_id``.  numpy does not
+promise that ``Generator`` streams stay the same across versions (NEP
+19), so the tests pin known-answer values of the stream.
 """
 
 from __future__ import annotations
@@ -31,12 +40,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from .covariance import PSD_TOL, BlockCovariance
 from .errors import DimensionError, NotPositiveError, PcsftError, SchemaError
 
-PRNG_ID = "philox4x64:invcdf-ndtri:v1"
+PRNG_ID = "philox4x64:ziggurat:v2"
 
 # Samples per substream chunk.  Part of the determinism contract: changing
 # it changes every batch.
@@ -79,18 +87,13 @@ def _substream(seed: int, domain: int, chunk: int) -> np.random.Philox:
     return np.random.Philox(key=key)
 
 
-def _standard_normals(seed: int, domain: int, chunk: int, n: int) -> np.ndarray:
-    """n iid N(0,1) variates from the (seed, domain, chunk) substream."""
-    raw = _substream(seed, domain, chunk).random_raw(n)
-    # (raw >> 11) + 0.5 scaled by 2^-53 lies strictly inside (0, 1).
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
-
-
-def _standard_complex(seed: int, domain: int, chunk: int, count: int, dim: int) -> np.ndarray:
-    """count x dim standard circular complex normals, E|w|^2 = 1 per mode."""
-    z = _standard_normals(seed, domain, chunk, 2 * count * dim).reshape(count, 2, dim)
-    return (z[:, 0, :] + 1j * z[:, 1, :]) * np.sqrt(0.5)
+def _standard_complex(seed: int, domain: int, chunk: int, out: np.ndarray) -> None:
+    """Fill complex ``out`` (rows, dim) from the (seed, domain, chunk)
+    substream: real and imaginary parts iid N(0, 1), so E|w|^2 = 2 per
+    mode and scaling by 1/sqrt(2) gives standard circular normals."""
+    np.random.Generator(_substream(seed, domain, chunk)).standard_normal(
+        out=out.view(np.float64)
+    )
 
 
 @dataclass(frozen=True)
@@ -105,11 +108,21 @@ class SampleBatch:
     """Ordered batch of bi-signal realizations plus its provenance.
 
     phi1 has shape (count, d1) and phi2 (count, d2); row k is sample k.
+    The arrays are copied unless ``copy`` is false, which hands over
+    complex arrays that nothing else will write to (``draw``'s own).
     """
 
-    def __init__(self, phi1: np.ndarray, phi2: np.ndarray, seed: int, prng_id: str = PRNG_ID):
-        phi1 = np.array(phi1, dtype=complex)
-        phi2 = np.array(phi2, dtype=complex)
+    def __init__(
+        self,
+        phi1: np.ndarray,
+        phi2: np.ndarray,
+        seed: int,
+        prng_id: str = PRNG_ID,
+        copy: bool = True,
+    ):
+        convert = np.array if copy else np.asarray
+        phi1 = convert(phi1, dtype=complex)
+        phi2 = convert(phi2, dtype=complex)
         if phi1.ndim != 2 or phi2.ndim != 2 or phi1.shape[0] != phi2.shape[0]:
             raise DimensionError(
                 f"component arrays disagree: {phi1.shape} vs {phi2.shape}"
@@ -158,11 +171,14 @@ class ComponentBatch:
 
 
 def factor_covariance(cov: BlockCovariance) -> np.ndarray:
-    """Factor F with F F† equal to the assembled covariance.
+    """The positive semi-definite square root F = V sqrt(L) V† of the
+    assembled covariance, so F F† equals it.
 
     Uses the Hermitian eigendecomposition so that exact zero modes (the
     boundary case epsilon = epsilon_min) are handled; eigenvalues in
-    [-1e-10, 0) are clipped to zero, anything lower is an error.
+    [-1e-10, 0) are clipped to zero, anything lower is an error.  The
+    root is unique, so it does not depend on the eigenvector basis
+    chosen inside a repeated eigenvalue.
     """
     c = cov.assembled()
     evals, evecs = np.linalg.eigh(c)
@@ -170,7 +186,7 @@ def factor_covariance(cov: BlockCovariance) -> np.ndarray:
     if lo < -PSD_TOL:
         raise NotPositiveError(f"covariance has eigenvalue {lo:.3e} < -{PSD_TOL:.1e}")
     evals = np.clip(evals, 0.0, None)
-    f = evecs * np.sqrt(evals)[None, :]
+    f = (evecs * np.sqrt(evals)[None, :]) @ evecs.conj().T
     residual = float(np.max(np.abs(f @ f.conj().T - c)))
     if residual > 1e-8:
         raise NotPositiveError(f"factorization residual {residual:.3e} exceeds 1e-8")
@@ -215,10 +231,11 @@ def draw_chunks(
     require_count(count)
     f = factor_covariance(cov)
     dim = f.shape[0]
-    ft = f.T.copy()
+    ft = f.T * np.sqrt(0.5)
 
     def run(chunk: int, start: int, size: int):
-        w = _standard_complex(seed, _DOMAIN_BISIGNAL, chunk, size, dim)
+        w = np.empty((size, dim), dtype=complex)
+        _standard_complex(seed, _DOMAIN_BISIGNAL, chunk, w)
         consume(start, w @ ft)
 
     bounds = _chunk_bounds(count)
@@ -245,7 +262,7 @@ def draw(
         out[start : start + phi.shape[0]] = phi
 
     draw_chunks(cov, seed, count, store, workers)
-    return SampleBatch(phi1=out[:, : cov.d1], phi2=out[:, cov.d1 :], seed=seed)
+    return SampleBatch(phi1=out[:, : cov.d1], phi2=out[:, cov.d1 :], seed=seed, copy=False)
 
 
 def draw_background(dim: int, epsilon: float, seed: int, count: int) -> ComponentBatch:
@@ -256,11 +273,10 @@ def draw_background(dim: int, epsilon: float, seed: int, count: int) -> Componen
     eps = float(epsilon)
     if eps < 0.0:
         raise NotPositiveError(f"epsilon must be nonnegative, got {eps}")
-    scale = np.sqrt(eps)
     out = np.empty((count, dim), dtype=complex)
     for chunk, start, size in _chunk_bounds(count):
-        w = _standard_complex(seed, _DOMAIN_BACKGROUND, chunk, size, dim)
-        out[start : start + size] = scale * w
+        _standard_complex(seed, _DOMAIN_BACKGROUND, chunk, out[start : start + size])
+    out *= np.sqrt(eps / 2.0)
     out.setflags(write=False)
     return ComponentBatch(samples=out, seed=int(seed))
 

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, determinism, file handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,3 +480,19 @@ class TestDeterminismAcrossCommands:
         with pytest.raises(SystemExit) as exc_info:
             main(["--version"])
         assert exc_info.value.code == 0
+
+
+class TestImportPath:
+    def test_cli_import_loads_no_scipy(self):
+        # A fresh process, so modules other tests imported do not count.
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys, pcsft.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        assert result.stdout.strip() == "[]"

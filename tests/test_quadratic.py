@@ -34,8 +34,13 @@ from pcsft import (
     UnitaryChannel,
     apply_to_state,
 )
-from pcsft.quadratic import _dense_values, _diagonal_values, cov_estimate
+from pcsft.quadratic import _dense_values, cov_estimate
 from conftest import rand_complex, rand_selfadjoint, rand_state
+
+
+def _diagonal_values(phi, weights):
+    """Reference for the intensity branch: <A phi_n, phi_n> for A = diag(weights)."""
+    return (phi.real**2 + phi.imag**2) @ weights
 
 C = 1.0 / np.sqrt(2.0)
 BELL_SINGLET = matricize(np.array([[0.0, C], [-C, 0.0]]))
@@ -415,6 +420,25 @@ class TestSampleForms:
         n = 3 * CHUNK_SIZE + 5
         run_beamsplitter("boson", "half", seed=96, n_samples=n)
         assert calls == [4, 4, 4, 4]
+
+    def test_intensity_computed_once_per_side_and_chunk(self, monkeypatch):
+        # The 4 port projectors of run_beamsplitter share one intensity
+        # matrix per side and chunk.
+        import pcsft.quadratic as quadratic
+        from pcsft import CHUNK_SIZE, run_beamsplitter
+
+        calls = []
+        real_intensity = quadratic._Rows.intensity.fget
+
+        def counting_intensity(rows):
+            if rows._intensity is None:
+                calls.append(rows.phi.shape[1])
+            return real_intensity(rows)
+
+        monkeypatch.setattr(quadratic._Rows, "intensity", property(counting_intensity))
+        n = 3 * CHUNK_SIZE + 5
+        run_beamsplitter("boson", "half", seed=96, n_samples=n)
+        assert calls == [4] * 8
 
     def test_dimension_mismatch(self):
         cov, _ = random_dense_case(97)

@@ -1,11 +1,19 @@
 """Seeded Gaussian sampling: factorization, moments, determinism."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pcsft import (
+    CHUNK_SIZE,
     BlockCovariance,
     NotPositiveError,
+    SampleBatch,
+    UnitaryChannel,
+    apply_to_state,
+    beamsplitter_unitary,
     build_covariance,
     covariance_hash,
     draw,
@@ -20,6 +28,16 @@ from conftest import rand_psd, rand_selfadjoint, rand_state
 
 C = 1.0 / np.sqrt(2.0)
 BELL_SINGLET = matricize(np.array([[0.0, C], [-C, 0.0]]))
+
+
+def experiment_cov(statistics: str, spin: str) -> BlockCovariance:
+    """The covariance run_beamsplitter samples for epsilon='auto'."""
+    from pcsft.experiments import AUTO_EPSILON_MARGIN, _experiment_input
+
+    psi, layout = _experiment_input(statistics, spin)
+    u = np.kron(beamsplitter_unitary(), np.eye(layout.internal_dim))
+    out = apply_to_state(UnitaryChannel(u1=u, u2=u), psi)
+    return build_covariance(out, epsilon_min(out) + AUTO_EPSILON_MARGIN)
 
 
 def identity_cov(d1: int, d2: int) -> BlockCovariance:
@@ -67,6 +85,16 @@ class TestFactorCovariance:
         cov = build_covariance(BELL_SINGLET, epsilon_min(BELL_SINGLET))
         f = factor_covariance(cov)
         assert np.max(np.abs(f @ f.conj().T - cov.assembled())) <= 1e-8
+
+    @pytest.mark.parametrize("statistics, spin", [("fermion", "0"), ("boson", "half")])
+    def test_unique_psd_root(self, statistics, spin):
+        # Both covariances have repeated eigenvalues; the Hermitian PSD
+        # root is the same whichever eigenvector basis eigh returns.
+        cov = experiment_cov(statistics, spin)
+        f = factor_covariance(cov)
+        np.testing.assert_allclose(f, f.conj().T, atol=1e-12)
+        assert np.linalg.eigvalsh(f).min() >= -1e-12
+        np.testing.assert_allclose(f @ f, cov.assembled(), atol=1e-12)
 
 
 class TestDrawMoments:
@@ -148,6 +176,60 @@ class TestDeterminism:
         np.testing.assert_array_equal(sample.phi1, batch.phi1[3])
         assert len(batch) == 10
         assert batch.seed == 51
+
+
+class TestKnownAnswers:
+    """Pinned values of stream v2.  numpy does not promise that
+    Generator streams stay the same across versions (NEP 19); if one of
+    these fails, the stream moved and PRNG_ID needs a new version."""
+
+    def test_first_normals_of_substream(self):
+        from pcsft.sampler import _DOMAIN_BISIGNAL, _standard_complex
+
+        w = np.empty((1, 4), dtype=complex)
+        _standard_complex(0, _DOMAIN_BISIGNAL, 0, w)
+        expected = [
+            0.15929546600623282, -1.7741885208017214, 1.3265118818830892,
+            1.2048090979493156, -0.03910371209917862, -0.5194192970029236,
+            -1.1132959094272785, -1.7673803015404892,
+        ]
+        assert w.view(np.float64).ravel().tolist() == expected
+
+    @pytest.mark.parametrize(
+        "statistics, spin, seed, digest",
+        [
+            ("fermion", "0", 0, "dcd56809b37b8a8856271eed8dc10114fa450e6d820082efd9c1368f37413a7d"),
+            ("fermion", "0", 7, "fb6580c1b2e06e2001ce16e0d83b6927cd64216d67e73db94cf1b82988041e21"),
+            ("boson", "half", 0, "0e051bc68741a090c364514adb63c11139253a0192736a04a3ce4dd1cbf8fff5"),
+            ("boson", "half", 7, "2b64cd47112ebcac0a3bd9ee0dc2a3b5c18b9aa2d85823e081c4eff129840dd9"),
+        ],
+    )
+    def test_first_chunk_digest(self, statistics, spin, seed, digest):
+        batch = draw(experiment_cov(statistics, spin), seed=seed, count=CHUNK_SIZE)
+        joint = np.hstack([batch.phi1, batch.phi2]).astype("<c16")
+        assert hashlib.sha256(joint.tobytes()).hexdigest() == digest
+
+
+class TestBatchMemory:
+    def test_draw_hands_over_its_arrays(self):
+        # 200k spin-1/2 samples: a 25.6 MB batch.  On one worker the only
+        # other allocation is one chunk's scratch.
+        cov = experiment_cov("boson", "half")
+        tracemalloc.start()
+        try:
+            batch = draw(cov, seed=0, count=200_000, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (batch.phi1.nbytes + batch.phi2.nbytes)
+
+    def test_caller_arrays_are_copied(self):
+        phi1 = np.ones((3, 2), dtype=complex)
+        phi2 = np.ones((3, 2), dtype=complex)
+        batch = SampleBatch(phi1, phi2, seed=0)
+        phi1[0, 0] = 5.0
+        assert batch.phi1[0, 0] == 1.0
+        assert not batch.phi1.flags.writeable
 
 
 class TestBackground:
