@@ -33,7 +33,7 @@ from .covariance import build_covariance, classify_symmetry, epsilon_min
 from .errors import PcsftError
 from .experiments import AUTO_EPSILON_MARGIN, beamsplitter_unitary, run_beamsplitter
 from .hilbert import quantum_average_tensor, quantum_average_trace
-from .quadratic import QuadraticForm, analytic_cov, cov_estimate, sample_forms
+from .quadratic import QuadraticForm, analytic_cov, form_moments
 from .sampler import PRNG_ID
 from . import serialize
 
@@ -115,14 +115,8 @@ def cmd_verify_identity(args) -> int:
     f1 = QuadraticForm(operator=a1, side=1)
     f2 = QuadraticForm(operator=a2, side=2)
     cov_value = analytic_cov(cov, f1, f2)
-    values = sample_forms(cov, seed=args.seed, count=args.samples, forms=[f1, f2])
-    est = cov_estimate(
-        values[:, 0],
-        values[:, 1],
-        analytic=cov_value,
-        seed=args.seed,
-        prng_id=PRNG_ID,
-    )
+    moments = form_moments(cov, seed=args.seed, count=args.samples, forms=[f1, f2])
+    est = moments.cov(0, 1, analytic=cov_value)
 
     checks = {
         "trace_vs_tensor": abs(trace - tensor) <= IDENTITY_TOL,

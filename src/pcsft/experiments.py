@@ -22,13 +22,7 @@ from .channels import UnitaryChannel, apply_to_state
 from .covariance import build_covariance, classify_symmetry, epsilon_min
 from .errors import DimensionError
 from .hilbert import BipartiteState
-from .quadratic import (
-    Estimate,
-    QuadraticForm,
-    analytic_cov,
-    cov_estimate,
-    sample_forms,
-)
+from .quadratic import Estimate, QuadraticForm, analytic_cov, form_moments
 from .sampler import PRNG_ID
 
 PORTS = ("R", "L")
@@ -189,7 +183,8 @@ def run_beamsplitter(
     epsilon="auto" resolves to epsilon_min + AUTO_EPSILON_MARGIN.  Every
     g entry is flagged as passing when |mc - analytic| <= SE_BAND
     standard errors.  The four port intensities are evaluated once per
-    sample; each g entry pairs a side-1 column with a side-2 column.
+    sample and reduced to their moments as they are drawn; each g entry
+    pairs a side-1 column with a side-2 column.
     """
     if n_samples < 1000:
         raise ValueError(f"need n_samples >= 1000, got {n_samples}")
@@ -207,20 +202,14 @@ def run_beamsplitter(
     cov = build_covariance(psi_out, eps)
     side1 = [intensity_observable(x, layout, side=1) for x in PORTS]
     side2 = [intensity_observable(y, layout, side=2) for y in PORTS]
-    values = sample_forms(cov, seed=seed, count=n_samples, forms=side1 + side2)
+    moments = form_moments(cov, seed=seed, count=n_samples, forms=side1 + side2)
     k = len(PORTS)
 
     entries: dict[str, PortCorrelation] = {}
     for i, x in enumerate(PORTS):
         for j, y in enumerate(PORTS):
             g_xy = analytic_cov(cov, side1[i], side2[j])
-            est = cov_estimate(
-                values[:, i],
-                values[:, k + j],
-                analytic=g_xy,
-                seed=int(seed),
-                prng_id=PRNG_ID,
-            )
+            est = moments.cov(i, k + j, analytic=g_xy)
             entries[x + y] = PortCorrelation(
                 analytic=g_xy, estimate=est, passed=est.within(SE_BAND)
             )

@@ -16,6 +16,7 @@ diagnostics only.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -24,7 +25,13 @@ import numpy as np
 from .covariance import BlockCovariance
 from .errors import DimensionError, RealityError
 from .hilbert import as_real, require_selfadjoint
-from .sampler import BiSignalSample, SampleBatch, draw_chunks, require_count
+from .sampler import (
+    _BLOCK_ROWS,
+    PRNG_ID,
+    BiSignalSample,
+    SampleBatch,
+    draw_chunks,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,54 +143,198 @@ def _form_kernel(operator: np.ndarray) -> Callable[[_Rows, bool], np.ndarray]:
     return lambda rows, conjugate: _dense_values(rows.phi, operator_t, conjugate)
 
 
+def _require_dim(form: QuadraticForm, size: int):
+    if form.dim != size:
+        raise DimensionError(
+            f"component has dimension {size}, operator needs {form.dim}"
+        )
+
+
 def eval_form_batch(
     form: QuadraticForm, batch: SampleBatch, conjugate: bool = False
 ) -> np.ndarray:
     """Vectorized f_A over a batch; optionally on conjugated samples."""
     phi = _component(batch, form.side)
-    if phi.shape[1] != form.dim:
-        raise DimensionError(
-            f"batch component has dimension {phi.shape[1]}, operator needs {form.dim}"
-        )
+    _require_dim(form, phi.shape[1])
     return _form_kernel(form.operator)(_Rows(phi), conjugate)
 
 
-def sample_forms(
+def _shift_map(delta: np.ndarray) -> np.ndarray:
+    """The matrix L with L [1, d, d²] = [1, d + delta, (d + delta)²]."""
+    k = delta.shape[0]
+    shift = np.eye(1 + 2 * k)
+    j = np.arange(k)
+    shift[1 + j, 0] = delta
+    shift[1 + k + j, 0] = delta**2
+    shift[1 + k + j, 1 + j] = 2.0 * delta
+    return shift
+
+
+class Moments:
+    """Count, means and central moments up to order four of k value
+    columns, accumulated in one pass over index-ordered blocks of rows.
+
+    ``add(index, columns)`` takes block ``index`` of a fixed tiling of the
+    rows (blocks 0, 1, 2, ... in row order), one vector per column.  Per
+    block it keeps its mean m_b and the Gram matrix of the rows
+    [1, d, d²], d = value - m_b: one (1 + 2k)² matrix product.  Blocks are
+    folded into one total in index order, each first moved onto the mean
+    of block 0 by the exact linear map d -> d + (m_b - m_0); a block that
+    arrives before its predecessors waits for them.  So the result never
+    depends on which thread added which block, or when, and memory does
+    not grow with the row count.  Centring on block means first keeps the
+    sums stable when the values sit far from zero.  The estimates move
+    the total onto the global mean the same way and read off it in closed
+    form; they equal the two-pass formulas up to rounding.  Thread-safe.
+    """
+
+    def __init__(self, k: int, seed: int | None = None, prng_id: str | None = None):
+        self.k = k
+        self.seed = seed
+        self.prng_id = prng_id
+        self.count = 0
+        self._gram = np.zeros((1 + 2 * k, 1 + 2 * k))
+        self._pivot = None
+        self._next = 0
+        self._pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._lock = threading.Lock()
+
+    def add(self, index: int, columns: Sequence[np.ndarray]):
+        """Add block ``index``: ``columns[j]`` holds column j on its rows."""
+        k = self.k
+        rows = np.empty((1 + 2 * k, columns[0].shape[0]))
+        rows[0] = 1.0
+        d = rows[1 : 1 + k]
+        for j, column in enumerate(columns):
+            d[j] = column
+        mean = d.mean(axis=1)
+        d -= mean[:, None]
+        np.square(d, out=rows[1 + k :])
+        gram = rows @ rows.T
+        with self._lock:
+            self._pending[index] = (mean, gram)
+            while self._next in self._pending:
+                block_mean, block_gram = self._pending.pop(self._next)
+                if self._pivot is None:
+                    self._pivot = block_mean
+                shift = _shift_map(block_mean - self._pivot)
+                self._gram += shift @ block_gram @ shift.T
+                self.count += int(block_gram[0, 0])
+                self._next += 1
+
+    def _centred(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(n, means, Gram matrix of [1, d, d²] with d = value - mean)."""
+        if self._pending:
+            raise ValueError(
+                f"blocks {sorted(self._pending)} wait for block {self._next}"
+            )
+        n = self.count
+        if n < 2:
+            raise ValueError(f"need at least 2 samples, got {n}")
+        # Sums of d about the pivot, so the means are pivot + offset.
+        offset = self._gram[0, 1 : 1 + self.k] / n
+        shift = _shift_map(-offset)
+        return n, self._pivot + offset, shift @ self._gram @ shift.T
+
+    def _estimate(self, value, variance, n, analytic) -> Estimate:
+        return Estimate(
+            value=float(value),
+            std_error=float(np.sqrt(max(variance, 0.0) / n)),
+            n=n,
+            analytic=analytic,
+            seed=self.seed,
+            prng_id=self.prng_id,
+        )
+
+    def mean(self, i: int, analytic: float | None = None) -> Estimate:
+        """Sample mean of column i; the standard error is the
+        Bessel-corrected standard deviation over sqrt(n)."""
+        n, means, gram = self._centred()
+        return self._estimate(means[i], gram[1 + i, 1 + i] / (n - 1), n, analytic)
+
+    def cov(self, i: int, j: int, analytic: float | None = None) -> Estimate:
+        """Sample covariance of columns i and j, with standard error.
+
+        Both columns are centred on their means; the value is the sum of
+        the centred products over n - 1 and the standard error is the
+        plug-in one (Bessel-corrected standard deviation of the centred
+        products over sqrt(n)).  Quadratic forms of Gaussians have finite
+        fourth moments, so the CLT applies.
+        """
+        n, _, gram = self._centred()
+        k = self.k
+        products = gram[1 + i, 1 + j]
+        squares = gram[1 + k + i, 1 + k + j]
+        variance = (squares - products * products / n) / (n - 1)
+        return self._estimate(products / (n - 1), variance, n, analytic)
+
+
+def _block_evaluator(
+    forms: Sequence[QuadraticForm], conjugates: Sequence[bool], moments: Moments
+) -> Callable[[int, np.ndarray, np.ndarray], None]:
+    """``evaluate(index, phi1, phi2)``: every form on one block of rows,
+    added to ``moments`` as block ``index``.  The fused and the batch path
+    share it, so both evaluate the same rows the same way."""
+    kernels = [_form_kernel(form.operator) for form in forms]
+
+    def evaluate(index: int, phi1: np.ndarray, phi2: np.ndarray):
+        sides = {1: _Rows(phi1), 2: _Rows(phi2)}
+        moments.add(
+            index,
+            [
+                kernel(sides[form.side], conjugate)
+                for form, conjugate, kernel in zip(forms, conjugates, kernels)
+            ],
+        )
+
+    return evaluate
+
+
+def form_moments(
     cov: BlockCovariance,
     seed: int,
     count: int,
     forms: Sequence[QuadraticForm],
     workers: int | None = None,
-) -> np.ndarray:
-    """Values of each form on ``count`` fresh samples, drawn and evaluated
-    in one pass.
+) -> Moments:
+    """Moments of the forms' values on ``count`` fresh samples, drawn,
+    evaluated and accumulated in one pass.
 
-    Returns a (count, len(forms)) float64 matrix whose column j holds
-    form j on the same samples ``draw(cov, seed, count)`` would return:
-    side-1 forms on phi1, side-2 forms on conj(phi2), the pairing of
-    analytic_cov.  Each form is evaluated once per chunk inside the
-    sampler's workers, and no complex batch of all samples is kept, so
-    memory is O(count * len(forms)) floats.  Diagonal forms on one side
-    share that side's intensities, computed once per chunk.  Pass each
-    distinct form once; the result is bit-identical for any worker count.
+    Column j of the moments is form j on the samples
+    ``draw(cov, seed, count)`` would return: side-1 forms on phi1, side-2
+    forms on conj(phi2), the pairing of analytic_cov.  Each form is
+    evaluated once per block inside the sampler's workers and folded into
+    the moments there, so memory is O(workers * block) whatever
+    ``count`` is.  Diagonal forms on one side share that side's
+    intensities, computed once per block.  Pass each distinct form once;
+    the result is bit-identical for any worker count.
     """
     for form in forms:
-        size = cov.d1 if form.side == 1 else cov.d2
-        if form.dim != size:
-            raise DimensionError(f"operator dim {form.dim} != d{form.side} = {size}")
-    kernels = [_form_kernel(form.operator) for form in forms]
-    # Columns are rows of a (k, count) array, so each estimator reads a
-    # contiguous vector, exactly as it would from eval_form_batch.
-    values = np.empty((len(forms), require_count(count)))
+        _require_dim(form, cov.d1 if form.side == 1 else cov.d2)
+    moments = Moments(len(forms), seed=int(seed), prng_id=PRNG_ID)
+    evaluate = _block_evaluator(forms, [f.side == 2 for f in forms], moments)
 
-    def evaluate(start: int, phi: np.ndarray):
-        sides = {1: _Rows(phi[:, : cov.d1]), 2: _Rows(phi[:, cov.d1 :])}
-        stop = start + phi.shape[0]
-        for row, form, kernel in zip(values, forms, kernels):
-            row[start:stop] = kernel(sides[form.side], form.side == 2)
+    def consume(start: int, phi: np.ndarray):
+        evaluate(start // _BLOCK_ROWS, phi[:, : cov.d1], phi[:, cov.d1 :])
 
-    draw_chunks(cov, seed, count, evaluate, workers)
-    return values.T
+    draw_chunks(cov, seed, count, consume, workers)
+    return moments
+
+
+def _batch_moments(
+    batch: SampleBatch, forms: Sequence[QuadraticForm], conjugates: Sequence[bool]
+) -> Moments:
+    """Moments of the forms over a batch, form j on conjugated samples if
+    ``conjugates[j]``, walked in the sampler's block tiling, so they equal
+    form_moments on the same draw."""
+    for form in forms:
+        _require_dim(form, _component(batch, form.side).shape[1])
+    moments = Moments(len(forms), seed=batch.seed, prng_id=batch.prng_id)
+    evaluate = _block_evaluator(forms, conjugates, moments)
+    for index, start in enumerate(range(0, batch.count, _BLOCK_ROWS)):
+        block = slice(start, start + _BLOCK_ROWS)
+        evaluate(index, batch.phi1[block], batch.phi2[block])
+    return moments
 
 
 def analytic_mean(cov: BlockCovariance, form: QuadraticForm) -> float:
@@ -231,35 +382,6 @@ def analytic_cov(
     return as_real(value)
 
 
-def cov_estimate(
-    x: np.ndarray,
-    y: np.ndarray,
-    analytic: float | None = None,
-    seed: int | None = None,
-    prng_id: str | None = None,
-) -> Estimate:
-    """Sample covariance of two paired value vectors, with standard error.
-
-    Both vectors are centred on their global means; the value is the sum
-    of the centred products over n - 1 and the standard error is the
-    plug-in one (Bessel-corrected standard deviation of the centred
-    products over sqrt(n)).  Quadratic forms of Gaussians have finite
-    fourth moments, so the CLT applies.
-    """
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
-    products = (x - x.mean()) * (y - y.mean())
-    return Estimate(
-        value=float(products.sum() / (n - 1)),
-        std_error=float(products.std(ddof=1) / np.sqrt(n)),
-        n=n,
-        analytic=analytic,
-        seed=seed,
-        prng_id=prng_id,
-    )
-
-
 def mc_cov(
     batch: SampleBatch,
     f1: QuadraticForm,
@@ -271,13 +393,12 @@ def mc_cov(
 
     The second form is evaluated on conjugated samples by default,
     matching the pairing of analytic_cov; pass conjugate_second=False
-    only for diagnostics.  See cov_estimate for the estimator.
+    only for diagnostics.  See Moments.cov for the estimator.
     """
     if f1.side != 1 or f2.side != 2:
         raise ValueError("mc_cov expects f1 on side 1 and f2 on side 2")
-    x = eval_form_batch(f1, batch)
-    y = eval_form_batch(f2, batch, conjugate=conjugate_second)
-    return cov_estimate(x, y, analytic, batch.seed, batch.prng_id)
+    moments = _batch_moments(batch, [f1, f2], [False, conjugate_second])
+    return moments.cov(0, 1, analytic)
 
 
 def mc_mean(
@@ -291,16 +412,6 @@ def mc_mean(
     By default side-2 forms are evaluated on conjugated samples, the same
     pairing analytic_mean uses (its side-2 value is Tr[D22 conj(A)]).
     """
-    if batch.count < 2:
-        raise ValueError(f"need at least 2 samples, got {batch.count}")
     if conjugate is None:
         conjugate = form.side == 2
-    values = eval_form_batch(form, batch, conjugate=conjugate)
-    return Estimate(
-        value=float(values.mean()),
-        std_error=float(values.std(ddof=1) / np.sqrt(values.shape[0])),
-        n=values.shape[0],
-        analytic=analytic,
-        seed=batch.seed,
-        prng_id=batch.prng_id,
-    )
+    return _batch_moments(batch, [form], [conjugate]).mean(0, analytic)

@@ -14,19 +14,22 @@ A batch is produced in fixed-size chunks; chunk ``c`` of a draw with seed
 ``s`` uses the substream ``Philox(key=(s, domain << 56 | c))``, where the
 domain separates bi-signal draws from background draws.  numpy's
 ziggurat sampler (``Generator.standard_normal``) turns the substream's
-words into standard normals, written straight into the chunk's buffer:
+words into standard normals, written straight into a complex buffer:
 row k holds the real and imaginary parts of sample k's modes,
-interleaved, so the buffer read as complex is the chunk's standard
-complex draw w.  The ziggurat consumes the words in order, so a chunk
-never depends on the worker count and a shorter draw is a prefix of a
-longer one.  Samples are ``w @ F^T / sqrt(2)`` with F the unique
-positive semi-definite square root of the covariance, which, unlike an
-eigenvector factor, does not depend on the basis LAPACK picks inside a
-repeated eigenvalue.  Regenerating with the same (covariance, seed,
-count) is therefore bit-identical for any worker count.  The generator
-identity is recorded on every batch as ``prng_id``.  numpy does not
-promise that ``Generator`` streams stay the same across versions (NEP
-19), so the tests pin known-answer values of the stream.
+interleaved, so the buffer read as complex is the standard complex draw
+w.  A worker fills a chunk block by block, ``_BLOCK_ROWS`` rows at a
+time, from the chunk's one generator; the ziggurat consumes the words in
+order, so the blocks of a chunk are the same stream as one fill of the
+whole chunk.  Hence a chunk never depends on the worker count and a
+shorter draw is a prefix of a longer one.  Samples are
+``w @ F^T / sqrt(2)`` with F the unique positive semi-definite square
+root of the covariance, which, unlike an eigenvector factor, does not
+depend on the basis LAPACK picks inside a repeated eigenvalue.
+Regenerating with the same (covariance, seed, count) is therefore
+bit-identical for any worker count.  The generator identity is recorded
+on every batch as ``prng_id``.  numpy does not promise that
+``Generator`` streams stay the same across versions (NEP 19), so the
+tests pin known-answer values of the stream.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import hashlib
 import json
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -49,6 +53,11 @@ PRNG_ID = "philox4x64:ziggurat:v2"
 # Samples per substream chunk.  Part of the determinism contract: changing
 # it changes every batch.
 CHUNK_SIZE = 16384
+
+# Rows a worker fills and transforms at a time.  It divides CHUNK_SIZE, so
+# the blocks tile every draw at multiples of _BLOCK_ROWS; it changes no
+# value, only how much scratch memory a worker holds.
+_BLOCK_ROWS = 4096
 
 _DOMAIN_BISIGNAL = 0
 _DOMAIN_BACKGROUND = 1
@@ -109,7 +118,8 @@ class SampleBatch:
 
     phi1 has shape (count, d1) and phi2 (count, d2); row k is sample k.
     The arrays are copied unless ``copy`` is false, which hands over
-    complex arrays that nothing else will write to (``draw``'s own).
+    complex arrays that nothing else will write to (``draw``'s own, or
+    the read-only payload ``load_batch`` read).
     """
 
     def __init__(
@@ -220,32 +230,61 @@ def draw_chunks(
     consume: Callable[[int, np.ndarray], None],
     workers: int | None = None,
 ) -> None:
-    """Draw ``count`` samples chunk by chunk and hand each chunk over.
+    """Draw ``count`` samples block by block and hand each block over.
 
-    For every ``CHUNK_SIZE`` chunk a worker builds the joint samples
-    ``phi = w @ F^T`` (shape (size, d1 + d2), components side by side)
-    and calls ``consume(start, phi)``, where ``start`` is the index of the
-    chunk's first sample.  Calls may run concurrently on disjoint chunks;
-    the values a chunk carries never depend on the worker count.
+    Each worker takes the next ``CHUNK_SIZE`` chunk until none is left and
+    fills it in blocks of ``_BLOCK_ROWS`` rows, in two buffers it reuses:
+    the normals w, then the joint samples ``phi = w @ F^T`` (shape
+    (rows, d1 + d2), components side by side).  It calls
+    ``consume(start, phi)`` per block, where ``start`` is the index of the
+    block's first sample, a multiple of ``_BLOCK_ROWS``; ``phi`` is
+    overwritten after the call returns.  Calls may run concurrently on
+    disjoint blocks; the values a block carries never depend on the
+    worker count.  Memory is two buffers per worker, whatever ``count``.
     """
     require_count(count)
     f = factor_covariance(cov)
     dim = f.shape[0]
     ft = f.T * np.sqrt(0.5)
+    nchunks = -(-count // CHUNK_SIZE)
+    taken = 0  # chunks handed out so far
+    lock = threading.Lock()
+    failed = threading.Event()
 
-    def run(chunk: int, start: int, size: int):
-        w = np.empty((size, dim), dtype=complex)
-        _standard_complex(seed, _DOMAIN_BISIGNAL, chunk, w)
-        consume(start, w @ ft)
+    def next_chunk() -> int | None:
+        nonlocal taken
+        with lock:
+            if taken == nchunks or failed.is_set():
+                return None
+            taken += 1
+            return taken - 1
 
-    bounds = _chunk_bounds(count)
-    nworkers = min(resolve_workers(workers), len(bounds))
+    def work():
+        rows = min(_BLOCK_ROWS, count)
+        w = np.empty((rows, dim), dtype=complex)
+        phi = np.empty((rows, dim), dtype=complex)
+        try:
+            while (chunk := next_chunk()) is not None:
+                gen = np.random.Generator(_substream(seed, _DOMAIN_BISIGNAL, chunk))
+                start = chunk * CHUNK_SIZE
+                size = min(CHUNK_SIZE, count - start)
+                for offset in range(0, size, _BLOCK_ROWS):
+                    rows = min(_BLOCK_ROWS, size - offset)
+                    gen.standard_normal(out=w[:rows].view(np.float64))
+                    np.matmul(w[:rows], ft, out=phi[:rows])
+                    consume(start + offset, phi[:rows])
+        except BaseException:
+            failed.set()  # the other workers stop at their next chunk
+            raise
+
+    nworkers = min(resolve_workers(workers), nchunks)
     if nworkers > 1:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(lambda b: run(*b), bounds))
+            futures = [pool.submit(work) for _ in range(nworkers)]
+        for future in futures:
+            future.result()
     else:
-        for b in bounds:
-            run(*b)
+        work()
 
 
 def draw(
@@ -316,23 +355,69 @@ def save_batch(batch: SampleBatch, path, covariance: BlockCovariance | None = No
         fh.write(flat.tobytes())
 
 
+def _batch_header(line: bytes) -> dict:
+    """The parsed header line of a batch file, checked."""
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError):
+        raise SchemaError("field 'header': not a JSON line") from None
+    if not isinstance(header, dict):
+        raise SchemaError("field 'header': expected a JSON object")
+    fmt = header.get("format")
+    if fmt != "pcsft-batch":
+        raise SchemaError(f"field 'format': expected 'pcsft-batch', got {fmt!r}")
+    version = header.get("version")
+    if not isinstance(version, int) or isinstance(version, bool) or version != 1:
+        raise SchemaError(f"field 'version': expected 1, got {version!r}")
+    seed = header.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+        raise SchemaError(
+            f"field 'seed': expected a 64-bit unsigned integer, got {seed!r}"
+        )
+    if not isinstance(header.get("prng_id", PRNG_ID), str):
+        raise SchemaError("field 'prng_id': expected a string")
+    return header
+
+
 def load_batch(path) -> tuple[SampleBatch, dict]:
-    """Read a batch written by save_batch; returns (batch, header)."""
+    """Read a batch written by save_batch; returns (batch, header).
+
+    A file that does not follow save_batch's layout raises SchemaError
+    naming the first field at fault; ``payload`` for a payload that is
+    not exactly count * 2 * (d1 + d2) float64 values.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise SchemaError("field 'magic': not a pcsft batch file")
-        header = json.loads(fh.readline().decode("utf-8"))
-        meta = np.frombuffer(fh.read(24), dtype="<f8")
-        count, d1, d2 = (int(x) for x in meta)
-        dim = d1 + d2
-        flat = np.frombuffer(fh.read(count * 2 * dim * 8), dtype="<f8")
-    flat = flat.reshape(count, 2 * dim)
-    joint = flat[:, 0::2] + 1j * flat[:, 1::2]
+        header = _batch_header(fh.readline())
+        meta = fh.read(24)
+        payload = fh.read()
+    names = ("count", "d1", "d2")
+    if len(meta) < 24:
+        raise SchemaError(f"field '{names[len(meta) // 8]}': missing")
+    sizes = []
+    for name, value in zip(names, struct.unpack("<3d", meta)):
+        if not (np.isfinite(value) and value >= 1 and value == int(value)):
+            raise SchemaError(
+                f"field '{name}': expected a positive integer, got {value!r}"
+            )
+        sizes.append(int(value))
+    count, d1, d2 = sizes
+    dim = d1 + d2
+    if len(payload) != count * 2 * dim * 8:
+        raise SchemaError(
+            f"field 'payload': expected {count * 2 * dim * 8} bytes for "
+            f"count={count}, d1={d1}, d2={d2}, got {len(payload)}"
+        )
+    # re, im interleaved per mode is the layout of little-endian complex128;
+    # the array reads the immutable payload, so the batch can keep it.
+    joint = np.frombuffer(payload, dtype="<c16").reshape(count, dim)
     batch = SampleBatch(
         phi1=joint[:, :d1],
         phi2=joint[:, d1:],
-        seed=int(header.get("seed", 0)),
+        seed=header.get("seed", 0),
         prng_id=header.get("prng_id", PRNG_ID),
+        copy=False,
     )
     return batch, header

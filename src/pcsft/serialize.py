@@ -37,6 +37,8 @@ def _entry_from_pair(value: Any, field: str) -> complex:
         not isinstance(value, (list, tuple))
         or len(value) != 2
         or not all(isinstance(v, (int, float)) for v in value)
+        # bool is an int subclass, but JSON true/false is not a number.
+        or any(isinstance(v, bool) for v in value)
     ):
         raise SchemaError(f"field '{field}': expected [re, im] pair, got {value!r}")
     return complex(float(value[0]), float(value[1]))

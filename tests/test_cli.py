@@ -305,6 +305,21 @@ class TestClassifyCommand:
         code = main(["classify", str(state)])
         assert code == 2
 
+    def test_boolean_amplitude_exits_2(self, tmp_path, capsys):
+        # JSON true is not the number 1: the entry is named, nothing runs.
+        state = tmp_path / "state.json"
+        state.write_text(
+            json.dumps(
+                {"d1": 1, "d2": 1, "amplitudes": [[[True, 0.0]]]}
+            ),
+            encoding="utf-8",
+        )
+        code = main(["classify", str(state)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "state.amplitudes[0][0]" in captured.err
+
 
 class TestPropagateCommand:
     def test_time_zero_identity(self, tmp_path, singlet_file, capsys):

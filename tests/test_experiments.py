@@ -1,9 +1,12 @@
 """Beam-splitter bunching / anti-bunching pipelines."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pcsft import (
+    CHUNK_SIZE,
     DimensionError,
     IndexLayout,
     QuadraticForm,
@@ -180,6 +183,26 @@ class TestRunBeamsplitterMonteCarlo:
             assert report.g[zero_entry].analytic == pytest.approx(0.0, abs=1e-12)
             assert report.g[zero_entry].estimate.within(5.0)
             assert report.passed
+
+
+class TestStreamingMemory:
+    def test_peak_does_not_grow_with_sample_count(self, monkeypatch):
+        # One worker, so the peak does not depend on how the workers'
+        # scratch happens to overlap in time.
+        monkeypatch.setenv("PCSFT_THREADS", "1")
+
+        def peak(n):
+            run_beamsplitter("boson", "half", seed=16, n_samples=n)  # warm
+            tracemalloc.start()
+            try:
+                run_beamsplitter("boson", "half", seed=16, n_samples=n)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(4 * CHUNK_SIZE)
+        large = peak(32 * CHUNK_SIZE)
+        assert large <= 1.1 * small, (small, large)
 
 
 class TestFactorization:

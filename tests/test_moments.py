@@ -1,0 +1,182 @@
+"""The one-pass moment accumulator against the two-pass formulas."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pcsft import (
+    CHUNK_SIZE,
+    Moments,
+    QuadraticForm,
+    build_covariance,
+    epsilon_min,
+    form_moments,
+)
+from pcsft.sampler import _BLOCK_ROWS
+from conftest import rand_selfadjoint, rand_state
+
+
+def centred(x):
+    """x minus its mean, centred a second time: the plain float64 mean is
+    off by about eps * |mean|, which at offsets of 1e6 spreads would move
+    fourth moments by 1e-10 relative, and a reference must be finer than
+    the tolerance it checks (the corrected two-pass algorithm of Chan,
+    Golub & LeVeque)."""
+    d = x - x.mean()
+    return d - d.mean()
+
+
+def two_pass_cov(x, y):
+    """The two-pass estimator: centre on the means, then sum."""
+    n = x.shape[0]
+    products = centred(x) * centred(y)
+    return products.sum() / (n - 1), products.std(ddof=1) / np.sqrt(n)
+
+
+def two_pass_mean(x):
+    d = x - x.mean()
+    return x.mean() + d.mean(), d.std(ddof=1) / np.sqrt(x.shape[0])
+
+
+def accumulate(values, order=None):
+    """Moments of the columns of ``values`` (n, k) in the block tiling,
+    adding the blocks in ``order`` (index order by default)."""
+    starts = list(range(0, values.shape[0], _BLOCK_ROWS))
+    moments = Moments(values.shape[1])
+    for index in order if order is not None else range(len(starts)):
+        block = values[starts[index] : starts[index] + _BLOCK_ROWS]
+        moments.add(index, list(block.T))
+    return moments
+
+
+@st.composite
+def value_matrices(draw, min_blocks=0):
+    """Correlated, skewed columns (like quadratic forms of Gaussians) at a
+    random scale, each column offset by up to 1e6 of its spread; whole
+    blocks plus a remainder."""
+    blocks = draw(st.integers(min_blocks, 3))
+    n = blocks * _BLOCK_ROWS + draw(st.integers(0 if blocks else 2, _BLOCK_ROWS - 1))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    mix = rng.standard_normal((k, k))
+    z = rng.standard_normal((n, k)) @ mix
+    values = (z + 0.5 * z**2) * scale
+    offsets = draw(st.lists(st.floats(-1e6, 1e6), min_size=k, max_size=k))
+    return values + np.asarray(offsets) * values.std(axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(value_matrices())
+def test_matches_two_pass_formulas(values):
+    moments = accumulate(values)
+    n, k = values.shape
+    assert moments.count == n
+    for i in range(k):
+        x = values[:, i]
+        value, se = two_pass_mean(x)
+        est = moments.mean(i)
+        assert est.n == n
+        np.testing.assert_allclose(est.value, value, rtol=1e-10, atol=1e-10 * x.std())
+        np.testing.assert_allclose(est.std_error, se, rtol=1e-10)
+        for j in range(k):
+            y = values[:, j]
+            value, se = two_pass_cov(x, y)
+            est = moments.cov(i, j)
+            # Covariances near zero are set by cancellation: compare them
+            # on the scale of the spreads, and squared standard errors on
+            # the scale of the fourth moments.
+            np.testing.assert_allclose(
+                est.value, value, rtol=1e-10, atol=1e-10 * x.std() * y.std()
+            )
+            fourth = np.sum(centred(x) ** 2 * centred(y) ** 2) / (n * (n - 1))
+            np.testing.assert_allclose(
+                est.std_error**2, se**2, rtol=1e-10, atol=1e-10 * fourth
+            )
+
+
+@settings(max_examples=20, deadline=None)
+@given(value_matrices(min_blocks=2), st.randoms(use_true_random=False))
+def test_block_arrival_order_does_not_matter(values, random):
+    order = list(range(-(-values.shape[0] // _BLOCK_ROWS)))
+    random.shuffle(order)
+    in_order, shuffled = accumulate(values), accumulate(values, order)
+    k = values.shape[1]
+    assert [in_order.mean(i) for i in range(k)] == [shuffled.mean(i) for i in range(k)]
+    assert [in_order.cov(i, j) for i in range(k) for j in range(k)] == [
+        shuffled.cov(i, j) for i in range(k) for j in range(k)
+    ]
+
+
+def test_missing_block_is_an_error():
+    moments = Moments(1)
+    moments.add(1, [np.arange(4.0)])
+    with pytest.raises(ValueError, match="wait for block 0"):
+        moments.mean(0)
+
+
+def test_needs_two_samples():
+    moments = Moments(1)
+    moments.add(0, [np.array([1.0])])
+    with pytest.raises(ValueError):
+        moments.mean(0)
+
+
+def test_bit_identical_for_worker_counts_one_to_three():
+    rng = np.random.default_rng(120)
+    state = rand_state(rng, 3, 2)
+    cov = build_covariance(state, epsilon_min(state) + 0.1)
+    forms = [
+        QuadraticForm(operator=rand_selfadjoint(rng, 3), side=1),
+        QuadraticForm(operator=np.diag([1.0, 0.0, 0.5]), side=1),
+        QuadraticForm(operator=rand_selfadjoint(rng, 2), side=2),
+    ]
+    count = 2 * CHUNK_SIZE + 3 * _BLOCK_ROWS + 123  # three chunks
+    results = []
+    for workers in (1, 2, 3):
+        moments = form_moments(cov, seed=121, count=count, forms=forms, workers=workers)
+        results.append(
+            [moments.mean(i) for i in range(3)]
+            + [moments.cov(i, j) for i in range(3) for j in range(3)]
+        )
+    assert results[0] == results[1] == results[2]
+
+
+def test_concurrent_adds_lose_no_block():
+    # More threads than cores, switching often, each adding blocks in a
+    # scrambled order: the total equals the serial one and counts every row.
+    rng = np.random.default_rng(122)
+    rows = 4
+    values = rng.standard_normal((2000 * rows + 3, 3))
+    blocks = [values[start : start + rows] for start in range(0, len(values), rows)]
+    serial = Moments(3)
+    for index, block in enumerate(blocks):
+        serial.add(index, list(block.T))
+    shared = Moments(3)
+    order = rng.permutation(len(blocks))
+    threads = [
+        threading.Thread(
+            target=lambda part=order[t::8]: [
+                shared.add(int(index), list(blocks[index].T)) for index in part
+            ]
+        )
+        for t in range(8)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert shared.count == len(values)
+    assert [shared.cov(i, j) for i in range(3) for j in range(3)] == [
+        serial.cov(i, j) for i in range(3) for j in range(3)
+    ]

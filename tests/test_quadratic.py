@@ -27,14 +27,14 @@ from pcsft import (
     mc_cov,
     mc_mean,
     phase_transform,
+    form_moments,
     quantum_average_tensor,
     renormalized_mean,
-    sample_forms,
     spin_state,
     UnitaryChannel,
     apply_to_state,
 )
-from pcsft.quadratic import _dense_values, cov_estimate
+from pcsft.quadratic import _dense_values
 from conftest import rand_complex, rand_selfadjoint, rand_state
 
 
@@ -362,52 +362,76 @@ def random_dense_case(seed: int):
     return cov, forms
 
 
+def all_estimates(moments, forms):
+    """Every mean and every side-1/side-2 covariance of form_moments."""
+    means = [moments.mean(i) for i in range(len(forms))]
+    covs = [
+        moments.cov(i, j)
+        for i, fi in enumerate(forms)
+        for j, fj in enumerate(forms)
+        if fi.side == 1 and fj.side == 2
+    ]
+    return means + covs
+
+
 class TestSampleForms:
     def test_bit_identical_across_worker_counts(self):
         cov, forms = random_dense_case(90)
         forms.append(QuadraticForm(operator=np.diag([0.5, 0.0, 2.0]), side=1))
-        single = sample_forms(cov, seed=91, count=50_000, forms=forms, workers=1)
-        split = sample_forms(cov, seed=91, count=50_000, forms=forms, workers=3)
-        assert single.shape == (50_000, 3)
-        assert single.dtype == np.float64
-        assert np.array_equal(single, split)
+        single = form_moments(cov, seed=91, count=50_000, forms=forms, workers=1)
+        split = form_moments(cov, seed=91, count=50_000, forms=forms, workers=3)
+        assert single.count == 50_000
+        assert all_estimates(single, forms) == all_estimates(split, forms)
 
     @pytest.mark.parametrize("case", ["projectors", "dense"])
-    def test_columns_equal_batch_evaluation(self, case):
+    def test_columns_equal_batch_evaluation(self, case, monkeypatch):
+        # The values form_moments accumulates, block by block, are the
+        # batch evaluation of each form on draw's batch.
+        import pcsft.quadratic as quadratic
+
         if case == "projectors":
             cov, forms = spin_half_cov(), spin_half_projectors()
         else:
             cov, forms = random_dense_case(92)
-        values = sample_forms(cov, seed=93, count=40_000, forms=forms)
+        blocks = {}
+        real_add = quadratic.Moments.add
+
+        def recording_add(self, index, columns):
+            blocks[index] = [np.array(column) for column in columns]
+            real_add(self, index, columns)
+
+        monkeypatch.setattr(quadratic.Moments, "add", recording_add)
+        form_moments(cov, seed=93, count=40_000, forms=forms)
         batch = draw(cov, seed=93, count=40_000)
         for j, form in enumerate(forms):
+            values = np.concatenate([blocks[b][j] for b in range(len(blocks))])
             expected = eval_form_batch(form, batch, conjugate=form.side == 2)
-            assert np.array_equal(values[:, j], expected)
+            assert np.array_equal(values, expected)
 
     def test_estimates_equal_batch_estimators(self):
         cov, (f1, f2) = random_dense_case(94)
-        values = sample_forms(cov, seed=95, count=30_000, forms=[f1, f2])
-        fused = cov_estimate(values[:, 0], values[:, 1], seed=95, prng_id=PRNG_ID)
+        fused = form_moments(cov, seed=95, count=30_000, forms=[f1, f2]).cov(0, 1)
         batched = mc_cov(draw(cov, seed=95, count=30_000), f1, f2)
         assert fused == batched
 
     def test_each_form_evaluated_once_per_chunk(self, monkeypatch):
-        # run_beamsplitter evaluates its 4 port intensities once per chunk
-        # and never assembles a full sample batch.
+        # run_beamsplitter evaluates its 4 port intensities once per
+        # sample (the rows each kernel sees sum to n) and never assembles
+        # a full sample batch.
         import pcsft.quadratic as quadratic
         import pcsft.sampler as sampler
         from pcsft import CHUNK_SIZE, run_beamsplitter
 
-        calls = []
+        rows = []
         real_kernel = quadratic._form_kernel
 
         def counting_kernel(operator):
             kernel = real_kernel(operator)
-            index = len(calls)
-            calls.append(0)
+            index = len(rows)
+            rows.append(0)
 
             def counted(phi, conjugate):
-                calls[index] += 1
+                rows[index] += phi.phi.shape[0]
                 return kernel(phi, conjugate)
 
             return counted
@@ -419,32 +443,37 @@ class TestSampleForms:
         monkeypatch.setattr(sampler.SampleBatch, "__init__", no_batch)
         n = 3 * CHUNK_SIZE + 5
         run_beamsplitter("boson", "half", seed=96, n_samples=n)
-        assert calls == [4, 4, 4, 4]
+        assert rows == [n, n, n, n]
 
     def test_intensity_computed_once_per_side_and_chunk(self, monkeypatch):
         # The 4 port projectors of run_beamsplitter share one intensity
-        # matrix per side and chunk.
+        # matrix per side and block: one computation per side and block,
+        # whose rows sum to n per side.
         import pcsft.quadratic as quadratic
         from pcsft import CHUNK_SIZE, run_beamsplitter
+        from pcsft.sampler import _BLOCK_ROWS
 
         calls = []
         real_intensity = quadratic._Rows.intensity.fget
 
         def counting_intensity(rows):
             if rows._intensity is None:
-                calls.append(rows.phi.shape[1])
+                calls.append(rows.phi.shape)
             return real_intensity(rows)
 
         monkeypatch.setattr(quadratic._Rows, "intensity", property(counting_intensity))
         n = 3 * CHUNK_SIZE + 5
         run_beamsplitter("boson", "half", seed=96, n_samples=n)
-        assert calls == [4] * 8
+        blocks = -(-n // _BLOCK_ROWS)
+        assert len(calls) == 2 * blocks
+        assert {width for _, width in calls} == {4}
+        assert sum(size for size, _ in calls) == 2 * n
 
     def test_dimension_mismatch(self):
         cov, _ = random_dense_case(97)
         form = QuadraticForm(operator=np.eye(2), side=1)
         with pytest.raises(DimensionError):
-            sample_forms(cov, seed=0, count=100, forms=[form])
+            form_moments(cov, seed=0, count=100, forms=[form])
 
 
 class TestFormKernel:
@@ -477,4 +506,4 @@ class TestFormKernel:
         with pytest.raises(RealityError):
             eval_form_batch(f1, batch)
         with pytest.raises(RealityError):
-            sample_forms(cov, seed=101, count=1_000, forms=[f1, f2])
+            form_moments(cov, seed=101, count=1_000, forms=[f1, f2])

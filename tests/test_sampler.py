@@ -1,16 +1,20 @@
 """Seeded Gaussian sampling: factorization, moments, determinism."""
 
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pcsft import (
     CHUNK_SIZE,
     BlockCovariance,
     NotPositiveError,
     SampleBatch,
+    SchemaError,
     UnitaryChannel,
     apply_to_state,
     beamsplitter_unitary,
@@ -24,6 +28,7 @@ from pcsft import (
     matricize,
     save_batch,
 )
+from pcsft.sampler import _BLOCK_ROWS, draw_chunks
 from conftest import rand_psd, rand_selfadjoint, rand_state
 
 C = 1.0 / np.sqrt(2.0)
@@ -210,18 +215,47 @@ class TestKnownAnswers:
         assert hashlib.sha256(joint.tobytes()).hexdigest() == digest
 
 
+class TestDrawChunks:
+    def test_blocks_tile_the_draw(self):
+        cov = build_covariance(BELL_SINGLET, 0.3)
+        count = 2 * CHUNK_SIZE + _BLOCK_ROWS + 7
+        starts = []
+        draw_chunks(
+            cov, 0, count, lambda start, phi: starts.append((start, len(phi))), 2
+        )
+        assert sorted(starts) == [
+            (start, min(_BLOCK_ROWS, count - start))
+            for start in range(0, count, _BLOCK_ROWS)
+        ]
+
+    def test_failure_stops_the_other_workers(self):
+        cov = build_covariance(BELL_SINGLET, 0.3)
+        seen = []
+
+        def consume(start, phi):
+            seen.append(start)
+            if start == CHUNK_SIZE:
+                raise RuntimeError("consumer failed")
+
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            draw_chunks(cov, 0, 16 * CHUNK_SIZE, consume, workers=2)
+        assert len(seen) < 16 * CHUNK_SIZE // _BLOCK_ROWS
+
+
 class TestBatchMemory:
     def test_draw_hands_over_its_arrays(self):
-        # 200k spin-1/2 samples: a 25.6 MB batch.  On one worker the only
-        # other allocation is one chunk's scratch.
+        # 200k spin-1/2 samples: a 25.6 MB batch.  The only other
+        # allocations are each worker's two block buffers (1 MB).
         cov = experiment_cov("boson", "half")
-        tracemalloc.start()
-        try:
-            batch = draw(cov, seed=0, count=200_000, workers=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * (batch.phi1.nbytes + batch.phi2.nbytes)
+        for workers in (1, 2):
+            tracemalloc.start()
+            try:
+                batch = draw(cov, seed=0, count=200_000, workers=workers)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.1 * (batch.phi1.nbytes + batch.phi2.nbytes), workers
+            del batch
 
     def test_caller_arrays_are_copied(self):
         phi1 = np.ones((3, 2), dtype=complex)
@@ -365,3 +399,77 @@ class TestBinaryDump:
         a = build_covariance(BELL_SINGLET, 0.3)
         b = build_covariance(BELL_SINGLET, 0.4)
         assert covariance_hash(a) != covariance_hash(b)
+
+
+def saved_batch_bytes(tmp_path, count=3) -> bytes:
+    cov = build_covariance(BELL_SINGLET, 0.3)
+    path = tmp_path / "batch.bin"
+    save_batch(draw(cov, seed=58, count=count), path, covariance=cov)
+    return path.read_bytes()
+
+
+def rewrite_header(data: bytes, **changes) -> bytes:
+    magic, header, rest = data.split(b"\n", 2)
+    fields = json.loads(header)
+    fields.update(changes)
+    return magic + b"\n" + json.dumps(fields).encode() + b"\n" + rest
+
+
+def header_end(data: bytes) -> int:
+    return data.index(b"\n", data.index(b"\n") + 1) + 1
+
+
+class TestLoadBatchValidation:
+    def load(self, tmp_path, data: bytes):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(data)
+        return load_batch(path)
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"format": "other"}, "format"),
+            ({"version": 2}, "version"),
+            ({"version": True}, "version"),
+            ({"version": 1.0}, "version"),
+            ({"seed": "7"}, "seed"),
+            ({"seed": -1}, "seed"),
+            ({"prng_id": 3}, "prng_id"),
+        ],
+    )
+    def test_header_fields(self, tmp_path, changes, field):
+        data = rewrite_header(saved_batch_bytes(tmp_path), **changes)
+        with pytest.raises(SchemaError, match=f"field '{field}'"):
+            self.load(tmp_path, data)
+
+    def test_header_not_an_object(self, tmp_path):
+        data = saved_batch_bytes(tmp_path)
+        magic, _, rest = data.split(b"\n", 2)
+        with pytest.raises(SchemaError, match="field 'header'"):
+            self.load(tmp_path, magic + b"\n[1, 2]\n" + rest)
+
+    @pytest.mark.parametrize("slot, field", [(0, "count"), (1, "d1"), (2, "d2")])
+    @pytest.mark.parametrize("value", [0.0, -2.0, 2.5, float("nan"), float("inf")])
+    def test_sizes_must_be_positive_integers(self, tmp_path, slot, field, value):
+        data = bytearray(saved_batch_bytes(tmp_path))
+        at = header_end(bytes(data)) + 8 * slot
+        data[at : at + 8] = np.array([value], dtype="<f8").tobytes()
+        with pytest.raises(SchemaError, match=f"field '{field}'"):
+            self.load(tmp_path, bytes(data))
+
+    def test_trailing_bytes(self, tmp_path):
+        data = saved_batch_bytes(tmp_path) + b"\0" * 8
+        with pytest.raises(SchemaError, match="field 'payload'"):
+            self.load(tmp_path, data)
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(cut=st.integers(min_value=0))
+    def test_truncated_file_names_its_field(self, tmp_path, cut):
+        data = saved_batch_bytes(tmp_path)
+        cut %= len(data)
+        with pytest.raises(SchemaError, match="field '[a-z0-9_]+'"):
+            self.load(tmp_path, data[:cut])
