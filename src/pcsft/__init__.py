@@ -43,12 +43,9 @@ from .covariance import (
 from .sampler import (
     CHUNK_SIZE,
     PRNG_ID,
-    BiSignalSample,
-    ComponentBatch,
     SampleBatch,
     covariance_hash,
     draw,
-    draw_background,
     factor_covariance,
     load_batch,
     save_batch,
@@ -59,7 +56,6 @@ from .quadratic import (
     QuadraticForm,
     analytic_cov,
     analytic_mean,
-    eval_form,
     eval_form_batch,
     form_moments,
     mc_cov,
@@ -71,7 +67,6 @@ from .channels import (
     UnitaryChannel,
     apply_to_batch,
     apply_to_covariance,
-    apply_to_sample,
     apply_to_state,
     evolution_channel,
     propagate,
@@ -125,19 +120,15 @@ __all__ = [
     # sampler
     "PRNG_ID",
     "CHUNK_SIZE",
-    "BiSignalSample",
     "SampleBatch",
-    "ComponentBatch",
     "factor_covariance",
     "draw",
-    "draw_background",
     "save_batch",
     "load_batch",
     "covariance_hash",
     # quadratic
     "QuadraticForm",
     "Estimate",
-    "eval_form",
     "eval_form_batch",
     "analytic_mean",
     "renormalized_mean",
@@ -149,7 +140,6 @@ __all__ = [
     # channels
     "UnitaryChannel",
     "Hamiltonian",
-    "apply_to_sample",
     "apply_to_batch",
     "apply_to_state",
     "apply_to_covariance",

@@ -29,7 +29,7 @@ import numpy as np
 from .covariance import BlockCovariance
 from .errors import DimensionError
 from .hilbert import BipartiteState, _as_matrix, require_selfadjoint
-from .sampler import BiSignalSample, SampleBatch
+from .sampler import SampleBatch
 
 UNITARY_TOL = 1e-10
 
@@ -78,18 +78,6 @@ class Hamiltonian:
         object.__setattr__(self, "h1", h1)
         object.__setattr__(self, "h2", h2)
         object.__setattr__(self, "hbar", float(self.hbar))
-
-
-def apply_to_sample(ch: UnitaryChannel, s: BiSignalSample) -> BiSignalSample:
-    """Channel action on one realization: (U1 phi1, conj(U2) phi2)."""
-    phi1 = np.asarray(s.phi1, dtype=complex)
-    phi2 = np.asarray(s.phi2, dtype=complex)
-    if phi1.shape != (ch.u1.shape[0],) or phi2.shape != (ch.u2.shape[0],):
-        raise DimensionError(
-            f"sample dims ({phi1.shape}, {phi2.shape}) do not match channel "
-            f"({ch.u1.shape[0]}, {ch.u2.shape[0]})"
-        )
-    return BiSignalSample(phi1=ch.u1 @ phi1, phi2=np.conj(ch.u2) @ phi2)
 
 
 def apply_to_batch(ch: UnitaryChannel, batch: SampleBatch) -> SampleBatch:

@@ -22,6 +22,7 @@ import argparse
 import csv
 import hashlib
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -82,6 +83,19 @@ def _resolve_epsilon(spec: str, state) -> float:
     if value == "auto":
         return epsilon_min(state) + AUTO_EPSILON_MARGIN
     return value
+
+
+def _check_numbers(args):
+    """Reject an out-of-range numeric option, naming its field, before any
+    computation; a subcommand checks the options it has."""
+    options = vars(args)
+    for name, admissible, expected in (
+        ("samples", lambda v: v >= 2, "an integer >= 2"),
+        ("seed", lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)"),
+        ("t", math.isfinite, "a finite number"),
+    ):
+        if name in options and not admissible(value := options[name]):
+            raise PcsftError(f"field '{name}': expected {expected}, got {value}")
 
 
 def _add_common_sampling(parser: argparse.ArgumentParser):
@@ -309,6 +323,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numbers(args)
         return args.func(args)
     except PcsftError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +42,8 @@ class BlockCovariance:
 
     epsilon is carried as metadata (it is already folded into the
     diagonal blocks); renormalized averages subtract it back out.
+    ``spectrum`` is the read-only (eigenvalues, eigenvectors) pair of the
+    assembled matrix that validated it; the sampler's factor reuses it.
     """
 
     d11: np.ndarray
@@ -49,6 +51,7 @@ class BlockCovariance:
     d21: np.ndarray
     d22: np.ndarray
     epsilon: float
+    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         d11 = _as_matrix(self.d11, "D11")
@@ -78,11 +81,15 @@ class BlockCovariance:
         object.__setattr__(self, "d21", d21)
         object.__setattr__(self, "d22", d22)
         object.__setattr__(self, "epsilon", eps)
-        lo = float(np.linalg.eigvalsh(self.assembled()).min())
+        evals, evecs = np.linalg.eigh(self.assembled())
+        lo = float(evals.min())
         if lo < -PSD_TOL:
             raise NotPositiveError(
                 f"assembled covariance has eigenvalue {lo:.3e} < -{PSD_TOL:.1e}"
             )
+        evals.setflags(write=False)
+        evecs.setflags(write=False)
+        object.__setattr__(self, "spectrum", (evals, evecs))
 
     @property
     def d1(self) -> int:

@@ -28,7 +28,6 @@ from .hilbert import as_real, require_selfadjoint
 from .sampler import (
     _BLOCK_ROWS,
     PRNG_ID,
-    BiSignalSample,
     SampleBatch,
     draw_chunks,
 )
@@ -77,17 +76,6 @@ class Estimate:
         if self.analytic is None:
             raise ValueError("no analytic value attached")
         return abs(self.value - self.analytic) <= sigmas * self.std_error
-
-
-def eval_form(form: QuadraticForm, sample: BiSignalSample) -> float:
-    """Evaluate f_A on one sample, asserting the result is real."""
-    phi = sample.phi1 if form.side == 1 else sample.phi2
-    phi = np.asarray(phi, dtype=complex)
-    if phi.shape != (form.dim,):
-        raise DimensionError(
-            f"sample component has shape {phi.shape}, operator needs ({form.dim},)"
-        )
-    return as_real(np.vdot(phi, form.operator @ phi))
 
 
 def _component(batch: SampleBatch, side: int) -> np.ndarray:
@@ -405,13 +393,10 @@ def mc_mean(
     batch: SampleBatch,
     form: QuadraticForm,
     analytic: float | None = None,
-    conjugate: bool | None = None,
 ) -> Estimate:
     """Sample mean of a quadratic form over a batch, with standard error.
 
-    By default side-2 forms are evaluated on conjugated samples, the same
-    pairing analytic_mean uses (its side-2 value is Tr[D22 conj(A)]).
+    Side-2 forms are evaluated on conjugated samples, the pairing
+    analytic_mean uses (its side-2 value is Tr[D22 conj(A)]).
     """
-    if conjugate is None:
-        conjugate = form.side == 2
-    return _batch_moments(batch, [form], [conjugate]).mean(0, analytic)
+    return _batch_moments(batch, [form], [form.side == 2]).mean(0, analytic)

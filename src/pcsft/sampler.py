@@ -9,13 +9,12 @@ form correlation identities of :mod:`pcsft.quadratic` hold.
 
 Determinism contract
 --------------------
-All randomness flows through the counter-based Philox 4x64 generator.
-A batch is produced in fixed-size chunks; chunk ``c`` of a draw with seed
-``s`` uses the substream ``Philox(key=(s, domain << 56 | c))``, where the
-domain separates bi-signal draws from background draws.  numpy's
-ziggurat sampler (``Generator.standard_normal``) turns the substream's
-words into standard normals, written straight into a complex buffer:
-row k holds the real and imaginary parts of sample k's modes,
+All randomness flows through the counter-based Philox 4x64 generator.  A
+batch is produced in fixed-size chunks; chunk ``c`` of a draw with seed
+``s`` uses the substream ``Philox(key=(s, c))``, with c below 2**56.
+numpy's ziggurat sampler (``Generator.standard_normal``) turns the
+substream's words into standard normals, written straight into a complex
+buffer: row k holds the real and imaginary parts of sample k's modes,
 interleaved, so the buffer read as complex is the standard complex draw
 w.  A worker fills a chunk block by block, ``_BLOCK_ROWS`` rows at a
 time, from the chunk's one generator; the ziggurat consumes the words in
@@ -24,12 +23,12 @@ whole chunk.  Hence a chunk never depends on the worker count and a
 shorter draw is a prefix of a longer one.  Samples are
 ``w @ F^T / sqrt(2)`` with F the unique positive semi-definite square
 root of the covariance, which, unlike an eigenvector factor, does not
-depend on the basis LAPACK picks inside a repeated eigenvalue.
-Regenerating with the same (covariance, seed, count) is therefore
-bit-identical for any worker count.  The generator identity is recorded
-on every batch as ``prng_id``.  numpy does not promise that
-``Generator`` streams stay the same across versions (NEP 19), so the
-tests pin known-answer values of the stream.
+depend on the basis LAPACK picks inside a repeated eigenvalue.  Regenerating with the
+same (covariance, seed, count) is therefore bit-identical for any worker
+count.  The generator identity is recorded on every batch as
+``prng_id``.  numpy does not promise that ``Generator`` streams stay the
+same across versions (NEP 19), so the tests pin known-answer values of
+the stream.
 """
 
 from __future__ import annotations
@@ -40,12 +39,11 @@ import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .covariance import PSD_TOL, BlockCovariance
+from .covariance import BlockCovariance
 from .errors import DimensionError, NotPositiveError, PcsftError, SchemaError
 
 PRNG_ID = "philox4x64:ziggurat:v2"
@@ -58,9 +56,6 @@ CHUNK_SIZE = 16384
 # the blocks tile every draw at multiples of _BLOCK_ROWS; it changes no
 # value, only how much scratch memory a worker holds.
 _BLOCK_ROWS = 4096
-
-_DOMAIN_BISIGNAL = 0
-_DOMAIN_BACKGROUND = 1
 
 _MAGIC = b"PCSFTBATCH1\n"
 
@@ -87,30 +82,12 @@ def resolve_workers(workers: int | None = None) -> int:
     return min(max(1, requested), cpus)
 
 
-def _substream(seed: int, domain: int, chunk: int) -> np.random.Philox:
+def _substream(seed: int, chunk: int) -> np.random.Philox:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
     if chunk >= 2**56:
         raise ValueError("chunk index out of range")
-    key = np.array([seed, (domain << 56) | chunk], dtype=np.uint64)
-    return np.random.Philox(key=key)
-
-
-def _standard_complex(seed: int, domain: int, chunk: int, out: np.ndarray) -> None:
-    """Fill complex ``out`` (rows, dim) from the (seed, domain, chunk)
-    substream: real and imaginary parts iid N(0, 1), so E|w|^2 = 2 per
-    mode and scaling by 1/sqrt(2) gives standard circular normals."""
-    np.random.Generator(_substream(seed, domain, chunk)).standard_normal(
-        out=out.view(np.float64)
-    )
-
-
-@dataclass(frozen=True)
-class BiSignalSample:
-    """One realization (phi1, phi2) of the bi-signal."""
-
-    phi1: np.ndarray
-    phi2: np.ndarray
+    return np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64))
 
 
 class SampleBatch:
@@ -159,45 +136,20 @@ class SampleBatch:
     def __len__(self) -> int:
         return self.count
 
-    def __getitem__(self, k: int) -> BiSignalSample:
-        return BiSignalSample(phi1=self.phi1[k], phi2=self.phi2[k])
-
-    def __iter__(self):
-        for k in range(self.count):
-            yield self[k]
-
-
-@dataclass(frozen=True)
-class ComponentBatch:
-    """Batch of single-component draws (used for the background field)."""
-
-    samples: np.ndarray  # (count, dim) complex
-    seed: int
-    prng_id: str = PRNG_ID
-
-    @property
-    def count(self) -> int:
-        return self.samples.shape[0]
-
 
 def factor_covariance(cov: BlockCovariance) -> np.ndarray:
     """The positive semi-definite square root F = V sqrt(L) V† of the
     assembled covariance, so F F† equals it.
 
-    Uses the Hermitian eigendecomposition so that exact zero modes (the
-    boundary case epsilon = epsilon_min) are handled; eigenvalues in
-    [-1e-10, 0) are clipped to zero, anything lower is an error.  The
-    root is unique, so it does not depend on the eigenvector basis
-    chosen inside a repeated eigenvalue.
+    Built from ``cov.spectrum``, whose eigenvalues validation bounded
+    below by -PSD_TOL; those below zero (exact zero modes at epsilon =
+    epsilon_min) are clipped to zero.  The root is unique, so it does not
+    depend on the eigenvector basis chosen inside a repeated eigenvalue.
     """
-    c = cov.assembled()
-    evals, evecs = np.linalg.eigh(c)
-    lo = float(evals.min())
-    if lo < -PSD_TOL:
-        raise NotPositiveError(f"covariance has eigenvalue {lo:.3e} < -{PSD_TOL:.1e}")
+    evals, evecs = cov.spectrum
     evals = np.clip(evals, 0.0, None)
     f = (evecs * np.sqrt(evals)[None, :]) @ evecs.conj().T
-    residual = float(np.max(np.abs(f @ f.conj().T - c)))
+    residual = float(np.max(np.abs(f @ f.conj().T - cov.assembled())))
     if residual > 1e-8:
         raise NotPositiveError(f"factorization residual {residual:.3e} exceeds 1e-8")
     return f
@@ -208,19 +160,6 @@ def require_count(count: int) -> int:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     return count
-
-
-def _chunk_bounds(count: int) -> list[tuple[int, int, int]]:
-    """(chunk_index, start, size) triples covering [0, count)."""
-    bounds = []
-    start = 0
-    chunk = 0
-    while start < count:
-        size = min(CHUNK_SIZE, count - start)
-        bounds.append((chunk, start, size))
-        start += size
-        chunk += 1
-    return bounds
 
 
 def draw_chunks(
@@ -265,7 +204,7 @@ def draw_chunks(
         phi = np.empty((rows, dim), dtype=complex)
         try:
             while (chunk := next_chunk()) is not None:
-                gen = np.random.Generator(_substream(seed, _DOMAIN_BISIGNAL, chunk))
+                gen = np.random.Generator(_substream(seed, chunk))
                 start = chunk * CHUNK_SIZE
                 size = min(CHUNK_SIZE, count - start)
                 for offset in range(0, size, _BLOCK_ROWS):
@@ -302,22 +241,6 @@ def draw(
 
     draw_chunks(cov, seed, count, store, workers)
     return SampleBatch(phi1=out[:, : cov.d1], phi2=out[:, cov.d1 :], seed=seed, copy=False)
-
-
-def draw_background(dim: int, epsilon: float, seed: int, count: int) -> ComponentBatch:
-    """White-noise background: iid circular complex Gaussian, covariance eps I."""
-    if dim < 1:
-        raise DimensionError(f"dim must be >= 1, got {dim}")
-    require_count(count)
-    eps = float(epsilon)
-    if eps < 0.0:
-        raise NotPositiveError(f"epsilon must be nonnegative, got {eps}")
-    out = np.empty((count, dim), dtype=complex)
-    for chunk, start, size in _chunk_bounds(count):
-        _standard_complex(seed, _DOMAIN_BACKGROUND, chunk, out[start : start + size])
-    out *= np.sqrt(eps / 2.0)
-    out.setflags(write=False)
-    return ComponentBatch(samples=out, seed=int(seed))
 
 
 def covariance_hash(cov: BlockCovariance) -> str:

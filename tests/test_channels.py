@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 
 from pcsft import (
-    BiSignalSample,
     BlockCovariance,
     DimensionError,
     Hamiltonian,
@@ -14,7 +13,6 @@ from pcsft import (
     analytic_cov,
     apply_to_batch,
     apply_to_covariance,
-    apply_to_sample,
     apply_to_state,
     beamsplitter_unitary,
     build_covariance,
@@ -25,6 +23,7 @@ from pcsft import (
     matricize,
     propagate,
     quantum_average_tensor,
+    SampleBatch,
 )
 from conftest import (
     rand_complex,
@@ -54,22 +53,25 @@ class TestChannelValidation:
 class TestApplyToSample:
     def test_identity_channel(self):
         ch = UnitaryChannel(u1=np.eye(2), u2=np.eye(3))
-        s = BiSignalSample(phi1=np.array([1.0, 2j]), phi2=np.array([0.5, 0, 1j]))
-        out = apply_to_sample(ch, s)
-        np.testing.assert_array_equal(out.phi1, s.phi1)
-        np.testing.assert_array_equal(out.phi2, s.phi2)
+        batch = SampleBatch(
+            phi1=np.array([[1.0, 2j]]), phi2=np.array([[0.5, 0, 1j]]), seed=0
+        )
+        out = apply_to_batch(ch, batch)
+        np.testing.assert_array_equal(out.phi1, batch.phi1)
+        np.testing.assert_array_equal(out.phi2, batch.phi2)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(80)
         ch = rand_channel(rng, 3, 2)
-        for _ in range(20):
-            s = BiSignalSample(phi1=rand_complex(rng, 3), phi2=rand_complex(rng, 2))
-            out = apply_to_sample(ch, s)
-            assert np.linalg.norm(out.phi1) == pytest.approx(
-                np.linalg.norm(s.phi1), abs=1e-10
-            )
-            assert np.linalg.norm(out.phi2) == pytest.approx(
-                np.linalg.norm(s.phi2), abs=1e-10
+        batch = SampleBatch(
+            phi1=np.array([rand_complex(rng, 3) for _ in range(20)]),
+            phi2=np.array([rand_complex(rng, 2) for _ in range(20)]),
+            seed=0,
+        )
+        out = apply_to_batch(ch, batch)
+        for before, after in ((batch.phi1, out.phi1), (batch.phi2, out.phi2)):
+            np.testing.assert_allclose(
+                np.linalg.norm(after, axis=1), np.linalg.norm(before, axis=1), atol=1e-10
             )
 
     def test_empirical_covariance_tracks_transform(self):
@@ -89,6 +91,7 @@ class TestApplyToSample:
         assert np.all(np.abs(emp - expected) <= 5.0 * se)
 
     def test_batch_and_sample_paths_agree(self):
+        # Row k of the output is the per-sample action (U1 phi1[k], conj(U2) phi2[k]).
         rng = np.random.default_rng(83)
         state = rand_state(rng, 2, 3)
         cov = build_covariance(state, epsilon_min(state) + 0.1)
@@ -96,9 +99,10 @@ class TestApplyToSample:
         batch = draw(cov, seed=84, count=16)
         out = apply_to_batch(ch, batch)
         for k in range(len(batch)):
-            single = apply_to_sample(ch, batch[k])
-            np.testing.assert_allclose(out.phi1[k], single.phi1, atol=1e-12)
-            np.testing.assert_allclose(out.phi2[k], single.phi2, atol=1e-12)
+            np.testing.assert_allclose(out.phi1[k], ch.u1 @ batch.phi1[k], atol=1e-12)
+            np.testing.assert_allclose(
+                out.phi2[k], np.conj(ch.u2) @ batch.phi2[k], atol=1e-12
+            )
 
 
 class TestApplyToState:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -469,6 +470,51 @@ class TestChannelCommand:
         )
         assert code == 2
         assert "'epsilon'" in capsys.readouterr().err
+
+
+class TestInvalidNumbers:
+    @pytest.mark.parametrize(
+        "command, option, field",
+        [
+            ("verify-identity", "--samples=0", "samples"),
+            ("verify-identity", "--samples=1", "samples"),
+            ("experiment", "--samples=1", "samples"),
+            ("verify-identity", "--seed=-1", "seed"),
+            ("experiment", f"--seed={2**64}", "seed"),
+            ("propagate", "--t=nan", "t"),
+            ("propagate", "--t=inf", "t"),
+            ("propagate", "--t=-inf", "t"),
+        ],
+    )
+    def test_exits_2_naming_the_field(
+        self, tmp_path, singlet_file, capsys, command, option, field
+    ):
+        a1 = str(write_operator(tmp_path / "a1.json", PROJ_R))
+        ham = tmp_path / "h.json"
+        ham.write_text(
+            serialize.dumps_json(
+                serialize.hamiltonian_to_json(Hamiltonian(h1=np.eye(2), h2=np.eye(2)))
+            ),
+            encoding="utf-8",
+        )
+        operands = {
+            "verify-identity": [str(singlet_file), a1, a1],
+            "experiment": ["--experiment", "beamsplitter", "--statistics", "fermion"],
+            "propagate": [
+                str(singlet_file),
+                str(ham),
+                "--output-state",
+                str(tmp_path / "out_state.json"),
+                "--output-covariance",
+                str(tmp_path / "out_cov.json"),
+            ],
+        }[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, *operands, option])
+        assert code == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "out_state.json").exists()
 
 
 class TestDeterminismAcrossCommands:

@@ -51,6 +51,18 @@ class TestBuildCovariance:
         cov = build_covariance(BELL_SINGLET, 0.25)
         assert np.linalg.eigvalsh(cov.assembled()).min() >= -1e-10
 
+    def test_spectrum_is_the_assembled_eigendecomposition(self):
+        # At epsilon_min the smallest eigenvalue sits at zero, up to rounding.
+        rng = np.random.default_rng(21)
+        state = rand_state(rng, 2, 3)
+        cov = build_covariance(state, epsilon_min(state))
+        evals, evecs = cov.spectrum
+        np.testing.assert_allclose(
+            (evecs * evals) @ evecs.conj().T, cov.assembled(), atol=1e-12
+        )
+        assert evals.min() >= -1e-10
+        assert not evals.flags.writeable and not evecs.flags.writeable
+
     def test_blocks_match_construction(self):
         rng = np.random.default_rng(20)
         state = rand_state(rng, 2, 3)

@@ -5,7 +5,6 @@ import pytest
 
 from pcsft import (
     PRNG_ID,
-    BiSignalSample,
     DimensionError,
     IndexLayout,
     PhasePair,
@@ -18,7 +17,6 @@ from pcsft import (
     build_covariance,
     draw,
     epsilon_min,
-    eval_form,
     eval_form_batch,
     input_state,
     intensity_observable,
@@ -30,6 +28,7 @@ from pcsft import (
     form_moments,
     quantum_average_tensor,
     renormalized_mean,
+    SampleBatch,
     spin_state,
     UnitaryChannel,
     apply_to_state,
@@ -63,38 +62,39 @@ class TestQuadraticForm:
             QuadraticForm(operator=PROJ_R, side=3)
 
 
+def one_row(phi1, phi2) -> SampleBatch:
+    """A batch holding the single sample (phi1, phi2)."""
+    return SampleBatch(np.atleast_2d(phi1), np.atleast_2d(phi2), seed=0)
+
+
 class TestEvalForm:
     def test_identity_on_basis_vector(self):
         form = QuadraticForm(operator=np.eye(2), side=1)
-        sample = BiSignalSample(phi1=np.array([1.0, 0.0]), phi2=np.array([0.0, 0.0]))
-        assert eval_form(form, sample) == pytest.approx(1.0)
+        batch = one_row([1.0, 0.0], [0.0, 0.0])
+        assert eval_form_batch(form, batch) == pytest.approx([1.0])
 
     def test_projector_reads_intensity(self):
         form = QuadraticForm(operator=PROJ_R, side=1)
-        sample = BiSignalSample(
-            phi1=np.array([0.3 + 0.4j, 1.0]), phi2=np.array([0.0, 0.0])
-        )
-        assert eval_form(form, sample) == pytest.approx(0.25)
+        batch = one_row([0.3 + 0.4j, 1.0], [0.0, 0.0])
+        assert eval_form_batch(form, batch) == pytest.approx([0.25])
 
     def test_conjugate_operator_pairing(self):
         # f_Ā(phi) = f_A(conj phi)
         rng = np.random.default_rng(60)
         for _ in range(30):
             a = rand_selfadjoint(rng, 3)
-            phi = rand_complex(rng, 3)
-            sample = BiSignalSample(phi1=phi, phi2=np.zeros(1))
-            conj_sample = BiSignalSample(phi1=np.conj(phi), phi2=np.zeros(1))
+            batch = one_row(rand_complex(rng, 3), np.zeros(1))
             f_conj = QuadraticForm(operator=np.conj(a), side=1)
             f = QuadraticForm(operator=a, side=1)
-            assert eval_form(f_conj, sample) == pytest.approx(
-                eval_form(f, conj_sample), abs=1e-10
+            assert eval_form_batch(f_conj, batch) == pytest.approx(
+                eval_form_batch(f, batch, conjugate=True), abs=1e-10
             )
 
     def test_dimension_mismatch(self):
         form = QuadraticForm(operator=np.eye(3), side=1)
-        sample = BiSignalSample(phi1=np.array([1.0, 0.0]), phi2=np.array([0.0]))
+        batch = one_row([1.0, 0.0], [0.0])
         with pytest.raises(DimensionError):
-            eval_form(form, sample)
+            eval_form_batch(form, batch)
 
 
 class TestAnalyticMean:

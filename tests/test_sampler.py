@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from pcsft import (
     CHUNK_SIZE,
     BlockCovariance,
-    NotPositiveError,
     SampleBatch,
     SchemaError,
     UnitaryChannel,
@@ -21,14 +20,13 @@ from pcsft import (
     build_covariance,
     covariance_hash,
     draw,
-    draw_background,
     epsilon_min,
     factor_covariance,
     load_batch,
     matricize,
     save_batch,
 )
-from pcsft.sampler import _BLOCK_ROWS, draw_chunks
+from pcsft.sampler import _BLOCK_ROWS, _substream, draw_chunks
 from conftest import rand_psd, rand_selfadjoint, rand_state
 
 C = 1.0 / np.sqrt(2.0)
@@ -177,10 +175,13 @@ class TestDeterminism:
     def test_batch_indexing(self):
         cov = build_covariance(BELL_SINGLET, 0.3)
         batch = draw(cov, seed=51, count=10)
-        sample = batch[3]
-        np.testing.assert_array_equal(sample.phi1, batch.phi1[3])
         assert len(batch) == 10
         assert batch.seed == 51
+        rows = SampleBatch(batch.phi1[3:5], batch.phi2[3:5], seed=batch.seed)
+        assert len(rows) == 2
+        assert (rows.d1, rows.d2) == (batch.d1, batch.d2)
+        np.testing.assert_array_equal(rows.phi1[0], batch.phi1[3])
+        np.testing.assert_array_equal(rows.phi2[1], batch.phi2[4])
 
 
 class TestKnownAnswers:
@@ -189,16 +190,13 @@ class TestKnownAnswers:
     these fails, the stream moved and PRNG_ID needs a new version."""
 
     def test_first_normals_of_substream(self):
-        from pcsft.sampler import _DOMAIN_BISIGNAL, _standard_complex
-
-        w = np.empty((1, 4), dtype=complex)
-        _standard_complex(0, _DOMAIN_BISIGNAL, 0, w)
+        normals = np.random.Generator(_substream(0, 0)).standard_normal(8)
         expected = [
             0.15929546600623282, -1.7741885208017214, 1.3265118818830892,
             1.2048090979493156, -0.03910371209917862, -0.5194192970029236,
             -1.1132959094272785, -1.7673803015404892,
         ]
-        assert w.view(np.float64).ravel().tolist() == expected
+        assert normals.tolist() == expected
 
     @pytest.mark.parametrize(
         "statistics, spin, seed, digest",
@@ -264,31 +262,6 @@ class TestBatchMemory:
         phi1[0, 0] = 5.0
         assert batch.phi1[0, 0] == 1.0
         assert not batch.phi1.flags.writeable
-
-
-class TestBackground:
-    def test_zero_epsilon_gives_zeros(self):
-        batch = draw_background(3, 0.0, seed=52, count=100)
-        assert np.all(batch.samples == 0)
-
-    def test_unit_epsilon_variance(self):
-        n = 100_000
-        batch = draw_background(4, 1.0, seed=53, count=n)
-        var = np.mean(np.abs(batch.samples) ** 2, axis=0)
-        # per-mode |w|^2 has variance 1 for a unit circular Gaussian
-        assert np.all(np.abs(var - 1.0) <= 5.0 / np.sqrt(n))
-
-    def test_modes_uncorrelated(self):
-        n = 100_000
-        batch = draw_background(3, 1.0, seed=54, count=n)
-        z = batch.samples
-        cross = z.conj().T @ z / n
-        off = cross - np.diag(np.diagonal(cross))
-        assert np.all(np.abs(off) <= 5.0 / np.sqrt(n))
-
-    def test_negative_epsilon_rejected(self):
-        with pytest.raises(NotPositiveError):
-            draw_background(2, -1.0, seed=0, count=10)
 
 
 class TestWickFourthMoment:
