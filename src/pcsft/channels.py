@@ -92,6 +92,7 @@ def apply_to_batch(ch: UnitaryChannel, batch: SampleBatch) -> SampleBatch:
         phi2=batch.phi2 @ ch.u2.conj().T,
         seed=batch.seed,
         prng_id=batch.prng_id,
+        copy=False,
     )
 
 

@@ -32,7 +32,12 @@ from . import __version__
 from .channels import UnitaryChannel, apply_to_state, evolution_channel
 from .covariance import build_covariance, classify_symmetry, epsilon_min
 from .errors import PcsftError
-from .experiments import AUTO_EPSILON_MARGIN, beamsplitter_unitary, run_beamsplitter
+from .experiments import (
+    AUTO_EPSILON_MARGIN,
+    MIN_SAMPLES,
+    beamsplitter_unitary,
+    run_beamsplitter,
+)
 from .hilbert import quantum_average_tensor, quantum_average_trace
 from .quadratic import QuadraticForm, analytic_cov, form_moments
 from .sampler import PRNG_ID
@@ -89,10 +94,12 @@ def _check_numbers(args):
     """Reject an out-of-range numeric option, naming its field, before any
     computation; a subcommand checks the options it has."""
     options = vars(args)
+    least = MIN_SAMPLES if args.func is cmd_experiment else 2
     for name, admissible, expected in (
-        ("samples", lambda v: v >= 2, "an integer >= 2"),
+        ("samples", lambda v: v >= least, f"an integer >= {least}"),
         ("seed", lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)"),
         ("t", math.isfinite, "a finite number"),
+        ("tol", lambda v: v > 0, "a positive number"),
     ):
         if name in options and not admissible(value := options[name]):
             raise PcsftError(f"field '{name}': expected {expected}, got {value}")

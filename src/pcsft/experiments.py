@@ -33,6 +33,8 @@ PORT_INDEX = {"R": 0, "L": 1}
 # background variance to the estimators.
 AUTO_EPSILON_MARGIN = 0.05
 
+MIN_SAMPLES = 1000  # fewest samples an experiment accepts
+
 # Acceptance band for Monte Carlo vs analytic, in standard errors.
 SE_BAND = 5.0
 
@@ -186,8 +188,8 @@ def run_beamsplitter(
     sample and reduced to their moments as they are drawn; each g entry
     pairs a side-1 column with a side-2 column.
     """
-    if n_samples < 1000:
-        raise ValueError(f"need n_samples >= 1000, got {n_samples}")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"need n_samples >= {MIN_SAMPLES}, got {n_samples}")
     psi_in, layout = _experiment_input(statistics, spin)
     symmetry = classify_symmetry(psi_in, tol=1e-10)
 

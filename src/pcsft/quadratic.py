@@ -10,8 +10,8 @@ interest is
 
 which is independent of the background level and, whenever D12 is the
 coefficient matrix of a state, equals the tensor average
-<A1 (x) A2 Ψ, Ψ>.  The unconjugated pairing exists behind a flag for
-diagnostics only.
+<A1 (x) A2 Ψ, Ψ>.  So every evaluator reads side-1 forms off phi1 and
+side-2 forms off conj(phi2).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .covariance import BlockCovariance
-from .errors import DimensionError, RealityError
+from .errors import DimensionError, RealityError, SelfAdjointnessError
 from .hilbert import as_real, require_selfadjoint
 from .sampler import (
     _BLOCK_ROWS,
@@ -83,14 +83,17 @@ def _component(batch: SampleBatch, side: int) -> np.ndarray:
 
 
 class _Rows:
-    """Rows of one component, read by one thread; their intensities
-    |phi|^2 are computed on first use and shared by every diagonal form
-    read off them.  (No functools.cached_property: before Python 3.12 it
-    takes one lock for all instances, which would serialize the sampler's
-    workers.)"""
+    """Rows of one component, read by one thread, and their (rows, 2d)
+    float64 view, re and im interleaved.  Intensities |phi|^2 are computed
+    on first use and shared by every diagonal form read off them.  (No
+    functools.cached_property: before Python 3.12 it takes one lock for
+    all instances, which would serialize the sampler's workers.)"""
 
     def __init__(self, phi: np.ndarray):
+        if phi.strides[-1] != phi.itemsize:  # the view needs contiguous rows
+            phi = np.ascontiguousarray(phi)
         self.phi = phi
+        self.values = phi.view(np.float64)
         self._intensity = None
 
     @property
@@ -100,35 +103,31 @@ class _Rows:
         return self._intensity
 
 
-def _dense_values(
-    phi: np.ndarray, operator_t: np.ndarray, conjugate: bool
-) -> np.ndarray:
-    """<A psi_n, psi_n> over the rows, psi = conj(phi) if ``conjugate``
-    else phi, given A^T; the result must be real up to rounding."""
-    psi = np.conj(phi) if conjugate else phi
-    values = np.einsum("nk,nk->n", psi @ operator_t, np.conj(psi))
-    worst = float(np.max(np.abs(values.imag)))
-    scale = max(1.0, float(np.max(np.abs(values.real))))
-    if worst > 1e-10 * scale:
-        raise RealityError(
-            f"quadratic form returned imaginary part {worst:.3e}; operator corrupt?"
-        )
-    return values.real
+def _form_kernel(operator: np.ndarray, conjugate: bool) -> Callable[[_Rows], np.ndarray]:
+    """Evaluator ``rows -> values`` of f_A on a component, or on its
+    conjugate (the side-2 pairing), in real arithmetic on the rows' view v.
 
-
-def _form_kernel(operator: np.ndarray) -> Callable[[_Rows, bool], np.ndarray]:
-    """Evaluator ``(rows, conjugate) -> values`` for one operator.
-
-    A diagonal operator A = diag(weights) takes the intensity branch,
-    ``rows.intensity @ weights``, which conjugation does not change; any
-    other operator takes the dense row-dot branch.
+    For psi = x + iy and A = S + iK, f_A(psi) = x·Sx + y·Sy - 2x·Ky, and
+    conjugation negates K.  A diagonal A reads the shared intensities; any
+    other takes the real symmetric 2d×2d matrix M of this form on v,
+    v·(v @ M) per row.  A non-self-adjoint A raises RealityError: its
+    values would not be real.
     """
+    try:
+        require_selfadjoint(operator)
+    except SelfAdjointnessError as exc:
+        raise RealityError(f"quadratic form would not be real: {exc}") from None
     diag = np.diagonal(operator)
     if np.array_equal(operator, np.diag(diag)):
         weights = diag.real.copy()
-        return lambda rows, conjugate: rows.intensity @ weights
-    operator_t = operator.T.copy()
-    return lambda rows, conjugate: _dense_values(rows.phi, operator_t, conjugate)
+        return lambda rows: rows.intensity @ weights
+    hermitian = 0.5 * (operator + operator.conj().T)
+    k = -hermitian.imag if conjugate else hermitian.imag
+    m = np.empty((2 * len(diag), 2 * len(diag)))
+    m[0::2, 0::2] = m[1::2, 1::2] = hermitian.real
+    m[0::2, 1::2] = -k
+    m[1::2, 0::2] = k
+    return lambda rows: np.einsum("na,na->n", rows.values @ m, rows.values)
 
 
 def _require_dim(form: QuadraticForm, size: int):
@@ -138,13 +137,12 @@ def _require_dim(form: QuadraticForm, size: int):
         )
 
 
-def eval_form_batch(
-    form: QuadraticForm, batch: SampleBatch, conjugate: bool = False
-) -> np.ndarray:
-    """Vectorized f_A over a batch; optionally on conjugated samples."""
+def eval_form_batch(form: QuadraticForm, batch: SampleBatch) -> np.ndarray:
+    """Vectorized f_A over a batch: on phi1 for a side-1 form, on
+    conj(phi2) for a side-2 form."""
     phi = _component(batch, form.side)
     _require_dim(form, phi.shape[1])
-    return _form_kernel(form.operator)(_Rows(phi), conjugate)
+    return _form_kernel(form.operator, form.side == 2)(_Rows(phi))
 
 
 def _shift_map(delta: np.ndarray) -> np.ndarray:
@@ -258,21 +256,18 @@ class Moments:
 
 
 def _block_evaluator(
-    forms: Sequence[QuadraticForm], conjugates: Sequence[bool], moments: Moments
+    forms: Sequence[QuadraticForm], moments: Moments
 ) -> Callable[[int, np.ndarray, np.ndarray], None]:
     """``evaluate(index, phi1, phi2)``: every form on one block of rows,
-    added to ``moments`` as block ``index``.  The fused and the batch path
-    share it, so both evaluate the same rows the same way."""
-    kernels = [_form_kernel(form.operator) for form in forms]
+    side-2 forms on conj(phi2), added to ``moments`` as block ``index``.
+    The fused and the batch path share it, so both evaluate the same rows
+    the same way."""
+    kernels = [_form_kernel(form.operator, form.side == 2) for form in forms]
 
     def evaluate(index: int, phi1: np.ndarray, phi2: np.ndarray):
         sides = {1: _Rows(phi1), 2: _Rows(phi2)}
         moments.add(
-            index,
-            [
-                kernel(sides[form.side], conjugate)
-                for form, conjugate, kernel in zip(forms, conjugates, kernels)
-            ],
+            index, [kernel(sides[form.side]) for form, kernel in zip(forms, kernels)]
         )
 
     return evaluate
@@ -300,7 +295,7 @@ def form_moments(
     for form in forms:
         _require_dim(form, cov.d1 if form.side == 1 else cov.d2)
     moments = Moments(len(forms), seed=int(seed), prng_id=PRNG_ID)
-    evaluate = _block_evaluator(forms, [f.side == 2 for f in forms], moments)
+    evaluate = _block_evaluator(forms, moments)
 
     def consume(start: int, phi: np.ndarray):
         evaluate(start // _BLOCK_ROWS, phi[:, : cov.d1], phi[:, cov.d1 :])
@@ -309,16 +304,13 @@ def form_moments(
     return moments
 
 
-def _batch_moments(
-    batch: SampleBatch, forms: Sequence[QuadraticForm], conjugates: Sequence[bool]
-) -> Moments:
-    """Moments of the forms over a batch, form j on conjugated samples if
-    ``conjugates[j]``, walked in the sampler's block tiling, so they equal
-    form_moments on the same draw."""
+def _batch_moments(batch: SampleBatch, forms: Sequence[QuadraticForm]) -> Moments:
+    """Moments of the forms over a batch, walked in the sampler's block
+    tiling, so they equal form_moments on the same draw."""
     for form in forms:
         _require_dim(form, _component(batch, form.side).shape[1])
     moments = Moments(len(forms), seed=batch.seed, prng_id=batch.prng_id)
-    evaluate = _block_evaluator(forms, conjugates, moments)
+    evaluate = _block_evaluator(forms, moments)
     for index, start in enumerate(range(0, batch.count, _BLOCK_ROWS)):
         block = slice(start, start + _BLOCK_ROWS)
         evaluate(index, batch.phi1[block], batch.phi2[block])
@@ -374,19 +366,15 @@ def mc_cov(
     batch: SampleBatch,
     f1: QuadraticForm,
     f2: QuadraticForm,
-    conjugate_second: bool = True,
     analytic: float | None = None,
 ) -> Estimate:
-    """Sample covariance of the two quadratic forms over a batch.
-
-    The second form is evaluated on conjugated samples by default,
-    matching the pairing of analytic_cov; pass conjugate_second=False
-    only for diagnostics.  See Moments.cov for the estimator.
+    """Sample covariance of the two quadratic forms over a batch, the
+    second on conjugated samples, the pairing of analytic_cov.  See
+    Moments.cov for the estimator.
     """
     if f1.side != 1 or f2.side != 2:
         raise ValueError("mc_cov expects f1 on side 1 and f2 on side 2")
-    moments = _batch_moments(batch, [f1, f2], [False, conjugate_second])
-    return moments.cov(0, 1, analytic)
+    return _batch_moments(batch, [f1, f2]).cov(0, 1, analytic)
 
 
 def mc_mean(
@@ -399,4 +387,4 @@ def mc_mean(
     Side-2 forms are evaluated on conjugated samples, the pairing
     analytic_mean uses (its side-2 value is Tr[D22 conj(A)]).
     """
-    return _batch_moments(batch, [form], [form.side == 2]).mean(0, analytic)
+    return _batch_moments(batch, [form]).mean(0, analytic)

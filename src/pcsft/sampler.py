@@ -9,9 +9,9 @@ form correlation identities of :mod:`pcsft.quadratic` hold.
 
 Determinism contract
 --------------------
-All randomness flows through the counter-based Philox 4x64 generator.  A
-batch is produced in fixed-size chunks; chunk ``c`` of a draw with seed
-``s`` uses the substream ``Philox(key=(s, c))``, with c below 2**56.
+All randomness flows through SFC64, one generator per fixed-size chunk:
+chunk ``c`` of a draw with seed ``s`` uses the substream
+``SFC64(SeedSequence([s, c]))``, with s below 2**64 and c below 2**56.
 numpy's ziggurat sampler (``Generator.standard_normal``) turns the
 substream's words into standard normals, written straight into a complex
 buffer: row k holds the real and imaginary parts of sample k's modes,
@@ -23,12 +23,12 @@ whole chunk.  Hence a chunk never depends on the worker count and a
 shorter draw is a prefix of a longer one.  Samples are
 ``w @ F^T / sqrt(2)`` with F the unique positive semi-definite square
 root of the covariance, which, unlike an eigenvector factor, does not
-depend on the basis LAPACK picks inside a repeated eigenvalue.  Regenerating with the
-same (covariance, seed, count) is therefore bit-identical for any worker
-count.  The generator identity is recorded on every batch as
-``prng_id``.  numpy does not promise that ``Generator`` streams stay the
-same across versions (NEP 19), so the tests pin known-answer values of
-the stream.
+depend on the basis LAPACK picks inside a repeated eigenvalue.
+Regenerating with the same (covariance, seed, count) is therefore
+bit-identical for any worker count.  The generator identity is recorded
+on every batch as ``prng_id``.  numpy does not promise that
+``Generator`` streams stay the same across versions (NEP 19), so the
+tests pin known-answer values of the stream.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 from .covariance import BlockCovariance
 from .errors import DimensionError, NotPositiveError, PcsftError, SchemaError
 
-PRNG_ID = "philox4x64:ziggurat:v2"
+PRNG_ID = "sfc64:ziggurat:v3"
 
 # Samples per substream chunk.  Part of the determinism contract: changing
 # it changes every batch.
@@ -82,12 +82,13 @@ def resolve_workers(workers: int | None = None) -> int:
     return min(max(1, requested), cpus)
 
 
-def _substream(seed: int, chunk: int) -> np.random.Philox:
+def _substream(seed: int, chunk: int) -> np.random.SFC64:
+    # SeedSequence would take any nonnegative integers: check the range.
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
     if chunk >= 2**56:
         raise ValueError("chunk index out of range")
-    return np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64))
+    return np.random.SFC64(np.random.SeedSequence([seed, chunk]))
 
 
 class SampleBatch:

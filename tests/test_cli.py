@@ -484,6 +484,10 @@ class TestInvalidNumbers:
             ("propagate", "--t=nan", "t"),
             ("propagate", "--t=inf", "t"),
             ("propagate", "--t=-inf", "t"),
+            ("classify", "--tol=nan", "tol"),
+            ("classify", "--tol=0", "tol"),
+            ("classify", "--tol=-1e-10", "tol"),
+            ("experiment", "--samples=999", "samples"),
         ],
     )
     def test_exits_2_naming_the_field(
@@ -500,6 +504,7 @@ class TestInvalidNumbers:
         operands = {
             "verify-identity": [str(singlet_file), a1, a1],
             "experiment": ["--experiment", "beamsplitter", "--statistics", "fermion"],
+            "classify": [str(singlet_file)],
             "propagate": [
                 str(singlet_file),
                 str(ham),

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcsft import (
     PRNG_ID,
@@ -33,13 +34,20 @@ from pcsft import (
     UnitaryChannel,
     apply_to_state,
 )
-from pcsft.quadratic import _dense_values
+from pcsft.quadratic import _Rows, _form_kernel
 from conftest import rand_complex, rand_selfadjoint, rand_state
 
 
 def _diagonal_values(phi, weights):
     """Reference for the intensity branch: <A phi_n, phi_n> for A = diag(weights)."""
     return (phi.real**2 + phi.imag**2) @ weights
+
+
+def _complex_values(phi, operator, conjugate):
+    """The complex definition Re sum_k conj(psi_k) (psi @ A^T)_k, with
+    psi = conj(phi) if ``conjugate`` else phi."""
+    psi = np.conj(phi) if conjugate else phi
+    return np.einsum("nk,nk->n", psi @ operator.T, np.conj(psi)).real
 
 C = 1.0 / np.sqrt(2.0)
 BELL_SINGLET = matricize(np.array([[0.0, C], [-C, 0.0]]))
@@ -79,16 +87,31 @@ class TestEvalForm:
         assert eval_form_batch(form, batch) == pytest.approx([0.25])
 
     def test_conjugate_operator_pairing(self):
-        # f_Ā(phi) = f_A(conj phi)
+        # f_Ā(phi) = f_A(conj phi): a side-2 form reads conj(phi2).
         rng = np.random.default_rng(60)
         for _ in range(30):
             a = rand_selfadjoint(rng, 3)
-            batch = one_row(rand_complex(rng, 3), np.zeros(1))
+            phi = rand_complex(rng, 3)
+            batch = one_row(phi, phi)
             f_conj = QuadraticForm(operator=np.conj(a), side=1)
-            f = QuadraticForm(operator=a, side=1)
+            f = QuadraticForm(operator=a, side=2)
             assert eval_form_batch(f_conj, batch) == pytest.approx(
-                eval_form_batch(f, batch, conjugate=True), abs=1e-10
+                eval_form_batch(f, batch), abs=1e-10
             )
+
+    def test_column_major_batch(self):
+        # The kernels read rows through a float64 view; a batch stored
+        # column by column gives the same values.
+        rng = np.random.default_rng(59)
+        phi1, phi2 = rand_complex(rng, 50, 3), rand_complex(rng, 50, 2)
+        rows = SampleBatch(phi1, phi2, seed=0)
+        columns = SampleBatch(np.asfortranarray(phi1), np.asfortranarray(phi2), seed=0)
+        for form in (
+            QuadraticForm(operator=rand_selfadjoint(rng, 3), side=1),
+            QuadraticForm(operator=rand_selfadjoint(rng, 2), side=2),
+            QuadraticForm(operator=np.diag([1.0, -2.0]), side=2),
+        ):
+            assert np.array_equal(eval_form_batch(form, columns), eval_form_batch(form, rows))
 
     def test_dimension_mismatch(self):
         form = QuadraticForm(operator=np.eye(3), side=1)
@@ -286,19 +309,6 @@ class TestMcCov:
         assert est.n == 200_000
         assert est.seed == 73
 
-    def test_unconjugated_diagnostic_variant_differs(self):
-        # For generically complex samples the two pairings disagree.
-        rng = np.random.default_rng(74)
-        state = rand_state(rng, 2, 2)
-        cov = build_covariance(state, epsilon_min(state) + 0.1)
-        a = rand_selfadjoint(rng, 2)
-        f1 = QuadraticForm(operator=a, side=1)
-        f2 = QuadraticForm(operator=rand_selfadjoint(rng, 2), side=2)
-        batch = draw(cov, seed=75, count=50_000)
-        paired = mc_cov(batch, f1, f2)
-        unpaired = mc_cov(batch, f1, f2, conjugate_second=False)
-        assert paired.value != unpaired.value
-
     def test_small_batch_rejected(self):
         cov = build_covariance(BELL_SINGLET, 0.3)
         batch = draw(cov, seed=76, count=1)
@@ -405,7 +415,7 @@ class TestSampleForms:
         batch = draw(cov, seed=93, count=40_000)
         for j, form in enumerate(forms):
             values = np.concatenate([blocks[b][j] for b in range(len(blocks))])
-            expected = eval_form_batch(form, batch, conjugate=form.side == 2)
+            expected = eval_form_batch(form, batch)
             assert np.array_equal(values, expected)
 
     def test_estimates_equal_batch_estimators(self):
@@ -425,14 +435,14 @@ class TestSampleForms:
         rows = []
         real_kernel = quadratic._form_kernel
 
-        def counting_kernel(operator):
-            kernel = real_kernel(operator)
+        def counting_kernel(operator, conjugate):
+            kernel = real_kernel(operator, conjugate)
             index = len(rows)
             rows.append(0)
 
-            def counted(phi, conjugate):
+            def counted(phi):
                 rows[index] += phi.phi.shape[0]
-                return kernel(phi, conjugate)
+                return kernel(phi)
 
             return counted
 
@@ -478,15 +488,42 @@ class TestSampleForms:
 
 class TestFormKernel:
     def test_diagonal_branch_equals_dense_branch(self):
+        # The diagonal shortcut agrees with the general (complex) form.
         rng = np.random.default_rng(98)
         phi = rand_complex(rng, 1000, 4)
         weights = rng.standard_normal(4)
-        operator_t = np.diag(weights).astype(complex)
+        operator = np.diag(weights).astype(complex)
         fast = _diagonal_values(phi, weights)
         for conjugate in (False, True):
             np.testing.assert_allclose(
-                fast, _dense_values(phi, operator_t, conjugate), rtol=1e-13, atol=1e-13
+                fast, _complex_values(phi, operator, conjugate), rtol=1e-13, atol=1e-13
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 5),
+        kind=st.sampled_from(["dense", "diagonal", "real"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernel_equals_complex_definition(self, d, kind, seed):
+        # On both sides (plain and conjugated), for random Hermitian A; the
+        # diagonal branch, which reads the shared intensities, is taken
+        # exactly when A is diagonal.
+        rng = np.random.default_rng(seed)
+        operator = rand_selfadjoint(rng, d)
+        if kind == "diagonal":
+            operator = np.diag(np.diagonal(operator).real).astype(complex)
+        elif kind == "real":
+            operator = operator.real.astype(complex)
+        phi = rand_complex(rng, 64, d + 2)[:, :d]  # strided, as in a block
+        scale = np.max(np.abs(operator)) * np.sum(np.abs(phi) ** 2, axis=1)
+        for conjugate in (False, True):
+            rows = _Rows(phi)
+            values = _form_kernel(operator, conjugate)(rows)
+            expected = _complex_values(phi, operator, conjugate)
+            np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12 * scale.max())
+            is_diagonal = np.array_equal(operator, np.diag(np.diagonal(operator)))
+            assert (rows._intensity is not None) == is_diagonal
 
     def test_diagonal_operator_takes_intensity_branch(self):
         rng = np.random.default_rng(99)
