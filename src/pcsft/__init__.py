@@ -43,12 +43,7 @@ from .covariance import (
 from .sampler import (
     CHUNK_SIZE,
     PRNG_ID,
-    SampleBatch,
-    covariance_hash,
-    draw,
     factor_covariance,
-    load_batch,
-    save_batch,
 )
 from .quadratic import (
     Estimate,
@@ -56,16 +51,12 @@ from .quadratic import (
     QuadraticForm,
     analytic_cov,
     analytic_mean,
-    eval_form_batch,
     form_moments,
-    mc_cov,
-    mc_mean,
     renormalized_mean,
 )
 from .channels import (
     Hamiltonian,
     UnitaryChannel,
-    apply_to_batch,
     apply_to_covariance,
     apply_to_state,
     evolution_channel,
@@ -120,27 +111,18 @@ __all__ = [
     # sampler
     "PRNG_ID",
     "CHUNK_SIZE",
-    "SampleBatch",
     "factor_covariance",
-    "draw",
-    "save_batch",
-    "load_batch",
-    "covariance_hash",
     # quadratic
     "QuadraticForm",
     "Estimate",
-    "eval_form_batch",
     "analytic_mean",
     "renormalized_mean",
     "analytic_cov",
-    "mc_cov",
-    "mc_mean",
     "Moments",
     "form_moments",
     # channels
     "UnitaryChannel",
     "Hamiltonian",
-    "apply_to_batch",
     "apply_to_state",
     "apply_to_covariance",
     "evolution_channel",

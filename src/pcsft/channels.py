@@ -29,7 +29,6 @@ import numpy as np
 from .covariance import BlockCovariance
 from .errors import DimensionError
 from .hilbert import BipartiteState, _as_matrix, require_selfadjoint
-from .sampler import SampleBatch
 
 UNITARY_TOL = 1e-10
 
@@ -78,22 +77,6 @@ class Hamiltonian:
         object.__setattr__(self, "h1", h1)
         object.__setattr__(self, "h2", h2)
         object.__setattr__(self, "hbar", float(self.hbar))
-
-
-def apply_to_batch(ch: UnitaryChannel, batch: SampleBatch) -> SampleBatch:
-    """Channel action on every sample of a batch."""
-    if batch.d1 != ch.u1.shape[0] or batch.d2 != ch.u2.shape[0]:
-        raise DimensionError(
-            f"batch dims ({batch.d1}, {batch.d2}) do not match channel "
-            f"({ch.u1.shape[0]}, {ch.u2.shape[0]})"
-        )
-    return SampleBatch(
-        phi1=batch.phi1 @ ch.u1.T,
-        phi2=batch.phi2 @ ch.u2.conj().T,
-        seed=batch.seed,
-        prng_id=batch.prng_id,
-        copy=False,
-    )
 
 
 def apply_to_state(ch: UnitaryChannel, state: BipartiteState) -> BipartiteState:

@@ -31,14 +31,18 @@ import numpy as np
 from . import __version__
 from .channels import UnitaryChannel, apply_to_state, evolution_channel
 from .covariance import build_covariance, classify_symmetry, epsilon_min
-from .errors import PcsftError
+from .errors import PcsftError, SelfAdjointnessError
 from .experiments import (
     AUTO_EPSILON_MARGIN,
     MIN_SAMPLES,
     beamsplitter_unitary,
     run_beamsplitter,
 )
-from .hilbert import quantum_average_tensor, quantum_average_trace
+from .hilbert import (
+    quantum_average_tensor,
+    quantum_average_trace,
+    require_selfadjoint,
+)
 from .quadratic import QuadraticForm, analytic_cov, form_moments
 from .sampler import PRNG_ID
 from . import serialize
@@ -128,6 +132,15 @@ def cmd_verify_identity(args) -> int:
     a2 = serialize.operator_from_json(
         serialize.load_json_file(a2_path, "a2"), "a2"
     )
+    for name, a, dim in (("a1", a1, state.d1), ("a2", a2, state.d2)):
+        if a.shape != (dim, dim):
+            raise PcsftError(
+                f"field '{name}': shape {a.shape}, the state needs ({dim}, {dim})"
+            )
+        try:
+            require_selfadjoint(a, name=name.upper())
+        except SelfAdjointnessError as exc:
+            raise PcsftError(f"field '{name}': {exc}") from None
 
     tensor = quantum_average_tensor(state, a1, a2)
     trace = quantum_average_trace(state, a1, a2)
@@ -333,7 +346,10 @@ def main(argv=None) -> int:
         _check_numbers(args)
         return args.func(args)
     except PcsftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # Only build_covariance sets epsilon_min: --epsilon is below it.
+        below = getattr(exc, "epsilon_min", None) is not None
+        field = "field 'epsilon': " if below else ""
+        print(f"error: {field}{exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -110,7 +110,8 @@ class BipartiteState:
 
     def __post_init__(self):
         amp = _as_matrix(self.amplitudes, "amplitudes")
-        norm_sq = float(np.sum(np.abs(amp) ** 2))
+        with np.errstate(over="ignore"):  # huge amplitudes: the gate sees inf
+            norm_sq = float(np.sum(np.abs(amp) ** 2))
         if abs(norm_sq - 1.0) > 2e-9:
             raise NormalizationError(
                 f"state has squared norm {norm_sq!r}, expected 1 "

@@ -25,12 +25,7 @@ import numpy as np
 from .covariance import BlockCovariance
 from .errors import DimensionError, RealityError, SelfAdjointnessError
 from .hilbert import as_real, require_selfadjoint
-from .sampler import (
-    _BLOCK_ROWS,
-    PRNG_ID,
-    SampleBatch,
-    draw_chunks,
-)
+from .sampler import _BLOCK_ROWS, PRNG_ID, draw_chunks
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,20 +73,16 @@ class Estimate:
         return abs(self.value - self.analytic) <= sigmas * self.std_error
 
 
-def _component(batch: SampleBatch, side: int) -> np.ndarray:
-    return batch.phi1 if side == 1 else batch.phi2
-
-
 class _Rows:
     """Rows of one component, read by one thread, and their (rows, 2d)
-    float64 view, re and im interleaved.  Intensities |phi|^2 are computed
-    on first use and shared by every diagonal form read off them.  (No
-    functools.cached_property: before Python 3.12 it takes one lock for
-    all instances, which would serialize the sampler's workers.)"""
+    float64 view, re and im interleaved.  ``phi`` is a column slice of a
+    sampler block, so its last axis has the unit stride the view needs.
+    Intensities |phi|^2 are computed on first use and shared by every
+    diagonal form read off them.  (No functools.cached_property: before
+    Python 3.12 it takes one lock for all instances, which would
+    serialize the sampler's workers.)"""
 
     def __init__(self, phi: np.ndarray):
-        if phi.strides[-1] != phi.itemsize:  # the view needs contiguous rows
-            phi = np.ascontiguousarray(phi)
         self.phi = phi
         self.values = phi.view(np.float64)
         self._intensity = None
@@ -128,21 +119,6 @@ def _form_kernel(operator: np.ndarray, conjugate: bool) -> Callable[[_Rows], np.
     m[0::2, 1::2] = -k
     m[1::2, 0::2] = k
     return lambda rows: np.einsum("na,na->n", rows.values @ m, rows.values)
-
-
-def _require_dim(form: QuadraticForm, size: int):
-    if form.dim != size:
-        raise DimensionError(
-            f"component has dimension {size}, operator needs {form.dim}"
-        )
-
-
-def eval_form_batch(form: QuadraticForm, batch: SampleBatch) -> np.ndarray:
-    """Vectorized f_A over a batch: on phi1 for a side-1 form, on
-    conj(phi2) for a side-2 form."""
-    phi = _component(batch, form.side)
-    _require_dim(form, phi.shape[1])
-    return _form_kernel(form.operator, form.side == 2)(_Rows(phi))
 
 
 def _shift_map(delta: np.ndarray) -> np.ndarray:
@@ -255,24 +231,6 @@ class Moments:
         return self._estimate(products / (n - 1), variance, n, analytic)
 
 
-def _block_evaluator(
-    forms: Sequence[QuadraticForm], moments: Moments
-) -> Callable[[int, np.ndarray, np.ndarray], None]:
-    """``evaluate(index, phi1, phi2)``: every form on one block of rows,
-    side-2 forms on conj(phi2), added to ``moments`` as block ``index``.
-    The fused and the batch path share it, so both evaluate the same rows
-    the same way."""
-    kernels = [_form_kernel(form.operator, form.side == 2) for form in forms]
-
-    def evaluate(index: int, phi1: np.ndarray, phi2: np.ndarray):
-        sides = {1: _Rows(phi1), 2: _Rows(phi2)}
-        moments.add(
-            index, [kernel(sides[form.side]) for form, kernel in zip(forms, kernels)]
-        )
-
-    return evaluate
-
-
 def form_moments(
     cov: BlockCovariance,
     seed: int,
@@ -283,37 +241,32 @@ def form_moments(
     """Moments of the forms' values on ``count`` fresh samples, drawn,
     evaluated and accumulated in one pass.
 
-    Column j of the moments is form j on the samples
-    ``draw(cov, seed, count)`` would return: side-1 forms on phi1, side-2
-    forms on conj(phi2), the pairing of analytic_cov.  Each form is
-    evaluated once per block inside the sampler's workers and folded into
-    the moments there, so memory is O(workers * block) whatever
-    ``count`` is.  Diagonal forms on one side share that side's
-    intensities, computed once per block.  Pass each distinct form once;
-    the result is bit-identical for any worker count.
+    Column j of the moments is form j on the samples ``draw_chunks`` draws
+    for (cov, seed, count): side-1 forms on phi1, side-2 forms on
+    conj(phi2), the pairing of analytic_cov.  Each form is evaluated once
+    per block inside the sampler's workers and folded into the moments
+    there, so memory is O(workers * block) whatever ``count`` is.
+    Diagonal forms on one side share that side's intensities, computed
+    once per block.  Pass each distinct form once; the result is
+    bit-identical for any worker count.
     """
     for form in forms:
-        _require_dim(form, cov.d1 if form.side == 1 else cov.d2)
+        size = cov.d1 if form.side == 1 else cov.d2
+        if form.dim != size:
+            raise DimensionError(
+                f"component has dimension {size}, operator needs {form.dim}"
+            )
     moments = Moments(len(forms), seed=int(seed), prng_id=PRNG_ID)
-    evaluate = _block_evaluator(forms, moments)
+    kernels = [_form_kernel(form.operator, form.side == 2) for form in forms]
 
     def consume(start: int, phi: np.ndarray):
-        evaluate(start // _BLOCK_ROWS, phi[:, : cov.d1], phi[:, cov.d1 :])
+        sides = {1: _Rows(phi[:, : cov.d1]), 2: _Rows(phi[:, cov.d1 :])}
+        moments.add(
+            start // _BLOCK_ROWS,
+            [kernel(sides[form.side]) for form, kernel in zip(forms, kernels)],
+        )
 
     draw_chunks(cov, seed, count, consume, workers)
-    return moments
-
-
-def _batch_moments(batch: SampleBatch, forms: Sequence[QuadraticForm]) -> Moments:
-    """Moments of the forms over a batch, walked in the sampler's block
-    tiling, so they equal form_moments on the same draw."""
-    for form in forms:
-        _require_dim(form, _component(batch, form.side).shape[1])
-    moments = Moments(len(forms), seed=batch.seed, prng_id=batch.prng_id)
-    evaluate = _block_evaluator(forms, moments)
-    for index, start in enumerate(range(0, batch.count, _BLOCK_ROWS)):
-        block = slice(start, start + _BLOCK_ROWS)
-        evaluate(index, batch.phi1[block], batch.phi2[block])
     return moments
 
 
@@ -360,31 +313,3 @@ def analytic_cov(
         f1.operator @ cov.d12 @ np.conj(f2.operator) @ cov.d12.conj().T
     )
     return as_real(value)
-
-
-def mc_cov(
-    batch: SampleBatch,
-    f1: QuadraticForm,
-    f2: QuadraticForm,
-    analytic: float | None = None,
-) -> Estimate:
-    """Sample covariance of the two quadratic forms over a batch, the
-    second on conjugated samples, the pairing of analytic_cov.  See
-    Moments.cov for the estimator.
-    """
-    if f1.side != 1 or f2.side != 2:
-        raise ValueError("mc_cov expects f1 on side 1 and f2 on side 2")
-    return _batch_moments(batch, [f1, f2]).cov(0, 1, analytic)
-
-
-def mc_mean(
-    batch: SampleBatch,
-    form: QuadraticForm,
-    analytic: float | None = None,
-) -> Estimate:
-    """Sample mean of a quadratic form over a batch, with standard error.
-
-    Side-2 forms are evaluated on conjugated samples, the pairing
-    analytic_mean uses (its side-2 value is Tr[D22 conj(A)]).
-    """
-    return _batch_moments(batch, [form]).mean(0, analytic)

@@ -26,17 +26,14 @@ root of the covariance, which, unlike an eigenvector factor, does not
 depend on the basis LAPACK picks inside a repeated eigenvalue.
 Regenerating with the same (covariance, seed, count) is therefore
 bit-identical for any worker count.  The generator identity is recorded
-on every batch as ``prng_id``.  numpy does not promise that
+on every estimate and report as ``prng_id``.  numpy does not promise that
 ``Generator`` streams stay the same across versions (NEP 19), so the
 tests pin known-answer values of the stream.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
@@ -44,20 +41,18 @@ from typing import Callable
 import numpy as np
 
 from .covariance import BlockCovariance
-from .errors import DimensionError, NotPositiveError, PcsftError, SchemaError
+from .errors import NotPositiveError, PcsftError
 
 PRNG_ID = "sfc64:ziggurat:v3"
 
 # Samples per substream chunk.  Part of the determinism contract: changing
-# it changes every batch.
+# it changes every draw.
 CHUNK_SIZE = 16384
 
 # Rows a worker fills and transforms at a time.  It divides CHUNK_SIZE, so
 # the blocks tile every draw at multiples of _BLOCK_ROWS; it changes no
 # value, only how much scratch memory a worker holds.
 _BLOCK_ROWS = 4096
-
-_MAGIC = b"PCSFTBATCH1\n"
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -91,53 +86,6 @@ def _substream(seed: int, chunk: int) -> np.random.SFC64:
     return np.random.SFC64(np.random.SeedSequence([seed, chunk]))
 
 
-class SampleBatch:
-    """Ordered batch of bi-signal realizations plus its provenance.
-
-    phi1 has shape (count, d1) and phi2 (count, d2); row k is sample k.
-    The arrays are copied unless ``copy`` is false, which hands over
-    complex arrays that nothing else will write to (``draw``'s own, or
-    the read-only payload ``load_batch`` read).
-    """
-
-    def __init__(
-        self,
-        phi1: np.ndarray,
-        phi2: np.ndarray,
-        seed: int,
-        prng_id: str = PRNG_ID,
-        copy: bool = True,
-    ):
-        convert = np.array if copy else np.asarray
-        phi1 = convert(phi1, dtype=complex)
-        phi2 = convert(phi2, dtype=complex)
-        if phi1.ndim != 2 or phi2.ndim != 2 or phi1.shape[0] != phi2.shape[0]:
-            raise DimensionError(
-                f"component arrays disagree: {phi1.shape} vs {phi2.shape}"
-            )
-        phi1.setflags(write=False)
-        phi2.setflags(write=False)
-        self.phi1 = phi1
-        self.phi2 = phi2
-        self.seed = int(seed)
-        self.prng_id = prng_id
-
-    @property
-    def count(self) -> int:
-        return self.phi1.shape[0]
-
-    @property
-    def d1(self) -> int:
-        return self.phi1.shape[1]
-
-    @property
-    def d2(self) -> int:
-        return self.phi2.shape[1]
-
-    def __len__(self) -> int:
-        return self.count
-
-
 def factor_covariance(cov: BlockCovariance) -> np.ndarray:
     """The positive semi-definite square root F = V sqrt(L) V† of the
     assembled covariance, so F F† equals it.
@@ -154,13 +102,6 @@ def factor_covariance(cov: BlockCovariance) -> np.ndarray:
     if residual > 1e-8:
         raise NotPositiveError(f"factorization residual {residual:.3e} exceeds 1e-8")
     return f
-
-
-def require_count(count: int) -> int:
-    """Validate a sample count (at least one) and return it."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return count
 
 
 def draw_chunks(
@@ -182,7 +123,8 @@ def draw_chunks(
     disjoint blocks; the values a block carries never depend on the
     worker count.  Memory is two buffers per worker, whatever ``count``.
     """
-    require_count(count)
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     f = factor_covariance(cov)
     dim = f.shape[0]
     ft = f.T * np.sqrt(0.5)
@@ -226,122 +168,3 @@ def draw_chunks(
     else:
         work()
 
-
-def draw(
-    cov: BlockCovariance, seed: int, count: int, workers: int | None = None
-) -> SampleBatch:
-    """Draw ``count`` iid bi-signal samples with the given covariance.
-
-    Deterministic in (cov, seed, count): chunk substreams are indexed by
-    position, so any worker split merges back to the same batch.
-    """
-    out = np.empty((require_count(count), cov.d1 + cov.d2), dtype=complex)
-
-    def store(start: int, phi: np.ndarray):
-        out[start : start + phi.shape[0]] = phi
-
-    draw_chunks(cov, seed, count, store, workers)
-    return SampleBatch(phi1=out[:, : cov.d1], phi2=out[:, cov.d1 :], seed=seed, copy=False)
-
-
-def covariance_hash(cov: BlockCovariance) -> str:
-    """SHA-256 over a canonical little-endian byte encoding of the blocks."""
-    h = hashlib.sha256()
-    h.update(struct.pack("<qqd", cov.d1, cov.d2, cov.epsilon))
-    for block in (cov.d11, cov.d12, cov.d21, cov.d22):
-        h.update(np.ascontiguousarray(block, dtype="<c16").tobytes())
-    return h.hexdigest()
-
-
-def save_batch(batch: SampleBatch, path, covariance: BlockCovariance | None = None):
-    """Binary dump: header line, then little-endian float64 payload.
-
-    Payload layout is [count][d1][d2] followed by re,im interleaved per
-    mode per sample (phi1 modes first, then phi2, row by row).
-    """
-    header = {
-        "format": "pcsft-batch",
-        "version": 1,
-        "seed": batch.seed,
-        "prng_id": batch.prng_id,
-        "covariance_hash": covariance_hash(covariance) if covariance is not None else None,
-    }
-    joint = np.hstack([batch.phi1, batch.phi2])
-    flat = np.empty((batch.count, 2 * joint.shape[1]), dtype="<f8")
-    flat[:, 0::2] = joint.real
-    flat[:, 1::2] = joint.imag
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(
-            np.array([batch.count, batch.d1, batch.d2], dtype="<f8").tobytes()
-        )
-        fh.write(flat.tobytes())
-
-
-def _batch_header(line: bytes) -> dict:
-    """The parsed header line of a batch file, checked."""
-    try:
-        header = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError):
-        raise SchemaError("field 'header': not a JSON line") from None
-    if not isinstance(header, dict):
-        raise SchemaError("field 'header': expected a JSON object")
-    fmt = header.get("format")
-    if fmt != "pcsft-batch":
-        raise SchemaError(f"field 'format': expected 'pcsft-batch', got {fmt!r}")
-    version = header.get("version")
-    if not isinstance(version, int) or isinstance(version, bool) or version != 1:
-        raise SchemaError(f"field 'version': expected 1, got {version!r}")
-    seed = header.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise SchemaError(
-            f"field 'seed': expected a 64-bit unsigned integer, got {seed!r}"
-        )
-    if not isinstance(header.get("prng_id", PRNG_ID), str):
-        raise SchemaError("field 'prng_id': expected a string")
-    return header
-
-
-def load_batch(path) -> tuple[SampleBatch, dict]:
-    """Read a batch written by save_batch; returns (batch, header).
-
-    A file that does not follow save_batch's layout raises SchemaError
-    naming the first field at fault; ``payload`` for a payload that is
-    not exactly count * 2 * (d1 + d2) float64 values.
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise SchemaError("field 'magic': not a pcsft batch file")
-        header = _batch_header(fh.readline())
-        meta = fh.read(24)
-        payload = fh.read()
-    names = ("count", "d1", "d2")
-    if len(meta) < 24:
-        raise SchemaError(f"field '{names[len(meta) // 8]}': missing")
-    sizes = []
-    for name, value in zip(names, struct.unpack("<3d", meta)):
-        if not (np.isfinite(value) and value >= 1 and value == int(value)):
-            raise SchemaError(
-                f"field '{name}': expected a positive integer, got {value!r}"
-            )
-        sizes.append(int(value))
-    count, d1, d2 = sizes
-    dim = d1 + d2
-    if len(payload) != count * 2 * dim * 8:
-        raise SchemaError(
-            f"field 'payload': expected {count * 2 * dim * 8} bytes for "
-            f"count={count}, d1={d1}, d2={d2}, got {len(payload)}"
-        )
-    # re, im interleaved per mode is the layout of little-endian complex128;
-    # the array reads the immutable payload, so the batch can keep it.
-    joint = np.frombuffer(payload, dtype="<c16").reshape(count, dim)
-    batch = SampleBatch(
-        phi1=joint[:, :d1],
-        phi2=joint[:, d1:],
-        seed=header.get("seed", 0),
-        prng_id=header.get("prng_id", PRNG_ID),
-        copy=False,
-    )
-    return batch, header

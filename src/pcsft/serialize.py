@@ -8,7 +8,9 @@ documents.  Validation errors name the offending field.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -41,7 +43,13 @@ def _entry_from_pair(value: Any, field: str) -> complex:
         or any(isinstance(v, bool) for v in value)
     ):
         raise SchemaError(f"field '{field}': expected [re, im] pair, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    try:
+        z = complex(float(value[0]), float(value[1]))
+    except OverflowError:  # an integer beyond the float range
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
+        raise SchemaError(f"field '{field}': expected finite numbers")
+    return z
 
 
 def _matrix_from_entries(entries: Any, field: str) -> np.ndarray:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from pcsft import BipartiteState
+from pcsft import BipartiteState, BlockCovariance
+from pcsft.sampler import draw_chunks
 
 # One line per acceptance criterion, replayed in the terminal summary.
 ACCEPTANCE_LINES: list[str] = []
@@ -15,6 +16,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def draw_samples(
+    cov: BlockCovariance, seed: int, count: int, workers: int | None = None
+) -> np.ndarray:
+    """The joint (count, d1 + d2) samples draw_chunks draws, stored in order."""
+    out = np.empty((count, cov.d1 + cov.d2), dtype=complex)
+
+    def store(start: int, phi: np.ndarray):
+        out[start : start + phi.shape[0]] = phi
+
+    draw_chunks(cov, seed, count, store, workers)
+    return out
 
 
 def rand_complex(rng: np.random.Generator, *shape) -> np.ndarray:

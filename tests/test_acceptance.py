@@ -17,13 +17,11 @@ from pcsft import (
     beamsplitter_unitary,
     build_covariance,
     classify_symmetry,
-    draw,
     epsilon_min,
+    form_moments,
     input_state,
     marginal_average,
     matricize,
-    mc_cov,
-    mc_mean,
     quantum_average_tensor,
     quantum_average_trace,
     renormalized_mean,
@@ -116,15 +114,15 @@ def test_criterion_3_monte_carlo_agreement():
         a2 = rand_selfadjoint(rng, d2)
         f1 = QuadraticForm(operator=a1, side=1)
         f2 = QuadraticForm(operator=a2, side=2)
-        batch = draw(cov, seed=3000 + i, count=n)
+        moments = form_moments(cov, seed=3000 + i, count=n, forms=[f1, f2])
 
-        est = mc_cov(batch, f1, f2, analytic=analytic_cov(cov, f1, f2))
+        est = moments.cov(0, 1, analytic=analytic_cov(cov, f1, f2))
         cov_hits += est.within(5.0)
 
         form = f1 if rng.integers(2) == 0 else f2
         side = form.side
         a = a1 if side == 1 else a2
-        mean_est = mc_mean(batch, form)
+        mean_est = moments.mean(side - 1)
         renorm_mc = mean_est.value - cov.epsilon * np.trace(a).real
         target = marginal_average(state, a, side)
         mean_hits += abs(renorm_mc - target) <= 5.0 * mean_est.std_error

@@ -1,7 +1,5 @@
 """Classical channels for factorized unitaries and Schrödinger propagation."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,21 +11,20 @@ from pcsft import (
     QuadraticForm,
     UnitaryChannel,
     analytic_cov,
-    apply_to_batch,
     apply_to_covariance,
     apply_to_state,
     beamsplitter_unitary,
     build_covariance,
-    draw,
     epsilon_min,
     evolution_channel,
+    factor_covariance,
     input_state,
     matricize,
     propagate,
     quantum_average_tensor,
-    SampleBatch,
 )
 from conftest import (
+    draw_samples,
     rand_complex,
     rand_selfadjoint,
     rand_state,
@@ -40,6 +37,12 @@ SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
 def rand_channel(rng, d1, d2):
     return UnitaryChannel(u1=rand_unitary(rng, d1), u2=rand_unitary(rng, d2))
+
+
+def act_on_samples(ch, joint, d1):
+    """The channel's action (U1 phi1, conj(U2) phi2) on every row of the
+    joint samples."""
+    return np.hstack([joint[:, :d1] @ ch.u1.T, joint[:, d1:] @ ch.u2.conj().T])
 
 
 class TestChannelValidation:
@@ -55,26 +58,29 @@ class TestChannelValidation:
 class TestApplyToSample:
     def test_identity_channel(self):
         ch = UnitaryChannel(u1=np.eye(2), u2=np.eye(3))
-        batch = SampleBatch(
-            phi1=np.array([[1.0, 2j]]), phi2=np.array([[0.5, 0, 1j]]), seed=0
+        joint = np.array([[1.0, 2j, 0.5, 0, 1j]])
+        np.testing.assert_array_equal(act_on_samples(ch, joint, 2), joint)
+        cov = build_covariance(rand_state(np.random.default_rng(79), 2, 3), 0.5)
+        np.testing.assert_allclose(
+            apply_to_covariance(ch, cov).assembled(), cov.assembled(), atol=1e-15
         )
-        out = apply_to_batch(ch, batch)
-        np.testing.assert_array_equal(out.phi1, batch.phi1)
-        np.testing.assert_array_equal(out.phi2, batch.phi2)
 
     def test_norm_preserved(self):
+        # Per sample, and in the mean: E|phi_j|^2 is the trace of D_jj.
         rng = np.random.default_rng(80)
         ch = rand_channel(rng, 3, 2)
-        batch = SampleBatch(
-            phi1=np.array([rand_complex(rng, 3) for _ in range(20)]),
-            phi2=np.array([rand_complex(rng, 2) for _ in range(20)]),
-            seed=0,
-        )
-        out = apply_to_batch(ch, batch)
-        for before, after in ((batch.phi1, out.phi1), (batch.phi2, out.phi2)):
+        joint = rand_complex(rng, 20, 5)
+        out = act_on_samples(ch, joint, 3)
+        for side in (slice(0, 3), slice(3, 5)):
             np.testing.assert_allclose(
-                np.linalg.norm(after, axis=1), np.linalg.norm(before, axis=1), atol=1e-10
+                np.linalg.norm(out[:, side], axis=1),
+                np.linalg.norm(joint[:, side], axis=1),
+                atol=1e-10,
             )
+        cov = build_covariance(rand_state(rng, 3, 2), 0.3)
+        moved = apply_to_covariance(ch, cov)
+        for before, after in ((cov.d11, moved.d11), (cov.d22, moved.d22)):
+            assert np.trace(after).real == pytest.approx(np.trace(before).real, abs=1e-12)
 
     def test_empirical_covariance_tracks_transform(self):
         # The per-sample channel action must reproduce apply_to_covariance
@@ -84,8 +90,7 @@ class TestApplyToSample:
         cov = build_covariance(state, epsilon_min(state) + 0.1)
         ch = rand_channel(rng, 2, 2)
         n = 200_000
-        batch = apply_to_batch(ch, draw(cov, seed=82, count=n))
-        joint = np.hstack([batch.phi1, batch.phi2])
+        joint = act_on_samples(ch, draw_samples(cov, seed=82, count=n), 2)
         emp = (joint.conj().T @ joint / n).T
         expected = apply_to_covariance(ch, cov).assembled()
         d = np.diagonal(expected).real
@@ -93,34 +98,22 @@ class TestApplyToSample:
         assert np.all(np.abs(emp - expected) <= 5.0 * se)
 
     def test_batch_and_sample_paths_agree(self):
-        # Row k of the output is the per-sample action (U1 phi1[k], conj(U2) phi2[k]).
+        # Row k of the output is W z_k with W = U1 (+) conj(U2), and the
+        # samples w F^T / sqrt(2) map to w (W F)^T / sqrt(2), whose
+        # covariance (W F)(W F)† is exactly apply_to_covariance's.
         rng = np.random.default_rng(83)
         state = rand_state(rng, 2, 3)
         cov = build_covariance(state, epsilon_min(state) + 0.1)
         ch = rand_channel(rng, 2, 3)
-        batch = draw(cov, seed=84, count=16)
-        out = apply_to_batch(ch, batch)
-        for k in range(len(batch)):
-            np.testing.assert_allclose(out.phi1[k], ch.u1 @ batch.phi1[k], atol=1e-12)
-            np.testing.assert_allclose(
-                out.phi2[k], np.conj(ch.u2) @ batch.phi2[k], atol=1e-12
-            )
-
-    def test_output_is_handed_over(self):
-        # The beam splitter on 200k spin-0 samples: a 12.8 MB result, whose
-        # fresh products the batch keeps instead of copying.
-        u = beamsplitter_unitary()
-        ch = UnitaryChannel(u1=u, u2=u)
-        cov = build_covariance(apply_to_state(ch, input_state("boson")), 0.3)
-        batch = draw(cov, seed=85, count=200_000)
-        tracemalloc.start()
-        try:
-            out = apply_to_batch(ch, batch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * (out.phi1.nbytes + out.phi2.nbytes)
-        assert not out.phi1.flags.writeable and not out.phi2.flags.writeable
+        joint = draw_samples(cov, seed=84, count=16)
+        out = act_on_samples(ch, joint, 2)
+        w = scipy.linalg.block_diag(ch.u1, np.conj(ch.u2))
+        for k in range(len(joint)):
+            np.testing.assert_allclose(out[k], w @ joint[k], atol=1e-12)
+        wf = w @ factor_covariance(cov)
+        np.testing.assert_allclose(
+            wf @ wf.conj().T, apply_to_covariance(ch, cov).assembled(), atol=1e-12
+        )
 
 
 class TestApplyToState:

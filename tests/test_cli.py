@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, file handling."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pcsft import Hamiltonian, matricize
 from pcsft import serialize
@@ -488,6 +491,10 @@ class TestInvalidNumbers:
             ("classify", "--tol=0", "tol"),
             ("classify", "--tol=-1e-10", "tol"),
             ("experiment", "--samples=999", "samples"),
+            ("verify-identity", "--epsilon=0.01", "epsilon"),
+            ("experiment", "--epsilon=0.01", "epsilon"),
+            ("propagate", "--epsilon=0.01", "epsilon"),
+            ("channel", "--epsilon=0.01", "epsilon"),
         ],
     )
     def test_exits_2_naming_the_field(
@@ -501,18 +508,18 @@ class TestInvalidNumbers:
             ),
             encoding="utf-8",
         )
+        outputs = [
+            "--output-state",
+            str(tmp_path / "out_state.json"),
+            "--output-covariance",
+            str(tmp_path / "out_cov.json"),
+        ]
         operands = {
             "verify-identity": [str(singlet_file), a1, a1],
             "experiment": ["--experiment", "beamsplitter", "--statistics", "fermion"],
             "classify": [str(singlet_file)],
-            "propagate": [
-                str(singlet_file),
-                str(ham),
-                "--output-state",
-                str(tmp_path / "out_state.json"),
-                "--output-covariance",
-                str(tmp_path / "out_cov.json"),
-            ],
+            "propagate": [str(singlet_file), str(ham), "--t=1", *outputs],
+            "channel": [str(singlet_file), "beamsplitter5050", *outputs],
         }[command]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -520,6 +527,127 @@ class TestInvalidNumbers:
         assert code == 2
         assert f"field '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "out_state.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, operand, document, field",
+        [
+            ("verify-identity", "a1", serialize.operator_to_json(np.eye(3)), "a1"),
+            ("verify-identity", "a2", serialize.operator_to_json(np.eye(3)), "a2"),
+            ("verify-identity", "a1", serialize.operator_to_json(np.triu(np.ones((2, 2)))), "a1"),
+            (
+                "classify",
+                "state",
+                {"d1": 1, "d2": 2, "amplitudes": [[[1e308, 1e308], [0.0, 0.0]]]},
+                "state.amplitudes",
+            ),
+        ],
+        ids=["a1-size", "a2-size", "a1-not-selfadjoint", "huge-amplitudes"],
+    )
+    def test_bad_operand_exits_2_naming_the_field(
+        self, tmp_path, singlet_file, capsys, command, operand, document, field
+    ):
+        files = {
+            "state": singlet_file,
+            "a1": write_operator(tmp_path / "a1.json", PROJ_R),
+            "a2": write_operator(tmp_path / "a2.json", PROJ_L),
+        }
+        files[operand] = tmp_path / "bad.json"
+        files[operand].write_text(json.dumps(document), encoding="utf-8")
+        names = {"verify-identity": ["state", "a1", "a2"], "classify": ["state"]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, *(str(files[name]) for name in names)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"field '{field}'" in captured.err
+
+
+# Values no amplitude component may take: non-finite, so large that |a|^2
+# overflows, beyond the float range, or not a number at all.
+BAD_NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(min_value=1e154, max_value=1.7e308),
+    st.integers(min_value=2**1024, max_value=10**400),
+    st.booleans(),
+)
+NOT_A_PAIR = st.one_of(
+    st.none(),
+    st.integers(),
+    st.text(max_size=3),
+    st.lists(st.floats(-1.0, 1.0), max_size=1),
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+NOT_AN_INTEGER = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=2),
+    st.none(),
+    st.lists(st.integers(), max_size=1),
+)
+NOT_A_MATRIX = st.one_of(
+    st.none(),
+    st.integers(),
+    st.text(max_size=3),
+    st.just([]),
+    st.lists(st.integers(), min_size=1, max_size=2),
+)
+
+
+@st.composite
+def malformed_states(draw):
+    """A normalized d1 x d2 state document with exactly one fault."""
+    d1, d2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = rng.standard_normal((d1, d2)) + 1j * rng.standard_normal((d1, d2))
+    psi /= np.linalg.norm(psi)
+    amplitudes = [[[z.real, z.imag] for z in row] for row in psi.tolist()]
+    doc = {"d1": d1, "d2": d2, "amplitudes": amplitudes}
+    i, j = draw(st.integers(0, d1 - 1)), draw(st.integers(0, d2 - 1))
+    fault = draw(
+        st.sampled_from(["number", "entry", "scale", "ragged", "dims", "matrix", "document"])
+    )
+    if fault == "number":
+        amplitudes[i][j][draw(st.integers(0, 1))] = draw(BAD_NUMBERS)
+    elif fault == "entry":
+        amplitudes[i][j] = draw(NOT_A_PAIR)
+    elif fault == "scale":  # finite entries, some beyond the float range
+        scale = draw(st.floats(1e10, 1e308))
+        doc["amplitudes"] = [[[scale * x for x in pair] for pair in row] for row in amplitudes]
+    elif fault == "ragged":
+        if d2 > 1 and draw(st.booleans()):
+            amplitudes[i].pop()
+        else:
+            amplitudes[i].append([0.0, 0.0])
+    elif fault == "dims":
+        key = draw(st.sampled_from(["d1", "d2"]))
+        wrong = st.integers(-2, 5).filter(lambda v: v != doc[key])
+        doc[key] = draw(st.one_of(wrong, NOT_AN_INTEGER))
+    elif fault == "matrix":
+        doc["amplitudes"] = draw(NOT_A_MATRIX)
+    else:
+        doc = draw(st.one_of(NOT_A_MATRIX, st.booleans(), st.floats()))
+    return doc
+
+
+class TestStateFuzz:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(doc=malformed_states())
+    def test_malformed_state_exits_2_naming_a_field(self, tmp_path, capsys, doc):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["classify", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "field '" in captured.err
 
 
 class TestDeterminismAcrossCommands:

@@ -16,26 +16,21 @@ from pcsft import (
     analytic_mean,
     beamsplitter_unitary,
     build_covariance,
-    draw,
     epsilon_min,
-    eval_form_batch,
     input_state,
     intensity_observable,
     marginal_average,
     matricize,
-    mc_cov,
-    mc_mean,
     phase_transform,
     form_moments,
     quantum_average_tensor,
     renormalized_mean,
-    SampleBatch,
     spin_state,
     UnitaryChannel,
     apply_to_state,
 )
 from pcsft.quadratic import _Rows, _form_kernel
-from conftest import rand_complex, rand_selfadjoint, rand_state
+from conftest import draw_samples, rand_complex, rand_selfadjoint, rand_state
 
 
 def _diagonal_values(phi, weights):
@@ -70,21 +65,24 @@ class TestQuadraticForm:
             QuadraticForm(operator=PROJ_R, side=3)
 
 
-def one_row(phi1, phi2) -> SampleBatch:
-    """A batch holding the single sample (phi1, phi2)."""
-    return SampleBatch(np.atleast_2d(phi1), np.atleast_2d(phi2), seed=0)
+def evaluate(form, phi1, phi2) -> np.ndarray:
+    """f_A on the single sample (phi1, phi2), read off a joint block the
+    way form_moments reads a sampler block."""
+    phi1 = np.atleast_2d(phi1)
+    block = np.hstack([phi1, np.atleast_2d(phi2)]).astype(complex)
+    d1 = phi1.shape[1]
+    phi = block[:, :d1] if form.side == 1 else block[:, d1:]
+    return _form_kernel(form.operator, form.side == 2)(_Rows(phi))
 
 
 class TestEvalForm:
     def test_identity_on_basis_vector(self):
         form = QuadraticForm(operator=np.eye(2), side=1)
-        batch = one_row([1.0, 0.0], [0.0, 0.0])
-        assert eval_form_batch(form, batch) == pytest.approx([1.0])
+        assert evaluate(form, [1.0, 0.0], [0.0, 0.0]) == pytest.approx([1.0])
 
     def test_projector_reads_intensity(self):
         form = QuadraticForm(operator=PROJ_R, side=1)
-        batch = one_row([0.3 + 0.4j, 1.0], [0.0, 0.0])
-        assert eval_form_batch(form, batch) == pytest.approx([0.25])
+        assert evaluate(form, [0.3 + 0.4j, 1.0], [0.0, 0.0]) == pytest.approx([0.25])
 
     def test_conjugate_operator_pairing(self):
         # f_Ā(phi) = f_A(conj phi): a side-2 form reads conj(phi2).
@@ -92,32 +90,17 @@ class TestEvalForm:
         for _ in range(30):
             a = rand_selfadjoint(rng, 3)
             phi = rand_complex(rng, 3)
-            batch = one_row(phi, phi)
             f_conj = QuadraticForm(operator=np.conj(a), side=1)
             f = QuadraticForm(operator=a, side=2)
-            assert eval_form_batch(f_conj, batch) == pytest.approx(
-                eval_form_batch(f, batch), abs=1e-10
+            assert evaluate(f_conj, phi, phi) == pytest.approx(
+                evaluate(f, phi, phi), abs=1e-10
             )
 
-    def test_column_major_batch(self):
-        # The kernels read rows through a float64 view; a batch stored
-        # column by column gives the same values.
-        rng = np.random.default_rng(59)
-        phi1, phi2 = rand_complex(rng, 50, 3), rand_complex(rng, 50, 2)
-        rows = SampleBatch(phi1, phi2, seed=0)
-        columns = SampleBatch(np.asfortranarray(phi1), np.asfortranarray(phi2), seed=0)
-        for form in (
-            QuadraticForm(operator=rand_selfadjoint(rng, 3), side=1),
-            QuadraticForm(operator=rand_selfadjoint(rng, 2), side=2),
-            QuadraticForm(operator=np.diag([1.0, -2.0]), side=2),
-        ):
-            assert np.array_equal(eval_form_batch(form, columns), eval_form_batch(form, rows))
-
     def test_dimension_mismatch(self):
-        form = QuadraticForm(operator=np.eye(3), side=1)
-        batch = one_row([1.0, 0.0], [0.0])
+        cov = build_covariance(matricize(np.array([[1.0], [0.0]])), 0.3)
+        form = QuadraticForm(operator=np.eye(2), side=2)
         with pytest.raises(DimensionError):
-            eval_form_batch(form, batch)
+            form_moments(cov, seed=0, count=10, forms=[form])
 
 
 class TestAnalyticMean:
@@ -139,8 +122,8 @@ class TestAnalyticMean:
         cov = build_covariance(state, epsilon_min(state) + 0.1)
         a = rand_selfadjoint(rng, 3)
         form = QuadraticForm(operator=a, side=2)
-        batch = draw(cov, seed=62, count=100_000)
-        est = mc_mean(batch, form, analytic=analytic_mean(cov, form))
+        moments = form_moments(cov, seed=62, count=100_000, forms=[form])
+        est = moments.mean(0, analytic=analytic_mean(cov, form))
         assert est.within(5.0)
 
 
@@ -281,18 +264,16 @@ class TestAnalyticCov:
 class TestMcCov:
     def test_fermionic_anti_bunching_zero(self):
         cov = build_covariance(bs_output("fermion"), 0.3)
-        batch = draw(cov, seed=70, count=200_000)
         f1 = QuadraticForm(operator=PROJ_R, side=1)
         f2 = QuadraticForm(operator=PROJ_R, side=2)
-        est = mc_cov(batch, f1, f2, analytic=0.0)
+        est = form_moments(cov, 70, 200_000, [f1, f2]).cov(0, 1, analytic=0.0)
         assert est.within(5.0)
 
     def test_bosonic_bunching_zero_cross(self):
         cov = build_covariance(bs_output("boson"), 0.3)
-        batch = draw(cov, seed=71, count=200_000)
         f1 = QuadraticForm(operator=PROJ_R, side=1)
         f2 = QuadraticForm(operator=PROJ_L, side=2)
-        est = mc_cov(batch, f1, f2, analytic=0.0)
+        est = form_moments(cov, 71, 200_000, [f1, f2]).cov(0, 1, analytic=0.0)
         assert est.within(5.0)
 
     def test_matches_analytic_on_random_state(self):
@@ -303,19 +284,19 @@ class TestMcCov:
         a2 = rand_selfadjoint(rng, 3)
         f1 = QuadraticForm(operator=a1, side=1)
         f2 = QuadraticForm(operator=a2, side=2)
-        batch = draw(cov, seed=73, count=200_000)
-        est = mc_cov(batch, f1, f2, analytic=analytic_cov(cov, f1, f2))
+        moments = form_moments(cov, 73, 200_000, [f1, f2])
+        est = moments.cov(0, 1, analytic=analytic_cov(cov, f1, f2))
         assert est.within(5.0)
         assert est.n == 200_000
         assert est.seed == 73
 
     def test_small_batch_rejected(self):
         cov = build_covariance(BELL_SINGLET, 0.3)
-        batch = draw(cov, seed=76, count=1)
         f1 = QuadraticForm(operator=PROJ_R, side=1)
         f2 = QuadraticForm(operator=PROJ_R, side=2)
+        moments = form_moments(cov, 76, 1, [f1, f2])
         with pytest.raises(ValueError):
-            mc_cov(batch, f1, f2)
+            moments.cov(0, 1)
 
     def test_epsilon_invariance_within_errors(self):
         rng = np.random.default_rng(77)
@@ -328,8 +309,7 @@ class TestMcCov:
         target = analytic_cov(build_covariance(state, base + 0.05), f1, f2)
         for extra, seed in [(0.05, 78), (0.4, 79)]:
             cov = build_covariance(state, base + extra)
-            batch = draw(cov, seed=seed, count=200_000)
-            est = mc_cov(batch, f1, f2, analytic=target)
+            est = form_moments(cov, seed, 200_000, [f1, f2]).cov(0, 1, analytic=target)
             assert est.within(5.0)
 
 
@@ -395,8 +375,8 @@ class TestSampleForms:
 
     @pytest.mark.parametrize("case", ["projectors", "dense"])
     def test_columns_equal_batch_evaluation(self, case, monkeypatch):
-        # The values form_moments accumulates, block by block, are the
-        # batch evaluation of each form on draw's batch.
+        # The values form_moments accumulates, block by block, are each
+        # form's complex definition on the samples draw_chunks draws.
         import pcsft.quadratic as quadratic
 
         if case == "projectors":
@@ -412,24 +392,18 @@ class TestSampleForms:
 
         monkeypatch.setattr(quadratic.Moments, "add", recording_add)
         form_moments(cov, seed=93, count=40_000, forms=forms)
-        batch = draw(cov, seed=93, count=40_000)
+        joint = draw_samples(cov, seed=93, count=40_000)
         for j, form in enumerate(forms):
             values = np.concatenate([blocks[b][j] for b in range(len(blocks))])
-            expected = eval_form_batch(form, batch)
-            assert np.array_equal(values, expected)
-
-    def test_estimates_equal_batch_estimators(self):
-        cov, (f1, f2) = random_dense_case(94)
-        fused = form_moments(cov, seed=95, count=30_000, forms=[f1, f2]).cov(0, 1)
-        batched = mc_cov(draw(cov, seed=95, count=30_000), f1, f2)
-        assert fused == batched
+            phi = joint[:, : cov.d1] if form.side == 1 else joint[:, cov.d1 :]
+            expected = _complex_values(phi, form.operator, form.side == 2)
+            scale = np.max(np.abs(form.operator)) * np.sum(np.abs(phi) ** 2, axis=1)
+            np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12 * scale.max())
 
     def test_each_form_evaluated_once_per_chunk(self, monkeypatch):
         # run_beamsplitter evaluates its 4 port intensities once per
-        # sample (the rows each kernel sees sum to n) and never assembles
-        # a full sample batch.
+        # sample: the rows each kernel sees sum to n.
         import pcsft.quadratic as quadratic
-        import pcsft.sampler as sampler
         from pcsft import CHUNK_SIZE, run_beamsplitter
 
         rows = []
@@ -446,11 +420,7 @@ class TestSampleForms:
 
             return counted
 
-        def no_batch(*args, **kwargs):
-            raise AssertionError("a full sample batch was assembled")
-
         monkeypatch.setattr(quadratic, "_form_kernel", counting_kernel)
-        monkeypatch.setattr(sampler.SampleBatch, "__init__", no_batch)
         n = 3 * CHUNK_SIZE + 5
         run_beamsplitter("boson", "half", seed=96, n_samples=n)
         assert rows == [n, n, n, n]
@@ -527,20 +497,19 @@ class TestFormKernel:
 
     def test_diagonal_operator_takes_intensity_branch(self):
         rng = np.random.default_rng(99)
-        form = QuadraticForm(operator=np.diag([1.0, -2.0, 0.5]), side=1)
-        batch = draw(build_covariance(rand_state(rng, 3, 2), 0.3), seed=0, count=100)
+        weights = np.array([1.0, -2.0, 0.5])
+        joint = draw_samples(build_covariance(rand_state(rng, 3, 2), 0.3), 0, 100)
         assert np.array_equal(
-            eval_form_batch(form, batch),
-            _diagonal_values(batch.phi1, np.array([1.0, -2.0, 0.5])),
+            _form_kernel(np.diag(weights), False)(_Rows(joint[:, :3])),
+            _diagonal_values(joint[:, :3], weights),
         )
 
     def test_dense_branch_rejects_corrupted_operator(self):
         cov, (f1, f2) = random_dense_case(100)
-        batch = draw(cov, seed=101, count=1_000)
         corrupt = np.array(f1.operator)
         corrupt[0, 1] += 0.5j  # no longer self-adjoint
         object.__setattr__(f1, "operator", corrupt)
         with pytest.raises(RealityError):
-            eval_form_batch(f1, batch)
+            _form_kernel(f1.operator, False)
         with pytest.raises(RealityError):
             form_moments(cov, seed=101, count=1_000, forms=[f1, f2])

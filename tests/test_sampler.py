@@ -1,33 +1,23 @@
 """Seeded Gaussian sampling: factorization, moments, determinism."""
 
 import hashlib
-import json
-import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from pcsft import (
     CHUNK_SIZE,
     BlockCovariance,
-    SampleBatch,
-    SchemaError,
     UnitaryChannel,
     apply_to_state,
     beamsplitter_unitary,
     build_covariance,
-    covariance_hash,
-    draw,
     epsilon_min,
     factor_covariance,
-    load_batch,
     matricize,
-    save_batch,
 )
 from pcsft.sampler import _BLOCK_ROWS, _substream, draw_chunks
-from conftest import rand_psd, rand_selfadjoint, rand_state
+from conftest import draw_samples, rand_psd, rand_selfadjoint, rand_state
 
 C = 1.0 / np.sqrt(2.0)
 BELL_SINGLET = matricize(np.array([[0.0, C], [-C, 0.0]]))
@@ -103,10 +93,9 @@ class TestFactorCovariance:
 class TestDrawMoments:
     def test_zero_mean(self):
         cov = build_covariance(BELL_SINGLET, 0.3)
-        batch = draw(cov, seed=41, count=100_000)
-        joint = np.hstack([batch.phi1, batch.phi2])
+        joint = draw_samples(cov, seed=41, count=100_000)
         sigma = np.sqrt(np.diagonal(cov.assembled()).real)
-        bound = 5.0 * sigma / np.sqrt(batch.count)
+        bound = 5.0 * sigma / np.sqrt(len(joint))
         mean = joint.mean(axis=0)
         assert np.all(np.abs(mean.real) <= bound)
         assert np.all(np.abs(mean.imag) <= bound)
@@ -116,8 +105,7 @@ class TestDrawMoments:
         state = rand_state(rng, 2, 3)
         cov = build_covariance(state, epsilon_min(state) + 0.1)
         n = 200_000
-        batch = draw(cov, seed=43, count=n)
-        joint = np.hstack([batch.phi1, batch.phi2])
+        joint = draw_samples(cov, seed=43, count=n)
         emp = joint.conj().T @ joint / n
         emp = emp.T  # E[z z†]
         c = cov.assembled()
@@ -130,8 +118,7 @@ class TestDrawMoments:
         state = rand_state(rng, 2, 2)
         cov = build_covariance(state, epsilon_min(state) + 0.1)
         n = 200_000
-        batch = draw(cov, seed=45, count=n)
-        joint = np.hstack([batch.phi1, batch.phi2])
+        joint = draw_samples(cov, seed=45, count=n)
         pseudo = joint.T @ joint / n
         c = cov.assembled()
         d = np.diagonal(c).real
@@ -141,47 +128,34 @@ class TestDrawMoments:
     def test_count_validation(self):
         cov = build_covariance(BELL_SINGLET, 0.3)
         with pytest.raises(ValueError):
-            draw(cov, seed=0, count=0)
+            draw_chunks(cov, 0, 0, lambda start, phi: None)
 
 
 class TestDeterminism:
     def test_bit_identical_regeneration(self):
         cov = build_covariance(BELL_SINGLET, 0.3)
-        a = draw(cov, seed=46, count=40_000)
-        b = draw(cov, seed=46, count=40_000)
-        assert np.array_equal(a.phi1, b.phi1)
-        assert np.array_equal(a.phi2, b.phi2)
+        a = draw_samples(cov, seed=46, count=40_000)
+        b = draw_samples(cov, seed=46, count=40_000)
+        assert np.array_equal(a, b)
 
     def test_worker_split_equals_single_worker(self):
         cov = build_covariance(BELL_SINGLET, 0.3)
-        single = draw(cov, seed=47, count=50_000, workers=1)
-        split = draw(cov, seed=47, count=50_000, workers=4)
-        assert np.array_equal(single.phi1, split.phi1)
-        assert np.array_equal(single.phi2, split.phi2)
+        single = draw_samples(cov, seed=47, count=50_000, workers=1)
+        split = draw_samples(cov, seed=47, count=50_000, workers=4)
+        assert np.array_equal(single, split)
 
     def test_seed_changes_stream(self):
         cov = build_covariance(BELL_SINGLET, 0.3)
-        a = draw(cov, seed=48, count=1_000)
-        b = draw(cov, seed=49, count=1_000)
-        assert not np.allclose(a.phi1, b.phi1)
+        a = draw_samples(cov, seed=48, count=1_000)
+        b = draw_samples(cov, seed=49, count=1_000)
+        assert not np.allclose(a[:, :2], b[:, :2])  # phi1
 
     def test_prefix_stability(self):
         # Chunked substreams: a longer draw starts with the shorter one.
         cov = build_covariance(BELL_SINGLET, 0.3)
-        short = draw(cov, seed=50, count=10_000)
-        long = draw(cov, seed=50, count=30_000)
-        assert np.array_equal(long.phi1[:10_000], short.phi1)
-
-    def test_batch_indexing(self):
-        cov = build_covariance(BELL_SINGLET, 0.3)
-        batch = draw(cov, seed=51, count=10)
-        assert len(batch) == 10
-        assert batch.seed == 51
-        rows = SampleBatch(batch.phi1[3:5], batch.phi2[3:5], seed=batch.seed)
-        assert len(rows) == 2
-        assert (rows.d1, rows.d2) == (batch.d1, batch.d2)
-        np.testing.assert_array_equal(rows.phi1[0], batch.phi1[3])
-        np.testing.assert_array_equal(rows.phi2[1], batch.phi2[4])
+        short = draw_samples(cov, seed=50, count=10_000)
+        long = draw_samples(cov, seed=50, count=30_000)
+        assert np.array_equal(long[:10_000], short)
 
 
 class TestKnownAnswers:
@@ -208,8 +182,8 @@ class TestKnownAnswers:
         ],
     )
     def test_first_chunk_digest(self, statistics, spin, seed, digest):
-        batch = draw(experiment_cov(statistics, spin), seed=seed, count=CHUNK_SIZE)
-        joint = np.hstack([batch.phi1, batch.phi2]).astype("<c16")
+        samples = draw_samples(experiment_cov(statistics, spin), seed, CHUNK_SIZE)
+        joint = samples.astype("<c16")
         assert hashlib.sha256(joint.tobytes()).hexdigest() == digest
 
 
@@ -252,30 +226,6 @@ class TestDrawChunks:
         assert len(seen) < 16 * CHUNK_SIZE // _BLOCK_ROWS
 
 
-class TestBatchMemory:
-    def test_draw_hands_over_its_arrays(self):
-        # 200k spin-1/2 samples: a 25.6 MB batch.  The only other
-        # allocations are each worker's two block buffers (1 MB).
-        cov = experiment_cov("boson", "half")
-        for workers in (1, 2):
-            tracemalloc.start()
-            try:
-                batch = draw(cov, seed=0, count=200_000, workers=workers)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 1.1 * (batch.phi1.nbytes + batch.phi2.nbytes), workers
-            del batch
-
-    def test_caller_arrays_are_copied(self):
-        phi1 = np.ones((3, 2), dtype=complex)
-        phi2 = np.ones((3, 2), dtype=complex)
-        batch = SampleBatch(phi1, phi2, seed=0)
-        phi1[0, 0] = 5.0
-        assert batch.phi1[0, 0] == 1.0
-        assert not batch.phi1.flags.writeable
-
-
 class TestWickFourthMoment:
     def test_product_of_forms_matches_wick(self):
         # E[f_A1(phi1) f_A2(conj phi2)] = Tr[D11 A1] Tr[D22 Ā2]
@@ -287,10 +237,11 @@ class TestWickFourthMoment:
         a1 = rand_selfadjoint(rng, 2)
         a2 = rand_selfadjoint(rng, 2)
         n = 200_000
-        batch = draw(cov, seed=56, count=n)
-        x = np.einsum("kl,nl,nk->n", a1, batch.phi1, batch.phi1.conj()).real
+        joint = draw_samples(cov, seed=56, count=n)
+        phi1, phi2 = joint[:, :2], joint[:, 2:]
+        x = np.einsum("kl,nl,nk->n", a1, phi1, phi1.conj()).real
         y = np.einsum(
-            "kl,nl,nk->n", a2, batch.phi2.conj(), batch.phi2
+            "kl,nl,nk->n", a2, phi2.conj(), phi2
         ).real  # form on conjugated samples
         prod = x * y
         expected = (
@@ -311,8 +262,7 @@ class TestScaledFieldMoments:
         factor = 1.7
         scaled = scale_field(cov, factor)
         n = 200_000
-        batch = draw(scaled, seed=59, count=n)
-        joint = np.hstack([batch.phi1, batch.phi2])
+        joint = draw_samples(scaled, seed=59, count=n)
         emp = (joint.conj().T @ joint / n).T
         expected = factor**2 * cov.assembled()
         d = np.diagonal(expected).real
@@ -361,100 +311,8 @@ class TestWorkerResolution:
 
     def test_env_split_matches_serial(self, monkeypatch):
         cov = build_covariance(BELL_SINGLET, 0.3)
-        serial = draw(cov, seed=60, count=40_000, workers=1)
+        serial = draw_samples(cov, seed=60, count=40_000, workers=1)
         monkeypatch.setenv("PCSFT_THREADS", "4")
-        split = draw(cov, seed=60, count=40_000)
-        assert np.array_equal(serial.phi1, split.phi1)
+        split = draw_samples(cov, seed=60, count=40_000)
+        assert np.array_equal(serial, split)
 
-
-class TestBinaryDump:
-    def test_roundtrip(self, tmp_path):
-        cov = build_covariance(BELL_SINGLET, 0.3)
-        batch = draw(cov, seed=57, count=1_000)
-        path = tmp_path / "batch.bin"
-        save_batch(batch, path, covariance=cov)
-        loaded, header = load_batch(path)
-        assert np.array_equal(loaded.phi1, batch.phi1)
-        assert np.array_equal(loaded.phi2, batch.phi2)
-        assert loaded.seed == batch.seed
-        assert header["prng_id"] == batch.prng_id
-        assert header["covariance_hash"] == covariance_hash(cov)
-
-    def test_hash_sensitive_to_epsilon(self):
-        a = build_covariance(BELL_SINGLET, 0.3)
-        b = build_covariance(BELL_SINGLET, 0.4)
-        assert covariance_hash(a) != covariance_hash(b)
-
-
-def saved_batch_bytes(tmp_path, count=3) -> bytes:
-    cov = build_covariance(BELL_SINGLET, 0.3)
-    path = tmp_path / "batch.bin"
-    save_batch(draw(cov, seed=58, count=count), path, covariance=cov)
-    return path.read_bytes()
-
-
-def rewrite_header(data: bytes, **changes) -> bytes:
-    magic, header, rest = data.split(b"\n", 2)
-    fields = json.loads(header)
-    fields.update(changes)
-    return magic + b"\n" + json.dumps(fields).encode() + b"\n" + rest
-
-
-def header_end(data: bytes) -> int:
-    return data.index(b"\n", data.index(b"\n") + 1) + 1
-
-
-class TestLoadBatchValidation:
-    def load(self, tmp_path, data: bytes):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(data)
-        return load_batch(path)
-
-    @pytest.mark.parametrize(
-        "changes, field",
-        [
-            ({"format": "other"}, "format"),
-            ({"version": 2}, "version"),
-            ({"version": True}, "version"),
-            ({"version": 1.0}, "version"),
-            ({"seed": "7"}, "seed"),
-            ({"seed": -1}, "seed"),
-            ({"prng_id": 3}, "prng_id"),
-        ],
-    )
-    def test_header_fields(self, tmp_path, changes, field):
-        data = rewrite_header(saved_batch_bytes(tmp_path), **changes)
-        with pytest.raises(SchemaError, match=f"field '{field}'"):
-            self.load(tmp_path, data)
-
-    def test_header_not_an_object(self, tmp_path):
-        data = saved_batch_bytes(tmp_path)
-        magic, _, rest = data.split(b"\n", 2)
-        with pytest.raises(SchemaError, match="field 'header'"):
-            self.load(tmp_path, magic + b"\n[1, 2]\n" + rest)
-
-    @pytest.mark.parametrize("slot, field", [(0, "count"), (1, "d1"), (2, "d2")])
-    @pytest.mark.parametrize("value", [0.0, -2.0, 2.5, float("nan"), float("inf")])
-    def test_sizes_must_be_positive_integers(self, tmp_path, slot, field, value):
-        data = bytearray(saved_batch_bytes(tmp_path))
-        at = header_end(bytes(data)) + 8 * slot
-        data[at : at + 8] = np.array([value], dtype="<f8").tobytes()
-        with pytest.raises(SchemaError, match=f"field '{field}'"):
-            self.load(tmp_path, bytes(data))
-
-    def test_trailing_bytes(self, tmp_path):
-        data = saved_batch_bytes(tmp_path) + b"\0" * 8
-        with pytest.raises(SchemaError, match="field 'payload'"):
-            self.load(tmp_path, data)
-
-    @settings(
-        max_examples=100,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(cut=st.integers(min_value=0))
-    def test_truncated_file_names_its_field(self, tmp_path, cut):
-        data = saved_batch_bytes(tmp_path)
-        cut %= len(data)
-        with pytest.raises(SchemaError, match="field '[a-z0-9_]+'"):
-            self.load(tmp_path, data[:cut])
