@@ -400,6 +400,29 @@ class TestSampleForms:
             scale = np.max(np.abs(form.operator)) * np.sum(np.abs(phi) ** 2, axis=1)
             np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12 * scale.max())
 
+    def test_estimates_equal_batch_estimators(self):
+        # The one-pass moments equal the two-pass estimators on the same
+        # samples: means, the covariance and their standard errors.
+        cov, (f1, f2) = random_dense_case(94)
+        moments = form_moments(cov, seed=95, count=30_000, forms=[f1, f2])
+        joint = draw_samples(cov, seed=95, count=30_000)
+        x = _complex_values(joint[:, : cov.d1], f1.operator, False)
+        y = _complex_values(joint[:, cov.d1 :], f2.operator, True)
+        n = len(x)
+        for j, values in enumerate((x, y)):
+            mean = moments.mean(j)
+            assert mean.value == pytest.approx(values.mean(), rel=1e-12, abs=1e-12)
+            assert mean.std_error == pytest.approx(
+                np.sqrt(np.var(values, ddof=1) / n), rel=1e-10
+            )
+        products = (x - x.mean()) * (y - y.mean())
+        fused = moments.cov(0, 1)
+        scale = np.sqrt(np.var(x) * np.var(y))
+        assert fused.value == pytest.approx(products.sum() / (n - 1), abs=1e-12 * scale)
+        assert fused.std_error == pytest.approx(
+            np.sqrt(np.var(products, ddof=1) / n), rel=1e-10
+        )
+
     def test_each_form_evaluated_once_per_chunk(self, monkeypatch):
         # run_beamsplitter evaluates its 4 port intensities once per
         # sample: the rows each kernel sees sum to n.

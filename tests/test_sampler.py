@@ -1,6 +1,7 @@
 """Seeded Gaussian sampling: factorization, moments, determinism."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ import pytest
 from pcsft import (
     CHUNK_SIZE,
     BlockCovariance,
+    QuadraticForm,
     UnitaryChannel,
     apply_to_state,
     beamsplitter_unitary,
     build_covariance,
     epsilon_min,
     factor_covariance,
+    form_moments,
     matricize,
 )
 from pcsft.sampler import _BLOCK_ROWS, _substream, draw_chunks
@@ -157,6 +160,26 @@ class TestDeterminism:
         long = draw_samples(cov, seed=50, count=30_000)
         assert np.array_equal(long[:10_000], short)
 
+    def test_batch_indexing(self):
+        # Sample i is row i % CHUNK_SIZE of chunk i // CHUNK_SIZE: the
+        # normals of substream (seed, chunk), taken as complex pairs, times
+        # F^T / sqrt(2); phi1 fills the first d1 columns, phi2 the last d2.
+        rng = np.random.default_rng(51)
+        cov = build_covariance(rand_state(rng, 2, 3), 0.4)
+        joint = draw_samples(cov, seed=51, count=CHUNK_SIZE + 10)
+        assert joint.shape == (CHUNK_SIZE + 10, cov.d1 + cov.d2)
+        ft = factor_covariance(cov).T * np.sqrt(0.5)
+        for chunk, start in ((0, 0), (1, CHUNK_SIZE)):
+            gen = np.random.Generator(_substream(51, chunk))
+            w = gen.standard_normal((10, 2 * (cov.d1 + cov.d2))).view(complex)
+            np.testing.assert_allclose(
+                joint[start + 3 : start + 5], (w @ ft)[3:5], rtol=1e-13, atol=1e-15
+            )
+        moments = form_moments(
+            cov, seed=51, count=10, forms=[QuadraticForm(np.eye(2), side=1)]
+        )
+        assert (moments.count, moments.seed) == (10, 51)
+
 
 class TestKnownAnswers:
     """Pinned values of stream v3.  numpy does not promise that
@@ -224,6 +247,36 @@ class TestDrawChunks:
         with pytest.raises(RuntimeError, match="consumer failed"):
             draw_chunks(cov, 0, 16 * CHUNK_SIZE, consume, workers=2)
         assert len(seen) < 16 * CHUNK_SIZE // _BLOCK_ROWS
+
+
+class TestBatchMemory:
+    def test_draw_hands_over_its_arrays(self):
+        # 200k spin-1/2 samples stored into one 25.6 MB array: draw_chunks
+        # hands its blocks over, so the only other allocations are each
+        # worker's two block buffers (1 MB).
+        cov = experiment_cov("boson", "half")
+        for workers in (1, 2):
+            tracemalloc.start()
+            try:
+                joint = draw_samples(cov, seed=0, count=200_000, workers=workers)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.1 * joint.nbytes, workers
+            del joint
+
+    def test_caller_arrays_are_copied(self):
+        # The sampler reads the blocks as they were when the covariance was
+        # built: BlockCovariance copies the caller's arrays and freezes its own.
+        d11 = np.eye(2, dtype=complex)
+        cov = BlockCovariance(
+            d11=d11, d12=np.zeros((2, 3)), d21=np.zeros((3, 2)), d22=np.eye(3), epsilon=1.0
+        )
+        before = draw_samples(cov, seed=0, count=100)
+        d11[0, 0] = 5.0
+        assert cov.d11[0, 0] == 1.0
+        assert not cov.d11.flags.writeable
+        assert np.array_equal(draw_samples(cov, seed=0, count=100), before)
 
 
 class TestWickFourthMoment:
