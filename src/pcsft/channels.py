@@ -28,7 +28,7 @@ import numpy as np
 
 from .covariance import BlockCovariance
 from .errors import DimensionError
-from .hilbert import BipartiteState, _as_matrix, require_selfadjoint
+from .hilbert import BipartiteState, _as_matrix, max_defect, require_selfadjoint
 
 UNITARY_TOL = 1e-10
 
@@ -37,7 +37,9 @@ def _require_unitary(u: np.ndarray, name: str) -> np.ndarray:
     u = _as_matrix(u, name)
     if u.shape[0] != u.shape[1]:
         raise DimensionError(f"{name} is not square: shape {u.shape}")
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf defect
+        gram = u.conj().T @ u
+    defect = max_defect(gram, np.eye(u.shape[0]))
     if defect > UNITARY_TOL:
         raise ValueError(f"{name} is not unitary: max |U†U - I| = {defect:.3e}")
     return u
@@ -118,15 +120,24 @@ def evolution_channel(h: Hamiltonian, t: float) -> UnitaryChannel:
     """The channel exp(-i t H1 / hbar) (x) exp(-i t H2 / hbar).
 
     Matrix exponentials are exact via the Hermitian eigendecomposition.
+    Raises ValueError when an eigenvalue E is beyond the float range, and
+    OverflowError when a phase t * E / hbar is.
     """
     t = float(t)
 
-    def expfactor(ham: np.ndarray) -> np.ndarray:
+    def expfactor(ham: np.ndarray, name: str) -> np.ndarray:
         evals, evecs = np.linalg.eigh(ham)
-        phases = np.exp(-1j * t * evals / h.hbar)
+        if not np.all(np.isfinite(evals)):
+            raise ValueError(f"{name} has an eigenvalue beyond the float range")
+        with np.errstate(over="ignore", invalid="ignore"):
+            phases = np.exp(-1j * t * evals / h.hbar)
+        if not np.all(np.isfinite(phases)):
+            raise OverflowError(
+                f"phase t * E / hbar overflows for t = {t}, hbar = {h.hbar}"
+            )
         return (evecs * phases[None, :]) @ evecs.conj().T
 
-    return UnitaryChannel(u1=expfactor(h.h1), u2=expfactor(h.h2))
+    return UnitaryChannel(u1=expfactor(h.h1, "H1"), u2=expfactor(h.h2, "H2"))
 
 
 def propagate(h: Hamiltonian, t: float, x):

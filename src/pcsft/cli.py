@@ -30,12 +30,14 @@ import numpy as np
 
 from . import __version__
 from .channels import UnitaryChannel, apply_to_state, evolution_channel
-from .covariance import build_covariance, classify_symmetry, epsilon_min
-from .errors import PcsftError, SelfAdjointnessError
+from .covariance import build_covariance, classify_symmetry
+from .errors import DimensionError, PcsftError, SelfAdjointnessError
 from .experiments import (
-    AUTO_EPSILON_MARGIN,
     MIN_SAMPLES,
+    SE_BAND,
     beamsplitter_unitary,
+    report_to_csv_rows,
+    report_to_json,
     run_beamsplitter,
 )
 from .hilbert import (
@@ -52,6 +54,12 @@ EXIT_STAT_FAIL = 1
 EXIT_INPUT_ERROR = 2
 
 IDENTITY_TOL = 1e-10
+
+# Largest entry modulus of a verify-identity observable.  The standard
+# error reads fourth moments of the form values, which grow with the
+# fourth power of the entries: from 1e50 they stay far below the float
+# range for any sample count; from 1e75 they overflow.
+MAX_OPERATOR_ENTRY = 1e50
 
 
 def _sha256(path: Path) -> str:
@@ -84,13 +92,6 @@ def _parse_epsilon(spec: str) -> float | str:
         ) from None
     if not np.isfinite(value):
         raise PcsftError(f"field 'epsilon': expected a finite number, got {spec!r}")
-    return value
-
-
-def _resolve_epsilon(spec: str, state) -> float:
-    value = _parse_epsilon(spec)
-    if value == "auto":
-        return epsilon_min(state) + AUTO_EPSILON_MARGIN
     return value
 
 
@@ -141,11 +142,14 @@ def cmd_verify_identity(args) -> int:
             require_selfadjoint(a, name=name.upper())
         except SelfAdjointnessError as exc:
             raise PcsftError(f"field '{name}': {exc}") from None
+        if np.max(np.abs(a)) > MAX_OPERATOR_ENTRY:
+            raise PcsftError(
+                f"field '{name}': an entry exceeds {MAX_OPERATOR_ENTRY:.0e} in modulus"
+            )
 
     tensor = quantum_average_tensor(state, a1, a2)
     trace = quantum_average_trace(state, a1, a2)
-    eps = _resolve_epsilon(args.epsilon, state)
-    cov = build_covariance(state, eps)
+    cov = build_covariance(state, _parse_epsilon(args.epsilon))
     f1 = QuadraticForm(operator=a1, side=1)
     f2 = QuadraticForm(operator=a2, side=2)
     cov_value = analytic_cov(cov, f1, f2)
@@ -155,14 +159,14 @@ def cmd_verify_identity(args) -> int:
     checks = {
         "trace_vs_tensor": abs(trace - tensor) <= IDENTITY_TOL,
         "cov_vs_tensor": abs(cov_value - tensor) <= IDENTITY_TOL,
-        "mc_within_5_se": est.within(5.0),
+        "mc_within_5_se": est.within(SE_BAND),
     }
     payload = {
         "tensor": tensor,
         "trace": trace,
         "analytic_cov": cov_value,
         "mc": serialize.estimate_to_json(est),
-        "epsilon": eps,
+        "epsilon": cov.epsilon,
         "seed": args.seed,
         "n_samples": args.samples,
         "checks": checks,
@@ -187,13 +191,13 @@ def cmd_experiment(args) -> int:
         seed=args.seed,
         n_samples=args.samples,
     )
-    payload = serialize.report_to_json(report)
+    payload = report_to_json(report)
     payload["version"] = __version__
     if args.format == "json":
         _emit(serialize.dumps_json(payload), args.output)
     else:
         buf = io.StringIO()
-        rows = serialize.report_to_csv_rows(report)
+        rows = report_to_csv_rows(report)
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
@@ -215,8 +219,8 @@ def cmd_classify(args) -> int:
     return EXIT_PASS
 
 
-def _write_transformed(state, eps: float, args, extra: dict) -> int:
-    cov = build_covariance(state, eps)
+def _write_transformed(state, args, extra: dict) -> int:
+    cov = build_covariance(state, _parse_epsilon(args.epsilon))
     Path(args.output_state).write_text(
         serialize.dumps_json(serialize.state_to_json(state)), encoding="utf-8"
     )
@@ -226,12 +230,20 @@ def _write_transformed(state, eps: float, args, extra: dict) -> int:
     payload = {
         "output_state": str(args.output_state),
         "output_covariance": str(args.output_covariance),
-        "epsilon": eps,
+        "epsilon": cov.epsilon,
         "version": __version__,
         **extra,
     }
     _emit(serialize.dumps_json(payload), None)
     return EXIT_PASS
+
+
+def _apply_naming(channel, state, field: str):
+    """apply_to_state, naming ``field`` when the channel does not fit the state."""
+    try:
+        return apply_to_state(channel, state)
+    except DimensionError as exc:
+        raise PcsftError(f"field '{field}': {exc}") from None
 
 
 def cmd_propagate(args) -> int:
@@ -243,12 +255,15 @@ def cmd_propagate(args) -> int:
     ham = serialize.hamiltonian_from_json(
         serialize.load_json_file(ham_path, "hamiltonian"), "hamiltonian"
     )
-    channel = evolution_channel(ham, args.t)
-    out = apply_to_state(channel, state)
-    eps = _resolve_epsilon(args.epsilon, out)
+    try:
+        channel = evolution_channel(ham, args.t)
+    except OverflowError as exc:
+        raise PcsftError(f"field 't': {exc}") from None
+    except ValueError as exc:
+        raise PcsftError(f"field 'hamiltonian': {exc}") from None
+    out = _apply_naming(channel, state, "hamiltonian")
     return _write_transformed(
         out,
-        eps,
         args,
         {"t": args.t, "inputs": _input_stamp(state=state_path, hamiltonian=ham_path)},
     )
@@ -275,9 +290,8 @@ def cmd_channel(args) -> int:
             serialize.load_json_file(channel_path, "channel"), "channel"
         )
         inputs = _input_stamp(state=state_path, channel=channel_path)
-    out = apply_to_state(channel, state)
-    eps = _resolve_epsilon(args.epsilon, out)
-    return _write_transformed(out, eps, args, {"inputs": inputs})
+    out = _apply_naming(channel, state, "channel")
+    return _write_transformed(out, args, {"inputs": inputs})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,13 +27,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NotPositiveError
-from .hilbert import BipartiteState, _as_matrix
+from .hilbert import SELFADJOINT_TOL, BipartiteState, _as_matrix, max_defect
 
 # Eigenvalues of the assembled matrix in [-PSD_TOL, 0) count as zero;
 # anything below fails validation.
 PSD_TOL = 1e-10
 
-_HERMITIAN_TOL = 1e-12
+# Margin added to epsilon_min when epsilon="auto": keeps the covariance
+# factorization away from its singular boundary while adding little
+# background variance to the estimators.
+AUTO_EPSILON_MARGIN = 0.05
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,11 +67,11 @@ class BlockCovariance:
                 "inconsistent block shapes: "
                 f"D11 {d11.shape}, D12 {d12.shape}, D21 {d21.shape}, D22 {d22.shape}"
             )
-        if np.max(np.abs(d11 - d11.conj().T)) > _HERMITIAN_TOL:
+        if max_defect(d11, d11.conj().T) > SELFADJOINT_TOL:
             raise NotPositiveError("D11 is not Hermitian")
-        if np.max(np.abs(d22 - d22.conj().T)) > _HERMITIAN_TOL:
+        if max_defect(d22, d22.conj().T) > SELFADJOINT_TOL:
             raise NotPositiveError("D22 is not Hermitian")
-        if np.max(np.abs(d21 - d12.conj().T)) > _HERMITIAN_TOL:
+        if max_defect(d21, d12.conj().T) > SELFADJOINT_TOL:
             raise NotPositiveError("D21 does not equal D12†")
         eps = float(self.epsilon)
         if eps < 0.0:
@@ -148,14 +151,16 @@ def epsilon_min(state: BipartiteState) -> float:
     return float(max(0.0, np.max(s * (1.0 - s))))
 
 
-def build_covariance(state: BipartiteState, epsilon: float) -> BlockCovariance:
+def build_covariance(state: BipartiteState, epsilon: float | str) -> BlockCovariance:
     """Covariance of the Gaussian bi-signal encoding ``state``.
 
+    epsilon="auto" resolves to epsilon_min(state) + AUTO_EPSILON_MARGIN.
     Raises NotPositiveError (carrying the minimal admissible value) when
-    epsilon is below epsilon_min(state) - 1e-12.
+    epsilon is below epsilon_min(state) - 1e-12.  The covariance's
+    ``epsilon`` is the level it uses: a value in [-1e-12, 0) becomes 0.
     """
-    eps = float(epsilon)
     eps_min = epsilon_min(state)
+    eps = eps_min + AUTO_EPSILON_MARGIN if epsilon == "auto" else float(epsilon)
     if eps < eps_min - 1e-12:
         raise NotPositiveError(
             f"epsilon = {eps} is below the minimal admissible value {eps_min}",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import UnitaryChannel, apply_to_state
-from .covariance import build_covariance, classify_symmetry, epsilon_min
+from .covariance import build_covariance, classify_symmetry
 from .errors import DimensionError
 from .hilbert import BipartiteState
 from .quadratic import Estimate, QuadraticForm, analytic_cov, form_moments
@@ -27,11 +27,6 @@ from .sampler import PRNG_ID
 
 PORTS = ("R", "L")
 PORT_INDEX = {"R": 0, "L": 1}
-
-# Margin added to epsilon_min when epsilon="auto": keeps the covariance
-# factorization away from its singular boundary while adding little
-# background variance to the estimators.
-AUTO_EPSILON_MARGIN = 0.05
 
 MIN_SAMPLES = 1000  # fewest samples an experiment accepts
 
@@ -68,36 +63,55 @@ class PortCorrelation:
 
 
 @dataclass(frozen=True)
-class GMatrix:
-    """Intensity covariances g_xy for output ports x, y in {R, L}."""
-
-    entries: dict[str, PortCorrelation]
-
-    def __post_init__(self):
-        expected = {x + y for x in PORTS for y in PORTS}
-        if set(self.entries) != expected:
-            raise ValueError(f"g-matrix needs keys {sorted(expected)}")
-
-    def __getitem__(self, key: str) -> PortCorrelation:
-        return self.entries[key]
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries.values())
-
-
-@dataclass(frozen=True)
 class ExperimentReport:
+    """One experiment run; ``g`` maps each output-port pair x + y, for x,
+    y in PORTS, to its intensity covariance g_xy."""
+
     experiment: str
     statistics: str
     spin: str
     epsilon: float
     seed: int
     n_samples: int
-    g: GMatrix
-    passed: bool
+    g: dict[str, PortCorrelation]
     prng_id: str
     classified_symmetry: str
+
+    @property
+    def passed(self) -> bool:
+        return all(entry.passed for entry in self.g.values())
+
+
+def report_to_json(report: ExperimentReport) -> dict:
+    """The report as a JSON object (the CLI adds ``version``)."""
+    g = {
+        key: {
+            "analytic": entry.analytic,
+            "value": entry.estimate.value,
+            "std_error": entry.estimate.std_error,
+            "n": entry.estimate.n,
+            "passed": entry.passed,
+        }
+        for key, entry in report.g.items()
+    }
+    return {
+        "experiment": report.experiment,
+        "statistics": report.statistics,
+        "spin": report.spin,
+        "epsilon": report.epsilon,
+        "seed": report.seed,
+        "n_samples": report.n_samples,
+        "g": g,
+        "pass": report.passed,
+        "prng_id": report.prng_id,
+        "classified_symmetry": report.classified_symmetry,
+    }
+
+
+def report_to_csv_rows(report: ExperimentReport) -> list[dict]:
+    """One row per (x, y) port pair, for the CSV export."""
+    g = report_to_json(report)["g"]
+    return [{"x": x, "y": y, **g[x + y]} for x in PORTS for y in PORTS]
 
 
 def beamsplitter_unitary() -> np.ndarray:
@@ -182,7 +196,7 @@ def run_beamsplitter(
     """Full pipeline: input state -> beam splitter -> covariance ->
     analytic g-matrix and seeded Monte Carlo confirmation.
 
-    epsilon="auto" resolves to epsilon_min + AUTO_EPSILON_MARGIN.  Every
+    epsilon is passed to build_covariance ("auto" or a number).  Every
     g entry is flagged as passing when |mc - analytic| <= SE_BAND
     standard errors.  The four port intensities are evaluated once per
     sample and reduced to their moments as they are drawn; each g entry
@@ -197,34 +211,28 @@ def run_beamsplitter(
     channel = UnitaryChannel(u1=u, u2=u)
     psi_out = apply_to_state(channel, psi_in)
 
-    if epsilon == "auto":
-        eps = epsilon_min(psi_out) + AUTO_EPSILON_MARGIN
-    else:
-        eps = float(epsilon)
-    cov = build_covariance(psi_out, eps)
+    cov = build_covariance(psi_out, epsilon)
     side1 = [intensity_observable(x, layout, side=1) for x in PORTS]
     side2 = [intensity_observable(y, layout, side=2) for y in PORTS]
     moments = form_moments(cov, seed=seed, count=n_samples, forms=side1 + side2)
     k = len(PORTS)
 
-    entries: dict[str, PortCorrelation] = {}
+    g: dict[str, PortCorrelation] = {}
     for i, x in enumerate(PORTS):
         for j, y in enumerate(PORTS):
             g_xy = analytic_cov(cov, side1[i], side2[j])
             est = moments.cov(i, k + j, analytic=g_xy)
-            entries[x + y] = PortCorrelation(
+            g[x + y] = PortCorrelation(
                 analytic=g_xy, estimate=est, passed=est.within(SE_BAND)
             )
-    g = GMatrix(entries=entries)
     return ExperimentReport(
         experiment="beamsplitter",
         statistics=statistics,
         spin=spin,
-        epsilon=eps,
+        epsilon=cov.epsilon,
         seed=int(seed),
         n_samples=int(n_samples),
         g=g,
-        passed=g.passed,
         prng_id=PRNG_ID,
         classified_symmetry=symmetry.tag.value,
     )

@@ -18,7 +18,6 @@ import numpy as np
 from .channels import Hamiltonian, UnitaryChannel
 from .covariance import BlockCovariance, SymmetryClass
 from .errors import InteractionError, PcsftError, SchemaError
-from .experiments import ExperimentReport, PORTS
 from .hilbert import BipartiteState
 from .quadratic import Estimate
 
@@ -140,30 +139,6 @@ def covariance_to_json(cov: BlockCovariance) -> dict:
     }
 
 
-def covariance_from_json(obj: Any, field: str = "covariance") -> BlockCovariance:
-    epsilon = _require_key(obj, "epsilon", field)
-    if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
-        raise SchemaError(f"field '{field}.epsilon': expected a number")
-    blocks = {
-        name: _matrix_from_entries(_require_key(obj, name, field), f"{field}.{name}")
-        for name in ("D11", "D12", "D21", "D22")
-    }
-    try:
-        return BlockCovariance(
-            d11=blocks["D11"],
-            d12=blocks["D12"],
-            d21=blocks["D21"],
-            d22=blocks["D22"],
-            epsilon=float(epsilon),
-        )
-    except PcsftError as exc:
-        raise SchemaError(f"field '{field}': {exc}") from exc
-
-
-def channel_to_json(ch: UnitaryChannel) -> dict:
-    return {"U1": operator_to_json(ch.u1), "U2": operator_to_json(ch.u2)}
-
-
 def channel_from_json(obj: Any, field: str = "channel") -> UnitaryChannel:
     u1 = operator_from_json(_require_key(obj, "U1", field), f"{field}.U1")
     u2 = operator_from_json(_require_key(obj, "U2", field), f"{field}.U2")
@@ -188,17 +163,17 @@ def hamiltonian_from_json(obj: Any, field: str = "hamiltonian") -> Hamiltonian:
     if not isinstance(hbar, (int, float)) or isinstance(hbar, bool):
         raise SchemaError(f"field '{field}.hbar': expected a number")
     try:
-        return Hamiltonian(h1=h1, h2=h2, hbar=float(hbar))
+        hbar = float(hbar)
+    except OverflowError:  # an integer beyond the float range
+        hbar = math.inf
+    if not 0.0 < hbar < math.inf:
+        raise SchemaError(
+            f"field '{field}.hbar': expected a finite positive number, got {hbar}"
+        )
+    try:
+        return Hamiltonian(h1=h1, h2=h2, hbar=hbar)
     except (PcsftError, ValueError) as exc:
         raise SchemaError(f"field '{field}': {exc}") from exc
-
-
-def hamiltonian_to_json(h: Hamiltonian) -> dict:
-    return {
-        "H1": operator_to_json(h.h1),
-        "H2": operator_to_json(h.h2),
-        "hbar": h.hbar,
-    }
 
 
 def estimate_to_json(est: Estimate) -> dict:
@@ -216,52 +191,12 @@ def symmetry_to_json(sym: SymmetryClass) -> dict:
     return {"tag": sym.tag.value, "theta": sym.theta, "residual": sym.residual}
 
 
-def report_to_json(report: ExperimentReport) -> dict:
-    g = {}
-    for key, entry in report.g.entries.items():
-        g[key] = {
-            "analytic": entry.analytic,
-            "value": entry.estimate.value,
-            "std_error": entry.estimate.std_error,
-            "n": entry.estimate.n,
-            "passed": entry.passed,
-        }
-    return {
-        "experiment": report.experiment,
-        "statistics": report.statistics,
-        "spin": report.spin,
-        "epsilon": report.epsilon,
-        "seed": report.seed,
-        "n_samples": report.n_samples,
-        "g": g,
-        "pass": report.passed,
-        "prng_id": report.prng_id,
-        "classified_symmetry": report.classified_symmetry,
-    }
-
-
-def report_to_csv_rows(report: ExperimentReport) -> list[dict]:
-    """One row per (x, y) port pair, for the CSV export."""
-    rows = []
-    for x in PORTS:
-        for y in PORTS:
-            entry = report.g[x + y]
-            rows.append(
-                {
-                    "x": x,
-                    "y": y,
-                    "analytic": entry.analytic,
-                    "value": entry.estimate.value,
-                    "std_error": entry.estimate.std_error,
-                    "n": entry.estimate.n,
-                    "passed": entry.passed,
-                }
-            )
-    return rows
-
-
 def dumps_json(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    # allow_nan=False: NaN and inf are not JSON, so none reaches a report.
+    text = json.dumps(
+        payload, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False
+    )
+    return text + "\n"
 
 
 def load_json_file(path, what: str = "input"):

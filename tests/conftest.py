@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from pcsft import BipartiteState, BlockCovariance
+from pcsft.hilbert import BipartiteState
+from pcsft.covariance import BlockCovariance
 from pcsft.sampler import draw_chunks
 
 # One line per acceptance criterion, replayed in the terminal summary.

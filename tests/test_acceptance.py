@@ -6,27 +6,27 @@ import time
 import numpy as np
 import pytest
 
-from pcsft import (
-    PhasePair,
-    QuadraticForm,
-    SymmetryTag,
-    UnitaryChannel,
-    analytic_cov,
-    apply_to_covariance,
-    apply_to_state,
-    beamsplitter_unitary,
-    build_covariance,
-    classify_symmetry,
-    epsilon_min,
-    form_moments,
-    input_state,
+from pcsft.hilbert import (
     marginal_average,
     matricize,
     quantum_average_tensor,
     quantum_average_trace,
-    renormalized_mean,
-    run_beamsplitter,
 )
+from pcsft.covariance import (
+    PhasePair,
+    SymmetryTag,
+    build_covariance,
+    classify_symmetry,
+    epsilon_min,
+)
+from pcsft.quadratic import (
+    QuadraticForm,
+    analytic_cov,
+    form_moments,
+    renormalized_mean,
+)
+from pcsft.channels import UnitaryChannel, apply_to_covariance, apply_to_state
+from pcsft.experiments import beamsplitter_unitary, input_state, run_beamsplitter
 from pcsft.cli import main
 import conftest
 from conftest import (

@@ -4,25 +4,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pcsft import (
-    BlockCovariance,
-    DimensionError,
+from pcsft.errors import DimensionError
+from pcsft.hilbert import matricize, quantum_average_tensor
+from pcsft.covariance import BlockCovariance, build_covariance, epsilon_min
+from pcsft.sampler import factor_covariance
+from pcsft.quadratic import QuadraticForm, analytic_cov
+from pcsft.channels import (
     Hamiltonian,
-    QuadraticForm,
     UnitaryChannel,
-    analytic_cov,
     apply_to_covariance,
     apply_to_state,
-    beamsplitter_unitary,
-    build_covariance,
-    epsilon_min,
     evolution_channel,
-    factor_covariance,
-    input_state,
-    matricize,
     propagate,
-    quantum_average_tensor,
 )
+from pcsft.experiments import beamsplitter_unitary, input_state
 from conftest import (
     draw_samples,
     rand_complex,

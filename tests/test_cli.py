@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, determinism, file handling."""
 
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pcsft import Hamiltonian, matricize
+from pcsft.hilbert import matricize
 from pcsft import serialize
 from pcsft.cli import main
 from conftest import states_equal_up_to_phase
@@ -37,6 +39,17 @@ def write_operator(path, a):
         serialize.dumps_json(serialize.operator_to_json(np.asarray(a, dtype=complex))),
         encoding="utf-8",
     )
+    return path
+
+
+def write_pair(path, first, second, a, b, **extra):
+    """A channel ({U1, U2}) or Hamiltonian ({H1, H2}, hbar 1) document."""
+    doc = {
+        first: serialize.operator_to_json(np.asarray(a, dtype=complex)),
+        second: serialize.operator_to_json(np.asarray(b, dtype=complex)),
+        **extra,
+    }
+    path.write_text(serialize.dumps_json(doc), encoding="utf-8")
     return path
 
 
@@ -91,7 +104,7 @@ class TestVerifyIdentity:
     def test_random_fixture_matches_tensor_oracle(self, tmp_path, capsys):
         # an arbitrary complex fixture through the full CLI path must land
         # on the same value as the in-process tensor contraction
-        from pcsft import quantum_average_tensor
+        from pcsft.hilbert import quantum_average_tensor
 
         rng = np.random.default_rng(120)
         g = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
@@ -244,24 +257,8 @@ class TestExperimentCommand:
 
         def failing_run(*args, **kwargs):
             report = real_run(*args, **kwargs)
-            entries = {
-                key: type(entry)(
-                    analytic=entry.analytic, estimate=entry.estimate, passed=False
-                )
-                for key, entry in report.g.entries.items()
-            }
-            return type(report)(
-                experiment=report.experiment,
-                statistics=report.statistics,
-                spin=report.spin,
-                epsilon=report.epsilon,
-                seed=report.seed,
-                n_samples=report.n_samples,
-                g=type(report.g)(entries=entries),
-                passed=False,
-                prng_id=report.prng_id,
-                classified_symmetry=report.classified_symmetry,
-            )
+            g = {key: replace(entry, passed=False) for key, entry in report.g.items()}
+            return replace(report, g=g)
 
         monkeypatch.setattr(cli_module, "run_beamsplitter", failing_run)
         code = main(
@@ -327,13 +324,8 @@ class TestClassifyCommand:
 
 class TestPropagateCommand:
     def test_time_zero_identity(self, tmp_path, singlet_file, capsys):
-        h = Hamiltonian(
-            h1=np.diag([1.0, -1.0]).astype(complex),
-            h2=np.diag([1.0, -1.0]).astype(complex),
-        )
-        ham = tmp_path / "h.json"
-        ham.write_text(
-            serialize.dumps_json(serialize.hamiltonian_to_json(h)), encoding="utf-8"
+        ham = write_pair(
+            tmp_path / "h.json", "H1", "H2", np.diag([1.0, -1.0]), np.diag([1.0, -1.0])
         )
         out_state = tmp_path / "out_state.json"
         out_cov = tmp_path / "out_cov.json"
@@ -353,16 +345,18 @@ class TestPropagateCommand:
         assert code == 0
         state = serialize.state_from_json(json.loads(out_state.read_text()))
         np.testing.assert_allclose(state.amplitudes, SINGLET, atol=1e-12)
-        cov = serialize.covariance_from_json(json.loads(out_cov.read_text()))
-        assert cov.epsilon == pytest.approx((np.sqrt(2) - 1) / 2 + 0.05)
+        cov = json.loads(out_cov.read_text())
+        assert cov["epsilon"] == pytest.approx((np.sqrt(2) - 1) / 2 + 0.05)
 
     def test_interaction_hamiltonian_exits_2(self, tmp_path, singlet_file, capsys):
-        ham = tmp_path / "h.json"
-        payload = serialize.hamiltonian_to_json(
-            Hamiltonian(h1=np.eye(2), h2=np.eye(2))
+        ham = write_pair(
+            tmp_path / "h.json",
+            "H1",
+            "H2",
+            np.eye(2),
+            np.eye(2),
+            interaction=serialize.operator_to_json(np.eye(4)),
         )
-        payload["interaction"] = serialize.operator_to_json(np.eye(4))
-        ham.write_text(serialize.dumps_json(payload), encoding="utf-8")
         code = main(
             [
                 "propagate",
@@ -399,14 +393,30 @@ class TestChannelCommand:
         state = serialize.state_from_json(json.loads(out_state.read_text()))
         assert states_equal_up_to_phase(state.amplitudes, SINGLET, tol=1e-12)
 
-    def test_channel_file(self, tmp_path, singlet_file, capsys):
-        from pcsft import UnitaryChannel, beamsplitter_unitary
-
-        ch = UnitaryChannel(u1=beamsplitter_unitary(), u2=beamsplitter_unitary())
-        ch_path = tmp_path / "ch.json"
-        ch_path.write_text(
-            serialize.dumps_json(serialize.channel_to_json(ch)), encoding="utf-8"
+    def test_epsilon_printed_is_the_covariance_epsilon(self, tmp_path, capsys):
+        # epsilon_min = 0 for a product state; -5e-13 is within the
+        # 1e-12 slack of build_covariance, which uses 0.0.
+        state = write_state(tmp_path / "state.json", np.diag([1.0, 0.0]))
+        out_cov = tmp_path / "out_cov.json"
+        code = main(
+            [
+                "channel",
+                str(state),
+                "beamsplitter5050",
+                "--epsilon=-5e-13",
+                f"--output-state={tmp_path / 'out_state.json'}",
+                f"--output-covariance={out_cov}",
+            ]
         )
+        assert code == 0
+        printed = json.loads(capsys.readouterr().out)["epsilon"]
+        assert printed == json.loads(out_cov.read_text())["epsilon"] == 0.0
+
+    def test_channel_file(self, tmp_path, singlet_file, capsys):
+        from pcsft.experiments import beamsplitter_unitary
+
+        u = beamsplitter_unitary()
+        ch_path = write_pair(tmp_path / "ch.json", "U1", "U2", u, u)
         code = main(
             [
                 "channel",
@@ -422,14 +432,8 @@ class TestChannelCommand:
 
     def test_group_law_regression(self, tmp_path, singlet_file, capsys):
         # propagate twice by t then once by 2t; states must agree
-        h = Hamiltonian(
-            h1=np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-            h2=np.diag([0.5, -0.5]).astype(complex),
-        )
-        ham = tmp_path / "h.json"
-        ham.write_text(
-            serialize.dumps_json(serialize.hamiltonian_to_json(h)), encoding="utf-8"
-        )
+        h1, h2 = [[0.0, 1.0], [1.0, 0.0]], np.diag([0.5, -0.5])
+        ham = write_pair(tmp_path / "h.json", "H1", "H2", h1, h2)
 
         def run(src, t, tag):
             out_state = tmp_path / f"state_{tag}.json"
@@ -501,13 +505,7 @@ class TestInvalidNumbers:
         self, tmp_path, singlet_file, capsys, command, option, field
     ):
         a1 = str(write_operator(tmp_path / "a1.json", PROJ_R))
-        ham = tmp_path / "h.json"
-        ham.write_text(
-            serialize.dumps_json(
-                serialize.hamiltonian_to_json(Hamiltonian(h1=np.eye(2), h2=np.eye(2)))
-            ),
-            encoding="utf-8",
-        )
+        ham = write_pair(tmp_path / "h.json", "H1", "H2", np.eye(2), np.eye(2))
         outputs = [
             "--output-state",
             str(tmp_path / "out_state.json"),
@@ -540,8 +538,87 @@ class TestInvalidNumbers:
                 {"d1": 1, "d2": 2, "amplitudes": [[[1e308, 1e308], [0.0, 0.0]]]},
                 "state.amplitudes",
             ),
+            (
+                "verify-identity",
+                "a1",
+                serialize.operator_to_json(np.array([[1e308, 1e308], [-1e308, 0.0]])),
+                "a1",
+            ),
+            ("verify-identity", "a1", serialize.operator_to_json(1e100 * np.eye(2)), "a1"),
+            (
+                "verify-identity",
+                "a1",
+                serialize.operator_to_json(
+                    np.array([[0, 1.7e308 + 1.7e308j], [1.7e308 - 1.7e308j, 0]])
+                ),
+                "a1",
+            ),
+            ("verify-identity", "a1", serialize.operator_to_json(1e75 * np.eye(2)), "a1"),
+            ("verify-identity", "a2", serialize.operator_to_json(1e75 * np.eye(2)), "a2"),
+            (
+                "channel",
+                "channel",
+                {
+                    "U1": serialize.operator_to_json(np.full((2, 2), 1e308 + 1e308j)),
+                    "U2": serialize.operator_to_json(np.full((2, 2), 1e308 + 1e308j)),
+                },
+                "channel",
+            ),
+            (
+                "channel",
+                "channel",
+                {
+                    "U1": serialize.operator_to_json(np.eye(3)),
+                    "U2": serialize.operator_to_json(np.eye(2)),
+                },
+                "channel",
+            ),
+            (
+                "propagate",
+                "hamiltonian",
+                {
+                    "H1": serialize.operator_to_json(np.diag([1.0, -1.0])),
+                    "H2": serialize.operator_to_json(np.eye(2)),
+                    "hbar": 1e-308,
+                },
+                "t",
+            ),
+            (
+                "propagate",
+                "hamiltonian",
+                {
+                    "H1": serialize.operator_to_json(np.eye(2)),
+                    "H2": serialize.operator_to_json(np.eye(2)),
+                    "hbar": 10**400,
+                },
+                "hamiltonian.hbar",
+            ),
+            (
+                "propagate",
+                "hamiltonian",
+                {
+                    "H1": serialize.operator_to_json(np.full((2, 2), 1.7e308)),
+                    "H2": serialize.operator_to_json(np.eye(2)),
+                },
+                "hamiltonian",
+            ),
         ],
-        ids=["a1-size", "a2-size", "a1-not-selfadjoint", "huge-amplitudes"],
+        ids=[
+            "a1-size",
+            "a2-size",
+            "a1-not-selfadjoint",
+            "huge-amplitudes",
+            "a1-huge-not-selfadjoint",
+            "a1-1e100",
+            "a1-huge-selfadjoint",
+            "a1-1e75",
+            "a2-1e75",
+            "channel-huge",
+            "channel-size",
+            "hbar-tiny",
+            "hbar-beyond-float",
+            "hamiltonian-huge",
+        ],
     )
     def test_bad_operand_exits_2_naming_the_field(
         self, tmp_path, singlet_file, capsys, command, operand, document, field
@@ -553,14 +630,24 @@ class TestInvalidNumbers:
         }
         files[operand] = tmp_path / "bad.json"
         files[operand].write_text(json.dumps(document), encoding="utf-8")
-        names = {"verify-identity": ["state", "a1", "a2"], "classify": ["state"]}[command]
+        outputs = [
+            f"--output-state={tmp_path / 'out_state.json'}",
+            f"--output-covariance={tmp_path / 'out_cov.json'}",
+        ]
+        argv = {
+            "verify-identity": ["state", "a1", "a2"],
+            "classify": ["state"],
+            "channel": ["state", "channel", *outputs],
+            "propagate": ["state", "hamiltonian", "--t=1e10", *outputs],
+        }[command]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main([command, *(str(files[name]) for name in names)])
+            code = main([command, *(str(files.get(arg, arg)) for arg in argv)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert f"field '{field}'" in captured.err
+        assert not (tmp_path / "out_state.json").exists()
 
 
 # Values no amplitude component may take: non-finite, so large that |a|^2
@@ -650,6 +737,145 @@ class TestStateFuzz:
         assert "field '" in captured.err
 
 
+# Numbers no operator entry may take: non-finite, beyond the float range,
+# or not a number at all.
+NON_NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(min_value=2**1024, max_value=10**400),
+    st.booleans(),
+)
+OPERATOR_FAULTS = (
+    "number", "huge", "entry", "perturb", "ragged", "dims", "matrix", "document", "size"
+)
+
+
+@st.composite
+def malformed_operators(draw, kind, faults=OPERATOR_FAULTS):
+    """A valid 2 x 2 operator document (a random self-adjoint matrix, or a
+    random unitary) with exactly one fault; "size" makes it a valid 3 x 3
+    one, which does not fit the 2 x 2 state."""
+    d = 3 if (fault := draw(st.sampled_from(faults))) == "size" else 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a = m + m.conj().T if kind == "selfadjoint" else np.linalg.qr(m)[0]
+    doc = serialize.operator_to_json(a)
+    entries = doc["entries"]
+    i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    if fault == "number":
+        entries[i][j][draw(st.integers(0, 1))] = draw(NON_NUMBERS)
+    elif fault == "huge":  # unmatched by the mirror entry, so never self-adjoint
+        component = 1 if i == j else draw(st.integers(0, 1))
+        entries[i][j][component] = draw(st.floats(1e154, 1.7e308))
+    elif fault == "entry":
+        entries[i][j] = draw(NOT_A_PAIR)
+    elif fault == "perturb":
+        entries[i][i][1] += 1e-3
+    elif fault == "scale":
+        scale = draw(st.floats(1e51, 1e308)) / float(np.max(np.abs(a)))
+        doc["entries"] = [[[scale * x for x in pair] for pair in row] for row in entries]
+    elif fault == "ragged":
+        entries[i].pop()
+    elif fault == "dims":
+        key = draw(st.sampled_from(["rows", "cols"]))
+        wrong = st.integers(-2, 5).filter(lambda v: v != d)
+        doc[key] = draw(st.one_of(wrong, NOT_AN_INTEGER))
+    elif fault == "matrix":
+        doc["entries"] = draw(NOT_A_MATRIX)
+    elif fault == "document":
+        doc = draw(st.one_of(NOT_A_MATRIX, st.booleans(), st.floats()))
+    return doc
+
+
+@st.composite
+def malformed_pairs(draw, first, second, kind):
+    """A {first, second} document with one malformed operator, a missing
+    key, or no object at all."""
+    valid = serialize.operator_to_json(np.eye(2))
+    doc = {first: valid, second: valid}
+    fault = draw(st.sampled_from(["operator", "missing", "document"]))
+    if fault == "operator":
+        doc[draw(st.sampled_from([first, second]))] = draw(malformed_operators(kind))
+    elif fault == "missing":
+        del doc[draw(st.sampled_from([first, second]))]
+    else:
+        doc = draw(st.one_of(NOT_A_MATRIX, st.booleans(), st.floats()))
+    return doc
+
+
+BAD_HBAR = st.one_of(
+    NON_NUMBERS,
+    st.floats(max_value=0.0),
+    st.sampled_from([None, "1", [1.0], 5e-324]),  # 5e-324: t * E / hbar overflows
+)
+
+
+FUZZ = settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestOperandFuzz:
+    """Every malformed operator, channel or Hamiltonian document exits 2
+    naming a field, with no output and no warning."""
+
+    def assert_rejected(self, tmp_path, capsys, argv, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([arg if arg != "DOC" else str(path) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "field '" in captured.err
+        assert not (tmp_path / "out_state.json").exists()
+
+    @FUZZ
+    @given(doc=malformed_operators("selfadjoint", OPERATOR_FAULTS + ("scale",)))
+    def test_malformed_operator_exits_2_naming_a_field(
+        self, tmp_path, singlet_file, capsys, doc
+    ):
+        a2 = write_operator(tmp_path / "a2.json", PROJ_L)
+        argv = ["verify-identity", str(singlet_file), "DOC", str(a2), "--samples=2000"]
+        self.assert_rejected(tmp_path, capsys, argv, doc)
+
+    @FUZZ
+    @given(doc=malformed_pairs("U1", "U2", "unitary"))
+    def test_malformed_channel_exits_2_naming_a_field(
+        self, tmp_path, singlet_file, capsys, doc
+    ):
+        argv = ["channel", str(singlet_file), "DOC", *self.outputs(tmp_path)]
+        self.assert_rejected(tmp_path, capsys, argv, doc)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_malformed_hamiltonian_exits_2_naming_a_field(
+        self, tmp_path, singlet_file, capsys, data
+    ):
+        valid = serialize.operator_to_json(np.eye(2))
+        fault = data.draw(st.sampled_from(["pair", "hbar", "interaction"]))
+        if fault == "pair":
+            doc = data.draw(malformed_pairs("H1", "H2", "selfadjoint"))
+        else:
+            doc = {"H1": valid, "H2": valid}
+            if fault == "hbar":
+                doc["hbar"] = data.draw(BAD_HBAR)
+            else:
+                key = data.draw(st.sampled_from(["H12", "interaction", "coupling"]))
+                doc[key] = valid
+        argv = ["propagate", str(singlet_file), "DOC", "--t=1", *self.outputs(tmp_path)]
+        self.assert_rejected(tmp_path, capsys, argv, doc)
+
+    @staticmethod
+    def outputs(tmp_path):
+        return [
+            f"--output-state={tmp_path / 'out_state.json'}",
+            f"--output-covariance={tmp_path / 'out_cov.json'}",
+        ]
+
+
 class TestDeterminismAcrossCommands:
     def test_verify_identity_reruns_identical(self, tmp_path, singlet_file, capsys):
         a1 = write_operator(tmp_path / "a1.json", PROJ_R)
@@ -676,6 +902,35 @@ class TestDeterminismAcrossCommands:
         assert exc_info.value.code == 0
 
 
+class TestOneSvdPerState:
+    """epsilon="auto" and the covariance share one epsilon_min."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        return calls
+
+    def test_verify_identity(self, tmp_path, singlet_file, capsys, svd_calls):
+        a1 = write_operator(tmp_path / "a1.json", PROJ_R)
+        a2 = write_operator(tmp_path / "a2.json", PROJ_L)
+        argv = ["verify-identity", str(singlet_file), str(a1), str(a2), "--samples=2000"]
+        assert main(argv) == 0
+        assert len(svd_calls) == 1
+
+    def test_run_beamsplitter(self, svd_calls):
+        from pcsft.experiments import run_beamsplitter
+
+        assert run_beamsplitter("fermion", n_samples=2000).passed
+        assert len(svd_calls) == 1
+
+
 class TestImportPath:
     def test_cli_import_loads_no_scipy(self):
         # A fresh process, so modules other tests imported do not count.
@@ -690,3 +945,22 @@ class TestImportPath:
             timeout=60, check=True,
         )
         assert result.stdout.strip() == "[]"
+
+    def test_module_graph(self):
+        # Only the CLI imports experiments, so lower layers never know the
+        # report, and the package imports no submodule.
+        package = Path(__file__).resolve().parents[1] / "src" / "pcsft"
+        importers = set()
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [a.name for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                if path.name == "__init__.py":
+                    pytest.fail(f"__init__.py imports {names}")
+                if any(name.split(".")[-1] == "experiments" for name in names):
+                    importers.add(path.stem)
+        assert importers == {"cli"}

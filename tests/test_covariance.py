@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from pcsft import (
+from pcsft.errors import DimensionError, NotPositiveError
+from pcsft.hilbert import matricize
+from pcsft.covariance import (
+    AUTO_EPSILON_MARGIN,
     BlockCovariance,
-    DimensionError,
-    NotPositiveError,
     PhasePair,
     SymmetryTag,
     build_covariance,
     classify_symmetry,
     dispersion,
     epsilon_min,
-    matricize,
     permutation_transform,
     phase_transform,
     scale_field,
@@ -46,6 +46,10 @@ class TestBuildCovariance:
             build_covariance(BELL_SINGLET, 0.0)
         carried = exc_info.value.epsilon_min
         assert carried == pytest.approx((np.sqrt(2) - 1) / 2, abs=1e-12)
+
+    def test_auto_adds_the_margin_to_epsilon_min(self):
+        cov = build_covariance(BELL_SINGLET, "auto")
+        assert cov.epsilon == epsilon_min(BELL_SINGLET) + AUTO_EPSILON_MARGIN
 
     def test_bell_psd_at_quarter(self):
         cov = build_covariance(BELL_SINGLET, 0.25)

@@ -5,23 +5,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pcsft import (
-    CHUNK_SIZE,
-    DimensionError,
-    IndexLayout,
-    QuadraticForm,
+from pcsft.errors import DimensionError
+from pcsft.hilbert import matricize, quantum_average_tensor
+from pcsft.covariance import (
     SymmetryTag,
-    UnitaryChannel,
-    analytic_cov,
-    apply_to_state,
-    beamsplitter_unitary,
     build_covariance,
     classify_symmetry,
     epsilon_min,
+)
+from pcsft.sampler import CHUNK_SIZE
+from pcsft.quadratic import QuadraticForm, analytic_cov
+from pcsft.channels import UnitaryChannel, apply_to_state
+from pcsft.experiments import (
+    IndexLayout,
+    beamsplitter_unitary,
     input_state,
     intensity_observable,
-    matricize,
-    quantum_average_tensor,
     run_beamsplitter,
     spin_state,
 )

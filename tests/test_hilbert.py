@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from pcsft import (
-    BipartiteState,
+from pcsft.errors import (
     DimensionError,
     NormalizationError,
     RealityError,
     SelfAdjointnessError,
+)
+from pcsft.hilbert import (
+    BipartiteState,
     adjoint,
     as_real,
     conj_operator,
@@ -125,6 +127,13 @@ class TestReducedDensity:
         np.testing.assert_allclose(
             reduced_density(state, 2), np.eye(2) / 2, atol=1e-15
         )
+
+    def test_accepts_every_normalized_state(self):
+        # |psi|^2 = 1 + 1e-10 passes the state's normalization gate.
+        state = BipartiteState(np.diag([np.sqrt(1.0 + 1e-10), 0.0]))
+        for side in (1, 2):
+            trace = np.trace(reduced_density(state, side)).real
+            assert trace == pytest.approx(1.0 + 1e-10, abs=1e-15)
 
     def test_traces_are_one(self):
         rng = np.random.default_rng(12)

@@ -8,15 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcsft import (
-    CHUNK_SIZE,
-    Moments,
-    QuadraticForm,
-    build_covariance,
-    epsilon_min,
-    form_moments,
-)
-from pcsft.sampler import _BLOCK_ROWS
+from pcsft.covariance import build_covariance, epsilon_min
+from pcsft.sampler import _BLOCK_ROWS, CHUNK_SIZE
+from pcsft.quadratic import Moments, QuadraticForm, form_moments
 from conftest import rand_selfadjoint, rand_state
 
 

@@ -4,32 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcsft import (
-    PRNG_ID,
-    DimensionError,
-    IndexLayout,
-    PhasePair,
+from pcsft.errors import DimensionError, RealityError, SelfAdjointnessError
+from pcsft.hilbert import marginal_average, matricize, quantum_average_tensor
+from pcsft.covariance import PhasePair, build_covariance, epsilon_min, phase_transform
+from pcsft.sampler import PRNG_ID
+from pcsft.quadratic import (
     QuadraticForm,
-    RealityError,
-    SelfAdjointnessError,
     analytic_cov,
     analytic_mean,
+    _Rows,
+    _form_kernel,
+    form_moments,
+    renormalized_mean,
+)
+from pcsft.channels import UnitaryChannel, apply_to_state
+from pcsft.experiments import (
+    IndexLayout,
     beamsplitter_unitary,
-    build_covariance,
-    epsilon_min,
     input_state,
     intensity_observable,
-    marginal_average,
-    matricize,
-    phase_transform,
-    form_moments,
-    quantum_average_tensor,
-    renormalized_mean,
     spin_state,
-    UnitaryChannel,
-    apply_to_state,
 )
-from pcsft.quadratic import _Rows, _form_kernel
 from conftest import draw_samples, rand_complex, rand_selfadjoint, rand_state
 
 
@@ -315,13 +310,13 @@ class TestMcCov:
 
 class TestEstimate:
     def test_requires_two_samples(self):
-        from pcsft import Estimate
+        from pcsft.quadratic import Estimate
 
         with pytest.raises(ValueError):
             Estimate(value=0.0, std_error=0.0, n=1)
 
     def test_within_needs_analytic(self):
-        from pcsft import Estimate
+        from pcsft.quadratic import Estimate
 
         est = Estimate(value=0.0, std_error=1.0, n=10)
         with pytest.raises(ValueError):
@@ -427,7 +422,8 @@ class TestSampleForms:
         # run_beamsplitter evaluates its 4 port intensities once per
         # sample: the rows each kernel sees sum to n.
         import pcsft.quadratic as quadratic
-        from pcsft import CHUNK_SIZE, run_beamsplitter
+        from pcsft.sampler import CHUNK_SIZE
+        from pcsft.experiments import run_beamsplitter
 
         rows = []
         real_kernel = quadratic._form_kernel
@@ -453,8 +449,8 @@ class TestSampleForms:
         # matrix per side and block: one computation per side and block,
         # whose rows sum to n per side.
         import pcsft.quadratic as quadratic
-        from pcsft import CHUNK_SIZE, run_beamsplitter
-        from pcsft.sampler import _BLOCK_ROWS
+        from pcsft.sampler import _BLOCK_ROWS, CHUNK_SIZE
+        from pcsft.experiments import run_beamsplitter
 
         calls = []
         real_intensity = quadratic._Rows.intensity.fget

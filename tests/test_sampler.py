@@ -6,20 +6,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pcsft import (
+from pcsft.hilbert import matricize
+from pcsft.covariance import BlockCovariance, build_covariance, epsilon_min
+from pcsft.sampler import (
+    _BLOCK_ROWS,
     CHUNK_SIZE,
-    BlockCovariance,
-    QuadraticForm,
-    UnitaryChannel,
-    apply_to_state,
-    beamsplitter_unitary,
-    build_covariance,
-    epsilon_min,
+    _substream,
+    draw_chunks,
     factor_covariance,
-    form_moments,
-    matricize,
 )
-from pcsft.sampler import _BLOCK_ROWS, _substream, draw_chunks
+from pcsft.quadratic import QuadraticForm, form_moments
+from pcsft.channels import UnitaryChannel, apply_to_state
+from pcsft.experiments import beamsplitter_unitary
 from conftest import draw_samples, rand_psd, rand_selfadjoint, rand_state
 
 C = 1.0 / np.sqrt(2.0)
@@ -28,12 +26,12 @@ BELL_SINGLET = matricize(np.array([[0.0, C], [-C, 0.0]]))
 
 def experiment_cov(statistics: str, spin: str) -> BlockCovariance:
     """The covariance run_beamsplitter samples for epsilon='auto'."""
-    from pcsft.experiments import AUTO_EPSILON_MARGIN, _experiment_input
+    from pcsft.experiments import _experiment_input
 
     psi, layout = _experiment_input(statistics, spin)
     u = np.kron(beamsplitter_unitary(), np.eye(layout.internal_dim))
     out = apply_to_state(UnitaryChannel(u1=u, u2=u), psi)
-    return build_covariance(out, epsilon_min(out) + AUTO_EPSILON_MARGIN)
+    return build_covariance(out, "auto")
 
 
 def identity_cov(d1: int, d2: int) -> BlockCovariance:
@@ -307,7 +305,7 @@ class TestWickFourthMoment:
 
 class TestScaledFieldMoments:
     def test_empirical_second_moments_track_scaling(self):
-        from pcsft import scale_field
+        from pcsft.covariance import scale_field
 
         rng = np.random.default_rng(58)
         state = rand_state(rng, 2, 2)
@@ -342,7 +340,7 @@ class TestWorkerResolution:
         assert resolve_workers(3) == 3
 
     def test_non_integer_env_names_variable(self, monkeypatch):
-        from pcsft import PcsftError
+        from pcsft.errors import PcsftError
         from pcsft.sampler import resolve_workers
 
         monkeypatch.setenv("PCSFT_THREADS", "abc")

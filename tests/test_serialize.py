@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from pcsft import (
-    Hamiltonian,
-    InteractionError,
-    SchemaError,
-    UnitaryChannel,
-    build_covariance,
-    matricize,
-    run_beamsplitter,
-)
+from pcsft.errors import InteractionError, SchemaError
+from pcsft.hilbert import matricize
+from pcsft.covariance import build_covariance
+from pcsft.experiments import report_to_csv_rows, report_to_json, run_beamsplitter
 from pcsft import serialize
 from conftest import rand_selfadjoint, rand_state, rand_unitary
 
@@ -69,31 +64,22 @@ class TestCovarianceRoundtrip:
         rng = np.random.default_rng(102)
         cov = build_covariance(rand_state(rng, 2, 3), 0.3)
         obj = serialize.covariance_to_json(cov)
-        out = serialize.covariance_from_json(obj)
-        np.testing.assert_allclose(out.assembled(), cov.assembled())
-        assert out.epsilon == cov.epsilon
-
-    def test_invalid_blocks_rejected(self):
-        obj = {
-            "d1": 1,
-            "d2": 1,
-            "epsilon": 0.0,
-            "D11": [[[1.0, 0.0]]],
-            "D12": [[[1.0, 0.0]]],
-            "D21": [[[0.0, 0.0]]],  # not D12†
-            "D22": [[[1.0, 0.0]]],
-        }
-        with pytest.raises(SchemaError):
-            serialize.covariance_from_json(obj)
+        assert (obj["d1"], obj["d2"], obj["epsilon"]) == (2, 3, cov.epsilon)
+        for name, block in (
+            ("D11", cov.d11), ("D12", cov.d12), ("D21", cov.d21), ("D22", cov.d22)
+        ):
+            pairs = np.array(obj[name])
+            np.testing.assert_array_equal(pairs[..., 0] + 1j * pairs[..., 1], block)
 
 
 class TestChannelAndHamiltonian:
     def test_channel_roundtrip(self):
         rng = np.random.default_rng(103)
-        ch = UnitaryChannel(u1=rand_unitary(rng, 2), u2=rand_unitary(rng, 3))
-        out = serialize.channel_from_json(serialize.channel_to_json(ch))
-        np.testing.assert_allclose(out.u1, ch.u1)
-        np.testing.assert_allclose(out.u2, ch.u2)
+        u1, u2 = rand_unitary(rng, 2), rand_unitary(rng, 3)
+        obj = {"U1": serialize.operator_to_json(u1), "U2": serialize.operator_to_json(u2)}
+        out = serialize.channel_from_json(obj)
+        np.testing.assert_array_equal(out.u1, u1)
+        np.testing.assert_array_equal(out.u2, u2)
 
     def test_non_unitary_rejected(self):
         obj = {
@@ -105,20 +91,26 @@ class TestChannelAndHamiltonian:
 
     def test_hamiltonian_roundtrip(self):
         rng = np.random.default_rng(104)
-        h = Hamiltonian(
-            h1=rand_selfadjoint(rng, 2), h2=rand_selfadjoint(rng, 3), hbar=2.0
-        )
-        out = serialize.hamiltonian_from_json(serialize.hamiltonian_to_json(h))
-        np.testing.assert_allclose(out.h1, h.h1)
-        np.testing.assert_allclose(out.h2, h.h2)
+        h1, h2 = rand_selfadjoint(rng, 2), rand_selfadjoint(rng, 3)
+        obj = {
+            "H1": serialize.operator_to_json(h1),
+            "H2": serialize.operator_to_json(h2),
+            "hbar": 2.0,
+        }
+        out = serialize.hamiltonian_from_json(obj)
+        np.testing.assert_array_equal(out.h1, h1)
+        np.testing.assert_array_equal(out.h2, h2)
         assert out.hbar == 2.0
+        del obj["hbar"]
+        assert serialize.hamiltonian_from_json(obj).hbar == 1.0
 
     def test_interaction_term_rejected(self):
         rng = np.random.default_rng(105)
-        obj = serialize.hamiltonian_to_json(
-            Hamiltonian(h1=rand_selfadjoint(rng, 2), h2=rand_selfadjoint(rng, 2))
-        )
-        obj["H12"] = serialize.operator_to_json(np.eye(4))
+        obj = {
+            "H1": serialize.operator_to_json(rand_selfadjoint(rng, 2)),
+            "H2": serialize.operator_to_json(rand_selfadjoint(rng, 2)),
+            "H12": serialize.operator_to_json(np.eye(4)),
+        }
         with pytest.raises(InteractionError):
             serialize.hamiltonian_from_json(obj)
 
@@ -126,7 +118,7 @@ class TestChannelAndHamiltonian:
 class TestReportEncoding:
     def test_report_schema_keys(self):
         report = run_beamsplitter("fermion", spin="0", seed=3, n_samples=1000)
-        obj = serialize.report_to_json(report)
+        obj = report_to_json(report)
         assert set(obj) == {
             "experiment",
             "statistics",
@@ -145,7 +137,7 @@ class TestReportEncoding:
 
     def test_csv_rows(self):
         report = run_beamsplitter("boson", spin="0", seed=4, n_samples=1000)
-        rows = serialize.report_to_csv_rows(report)
+        rows = report_to_csv_rows(report)
         assert len(rows) == 4
         assert {(r["x"], r["y"]) for r in rows} == {
             ("R", "R"),
@@ -155,7 +147,7 @@ class TestReportEncoding:
         }
 
     def test_estimate_json_keys(self):
-        from pcsft import Estimate
+        from pcsft.quadratic import Estimate
 
         est = Estimate(
             value=0.5, std_error=0.01, n=100, analytic=0.5, seed=3, prng_id="x"
@@ -168,6 +160,12 @@ class TestReportEncoding:
         text = serialize.dumps_json(payload)
         assert text.index('"a"') < text.index('"b"')
         assert serialize.dumps_json(payload) == text
+
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_dumps_rejects_non_finite(self, value):
+        with pytest.raises(ValueError):
+            serialize.dumps_json({"tensor": value})
 
 
 class TestStateFileHelpers:
