@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .channels import UnitaryChannel, apply_to_state, evolution_channel
 from .covariance import build_covariance, classify_symmetry
-from .errors import DimensionError, PcsftError, SelfAdjointnessError
+from .errors import DimensionError, NotPositiveError, PcsftError, SelfAdjointnessError
 from .experiments import (
     MIN_SAMPLES,
     SE_BAND,
@@ -360,9 +360,10 @@ def main(argv=None) -> int:
         _check_numbers(args)
         return args.func(args)
     except PcsftError as exc:
-        # Only build_covariance sets epsilon_min: --epsilon is below it.
-        below = getattr(exc, "epsilon_min", None) is not None
-        field = "field 'epsilon': " if below else ""
+        # A covariance built from a valid state fails its checks only
+        # through --epsilon: below epsilon_min, or so large that the
+        # factor's residual bound no longer holds in float64.
+        field = "field 'epsilon': " if isinstance(exc, NotPositiveError) else ""
         print(f"error: {field}{exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (ValueError, OSError) as exc:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,52 +73,111 @@ class Estimate:
         return abs(self.value - self.analytic) <= sigmas * self.std_error
 
 
-class _Rows:
-    """Rows of one component, read by one thread, and their (rows, 2d)
-    float64 view, re and im interleaved.  ``phi`` is a column slice of a
-    sampler block, so its last axis has the unit stride the view needs.
-    Intensities |phi|^2 are computed on first use and shared by every
-    diagonal form read off them.  (No functools.cached_property: before
-    Python 3.12 it takes one lock for all instances, which would
-    serialize the sampler's workers.)"""
-
-    def __init__(self, phi: np.ndarray):
-        self.phi = phi
-        self.values = phi.view(np.float64)
-        self._intensity = None
-
-    @property
-    def intensity(self) -> np.ndarray:
-        if self._intensity is None:
-            self._intensity = self.phi.real**2 + self.phi.imag**2
-        return self._intensity
-
-
-def _form_kernel(operator: np.ndarray, conjugate: bool) -> Callable[[_Rows], np.ndarray]:
-    """Evaluator ``rows -> values`` of f_A on a component, or on its
-    conjugate (the side-2 pairing), in real arithmetic on the rows' view v.
+class _Kernel:
+    """Evaluator of f_A on one component, or on its conjugate (the side-2
+    pairing), in real arithmetic.
 
     For psi = x + iy and A = S + iK, f_A(psi) = x·Sx + y·Sy - 2x·Ky, and
-    conjugation negates K.  A diagonal A reads the shared intensities; any
-    other takes the real symmetric 2d×2d matrix M of this form on v,
-    v·(v @ M) per row.  A non-self-adjoint A raises RealityError: its
-    values would not be real.
+    conjugation negates K.  A diagonal A keeps its real ``weights`` and
+    reads the component's intensities |phi|^2; any other keeps the real
+    symmetric 2d×2d ``matrix`` M of this form on the component's float64
+    view v (re and im interleaved) and reads v·(v @ M) per row.  A
+    non-self-adjoint A raises RealityError: its values would not be real.
     """
-    try:
-        require_selfadjoint(operator)
-    except SelfAdjointnessError as exc:
-        raise RealityError(f"quadratic form would not be real: {exc}") from None
-    diag = np.diagonal(operator)
-    if np.array_equal(operator, np.diag(diag)):
-        weights = diag.real.copy()
-        return lambda rows: rows.intensity @ weights
-    hermitian = 0.5 * (operator + operator.conj().T)
-    k = -hermitian.imag if conjugate else hermitian.imag
-    m = np.empty((2 * len(diag), 2 * len(diag)))
-    m[0::2, 0::2] = m[1::2, 1::2] = hermitian.real
-    m[0::2, 1::2] = -k
-    m[1::2, 0::2] = k
-    return lambda rows: np.einsum("na,na->n", rows.values @ m, rows.values)
+
+    def __init__(self, operator: np.ndarray, conjugate: bool):
+        try:
+            require_selfadjoint(operator)
+        except SelfAdjointnessError as exc:
+            raise RealityError(f"quadratic form would not be real: {exc}") from None
+        diag = np.diagonal(operator)
+        self.weights = self.matrix = None
+        if np.array_equal(operator, np.diag(diag)):
+            self.weights = diag.real.copy()
+            return
+        hermitian = 0.5 * (operator + operator.conj().T)
+        k = -hermitian.imag if conjugate else hermitian.imag
+        m = np.empty((2 * len(diag), 2 * len(diag)))
+        m[0::2, 0::2] = m[1::2, 1::2] = hermitian.real
+        m[0::2, 1::2] = -k
+        m[1::2, 0::2] = k
+        self.matrix = m
+
+    def __call__(self, source: np.ndarray, out: np.ndarray, product: np.ndarray | None):
+        """Write f_A of each row into ``out``.  ``source`` is the
+        intensities (rows, d) for a diagonal A, else v (rows, 2d), and
+        ``product`` then takes v @ M."""
+        if self.matrix is None:
+            np.matmul(source, self.weights, out=out)
+        else:
+            np.matmul(source, self.matrix, out=product)
+            np.einsum("na,na->n", product, source, out=out)
+
+
+def _intensities(phi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|phi|^2 of every entry of a block, both components in one pass:
+    square phi's float64 view in place, then add its re and im columns
+    into ``out`` (rows, d1 + d2).  Overwrites phi."""
+    v = phi.view(np.float64)
+    np.square(v, out=v)
+    return np.add(v[:, 0::2], v[:, 1::2], out=out)
+
+
+class _Workspace:
+    """One sampler worker's scratch for form_moments, allocated once when
+    the worker starts and reused for every block it is handed:
+
+    - the moment rows, (1 + 2k) × rows: form j writes row 1 + j and
+      Moments.add fills the others;
+    - if some form is diagonal, the intensities of both components,
+      rows × (d1 + d2);
+    - if some form is dense, its product v @ M, rows × 2d for the widest.
+
+    About (1 + 2k + d1 + d2) × ``_BLOCK_ROWS`` floats in all.  A block
+    reshapes a prefix of each flat buffer, so a short last block gets the
+    contiguous layout a fresh array would have, and the values equal a
+    fresh evaluation bit for bit.
+    """
+
+    def __init__(
+        self,
+        forms: Sequence[QuadraticForm],
+        kernels: Sequence[_Kernel],
+        d1: int,
+        d2: int,
+        block_rows: int,
+    ):
+        sides = {1: slice(0, d1), 2: slice(d1, d1 + d2)}
+        plan = [(j, sides[f.side], kernel) for j, (f, kernel) in enumerate(zip(forms, kernels))]
+        # A dense form reads its side's float view: columns 2·start to 2·stop.
+        self._dense = [
+            (j, slice(2 * side.start, 2 * side.stop), kernel)
+            for j, side, kernel in plan
+            if kernel.matrix is not None
+        ]
+        self._diagonal = [step for step in plan if step[2].matrix is None]
+        self._height = 1 + 2 * len(forms)
+        self._rows = np.empty(self._height * block_rows)
+        width = max((kernel.matrix.shape[0] for _, _, kernel in self._dense), default=0)
+        self._product = np.empty(width * block_rows)
+        self._intensity = np.empty((d1 + d2) * block_rows if self._diagonal else 0)
+
+    def rows(self, phi: np.ndarray) -> np.ndarray:
+        """The moment rows of block ``phi``, form j's values in row 1 + j.
+        The dense forms read phi first; the intensity pass then overwrites
+        it."""
+        n, dim = phi.shape
+        rows = self._rows[: self._height * n].reshape(self._height, n)
+        v = phi.view(np.float64)
+        for j, columns, kernel in self._dense:
+            source = v[:, columns]
+            product = self._product[: source.size].reshape(source.shape)
+            kernel(source, rows[1 + j], product)
+        if self._diagonal:
+            intensity = _intensities(phi, self._intensity[: n * dim].reshape(n, dim))
+            for j, columns, kernel in self._diagonal:
+                kernel(intensity[:, columns], rows[1 + j], None)
+        return rows
 
 
 def _shift_map(delta: np.ndarray) -> np.ndarray:
@@ -136,8 +195,10 @@ class Moments:
     """Count, means and central moments up to order four of k value
     columns, accumulated in one pass over index-ordered blocks of rows.
 
-    ``add(index, columns)`` takes block ``index`` of a fixed tiling of the
-    rows (blocks 0, 1, 2, ... in row order), one vector per column.  Per
+    ``add(index, rows)`` takes block ``index`` of a fixed tiling of the
+    rows (blocks 0, 1, 2, ... in row order) in a buffer the caller owns,
+    one row per column, and works on it in place, so adding a block
+    allocates nothing of its size.  Per
     block it keeps its mean m_b and the Gram matrix of the rows
     [1, d, d²], d = value - m_b: one (1 + 2k)² matrix product.  Blocks are
     folded into one total in index order, each first moved onto the mean
@@ -161,16 +222,18 @@ class Moments:
         self._pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._lock = threading.Lock()
 
-    def add(self, index: int, columns: Sequence[np.ndarray]):
-        """Add block ``index``: ``columns[j]`` holds column j on its rows."""
+    def add(self, index: int, rows: np.ndarray):
+        """Add block ``index`` from ``rows``, a caller-owned (1 + 2k, n)
+        buffer whose rows 1 to k hold the k columns on the block's n rows.
+        The buffer is reused in place: row 0 becomes ones, the columns
+        their deviations d from the block means, and rows 1 + k on the
+        squares d²."""
         k = self.k
-        rows = np.empty((1 + 2 * k, columns[0].shape[0]))
         rows[0] = 1.0
         d = rows[1 : 1 + k]
-        for j, column in enumerate(columns):
-            d[j] = column
         mean = d.mean(axis=1)
-        d -= mean[:, None]
+        for column, m in zip(d, mean):  # row by row: no broadcast buffer
+            column -= m
         np.square(d, out=rows[1 + k :])
         gram = rows @ rows.T
         with self._lock:
@@ -245,9 +308,12 @@ def form_moments(
     for (cov, seed, count): side-1 forms on phi1, side-2 forms on
     conj(phi2), the pairing of analytic_cov.  Each form is evaluated once
     per block inside the sampler's workers and folded into the moments
-    there, so memory is O(workers * block) whatever ``count`` is.
-    Diagonal forms on one side share that side's intensities, computed
-    once per block.  Pass each distinct form once; the result is
+    there.  Every diagonal form reads the intensities of both components,
+    computed in one pass per block.  Each worker evaluates and folds in a
+    workspace it allocates once, so after its first block it allocates
+    nothing of a block's size, and memory is
+    O(workers × (1 + 2k + d1 + d2) × _BLOCK_ROWS) floats for k forms,
+    whatever ``count`` is.  Pass each distinct form once; the result is
     bit-identical for any worker count.
     """
     for form in forms:
@@ -257,16 +323,14 @@ def form_moments(
                 f"component has dimension {size}, operator needs {form.dim}"
             )
     moments = Moments(len(forms), seed=int(seed), prng_id=PRNG_ID)
-    kernels = [_form_kernel(form.operator, form.side == 2) for form in forms]
+    kernels = [_Kernel(form.operator, form.side == 2) for form in forms]
+    block_rows = min(_BLOCK_ROWS, count)
 
-    def consume(start: int, phi: np.ndarray):
-        sides = {1: _Rows(phi[:, : cov.d1]), 2: _Rows(phi[:, cov.d1 :])}
-        moments.add(
-            start // _BLOCK_ROWS,
-            [kernel(sides[form.side]) for form, kernel in zip(forms, kernels)],
-        )
+    def make_consumer():
+        workspace = _Workspace(forms, kernels, cov.d1, cov.d2, block_rows)
+        return lambda start, phi: moments.add(start // _BLOCK_ROWS, workspace.rows(phi))
 
-    draw_chunks(cov, seed, count, consume, workers)
+    draw_chunks(cov, seed, count, make_consumer, workers)
     return moments
 
 

@@ -25,7 +25,11 @@ shorter draw is a prefix of a longer one.  Samples are
 root of the covariance, which, unlike an eigenvector factor, does not
 depend on the basis LAPACK picks inside a repeated eigenvalue.
 Regenerating with the same (covariance, seed, count) is therefore
-bit-identical for any worker count.  The generator identity is recorded
+bit-identical for any worker count.  Each worker also builds its own
+block consumer once, so a consumer can keep per-worker scratch:
+``form_moments`` keeps a workspace of about (1 + 2k + d1 + d2) ×
+``_BLOCK_ROWS`` floats for k forms, and after its first block a worker
+allocates nothing of a block's size.  The generator identity is recorded
 on every estimate and report as ``prng_id``.  numpy does not promise that
 ``Generator`` streams stay the same across versions (NEP 19), so the
 tests pin known-answer values of the stream.
@@ -35,7 +39,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -98,9 +101,14 @@ def factor_covariance(cov: BlockCovariance) -> np.ndarray:
     evals, evecs = cov.spectrum
     evals = np.clip(evals, 0.0, None)
     f = (evecs * np.sqrt(evals)[None, :]) @ evecs.conj().T
-    residual = float(np.max(np.abs(f @ f.conj().T - cov.assembled())))
+    assembled = cov.assembled()
+    residual = float(np.max(np.abs(f @ f.conj().T - assembled)))
     if residual > 1e-8:
-        raise NotPositiveError(f"factorization residual {residual:.3e} exceeds 1e-8")
+        scale = float(np.max(np.abs(assembled)))
+        raise NotPositiveError(
+            f"factorization residual {residual:.3e} exceeds 1e-8 "
+            f"(largest covariance entry {scale:.3e})"
+        )
     return f
 
 
@@ -108,20 +116,26 @@ def draw_chunks(
     cov: BlockCovariance,
     seed: int,
     count: int,
-    consume: Callable[[int, np.ndarray], None],
+    make_consumer: Callable[[], Callable[[int, np.ndarray], None]],
     workers: int | None = None,
 ) -> None:
     """Draw ``count`` samples block by block and hand each block over.
 
-    Each worker takes the next ``CHUNK_SIZE`` chunk until none is left and
+    Each worker calls ``make_consumer()`` once when it starts, so a
+    consumer can own scratch buffers for every block it is handed.  The
+    worker then takes the next ``CHUNK_SIZE`` chunk until none is left and
     fills it in blocks of ``_BLOCK_ROWS`` rows, in two buffers it reuses:
     the normals w, then the joint samples ``phi = w @ F^T`` (shape
     (rows, d1 + d2), components side by side).  It calls
     ``consume(start, phi)`` per block, where ``start`` is the index of the
-    block's first sample, a multiple of ``_BLOCK_ROWS``; ``phi`` is
-    overwritten after the call returns.  Calls may run concurrently on
-    disjoint blocks; the values a block carries never depend on the
-    worker count.  Memory is two buffers per worker, whatever ``count``.
+    block's first sample, a multiple of ``_BLOCK_ROWS``; the consumer may
+    overwrite ``phi``, and the worker overwrites it after the call
+    returns.  Calls of different workers run concurrently on disjoint
+    blocks; the values a block carries never depend on the worker count.
+    Memory is two buffers per worker, whatever ``count``, plus what the
+    consumers hold.  If a worker raises, the others stop at their next
+    chunk and the first worker's exception, in worker order, is
+    re-raised.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -141,11 +155,12 @@ def draw_chunks(
             taken += 1
             return taken - 1
 
-    def work():
+    def work(slot: int):
         rows = min(_BLOCK_ROWS, count)
         w = np.empty((rows, dim), dtype=complex)
         phi = np.empty((rows, dim), dtype=complex)
         try:
+            consume = make_consumer()
             while (chunk := next_chunk()) is not None:
                 gen = np.random.Generator(_substream(seed, chunk))
                 start = chunk * CHUNK_SIZE
@@ -155,16 +170,19 @@ def draw_chunks(
                     gen.standard_normal(out=w[:rows].view(np.float64))
                     np.matmul(w[:rows], ft, out=phi[:rows])
                     consume(start + offset, phi[:rows])
-        except BaseException:
+        except BaseException as exc:  # re-raised below, after every join
             failed.set()  # the other workers stop at their next chunk
-            raise
+            errors[slot] = exc
 
+    # Worker 0 runs on the calling thread, the others on their own.
     nworkers = min(resolve_workers(workers), nchunks)
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            futures = [pool.submit(work) for _ in range(nworkers)]
-        for future in futures:
-            future.result()
-    else:
-        work()
-
+    errors: list[BaseException | None] = [None] * nworkers
+    threads = [threading.Thread(target=work, args=(slot,)) for slot in range(1, nworkers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    for error in errors:
+        if error is not None:
+            raise error

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from pcsft.hilbert import BipartiteState
 from pcsft.covariance import BlockCovariance
@@ -28,7 +29,7 @@ def draw_samples(
     def store(start: int, phi: np.ndarray):
         out[start : start + phi.shape[0]] = phi
 
-    draw_chunks(cov, seed, count, store, workers)
+    draw_chunks(cov, seed, count, lambda: store, workers)
     return out
 
 
@@ -50,6 +51,23 @@ def rand_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     q, r = np.linalg.qr(rand_complex(rng, d, d))
     # Fix the phase ambiguity of QR so draws are well-spread.
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :]
+
+
+@st.composite
+def schmidt_states(draw, max_dim: int = 4) -> BipartiteState:
+    """States U diag(s) V with random unitaries and Schmidt coefficients s
+    drawn directly, so product states, equal weights and (near-)degenerate
+    spectra all occur, in every shape up to max_dim × max_dim."""
+    d1 = draw(st.integers(1, max_dim))
+    d2 = draw(st.integers(1, max_dim))
+    rank = min(d1, d2)
+    s = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=rank, max_size=rank)))
+    if not np.linalg.norm(s) > 0.0:
+        s[0] = 1.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rand_unitary(rng, d1)[:, :rank]
+    v = rand_unitary(rng, d2)[:rank, :]
+    return BipartiteState(u @ np.diag(s / np.linalg.norm(s)) @ v)
 
 
 def rand_psd(rng: np.random.Generator, d: int) -> np.ndarray:

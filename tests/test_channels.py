@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from pcsft.errors import DimensionError
 from pcsft.hilbert import matricize, quantum_average_tensor
@@ -24,6 +25,7 @@ from conftest import (
     rand_selfadjoint,
     rand_state,
     rand_unitary,
+    schmidt_states,
     states_equal_up_to_phase,
 )
 
@@ -173,6 +175,24 @@ class TestApplyToCovariance:
             assert (
                 np.max(np.abs(via_cov.assembled() - via_state.assembled())) <= 1e-10
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        state=schmidt_states(),
+        margin=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_channel_commutes_with_build(self, state, margin, seed):
+        # apply_to_covariance(U, build(psi, eps)) = build(apply_to_state(U, psi), eps)
+        # for random unitary channels, down to eps = epsilon_min.
+        ch = rand_channel(np.random.default_rng(seed), state.d1, state.d2)
+        eps = epsilon_min(state) + margin
+        via_cov = apply_to_covariance(ch, build_covariance(state, eps))
+        via_state = build_covariance(apply_to_state(ch, state), eps)
+        assert via_cov.epsilon == via_state.epsilon
+        np.testing.assert_allclose(
+            via_cov.assembled(), via_state.assembled(), rtol=0.0, atol=1e-12
+        )
 
     def test_psd_preserved(self):
         rng = np.random.default_rng(89)

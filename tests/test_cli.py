@@ -499,6 +499,9 @@ class TestInvalidNumbers:
             ("experiment", "--epsilon=0.01", "epsilon"),
             ("propagate", "--epsilon=0.01", "epsilon"),
             ("channel", "--epsilon=0.01", "epsilon"),
+            # Valid, but beyond float64's reach for the factor's residual bound.
+            ("experiment", "--epsilon=1e8", "epsilon"),
+            ("verify-identity", "--epsilon=1e8", "epsilon"),
         ],
     )
     def test_exits_2_naming_the_field(
@@ -934,10 +937,13 @@ class TestOneSvdPerState:
 class TestImportPath:
     def test_cli_import_loads_no_scipy(self):
         # A fresh process, so modules other tests imported do not count.
+        # The sampler starts plain threads, so neither concurrent.futures
+        # nor the logging it imports is loaded either.
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
             "import sys, pcsft.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'concurrent', 'logging')))"
         )
         env = {**os.environ, "PYTHONPATH": str(src)}
         result = subprocess.run(

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from pcsft.errors import DimensionError, NotPositiveError
 from pcsft.hilbert import matricize
@@ -18,7 +19,7 @@ from pcsft.covariance import (
     phase_transform,
     scale_field,
 )
-from conftest import bisect_epsilon_min, rand_state
+from conftest import bisect_epsilon_min, rand_state, schmidt_states
 
 C = 1.0 / np.sqrt(2.0)
 BELL_SINGLET = matricize(np.array([[0.0, C], [-C, 0.0]]))
@@ -117,6 +118,14 @@ class TestEpsilonMin:
             state = rand_state(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
             oracle = bisect_epsilon_min(state.amplitudes)
             assert epsilon_min(state) == pytest.approx(oracle, abs=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(state=schmidt_states(max_dim=5))
+    def test_equals_bisection_oracle_on_any_spectrum(self, state):
+        # The oracle bisects on the smallest eigenvalue of the assembled
+        # covariance to 1e-10; epsilon_min reads the singular values.
+        oracle = bisect_epsilon_min(state.amplitudes)
+        assert epsilon_min(state) == pytest.approx(oracle, abs=1e-9)
 
     def test_boundary_build_is_psd(self):
         rng = np.random.default_rng(24)

@@ -36,6 +36,15 @@ def two_pass_mean(x):
     return x.mean() + d.mean(), d.std(ddof=1) / np.sqrt(x.shape[0])
 
 
+def block_rows(block):
+    """The (1 + 2k, n) buffer Moments.add takes for a block (n, k) of
+    values: its k columns in rows 1 to k."""
+    n, k = block.shape
+    rows = np.empty((1 + 2 * k, n))
+    rows[1 : 1 + k] = block.T
+    return rows
+
+
 def accumulate(values, order=None):
     """Moments of the columns of ``values`` (n, k) in the block tiling,
     adding the blocks in ``order`` (index order by default)."""
@@ -43,7 +52,7 @@ def accumulate(values, order=None):
     moments = Moments(values.shape[1])
     for index in order if order is not None else range(len(starts)):
         block = values[starts[index] : starts[index] + _BLOCK_ROWS]
-        moments.add(index, list(block.T))
+        moments.add(index, block_rows(block))
     return moments
 
 
@@ -108,14 +117,14 @@ def test_block_arrival_order_does_not_matter(values, random):
 
 def test_missing_block_is_an_error():
     moments = Moments(1)
-    moments.add(1, [np.arange(4.0)])
+    moments.add(1, block_rows(np.arange(4.0)[:, None]))
     with pytest.raises(ValueError, match="wait for block 0"):
         moments.mean(0)
 
 
 def test_needs_two_samples():
     moments = Moments(1)
-    moments.add(0, [np.array([1.0])])
+    moments.add(0, block_rows(np.array([[1.0]])))
     with pytest.raises(ValueError):
         moments.mean(0)
 
@@ -149,13 +158,13 @@ def test_concurrent_adds_lose_no_block():
     blocks = [values[start : start + rows] for start in range(0, len(values), rows)]
     serial = Moments(3)
     for index, block in enumerate(blocks):
-        serial.add(index, list(block.T))
+        serial.add(index, block_rows(block))
     shared = Moments(3)
     order = rng.permutation(len(blocks))
     threads = [
         threading.Thread(
             target=lambda part=order[t::8]: [
-                shared.add(int(index), list(blocks[index].T)) for index in part
+                shared.add(int(index), block_rows(blocks[index])) for index in part
             ]
         )
         for t in range(8)

@@ -1,5 +1,7 @@
 """Quadratic-form observables: analytic statistics and MC estimators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,19 +9,23 @@ from hypothesis import given, settings, strategies as st
 from pcsft.errors import DimensionError, RealityError, SelfAdjointnessError
 from pcsft.hilbert import marginal_average, matricize, quantum_average_tensor
 from pcsft.covariance import PhasePair, build_covariance, epsilon_min, phase_transform
-from pcsft.sampler import PRNG_ID
+from pcsft.sampler import _BLOCK_ROWS, CHUNK_SIZE, PRNG_ID, draw_chunks
 from pcsft.quadratic import (
     QuadraticForm,
     analytic_cov,
     analytic_mean,
-    _Rows,
-    _form_kernel,
+    Moments,
+    _Kernel,
+    _Workspace,
+    _shift_map,
     form_moments,
     renormalized_mean,
 )
 from pcsft.channels import UnitaryChannel, apply_to_state
 from pcsft.experiments import (
+    PORTS,
     IndexLayout,
+    _experiment_input,
     beamsplitter_unitary,
     input_state,
     intensity_observable,
@@ -60,14 +66,20 @@ class TestQuadraticForm:
             QuadraticForm(operator=PROJ_R, side=3)
 
 
+def block_values(form, block, d1) -> np.ndarray:
+    """f_A on each row of a joint block (rows, d1 + d2), evaluated the way
+    form_moments evaluates a sampler block; the block is left intact."""
+    block = np.array(block, dtype=complex)
+    kernel = _Kernel(form.operator, form.side == 2)
+    workspace = _Workspace([form], [kernel], d1, block.shape[1] - d1, len(block))
+    return workspace.rows(block)[1].copy()
+
+
 def evaluate(form, phi1, phi2) -> np.ndarray:
-    """f_A on the single sample (phi1, phi2), read off a joint block the
-    way form_moments reads a sampler block."""
+    """f_A on the single sample (phi1, phi2)."""
     phi1 = np.atleast_2d(phi1)
-    block = np.hstack([phi1, np.atleast_2d(phi2)]).astype(complex)
-    d1 = phi1.shape[1]
-    phi = block[:, :d1] if form.side == 1 else block[:, d1:]
-    return _form_kernel(form.operator, form.side == 2)(_Rows(phi))
+    block = np.hstack([phi1, np.atleast_2d(phi2)])
+    return block_values(form, block, phi1.shape[1])
 
 
 class TestEvalForm:
@@ -381,9 +393,9 @@ class TestSampleForms:
         blocks = {}
         real_add = quadratic.Moments.add
 
-        def recording_add(self, index, columns):
-            blocks[index] = [np.array(column) for column in columns]
-            real_add(self, index, columns)
+        def recording_add(self, index, rows):
+            blocks[index] = np.array(rows[1 : 1 + self.k])
+            real_add(self, index, rows)
 
         monkeypatch.setattr(quadratic.Moments, "add", recording_add)
         form_moments(cov, seed=93, count=40_000, forms=forms)
@@ -425,54 +437,195 @@ class TestSampleForms:
         from pcsft.sampler import CHUNK_SIZE
         from pcsft.experiments import run_beamsplitter
 
-        rows = []
-        real_kernel = quadratic._form_kernel
+        rows = {}
+        real_call = quadratic._Kernel.__call__
 
-        def counting_kernel(operator, conjugate):
-            kernel = real_kernel(operator, conjugate)
-            index = len(rows)
-            rows.append(0)
+        def counting_call(kernel, source, out, product):
+            rows[id(kernel)] = rows.get(id(kernel), 0) + out.shape[0]
+            real_call(kernel, source, out, product)
 
-            def counted(phi):
-                rows[index] += phi.phi.shape[0]
-                return kernel(phi)
-
-            return counted
-
-        monkeypatch.setattr(quadratic, "_form_kernel", counting_kernel)
+        monkeypatch.setattr(quadratic._Kernel, "__call__", counting_call)
         n = 3 * CHUNK_SIZE + 5
         run_beamsplitter("boson", "half", seed=96, n_samples=n)
-        assert rows == [n, n, n, n]
+        assert list(rows.values()) == [n, n, n, n]
 
     def test_intensity_computed_once_per_side_and_chunk(self, monkeypatch):
-        # The 4 port projectors of run_beamsplitter share one intensity
-        # matrix per side and block: one computation per side and block,
-        # whose rows sum to n per side.
+        # The 4 port projectors of run_beamsplitter share the intensities
+        # of both sides: one pass per block over both sides (4 + 4
+        # modes), whose rows sum to n.
         import pcsft.quadratic as quadratic
         from pcsft.sampler import _BLOCK_ROWS, CHUNK_SIZE
         from pcsft.experiments import run_beamsplitter
 
         calls = []
-        real_intensity = quadratic._Rows.intensity.fget
+        real_intensities = quadratic._intensities
 
-        def counting_intensity(rows):
-            if rows._intensity is None:
-                calls.append(rows.phi.shape)
-            return real_intensity(rows)
+        def counting_intensities(phi, out):
+            calls.append(phi.shape)
+            return real_intensities(phi, out)
 
-        monkeypatch.setattr(quadratic._Rows, "intensity", property(counting_intensity))
+        monkeypatch.setattr(quadratic, "_intensities", counting_intensities)
         n = 3 * CHUNK_SIZE + 5
         run_beamsplitter("boson", "half", seed=96, n_samples=n)
         blocks = -(-n // _BLOCK_ROWS)
-        assert len(calls) == 2 * blocks
-        assert {width for _, width in calls} == {4}
-        assert sum(size for size, _ in calls) == 2 * n
+        assert len(calls) == blocks
+        assert {width for _, width in calls} == {8}
+        assert sum(size for size, _ in calls) == n
 
     def test_dimension_mismatch(self):
         cov, _ = random_dense_case(97)
         form = QuadraticForm(operator=np.eye(2), side=1)
         with pytest.raises(DimensionError):
             form_moments(cov, seed=0, count=100, forms=[form])
+
+
+class AllocatingMoments(Moments):
+    """Moments with the fold form_moments used before its workspace: a
+    fresh (1 + 2k, n) array per block with each column copied into it,
+    centred on the block means, squared, and rows @ rows.T."""
+
+    def add(self, index, columns):
+        k = self.k
+        rows = np.empty((1 + 2 * k, columns[0].shape[0]))
+        rows[0] = 1.0
+        d = rows[1 : 1 + k]
+        for j, column in enumerate(columns):
+            d[j] = column
+        mean = d.mean(axis=1)
+        d -= mean[:, None]
+        np.square(d, out=rows[1 + k :])
+        gram = rows @ rows.T
+        with self._lock:
+            self._pending[index] = (mean, gram)
+            while self._next in self._pending:
+                block_mean, block_gram = self._pending.pop(self._next)
+                if self._pivot is None:
+                    self._pivot = block_mean
+                shift = _shift_map(block_mean - self._pivot)
+                self._gram += shift @ block_gram @ shift.T
+                self.count += int(block_gram[0, 0])
+                self._next += 1
+
+
+def allocating_moments(cov, seed, count, forms, workers):
+    """form_moments as it was before the workspace: fresh arrays for every
+    block, the intensities phi.real**2 + phi.imag**2 of a side computed
+    once per block on its column slice, and v @ M as a fresh product."""
+    moments = AllocatingMoments(len(forms), seed=seed, prng_id=PRNG_ID)
+
+    def consume(start, phi):
+        sides = {1: phi[:, : cov.d1], 2: phi[:, cov.d1 :]}
+        intensities = {}
+        columns = []
+        for form in forms:
+            side = sides[form.side]
+            diag = np.diagonal(form.operator)
+            if np.array_equal(form.operator, np.diag(diag)):
+                if form.side not in intensities:
+                    intensities[form.side] = side.real**2 + side.imag**2
+                columns.append(intensities[form.side] @ diag.real.copy())
+                continue
+            hermitian = 0.5 * (form.operator + form.operator.conj().T)
+            k = -hermitian.imag if form.side == 2 else hermitian.imag
+            m = np.empty((2 * len(diag), 2 * len(diag)))
+            m[0::2, 0::2] = m[1::2, 1::2] = hermitian.real
+            m[0::2, 1::2] = -k
+            m[1::2, 0::2] = k
+            v = side.view(np.float64)
+            columns.append(np.einsum("na,na->n", v @ m, v))
+        moments.add(start // _BLOCK_ROWS, columns)
+
+    draw_chunks(cov, seed, count, lambda: consume, workers)
+    return moments
+
+
+def experiment_case(statistics, spin):
+    """The covariance and the 8 port forms run_beamsplitter uses."""
+    state, layout = _experiment_input(statistics, spin)
+    u = np.kron(beamsplitter_unitary(), np.eye(layout.internal_dim))
+    cov = build_covariance(apply_to_state(UnitaryChannel(u1=u, u2=u), state), "auto")
+    forms = [intensity_observable(port, layout, side) for side in (1, 2) for port in PORTS]
+    return cov, forms
+
+
+def verify_case(d1, d2, seed):
+    """A random state and dense observables, as verify-identity takes them."""
+    rng = np.random.default_rng(seed)
+    cov = build_covariance(rand_state(rng, d1, d2), "auto")
+    forms = [
+        QuadraticForm(operator=rand_selfadjoint(rng, d1), side=1),
+        QuadraticForm(operator=rand_selfadjoint(rng, d2), side=2),
+    ]
+    return cov, forms
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ("boson", "0"),
+            ("fermion", "0"),
+            ("boson", "half"),
+            ("fermion", "half"),
+            (3, 4, 104),
+            (4, 4, 105),
+            (2, 3, 106),
+        ],
+        ids=["boson-0", "fermion-0", "boson-half", "fermion-half", "3x4", "4x4", "2x3"],
+    )
+    def test_equals_the_allocating_fold_exactly(self, case):
+        # Same ufuncs, same order: every estimate is equal, not close.
+        cov, forms = experiment_case(*case) if len(case) == 2 else verify_case(*case)
+        count = 2 * CHUNK_SIZE + 3 * _BLOCK_ROWS + 123  # a short last block
+        k = len(forms)
+        for workers in (1, 2, 3):
+            fused = form_moments(cov, 107, count, forms, workers=workers)
+            reference = allocating_moments(cov, 107, count, forms, workers)
+            for moments in (fused, reference):
+                assert moments.count == count
+            for i in range(k):
+                assert fused.mean(i) == reference.mean(i)
+                for j in range(k):
+                    assert fused.cov(i, j) == reference.cov(i, j)
+
+    def test_blocks_allocate_no_block_sized_scratch(self, monkeypatch):
+        # tracemalloc sees numpy's data buffers.  While a worker evaluates
+        # and folds a block, traced memory rises by far less than one
+        # form's values on that block: the values, intensities, products
+        # and moment rows live in the worker's workspace.
+        import pcsft.quadratic as quadratic
+
+        real_draw = quadratic.draw_chunks
+        extra = []
+
+        def measuring_draw(cov, seed, count, make_consumer, workers):
+            def make():
+                consume = make_consumer()
+
+                def measured(start, phi):
+                    before = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    consume(start, phi)
+                    extra.append(tracemalloc.get_traced_memory()[1] - before)
+
+                return measured
+
+            real_draw(cov, seed, count, make, workers)
+
+        monkeypatch.setattr(quadratic, "draw_chunks", measuring_draw)
+        mixed_cov, mixed_forms = random_dense_case(102)  # dense and diagonal
+        mixed_forms.append(QuadraticForm(operator=np.diag([1.0, 0.0, 0.5]), side=1))
+        column = 8 * _BLOCK_ROWS  # bytes of one form's values on a block
+        cases = [(spin_half_cov(), spin_half_projectors()), (mixed_cov, mixed_forms)]
+        for cov, forms in cases:
+            extra.clear()
+            tracemalloc.start()
+            try:
+                form_moments(cov, seed=103, count=4 * _BLOCK_ROWS, forms=forms, workers=1)
+            finally:
+                tracemalloc.stop()
+            assert len(extra) == 4
+            assert max(extra) < column / 2, extra
 
 
 class TestFormKernel:
@@ -504,23 +657,24 @@ class TestFormKernel:
             operator = np.diag(np.diagonal(operator).real).astype(complex)
         elif kind == "real":
             operator = operator.real.astype(complex)
-        phi = rand_complex(rng, 64, d + 2)[:, :d]  # strided, as in a block
-        scale = np.max(np.abs(operator)) * np.sum(np.abs(phi) ** 2, axis=1)
-        for conjugate in (False, True):
-            rows = _Rows(phi)
-            values = _form_kernel(operator, conjugate)(rows)
-            expected = _complex_values(phi, operator, conjugate)
+        block = rand_complex(rng, 64, d + 2)  # the other side has 2 modes
+        is_diagonal = np.array_equal(operator, np.diag(np.diagonal(operator)))
+        for side, phi, d1 in ((1, block[:, :d], d), (2, block[:, 2:], 2)):
+            form = QuadraticForm(operator=operator, side=side)
+            values = block_values(form, block, d1)
+            expected = _complex_values(phi, operator, side == 2)
+            scale = np.max(np.abs(operator)) * np.sum(np.abs(phi) ** 2, axis=1)
             np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12 * scale.max())
-            is_diagonal = np.array_equal(operator, np.diag(np.diagonal(operator)))
-            assert (rows._intensity is not None) == is_diagonal
+            assert (_Kernel(operator, side == 2).matrix is None) == is_diagonal
 
     def test_diagonal_operator_takes_intensity_branch(self):
         rng = np.random.default_rng(99)
         weights = np.array([1.0, -2.0, 0.5])
         joint = draw_samples(build_covariance(rand_state(rng, 3, 2), 0.3), 0, 100)
+        form = QuadraticForm(operator=np.diag(weights), side=1)
+        assert _Kernel(form.operator, False).matrix is None
         assert np.array_equal(
-            _form_kernel(np.diag(weights), False)(_Rows(joint[:, :3])),
-            _diagonal_values(joint[:, :3], weights),
+            block_values(form, joint, 3), _diagonal_values(joint[:, :3], weights)
         )
 
     def test_dense_branch_rejects_corrupted_operator(self):
@@ -529,6 +683,6 @@ class TestFormKernel:
         corrupt[0, 1] += 0.5j  # no longer self-adjoint
         object.__setattr__(f1, "operator", corrupt)
         with pytest.raises(RealityError):
-            _form_kernel(f1.operator, False)
+            _Kernel(f1.operator, False)
         with pytest.raises(RealityError):
             form_moments(cov, seed=101, count=1_000, forms=[f1, f2])

@@ -129,7 +129,7 @@ class TestDrawMoments:
     def test_count_validation(self):
         cov = build_covariance(BELL_SINGLET, 0.3)
         with pytest.raises(ValueError):
-            draw_chunks(cov, 0, 0, lambda start, phi: None)
+            draw_chunks(cov, 0, 0, lambda: lambda start, phi: None)
 
 
 class TestDeterminism:
@@ -226,7 +226,7 @@ class TestDrawChunks:
         count = 2 * CHUNK_SIZE + _BLOCK_ROWS + 7
         starts = []
         draw_chunks(
-            cov, 0, count, lambda start, phi: starts.append((start, len(phi))), 2
+            cov, 0, count, lambda: lambda start, phi: starts.append((start, len(phi))), 2
         )
         assert sorted(starts) == [
             (start, min(_BLOCK_ROWS, count - start))
@@ -243,7 +243,7 @@ class TestDrawChunks:
                 raise RuntimeError("consumer failed")
 
         with pytest.raises(RuntimeError, match="consumer failed"):
-            draw_chunks(cov, 0, 16 * CHUNK_SIZE, consume, workers=2)
+            draw_chunks(cov, 0, 16 * CHUNK_SIZE, lambda: consume, workers=2)
         assert len(seen) < 16 * CHUNK_SIZE // _BLOCK_ROWS
 
 
