@@ -106,11 +106,9 @@ def apply_to_covariance(ch: UnitaryChannel, cov: BlockCovariance) -> BlockCovari
             f"({ch.u1.shape[0]}, {ch.u2.shape[0]})"
         )
     w = np.conj(ch.u2)
-    d12 = ch.u1 @ cov.d12 @ ch.u2.T
     return BlockCovariance(
         d11=ch.u1 @ cov.d11 @ ch.u1.conj().T,
-        d12=d12,
-        d21=d12.conj().T,
+        d12=ch.u1 @ cov.d12 @ ch.u2.T,
         d22=w @ cov.d22 @ w.conj().T,
         epsilon=cov.epsilon,
     )

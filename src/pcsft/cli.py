@@ -30,11 +30,10 @@ import numpy as np
 
 from . import __version__
 from .channels import UnitaryChannel, apply_to_state, evolution_channel
-from .covariance import build_covariance, classify_symmetry
+from .covariance import SYMMETRY_TOL, build_covariance, classify_symmetry
 from .errors import DimensionError, NotPositiveError, PcsftError, SelfAdjointnessError
 from .experiments import (
     MIN_SAMPLES,
-    SE_BAND,
     beamsplitter_unitary,
     report_to_csv_rows,
     report_to_json,
@@ -45,7 +44,7 @@ from .hilbert import (
     quantum_average_trace,
     require_selfadjoint,
 )
-from .quadratic import QuadraticForm, analytic_cov, form_moments
+from .quadratic import SE_BAND, QuadraticForm, analytic_cov, form_moments
 from .sampler import PRNG_ID
 from . import serialize
 
@@ -180,10 +179,6 @@ def cmd_verify_identity(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.experiment != "beamsplitter":
-        raise PcsftError(
-            f"field 'experiment': unknown experiment {args.experiment!r}"
-        )
     report = run_beamsplitter(
         statistics=args.statistics,
         spin=args.spin,
@@ -327,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="exchange-symmetry class of a state")
     p.add_argument("state", help="state JSON file")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=SYMMETRY_TOL)
     p.add_argument("--output", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_classify)
 

@@ -38,20 +38,25 @@ PSD_TOL = 1e-10
 # background variance to the estimators.
 AUTO_EPSILON_MARGIN = 0.05
 
+# Max-norm tolerance of classify_symmetry in the experiments, and the
+# default of `pcsft classify --tol`.
+SYMMETRY_TOL = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class BlockCovariance:
     """Validated 2 x 2 block covariance with background level epsilon.
 
-    epsilon is carried as metadata (it is already folded into the
-    diagonal blocks); renormalized averages subtract it back out.
-    ``spectrum`` is the read-only (eigenvalues, eigenvectors) pair of the
-    assembled matrix that validated it; the sampler's factor reuses it.
+    Only D11, D12 and D22 are stored; ``d21`` is derived as D12†, so the
+    assembled matrix is Hermitian whenever D11 and D22 are.  epsilon is
+    carried as metadata (it is already folded into the diagonal blocks);
+    renormalized averages subtract it back out.  ``spectrum`` is the
+    read-only (eigenvalues, eigenvectors) pair of the assembled matrix
+    that validated it; the sampler's factor reuses it.
     """
 
     d11: np.ndarray
     d12: np.ndarray
-    d21: np.ndarray
     d22: np.ndarray
     epsilon: float
     spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
@@ -59,29 +64,25 @@ class BlockCovariance:
     def __post_init__(self):
         d11 = _as_matrix(self.d11, "D11")
         d12 = _as_matrix(self.d12, "D12")
-        d21 = _as_matrix(self.d21, "D21")
         d22 = _as_matrix(self.d22, "D22")
         n1, n2 = d12.shape
-        if d11.shape != (n1, n1) or d22.shape != (n2, n2) or d21.shape != (n2, n1):
+        if d11.shape != (n1, n1) or d22.shape != (n2, n2):
             raise DimensionError(
                 "inconsistent block shapes: "
-                f"D11 {d11.shape}, D12 {d12.shape}, D21 {d21.shape}, D22 {d22.shape}"
+                f"D11 {d11.shape}, D12 {d12.shape}, D22 {d22.shape}"
             )
         if max_defect(d11, d11.conj().T) > SELFADJOINT_TOL:
             raise NotPositiveError("D11 is not Hermitian")
         if max_defect(d22, d22.conj().T) > SELFADJOINT_TOL:
             raise NotPositiveError("D22 is not Hermitian")
-        if max_defect(d21, d12.conj().T) > SELFADJOINT_TOL:
-            raise NotPositiveError("D21 does not equal D12†")
         eps = float(self.epsilon)
         if eps < 0.0:
             raise NotPositiveError(f"epsilon must be nonnegative, got {eps}")
-        d11, d12, d21, d22 = (b.copy() for b in (d11, d12, d21, d22))
-        for block in (d11, d12, d21, d22):
+        d11, d12, d22 = (b.copy() for b in (d11, d12, d22))
+        for block in (d11, d12, d22):
             block.setflags(write=False)
         object.__setattr__(self, "d11", d11)
         object.__setattr__(self, "d12", d12)
-        object.__setattr__(self, "d21", d21)
         object.__setattr__(self, "d22", d22)
         object.__setattr__(self, "epsilon", eps)
         evals, evecs = np.linalg.eigh(self.assembled())
@@ -93,6 +94,11 @@ class BlockCovariance:
         evals.setflags(write=False)
         evecs.setflags(write=False)
         object.__setattr__(self, "spectrum", (evals, evecs))
+
+    @property
+    def d21(self) -> np.ndarray:
+        """D21 = D12†, computed from D12 on each access."""
+        return self.d12.conj().T
 
     @property
     def d1(self) -> int:
@@ -107,18 +113,6 @@ class BlockCovariance:
         top = np.hstack([self.d11, self.d12])
         bottom = np.hstack([self.d21, self.d22])
         return np.vstack([top, bottom])
-
-
-@dataclass(frozen=True)
-class PhasePair:
-    """Per-component phase angles, stored reduced mod 2*pi."""
-
-    gamma1: float
-    gamma2: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma1", float(self.gamma1) % (2.0 * math.pi))
-        object.__setattr__(self, "gamma2", float(self.gamma2) % (2.0 * math.pi))
 
 
 class SymmetryTag(enum.Enum):
@@ -170,19 +164,20 @@ def build_covariance(state: BipartiteState, epsilon: float | str) -> BlockCovari
     psi = state.amplitudes
     d11 = psi @ psi.conj().T + eps * np.eye(state.d1)
     d22 = psi.conj().T @ psi + eps * np.eye(state.d2)
-    return BlockCovariance(d11=d11, d12=psi, d21=psi.conj().T, d22=d22, epsilon=eps)
+    return BlockCovariance(d11=d11, d12=psi, d22=d22, epsilon=eps)
 
 
-def phase_transform(cov: BlockCovariance, gamma: PhasePair) -> BlockCovariance:
-    """Covariance of (e^{i g1} phi1, e^{i g2} phi2).
+def phase_transform(
+    cov: BlockCovariance, gamma1: float, gamma2: float
+) -> BlockCovariance:
+    """Covariance of (e^{i gamma1} phi1, e^{i gamma2} phi2).
 
-    Diagonal blocks are untouched; D12 picks up e^{i (g1 - g2)}.
+    Diagonal blocks are untouched; D12 picks up e^{i (gamma1 - gamma2)}.
     """
-    factor = np.exp(1j * (gamma.gamma1 - gamma.gamma2))
+    factor = np.exp(1j * (float(gamma1) - float(gamma2)))
     return BlockCovariance(
         d11=cov.d11,
         d12=factor * cov.d12,
-        d21=np.conj(factor) * cov.d21,
         d22=cov.d22,
         epsilon=cov.epsilon,
     )
@@ -206,11 +201,9 @@ def permutation_transform(cov: BlockCovariance, variant: str) -> BlockCovariance
         sign = -1.0
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    d12 = sign * cov.d12.T
     return BlockCovariance(
         d11=np.conj(cov.d22),
-        d12=d12,
-        d21=d12.conj().T,
+        d12=sign * cov.d12.T,
         d22=np.conj(cov.d11),
         epsilon=cov.epsilon,
     )
@@ -265,7 +258,6 @@ def scale_field(cov: BlockCovariance, factor: float) -> BlockCovariance:
     return BlockCovariance(
         d11=f2 * cov.d11,
         d12=f2 * cov.d12,
-        d21=f2 * cov.d21,
         d22=f2 * cov.d22,
         epsilon=f2 * cov.epsilon,
     )

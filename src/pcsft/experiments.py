@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import UnitaryChannel, apply_to_state
-from .covariance import build_covariance, classify_symmetry
-from .errors import DimensionError
+from .covariance import SYMMETRY_TOL, build_covariance, classify_symmetry
 from .hilbert import BipartiteState
-from .quadratic import Estimate, QuadraticForm, analytic_cov, form_moments
+from .quadratic import SE_BAND, Estimate, QuadraticForm, analytic_cov, form_moments
 from .sampler import PRNG_ID
 
 PORTS = ("R", "L")
@@ -30,42 +29,13 @@ PORT_INDEX = {"R": 0, "L": 1}
 
 MIN_SAMPLES = 1000  # fewest samples an experiment accepts
 
-# Acceptance band for Monte Carlo vs analytic, in standard errors.
-SE_BAND = 5.0
-
-
-@dataclass(frozen=True)
-class IndexLayout:
-    """Row-major (space major, internal minor) flattening of C^m (x) C^n."""
-
-    space_dim: int
-    internal_dim: int
-
-    def __post_init__(self):
-        if self.space_dim < 1 or self.internal_dim < 1:
-            raise DimensionError(
-                f"layout dims must be positive, got "
-                f"({self.space_dim}, {self.internal_dim})"
-            )
-
-    @property
-    def total_dim(self) -> int:
-        return self.space_dim * self.internal_dim
-
-
-@dataclass(frozen=True)
-class PortCorrelation:
-    """One g-matrix entry: analytic value, MC estimate, acceptance flag."""
-
-    analytic: float
-    estimate: Estimate
-    passed: bool
-
 
 @dataclass(frozen=True)
 class ExperimentReport:
     """One experiment run; ``g`` maps each output-port pair x + y, for x,
-    y in PORTS, to its intensity covariance g_xy."""
+    y in PORTS, to the Monte Carlo estimate of its intensity covariance
+    g_xy, with the analytic value attached.  An entry passes when it lies
+    within SE_BAND standard errors of that value."""
 
     experiment: str
     statistics: str
@@ -73,26 +43,26 @@ class ExperimentReport:
     epsilon: float
     seed: int
     n_samples: int
-    g: dict[str, PortCorrelation]
+    g: dict[str, Estimate]
     prng_id: str
     classified_symmetry: str
 
     @property
     def passed(self) -> bool:
-        return all(entry.passed for entry in self.g.values())
+        return all(est.within(SE_BAND) for est in self.g.values())
 
 
 def report_to_json(report: ExperimentReport) -> dict:
     """The report as a JSON object (the CLI adds ``version``)."""
     g = {
         key: {
-            "analytic": entry.analytic,
-            "value": entry.estimate.value,
-            "std_error": entry.estimate.std_error,
-            "n": entry.estimate.n,
-            "passed": entry.passed,
+            "analytic": est.analytic,
+            "value": est.value,
+            "std_error": est.std_error,
+            "n": est.n,
+            "passed": est.within(SE_BAND),
         }
-        for key, entry in report.g.items()
+        for key, est in report.g.items()
     }
     return {
         "experiment": report.experiment,
@@ -158,31 +128,29 @@ def spin_state(variant: str) -> BipartiteState:
     return BipartiteState(amp)
 
 
-def intensity_observable(port: str, layout: IndexLayout, side: int) -> QuadraticForm:
+def intensity_observable(port: str, internal_dim: int, side: int) -> QuadraticForm:
     """Projector onto one output port, summed over internal indices.
 
-    Evaluating the form gives the port intensity
-    sum_s |phi^s(port)|^2 of the chosen component.
+    The component space is C^2_space (x) C^internal_dim, space major.
+    Evaluating the form gives the port intensity sum_s |phi^s(port)|^2
+    of the chosen component.
     """
     if port not in PORT_INDEX:
         raise ValueError(f"port must be one of {PORTS}, got {port!r}")
-    if layout.space_dim != len(PORTS):
-        raise DimensionError(
-            f"layout space_dim must be {len(PORTS)} for a two-port experiment"
-        )
-    proj = np.zeros((layout.space_dim, layout.space_dim), dtype=complex)
+    proj = np.zeros((len(PORTS), len(PORTS)), dtype=complex)
     k = PORT_INDEX[port]
     proj[k, k] = 1.0
-    op = np.kron(proj, np.eye(layout.internal_dim, dtype=complex))
+    op = np.kron(proj, np.eye(internal_dim, dtype=complex))
     return QuadraticForm(operator=op, side=side)
 
 
-def _experiment_input(statistics: str, spin: str) -> tuple[BipartiteState, IndexLayout]:
+def _experiment_input(statistics: str, spin: str) -> tuple[BipartiteState, int]:
+    """The input state and the internal dimension of each component."""
     if spin == "0":
-        return input_state(statistics), IndexLayout(space_dim=2, internal_dim=1)
+        return input_state(statistics), 1
     if spin == "half":
         variant = "sb5" if statistics == "boson" else "sb5k"
-        return spin_state(variant), IndexLayout(space_dim=2, internal_dim=2)
+        return spin_state(variant), 2
     raise ValueError(f"spin must be '0' or 'half', got {spin!r}")
 
 
@@ -196,35 +164,32 @@ def run_beamsplitter(
     """Full pipeline: input state -> beam splitter -> covariance ->
     analytic g-matrix and seeded Monte Carlo confirmation.
 
-    epsilon is passed to build_covariance ("auto" or a number).  Every
-    g entry is flagged as passing when |mc - analytic| <= SE_BAND
-    standard errors.  The four port intensities are evaluated once per
-    sample and reduced to their moments as they are drawn; each g entry
-    pairs a side-1 column with a side-2 column.
+    epsilon is passed to build_covariance ("auto" or a number).  A g
+    entry passes when |mc - analytic| <= SE_BAND standard errors.  The
+    four port intensities are evaluated once per sample and reduced to
+    their moments as they are drawn; each g entry pairs a side-1 column
+    with a side-2 column.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need n_samples >= {MIN_SAMPLES}, got {n_samples}")
-    psi_in, layout = _experiment_input(statistics, spin)
-    symmetry = classify_symmetry(psi_in, tol=1e-10)
+    psi_in, internal_dim = _experiment_input(statistics, spin)
+    symmetry = classify_symmetry(psi_in, tol=SYMMETRY_TOL)
 
-    u = np.kron(beamsplitter_unitary(), np.eye(layout.internal_dim, dtype=complex))
+    u = np.kron(beamsplitter_unitary(), np.eye(internal_dim, dtype=complex))
     channel = UnitaryChannel(u1=u, u2=u)
     psi_out = apply_to_state(channel, psi_in)
 
     cov = build_covariance(psi_out, epsilon)
-    side1 = [intensity_observable(x, layout, side=1) for x in PORTS]
-    side2 = [intensity_observable(y, layout, side=2) for y in PORTS]
+    side1 = [intensity_observable(x, internal_dim, side=1) for x in PORTS]
+    side2 = [intensity_observable(y, internal_dim, side=2) for y in PORTS]
     moments = form_moments(cov, seed=seed, count=n_samples, forms=side1 + side2)
     k = len(PORTS)
 
-    g: dict[str, PortCorrelation] = {}
+    g: dict[str, Estimate] = {}
     for i, x in enumerate(PORTS):
         for j, y in enumerate(PORTS):
             g_xy = analytic_cov(cov, side1[i], side2[j])
-            est = moments.cov(i, k + j, analytic=g_xy)
-            g[x + y] = PortCorrelation(
-                analytic=g_xy, estimate=est, passed=est.within(SE_BAND)
-            )
+            g[x + y] = moments.cov(i, k + j, analytic=g_xy)
     return ExperimentReport(
         experiment="beamsplitter",
         statistics=statistics,

@@ -41,6 +41,9 @@ REAL_TOL = 1e-10
 # A state is normalized when |‖ψ‖² - 1| <= NORM_TOL.
 NORM_TOL = 2e-9
 
+# Reality tolerance of the quantum averages, tighter than REAL_TOL.
+AVERAGE_REAL_TOL = 1e-12
+
 
 def as_real(value: complex, tol: float = REAL_TOL) -> float:
     """Convert a scalar that must be real, rejecting stray imaginary parts.
@@ -123,10 +126,7 @@ class BipartiteState:
         with np.errstate(over="ignore"):  # huge amplitudes: the gate sees inf
             norm_sq = float(np.sum(np.abs(amp) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
-            raise NormalizationError(
-                f"state has squared norm {norm_sq!r}, expected 1 "
-                "(pass renormalize=True to matricize() to rescale)"
-            )
+            raise NormalizationError(f"state has squared norm {norm_sq!r}, expected 1")
         amp = amp.copy()
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
@@ -209,7 +209,7 @@ def quantum_average_tensor(
     a1, a2 = _check_pair(state, a1, a2)
     psi = state.amplitudes
     value = np.einsum("ik,jl,kl,ij->", a1, a2, psi, psi.conj())
-    return as_real(value, tol=1e-12)
+    return as_real(value, tol=AVERAGE_REAL_TOL)
 
 
 def quantum_average_trace(
@@ -223,7 +223,7 @@ def quantum_average_trace(
     a1, a2 = _check_pair(state, a1, a2)
     psi = state.amplitudes
     value = np.trace(psi @ np.conj(a2) @ psi.conj().T @ a1)
-    return as_real(value, tol=1e-12)
+    return as_real(value, tol=AVERAGE_REAL_TOL)
 
 
 def marginal_average(state: BipartiteState, a: np.ndarray, side: int) -> float:
@@ -244,4 +244,4 @@ def marginal_average(state: BipartiteState, a: np.ndarray, side: int) -> float:
         value = np.trace(psi.conj().T @ psi @ np.conj(a))
     else:
         raise ValueError(f"side must be 1 or 2, got {side!r}")
-    return as_real(value, tol=1e-12)
+    return as_real(value, tol=AVERAGE_REAL_TOL)

@@ -48,6 +48,11 @@ class QuadraticForm:
         return self.operator.shape[0]
 
 
+# Acceptance band for a Monte Carlo estimate against its analytic value,
+# in standard errors.
+SE_BAND = 5.0
+
+
 @dataclass(frozen=True)
 class Estimate:
     """Monte Carlo estimate with its standard error and provenance."""
@@ -65,7 +70,7 @@ class Estimate:
         if self.std_error < 0.0:
             raise ValueError("std_error must be nonnegative")
 
-    def within(self, sigmas: float = 5.0) -> bool:
+    def within(self, sigmas: float = SE_BAND) -> bool:
         """Whether the estimate lies within ``sigmas`` standard errors of
         its analytic value (requires ``analytic`` to be set)."""
         if self.analytic is None:

@@ -48,6 +48,9 @@ from .errors import NotPositiveError, PcsftError
 
 PRNG_ID = "sfc64:ziggurat:v3"
 
+# Largest admissible max |F F† - D| of the factor, an absolute bound.
+FACTOR_RESIDUAL_TOL = 1e-8
+
 # Samples per substream chunk.  Part of the determinism contract: changing
 # it changes every draw.
 CHUNK_SIZE = 16384
@@ -103,10 +106,10 @@ def factor_covariance(cov: BlockCovariance) -> np.ndarray:
     f = (evecs * np.sqrt(evals)[None, :]) @ evecs.conj().T
     assembled = cov.assembled()
     residual = float(np.max(np.abs(f @ f.conj().T - assembled)))
-    if residual > 1e-8:
+    if residual > FACTOR_RESIDUAL_TOL:
         scale = float(np.max(np.abs(assembled)))
         raise NotPositiveError(
-            f"factorization residual {residual:.3e} exceeds 1e-8 "
+            f"factorization residual {residual:.3e} exceeds {FACTOR_RESIDUAL_TOL:.0e} "
             f"(largest covariance entry {scale:.3e})"
         )
     return f

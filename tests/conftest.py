@@ -54,16 +54,20 @@ def rand_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 @st.composite
-def schmidt_states(draw, max_dim: int = 4) -> BipartiteState:
+def schmidt_states(draw, max_dim: int = 4, square: bool = False) -> BipartiteState:
     """States U diag(s) V with random unitaries and Schmidt coefficients s
     drawn directly, so product states, equal weights and (near-)degenerate
-    spectra all occur, in every shape up to max_dim × max_dim."""
+    spectra all occur, in every shape up to max_dim × max_dim (d1 = d2
+    when ``square``)."""
     d1 = draw(st.integers(1, max_dim))
-    d2 = draw(st.integers(1, max_dim))
+    d2 = d1 if square else draw(st.integers(1, max_dim))
     rank = min(d1, d2)
     s = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=rank, max_size=rank)))
-    if not np.linalg.norm(s) > 0.0:
+    if not s.max() > 0.0:
         s[0] = 1.0
+    # Scale the largest coefficient to 1 first: squares of tiny ones
+    # underflow, which would make the norm below inexact.
+    s = s / s.max()
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u = rand_unitary(rng, d1)[:, :rank]
     v = rand_unitary(rng, d2)[:rank, :]

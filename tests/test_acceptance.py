@@ -13,7 +13,6 @@ from pcsft.hilbert import (
     quantum_average_trace,
 )
 from pcsft.covariance import (
-    PhasePair,
     SymmetryTag,
     build_covariance,
     classify_symmetry,
@@ -150,8 +149,8 @@ def _beamsplitter_criterion(number, statistics, zero_key, half_key):
     ok = (
         abs(zero.analytic) <= 1e-12
         and abs(half.analytic - 0.5) <= 1e-12
-        and zero.estimate.within(5.0)
-        and half.estimate.within(5.0)
+        and zero.within(5.0)
+        and half.within(5.0)
         and elapsed < 10.0
     )
     name = "anti-bunching" if statistics == "fermion" else "bunching"
@@ -160,8 +159,8 @@ def _beamsplitter_criterion(number, statistics, zero_key, half_key):
         ok,
         f"{statistics}/spin-0 {name}: analytic g_{zero_key} = "
         f"{zero.analytic:.2e}, g_{half_key} = {half.analytic:.12f}, MC "
-        f"deviations {abs(zero.estimate.value - zero.analytic) / zero.estimate.std_error:.2f} "
-        f"and {abs(half.estimate.value - half.analytic) / half.estimate.std_error:.2f} SE "
+        f"deviations {abs(zero.value - zero.analytic) / zero.std_error:.2f} "
+        f"and {abs(half.value - half.analytic) / half.std_error:.2f} SE "
         f"(<= 5), {elapsed:.1f}s (< 10s)",
     )
 
@@ -181,18 +180,18 @@ def test_criterion_6_spin_half_collisions():
     elapsed = time.perf_counter() - start
     ok = (
         abs(sb5.g["RR"].analytic) <= 1e-12
-        and sb5.g["RR"].estimate.within(5.0)
+        and sb5.g["RR"].within(5.0)
         and abs(sb5k.g["RL"].analytic) <= 1e-12
-        and sb5k.g["RL"].estimate.within(5.0)
+        and sb5k.g["RL"].within(5.0)
         and elapsed < 20.0
     )
     report_line(
         6,
         ok,
         f"spin-1/2 collisions: symmetric state g_RR = {sb5.g['RR'].analytic:.2e} "
-        f"(MC {sb5.g['RR'].estimate.value:+.4f} +- {sb5.g['RR'].estimate.std_error:.4f}), "
+        f"(MC {sb5.g['RR'].value:+.4f} +- {sb5.g['RR'].std_error:.4f}), "
         f"antisymmetric state g_RL = {sb5k.g['RL'].analytic:.2e} "
-        f"(MC {sb5k.g['RL'].estimate.value:+.4f} +- {sb5k.g['RL'].estimate.std_error:.4f}), "
+        f"(MC {sb5k.g['RL'].value:+.4f} +- {sb5k.g['RL'].std_error:.4f}), "
         f"{elapsed:.1f}s (< 20s)",
     )
 

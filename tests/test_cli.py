@@ -227,9 +227,10 @@ class TestExperimentCommand:
         assert len(lines) == 5
 
     def test_invalid_enum_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc_info:
-            main(["experiment", "--experiment", "beamsplitter", "--statistics", "anyon"])
-        assert exc_info.value.code == 2
+        for experiment, statistics in (("beamsplitter", "anyon"), ("foo", "boson")):
+            with pytest.raises(SystemExit) as exc_info:
+                main(["experiment", "--experiment", experiment, "--statistics", statistics])
+            assert exc_info.value.code == 2
 
     @pytest.mark.parametrize("epsilon", ["abc", "nan", "inf", ""])
     def test_invalid_epsilon_exits_2(self, epsilon, capsys):
@@ -257,7 +258,10 @@ class TestExperimentCommand:
 
         def failing_run(*args, **kwargs):
             report = real_run(*args, **kwargs)
-            g = {key: replace(entry, passed=False) for key, entry in report.g.items()}
+            g = {
+                key: replace(est, value=est.analytic + 10 * est.std_error)
+                for key, est in report.g.items()
+            }
             return replace(report, g=g)
 
         monkeypatch.setattr(cli_module, "run_beamsplitter", failing_run)
@@ -320,6 +324,19 @@ class TestClassifyCommand:
         assert code == 2
         assert captured.out == ""
         assert "state.amplitudes[0][0]" in captured.err
+
+    def test_unnormalized_state_names_field_not_python_api(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text(
+            json.dumps({"d1": 2, "d2": 2, "amplitudes": [[[1.0, 0.0]] * 2] * 2}),
+            encoding="utf-8",
+        )
+        code = main(["classify", str(state)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "field 'state.amplitudes'" in err
+        assert "squared norm 4.0" in err
+        assert "matricize" not in err
 
 
 class TestPropagateCommand:

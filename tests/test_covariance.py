@@ -2,14 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from pcsft.errors import DimensionError, NotPositiveError
 from pcsft.hilbert import matricize
 from pcsft.covariance import (
     AUTO_EPSILON_MARGIN,
     BlockCovariance,
-    PhasePair,
     SymmetryTag,
     build_covariance,
     classify_symmetry,
@@ -138,30 +137,77 @@ class TestEpsilonMin:
 class TestPhaseTransform:
     def test_equal_phases_identity(self):
         cov = build_covariance(BELL_SINGLET, 0.25)
-        out = phase_transform(cov, PhasePair(np.pi, np.pi))
+        out = phase_transform(cov, np.pi, np.pi)
         np.testing.assert_allclose(out.assembled(), cov.assembled(), atol=1e-15)
 
     def test_pi_shift_flips_off_diagonal_sign(self):
         cov = build_covariance(BOSONIC, 0.25)
-        out = phase_transform(cov, PhasePair(np.pi, 0.0))
+        out = phase_transform(cov, np.pi, 0.0)
         np.testing.assert_allclose(out.d12, -cov.d12, atol=1e-12)
         np.testing.assert_allclose(out.d11, cov.d11)
         np.testing.assert_allclose(out.d22, cov.d22)
 
     def test_full_turn_is_identity(self):
         cov = build_covariance(BOSONIC, 0.25)
-        out = phase_transform(cov, PhasePair(2.0 * np.pi, 0.0))
+        out = phase_transform(cov, 2.0 * np.pi, 0.0)
         np.testing.assert_allclose(out.assembled(), cov.assembled(), atol=1e-12)
 
     def test_diagonal_blocks_invariant_for_any_phase(self):
         rng = np.random.default_rng(25)
         cov = build_covariance(rand_state(rng, 3, 3), 0.3)
         for _ in range(20):
-            gamma = PhasePair(*rng.uniform(0, 2 * np.pi, size=2))
-            out = phase_transform(cov, gamma)
+            gamma = rng.uniform(0, 2 * np.pi, size=2)
+            out = phase_transform(cov, *gamma)
             np.testing.assert_allclose(out.d11, cov.d11)
             np.testing.assert_allclose(out.d22, cov.d22)
             assert out.epsilon == cov.epsilon
+
+
+ANGLES = st.floats(-2.0 * np.pi, 2.0 * np.pi)
+MARGINS = st.floats(0.0, 1.0)
+
+
+def assert_same_covariance(out, expected):
+    np.testing.assert_allclose(out.assembled(), expected.assembled(), rtol=0, atol=1e-12)
+    assert out.epsilon == expected.epsilon
+
+
+class TestTransformProperties:
+    """A transform of a built covariance is the covariance built from the
+    correspondingly transformed state, for square states of any Schmidt
+    spectrum and any admissible background level."""
+
+    @pytest.mark.parametrize("variant, sign", [("sigma_star", 1), ("sigma_star_minus", -1)])
+    @settings(max_examples=100, deadline=None)
+    @given(state=schmidt_states(square=True), margin=MARGINS)
+    def test_permutation_transposes_the_state(self, variant, sign, state, margin):
+        eps = epsilon_min(state) + margin
+        out = permutation_transform(build_covariance(state, eps), variant)
+        expected = build_covariance(matricize(sign * state.amplitudes.T), eps)
+        assert_same_covariance(out, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        state=schmidt_states(square=True), margin=MARGINS, g1=ANGLES, g2=ANGLES
+    )
+    def test_phase_multiplies_the_state(self, state, margin, g1, g2):
+        eps = epsilon_min(state) + margin
+        out = phase_transform(build_covariance(state, eps), g1, g2)
+        phased = np.exp(1j * (g1 - g2)) * state.amplitudes
+        expected = build_covariance(matricize(phased), eps)
+        assert_same_covariance(out, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        state=schmidt_states(square=True),
+        margin=MARGINS,
+        angles=st.lists(ANGLES, min_size=4, max_size=4),
+    )
+    def test_phases_compose_by_adding_angles(self, state, margin, angles):
+        a1, a2, b1, b2 = angles
+        cov = build_covariance(state, epsilon_min(state) + margin)
+        twice = phase_transform(phase_transform(cov, a1, a2), b1, b2)
+        assert_same_covariance(twice, phase_transform(cov, a1 + b1, a2 + b2))
 
 
 class TestPermutationTransform:
@@ -288,17 +334,6 @@ class TestBlockCovarianceValidation:
             BlockCovariance(
                 d11=np.array([[0.0, 1.0], [0.0, 0.0]]),
                 d12=np.zeros((2, 2)),
-                d21=np.zeros((2, 2)),
-                d22=np.eye(2),
-                epsilon=0.0,
-            )
-
-    def test_rejects_mismatched_d21(self):
-        with pytest.raises(NotPositiveError):
-            BlockCovariance(
-                d11=np.eye(2),
-                d12=np.array([[0.0, 1.0], [0.0, 0.0]]),
-                d21=np.zeros((2, 2)),
                 d22=np.eye(2),
                 epsilon=0.0,
             )
@@ -308,7 +343,6 @@ class TestBlockCovarianceValidation:
             BlockCovariance(
                 d11=0.1 * np.eye(2),
                 d12=np.eye(2),
-                d21=np.eye(2),
                 d22=0.1 * np.eye(2),
                 epsilon=0.0,
             )

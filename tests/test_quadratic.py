@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pcsft.errors import DimensionError, RealityError, SelfAdjointnessError
 from pcsft.hilbert import marginal_average, matricize, quantum_average_tensor
-from pcsft.covariance import PhasePair, build_covariance, epsilon_min, phase_transform
+from pcsft.covariance import build_covariance, epsilon_min, phase_transform
 from pcsft.sampler import _BLOCK_ROWS, CHUNK_SIZE, PRNG_ID, draw_chunks
 from pcsft.quadratic import (
     QuadraticForm,
@@ -24,7 +24,6 @@ from pcsft.quadratic import (
 from pcsft.channels import UnitaryChannel, apply_to_state
 from pcsft.experiments import (
     PORTS,
-    IndexLayout,
     _experiment_input,
     beamsplitter_unitary,
     input_state,
@@ -223,8 +222,8 @@ class TestAnalyticCov:
         f2 = QuadraticForm(operator=rand_selfadjoint(rng, 2), side=2)
         base = analytic_cov(cov, f1, f2)
         for _ in range(10):
-            gamma = PhasePair(*rng.uniform(0, 2 * np.pi, size=2))
-            assert analytic_cov(phase_transform(cov, gamma), f1, f2) == pytest.approx(
+            gamma = rng.uniform(0, 2 * np.pi, size=2)
+            assert analytic_cov(phase_transform(cov, *gamma), f1, f2) == pytest.approx(
                 base, abs=1e-12
             )
 
@@ -336,9 +335,8 @@ class TestEstimate:
 
 
 def spin_half_projectors():
-    layout = IndexLayout(space_dim=2, internal_dim=2)
     return [
-        intensity_observable(port, layout, side) for side in (1, 2) for port in "RL"
+        intensity_observable(port, 2, side) for side in (1, 2) for port in "RL"
     ]
 
 
@@ -541,10 +539,12 @@ def allocating_moments(cov, seed, count, forms, workers):
 
 def experiment_case(statistics, spin):
     """The covariance and the 8 port forms run_beamsplitter uses."""
-    state, layout = _experiment_input(statistics, spin)
-    u = np.kron(beamsplitter_unitary(), np.eye(layout.internal_dim))
+    state, internal_dim = _experiment_input(statistics, spin)
+    u = np.kron(beamsplitter_unitary(), np.eye(internal_dim))
     cov = build_covariance(apply_to_state(UnitaryChannel(u1=u, u2=u), state), "auto")
-    forms = [intensity_observable(port, layout, side) for side in (1, 2) for port in PORTS]
+    forms = [
+        intensity_observable(port, internal_dim, side) for side in (1, 2) for port in PORTS
+    ]
     return cov, forms
 
 

@@ -28,8 +28,8 @@ def experiment_cov(statistics: str, spin: str) -> BlockCovariance:
     """The covariance run_beamsplitter samples for epsilon='auto'."""
     from pcsft.experiments import _experiment_input
 
-    psi, layout = _experiment_input(statistics, spin)
-    u = np.kron(beamsplitter_unitary(), np.eye(layout.internal_dim))
+    psi, internal_dim = _experiment_input(statistics, spin)
+    u = np.kron(beamsplitter_unitary(), np.eye(internal_dim))
     out = apply_to_state(UnitaryChannel(u1=u, u2=u), psi)
     return build_covariance(out, "auto")
 
@@ -38,7 +38,6 @@ def identity_cov(d1: int, d2: int) -> BlockCovariance:
     return BlockCovariance(
         d11=np.eye(d1),
         d12=np.zeros((d1, d2)),
-        d21=np.zeros((d2, d1)),
         d22=np.eye(d2),
         epsilon=1.0,
     )
@@ -53,7 +52,6 @@ class TestFactorCovariance:
         cov = BlockCovariance(
             d11=np.diag([4.0, 1.0]),
             d12=np.zeros((2, 2)),
-            d21=np.zeros((2, 2)),
             d22=np.diag([9.0, 0.25]),
             epsilon=0.0,
         )
@@ -68,7 +66,6 @@ class TestFactorCovariance:
             cov = BlockCovariance(
                 d11=full[:d1, :d1],
                 d12=full[:d1, d1:],
-                d21=full[d1:, :d1],
                 d22=full[d1:, d1:],
                 epsilon=0.0,
             )
@@ -268,7 +265,7 @@ class TestBatchMemory:
         # built: BlockCovariance copies the caller's arrays and freezes its own.
         d11 = np.eye(2, dtype=complex)
         cov = BlockCovariance(
-            d11=d11, d12=np.zeros((2, 3)), d21=np.zeros((3, 2)), d22=np.eye(3), epsilon=1.0
+            d11=d11, d12=np.zeros((2, 3)), d22=np.eye(3), epsilon=1.0
         )
         before = draw_samples(cov, seed=0, count=100)
         d11[0, 0] = 5.0
