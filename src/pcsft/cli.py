@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import math
@@ -289,6 +290,7 @@ def cmd_channel(args) -> int:
     return _write_transformed(out, args, {"inputs": inputs})
 
 
+@functools.cache  # one parser per process, shared by every in-process main()
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcsft",

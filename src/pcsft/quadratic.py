@@ -79,15 +79,15 @@ class Estimate:
 
 
 class _Kernel:
-    """Evaluator of f_A on one component, or on its conjugate (the side-2
-    pairing), in real arithmetic.
+    """A form's plan, built once: a diagonal A keeps its real ``weights``,
+    which form_moments stacks into one product over the intensities
+    |phi|^2; any other A keeps the real symmetric 2d×2d ``matrix`` M of
+    f_A on the component's float64 view v (re and im interleaved), or on
+    its conjugate (the side-2 pairing), and the kernel evaluates it.
 
     For psi = x + iy and A = S + iK, f_A(psi) = x·Sx + y·Sy - 2x·Ky, and
-    conjugation negates K.  A diagonal A keeps its real ``weights`` and
-    reads the component's intensities |phi|^2; any other keeps the real
-    symmetric 2d×2d ``matrix`` M of this form on the component's float64
-    view v (re and im interleaved) and reads v·(v @ M) per row.  A
-    non-self-adjoint A raises RealityError: its values would not be real.
+    conjugation negates K.  A non-self-adjoint A raises RealityError: its
+    values would not be real.
     """
 
     def __init__(self, operator: np.ndarray, conjugate: bool):
@@ -108,15 +108,10 @@ class _Kernel:
         m[1::2, 0::2] = k
         self.matrix = m
 
-    def __call__(self, source: np.ndarray, out: np.ndarray, product: np.ndarray | None):
-        """Write f_A of each row into ``out``.  ``source`` is the
-        intensities (rows, d) for a diagonal A, else v (rows, 2d), and
-        ``product`` then takes v @ M."""
-        if self.matrix is None:
-            np.matmul(source, self.weights, out=out)
-        else:
-            np.matmul(source, self.matrix, out=product)
-            np.einsum("na,na->n", product, source, out=out)
+    def __call__(self, source: np.ndarray, out: np.ndarray, product: np.ndarray):
+        """Write f_A of each row of v into ``out``; ``product`` takes v @ M."""
+        np.matmul(source, self.matrix, out=product)
+        np.einsum("na,na->n", product, source, out=out)
 
 
 def _intensities(phi: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -128,14 +123,22 @@ def _intensities(phi: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.add(v[:, 0::2], v[:, 1::2], out=out)
 
 
+def _stacked_forms(weights: np.ndarray, intensity: np.ndarray, out: np.ndarray):
+    """Diagonal forms in one product: row i of ``out`` (forms, rows) is the
+    intensities (rows, d1 + d2) weighted by row i of ``weights``."""
+    np.matmul(weights, intensity.T, out=out)
+
+
 class _Workspace:
     """One sampler worker's scratch for form_moments, allocated once when
     the worker starts and reused for every block it is handed:
 
-    - the moment rows, (1 + 2k) × rows: form j writes row 1 + j and
-      Moments.add fills the others;
+    - the moment rows, (1 + 2k) × rows: form j's values go to row 1 + j
+      and Moments.add fills the others;
     - if some form is diagonal, the intensities of both components,
-      rows × (d1 + d2);
+      rows × (d1 + d2), which the stacked weights (a row per form, zero
+      off its side) turn into the diagonal forms' moment rows, one
+      product per run of adjacent diagonal forms;
     - if some form is dense, its product v @ M, rows × 2d for the widest.
 
     About (1 + 2k + d1 + d2) × ``_BLOCK_ROWS`` floats in all.  A block
@@ -153,19 +156,25 @@ class _Workspace:
         block_rows: int,
     ):
         sides = {1: slice(0, d1), 2: slice(d1, d1 + d2)}
-        plan = [(j, sides[f.side], kernel) for j, (f, kernel) in enumerate(zip(forms, kernels))]
         # A dense form reads its side's float view: columns 2·start to 2·stop.
         self._dense = [
-            (j, slice(2 * side.start, 2 * side.stop), kernel)
-            for j, side, kernel in plan
+            (j, slice(2 * sides[f.side].start, 2 * sides[f.side].stop), kernel)
+            for j, (f, kernel) in enumerate(zip(forms, kernels))
             if kernel.matrix is not None
         ]
-        self._diagonal = [step for step in plan if step[2].matrix is None]
+        diagonal = [j for j, kernel in enumerate(kernels) if kernel.matrix is None]
+        weights = np.zeros((len(forms), d1 + d2))
+        for j in diagonal:
+            weights[j, sides[forms[j].side]] = kernels[j].weights
+        # One product per run of adjacent diagonal forms: one in every experiment.
+        starts = [j for j in diagonal if j - 1 not in diagonal]
+        stops = [j + 1 for j in diagonal if j + 1 not in diagonal]
+        self._runs = [(weights[a:b], slice(1 + a, 1 + b)) for a, b in zip(starts, stops)]
         self._height = 1 + 2 * len(forms)
         self._rows = np.empty(self._height * block_rows)
         width = max((kernel.matrix.shape[0] for _, _, kernel in self._dense), default=0)
         self._product = np.empty(width * block_rows)
-        self._intensity = np.empty((d1 + d2) * block_rows if self._diagonal else 0)
+        self._intensity = np.empty((d1 + d2) * block_rows if diagonal else 0)
 
     def rows(self, phi: np.ndarray) -> np.ndarray:
         """The moment rows of block ``phi``, form j's values in row 1 + j.
@@ -178,10 +187,10 @@ class _Workspace:
             source = v[:, columns]
             product = self._product[: source.size].reshape(source.shape)
             kernel(source, rows[1 + j], product)
-        if self._diagonal:
+        if self._runs:
             intensity = _intensities(phi, self._intensity[: n * dim].reshape(n, dim))
-            for j, columns, kernel in self._diagonal:
-                kernel(intensity[:, columns], rows[1 + j], None)
+            for weights, run in self._runs:
+                _stacked_forms(weights, intensity, rows[run])
         return rows
 
 
@@ -200,56 +209,55 @@ class Moments:
     """Count, means and central moments up to order four of k value
     columns, accumulated in one pass over index-ordered blocks of rows.
 
-    ``add(index, rows)`` takes block ``index`` of a fixed tiling of the
-    rows (blocks 0, 1, 2, ... in row order) in a buffer the caller owns,
-    one row per column, and works on it in place, so adding a block
-    allocates nothing of its size.  Per
-    block it keeps its mean m_b and the Gram matrix of the rows
-    [1, d, d²], d = value - m_b: one (1 + 2k)² matrix product.  Blocks are
-    folded into one total in index order, each first moved onto the mean
-    of block 0 by the exact linear map d -> d + (m_b - m_0); a block that
+    Every block is centred on one fixed ``centre`` (k values, given up
+    front): ``add(index, rows)`` takes block ``index`` of a fixed tiling
+    of the rows (blocks 0, 1, 2, ... in row order) in a buffer the caller
+    owns, one row per column, and works on it in place, so adding a block
+    allocates nothing of its size.  Per block it takes the Gram matrix of
+    the rows [1, d, d²], d = value - centre: one (1 + 2k)² matrix product.
+    The Grams are summed into one total in index order; a block that
     arrives before its predecessors waits for them.  So the result never
     depends on which thread added which block, or when, and memory does
-    not grow with the row count.  Centring on block means first keeps the
-    sums stable when the values sit far from zero.  The estimates move
-    the total onto the global mean the same way and read off it in closed
-    form; they equal the two-pass formulas up to rounding.  Thread-safe.
+    not grow with the row count.  The estimates move the total onto the
+    sample means once, by the exact linear map d -> d - (mean - centre),
+    and read off it in closed form: they are the sample statistics
+    whatever the centre, which moves only their rounding, and they equal
+    the two-pass formulas up to rounding.  A centre near the means (the
+    analytic means, say) keeps the sums stable when the values sit far
+    from zero.  Thread-safe.
     """
 
-    def __init__(self, k: int, seed: int | None = None, prng_id: str | None = None):
-        self.k = k
+    def __init__(self, centre, seed: int | None = None, prng_id: str | None = None):
+        self.centre = np.array(centre, dtype=float)
+        self.k = len(self.centre)
         self.seed = seed
         self.prng_id = prng_id
-        self.count = 0
-        self._gram = np.zeros((1 + 2 * k, 1 + 2 * k))
-        self._pivot = None
+        self._gram = np.zeros((1 + 2 * self.k, 1 + 2 * self.k))
         self._next = 0
-        self._pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._pending: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
+
+    @property
+    def count(self) -> int:
+        return int(self._gram[0, 0])
 
     def add(self, index: int, rows: np.ndarray):
         """Add block ``index`` from ``rows``, a caller-owned (1 + 2k, n)
         buffer whose rows 1 to k hold the k columns on the block's n rows.
         The buffer is reused in place: row 0 becomes ones, the columns
-        their deviations d from the block means, and rows 1 + k on the
-        squares d²."""
+        their deviations d from the centre, and rows 1 + k on the squares
+        d²."""
         k = self.k
         rows[0] = 1.0
         d = rows[1 : 1 + k]
-        mean = d.mean(axis=1)
-        for column, m in zip(d, mean):  # row by row: no broadcast buffer
-            column -= m
+        for column, c in zip(d, self.centre):  # row by row: no broadcast buffer
+            column -= c
         np.square(d, out=rows[1 + k :])
         gram = rows @ rows.T
         with self._lock:
-            self._pending[index] = (mean, gram)
+            self._pending[index] = gram
             while self._next in self._pending:
-                block_mean, block_gram = self._pending.pop(self._next)
-                if self._pivot is None:
-                    self._pivot = block_mean
-                shift = _shift_map(block_mean - self._pivot)
-                self._gram += shift @ block_gram @ shift.T
-                self.count += int(block_gram[0, 0])
+                self._gram += self._pending.pop(self._next)
                 self._next += 1
 
     def _centred(self) -> tuple[int, np.ndarray, np.ndarray]:
@@ -261,10 +269,10 @@ class Moments:
         n = self.count
         if n < 2:
             raise ValueError(f"need at least 2 samples, got {n}")
-        # Sums of d about the pivot, so the means are pivot + offset.
+        # Sums of d about the centre, so the means are centre + offset.
         offset = self._gram[0, 1 : 1 + self.k] / n
         shift = _shift_map(-offset)
-        return n, self._pivot + offset, shift @ self._gram @ shift.T
+        return n, self.centre + offset, shift @ self._gram @ shift.T
 
     def _estimate(self, value, variance, n, analytic) -> Estimate:
         return Estimate(
@@ -307,28 +315,25 @@ def form_moments(
     workers: int | None = None,
 ) -> Moments:
     """Moments of the forms' values on ``count`` fresh samples, drawn,
-    evaluated and accumulated in one pass.
+    evaluated and accumulated in one pass, centred on the forms' analytic
+    means.
 
     Column j of the moments is form j on the samples ``draw_chunks`` draws
     for (cov, seed, count): side-1 forms on phi1, side-2 forms on
     conj(phi2), the pairing of analytic_cov.  Each form is evaluated once
     per block inside the sampler's workers and folded into the moments
-    there.  Every diagonal form reads the intensities of both components,
-    computed in one pass per block.  Each worker evaluates and folds in a
-    workspace it allocates once, so after its first block it allocates
-    nothing of a block's size, and memory is
+    there.  All diagonal forms come from one product over the intensities
+    of both components, computed in one pass per block; each dense form
+    has its kernel.  Each worker evaluates and folds in a workspace it
+    allocates once, so after its first block it allocates nothing of a
+    block's size, and memory is
     O(workers × (1 + 2k + d1 + d2) × _BLOCK_ROWS) floats for k forms,
     whatever ``count`` is.  Pass each distinct form once; the result is
     bit-identical for any worker count.
     """
-    for form in forms:
-        size = cov.d1 if form.side == 1 else cov.d2
-        if form.dim != size:
-            raise DimensionError(
-                f"component has dimension {size}, operator needs {form.dim}"
-            )
-    moments = Moments(len(forms), seed=int(seed), prng_id=PRNG_ID)
     kernels = [_Kernel(form.operator, form.side == 2) for form in forms]
+    centre = [analytic_mean(cov, form) for form in forms]
+    moments = Moments(centre, seed=int(seed), prng_id=PRNG_ID)
     block_rows = min(_BLOCK_ROWS, count)
 
     def make_consumer():

@@ -922,6 +922,44 @@ class TestDeterminismAcrossCommands:
         assert exc_info.value.code == 0
 
 
+class TestParserReuse:
+    def test_in_process_runs_match_fresh_processes(self, tmp_path, singlet_file, capsys):
+        # main() builds its parser once per process; a run after an
+        # argparse error or a field error prints and exits as a fresh
+        # `python -m pcsft.cli` process does.
+        a1 = write_operator(tmp_path / "a1.json", PROJ_R)
+        a2 = write_operator(tmp_path / "a2.json", PROJ_L)
+        unnormalized = tmp_path / "unnormalized.json"
+        unnormalized.write_text(
+            json.dumps({"d1": 2, "d2": 2, "amplitudes": [[[1.0, 0.0]] * 2] * 2}),
+            encoding="utf-8",
+        )
+        experiment = ["experiment", "--experiment=beamsplitter", "--statistics=boson"]
+        experiment += ["--spin=half", "--samples=3000", "--seed=3"]
+        runs = [
+            experiment,
+            ["experiment", "--experiment=beamsplitter", "--statistics=anyon"],
+            ["classify", str(singlet_file)],
+            ["classify", str(unnormalized)],
+            ["verify-identity", str(singlet_file), str(a1), str(a2), "--samples=3000"],
+            experiment,
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        for argv in runs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "pcsft.cli", *argv], env=env,
+                capture_output=True, text=True, timeout=60,
+            )
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv
+
+
 class TestOneSvdPerState:
     """epsilon="auto" and the covariance share one epsilon_min."""
 

@@ -45,11 +45,12 @@ def block_rows(block):
     return rows
 
 
-def accumulate(values, order=None):
+def accumulate(values, order=None, centre=None):
     """Moments of the columns of ``values`` (n, k) in the block tiling,
-    adding the blocks in ``order`` (index order by default)."""
+    centred on ``centre`` (the first row by default), adding the blocks
+    in ``order`` (index order by default)."""
     starts = list(range(0, values.shape[0], _BLOCK_ROWS))
-    moments = Moments(values.shape[1])
+    moments = Moments(values[0] if centre is None else centre)
     for index in order if order is not None else range(len(starts)):
         block = values[starts[index] : starts[index] + _BLOCK_ROWS]
         moments.add(index, block_rows(block))
@@ -74,9 +75,13 @@ def value_matrices(draw, min_blocks=0):
 
 
 @settings(max_examples=60, deadline=None)
-@given(value_matrices())
-def test_matches_two_pass_formulas(values):
-    moments = accumulate(values)
+@given(value_matrices(), st.one_of(st.none(), st.floats(-5.0, 5.0)))
+def test_matches_two_pass_formulas(values, spreads):
+    # Centred on the first row, or on the column means plus ``spreads``
+    # standard deviations: the estimates are the sample statistics
+    # whatever the centre.
+    centre = None if spreads is None else values.mean(axis=0) + spreads * values.std(axis=0)
+    moments = accumulate(values, centre=centre)
     n, k = values.shape
     assert moments.count == n
     for i in range(k):
@@ -116,14 +121,14 @@ def test_block_arrival_order_does_not_matter(values, random):
 
 
 def test_missing_block_is_an_error():
-    moments = Moments(1)
+    moments = Moments([0.0])
     moments.add(1, block_rows(np.arange(4.0)[:, None]))
     with pytest.raises(ValueError, match="wait for block 0"):
         moments.mean(0)
 
 
 def test_needs_two_samples():
-    moments = Moments(1)
+    moments = Moments([0.0])
     moments.add(0, block_rows(np.array([[1.0]])))
     with pytest.raises(ValueError):
         moments.mean(0)
@@ -156,10 +161,10 @@ def test_concurrent_adds_lose_no_block():
     rows = 4
     values = rng.standard_normal((2000 * rows + 3, 3))
     blocks = [values[start : start + rows] for start in range(0, len(values), rows)]
-    serial = Moments(3)
+    serial = Moments(values[0])
     for index, block in enumerate(blocks):
         serial.add(index, block_rows(block))
-    shared = Moments(3)
+    shared = Moments(values[0])
     order = rng.permutation(len(blocks))
     threads = [
         threading.Thread(

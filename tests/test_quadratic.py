@@ -17,7 +17,6 @@ from pcsft.quadratic import (
     Moments,
     _Kernel,
     _Workspace,
-    _shift_map,
     form_moments,
     renormalized_mean,
 )
@@ -430,22 +429,57 @@ class TestSampleForms:
 
     def test_each_form_evaluated_once_per_chunk(self, monkeypatch):
         # run_beamsplitter evaluates its 4 port intensities once per
-        # sample: the rows each kernel sees sum to n.
+        # sample, all in the stacked product: the rows each form's row of
+        # the product sees sum to n, and no dense kernel runs.
         import pcsft.quadratic as quadratic
         from pcsft.sampler import CHUNK_SIZE
         from pcsft.experiments import run_beamsplitter
 
         rows = {}
-        real_call = quadratic._Kernel.__call__
+        real_stacked = quadratic._stacked_forms
 
-        def counting_call(kernel, source, out, product):
-            rows[id(kernel)] = rows.get(id(kernel), 0) + out.shape[0]
-            real_call(kernel, source, out, product)
+        def counting_stacked(weights, intensity, out):
+            for i in range(out.shape[0]):
+                rows[i] = rows.get(i, 0) + out.shape[1]
+            real_stacked(weights, intensity, out)
 
-        monkeypatch.setattr(quadratic._Kernel, "__call__", counting_call)
+        def no_call(*args):
+            raise AssertionError("a diagonal form reached a dense kernel")
+
+        monkeypatch.setattr(quadratic, "_stacked_forms", counting_stacked)
+        monkeypatch.setattr(quadratic._Kernel, "__call__", no_call)
         n = 3 * CHUNK_SIZE + 5
         run_beamsplitter("boson", "half", seed=96, n_samples=n)
         assert list(rows.values()) == [n, n, n, n]
+
+    @pytest.mark.parametrize(
+        "case",
+        [("boson", "0"), ("fermion", "0"), ("boson", "half"), ("fermion", "half"), (3, 4, 108)],
+        ids=["boson-0", "fermion-0", "boson-half", "fermion-half", "3x4"],
+    )
+    def test_centre_changes_only_rounding(self, case, monkeypatch):
+        # The moments are centred on the analytic means; centred 3 spreads
+        # away instead, every estimate moves by rounding only, so no
+        # estimate borrows the analytic value its gate compares it with.
+        # The rounding grows with the square of the offset: about 1e-13
+        # of an SE at 1 spread, up to 1.1e-12 at 3.
+        import pcsft.quadratic as quadratic
+
+        cov, forms = experiment_case(*case) if len(case) == 2 else verify_case(*case)
+        count = 2 * CHUNK_SIZE + 3 * _BLOCK_ROWS + 123
+        k = len(forms)
+        analytic = form_moments(cov, 109, count, forms)
+        spreads = np.array([analytic.mean(i).std_error for i in range(k)]) * np.sqrt(count)
+        monkeypatch.setattr(
+            quadratic, "Moments", lambda centre, **kw: Moments(np.add(centre, 3 * spreads), **kw)
+        )
+        shifted = form_moments(cov, 109, count, forms)
+        pairs = [(analytic.mean(i), shifted.mean(i)) for i in range(k)] + [
+            (analytic.cov(i, j), shifted.cov(i, j)) for i in range(k) for j in range(k)
+        ]
+        for near, far in pairs:
+            assert abs(near.value - far.value) <= 1e-11 * near.std_error
+            assert abs(near.std_error - far.std_error) <= 1e-11 * near.std_error
 
     def test_intensity_computed_once_per_side_and_chunk(self, monkeypatch):
         # The 4 port projectors of run_beamsplitter share the intensities
@@ -480,7 +514,7 @@ class TestSampleForms:
 class AllocatingMoments(Moments):
     """Moments with the fold form_moments used before its workspace: a
     fresh (1 + 2k, n) array per block with each column copied into it,
-    centred on the block means, squared, and rows @ rows.T."""
+    centred on the fixed centre, squared, and rows @ rows.T."""
 
     def add(self, index, columns):
         k = self.k
@@ -489,27 +523,24 @@ class AllocatingMoments(Moments):
         d = rows[1 : 1 + k]
         for j, column in enumerate(columns):
             d[j] = column
-        mean = d.mean(axis=1)
-        d -= mean[:, None]
+        d -= self.centre[:, None]
         np.square(d, out=rows[1 + k :])
         gram = rows @ rows.T
         with self._lock:
-            self._pending[index] = (mean, gram)
+            self._pending[index] = gram
             while self._next in self._pending:
-                block_mean, block_gram = self._pending.pop(self._next)
-                if self._pivot is None:
-                    self._pivot = block_mean
-                shift = _shift_map(block_mean - self._pivot)
-                self._gram += shift @ block_gram @ shift.T
-                self.count += int(block_gram[0, 0])
+                self._gram += self._pending.pop(self._next)
                 self._next += 1
 
 
 def allocating_moments(cov, seed, count, forms, workers):
     """form_moments as it was before the workspace: fresh arrays for every
     block, the intensities phi.real**2 + phi.imag**2 of a side computed
-    once per block on its column slice, and v @ M as a fresh product."""
-    moments = AllocatingMoments(len(forms), seed=seed, prng_id=PRNG_ID)
+    once per block on its column slice, each diagonal form's weights
+    applied on its own, v @ M as a fresh product, and the moments centred
+    on the analytic means."""
+    centre = [analytic_mean(cov, form) for form in forms]
+    moments = AllocatingMoments(centre, seed=seed, prng_id=PRNG_ID)
 
     def consume(start, phi):
         sides = {1: phi[:, : cov.d1], 2: phi[:, cov.d1 :]}
@@ -544,6 +575,19 @@ def experiment_case(statistics, spin):
     cov = build_covariance(apply_to_state(UnitaryChannel(u1=u, u2=u), state), "auto")
     forms = [
         intensity_observable(port, internal_dim, side) for side in (1, 2) for port in PORTS
+    ]
+    return cov, forms
+
+
+def split_diagonal_case(seed):
+    """Forms in the order [diagonal, dense, diagonal]: the diagonal forms'
+    moment rows are not adjacent."""
+    rng = np.random.default_rng(seed)
+    cov = build_covariance(rand_state(rng, 3, 2), "auto")
+    forms = [
+        QuadraticForm(operator=np.diag([1.0, -2.0, 0.5]), side=1),
+        QuadraticForm(operator=rand_selfadjoint(rng, 3), side=1),
+        QuadraticForm(operator=np.diag([0.25, 3.0]), side=2),
     ]
     return cov, forms
 
@@ -615,8 +659,13 @@ class TestWorkspace:
         monkeypatch.setattr(quadratic, "draw_chunks", measuring_draw)
         mixed_cov, mixed_forms = random_dense_case(102)  # dense and diagonal
         mixed_forms.append(QuadraticForm(operator=np.diag([1.0, 0.0, 0.5]), side=1))
+        apart_cov, apart_forms = split_diagonal_case(110)  # diagonal rows not adjacent
         column = 8 * _BLOCK_ROWS  # bytes of one form's values on a block
-        cases = [(spin_half_cov(), spin_half_projectors()), (mixed_cov, mixed_forms)]
+        cases = [
+            (spin_half_cov(), spin_half_projectors()),
+            (mixed_cov, mixed_forms),
+            (apart_cov, apart_forms),
+        ]
         for cov, forms in cases:
             extra.clear()
             tracemalloc.start()
@@ -667,15 +716,103 @@ class TestFormKernel:
             np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12 * scale.max())
             assert (_Kernel(operator, side == 2).matrix is None) == is_diagonal
 
-    def test_diagonal_operator_takes_intensity_branch(self):
+    def test_diagonal_operator_takes_intensity_branch(self, monkeypatch):
+        # A diagonal form is evaluated by the stacked product over the
+        # intensities, never by a dense kernel.
+        import pcsft.quadratic as quadratic
+
         rng = np.random.default_rng(99)
         weights = np.array([1.0, -2.0, 0.5])
         joint = draw_samples(build_covariance(rand_state(rng, 3, 2), 0.3), 0, 100)
         form = QuadraticForm(operator=np.diag(weights), side=1)
         assert _Kernel(form.operator, False).matrix is None
-        assert np.array_equal(
-            block_values(form, joint, 3), _diagonal_values(joint[:, :3], weights)
+        stacked = []
+        real_stacked = quadratic._stacked_forms
+
+        def recording_stacked(weights, intensity, out):
+            stacked.append(np.array(weights))
+            real_stacked(weights, intensity, out)
+
+        def no_call(*args):
+            raise AssertionError("a diagonal form reached a dense kernel")
+
+        monkeypatch.setattr(quadratic, "_stacked_forms", recording_stacked)
+        monkeypatch.setattr(quadratic._Kernel, "__call__", no_call)
+        values = block_values(form, joint, 3)
+        assert len(stacked) == 1
+        assert np.array_equal(stacked[0], [[1.0, -2.0, 0.5, 0.0, 0.0]])
+        np.testing.assert_allclose(
+            values, _diagonal_values(joint[:, :3], weights), rtol=1e-14
         )
+
+    @pytest.mark.parametrize("statistics", ["boson", "fermion"])
+    @pytest.mark.parametrize("spin", ["0", "half"])
+    def test_stacked_product_equals_per_form_weights(self, statistics, spin, monkeypatch):
+        # With 0/1 weights and at most two terms per form, one product for
+        # all diagonal forms gives each form's per-form value bit for bit.
+        import pcsft.quadratic as quadratic
+
+        cov, forms = experiment_case(statistics, spin)
+        count = CHUNK_SIZE + 2 * _BLOCK_ROWS + 77
+        blocks = {}
+        real_add = quadratic.Moments.add
+
+        def recording_add(self, index, rows):
+            blocks[index] = np.array(rows[1 : 1 + self.k])
+            real_add(self, index, rows)
+
+        monkeypatch.setattr(quadratic.Moments, "add", recording_add)
+        form_moments(cov, seed=111, count=count, forms=forms)
+        joint = draw_samples(cov, seed=111, count=count)
+        sides = {1: slice(0, cov.d1), 2: slice(cov.d1, None)}
+        for index, values in blocks.items():
+            phi = joint[index * _BLOCK_ROWS : (index + 1) * _BLOCK_ROWS]
+            intensity = phi.real**2 + phi.imag**2
+            for j, form in enumerate(forms):
+                weights = np.diagonal(form.operator).real.copy()
+                assert np.array_equal(values[j], intensity[:, sides[form.side]] @ weights)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d1=st.integers(1, 4),
+        d2=st.integers(1, 4),
+        sides=st.lists(st.sampled_from([1, 2]), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_product_equals_complex_definition(self, d1, d2, sides, seed):
+        # Random real diagonal operators on either side, all in one product.
+        rng = np.random.default_rng(seed)
+        dims = {1: d1, 2: d2}
+        forms = [
+            QuadraticForm(operator=np.diag(rng.standard_normal(dims[side])), side=side)
+            for side in sides
+        ]
+        block = rand_complex(rng, 64, d1 + d2)
+        kernels = [_Kernel(form.operator, form.side == 2) for form in forms]
+        rows = _Workspace(forms, kernels, d1, d2, 64).rows(block.copy())
+        for j, form in enumerate(forms):
+            phi = block[:, :d1] if form.side == 1 else block[:, d1:]
+            expected = _complex_values(phi, form.operator, form.side == 2)
+            scale = np.max(np.abs(form.operator)) * np.sum(np.abs(phi) ** 2, axis=1)
+            np.testing.assert_allclose(
+                rows[1 + j], expected, rtol=1e-12, atol=1e-12 * scale.max()
+            )
+
+    def test_diagonal_rows_need_not_be_adjacent(self):
+        # [diagonal, dense, diagonal]: the diagonal forms are not adjacent,
+        # so each has its own product, into moment rows 1 and 3; the dense
+        # kernel writes row 2.
+        cov, forms = split_diagonal_case(112)
+        block = draw_samples(cov, 113, 300)
+        kernels = [_Kernel(form.operator, form.side == 2) for form in forms]
+        rows = _Workspace(forms, kernels, cov.d1, cov.d2, 300).rows(block.copy())
+        for j, form in enumerate(forms):
+            phi = block[:, : cov.d1] if form.side == 1 else block[:, cov.d1 :]
+            expected = _complex_values(phi, form.operator, form.side == 2)
+            scale = np.max(np.abs(form.operator)) * np.sum(np.abs(phi) ** 2, axis=1)
+            np.testing.assert_allclose(
+                rows[1 + j], expected, rtol=1e-12, atol=1e-12 * scale.max()
+            )
 
     def test_dense_branch_rejects_corrupted_operator(self):
         cov, (f1, f2) = random_dense_case(100)
