@@ -80,10 +80,10 @@ class Estimate:
 
 class _Kernel:
     """A form's plan, built once: a diagonal A keeps its real ``weights``,
-    which form_moments stacks into one product over the intensities
-    |phi|^2; any other A keeps the real symmetric 2d×2d ``matrix`` M of
-    f_A on the component's float64 view v (re and im interleaved), or on
-    its conjugate (the side-2 pairing), and the kernel evaluates it.
+    which _Workspace applies to the intensities |phi|^2; any other A keeps
+    the real symmetric 2d×2d ``matrix`` M of f_A on the component's float64
+    view v (re and im interleaved), or on its conjugate (the side-2
+    pairing), and the kernel evaluates it.
 
     For psi = x + iy and A = S + iK, f_A(psi) = x·Sx + y·Sy - 2x·Ky, and
     conjugation negates K.  A non-self-adjoint A raises RealityError: its
@@ -123,12 +123,6 @@ def _intensities(phi: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.add(v[:, 0::2], v[:, 1::2], out=out)
 
 
-def _stacked_forms(weights: np.ndarray, intensity: np.ndarray, out: np.ndarray):
-    """Diagonal forms in one product: row i of ``out`` (forms, rows) is the
-    intensities (rows, d1 + d2) weighted by row i of ``weights``."""
-    np.matmul(weights, intensity.T, out=out)
-
-
 class _Workspace:
     """One sampler worker's scratch for form_moments, allocated once when
     the worker starts and reused for every block it is handed:
@@ -136,9 +130,11 @@ class _Workspace:
     - the moment rows, (1 + 2k) × rows: form j's values go to row 1 + j
       and Moments.add fills the others;
     - if some form is diagonal, the intensities of both components,
-      rows × (d1 + d2), which the stacked weights (a row per form, zero
-      off its side) turn into the diagonal forms' moment rows, one
-      product per run of adjacent diagonal forms;
+      rows × (d1 + d2).  The forms with weights in {-1, 0, 1}, at most two
+      nonzero, round once in any summation order, so stacked weights (a
+      row per form, zero off its side) write them in one product per run
+      of adjacent such forms; any other diagonal form has its own, so no
+      form's values depend on which forms share its product;
     - if some form is dense, its product v @ M, rows × 2d for the widest.
 
     About (1 + 2k + d1 + d2) × ``_BLOCK_ROWS`` floats in all.  A block
@@ -164,11 +160,17 @@ class _Workspace:
         ]
         diagonal = [j for j, kernel in enumerate(kernels) if kernel.matrix is None]
         weights = np.zeros((len(forms), d1 + d2))
+        stacked, self._single = [], []
         for j in diagonal:
-            weights[j, sides[forms[j].side]] = kernels[j].weights
-        # One product per run of adjacent diagonal forms: one in every experiment.
-        starts = [j for j in diagonal if j - 1 not in diagonal]
-        stops = [j + 1 for j in diagonal if j + 1 not in diagonal]
+            w, side = kernels[j].weights, sides[forms[j].side]
+            if np.isin(w, (-1.0, 0.0, 1.0)).all() and np.count_nonzero(w) <= 2:
+                stacked.append(j)
+                weights[j, side] = w
+            else:
+                self._single.append((j, side, w))
+        # One product per run of adjacent stacked forms: one in every experiment.
+        starts = [j for j in stacked if j - 1 not in stacked]
+        stops = [j + 1 for j in stacked if j + 1 not in stacked]
         self._runs = [(weights[a:b], slice(1 + a, 1 + b)) for a, b in zip(starts, stops)]
         self._height = 1 + 2 * len(forms)
         self._rows = np.empty(self._height * block_rows)
@@ -178,8 +180,7 @@ class _Workspace:
 
     def rows(self, phi: np.ndarray) -> np.ndarray:
         """The moment rows of block ``phi``, form j's values in row 1 + j.
-        The dense forms read phi first; the intensity pass then overwrites
-        it."""
+        Dense forms read phi before the intensity pass overwrites it."""
         n, dim = phi.shape
         rows = self._rows[: self._height * n].reshape(self._height, n)
         v = phi.view(np.float64)
@@ -187,10 +188,12 @@ class _Workspace:
             source = v[:, columns]
             product = self._product[: source.size].reshape(source.shape)
             kernel(source, rows[1 + j], product)
-        if self._runs:
+        if self._intensity.size:
             intensity = _intensities(phi, self._intensity[: n * dim].reshape(n, dim))
             for weights, run in self._runs:
-                _stacked_forms(weights, intensity, rows[run])
+                np.matmul(weights, intensity.T, out=rows[run])
+            for j, side, weights in self._single:
+                np.matmul(intensity[:, side], weights, out=rows[1 + j])
         return rows
 
 
@@ -209,22 +212,19 @@ class Moments:
     """Count, means and central moments up to order four of k value
     columns, accumulated in one pass over index-ordered blocks of rows.
 
-    Every block is centred on one fixed ``centre`` (k values, given up
-    front): ``add(index, rows)`` takes block ``index`` of a fixed tiling
-    of the rows (blocks 0, 1, 2, ... in row order) in a buffer the caller
-    owns, one row per column, and works on it in place, so adding a block
-    allocates nothing of its size.  Per block it takes the Gram matrix of
-    the rows [1, d, d²], d = value - centre: one (1 + 2k)² matrix product.
-    The Grams are summed into one total in index order; a block that
-    arrives before its predecessors waits for them.  So the result never
-    depends on which thread added which block, or when, and memory does
-    not grow with the row count.  The estimates move the total onto the
-    sample means once, by the exact linear map d -> d - (mean - centre),
-    and read off it in closed form: they are the sample statistics
-    whatever the centre, which moves only their rounding, and they equal
-    the two-pass formulas up to rounding.  A centre near the means (the
-    analytic means, say) keeps the sums stable when the values sit far
-    from zero.  Thread-safe.
+    ``add(index, rows)`` takes block ``index`` of a fixed tiling of the
+    rows (blocks 0, 1, 2, ... in row order) in a buffer the caller owns,
+    one row per column, and works on it in place, so adding a block
+    allocates nothing of its size.  Each block is centred on one fixed
+    ``centre`` (k values) and reduced to the Gram matrix of [1, d, d²],
+    d = value - centre: one (1 + 2k)² matrix product.  The Grams are
+    summed in index order; a block that arrives early waits for its
+    predecessors, so the result never depends on which thread added which
+    block, and memory does not grow with the row count.  The estimates
+    move the total onto the sample means once, by the exact linear map
+    d -> d - (mean - centre): they are the sample statistics (the two-pass
+    formulas) whatever the centre, which moves only their rounding, least
+    when it is near the means, as the analytic means are.  Thread-safe.
     """
 
     def __init__(self, centre, seed: int | None = None, prng_id: str | None = None):
@@ -322,17 +322,16 @@ def form_moments(
     for (cov, seed, count): side-1 forms on phi1, side-2 forms on
     conj(phi2), the pairing of analytic_cov.  Each form is evaluated once
     per block inside the sampler's workers and folded into the moments
-    there.  All diagonal forms come from one product over the intensities
-    of both components, computed in one pass per block; each dense form
-    has its kernel.  Each worker evaluates and folds in a workspace it
-    allocates once, so after its first block it allocates nothing of a
-    block's size, and memory is
+    there: diagonal forms from the intensities of both components, one
+    pass per block, dense forms by their kernels.  Each worker works in a
+    _Workspace it allocates once, so memory is
     O(workers × (1 + 2k + d1 + d2) × _BLOCK_ROWS) floats for k forms,
     whatever ``count`` is.  Pass each distinct form once; the result is
     bit-identical for any worker count.
     """
     kernels = [_Kernel(form.operator, form.side == 2) for form in forms]
-    centre = [analytic_mean(cov, form) for form in forms]
+    # The centre moves only rounding: it needs no reality check.
+    centre = [_mean_trace(cov, form).real for form in forms]
     moments = Moments(centre, seed=int(seed), prng_id=PRNG_ID)
     block_rows = min(_BLOCK_ROWS, count)
 
@@ -344,15 +343,17 @@ def form_moments(
     return moments
 
 
+def _mean_trace(cov: BlockCovariance, form: QuadraticForm) -> complex:
+    """Tr[D11 A] on side 1, Tr[D22 conj(A)] on side 2, imaginary part kept."""
+    dim, block = (cov.d1, cov.d11) if form.side == 1 else (cov.d2, cov.d22)
+    if form.dim != dim:
+        raise DimensionError(f"operator dim {form.dim} != d{form.side} = {dim}")
+    return np.trace(block @ (form.operator if form.side == 1 else np.conj(form.operator)))
+
+
 def analytic_mean(cov: BlockCovariance, form: QuadraticForm) -> float:
     """E f_A(phi_side): Tr[D11 A] on side 1, Tr[D22 conj(A)] on side 2."""
-    if form.side == 1:
-        if form.dim != cov.d1:
-            raise DimensionError(f"operator dim {form.dim} != d1 = {cov.d1}")
-        return as_real(np.trace(cov.d11 @ form.operator))
-    if form.dim != cov.d2:
-        raise DimensionError(f"operator dim {form.dim} != d2 = {cov.d2}")
-    return as_real(np.trace(cov.d22 @ np.conj(form.operator)))
+    return as_real(_mean_trace(cov, form))
 
 
 def renormalized_mean(cov: BlockCovariance, form: QuadraticForm) -> float:

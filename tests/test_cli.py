@@ -135,6 +135,27 @@ class TestVerifyIdentity:
         assert out["trace"] == pytest.approx(oracle, abs=1e-12)
         assert out["analytic_cov"] == pytest.approx(oracle, abs=1e-12)
 
+    def test_nearly_hermitian_operator_with_large_epsilon(self, tmp_path, singlet_file, capsys):
+        # A1 passes the self-adjointness check with stray imaginary parts
+        # of 4e-13 on its diagonal; at epsilon 1e3 the trace Tr[D11 A1]
+        # then has an imaginary part near 1e-9, too large for a reported
+        # real value, but the Monte Carlo centre only needs its real part.
+        a1 = np.array([[1.0 + 4e-13j, 0.3], [0.3, -1.0 + 4e-13j]])
+        code = main(
+            [
+                "verify-identity",
+                str(singlet_file),
+                str(write_operator(tmp_path / "a1.json", a1)),
+                str(write_operator(tmp_path / "a2.json", PROJ_L)),
+                "--epsilon=1e3",
+                "--samples=20000",
+            ]
+        )
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["epsilon"] == 1e3
+        assert out["pass"] is True
+
 
 class TestExperimentCommand:
     def test_fermion_default_passes(self, tmp_path):

@@ -429,28 +429,40 @@ class TestSampleForms:
 
     def test_each_form_evaluated_once_per_chunk(self, monkeypatch):
         # run_beamsplitter evaluates its 4 port intensities once per
-        # sample, all in the stacked product: the rows each form's row of
-        # the product sees sum to n, and no dense kernel runs.
+        # sample, all in one stacked product per block: the moments have 4
+        # columns, the rows each column sees sum to n, every workspace
+        # plans one product over moment rows 1 to 4, and no dense kernel
+        # runs.
         import pcsft.quadratic as quadratic
         from pcsft.sampler import CHUNK_SIZE
         from pcsft.experiments import run_beamsplitter
 
-        rows = {}
-        real_stacked = quadratic._stacked_forms
+        rows, workspaces = {}, []
+        real_add = quadratic.Moments.add
+        real_init = quadratic._Workspace.__init__
 
-        def counting_stacked(weights, intensity, out):
-            for i in range(out.shape[0]):
-                rows[i] = rows.get(i, 0) + out.shape[1]
-            real_stacked(weights, intensity, out)
+        def counting_add(moments, index, block):
+            for j in range(moments.k):
+                rows[j] = rows.get(j, 0) + block.shape[1]
+            real_add(moments, index, block)
+
+        def recording_init(workspace, *args):
+            real_init(workspace, *args)
+            workspaces.append(workspace)
 
         def no_call(*args):
             raise AssertionError("a diagonal form reached a dense kernel")
 
-        monkeypatch.setattr(quadratic, "_stacked_forms", counting_stacked)
+        monkeypatch.setattr(quadratic.Moments, "add", counting_add)
+        monkeypatch.setattr(quadratic._Workspace, "__init__", recording_init)
         monkeypatch.setattr(quadratic._Kernel, "__call__", no_call)
         n = 3 * CHUNK_SIZE + 5
         run_beamsplitter("boson", "half", seed=96, n_samples=n)
         assert list(rows.values()) == [n, n, n, n]
+        assert workspaces
+        for workspace in workspaces:
+            assert [run for _, run in workspace._runs] == [slice(1, 5)]
+            assert workspace._single == []
 
     @pytest.mark.parametrize(
         "case",
@@ -458,11 +470,12 @@ class TestSampleForms:
         ids=["boson-0", "fermion-0", "boson-half", "fermion-half", "3x4"],
     )
     def test_centre_changes_only_rounding(self, case, monkeypatch):
-        # The moments are centred on the analytic means; centred 3 spreads
-        # away instead, every estimate moves by rounding only, so no
-        # estimate borrows the analytic value its gate compares it with.
-        # The rounding grows with the square of the offset: about 1e-13
-        # of an SE at 1 spread, up to 1.1e-12 at 3.
+        # The moments are centred on the analytic means; centred a spread
+        # (hundreds of SEs) away instead, every estimate moves by rounding
+        # only, so no estimate borrows the analytic value its gate compares
+        # it with.  The rounding grows with the square of the offset and
+        # with sqrt(count): at this count about 1e-13 of an SE at 1 spread,
+        # up to 1.1e-12 at 3.
         import pcsft.quadratic as quadratic
 
         cov, forms = experiment_case(*case) if len(case) == 2 else verify_case(*case)
@@ -471,15 +484,15 @@ class TestSampleForms:
         analytic = form_moments(cov, 109, count, forms)
         spreads = np.array([analytic.mean(i).std_error for i in range(k)]) * np.sqrt(count)
         monkeypatch.setattr(
-            quadratic, "Moments", lambda centre, **kw: Moments(np.add(centre, 3 * spreads), **kw)
+            quadratic, "Moments", lambda centre, **kw: Moments(np.add(centre, spreads), **kw)
         )
         shifted = form_moments(cov, 109, count, forms)
         pairs = [(analytic.mean(i), shifted.mean(i)) for i in range(k)] + [
             (analytic.cov(i, j), shifted.cov(i, j)) for i in range(k) for j in range(k)
         ]
         for near, far in pairs:
-            assert abs(near.value - far.value) <= 1e-11 * near.std_error
-            assert abs(near.std_error - far.std_error) <= 1e-11 * near.std_error
+            assert abs(near.value - far.value) <= 1e-12 * near.std_error
+            assert abs(near.std_error - far.std_error) <= 1e-12 * near.std_error
 
     def test_intensity_computed_once_per_side_and_chunk(self, monkeypatch):
         # The 4 port projectors of run_beamsplitter share the intensities
@@ -580,16 +593,30 @@ def experiment_case(statistics, spin):
 
 
 def split_diagonal_case(seed):
-    """Forms in the order [diagonal, dense, diagonal]: the diagonal forms'
-    moment rows are not adjacent."""
+    """Forms in the order [diagonal, dense, diagonal, diagonal]: the first
+    two diagonal forms go through the stacked product but their moment
+    rows are not adjacent; the last has a product of its own."""
     rng = np.random.default_rng(seed)
     cov = build_covariance(rand_state(rng, 3, 2), "auto")
     forms = [
-        QuadraticForm(operator=np.diag([1.0, -2.0, 0.5]), side=1),
+        QuadraticForm(operator=np.diag([1.0, 0.0, -1.0]), side=1),
         QuadraticForm(operator=rand_selfadjoint(rng, 3), side=1),
+        QuadraticForm(operator=np.diag([1.0, 1.0]), side=2),
         QuadraticForm(operator=np.diag([0.25, 3.0]), side=2),
     ]
     return cov, forms
+
+
+def diagonal_weights(rng, kind, d):
+    """Weights of a random diagonal operator of dimension d: "unit" ones
+    (at most two ±1, the rest 0), which the stacked product takes, or
+    "general" ones (standard normal), which get a product of their own."""
+    if kind == "general":
+        return rng.standard_normal(d)
+    weights = np.zeros(d)
+    picked = rng.choice(d, size=min(d, 2), replace=False)
+    weights[picked] = rng.choice([-1.0, 1.0], size=len(picked))
+    return weights
 
 
 def verify_case(d1, d2, seed):
@@ -717,33 +744,56 @@ class TestFormKernel:
             assert (_Kernel(operator, side == 2).matrix is None) == is_diagonal
 
     def test_diagonal_operator_takes_intensity_branch(self, monkeypatch):
-        # A diagonal form is evaluated by the stacked product over the
-        # intensities, never by a dense kernel.
+        # A diagonal form is evaluated from the intensities, never by a
+        # dense kernel: weights in {-1, 0, 1} with at most two nonzero go
+        # through the stacked product, others through a product of their
+        # own.  Either way the values are the intensities times the
+        # weights, bit for bit.
         import pcsft.quadratic as quadratic
-
-        rng = np.random.default_rng(99)
-        weights = np.array([1.0, -2.0, 0.5])
-        joint = draw_samples(build_covariance(rand_state(rng, 3, 2), 0.3), 0, 100)
-        form = QuadraticForm(operator=np.diag(weights), side=1)
-        assert _Kernel(form.operator, False).matrix is None
-        stacked = []
-        real_stacked = quadratic._stacked_forms
-
-        def recording_stacked(weights, intensity, out):
-            stacked.append(np.array(weights))
-            real_stacked(weights, intensity, out)
 
         def no_call(*args):
             raise AssertionError("a diagonal form reached a dense kernel")
 
-        monkeypatch.setattr(quadratic, "_stacked_forms", recording_stacked)
         monkeypatch.setattr(quadratic._Kernel, "__call__", no_call)
-        values = block_values(form, joint, 3)
-        assert len(stacked) == 1
-        assert np.array_equal(stacked[0], [[1.0, -2.0, 0.5, 0.0, 0.0]])
-        np.testing.assert_allclose(
-            values, _diagonal_values(joint[:, :3], weights), rtol=1e-14
-        )
+        rng = np.random.default_rng(99)
+        joint = draw_samples(build_covariance(rand_state(rng, 3, 2), 0.3), 0, 100)
+        for weights, stacked in (([1.0, -2.0, 0.5], False), ([1.0, 0.0, -1.0], True)):
+            weights = np.array(weights)
+            form = QuadraticForm(operator=np.diag(weights), side=1)
+            kernel = _Kernel(form.operator, False)
+            assert kernel.matrix is None
+            workspace = _Workspace([form], [kernel], 3, 2, 100)
+            runs = [(list(w[0]), run) for w, run in workspace._runs]
+            assert runs == ([(list(weights) + [0.0, 0.0], slice(1, 2))] if stacked else [])
+            assert len(workspace._single) == (not stacked)
+            assert np.array_equal(
+                block_values(form, joint, 3), _diagonal_values(joint[:, :3], weights)
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d1=st.integers(1, 4),
+        d2=st.integers(1, 4),
+        kinds=st.lists(st.sampled_from(["unit", "general"]), min_size=2, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_diagonal_values_do_not_depend_on_other_forms(self, d1, d2, kinds, seed):
+        # Each diagonal form's values in a workspace shared with other
+        # diagonal forms equal its values in a workspace of its own, bit
+        # for bit, whether it is stacked (weights in {-1, 0, 1}, at most
+        # two nonzero) or has its own product.
+        rng = np.random.default_rng(seed)
+        forms = []
+        for kind in kinds:
+            side = int(rng.integers(1, 3))
+            d = d1 if side == 1 else d2
+            forms.append(QuadraticForm(operator=np.diag(diagonal_weights(rng, kind, d)), side=side))
+        block = rand_complex(rng, 64, d1 + d2)
+        kernels = [_Kernel(form.operator, form.side == 2) for form in forms]
+        shared = _Workspace(forms, kernels, d1, d2, 64).rows(block.copy())
+        for j, (form, kernel) in enumerate(zip(forms, kernels)):
+            alone = _Workspace([form], [kernel], d1, d2, 64).rows(block.copy())
+            assert np.array_equal(shared[1 + j], alone[1])
 
     @pytest.mark.parametrize("statistics", ["boson", "fermion"])
     @pytest.mark.parametrize("spin", ["0", "half"])
@@ -776,16 +826,21 @@ class TestFormKernel:
     @given(
         d1=st.integers(1, 4),
         d2=st.integers(1, 4),
-        sides=st.lists(st.sampled_from([1, 2]), min_size=1, max_size=5),
+        specs=st.lists(
+            st.tuples(st.sampled_from([1, 2]), st.sampled_from(["unit", "general"])),
+            min_size=1,
+            max_size=5,
+        ),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_stacked_product_equals_complex_definition(self, d1, d2, sides, seed):
-        # Random real diagonal operators on either side, all in one product.
+    def test_stacked_product_equals_complex_definition(self, d1, d2, specs, seed):
+        # Random real diagonal operators on either side, stacked or each
+        # in a product of its own.
         rng = np.random.default_rng(seed)
         dims = {1: d1, 2: d2}
         forms = [
-            QuadraticForm(operator=np.diag(rng.standard_normal(dims[side])), side=side)
-            for side in sides
+            QuadraticForm(operator=np.diag(diagonal_weights(rng, kind, dims[side])), side=side)
+            for side, kind in specs
         ]
         block = rand_complex(rng, 64, d1 + d2)
         kernels = [_Kernel(form.operator, form.side == 2) for form in forms]
@@ -799,15 +854,22 @@ class TestFormKernel:
             )
 
     def test_diagonal_rows_need_not_be_adjacent(self):
-        # [diagonal, dense, diagonal]: the diagonal forms are not adjacent,
-        # so each has its own product, into moment rows 1 and 3; the dense
-        # kernel writes row 2.
+        # [diagonal, dense, diagonal, diagonal]: the two stacked forms are
+        # not adjacent, so each run has its own product, into moment rows 1
+        # and 3; the dense kernel writes row 2 and the last form, whose
+        # weights are not in {-1, 0, 1}, has its own product into row 4.
         cov, forms = split_diagonal_case(112)
         block = draw_samples(cov, 113, 300)
         kernels = [_Kernel(form.operator, form.side == 2) for form in forms]
-        rows = _Workspace(forms, kernels, cov.d1, cov.d2, 300).rows(block.copy())
+        workspace = _Workspace(forms, kernels, cov.d1, cov.d2, 300)
+        assert [run for _, run in workspace._runs] == [slice(1, 2), slice(3, 4)]
+        assert [j for j, _, _ in workspace._single] == [3]
+        rows = workspace.rows(block.copy())
         for j, form in enumerate(forms):
             phi = block[:, : cov.d1] if form.side == 1 else block[:, cov.d1 :]
+            if kernels[j].matrix is None:
+                weights = np.diagonal(form.operator).real
+                assert np.array_equal(rows[1 + j], _diagonal_values(phi, weights))
             expected = _complex_values(phi, form.operator, form.side == 2)
             scale = np.max(np.abs(form.operator)) * np.sum(np.abs(phi) ** 2, axis=1)
             np.testing.assert_allclose(
