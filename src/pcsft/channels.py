@@ -16,8 +16,8 @@ factorized channel.  For real channels (e.g. the beam splitter) the
 conjugation is invisible.
 
 Schrödinger propagation is deterministic dynamics with a random initial
-condition: U_jt = exp(-i t H_j / hbar) built by Hermitian
-eigendecomposition, then delegated to the channel operations.
+condition: evolution_channel builds U_jt = exp(-i t H_j / hbar) by
+Hermitian eigendecomposition, and the channel operations apply it.
 """
 
 from __future__ import annotations
@@ -95,23 +95,17 @@ def apply_to_covariance(ch: UnitaryChannel, cov: BlockCovariance) -> BlockCovari
     """Push the block covariance through the channel.
 
     Matches the sample action: with W = conj(U2) on the second component,
-    D11 -> U1 D11 U1†, D22 -> W D22 W†, D12 -> U1 D12 U2ᵀ.  The epsilon
-    background is untouched (U eps I U† = eps I) and positivity is
-    preserved, so a covariance built from a state maps to the covariance
-    built from the transformed state.
+    D12 -> U1 D12 U2ᵀ, so D11 -> U1 D11 U1† and D22 -> W D22 W†.  The
+    epsilon background is untouched (U eps I U† = eps I), so a covariance
+    built from a state maps to the covariance built from the transformed
+    state.
     """
     if cov.d1 != ch.u1.shape[0] or cov.d2 != ch.u2.shape[0]:
         raise DimensionError(
             f"covariance dims ({cov.d1}, {cov.d2}) do not match channel "
             f"({ch.u1.shape[0]}, {ch.u2.shape[0]})"
         )
-    w = np.conj(ch.u2)
-    return BlockCovariance(
-        d11=ch.u1 @ cov.d11 @ ch.u1.conj().T,
-        d12=ch.u1 @ cov.d12 @ ch.u2.T,
-        d22=w @ cov.d22 @ w.conj().T,
-        epsilon=cov.epsilon,
-    )
+    return BlockCovariance(d12=ch.u1 @ cov.d12 @ ch.u2.T, epsilon=cov.epsilon)
 
 
 def evolution_channel(h: Hamiltonian, t: float) -> UnitaryChannel:
@@ -136,14 +130,4 @@ def evolution_channel(h: Hamiltonian, t: float) -> UnitaryChannel:
         return (evecs * phases[None, :]) @ evecs.conj().T
 
     return UnitaryChannel(u1=expfactor(h.h1, "H1"), u2=expfactor(h.h2, "H2"))
-
-
-def propagate(h: Hamiltonian, t: float, x):
-    """Propagate a state or a covariance for time t under (H1, H2)."""
-    ch = evolution_channel(h, t)
-    if isinstance(x, BipartiteState):
-        return apply_to_state(ch, x)
-    if isinstance(x, BlockCovariance):
-        return apply_to_covariance(ch, x)
-    raise TypeError(f"cannot propagate object of type {type(x).__name__}")
 

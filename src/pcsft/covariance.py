@@ -12,26 +12,26 @@ a pure state Ψ is
     D11 = Ψ̂Ψ̂† + eps I,   D12 = Ψ̂,
     D21 = Ψ̂†,             D22 = Ψ̂†Ψ̂ + eps I,
 
-where the background level eps >= epsilon_min(Ψ) makes the assembled
-matrix positive semidefinite.  The off-diagonal block carries all
-cross-component information, so phase transforms touch only D12/D21 and
-exchange symmetry is read off the (anti)symmetry of D12.
+so it is fixed by the pair (Ψ̂, eps), and that pair is all a covariance
+stores.  In the Schmidt basis of Ψ̂ = U diag(s) V† the assembled matrix
+splits into 2 x 2 blocks [[s² + eps, s], [s, s² + eps]] plus eps on the
+unpaired modes, with eigenvalues s² + eps ± s and eps; it is positive
+semidefinite exactly when eps >= epsilon_min = max(0, max s (1 - s)).
+The off-diagonal block carries all cross-component information, so
+phase transforms touch only D12/D21 and exchange symmetry is read off
+the (anti)symmetry of D12.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, NotPositiveError
-from .hilbert import SELFADJOINT_TOL, BipartiteState, _as_matrix, max_defect
-
-# Eigenvalues of the assembled matrix in [-PSD_TOL, 0) count as zero;
-# anything below fails validation.
-PSD_TOL = 1e-10
+from .hilbert import BipartiteState, _as_matrix
 
 # Margin added to epsilon_min when epsilon="auto": keeps the covariance
 # factorization away from its singular boundary while adding little
@@ -43,70 +43,67 @@ AUTO_EPSILON_MARGIN = 0.05
 SYMMETRY_TOL = 1e-10
 
 
+def _epsilon_min(psi: np.ndarray) -> float:
+    s = np.linalg.svd(psi, compute_uv=False)
+    return float(max(0.0, np.max(s * (1.0 - s))))
+
+
 @dataclass(frozen=True, eq=False)
 class BlockCovariance:
-    """Validated 2 x 2 block covariance with background level epsilon.
+    """The covariance fixed by D12 = Ψ̂ (any finite d1 x d2 matrix) and
+    the background level epsilon.
 
-    Only D11, D12 and D22 are stored; ``d21`` is derived as D12†, so the
-    assembled matrix is Hermitian whenever D11 and D22 are.  epsilon is
-    carried as metadata (it is already folded into the diagonal blocks);
-    renormalized averages subtract it back out.  ``spectrum`` is the
-    read-only (eigenvalues, eigenvectors) pair of the assembled matrix
-    that validated it; the sampler's factor reuses it.
+    Only the pair is stored; D11, D21 and D22 are derived from it on each
+    access.  Construction validates with one SVD of Ψ̂: epsilon="auto"
+    resolves to epsilon_min + AUTO_EPSILON_MARGIN, a value below
+    epsilon_min - 1e-12 raises NotPositiveError (carrying epsilon_min),
+    a value that is not a finite number raises ValueError, and a value in
+    [-1e-12, 0) becomes 0.
     """
 
-    d11: np.ndarray
     d12: np.ndarray
-    d22: np.ndarray
     epsilon: float
-    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        d11 = _as_matrix(self.d11, "D11")
-        d12 = _as_matrix(self.d12, "D12")
-        d22 = _as_matrix(self.d22, "D22")
-        n1, n2 = d12.shape
-        if d11.shape != (n1, n1) or d22.shape != (n2, n2):
-            raise DimensionError(
-                "inconsistent block shapes: "
-                f"D11 {d11.shape}, D12 {d12.shape}, D22 {d22.shape}"
-            )
-        if max_defect(d11, d11.conj().T) > SELFADJOINT_TOL:
-            raise NotPositiveError("D11 is not Hermitian")
-        if max_defect(d22, d22.conj().T) > SELFADJOINT_TOL:
-            raise NotPositiveError("D22 is not Hermitian")
-        eps = float(self.epsilon)
-        if eps < 0.0:
-            raise NotPositiveError(f"epsilon must be nonnegative, got {eps}")
-        d11, d12, d22 = (b.copy() for b in (d11, d12, d22))
-        for block in (d11, d12, d22):
-            block.setflags(write=False)
-        object.__setattr__(self, "d11", d11)
-        object.__setattr__(self, "d12", d12)
-        object.__setattr__(self, "d22", d22)
-        object.__setattr__(self, "epsilon", eps)
-        evals, evecs = np.linalg.eigh(self.assembled())
-        lo = float(evals.min())
-        if lo < -PSD_TOL:
+        psi = _as_matrix(self.d12, "D12").copy()
+        psi.setflags(write=False)
+        eps_min = _epsilon_min(psi)
+        if self.epsilon == "auto":
+            eps = eps_min + AUTO_EPSILON_MARGIN
+        else:
+            eps = float(self.epsilon)
+        if eps < eps_min - 1e-12:
             raise NotPositiveError(
-                f"assembled covariance has eigenvalue {lo:.3e} < -{PSD_TOL:.1e}"
+                f"epsilon = {eps} is below the minimal admissible value {eps_min}",
+                epsilon_min=eps_min,
             )
-        evals.setflags(write=False)
-        evecs.setflags(write=False)
-        object.__setattr__(self, "spectrum", (evals, evecs))
+        if not math.isfinite(eps):
+            raise ValueError(f"epsilon must be a finite number, got {eps}")
+        object.__setattr__(self, "d12", psi)
+        object.__setattr__(self, "epsilon", max(eps, 0.0))
+
+    @property
+    def d11(self) -> np.ndarray:
+        """D11 = Ψ̂Ψ̂† + eps I."""
+        return self.d12 @ self.d12.conj().T + self.epsilon * np.eye(self.d1)
 
     @property
     def d21(self) -> np.ndarray:
-        """D21 = D12†, computed from D12 on each access."""
+        """D21 = Ψ̂†."""
         return self.d12.conj().T
 
     @property
+    def d22(self) -> np.ndarray:
+        """D22 = Ψ̂†Ψ̂ + eps I."""
+        return self.d12.conj().T @ self.d12 + self.epsilon * np.eye(self.d2)
+
+    @property
     def d1(self) -> int:
-        return self.d11.shape[0]
+        return self.d12.shape[0]
 
     @property
     def d2(self) -> int:
-        return self.d22.shape[0]
+        return self.d12.shape[1]
 
     def assembled(self) -> np.ndarray:
         """The (d1+d2) x (d1+d2) covariance matrix."""
@@ -141,8 +138,7 @@ def epsilon_min(state: BipartiteState) -> float:
     Equals max over the singular values s of the coefficient matrix of
     s * (1 - s); always in [0, 1/4] for a normalized state.
     """
-    s = np.linalg.svd(state.amplitudes, compute_uv=False)
-    return float(max(0.0, np.max(s * (1.0 - s))))
+    return _epsilon_min(state.amplitudes)
 
 
 def build_covariance(state: BipartiteState, epsilon: float | str) -> BlockCovariance:
@@ -153,18 +149,7 @@ def build_covariance(state: BipartiteState, epsilon: float | str) -> BlockCovari
     epsilon is below epsilon_min(state) - 1e-12.  The covariance's
     ``epsilon`` is the level it uses: a value in [-1e-12, 0) becomes 0.
     """
-    eps_min = epsilon_min(state)
-    eps = eps_min + AUTO_EPSILON_MARGIN if epsilon == "auto" else float(epsilon)
-    if eps < eps_min - 1e-12:
-        raise NotPositiveError(
-            f"epsilon = {eps} is below the minimal admissible value {eps_min}",
-            epsilon_min=eps_min,
-        )
-    eps = max(eps, 0.0)
-    psi = state.amplitudes
-    d11 = psi @ psi.conj().T + eps * np.eye(state.d1)
-    d22 = psi.conj().T @ psi + eps * np.eye(state.d2)
-    return BlockCovariance(d11=d11, d12=psi, d22=d22, epsilon=eps)
+    return BlockCovariance(d12=state.amplitudes, epsilon=epsilon)
 
 
 def phase_transform(
@@ -172,15 +157,11 @@ def phase_transform(
 ) -> BlockCovariance:
     """Covariance of (e^{i gamma1} phi1, e^{i gamma2} phi2).
 
-    Diagonal blocks are untouched; D12 picks up e^{i (gamma1 - gamma2)}.
+    D12 picks up e^{i (gamma1 - gamma2)}, which leaves the diagonal blocks
+    as they were.
     """
     factor = np.exp(1j * (float(gamma1) - float(gamma2)))
-    return BlockCovariance(
-        d11=cov.d11,
-        d12=factor * cov.d12,
-        d22=cov.d22,
-        epsilon=cov.epsilon,
-    )
+    return BlockCovariance(d12=factor * cov.d12, epsilon=cov.epsilon)
 
 
 def permutation_transform(cov: BlockCovariance, variant: str) -> BlockCovariance:
@@ -201,12 +182,7 @@ def permutation_transform(cov: BlockCovariance, variant: str) -> BlockCovariance
         sign = -1.0
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return BlockCovariance(
-        d11=np.conj(cov.d22),
-        d12=sign * cov.d12.T,
-        d22=np.conj(cov.d11),
-        epsilon=cov.epsilon,
-    )
+    return BlockCovariance(d12=sign * cov.d12.T, epsilon=cov.epsilon)
 
 
 def classify_symmetry(state: BipartiteState, tol: float) -> SymmetryClass:
@@ -239,25 +215,3 @@ def classify_symmetry(state: BipartiteState, tol: float) -> SymmetryClass:
         return SymmetryClass(tag=SymmetryTag.ANYONIC, residual=r_any, theta=theta)
     return SymmetryClass(tag=SymmetryTag.NONE, residual=r_any)
 
-
-def dispersion(cov: BlockCovariance) -> float:
-    """Total field dispersion E||phi||^2 = Tr D11 + Tr D22."""
-    return float(np.trace(cov.d11).real + np.trace(cov.d22).real)
-
-
-def scale_field(cov: BlockCovariance, factor: float) -> BlockCovariance:
-    """Covariance of the rescaled field phi -> factor * phi.
-
-    Every block (epsilon included) scales by factor**2, so the dispersion
-    scales by factor**2 as well.
-    """
-    factor = float(factor)
-    if not factor > 0.0:
-        raise ValueError(f"factor must be positive, got {factor}")
-    f2 = factor * factor
-    return BlockCovariance(
-        d11=f2 * cov.d11,
-        d12=f2 * cov.d12,
-        d22=f2 * cov.d22,
-        epsilon=f2 * cov.epsilon,
-    )

@@ -96,19 +96,6 @@ def require_selfadjoint(
     return a
 
 
-def conj_operator(a: np.ndarray) -> np.ndarray:
-    """Complex conjugate of an operator, defined by <Ā u, v> = <v̄, A ū>.
-
-    In the fixed real basis this is entrywise conjugation.
-    """
-    return np.conj(_as_matrix(a))
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix(a).conj().T
-
-
 @dataclass(frozen=True, eq=False)
 class BipartiteState:
     """Normalized pure state of a composite system, stored as its d1 x d2
@@ -156,36 +143,6 @@ def matricize(coeffs: np.ndarray, renormalize: bool = False) -> BipartiteState:
             raise NormalizationError("cannot renormalize the zero matrix")
         coeffs = coeffs / norm
     return BipartiteState(coeffs)
-
-
-def _require_density(rho: np.ndarray) -> np.ndarray:
-    """Internal sanity gate: unit trace, nonnegative spectrum."""
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > NORM_TOL:
-        raise NormalizationError(f"density operator has trace {tr!r}, expected 1")
-    lo = float(np.linalg.eigvalsh(rho).min())
-    if lo < -1e-12:
-        raise ValueError(f"density operator has negative eigenvalue {lo:.3e}")
-    return rho
-
-
-def reduced_density(state: BipartiteState, side: int) -> np.ndarray:
-    """Reduced density operator of one subsystem.
-
-    side=1 returns Ψ̂ Ψ̂†; side=2 returns conj(Ψ̂† Ψ̂), the entrywise
-    conjugate being what makes Tr[ρ2 A] reproduce <I (x) A> under the
-    real-basis conventions of this module.
-    """
-    psi = state.amplitudes
-    if side == 1:
-        rho = psi @ psi.conj().T
-    elif side == 2:
-        rho = np.conj(psi.conj().T @ psi)
-    else:
-        raise ValueError(f"side must be 1 or 2, got {side!r}")
-    # Symmetrize away rounding noise; the construction is Hermitian.
-    rho = 0.5 * (rho + rho.conj().T)
-    return _require_density(rho)
 
 
 def _check_pair(state: BipartiteState, a1: np.ndarray, a2: np.ndarray):

@@ -96,15 +96,16 @@ def factor_covariance(cov: BlockCovariance) -> np.ndarray:
     """The positive semi-definite square root F = V sqrt(L) V† of the
     assembled covariance, so F F† equals it.
 
-    Built from ``cov.spectrum``, whose eigenvalues validation bounded
-    below by -PSD_TOL; those below zero (exact zero modes at epsilon =
-    epsilon_min) are clipped to zero.  The root is unique, so it does not
-    depend on the eigenvector basis chosen inside a repeated eigenvalue.
+    Built from a Hermitian eigendecomposition of the assembled matrix.
+    The covariance is PSD by construction, so eigenvalues below zero are
+    rounding (exact zero modes at epsilon = epsilon_min) and are clipped
+    to zero.  The root is unique, so it does not depend on the eigenvector
+    basis chosen inside a repeated eigenvalue.
     """
-    evals, evecs = cov.spectrum
+    assembled = cov.assembled()
+    evals, evecs = np.linalg.eigh(assembled)
     evals = np.clip(evals, 0.0, None)
     f = (evecs * np.sqrt(evals)[None, :]) @ evecs.conj().T
-    assembled = cov.assembled()
     residual = float(np.max(np.abs(f @ f.conj().T - assembled)))
     if residual > FACTOR_RESIDUAL_TOL:
         scale = float(np.max(np.abs(assembled)))

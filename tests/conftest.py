@@ -74,11 +74,6 @@ def schmidt_states(draw, max_dim: int = 4, square: bool = False) -> BipartiteSta
     return BipartiteState(u @ np.diag(s / np.linalg.norm(s)) @ v)
 
 
-def rand_psd(rng: np.random.Generator, d: int) -> np.ndarray:
-    m = rand_complex(rng, d, d)
-    return m @ m.conj().T / d
-
-
 def kron_average(psi: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> complex:
     """Third, independent route to <A1 (x) A2>: explicit Kronecker product
     acting on the row-major flattened state vector."""

@@ -16,7 +16,6 @@ from pcsft.channels import (
     apply_to_covariance,
     apply_to_state,
     evolution_channel,
-    propagate,
 )
 from pcsft.experiments import beamsplitter_unitary, input_state
 from conftest import (
@@ -225,7 +224,7 @@ class TestPropagate:
         rng = np.random.default_rng(91)
         state = rand_state(rng, 2, 2)
         h = Hamiltonian(h1=rand_selfadjoint(rng, 2), h2=rand_selfadjoint(rng, 2))
-        out = propagate(h, 0.0, state)
+        out = apply_to_state(evolution_channel(h, 0.0), state)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_exponential_is_unitary(self):
@@ -263,8 +262,10 @@ class TestPropagate:
         state = rand_state(rng, 3, 2)
         h = Hamiltonian(h1=rand_selfadjoint(rng, 3), h2=rand_selfadjoint(rng, 2))
         t1, t2 = 0.3, 1.1
-        stepped = propagate(h, t2, propagate(h, t1, state))
-        direct = propagate(h, t1 + t2, state)
+        stepped = apply_to_state(
+            evolution_channel(h, t2), apply_to_state(evolution_channel(h, t1), state)
+        )
+        direct = apply_to_state(evolution_channel(h, t1 + t2), state)
         assert np.max(np.abs(stepped.amplitudes - direct.amplitudes)) <= 1e-10
 
     def test_singlet_invariant_under_matched_rotations(self):
@@ -277,7 +278,7 @@ class TestPropagate:
         f2 = QuadraticForm(operator=proj_l, side=2)
         base_cov = analytic_cov(build_covariance(singlet, 0.25), f1, f2)
         for t in (0.0, 0.4, 1.7, 6.0):
-            out = propagate(h, t, singlet)
+            out = apply_to_state(evolution_channel(h, t), singlet)
             assert states_equal_up_to_phase(
                 out.amplitudes, singlet.amplitudes, tol=1e-10
             )
@@ -290,14 +291,10 @@ class TestPropagate:
         eps = epsilon_min(state) + 0.1
         h = Hamiltonian(h1=rand_selfadjoint(rng, 2), h2=rand_selfadjoint(rng, 2))
         t = 0.9
-        via_cov = propagate(h, t, build_covariance(state, eps))
-        via_state = build_covariance(propagate(h, t, state), eps)
+        ch = evolution_channel(h, t)
+        via_cov = apply_to_covariance(ch, build_covariance(state, eps))
+        via_state = build_covariance(apply_to_state(ch, state), eps)
         assert (
             np.max(np.abs(via_cov.assembled() - via_state.assembled())) <= 1e-10
         )
 
-    def test_rejects_unknown_type(self):
-        rng = np.random.default_rng(97)
-        h = Hamiltonian(h1=rand_selfadjoint(rng, 2), h2=rand_selfadjoint(rng, 2))
-        with pytest.raises(TypeError):
-            propagate(h, 1.0, np.eye(2))

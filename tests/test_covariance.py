@@ -12,11 +12,9 @@ from pcsft.covariance import (
     SymmetryTag,
     build_covariance,
     classify_symmetry,
-    dispersion,
     epsilon_min,
     permutation_transform,
     phase_transform,
-    scale_field,
 )
 from conftest import bisect_epsilon_min, rand_state, schmidt_states
 
@@ -54,18 +52,6 @@ class TestBuildCovariance:
     def test_bell_psd_at_quarter(self):
         cov = build_covariance(BELL_SINGLET, 0.25)
         assert np.linalg.eigvalsh(cov.assembled()).min() >= -1e-10
-
-    def test_spectrum_is_the_assembled_eigendecomposition(self):
-        # At epsilon_min the smallest eigenvalue sits at zero, up to rounding.
-        rng = np.random.default_rng(21)
-        state = rand_state(rng, 2, 3)
-        cov = build_covariance(state, epsilon_min(state))
-        evals, evecs = cov.spectrum
-        np.testing.assert_allclose(
-            (evecs * evals) @ evecs.conj().T, cov.assembled(), atol=1e-12
-        )
-        assert evals.min() >= -1e-10
-        assert not evals.flags.writeable and not evecs.flags.writeable
 
     def test_blocks_match_construction(self):
         rng = np.random.default_rng(20)
@@ -296,53 +282,38 @@ class TestClassifySymmetry:
         assert sym.tag in (SymmetryTag.FERMIONIC, SymmetryTag.ANYONIC)
 
 
-class TestDispersionAndScaling:
-    def test_product_state_dispersion(self):
-        assert dispersion(build_covariance(PRODUCT, 0.0)) == pytest.approx(2.0)
-
-    def test_bell_with_background(self):
-        assert dispersion(build_covariance(BELL_SINGLET, 0.25)) == pytest.approx(3.0)
-
-    def test_linear_in_epsilon(self):
-        rng = np.random.default_rng(32)
-        state = rand_state(rng, 2, 3)
-        base = epsilon_min(state)
-        d0 = dispersion(build_covariance(state, base))
-        d1 = dispersion(build_covariance(state, base + 0.1))
-        assert d1 - d0 == pytest.approx(0.1 * 5, abs=1e-12)
-
-    def test_scale_identity(self):
-        cov = build_covariance(BELL_SINGLET, 0.25)
-        out = scale_field(cov, 1.0)
-        np.testing.assert_allclose(out.assembled(), cov.assembled())
-
-    def test_scale_normalizes_dispersion(self):
-        cov = build_covariance(BELL_SINGLET, 0.25)
-        out = scale_field(cov, 1.0 / np.sqrt(dispersion(cov)))
-        assert dispersion(out) == pytest.approx(1.0, abs=1e-12)
-        assert out.epsilon == pytest.approx(0.25 / 3.0)
-
-    def test_scale_rejects_nonpositive(self):
-        cov = build_covariance(BELL_SINGLET, 0.25)
-        with pytest.raises(ValueError):
-            scale_field(cov, 0.0)
-
-
 class TestBlockCovarianceValidation:
-    def test_rejects_non_hermitian_diagonal(self):
-        with pytest.raises(NotPositiveError):
-            BlockCovariance(
-                d11=np.array([[0.0, 1.0], [0.0, 0.0]]),
-                d12=np.zeros((2, 2)),
-                d22=np.eye(2),
-                epsilon=0.0,
-            )
+    """The constructor's criterion is exact: the assembled covariance is
+    PSD if and only if epsilon >= epsilon_min, up to 1e-12."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(state=schmidt_states(max_dim=5), delta=st.floats(0.0, 10.0))
+    def test_accepts_from_epsilon_min_up(self, state, delta):
+        cov = BlockCovariance(d12=state.amplitudes, epsilon=epsilon_min(state) + delta)
+        assert np.linalg.eigvalsh(cov.assembled()).min() >= -1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(state=schmidt_states(max_dim=5), delta=st.floats(1e-9, 1.0))
+    def test_rejects_below_epsilon_min(self, state, delta):
+        eps_min = epsilon_min(state)
+        with pytest.raises(NotPositiveError) as exc_info:
+            BlockCovariance(d12=state.amplitudes, epsilon=eps_min - delta)
+        assert exc_info.value.epsilon_min == eps_min
 
     def test_rejects_indefinite_assembly(self):
-        with pytest.raises(NotPositiveError):
-            BlockCovariance(
-                d11=0.1 * np.eye(2),
-                d12=np.eye(2),
-                d22=0.1 * np.eye(2),
-                epsilon=0.0,
-            )
+        # Ψ̂ = I/2 at epsilon = 0: eigenvalues s² ± s are 3/4 and -1/4, so
+        # epsilon_min = s (1 - s) = 1/4.
+        psi = np.eye(2) / 2
+        assembled = np.block([[psi @ psi, psi], [psi, psi @ psi]])
+        assert np.linalg.eigvalsh(assembled).min() == pytest.approx(-0.25)
+        with pytest.raises(NotPositiveError) as exc_info:
+            BlockCovariance(d12=psi, epsilon=0.0)
+        assert exc_info.value.epsilon_min == pytest.approx(0.25)
+
+    @pytest.mark.parametrize(
+        "eps, error",
+        [(np.nan, ValueError), (np.inf, ValueError), (-np.inf, NotPositiveError)],
+    )
+    def test_rejects_non_finite_epsilon(self, eps, error):
+        with pytest.raises(error, match="epsilon"):
+            build_covariance(BELL_SINGLET, eps)

@@ -10,15 +10,11 @@ from pcsft.errors import (
     SelfAdjointnessError,
 )
 from pcsft.hilbert import (
-    BipartiteState,
-    adjoint,
     as_real,
-    conj_operator,
     marginal_average,
     matricize,
     quantum_average_tensor,
     quantum_average_trace,
-    reduced_density,
 )
 from conftest import kron_average, rand_complex, rand_selfadjoint, rand_state
 
@@ -62,34 +58,8 @@ class TestMatricize:
 
 
 class TestConjugationOperations:
-    def test_real_matrix_unchanged(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(conj_operator(a), a)
-
-    def test_imaginary_entry_conjugated(self):
-        np.testing.assert_array_equal(conj_operator(np.array([[1j]])), [[-1j]])
-
-    def test_conj_is_involution(self):
-        rng = np.random.default_rng(7)
-        a = rand_complex(rng, 3, 4)
-        np.testing.assert_array_equal(conj_operator(conj_operator(a)), a)
-
-    def test_adjoint_moves_entries(self):
-        np.testing.assert_array_equal(
-            adjoint(np.array([[0.0, 1.0], [0.0, 0.0]])), [[0, 0], [1, 0]]
-        )
-
-    def test_adjoint_is_involution(self):
-        rng = np.random.default_rng(8)
-        a = rand_complex(rng, 4, 2)
-        np.testing.assert_array_equal(adjoint(adjoint(a)), a)
-
-    def test_adjoint_commutes_with_conjugation(self):
-        rng = np.random.default_rng(9)
-        a = rand_complex(rng, 3, 3)
-        np.testing.assert_array_equal(
-            adjoint(conj_operator(a)), conj_operator(adjoint(a))
-        )
+    """In the fixed real basis the conjugate operator Ā is entrywise
+    conjugation of the matrix."""
 
     def test_conjugate_bilinear_form_law(self):
         # <Ā u, v> = <v̄, A ū> with <x, y> = sum x conj(y).
@@ -98,7 +68,7 @@ class TestConjugationOperations:
             a = rand_complex(rng, 4, 4)
             u = rand_complex(rng, 4)
             v = rand_complex(rng, 4)
-            lhs = np.vdot(v, conj_operator(a) @ u)
+            lhs = np.vdot(v, np.conj(a) @ u)
             rhs = np.vdot(a @ np.conj(u), np.conj(v))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
@@ -108,48 +78,9 @@ class TestConjugationOperations:
         for _ in range(50):
             a = rand_selfadjoint(rng, 3)
             phi = rand_complex(rng, 3)
-            lhs = np.vdot(phi, conj_operator(a) @ phi)
+            lhs = np.vdot(phi, np.conj(a) @ phi)
             rhs = np.vdot(np.conj(phi), a @ np.conj(phi))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-
-class TestReducedDensity:
-    def test_product_state(self):
-        state = matricize(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        np.testing.assert_allclose(reduced_density(state, 1), np.diag([1.0, 0.0]))
-
-    def test_singlet_is_maximally_mixed(self):
-        # Oracle: direct 2x2 product, Ψ̂ Ψ̂† = (1/2) J Jᵀ = I/2.
-        state = matricize(SINGLET)
-        np.testing.assert_allclose(
-            reduced_density(state, 1), np.eye(2) / 2, atol=1e-15
-        )
-        np.testing.assert_allclose(
-            reduced_density(state, 2), np.eye(2) / 2, atol=1e-15
-        )
-
-    def test_accepts_every_normalized_state(self):
-        # |psi|^2 = 1 + 1e-10 passes the state's normalization gate.
-        state = BipartiteState(np.diag([np.sqrt(1.0 + 1e-10), 0.0]))
-        for side in (1, 2):
-            trace = np.trace(reduced_density(state, side)).real
-            assert trace == pytest.approx(1.0 + 1e-10, abs=1e-15)
-
-    def test_traces_are_one(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            state = rand_state(rng, 3, 4)
-            assert abs(np.trace(reduced_density(state, 1)) - 1) < 1e-12
-            assert abs(np.trace(reduced_density(state, 2)) - 1) < 1e-12
-
-    def test_outputs_are_valid_densities(self):
-        rng = np.random.default_rng(13)
-        for _ in range(200):
-            d1, d2 = rng.integers(2, 5, size=2)
-            rho = reduced_density(rand_state(rng, int(d1), int(d2)), int(rng.integers(1, 3)))
-            assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
-            assert abs(np.trace(rho) - 1) <= 1e-12
-            assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
 
 class TestQuantumAverages:
@@ -207,7 +138,7 @@ class TestQuantumAverages:
             rho = m @ m.conj().T
             rho = rho / np.trace(rho).real
             a = rand_selfadjoint(rng, 4)
-            lhs = np.trace(np.conj(rho) @ conj_operator(a))
+            lhs = np.trace(np.conj(rho) @ np.conj(a))
             rhs = np.trace(rho @ a)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 

@@ -18,7 +18,7 @@ from pcsft.sampler import (
 from pcsft.quadratic import QuadraticForm, form_moments
 from pcsft.channels import UnitaryChannel, apply_to_state
 from pcsft.experiments import beamsplitter_unitary
-from conftest import draw_samples, rand_psd, rand_selfadjoint, rand_state
+from conftest import draw_samples, rand_selfadjoint, rand_state
 
 C = 1.0 / np.sqrt(2.0)
 BELL_SINGLET = matricize(np.array([[0.0, C], [-C, 0.0]]))
@@ -35,12 +35,12 @@ def experiment_cov(statistics: str, spin: str) -> BlockCovariance:
 
 
 def identity_cov(d1: int, d2: int) -> BlockCovariance:
-    return BlockCovariance(
-        d11=np.eye(d1),
-        d12=np.zeros((d1, d2)),
-        d22=np.eye(d2),
-        epsilon=1.0,
-    )
+    return BlockCovariance(d12=np.zeros((d1, d2)), epsilon=1.0)
+
+
+# Background levels above epsilon_min: the singular boundary, near it, the
+# "auto" margin and far from it.
+EPSILON_SHIFTS = (0.0, 1e-3, 0.05, 1.0)
 
 
 class TestFactorCovariance:
@@ -49,28 +49,27 @@ class TestFactorCovariance:
         np.testing.assert_allclose(f @ f.conj().T, np.eye(4), atol=1e-12)
 
     def test_diagonal(self):
-        cov = BlockCovariance(
-            d11=np.diag([4.0, 1.0]),
-            d12=np.zeros((2, 2)),
-            d22=np.diag([9.0, 0.25]),
-            epsilon=0.0,
-        )
-        f = factor_covariance(cov)
-        np.testing.assert_allclose(f @ f.conj().T, cov.assembled(), atol=1e-12)
+        # Random states in Schmidt form: Ψ̂ is diagonal, so the covariance is
+        # a sum of 2 x 2 blocks plus an unpaired mode.
+        rng = np.random.default_rng(39)
+        for _ in range(20):
+            s = rng.uniform(0.0, 1.0, size=2)
+            psi = np.zeros((2, 3))
+            psi[[0, 1], [0, 1]] = s / np.linalg.norm(s)
+            state = matricize(psi)
+            for shift in EPSILON_SHIFTS:
+                cov = build_covariance(state, epsilon_min(state) + shift)
+                f = factor_covariance(cov)
+                np.testing.assert_allclose(f @ f.conj().T, cov.assembled(), atol=1e-12)
 
     def test_random_psd_reconstruction(self):
         rng = np.random.default_rng(40)
         for _ in range(50):
-            d1, d2 = 3, 2
-            full = rand_psd(rng, d1 + d2)
-            cov = BlockCovariance(
-                d11=full[:d1, :d1],
-                d12=full[:d1, d1:],
-                d22=full[d1:, d1:],
-                epsilon=0.0,
-            )
-            f = factor_covariance(cov)
-            assert np.max(np.abs(f @ f.conj().T - cov.assembled())) <= 1e-8
+            state = rand_state(rng, 3, 2)
+            for shift in EPSILON_SHIFTS:
+                cov = build_covariance(state, epsilon_min(state) + shift)
+                f = factor_covariance(cov)
+                assert np.max(np.abs(f @ f.conj().T - cov.assembled())) <= 1e-8
 
     def test_boundary_zero_mode(self):
         cov = build_covariance(BELL_SINGLET, epsilon_min(BELL_SINGLET))
@@ -261,16 +260,14 @@ class TestBatchMemory:
             del joint
 
     def test_caller_arrays_are_copied(self):
-        # The sampler reads the blocks as they were when the covariance was
-        # built: BlockCovariance copies the caller's arrays and freezes its own.
-        d11 = np.eye(2, dtype=complex)
-        cov = BlockCovariance(
-            d11=d11, d12=np.zeros((2, 3)), d22=np.eye(3), epsilon=1.0
-        )
+        # The sampler reads Ψ̂ as it was when the covariance was built:
+        # BlockCovariance copies the caller's array and freezes its own.
+        psi = np.array(BELL_SINGLET.amplitudes)
+        cov = BlockCovariance(d12=psi, epsilon=0.3)
         before = draw_samples(cov, seed=0, count=100)
-        d11[0, 0] = 5.0
-        assert cov.d11[0, 0] == 1.0
-        assert not cov.d11.flags.writeable
+        psi[0, 0] = 5.0
+        assert cov.d12[0, 0] == 0.0
+        assert not cov.d12.flags.writeable
         assert np.array_equal(draw_samples(cov, seed=0, count=100), before)
 
 
@@ -298,24 +295,6 @@ class TestWickFourthMoment:
         ).real
         se = prod.std(ddof=1) / np.sqrt(n)
         assert abs(prod.mean() - expected) <= 5.0 * se
-
-
-class TestScaledFieldMoments:
-    def test_empirical_second_moments_track_scaling(self):
-        from pcsft.covariance import scale_field
-
-        rng = np.random.default_rng(58)
-        state = rand_state(rng, 2, 2)
-        cov = build_covariance(state, epsilon_min(state) + 0.1)
-        factor = 1.7
-        scaled = scale_field(cov, factor)
-        n = 200_000
-        joint = draw_samples(scaled, seed=59, count=n)
-        emp = (joint.conj().T @ joint / n).T
-        expected = factor**2 * cov.assembled()
-        d = np.diagonal(expected).real
-        se = np.sqrt(np.outer(d, d) / n)
-        assert np.all(np.abs(emp - expected) <= 5.0 * se)
 
 
 class TestWorkerResolution:
