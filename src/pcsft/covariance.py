@@ -45,6 +45,8 @@ SYMMETRY_TOL = 1e-10
 
 def _epsilon_min(psi: np.ndarray) -> float:
     s = np.linalg.svd(psi, compute_uv=False)
+    if not math.isfinite(float(s[0]) * float(s[0])):  # a Python float overflows silently
+        raise ValueError(f"D12 has norm {s[0]:.3e}: D11 = D12 D12† + epsilon I overflows")
     return float(max(0.0, np.max(s * (1.0 - s))))
 
 

@@ -12,6 +12,10 @@ which is independent of the background level and, whenever D12 is the
 coefficient matrix of a state, equals the tensor average
 <A1 (x) A2 Ψ, Ψ>.  So every evaluator reads side-1 forms off phi1 and
 side-2 forms off conj(phi2).
+
+Every form is weighted intensities: a diagonal A's of phi's own modes,
+any other A's of phi in A's eigenbasis.  The sampler folds the stacked
+bases into its factor, so one intensity pass per block serves every form.
 """
 
 from __future__ import annotations
@@ -78,46 +82,55 @@ class Estimate:
         return abs(self.value - self.analytic) <= sigmas * self.std_error
 
 
-class _Kernel:
-    """A form's plan, built once: a diagonal A keeps its real ``weights``,
-    which _Workspace applies to the intensities |phi|^2; any other A keeps
-    the real symmetric 2d×2d ``matrix`` M of f_A on the component's float64
-    view v (re and im interleaved), or on its conjugate (the side-2
-    pairing), and the kernel evaluates it.
-
-    For psi = x + iy and A = S + iK, f_A(psi) = x·Sx + y·Sy - 2x·Ky, and
-    conjugation negates K.  A non-self-adjoint A raises RealityError: its
-    values would not be real.
+def _eigenbasis(form: QuadraticForm) -> tuple[np.ndarray | None, np.ndarray]:
+    """A form's (basis, weights): f_A is the weights applied to the
+    intensities of basis · phi_side.  A diagonal A weights its side's own
+    modes (basis None) by its diagonal.  Any other A = QΛQ† weights those
+    of Q†psi by Λ; on side 2, psi = conj(phi2) and |Q† conj(phi2)| =
+    |Qᵀ phi2|, so the basis is Q† on side 1 and Qᵀ on side 2.  A
+    non-self-adjoint A raises RealityError: its values would not be real.
     """
+    try:
+        require_selfadjoint(form.operator)
+    except SelfAdjointnessError as exc:
+        raise RealityError(f"quadratic form would not be real: {exc}") from None
+    diag = np.diagonal(form.operator)
+    if np.array_equal(form.operator, np.diag(diag)):
+        return None, diag.real.copy()
+    evals, q = np.linalg.eigh(0.5 * (form.operator + form.operator.conj().T))
+    return (q.conj().T if form.side == 1 else q.T), evals
 
-    def __init__(self, operator: np.ndarray, conjugate: bool):
-        try:
-            require_selfadjoint(operator)
-        except SelfAdjointnessError as exc:
-            raise RealityError(f"quadratic form would not be real: {exc}") from None
-        diag = np.diagonal(operator)
-        self.weights = self.matrix = None
-        if np.array_equal(operator, np.diag(diag)):
-            self.weights = diag.real.copy()
-            return
-        hermitian = 0.5 * (operator + operator.conj().T)
-        k = -hermitian.imag if conjugate else hermitian.imag
-        m = np.empty((2 * len(diag), 2 * len(diag)))
-        m[0::2, 0::2] = m[1::2, 1::2] = hermitian.real
-        m[0::2, 1::2] = -k
-        m[1::2, 0::2] = k
-        self.matrix = m
 
-    def __call__(self, source: np.ndarray, out: np.ndarray, product: np.ndarray):
-        """Write f_A of each row of v into ``out``; ``product`` takes v @ M."""
-        np.matmul(source, self.matrix, out=product)
-        np.einsum("na,na->n", product, source, out=out)
+def _readout(
+    forms: Sequence[QuadraticForm], d1: int, d2: int
+) -> tuple[np.ndarray | None, list[tuple[slice, np.ndarray]]]:
+    """The readout R stacking the forms' bases, and each form's (columns,
+    weights): its values are the weights applied to the intensities of
+    those columns of R phi.  R's rows are phi's own modes, if some form is
+    diagonal, so diagonal forms read the columns they read in phi, then a
+    d-row block per other form.  R is None when every form is diagonal.
+    """
+    plans = [_eigenbasis(form) for form in forms]
+    sides = {1: slice(0, d1), 2: slice(d1, d1 + d2)}
+    select = np.eye(d1 + d2)  # select[sides[s]] picks side s's modes out of phi
+    blocks = [select] if any(basis is None for basis, _ in plans) else []
+    columns = []
+    for form, (basis, weights) in zip(forms, plans):
+        if basis is None:
+            columns.append((sides[form.side], weights))
+        else:
+            start = sum(len(block) for block in blocks)
+            blocks.append(basis @ select[sides[form.side]])
+            columns.append((slice(start, start + form.dim), weights))
+    if all(basis is None for basis, _ in plans):
+        return None, columns
+    return np.vstack(blocks), columns
 
 
 def _intensities(phi: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|phi|^2 of every entry of a block, both components in one pass:
-    square phi's float64 view in place, then add its re and im columns
-    into ``out`` (rows, d1 + d2).  Overwrites phi."""
+    """|phi|^2 of every entry of a block, all columns in one pass: square
+    phi's float64 view in place, then add its re and im columns into
+    ``out`` (rows × columns).  Overwrites phi."""
     v = phi.view(np.float64)
     np.square(v, out=v)
     return np.add(v[:, 0::2], v[:, 1::2], out=out)
@@ -129,71 +142,46 @@ class _Workspace:
 
     - the moment rows, (1 + 2k) × rows: form j's values go to row 1 + j
       and Moments.add fills the others;
-    - if some form is diagonal, the intensities of both components,
-      rows × (d1 + d2).  The forms with weights in {-1, 0, 1}, at most two
-      nonzero, round once in any summation order, so stacked weights (a
-      row per form, zero off its side) write them in one product per run
-      of adjacent such forms; any other diagonal form has its own, so no
-      form's values depend on which forms share its product;
-    - if some form is dense, its product v @ M, rows × 2d for the widest.
+    - the intensities of the block's m columns, rows × m, one pass per
+      block.  The forms with weights in {-1, 0, 1}, at most two nonzero,
+      round once in any summation order, so stacked weights (a row per
+      form, zero off its columns) write them in one product per run of
+      adjacent such forms; any other form has its own, so no form's
+      values depend on which forms share its product.
 
-    About (1 + 2k + d1 + d2) × ``_BLOCK_ROWS`` floats in all.  A block
-    reshapes a prefix of each flat buffer, so a short last block gets the
-    contiguous layout a fresh array would have, and the values equal a
-    fresh evaluation bit for bit.
+    (1 + 2k + m) × ``_BLOCK_ROWS`` floats in all.  A block reshapes a
+    prefix of each flat buffer, so a short last block gets the contiguous
+    layout a fresh array would have, and the values equal a fresh
+    evaluation bit for bit.
     """
 
-    def __init__(
-        self,
-        forms: Sequence[QuadraticForm],
-        kernels: Sequence[_Kernel],
-        d1: int,
-        d2: int,
-        block_rows: int,
-    ):
-        sides = {1: slice(0, d1), 2: slice(d1, d1 + d2)}
-        # A dense form reads its side's float view: columns 2·start to 2·stop.
-        self._dense = [
-            (j, slice(2 * sides[f.side].start, 2 * sides[f.side].stop), kernel)
-            for j, (f, kernel) in enumerate(zip(forms, kernels))
-            if kernel.matrix is not None
-        ]
-        diagonal = [j for j, kernel in enumerate(kernels) if kernel.matrix is None]
-        weights = np.zeros((len(forms), d1 + d2))
+    def __init__(self, plans: Sequence[tuple[slice, np.ndarray]], width: int, block_rows: int):
+        weights = np.zeros((len(plans), width))
         stacked, self._single = [], []
-        for j in diagonal:
-            w, side = kernels[j].weights, sides[forms[j].side]
+        for j, (columns, w) in enumerate(plans):
             if np.isin(w, (-1.0, 0.0, 1.0)).all() and np.count_nonzero(w) <= 2:
                 stacked.append(j)
-                weights[j, side] = w
+                weights[j, columns] = w
             else:
-                self._single.append((j, side, w))
+                self._single.append((j, columns, w))
         # One product per run of adjacent stacked forms: one in every experiment.
         starts = [j for j in stacked if j - 1 not in stacked]
         stops = [j + 1 for j in stacked if j + 1 not in stacked]
         self._runs = [(weights[a:b], slice(1 + a, 1 + b)) for a, b in zip(starts, stops)]
-        self._height = 1 + 2 * len(forms)
+        self._height = 1 + 2 * len(plans)
         self._rows = np.empty(self._height * block_rows)
-        width = max((kernel.matrix.shape[0] for _, _, kernel in self._dense), default=0)
-        self._product = np.empty(width * block_rows)
-        self._intensity = np.empty((d1 + d2) * block_rows if diagonal else 0)
+        self._intensity = np.empty(width * block_rows)
 
     def rows(self, phi: np.ndarray) -> np.ndarray:
         """The moment rows of block ``phi``, form j's values in row 1 + j.
-        Dense forms read phi before the intensity pass overwrites it."""
-        n, dim = phi.shape
+        Overwrites phi."""
+        n, width = phi.shape
         rows = self._rows[: self._height * n].reshape(self._height, n)
-        v = phi.view(np.float64)
-        for j, columns, kernel in self._dense:
-            source = v[:, columns]
-            product = self._product[: source.size].reshape(source.shape)
-            kernel(source, rows[1 + j], product)
-        if self._intensity.size:
-            intensity = _intensities(phi, self._intensity[: n * dim].reshape(n, dim))
-            for weights, run in self._runs:
-                np.matmul(weights, intensity.T, out=rows[run])
-            for j, side, weights in self._single:
-                np.matmul(intensity[:, side], weights, out=rows[1 + j])
+        intensity = _intensities(phi, self._intensity[: n * width].reshape(n, width))
+        for weights, run in self._runs:
+            np.matmul(weights, intensity.T, out=rows[run])
+        for j, columns, weights in self._single:
+            np.matmul(intensity[:, columns], weights, out=rows[1 + j])
         return rows
 
 
@@ -320,26 +308,27 @@ def form_moments(
 
     Column j of the moments is form j on the samples ``draw_chunks`` draws
     for (cov, seed, count): side-1 forms on phi1, side-2 forms on
-    conj(phi2), the pairing of analytic_cov.  Each form is evaluated once
-    per block inside the sampler's workers and folded into the moments
-    there: diagonal forms from the intensities of both components, one
-    pass per block, dense forms by their kernels.  Each worker works in a
-    _Workspace it allocates once, so memory is
-    O(workers × (1 + 2k + d1 + d2) × _BLOCK_ROWS) floats for k forms,
-    whatever ``count`` is.  Pass each distinct form once; the result is
-    bit-identical for any worker count.
+    conj(phi2), the pairing of analytic_cov.  The sampler hands its
+    workers R phi for the forms' readout R (phi when there is none), and
+    each worker evaluates every form once per block from one intensity
+    pass and folds the values into the moments, in a _Workspace it
+    allocates once: memory is O(workers × (1 + 2k + m) × _BLOCK_ROWS)
+    floats for k forms and m readout columns, whatever ``count`` is.  Pass
+    each distinct form once; the result is bit-identical for any worker
+    count.
     """
-    kernels = [_Kernel(form.operator, form.side == 2) for form in forms]
     # The centre moves only rounding: it needs no reality check.
     centre = [_mean_trace(cov, form).real for form in forms]
+    readout, plans = _readout(forms, cov.d1, cov.d2)
+    width = cov.d1 + cov.d2 if readout is None else len(readout)
     moments = Moments(centre, seed=int(seed), prng_id=PRNG_ID)
     block_rows = min(_BLOCK_ROWS, count)
 
     def make_consumer():
-        workspace = _Workspace(forms, kernels, cov.d1, cov.d2, block_rows)
+        workspace = _Workspace(plans, width, block_rows)
         return lambda start, phi: moments.add(start // _BLOCK_ROWS, workspace.rows(phi))
 
-    draw_chunks(cov, seed, count, make_consumer, workers)
+    draw_chunks(cov, seed, count, make_consumer, workers, readout)
     return moments
 
 

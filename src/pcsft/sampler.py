@@ -25,14 +25,15 @@ shorter draw is a prefix of a longer one.  Samples are
 root of the covariance, which, unlike an eigenvector factor, does not
 depend on the basis LAPACK picks inside a repeated eigenvalue.
 Regenerating with the same (covariance, seed, count) is therefore
-bit-identical for any worker count.  Each worker also builds its own
-block consumer once, so a consumer can keep per-worker scratch:
-``form_moments`` keeps a workspace of about (1 + 2k + d1 + d2) ×
-``_BLOCK_ROWS`` floats for k forms, and after its first block a worker
-allocates nothing of a block's size.  The generator identity is recorded
-on every estimate and report as ``prng_id``.  numpy does not promise that
-``Generator`` streams stay the same across versions (NEP 19), so the
-tests pin known-answer values of the stream.
+bit-identical for any worker count.  A readout R folds into F: the
+workers then hand over R times each sample.  Each worker also builds its
+own block consumer once, so a consumer can keep per-worker scratch:
+``form_moments`` keeps a workspace of (1 + 2k + m) × ``_BLOCK_ROWS``
+floats for k forms and m readout columns, and after its first block a
+worker allocates nothing of a block's size.  The generator identity is
+recorded on every estimate and report as ``prng_id``.  numpy does not
+promise that ``Generator`` streams stay the same across versions (NEP
+19), so the tests pin known-answer values of the stream.
 """
 
 from __future__ import annotations
@@ -122,6 +123,7 @@ def draw_chunks(
     count: int,
     make_consumer: Callable[[], Callable[[int, np.ndarray], None]],
     workers: int | None = None,
+    readout: np.ndarray | None = None,
 ) -> None:
     """Draw ``count`` samples block by block and hand each block over.
 
@@ -130,7 +132,9 @@ def draw_chunks(
     worker then takes the next ``CHUNK_SIZE`` chunk until none is left and
     fills it in blocks of ``_BLOCK_ROWS`` rows, in two buffers it reuses:
     the normals w, then the joint samples ``phi = w @ F^T`` (shape
-    (rows, d1 + d2), components side by side).  It calls
+    (rows, d1 + d2), components side by side), or given a ``readout`` R
+    ((m, d1 + d2)) the rows of R phi, ``w @ (R F)^T`` (shape (rows, m)),
+    with R folded into the factor once.  It calls
     ``consume(start, phi)`` per block, where ``start`` is the index of the
     block's first sample, a multiple of ``_BLOCK_ROWS``; the consumer may
     overwrite ``phi``, and the worker overwrites it after the call
@@ -144,7 +148,8 @@ def draw_chunks(
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     f = factor_covariance(cov)
-    dim = f.shape[0]
+    if readout is not None:
+        f = readout @ f
     ft = f.T * np.sqrt(0.5)
     nchunks = -(-count // CHUNK_SIZE)
     taken = 0  # chunks handed out so far
@@ -161,8 +166,8 @@ def draw_chunks(
 
     def work(slot: int):
         rows = min(_BLOCK_ROWS, count)
-        w = np.empty((rows, dim), dtype=complex)
-        phi = np.empty((rows, dim), dtype=complex)
+        w = np.empty((rows, ft.shape[0]), dtype=complex)
+        phi = np.empty((rows, ft.shape[1]), dtype=complex)
         try:
             consume = make_consumer()
             while (chunk := next_chunk()) is not None:

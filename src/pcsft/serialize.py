@@ -205,5 +205,7 @@ def load_json_file(path, what: str = "input"):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"field '{what}': cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"field '{what}': {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"field '{what}': invalid JSON in {path}: {exc}") from exc

@@ -690,6 +690,53 @@ class TestInvalidNumbers:
         assert f"field '{field}'" in captured.err
         assert not (tmp_path / "out_state.json").exists()
 
+    @pytest.mark.parametrize(
+        "command, operand",
+        [
+            ("verify-identity", "state"),
+            ("verify-identity", "a1"),
+            ("verify-identity", "a2"),
+            ("classify", "state"),
+            ("channel", "state"),
+            ("channel", "channel"),
+            ("propagate", "state"),
+            ("propagate", "hamiltonian"),
+        ],
+    )
+    def test_non_utf8_file_exits_2_naming_the_field(
+        self, tmp_path, singlet_file, capsys, command, operand
+    ):
+        # A valid document saved as UTF-16, so the file starts with the
+        # bytes FF FE, which UTF-8 cannot decode.
+        files = {
+            "state": singlet_file,
+            "a1": write_operator(tmp_path / "a1.json", PROJ_R),
+            "a2": write_operator(tmp_path / "a2.json", PROJ_L),
+            "channel": write_pair(tmp_path / "channel.json", "U1", "U2", np.eye(2), np.eye(2)),
+            "hamiltonian": write_pair(tmp_path / "h.json", "H1", "H2", np.eye(2), np.eye(2)),
+        }
+        path = files[operand]
+        path.write_bytes(b"\xff\xfe" + path.read_text(encoding="utf-8").encode("utf-16-le"))
+        outputs = [
+            f"--output-state={tmp_path / 'out_state.json'}",
+            f"--output-covariance={tmp_path / 'out_cov.json'}",
+        ]
+        argv = {
+            "verify-identity": ["state", "a1", "a2"],
+            "classify": ["state"],
+            "channel": ["state", "channel", *outputs],
+            "propagate": ["state", "hamiltonian", "--t=1", *outputs],
+        }[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, *(str(files.get(arg, arg)) for arg in argv)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"field '{operand}'" in captured.err
+        assert "not UTF-8" in captured.err
+        assert not (tmp_path / "out_state.json").exists()
+
 
 # Values no amplitude component may take: non-finite, so large that |a|^2
 # overflows, beyond the float range, or not a number at all.
@@ -1014,12 +1061,16 @@ class TestImportPath:
     def test_cli_import_loads_no_scipy(self):
         # A fresh process, so modules other tests imported do not count.
         # The sampler starts plain threads, so neither concurrent.futures
-        # nor the logging it imports is loaded either.
+        # nor the logging it imports is loaded either.  numpy loads
+        # numpy.random on first use, which costs a cold process over 10 ms,
+        # and only the sampler needs it: classify, channel and propagate
+        # never do.
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
             "import sys, pcsft.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'concurrent', 'logging')))"
+            "if m.split('.')[0] in ('scipy', 'concurrent', 'logging') "
+            "or m.startswith('numpy.random')))"
         )
         env = {**os.environ, "PYTHONPATH": str(src)}
         result = subprocess.run(

@@ -1,5 +1,7 @@
 """Block covariance construction, background level, symmetry classes."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -317,3 +319,22 @@ class TestBlockCovarianceValidation:
     def test_rejects_non_finite_epsilon(self, eps, error):
         with pytest.raises(error, match="epsilon"):
             build_covariance(BELL_SINGLET, eps)
+
+    @pytest.mark.parametrize(
+        "d12",
+        [[[1e200]], [[1e154, 1e154], [1e154, 1e154]], [[1e308, 0.0]]],
+        ids=["1e200", "2e154", "1e308"],
+    )
+    def test_rejects_d12_whose_square_overflows(self, d12):
+        # D11 = Ψ̂Ψ̂† + εI could not be represented: a ValueError naming
+        # D12, from the validating SVD, with no overflow warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="D12"):
+                BlockCovariance(d12=d12, epsilon=0.0)
+
+    def test_accepts_d12_just_below_the_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cov = BlockCovariance(d12=[[1e154]], epsilon=0.0)
+            assert np.isfinite(cov.d11).all()

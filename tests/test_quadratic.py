@@ -15,8 +15,9 @@ from pcsft.quadratic import (
     analytic_cov,
     analytic_mean,
     Moments,
-    _Kernel,
     _Workspace,
+    _eigenbasis,
+    _readout,
     form_moments,
     renormalized_mean,
 )
@@ -64,13 +65,22 @@ class TestQuadraticForm:
             QuadraticForm(operator=PROJ_R, side=3)
 
 
+def workspace_rows(forms, block, d1) -> np.ndarray:
+    """The moment rows form_moments writes for the forms on a joint block
+    (rows, d1 + d2): the forms' readout R, if any, applied to the block
+    (the sampler folds it into its factor instead), then one workspace;
+    the block is left intact."""
+    block = np.array(block, dtype=complex)
+    readout, plans = _readout(forms, d1, block.shape[1] - d1)
+    if readout is not None:
+        block = block @ readout.T
+    return _Workspace(plans, block.shape[1], len(block)).rows(block)
+
+
 def block_values(form, block, d1) -> np.ndarray:
     """f_A on each row of a joint block (rows, d1 + d2), evaluated the way
     form_moments evaluates a sampler block; the block is left intact."""
-    block = np.array(block, dtype=complex)
-    kernel = _Kernel(form.operator, form.side == 2)
-    workspace = _Workspace([form], [kernel], d1, block.shape[1] - d1, len(block))
-    return workspace.rows(block)[1].copy()
+    return workspace_rows([form], block, d1)[1].copy()
 
 
 def evaluate(form, phi1, phi2) -> np.ndarray:
@@ -431,15 +441,16 @@ class TestSampleForms:
         # run_beamsplitter evaluates its 4 port intensities once per
         # sample, all in one stacked product per block: the moments have 4
         # columns, the rows each column sees sum to n, every workspace
-        # plans one product over moment rows 1 to 4, and no dense kernel
-        # runs.
+        # plans one product over moment rows 1 to 4, and the sampler is
+        # given no readout, so it hands over phi itself.
         import pcsft.quadratic as quadratic
         from pcsft.sampler import CHUNK_SIZE
         from pcsft.experiments import run_beamsplitter
 
-        rows, workspaces = {}, []
+        rows, workspaces, readouts = {}, [], []
         real_add = quadratic.Moments.add
         real_init = quadratic._Workspace.__init__
+        real_draw = quadratic.draw_chunks
 
         def counting_add(moments, index, block):
             for j in range(moments.k):
@@ -450,15 +461,17 @@ class TestSampleForms:
             real_init(workspace, *args)
             workspaces.append(workspace)
 
-        def no_call(*args):
-            raise AssertionError("a diagonal form reached a dense kernel")
+        def recording_draw(cov, seed, count, make_consumer, workers, readout):
+            readouts.append(readout)
+            real_draw(cov, seed, count, make_consumer, workers, readout)
 
         monkeypatch.setattr(quadratic.Moments, "add", counting_add)
         monkeypatch.setattr(quadratic._Workspace, "__init__", recording_init)
-        monkeypatch.setattr(quadratic._Kernel, "__call__", no_call)
+        monkeypatch.setattr(quadratic, "draw_chunks", recording_draw)
         n = 3 * CHUNK_SIZE + 5
         run_beamsplitter("boson", "half", seed=96, n_samples=n)
         assert list(rows.values()) == [n, n, n, n]
+        assert readouts and all(readout is None for readout in readouts)
         assert workspaces
         for workspace in workspaces:
             assert [run for _, run in workspace._runs] == [slice(1, 5)]
@@ -548,36 +561,26 @@ class AllocatingMoments(Moments):
 
 def allocating_moments(cov, seed, count, forms, workers):
     """form_moments as it was before the workspace: fresh arrays for every
-    block, the intensities phi.real**2 + phi.imag**2 of a side computed
-    once per block on its column slice, each diagonal form's weights
-    applied on its own, v @ M as a fresh product, and the moments centred
-    on the analytic means."""
+    block, on the same readout, with the intensities y.real**2 + y.imag**2
+    of each distinct column range of the block y computed once per block,
+    each form's weights applied on their own, and the moments centred on
+    the analytic means."""
     centre = [analytic_mean(cov, form) for form in forms]
     moments = AllocatingMoments(centre, seed=seed, prng_id=PRNG_ID)
+    readout, plans = _readout(forms, cov.d1, cov.d2)
 
-    def consume(start, phi):
-        sides = {1: phi[:, : cov.d1], 2: phi[:, cov.d1 :]}
+    def consume(start, y):
         intensities = {}
         columns = []
-        for form in forms:
-            side = sides[form.side]
-            diag = np.diagonal(form.operator)
-            if np.array_equal(form.operator, np.diag(diag)):
-                if form.side not in intensities:
-                    intensities[form.side] = side.real**2 + side.imag**2
-                columns.append(intensities[form.side] @ diag.real.copy())
-                continue
-            hermitian = 0.5 * (form.operator + form.operator.conj().T)
-            k = -hermitian.imag if form.side == 2 else hermitian.imag
-            m = np.empty((2 * len(diag), 2 * len(diag)))
-            m[0::2, 0::2] = m[1::2, 1::2] = hermitian.real
-            m[0::2, 1::2] = -k
-            m[1::2, 0::2] = k
-            v = side.view(np.float64)
-            columns.append(np.einsum("na,na->n", v @ m, v))
+        for span, weights in plans:
+            key = (span.start, span.stop)
+            if key not in intensities:
+                part = y[:, span]
+                intensities[key] = part.real**2 + part.imag**2
+            columns.append(intensities[key] @ weights)
         moments.add(start // _BLOCK_ROWS, columns)
 
-    draw_chunks(cov, seed, count, lambda: consume, workers)
+    draw_chunks(cov, seed, count, lambda: consume, workers, readout)
     return moments
 
 
@@ -662,14 +665,14 @@ class TestWorkspace:
     def test_blocks_allocate_no_block_sized_scratch(self, monkeypatch):
         # tracemalloc sees numpy's data buffers.  While a worker evaluates
         # and folds a block, traced memory rises by far less than one
-        # form's values on that block: the values, intensities, products
-        # and moment rows live in the worker's workspace.
+        # form's values on that block: the values, intensities and moment
+        # rows live in the worker's workspace, with or without a readout.
         import pcsft.quadratic as quadratic
 
         real_draw = quadratic.draw_chunks
         extra = []
 
-        def measuring_draw(cov, seed, count, make_consumer, workers):
+        def measuring_draw(cov, seed, count, make_consumer, workers, readout):
             def make():
                 consume = make_consumer()
 
@@ -681,7 +684,7 @@ class TestWorkspace:
 
                 return measured
 
-            real_draw(cov, seed, count, make, workers)
+            real_draw(cov, seed, count, make, workers, readout)
 
         monkeypatch.setattr(quadratic, "draw_chunks", measuring_draw)
         mixed_cov, mixed_forms = random_dense_case(102)  # dense and diagonal
@@ -724,9 +727,9 @@ class TestFormKernel:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_kernel_equals_complex_definition(self, d, kind, seed):
-        # On both sides (plain and conjugated), for random Hermitian A; the
-        # diagonal branch, which reads the shared intensities, is taken
-        # exactly when A is diagonal.
+        # On both sides (plain and conjugated), for random Hermitian A; A is
+        # read on its side's own modes exactly when it is diagonal, and in
+        # its eigenbasis otherwise.
         rng = np.random.default_rng(seed)
         operator = rand_selfadjoint(rng, d)
         if kind == "diagonal":
@@ -741,28 +744,23 @@ class TestFormKernel:
             expected = _complex_values(phi, operator, side == 2)
             scale = np.max(np.abs(operator)) * np.sum(np.abs(phi) ** 2, axis=1)
             np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12 * scale.max())
-            assert (_Kernel(operator, side == 2).matrix is None) == is_diagonal
+            assert (_eigenbasis(form)[0] is None) == is_diagonal
 
-    def test_diagonal_operator_takes_intensity_branch(self, monkeypatch):
-        # A diagonal form is evaluated from the intensities, never by a
-        # dense kernel: weights in {-1, 0, 1} with at most two nonzero go
-        # through the stacked product, others through a product of their
-        # own.  Either way the values are the intensities times the
-        # weights, bit for bit.
-        import pcsft.quadratic as quadratic
-
-        def no_call(*args):
-            raise AssertionError("a diagonal form reached a dense kernel")
-
-        monkeypatch.setattr(quadratic._Kernel, "__call__", no_call)
+    def test_diagonal_operator_takes_intensity_branch(self):
+        # A diagonal form is evaluated from the intensities of phi's own
+        # modes, with no readout: weights in {-1, 0, 1} with at most two
+        # nonzero go through the stacked product, others through a product
+        # of their own.  Either way the values are the intensities times
+        # the weights, bit for bit.
         rng = np.random.default_rng(99)
         joint = draw_samples(build_covariance(rand_state(rng, 3, 2), 0.3), 0, 100)
         for weights, stacked in (([1.0, -2.0, 0.5], False), ([1.0, 0.0, -1.0], True)):
             weights = np.array(weights)
             form = QuadraticForm(operator=np.diag(weights), side=1)
-            kernel = _Kernel(form.operator, False)
-            assert kernel.matrix is None
-            workspace = _Workspace([form], [kernel], 3, 2, 100)
+            readout, plans = _readout([form], 3, 2)
+            assert readout is None
+            assert plans[0][0] == slice(0, 3)
+            workspace = _Workspace(plans, 5, 100)
             runs = [(list(w[0]), run) for w, run in workspace._runs]
             assert runs == ([(list(weights) + [0.0, 0.0], slice(1, 2))] if stacked else [])
             assert len(workspace._single) == (not stacked)
@@ -789,10 +787,9 @@ class TestFormKernel:
             d = d1 if side == 1 else d2
             forms.append(QuadraticForm(operator=np.diag(diagonal_weights(rng, kind, d)), side=side))
         block = rand_complex(rng, 64, d1 + d2)
-        kernels = [_Kernel(form.operator, form.side == 2) for form in forms]
-        shared = _Workspace(forms, kernels, d1, d2, 64).rows(block.copy())
-        for j, (form, kernel) in enumerate(zip(forms, kernels)):
-            alone = _Workspace([form], [kernel], d1, d2, 64).rows(block.copy())
+        shared = workspace_rows(forms, block, d1)
+        for j, form in enumerate(forms):
+            alone = workspace_rows([form], block, d1)
             assert np.array_equal(shared[1 + j], alone[1])
 
     @pytest.mark.parametrize("statistics", ["boson", "fermion"])
@@ -822,29 +819,35 @@ class TestFormKernel:
                 weights = np.diagonal(form.operator).real.copy()
                 assert np.array_equal(values[j], intensity[:, sides[form.side]] @ weights)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         d1=st.integers(1, 4),
         d2=st.integers(1, 4),
         specs=st.lists(
-            st.tuples(st.sampled_from([1, 2]), st.sampled_from(["unit", "general"])),
+            st.tuples(st.sampled_from([1, 2]), st.sampled_from(["unit", "general", "dense"])),
             min_size=1,
             max_size=5,
         ),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_stacked_product_equals_complex_definition(self, d1, d2, specs, seed):
-        # Random real diagonal operators on either side, stacked or each
-        # in a product of its own.
+    def test_every_form_equals_complex_definition(self, d1, d2, specs, seed):
+        # The one evaluation path on any mix of diagonal forms (unit or
+        # general weights) and dense Hermitian ones, several dense forms
+        # on one side allowed: every form's values are its complex
+        # definition.  The readout has a row per mode of phi if some form
+        # is diagonal and per mode of each dense form, and there is none
+        # when every form is diagonal.
         rng = np.random.default_rng(seed)
         dims = {1: d1, 2: d2}
-        forms = [
-            QuadraticForm(operator=np.diag(diagonal_weights(rng, kind, dims[side])), side=side)
-            for side, kind in specs
-        ]
+        forms = []
+        for side, kind in specs:
+            if kind == "dense":
+                operator = rand_selfadjoint(rng, dims[side])
+            else:
+                operator = np.diag(diagonal_weights(rng, kind, dims[side]))
+            forms.append(QuadraticForm(operator=operator, side=side))
         block = rand_complex(rng, 64, d1 + d2)
-        kernels = [_Kernel(form.operator, form.side == 2) for form in forms]
-        rows = _Workspace(forms, kernels, d1, d2, 64).rows(block.copy())
+        rows = workspace_rows(forms, block, d1)
         for j, form in enumerate(forms):
             phi = block[:, :d1] if form.side == 1 else block[:, d1:]
             expected = _complex_values(phi, form.operator, form.side == 2)
@@ -852,22 +855,34 @@ class TestFormKernel:
             np.testing.assert_allclose(
                 rows[1 + j], expected, rtol=1e-12, atol=1e-12 * scale.max()
             )
+        readout, _ = _readout(forms, d1, d2)
+        diagonal = [_eigenbasis(form)[0] is None for form in forms]
+        if all(diagonal):
+            assert readout is None
+        else:
+            width = (d1 + d2) * any(diagonal)
+            width += sum(form.dim for form, flat in zip(forms, diagonal) if not flat)
+            assert readout.shape == (width, d1 + d2)
 
     def test_diagonal_rows_need_not_be_adjacent(self):
         # [diagonal, dense, diagonal, diagonal]: the two stacked forms are
         # not adjacent, so each run has its own product, into moment rows 1
-        # and 3; the dense kernel writes row 2 and the last form, whose
-        # weights are not in {-1, 0, 1}, has its own product into row 4.
+        # and 3; the dense form's eigenvalues and the last form's weights
+        # are not in {-1, 0, 1}, so each has its own product, into rows 2
+        # and 4.  The readout reads phi's own modes (3 + 2 rows), then the
+        # dense form's eigenbasis (3 rows).
         cov, forms = split_diagonal_case(112)
         block = draw_samples(cov, 113, 300)
-        kernels = [_Kernel(form.operator, form.side == 2) for form in forms]
-        workspace = _Workspace(forms, kernels, cov.d1, cov.d2, 300)
+        readout, plans = _readout(forms, cov.d1, cov.d2)
+        assert readout.shape == (8, 5)
+        assert [span for span, _ in plans] == [slice(0, 3), slice(5, 8), slice(3, 5), slice(3, 5)]
+        workspace = _Workspace(plans, 8, 300)
         assert [run for _, run in workspace._runs] == [slice(1, 2), slice(3, 4)]
-        assert [j for j, _, _ in workspace._single] == [3]
-        rows = workspace.rows(block.copy())
+        assert [j for j, _, _ in workspace._single] == [1, 3]
+        rows = workspace_rows(forms, block, cov.d1)
         for j, form in enumerate(forms):
             phi = block[:, : cov.d1] if form.side == 1 else block[:, cov.d1 :]
-            if kernels[j].matrix is None:
+            if _eigenbasis(form)[0] is None:
                 weights = np.diagonal(form.operator).real
                 assert np.array_equal(rows[1 + j], _diagonal_values(phi, weights))
             expected = _complex_values(phi, form.operator, form.side == 2)
@@ -882,6 +897,6 @@ class TestFormKernel:
         corrupt[0, 1] += 0.5j  # no longer self-adjoint
         object.__setattr__(f1, "operator", corrupt)
         with pytest.raises(RealityError):
-            _Kernel(f1.operator, False)
+            _eigenbasis(f1)
         with pytest.raises(RealityError):
             form_moments(cov, seed=101, count=1_000, forms=[f1, f2])
