@@ -106,24 +106,25 @@ def _readout(
 ) -> tuple[np.ndarray | None, list[tuple[slice, np.ndarray]]]:
     """The readout R stacking the forms' bases, and each form's (columns,
     weights): its values are the weights applied to the intensities of
-    those columns of R phi.  R's rows are phi's own modes, if some form is
-    diagonal, so diagonal forms read the columns they read in phi, then a
-    d-row block per other form.  R is None when every form is diagonal.
-    """
+    those columns of R phi.  R's rows are the own modes of each side some
+    diagonal form reads, then a d-row block per other form; R is None, and
+    the forms read phi's own columns, when every form is diagonal."""
     plans = [_eigenbasis(form) for form in forms]
     sides = {1: slice(0, d1), 2: slice(d1, d1 + d2)}
-    select = np.eye(d1 + d2)  # select[sides[s]] picks side s's modes out of phi
-    blocks = [select] if any(basis is None for basis, _ in plans) else []
-    columns = []
-    for form, (basis, weights) in zip(forms, plans):
-        if basis is None:
-            columns.append((sides[form.side], weights))
-        else:
-            start = sum(len(block) for block in blocks)
-            blocks.append(basis @ select[sides[form.side]])
-            columns.append((slice(start, start + form.dim), weights))
     if all(basis is None for basis, _ in plans):
-        return None, columns
+        return None, [(sides[form.side], weights) for form, (_, weights) in zip(forms, plans)]
+    select = np.eye(d1 + d2)  # select[sides[s]] picks side s's modes out of phi
+    blocks: list[np.ndarray] = []
+    def stack(block: np.ndarray) -> slice:  # block's rows in R
+        start = sum(len(b) for b in blocks)
+        blocks.append(block)
+        return slice(start, start + len(block))
+    read = {form.side for form, (basis, _) in zip(forms, plans) if basis is None}
+    own = {side: stack(select[sides[side]]) for side in sorted(read)}
+    columns = [
+        (own[form.side] if basis is None else stack(basis @ select[sides[form.side]]), weights)
+        for form, (basis, weights) in zip(forms, plans)
+    ]
     return np.vstack(blocks), columns
 
 

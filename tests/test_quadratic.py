@@ -834,9 +834,9 @@ class TestFormKernel:
         # The one evaluation path on any mix of diagonal forms (unit or
         # general weights) and dense Hermitian ones, several dense forms
         # on one side allowed: every form's values are its complex
-        # definition.  The readout has a row per mode of phi if some form
-        # is diagonal and per mode of each dense form, and there is none
-        # when every form is diagonal.
+        # definition.  The readout has a row per mode of each side some
+        # diagonal form reads and per mode of each dense form, and there
+        # is none when every form is diagonal.
         rng = np.random.default_rng(seed)
         dims = {1: d1, 2: d2}
         forms = []
@@ -860,7 +860,8 @@ class TestFormKernel:
         if all(diagonal):
             assert readout is None
         else:
-            width = (d1 + d2) * any(diagonal)
+            read = {form.side for form, flat in zip(forms, diagonal) if flat}
+            width = sum(dims[side] for side in read)
             width += sum(form.dim for form, flat in zip(forms, diagonal) if not flat)
             assert readout.shape == (width, d1 + d2)
 
@@ -885,6 +886,33 @@ class TestFormKernel:
             if _eigenbasis(form)[0] is None:
                 weights = np.diagonal(form.operator).real
                 assert np.array_equal(rows[1 + j], _diagonal_values(phi, weights))
+            expected = _complex_values(phi, form.operator, form.side == 2)
+            scale = np.max(np.abs(form.operator)) * np.sum(np.abs(phi) ** 2, axis=1)
+            np.testing.assert_allclose(
+                rows[1 + j], expected, rtol=1e-12, atol=1e-12 * scale.max()
+            )
+
+    @pytest.mark.parametrize("diagonal_side", [1, 2])
+    def test_readout_reads_only_the_sides_diagonal_forms_read(self, diagonal_side):
+        # verify-identity with one diagonal and one dense operator: the
+        # readout holds the diagonal form's own modes and the dense form's
+        # eigenbasis, d1 + d2 rows, none of them unread.
+        cov, forms = random_dense_case(114)
+        d = {1: cov.d1, 2: cov.d2}
+        k = diagonal_side - 1
+        weights = np.arange(1.0, d[diagonal_side] + 1)
+        forms[k] = QuadraticForm(operator=np.diag(weights), side=diagonal_side)
+        readout, plans = _readout(forms, cov.d1, cov.d2)
+        assert readout.shape == (cov.d1 + cov.d2, cov.d1 + cov.d2)
+        own = slice(0, d[diagonal_side])
+        assert plans[k][0] == own
+        assert plans[1 - k][0] == slice(own.stop, cov.d1 + cov.d2)
+        phi_side = slice(0, cov.d1) if diagonal_side == 1 else slice(cov.d1, cov.d1 + cov.d2)
+        assert np.array_equal(readout[own], np.eye(cov.d1 + cov.d2)[phi_side])
+        block = draw_samples(cov, 115, 300)
+        rows = workspace_rows(forms, block, cov.d1)
+        for j, form in enumerate(forms):
+            phi = block[:, : cov.d1] if form.side == 1 else block[:, cov.d1 :]
             expected = _complex_values(phi, form.operator, form.side == 2)
             scale = np.max(np.abs(form.operator)) * np.sum(np.abs(phi) ** 2, axis=1)
             np.testing.assert_allclose(
