@@ -45,7 +45,7 @@ from .hilbert import (
     quantum_average_trace,
     require_selfadjoint,
 )
-from .quadratic import SE_BAND, QuadraticForm, analytic_cov, form_moments
+from .quadratic import QuadraticForm, analytic_cov, form_moments
 from .sampler import PRNG_ID
 from . import serialize
 
@@ -104,7 +104,7 @@ def _check_numbers(args):
         ("samples", lambda v: v >= least, f"an integer >= {least}"),
         ("seed", lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)"),
         ("t", math.isfinite, "a finite number"),
-        ("tol", lambda v: v > 0, "a positive number"),
+        ("tol", lambda v: 0 < v < math.inf, "a finite positive number"),
     ):
         if name in options and not admissible(value := options[name]):
             raise PcsftError(f"field '{name}': expected {expected}, got {value}")
@@ -159,13 +159,13 @@ def cmd_verify_identity(args) -> int:
     checks = {
         "trace_vs_tensor": abs(trace - tensor) <= IDENTITY_TOL,
         "cov_vs_tensor": abs(cov_value - tensor) <= IDENTITY_TOL,
-        "mc_within_5_se": est.within(SE_BAND),
+        "mc_within_5_se": est.within(),
     }
     payload = {
         "tensor": tensor,
         "trace": trace,
         "analytic_cov": cov_value,
-        "mc": serialize.estimate_to_json(est),
+        "mc": {**serialize.estimate_to_json(est), "seed": args.seed, "prng_id": PRNG_ID},
         "epsilon": cov.epsilon,
         "seed": args.seed,
         "n_samples": args.samples,

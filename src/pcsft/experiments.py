@@ -21,7 +21,7 @@ import numpy as np
 from .channels import UnitaryChannel, apply_to_state
 from .covariance import SYMMETRY_TOL, build_covariance, classify_symmetry
 from .hilbert import BipartiteState
-from .quadratic import SE_BAND, Estimate, QuadraticForm, analytic_cov, form_moments
+from .quadratic import Estimate, QuadraticForm, analytic_cov, form_moments
 from .sampler import PRNG_ID
 
 PORTS = ("R", "L")
@@ -49,7 +49,7 @@ class ExperimentReport:
 
     @property
     def passed(self) -> bool:
-        return all(est.within(SE_BAND) for est in self.g.values())
+        return all(est.within() for est in self.g.values())
 
 
 def report_to_json(report: ExperimentReport) -> dict:
@@ -60,7 +60,7 @@ def report_to_json(report: ExperimentReport) -> dict:
             "value": est.value,
             "std_error": est.std_error,
             "n": est.n,
-            "passed": est.within(SE_BAND),
+            "passed": est.within(),
         }
         for key, est in report.g.items()
     }

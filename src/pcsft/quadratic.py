@@ -14,38 +14,57 @@ coefficient matrix of a state, equals the tensor average
 side-2 forms off conj(phi2).
 
 Every form is weighted intensities: a diagonal A's of phi's own modes,
-any other A's of phi in A's eigenbasis.  The sampler folds the stacked
-bases into its factor, so one intensity pass per block serves every form.
+any other A's of phi in A's eigenbasis, planned once when the form is
+built.  The readout R stacks every form's rows; the sampler folds it into
+its factor, so one intensity pass per block serves every form.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .covariance import BlockCovariance
-from .errors import DimensionError, RealityError, SelfAdjointnessError
+from .errors import DimensionError
 from .hilbert import as_real, require_selfadjoint
-from .sampler import _BLOCK_ROWS, PRNG_ID, draw_chunks
+from .sampler import _BLOCK_ROWS, draw_chunks
 
 
 @dataclass(frozen=True, eq=False)
 class QuadraticForm:
-    """Observable f_A(phi) = <A phi, phi> on signal component ``side``."""
+    """Observable f_A(phi) = <A phi, phi> on signal component ``side``.
+
+    Planned once, on construction: f_A is ``weights`` applied to the
+    intensities of ``basis`` · phi_side, both read-only.  A diagonal A
+    weights its side's own modes (identity rows) by its diagonal.  Any
+    other A = QΛQ† weights those of Q†psi by Λ; on side 2, psi =
+    conj(phi2) and |Q† conj(phi2)| = |Qᵀ phi2|, so the basis is Q† on
+    side 1 and Qᵀ on side 2.  Only rows of nonzero weight are kept.
+    """
 
     operator: np.ndarray
     side: int
+    basis: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        op = require_selfadjoint(self.operator, name="operator")
-        op = op.copy()
-        op.setflags(write=False)
+        op = require_selfadjoint(self.operator, name="operator").copy()
         if self.side not in (1, 2):
             raise ValueError(f"side must be 1 or 2, got {self.side!r}")
-        object.__setattr__(self, "operator", op)
+        diag = np.diagonal(op)
+        if np.array_equal(op, np.diag(diag)):
+            weights, basis = diag.real, np.eye(len(diag), dtype=complex)
+        else:
+            weights, q = np.linalg.eigh(0.5 * (op + op.conj().T))
+            basis = q.conj().T if self.side == 1 else q.T
+        keep = weights != 0.0
+        planned = {"operator": op, "basis": basis[keep], "weights": weights[keep]}
+        for name, value in planned.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -59,14 +78,12 @@ SE_BAND = 5.0
 
 @dataclass(frozen=True)
 class Estimate:
-    """Monte Carlo estimate with its standard error and provenance."""
+    """Monte Carlo estimate with its standard error."""
 
     value: float
     std_error: float
     n: int
     analytic: float | None = None
-    seed: int | None = None
-    prng_id: str | None = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -74,58 +91,31 @@ class Estimate:
         if self.std_error < 0.0:
             raise ValueError("std_error must be nonnegative")
 
-    def within(self, sigmas: float = SE_BAND) -> bool:
-        """Whether the estimate lies within ``sigmas`` standard errors of
-        its analytic value (requires ``analytic`` to be set)."""
+    def within(self) -> bool:
+        """Whether the estimate lies within SE_BAND standard errors of its
+        analytic value (requires ``analytic`` to be set)."""
         if self.analytic is None:
             raise ValueError("no analytic value attached")
-        return abs(self.value - self.analytic) <= sigmas * self.std_error
-
-
-def _eigenbasis(form: QuadraticForm) -> tuple[np.ndarray | None, np.ndarray]:
-    """A form's (basis, weights): f_A is the weights applied to the
-    intensities of basis · phi_side.  A diagonal A weights its side's own
-    modes (basis None) by its diagonal.  Any other A = QΛQ† weights those
-    of Q†psi by Λ; on side 2, psi = conj(phi2) and |Q† conj(phi2)| =
-    |Qᵀ phi2|, so the basis is Q† on side 1 and Qᵀ on side 2.  A
-    non-self-adjoint A raises RealityError: its values would not be real.
-    """
-    try:
-        require_selfadjoint(form.operator)
-    except SelfAdjointnessError as exc:
-        raise RealityError(f"quadratic form would not be real: {exc}") from None
-    diag = np.diagonal(form.operator)
-    if np.array_equal(form.operator, np.diag(diag)):
-        return None, diag.real.copy()
-    evals, q = np.linalg.eigh(0.5 * (form.operator + form.operator.conj().T))
-    return (q.conj().T if form.side == 1 else q.T), evals
+        return abs(self.value - self.analytic) <= SE_BAND * self.std_error
 
 
 def _readout(
     forms: Sequence[QuadraticForm], d1: int, d2: int
-) -> tuple[np.ndarray | None, list[tuple[slice, np.ndarray]]]:
-    """The readout R stacking the forms' bases, and each form's (columns,
-    weights): its values are the weights applied to the intensities of
-    those columns of R phi.  R's rows are the own modes of each side some
-    diagonal form reads, then a d-row block per other form; R is None, and
-    the forms read phi's own columns, when every form is diagonal."""
-    plans = [_eigenbasis(form) for form in forms]
-    sides = {1: slice(0, d1), 2: slice(d1, d1 + d2)}
-    if all(basis is None for basis, _ in plans):
-        return None, [(sides[form.side], weights) for form, (_, weights) in zip(forms, plans)]
-    select = np.eye(d1 + d2)  # select[sides[s]] picks side s's modes out of phi
-    blocks: list[np.ndarray] = []
-    def stack(block: np.ndarray) -> slice:  # block's rows in R
-        start = sum(len(b) for b in blocks)
-        blocks.append(block)
-        return slice(start, start + len(block))
-    read = {form.side for form, (basis, _) in zip(forms, plans) if basis is None}
-    own = {side: stack(select[sides[side]]) for side in sorted(read)}
-    columns = [
-        (own[form.side] if basis is None else stack(basis @ select[sides[form.side]]), weights)
-        for form, (basis, weights) in zip(forms, plans)
-    ]
-    return np.vstack(blocks), columns
+) -> tuple[np.ndarray, list[tuple[slice, np.ndarray]]]:
+    """The readout R, every form's basis rows zero-padded to d1 + d2
+    columns and stacked in form order, and each form's (columns, weights):
+    its values are the weights applied to the intensities of those
+    columns of R phi."""
+    offsets = {1: 0, 2: d1}
+    readout = np.zeros((sum(len(form.weights) for form in forms), d1 + d2), dtype=complex)
+    plans, start = [], 0
+    for form in forms:
+        rows = slice(start, start + len(form.weights))
+        first = offsets[form.side]
+        readout[rows, first : first + form.dim] = form.basis
+        plans.append((rows, form.weights))
+        start = rows.stop
+    return readout, plans
 
 
 def _intensities(phi: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -143,12 +133,12 @@ class _Workspace:
 
     - the moment rows, (1 + 2k) × rows: form j's values go to row 1 + j
       and Moments.add fills the others;
-    - the intensities of the block's m columns, rows × m, one pass per
-      block.  The forms with weights in {-1, 0, 1}, at most two nonzero,
-      round once in any summation order, so stacked weights (a row per
-      form, zero off its columns) write them in one product per run of
-      adjacent such forms; any other form has its own, so no form's
-      values depend on which forms share its product.
+    - the intensities of the block's m columns (the forms' rows of R
+      phi), rows × m, one pass per block.  The forms with at most two
+      weights, each ±1, round once in any summation order, so stacked
+      weights (a row per form, zero off its columns) write them in one
+      product per run of adjacent such forms; any other form has its
+      own, so no form's values depend on which forms share its product.
 
     (1 + 2k + m) × ``_BLOCK_ROWS`` floats in all.  A block reshapes a
     prefix of each flat buffer, so a short last block gets the contiguous
@@ -156,11 +146,12 @@ class _Workspace:
     evaluation bit for bit.
     """
 
-    def __init__(self, plans: Sequence[tuple[slice, np.ndarray]], width: int, block_rows: int):
+    def __init__(self, plans: Sequence[tuple[slice, np.ndarray]], block_rows: int):
+        width = sum(len(w) for _, w in plans)
         weights = np.zeros((len(plans), width))
         stacked, self._single = [], []
         for j, (columns, w) in enumerate(plans):
-            if np.isin(w, (-1.0, 0.0, 1.0)).all() and np.count_nonzero(w) <= 2:
+            if len(w) <= 2 and np.isin(w, (-1.0, 1.0)).all():
                 stacked.append(j)
                 weights[j, columns] = w
             else:
@@ -216,11 +207,9 @@ class Moments:
     when it is near the means, as the analytic means are.  Thread-safe.
     """
 
-    def __init__(self, centre, seed: int | None = None, prng_id: str | None = None):
+    def __init__(self, centre):
         self.centre = np.array(centre, dtype=float)
         self.k = len(self.centre)
-        self.seed = seed
-        self.prng_id = prng_id
         self._gram = np.zeros((1 + 2 * self.k, 1 + 2 * self.k))
         self._next = 0
         self._pending: dict[int, np.ndarray] = {}
@@ -269,8 +258,6 @@ class Moments:
             std_error=float(np.sqrt(max(variance, 0.0) / n)),
             n=n,
             analytic=analytic,
-            seed=self.seed,
-            prng_id=self.prng_id,
         )
 
     def mean(self, i: int, analytic: float | None = None) -> Estimate:
@@ -310,26 +297,25 @@ def form_moments(
     Column j of the moments is form j on the samples ``draw_chunks`` draws
     for (cov, seed, count): side-1 forms on phi1, side-2 forms on
     conj(phi2), the pairing of analytic_cov.  The sampler hands its
-    workers R phi for the forms' readout R (phi when there is none), and
-    each worker evaluates every form once per block from one intensity
-    pass and folds the values into the moments, in a _Workspace it
-    allocates once: memory is O(workers × (1 + 2k + m) × _BLOCK_ROWS)
-    floats for k forms and m readout columns, whatever ``count`` is.  Pass
+    workers R phi for the forms' readout R, each form's rows in form
+    order, and each worker evaluates every form once per block from one
+    intensity pass and folds the values into the moments, in a _Workspace
+    it allocates once: memory is O(workers × (1 + 2k + m) × _BLOCK_ROWS)
+    floats for k forms and m readout rows, whatever ``count`` is.  Pass
     each distinct form once; the result is bit-identical for any worker
     count.
     """
     # The centre moves only rounding: it needs no reality check.
     centre = [_mean_trace(cov, form).real for form in forms]
     readout, plans = _readout(forms, cov.d1, cov.d2)
-    width = cov.d1 + cov.d2 if readout is None else len(readout)
-    moments = Moments(centre, seed=int(seed), prng_id=PRNG_ID)
+    moments = Moments(centre)
     block_rows = min(_BLOCK_ROWS, count)
 
     def make_consumer():
-        workspace = _Workspace(plans, width, block_rows)
+        workspace = _Workspace(plans, block_rows)
         return lambda start, phi: moments.add(start // _BLOCK_ROWS, workspace.rows(phi))
 
-    draw_chunks(cov, seed, count, make_consumer, workers, readout)
+    draw_chunks(cov, seed, count, make_consumer, readout, workers)
     return moments
 
 

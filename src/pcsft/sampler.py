@@ -25,15 +25,16 @@ shorter draw is a prefix of a longer one.  Samples are
 root of the covariance, which, unlike an eigenvector factor, does not
 depend on the basis LAPACK picks inside a repeated eigenvalue.
 Regenerating with the same (covariance, seed, count) is therefore
-bit-identical for any worker count.  A readout R folds into F: the
-workers then hand over R times each sample.  Each worker also builds its
-own block consumer once, so a consumer can keep per-worker scratch:
+bit-identical for any worker count.  Every draw is read through a readout
+R, folded into F once, so the workers hand over R times each sample; the
+identity R hands over the samples themselves.  Each worker also builds
+its own block consumer once, so a consumer can keep per-worker scratch:
 ``form_moments`` keeps a workspace of (1 + 2k + m) × ``_BLOCK_ROWS``
-floats for k forms and m readout columns, and after its first block a
+floats for k forms and m readout rows, and after its first block a
 worker allocates nothing of a block's size.  The generator identity is
-recorded on every estimate and report as ``prng_id``.  numpy does not
-promise that ``Generator`` streams stay the same across versions (NEP
-19), so the tests pin known-answer values of the stream.
+recorded on every report as ``prng_id``.  numpy does not promise that
+``Generator`` streams stay the same across versions (NEP 19), so the
+tests pin known-answer values of the stream.
 """
 
 from __future__ import annotations
@@ -122,8 +123,8 @@ def draw_chunks(
     seed: int,
     count: int,
     make_consumer: Callable[[], Callable[[int, np.ndarray], None]],
+    readout: np.ndarray,
     workers: int | None = None,
-    readout: np.ndarray | None = None,
 ) -> None:
     """Draw ``count`` samples block by block and hand each block over.
 
@@ -131,13 +132,12 @@ def draw_chunks(
     consumer can own scratch buffers for every block it is handed.  The
     worker then takes the next ``CHUNK_SIZE`` chunk until none is left and
     fills it in blocks of ``_BLOCK_ROWS`` rows, in two buffers it reuses:
-    the normals w, then the joint samples ``phi = w @ F^T`` (shape
-    (rows, d1 + d2), components side by side), or given a ``readout`` R
-    ((m, d1 + d2)) the rows of R phi, ``w @ (R F)^T`` (shape (rows, m)),
-    with R folded into the factor once.  It calls
-    ``consume(start, phi)`` per block, where ``start`` is the index of the
+    the normals w, then ``y = w @ (R F)^T`` (shape (rows, m)), the readout
+    R ((m, d1 + d2)) applied to the joint samples phi (components side by
+    side), with R folded into the factor once.  It calls
+    ``consume(start, y)`` per block, where ``start`` is the index of the
     block's first sample, a multiple of ``_BLOCK_ROWS``; the consumer may
-    overwrite ``phi``, and the worker overwrites it after the call
+    overwrite ``y``, and the worker overwrites it after the call
     returns.  Calls of different workers run concurrently on disjoint
     blocks; the values a block carries never depend on the worker count.
     Memory is two buffers per worker, whatever ``count``, plus what the
@@ -147,10 +147,7 @@ def draw_chunks(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    f = factor_covariance(cov)
-    if readout is not None:
-        f = readout @ f
-    ft = f.T * np.sqrt(0.5)
+    ft = (readout @ factor_covariance(cov)).T * np.sqrt(0.5)
     nchunks = -(-count // CHUNK_SIZE)
     taken = 0  # chunks handed out so far
     lock = threading.Lock()

@@ -182,8 +182,6 @@ def estimate_to_json(est: Estimate) -> dict:
         "std_error": est.std_error,
         "n": est.n,
         "analytic": est.analytic,
-        "seed": est.seed,
-        "prng_id": est.prng_id,
     }
 
 

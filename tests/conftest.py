@@ -23,13 +23,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def draw_samples(
     cov: BlockCovariance, seed: int, count: int, workers: int | None = None
 ) -> np.ndarray:
-    """The joint (count, d1 + d2) samples draw_chunks draws, stored in order."""
+    """The joint (count, d1 + d2) samples draw_chunks draws through the
+    identity readout, stored in order."""
     out = np.empty((count, cov.d1 + cov.d2), dtype=complex)
 
     def store(start: int, phi: np.ndarray):
         out[start : start + phi.shape[0]] = phi
 
-    draw_chunks(cov, seed, count, lambda: store, workers)
+    draw_chunks(cov, seed, count, lambda: store, np.eye(cov.d1 + cov.d2), workers)
     return out
 
 

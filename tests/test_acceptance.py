@@ -116,7 +116,7 @@ def test_criterion_3_monte_carlo_agreement():
         moments = form_moments(cov, seed=3000 + i, count=n, forms=[f1, f2])
 
         est = moments.cov(0, 1, analytic=analytic_cov(cov, f1, f2))
-        cov_hits += est.within(5.0)
+        cov_hits += est.within()
 
         form = f1 if rng.integers(2) == 0 else f2
         side = form.side
@@ -149,8 +149,8 @@ def _beamsplitter_criterion(number, statistics, zero_key, half_key):
     ok = (
         abs(zero.analytic) <= 1e-12
         and abs(half.analytic - 0.5) <= 1e-12
-        and zero.within(5.0)
-        and half.within(5.0)
+        and zero.within()
+        and half.within()
         and elapsed < 10.0
     )
     name = "anti-bunching" if statistics == "fermion" else "bunching"
@@ -180,9 +180,9 @@ def test_criterion_6_spin_half_collisions():
     elapsed = time.perf_counter() - start
     ok = (
         abs(sb5.g["RR"].analytic) <= 1e-12
-        and sb5.g["RR"].within(5.0)
+        and sb5.g["RR"].within()
         and abs(sb5k.g["RL"].analytic) <= 1e-12
-        and sb5k.g["RL"].within(5.0)
+        and sb5k.g["RL"].within()
         and elapsed < 20.0
     )
     report_line(

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 from pcsft.hilbert import matricize
 from pcsft import serialize
+from pcsft import __version__
 from pcsft.cli import main
+from pcsft.sampler import PRNG_ID
 from conftest import states_equal_up_to_phase
 
 C = 1.0 / np.sqrt(2.0)
@@ -81,6 +83,33 @@ class TestVerifyIdentity:
         assert out["trace"] == pytest.approx(0.5)
         assert out["analytic_cov"] == pytest.approx(0.5)
         assert abs(out["mc"]["value"] - 0.5) <= 5 * out["mc"]["std_error"]
+        assert (out["mc"]["seed"], out["mc"]["prng_id"]) == (5, PRNG_ID)
+
+    def test_zero_operators_report_exact_zeros(self, tmp_path, singlet_file, capsys):
+        # Zero observables have no readout rows, so the sampler draws
+        # through an empty readout, and the report is the one an
+        # intensity pass with zero weights gave: every value an exact,
+        # unsigned zero.
+        zero = write_operator(tmp_path / "zero.json", np.zeros((2, 2)))
+        argv = ["verify-identity", str(singlet_file), str(zero), str(zero), "--samples=2000"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert "-0.0" not in text
+        payload = json.loads(text)
+        del payload["inputs"], payload["epsilon"]
+        assert payload == {
+            "analytic_cov": 0.0,
+            "checks": {"cov_vs_tensor": True, "mc_within_5_se": True, "trace_vs_tensor": True},
+            "mc": {"analytic": 0.0, "n": 2000, "prng_id": PRNG_ID, "seed": 0,
+                   "std_error": 0.0, "value": 0.0},
+            "n_samples": 2000,
+            "pass": True,
+            "prng_id": PRNG_ID,
+            "seed": 0,
+            "tensor": 0.0,
+            "trace": 0.0,
+            "version": __version__,
+        }
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -532,6 +561,9 @@ class TestInvalidNumbers:
             ("classify", "--tol=nan", "tol"),
             ("classify", "--tol=0", "tol"),
             ("classify", "--tol=-1e-10", "tol"),
+            # Not JSON: the report echoes tol, so an infinite one must not reach it.
+            ("classify", "--tol=inf", "tol"),
+            ("classify", "--tol=1e400", "tol"),
             ("experiment", "--samples=999", "samples"),
             ("verify-identity", "--epsilon=0.01", "epsilon"),
             ("experiment", "--epsilon=0.01", "epsilon"),
@@ -1055,6 +1087,46 @@ class TestOneSvdPerState:
 
         assert run_beamsplitter("fermion", n_samples=2000).passed
         assert len(svd_calls) == 1
+
+
+class TestOneEighPerForm:
+    """A form's eigendecomposition runs once, when the form is built, and
+    only for a form that is not diagonal; the other eigh is the factor's."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        return calls
+
+    def test_experiment(self, capsys, eigh_calls):
+        argv = ["experiment", "--experiment", "beamsplitter", "--statistics", "boson",
+                "--spin", "half", "--samples=2000"]
+        assert main(argv) == 0
+        assert eigh_calls == [(8, 8)]
+
+    @pytest.mark.parametrize(
+        "a1, a2, calls",
+        [
+            (PROJ_R, PROJ_L, [(4, 4)]),
+            (np.array([[1.0, 0.5 - 0.25j], [0.5 + 0.25j, -0.5]]),
+             np.array([[0.3, 1j], [-1j, 2.0]]),
+             [(2, 2), (2, 2), (4, 4)]),
+        ],
+        ids=["projectors", "dense"],
+    )
+    def test_verify_identity(self, tmp_path, singlet_file, capsys, eigh_calls, a1, a2, calls):
+        a1 = write_operator(tmp_path / "a1.json", a1)
+        a2 = write_operator(tmp_path / "a2.json", a2)
+        argv = ["verify-identity", str(singlet_file), str(a1), str(a2), "--samples=2000"]
+        assert main(argv) == 0
+        assert eigh_calls == calls
 
 
 class TestImportPath:

@@ -158,14 +158,14 @@ class TestRunBeamsplitterMonteCarlo:
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_fermion_spin0_three_seeds(self, seed):
         report = run_beamsplitter("fermion", spin="0", seed=seed, n_samples=200_000)
-        assert report.g["RR"].within(5.0)
-        assert report.g["RL"].within(5.0)
+        assert report.g["RR"].within()
+        assert report.g["RL"].within()
         assert report.passed
 
     def test_boson_spin0(self):
         report = run_beamsplitter("boson", spin="0", seed=14, n_samples=200_000)
-        assert report.g["RL"].within(5.0)
-        assert report.g["RR"].within(5.0)
+        assert report.g["RL"].within()
+        assert report.g["RR"].within()
         assert report.passed
 
     def test_spin_half_runs(self):
@@ -174,7 +174,7 @@ class TestRunBeamsplitterMonteCarlo:
                 statistics, spin="half", seed=15, n_samples=200_000
             )
             assert report.g[zero_entry].analytic == pytest.approx(0.0, abs=1e-12)
-            assert report.g[zero_entry].within(5.0)
+            assert report.g[zero_entry].within()
             assert report.passed
 
 

@@ -125,7 +125,7 @@ class TestDrawMoments:
     def test_count_validation(self):
         cov = build_covariance(BELL_SINGLET, 0.3)
         with pytest.raises(ValueError):
-            draw_chunks(cov, 0, 0, lambda: lambda start, phi: None)
+            draw_chunks(cov, 0, 0, lambda: lambda start, phi: None, np.eye(4))
 
 
 class TestDeterminism:
@@ -172,7 +172,7 @@ class TestDeterminism:
         moments = form_moments(
             cov, seed=51, count=10, forms=[QuadraticForm(np.eye(2), side=1)]
         )
-        assert (moments.count, moments.seed) == (10, 51)
+        assert moments.count == 10
 
 
 class TestKnownAnswers:
@@ -222,7 +222,8 @@ class TestDrawChunks:
         count = 2 * CHUNK_SIZE + _BLOCK_ROWS + 7
         starts = []
         draw_chunks(
-            cov, 0, count, lambda: lambda start, phi: starts.append((start, len(phi))), 2
+            cov, 0, count, lambda: lambda start, phi: starts.append((start, len(phi))),
+            np.eye(4), 2,
         )
         assert sorted(starts) == [
             (start, min(_BLOCK_ROWS, count - start))
@@ -239,7 +240,7 @@ class TestDrawChunks:
                 raise RuntimeError("consumer failed")
 
         with pytest.raises(RuntimeError, match="consumer failed"):
-            draw_chunks(cov, 0, 16 * CHUNK_SIZE, lambda: consume, workers=2)
+            draw_chunks(cov, 0, 16 * CHUNK_SIZE, lambda: consume, np.eye(4), workers=2)
         assert len(seen) < 16 * CHUNK_SIZE // _BLOCK_ROWS
 
 
