@@ -45,7 +45,7 @@ from .hilbert import (
     quantum_average_trace,
     require_selfadjoint,
 )
-from .quadratic import QuadraticForm, analytic_cov, form_moments
+from .quadratic import QuadraticForm, cross_estimates
 from .sampler import PRNG_ID
 from . import serialize
 
@@ -73,11 +73,20 @@ def _input_stamp(**paths: Path) -> dict:
     }
 
 
+def _naming(field: str, call, *args, **kwargs):
+    """call(*args, **kwargs), naming ``field`` when its operands do not
+    fit or the file it writes cannot be written."""
+    try:
+        return call(*args, **kwargs)
+    except (DimensionError, OSError) as exc:
+        raise PcsftError(f"field '{field}': {exc}") from None
+
+
 def _emit(text: str, output: str | None):
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        _naming("output", Path(output).write_text, text, encoding="utf-8")
 
 
 def _parse_epsilon(spec: str) -> float | str:
@@ -152,19 +161,17 @@ def cmd_verify_identity(args) -> int:
     cov = build_covariance(state, _parse_epsilon(args.epsilon))
     f1 = QuadraticForm(operator=a1, side=1)
     f2 = QuadraticForm(operator=a2, side=2)
-    cov_value = analytic_cov(cov, f1, f2)
-    moments = form_moments(cov, seed=args.seed, count=args.samples, forms=[f1, f2])
-    est = moments.cov(0, 1, analytic=cov_value)
+    [[est]] = cross_estimates(cov, [f1], [f2], seed=args.seed, count=args.samples)
 
     checks = {
         "trace_vs_tensor": abs(trace - tensor) <= IDENTITY_TOL,
-        "cov_vs_tensor": abs(cov_value - tensor) <= IDENTITY_TOL,
+        "cov_vs_tensor": abs(est.analytic - tensor) <= IDENTITY_TOL,
         "mc_within_5_se": est.within(),
     }
     payload = {
         "tensor": tensor,
         "trace": trace,
-        "analytic_cov": cov_value,
+        "analytic_cov": est.analytic,
         "mc": {**serialize.estimate_to_json(est), "seed": args.seed, "prng_id": PRNG_ID},
         "epsilon": cov.epsilon,
         "seed": args.seed,
@@ -206,7 +213,7 @@ def cmd_classify(args) -> int:
     state = serialize.state_from_json(
         serialize.load_json_file(state_path, "state"), "state"
     )
-    sym = classify_symmetry(state, tol=args.tol)
+    sym = _naming("state", classify_symmetry, state, tol=args.tol)
     payload = serialize.symmetry_to_json(sym)
     payload["tol"] = args.tol
     payload["version"] = __version__
@@ -217,12 +224,12 @@ def cmd_classify(args) -> int:
 
 def _write_transformed(state, args, extra: dict) -> int:
     cov = build_covariance(state, _parse_epsilon(args.epsilon))
-    Path(args.output_state).write_text(
-        serialize.dumps_json(serialize.state_to_json(state)), encoding="utf-8"
-    )
-    Path(args.output_covariance).write_text(
-        serialize.dumps_json(serialize.covariance_to_json(cov)), encoding="utf-8"
-    )
+    for field, doc in (
+        ("output_state", serialize.state_to_json(state)),
+        ("output_covariance", serialize.covariance_to_json(cov)),
+    ):
+        text = serialize.dumps_json(doc)
+        _naming(field, Path(getattr(args, field)).write_text, text, encoding="utf-8")
     payload = {
         "output_state": str(args.output_state),
         "output_covariance": str(args.output_covariance),
@@ -232,14 +239,6 @@ def _write_transformed(state, args, extra: dict) -> int:
     }
     _emit(serialize.dumps_json(payload), None)
     return EXIT_PASS
-
-
-def _apply_naming(channel, state, field: str):
-    """apply_to_state, naming ``field`` when the channel does not fit the state."""
-    try:
-        return apply_to_state(channel, state)
-    except DimensionError as exc:
-        raise PcsftError(f"field '{field}': {exc}") from None
 
 
 def cmd_propagate(args) -> int:
@@ -257,7 +256,7 @@ def cmd_propagate(args) -> int:
         raise PcsftError(f"field 't': {exc}") from None
     except ValueError as exc:
         raise PcsftError(f"field 'hamiltonian': {exc}") from None
-    out = _apply_naming(channel, state, "hamiltonian")
+    out = _naming("hamiltonian", apply_to_state, channel, state)
     return _write_transformed(
         out,
         args,
@@ -286,7 +285,7 @@ def cmd_channel(args) -> int:
             serialize.load_json_file(channel_path, "channel"), "channel"
         )
         inputs = _input_stamp(state=state_path, channel=channel_path)
-    out = _apply_naming(channel, state, "channel")
+    out = _naming("channel", apply_to_state, channel, state)
     return _write_transformed(out, args, {"inputs": inputs})
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .channels import UnitaryChannel, apply_to_state
 from .covariance import SYMMETRY_TOL, build_covariance, classify_symmetry
 from .hilbert import BipartiteState
-from .quadratic import Estimate, QuadraticForm, analytic_cov, form_moments
+from .quadratic import Estimate, QuadraticForm, cross_estimates
 from .sampler import PRNG_ID
 
 PORTS = ("R", "L")
@@ -167,8 +167,8 @@ def run_beamsplitter(
     epsilon is passed to build_covariance ("auto" or a number).  A g
     entry passes when |mc - analytic| <= SE_BAND standard errors.  The
     four port intensities are evaluated once per sample and reduced to
-    their moments as they are drawn; each g entry pairs a side-1 column
-    with a side-2 column.
+    their moments as they are drawn; g_xy pairs port x's side-1 form
+    with port y's side-2 form.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need n_samples >= {MIN_SAMPLES}, got {n_samples}")
@@ -182,14 +182,8 @@ def run_beamsplitter(
     cov = build_covariance(psi_out, epsilon)
     side1 = [intensity_observable(x, internal_dim, side=1) for x in PORTS]
     side2 = [intensity_observable(y, internal_dim, side=2) for y in PORTS]
-    moments = form_moments(cov, seed=seed, count=n_samples, forms=side1 + side2)
-    k = len(PORTS)
-
-    g: dict[str, Estimate] = {}
-    for i, x in enumerate(PORTS):
-        for j, y in enumerate(PORTS):
-            g_xy = analytic_cov(cov, side1[i], side2[j])
-            g[x + y] = moments.cov(i, k + j, analytic=g_xy)
+    estimates = cross_estimates(cov, side1, side2, seed=seed, count=n_samples)
+    g = {x + y: est for x, row in zip(PORTS, estimates) for y, est in zip(PORTS, row)}
     return ExperimentReport(
         experiment="beamsplitter",
         statistics=statistics,

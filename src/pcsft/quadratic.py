@@ -1,17 +1,15 @@
 """Quadratic-form observables and their analytic / Monte Carlo statistics.
 
 A classical observable is f_A(phi) = <A phi, phi> for a self-adjoint A,
-read off one component of the bi-signal.  The cross-component pairing
-used throughout conjugates the second component: the correlation of
-interest is
+read off one component of the bi-signal: side-1 forms read phi1, side-2
+forms conj(phi2).  On the joint sample z = (phi1, phi2) every form is
+z†Mz, its joint operator M holding A (side 1) or conj(A) (side 2) in its
+side's diagonal block.  For circular z of covariance D (Isserlis):
 
-    cov(f_{A1}(phi1), f_{A2}(conj(phi2)))
-        = Tr[A1 D12 conj(A2) D12†],
+    E f = Tr(D M),    cov(f, g) = Tr(D M_f D M_g),  forms on any sides.
 
-which is independent of the background level and, whenever D12 is the
-coefficient matrix of a state, equals the tensor average
-<A1 (x) A2 Ψ, Ψ>.  So every evaluator reads side-1 forms off phi1 and
-side-2 forms off conj(phi2).
+A cross pair is Tr[A1 D12 conj(A2) D12†], independent of the background
+level, and equal to <A1 (x) A2 Ψ, Ψ> when D12 is a state's coefficients.
 
 Every form is weighted intensities: a diagonal A's of phi's own modes,
 any other A's of phi in A's eigenbasis, planned once when the form is
@@ -99,6 +97,23 @@ class Estimate:
         return abs(self.value - self.analytic) <= SE_BAND * self.std_error
 
 
+def _side_modes(side: int, d1: int, d2: int) -> slice:
+    """The modes of side ``side`` in the joint sample z = (phi1, phi2)."""
+    return slice(0, d1) if side == 1 else slice(d1, d1 + d2)
+
+
+def _joint(cov: BlockCovariance, form: QuadraticForm) -> np.ndarray:
+    """The form's joint operator M, f_A = z†Mz: A (side 1) or conj(A)
+    (side 2) in its side's diagonal block of a zero (d1 + d2)² matrix."""
+    modes = _side_modes(form.side, cov.d1, cov.d2)
+    dim = modes.stop - modes.start
+    if form.dim != dim:
+        raise DimensionError(f"operator dim {form.dim} != d{form.side} = {dim}")
+    joint = np.zeros((cov.d1 + cov.d2,) * 2, dtype=complex)
+    joint[modes, modes] = form.operator if form.side == 1 else np.conj(form.operator)
+    return joint
+
+
 def _readout(
     forms: Sequence[QuadraticForm], d1: int, d2: int
 ) -> tuple[np.ndarray, list[tuple[slice, np.ndarray]]]:
@@ -106,13 +121,11 @@ def _readout(
     columns and stacked in form order, and each form's (columns, weights):
     its values are the weights applied to the intensities of those
     columns of R phi."""
-    offsets = {1: 0, 2: d1}
     readout = np.zeros((sum(len(form.weights) for form in forms), d1 + d2), dtype=complex)
     plans, start = [], 0
     for form in forms:
         rows = slice(start, start + len(form.weights))
-        first = offsets[form.side]
-        readout[rows, first : first + form.dim] = form.basis
+        readout[rows, _side_modes(form.side, d1, d2)] = form.basis
         plans.append((rows, form.weights))
         start = rows.stop
     return readout, plans
@@ -296,7 +309,7 @@ def form_moments(
 
     Column j of the moments is form j on the samples ``draw_chunks`` draws
     for (cov, seed, count): side-1 forms on phi1, side-2 forms on
-    conj(phi2), the pairing of analytic_cov.  The sampler hands its
+    conj(phi2), the pairing of the joint operators.  The sampler hands its
     workers R phi for the forms' readout R, each form's rows in form
     order, and each worker evaluates every form once per block from one
     intensity pass and folds the values into the moments, in a _Workspace
@@ -306,7 +319,7 @@ def form_moments(
     count.
     """
     # The centre moves only rounding: it needs no reality check.
-    centre = [_mean_trace(cov, form).real for form in forms]
+    centre = [np.trace(cov.assembled() @ _joint(cov, form)).real for form in forms]
     readout, plans = _readout(forms, cov.d1, cov.d2)
     moments = Moments(centre)
     block_rows = min(_BLOCK_ROWS, count)
@@ -319,48 +332,39 @@ def form_moments(
     return moments
 
 
-def _mean_trace(cov: BlockCovariance, form: QuadraticForm) -> complex:
-    """Tr[D11 A] on side 1, Tr[D22 conj(A)] on side 2, imaginary part kept."""
-    dim, block = (cov.d1, cov.d11) if form.side == 1 else (cov.d2, cov.d22)
-    if form.dim != dim:
-        raise DimensionError(f"operator dim {form.dim} != d{form.side} = {dim}")
-    return np.trace(block @ (form.operator if form.side == 1 else np.conj(form.operator)))
+def cross_estimates(
+    cov: BlockCovariance, left: Sequence[QuadraticForm], right: Sequence[QuadraticForm],
+    seed: int, count: int, workers: int | None = None,
+) -> list[list[Estimate]]:
+    """Entry [i][j]: the covariance of left[i] and right[j] on ``count``
+    fresh samples, analytic_cov attached.  Every analytic value, and so
+    every dimension check, comes before the one draw of form_moments."""
+    analytic = [[analytic_cov(cov, f, g) for g in right] for f in left]
+    moments = form_moments(cov, seed, count, [*left, *right], workers)
+    k = len(left)
+    return [
+        [moments.cov(i, k + j, analytic=value) for j, value in enumerate(row)]
+        for i, row in enumerate(analytic)
+    ]
 
 
 def analytic_mean(cov: BlockCovariance, form: QuadraticForm) -> float:
-    """E f_A(phi_side): Tr[D11 A] on side 1, Tr[D22 conj(A)] on side 2."""
-    return as_real(_mean_trace(cov, form))
+    """E f_A = Tr(D M): Tr[D11 A] on side 1, Tr[D22 conj(A)] on side 2."""
+    return as_real(np.trace(cov.assembled() @ _joint(cov, form)))
 
 
 def renormalized_mean(cov: BlockCovariance, form: QuadraticForm) -> float:
-    """Classical mean with the background contribution subtracted.
+    """Classical mean with the background subtracted, Tr(D M) - epsilon
+    Tr M: for covariances built from a state, the marginal average."""
+    joint = _joint(cov, form)
+    return as_real(np.trace(cov.assembled() @ joint) - cov.epsilon * np.trace(joint))
 
-    analytic_mean minus epsilon * Tr A; for covariances built from a
-    state this reproduces the corresponding marginal average exactly.
+
+def analytic_cov(cov: BlockCovariance, f: QuadraticForm, g: QuadraticForm) -> float:
+    """Covariance of the forms f and g, on any sides: Tr(D M_f D M_g).
+
+    A cross pair reads only D12, so it does not depend on the background
+    level; a same-side pair reads its side's diagonal block, which does.
     """
-    trace = complex(np.trace(form.operator))
-    if form.side == 2:
-        trace = np.conj(trace)
-    return analytic_mean(cov, form) - cov.epsilon * as_real(trace)
-
-
-def analytic_cov(
-    cov: BlockCovariance, f1: QuadraticForm, f2: QuadraticForm
-) -> float:
-    """Covariance of f1 on component 1 and f2 on the conjugated component 2.
-
-    Wick evaluation under circularity gives Tr[A1 D12 conj(A2) D12†];
-    only the off-diagonal block enters, so the value is independent of
-    the background level.
-    """
-    if f1.side != 1 or f2.side != 2:
-        raise ValueError("analytic_cov expects f1 on side 1 and f2 on side 2")
-    if f1.dim != cov.d1 or f2.dim != cov.d2:
-        raise DimensionError(
-            f"operator dims ({f1.dim}, {f2.dim}) do not match blocks "
-            f"({cov.d1}, {cov.d2})"
-        )
-    value = np.trace(
-        f1.operator @ cov.d12 @ np.conj(f2.operator) @ cov.d12.conj().T
-    )
-    return as_real(value)
+    d = cov.assembled()
+    return as_real(np.trace(d @ _joint(cov, f) @ d @ _joint(cov, g)))

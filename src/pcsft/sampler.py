@@ -58,8 +58,9 @@ FACTOR_RESIDUAL_TOL = 1e-8
 CHUNK_SIZE = 16384
 
 # Rows a worker fills and transforms at a time.  It divides CHUNK_SIZE, so
-# the blocks tile every draw at multiples of _BLOCK_ROWS; it changes no
-# value, only how much scratch memory a worker holds.
+# the blocks tile every draw at multiples of _BLOCK_ROWS.  It moves no
+# sample, but Moments sums one Gram matrix per block, so the tiling sets
+# the rounding of every estimate, and with it the report bytes.
 _BLOCK_ROWS = 4096
 
 

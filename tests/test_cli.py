@@ -359,6 +359,7 @@ class TestClassifyCommand:
         state = write_state(tmp_path / "state.json", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         code = main(["classify", str(state)])
         assert code == 2
+        assert "field 'state': symmetry classification needs d1 = d2" in capsys.readouterr().err
 
     def test_boolean_amplitude_exits_2(self, tmp_path, capsys):
         # JSON true is not the number 1: the entry is named, nothing runs.
@@ -768,6 +769,44 @@ class TestInvalidNumbers:
         assert f"field '{operand}'" in captured.err
         assert "not UTF-8" in captured.err
         assert not (tmp_path / "out_state.json").exists()
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    @pytest.mark.parametrize(
+        "command, field",
+        [
+            ("verify-identity", "output"),
+            ("experiment", "output"),
+            ("classify", "output"),
+            ("propagate", "output_state"),
+            ("propagate", "output_covariance"),
+            ("channel", "output_state"),
+            ("channel", "output_covariance"),
+        ],
+    )
+    def test_exits_2_naming_the_field(
+        self, tmp_path, singlet_file, capsys, command, field, target
+    ):
+        a1 = str(write_operator(tmp_path / "a1.json", PROJ_R))
+        ham = str(write_pair(tmp_path / "h.json", "H1", "H2", np.eye(2), np.eye(2)))
+        operands = {
+            "verify-identity": [str(singlet_file), a1, a1, "--samples=2000"],
+            "experiment": ["--experiment", "beamsplitter", "--statistics", "fermion",
+                           "--samples=2000"],
+            "classify": [str(singlet_file)],
+            "propagate": [str(singlet_file), ham, "--t=1"],
+            "channel": [str(singlet_file), "beamsplitter5050"],
+        }[command]
+        paths = {name: tmp_path / f"{name}.json" for name in ("output_state", "output_covariance")}
+        paths[field] = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
+        names = ["output"] if field == "output" else list(paths)
+        code = main([command, *operands, *(f"--{n.replace('_', '-')}={paths[n]}" for n in names)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: field '{field}': ")
+        assert str(paths[field]) in captured.err
 
 
 # Values no amplitude component may take: non-finite, so large that |a|^2

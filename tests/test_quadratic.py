@@ -29,7 +29,7 @@ from pcsft.experiments import (
     intensity_observable,
     spin_state,
 )
-from conftest import draw_samples, rand_complex, rand_selfadjoint, rand_state
+from conftest import draw_samples, rand_complex, rand_selfadjoint, rand_state, schmidt_states
 
 
 def _diagonal_values(phi, weights):
@@ -265,11 +265,87 @@ class TestAnalyticCov:
         expected = np.vdot(u, a1 @ u).real * np.vdot(v, a2 @ v).real
         assert value == pytest.approx(expected, abs=1e-12)
 
-    def test_side_validation(self):
-        cov = build_covariance(BELL_SINGLET, 0.3)
+    @pytest.mark.parametrize("case", ["experiment", "dense"])
+    def test_same_side_pairs_match_moments(self, case):
+        # Tr(D M_f D M_g) holds for two forms on one side and for a form
+        # with itself (its variance), where the background enters.
+        if case == "experiment":
+            cov, forms = spin_half_cov(), spin_half_projectors()
+            pairs = [(0, 1), (0, 0), (2, 3), (3, 3)]
+        else:
+            rng = np.random.default_rng(69)
+            state = rand_state(rng, 3, 2)
+            cov = build_covariance(state, epsilon_min(state) + 0.1)
+            forms = [
+                QuadraticForm(operator=rand_selfadjoint(rng, d), side=side)
+                for d, side in ((3, 1), (3, 1), (2, 2), (2, 2))
+            ]
+            pairs = [(0, 1), (0, 0), (2, 3), (2, 2)]
+        moments = form_moments(cov, 75, 200_000, forms)
+        for i, j in pairs:
+            value = analytic_cov(cov, forms[i], forms[j])
+            if case == "dense":
+                assert abs(value) > 0.1
+            assert moments.cov(i, j, analytic=value).within(), (i, j)
+
+
+def _block_mean(cov, form) -> complex:
+    """E f_A from the covariance blocks: Tr[D11 A] on side 1,
+    Tr[D22 conj(A)] on side 2."""
+    if form.side == 1:
+        return np.trace(cov.d11 @ form.operator)
+    return np.trace(cov.d22 @ np.conj(form.operator))
+
+
+def _block_cross_cov(cov, f1, f2) -> complex:
+    """Tr[A1 D12 conj(A2) D12†], the block expression of a cross pair."""
+    return np.trace(f1.operator @ cov.d12 @ np.conj(f2.operator) @ cov.d12.conj().T)
+
+
+class TestJointOperator:
+    """Every analytic moment is a trace against D of the joint operators;
+    the same moments written with the covariance blocks are the oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        state=schmidt_states(),
+        margin=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_traces_equal_block_expressions(self, state, margin, seed):
+        rng = np.random.default_rng(seed)
+        cov = build_covariance(state, epsilon_min(state) + margin)
+        f1 = QuadraticForm(operator=rand_selfadjoint(rng, state.d1), side=1)
+        f2 = QuadraticForm(operator=rand_selfadjoint(rng, state.d2), side=2)
+        g1 = QuadraticForm(operator=rand_selfadjoint(rng, state.d1), side=1)
+        size = np.linalg.norm(cov.assembled())
+
+        def norm(*forms):
+            return np.prod([np.linalg.norm(form.operator) for form in forms])
+
+        cross = analytic_cov(cov, f1, f2)
+        assert abs(cross - _block_cross_cov(cov, f1, f2)) <= 1e-12 * size**2 * norm(f1, f2)
+        for form in (f1, f2):
+            assert abs(analytic_mean(cov, form) - _block_mean(cov, form)) <= (
+                1e-12 * size * norm(form)
+            )
+        for f, g in ((f1, f2), (f1, g1), (f2, g1), (f1, f1)):
+            assert abs(analytic_cov(cov, f, g) - analytic_cov(cov, g, f)) <= (
+                1e-12 * size**2 * norm(f, g)
+            )
+
+    def test_mis_sized_form_raises_before_drawing(self, monkeypatch):
+        import pcsft.quadratic as quadratic
+
+        def no_draw(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(quadratic, "draw_chunks", no_draw)
+        cov = build_covariance(matricize(np.array([[1.0], [0.0]])), 0.3)
         f1 = QuadraticForm(operator=PROJ_R, side=1)
-        with pytest.raises(ValueError):
-            analytic_cov(cov, f1, f1)
+        f2 = QuadraticForm(operator=np.eye(2), side=2)
+        with pytest.raises(DimensionError, match=r"operator dim 2 != d2 = 1"):
+            quadratic.cross_estimates(cov, [f1], [f2], seed=0, count=100)
 
 
 class TestMcCov:
