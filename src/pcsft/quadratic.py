@@ -114,6 +114,11 @@ def _joint(cov: BlockCovariance, form: QuadraticForm) -> np.ndarray:
     return joint
 
 
+def _trace_dm(cov: BlockCovariance, form: QuadraticForm) -> complex:
+    """Tr(D M) for the form's joint operator M, before the reality check."""
+    return np.trace(cov.assembled() @ _joint(cov, form))
+
+
 def _readout(
     forms: Sequence[QuadraticForm], d1: int, d2: int
 ) -> tuple[np.ndarray, list[tuple[slice, np.ndarray]]]:
@@ -319,7 +324,7 @@ def form_moments(
     count.
     """
     # The centre moves only rounding: it needs no reality check.
-    centre = [np.trace(cov.assembled() @ _joint(cov, form)).real for form in forms]
+    centre = [_trace_dm(cov, form).real for form in forms]
     readout, plans = _readout(forms, cov.d1, cov.d2)
     moments = Moments(centre)
     block_rows = min(_BLOCK_ROWS, count)
@@ -334,13 +339,13 @@ def form_moments(
 
 def cross_estimates(
     cov: BlockCovariance, left: Sequence[QuadraticForm], right: Sequence[QuadraticForm],
-    seed: int, count: int, workers: int | None = None,
+    seed: int, count: int,
 ) -> list[list[Estimate]]:
     """Entry [i][j]: the covariance of left[i] and right[j] on ``count``
     fresh samples, analytic_cov attached.  Every analytic value, and so
     every dimension check, comes before the one draw of form_moments."""
     analytic = [[analytic_cov(cov, f, g) for g in right] for f in left]
-    moments = form_moments(cov, seed, count, [*left, *right], workers)
+    moments = form_moments(cov, seed, count, [*left, *right])
     k = len(left)
     return [
         [moments.cov(i, k + j, analytic=value) for j, value in enumerate(row)]
@@ -350,21 +355,18 @@ def cross_estimates(
 
 def analytic_mean(cov: BlockCovariance, form: QuadraticForm) -> float:
     """E f_A = Tr(D M): Tr[D11 A] on side 1, Tr[D22 conj(A)] on side 2."""
-    return as_real(np.trace(cov.assembled() @ _joint(cov, form)))
+    return as_real(_trace_dm(cov, form))
 
 
 def renormalized_mean(cov: BlockCovariance, form: QuadraticForm) -> float:
     """Classical mean with the background subtracted, Tr(D M) - epsilon
     Tr M: for covariances built from a state, the marginal average."""
-    joint = _joint(cov, form)
-    return as_real(np.trace(cov.assembled() @ joint) - cov.epsilon * np.trace(joint))
+    return as_real(_trace_dm(cov, form) - cov.epsilon * np.trace(_joint(cov, form)))
 
 
 def analytic_cov(cov: BlockCovariance, f: QuadraticForm, g: QuadraticForm) -> float:
-    """Covariance of the forms f and g, on any sides: Tr(D M_f D M_g).
-
-    A cross pair reads only D12, so it does not depend on the background
-    level; a same-side pair reads its side's diagonal block, which does.
-    """
+    """Covariance of the forms f and g, on any sides: Tr(D M_f D M_g).  A
+    cross pair reads only D12, so it does not depend on the background
+    level; a same-side pair reads its side's diagonal block, which does."""
     d = cov.assembled()
     return as_real(np.trace(d @ _joint(cov, f) @ d @ _joint(cov, g)))
