@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import io
 import math
 import sys
@@ -46,7 +45,7 @@ from .hilbert import (
     require_selfadjoint,
 )
 from .quadratic import QuadraticForm, cross_estimates
-from .sampler import PRNG_ID
+from .sampler import PRNG_ID, SEED_BOUND
 from . import serialize
 
 EXIT_PASS = 0
@@ -62,15 +61,13 @@ IDENTITY_TOL = 1e-10
 MAX_OPERATOR_ENTRY = 1e50
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _input_stamp(**paths: Path) -> dict:
-    return {
-        name: {"path": str(path), "sha256": _sha256(path)}
-        for name, path in paths.items()
-    }
+def _load(inputs: dict, field: str, path: str, parse):
+    """parse(document, field) of the JSON file at ``path``, recording in
+    ``inputs[field]`` the path and the SHA-256 of the bytes parsed."""
+    path = Path(path)
+    document, digest = serialize.load_json_file(path, field)
+    inputs[field] = {"path": str(path), "sha256": digest}
+    return parse(document, field)
 
 
 def _naming(field: str, call, *args, **kwargs):
@@ -111,7 +108,7 @@ def _check_numbers(args):
     least = MIN_SAMPLES if args.func is cmd_experiment else 2
     for name, admissible, expected in (
         ("samples", lambda v: v >= least, f"an integer >= {least}"),
-        ("seed", lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)"),
+        ("seed", lambda v: 0 <= v < SEED_BOUND, "an integer in [0, 2**64)"),
         ("t", math.isfinite, "a finite number"),
         ("tol", lambda v: 0 < v < math.inf, "a finite positive number"),
     ):
@@ -130,18 +127,10 @@ def _add_common_sampling(parser: argparse.ArgumentParser):
 
 
 def cmd_verify_identity(args) -> int:
-    state_path = Path(args.state)
-    a1_path = Path(args.a1)
-    a2_path = Path(args.a2)
-    state = serialize.state_from_json(
-        serialize.load_json_file(state_path, "state"), "state"
-    )
-    a1 = serialize.operator_from_json(
-        serialize.load_json_file(a1_path, "a1"), "a1"
-    )
-    a2 = serialize.operator_from_json(
-        serialize.load_json_file(a2_path, "a2"), "a2"
-    )
+    inputs = {}
+    state = _load(inputs, "state", args.state, serialize.state_from_json)
+    a1 = _load(inputs, "a1", args.a1, serialize.operator_from_json)
+    a2 = _load(inputs, "a2", args.a2, serialize.operator_from_json)
     for name, a, dim in (("a1", a1, state.d1), ("a2", a2, state.d2)):
         if a.shape != (dim, dim):
             raise PcsftError(
@@ -180,7 +169,7 @@ def cmd_verify_identity(args) -> int:
         "pass": all(checks.values()),
         "prng_id": PRNG_ID,
         "version": __version__,
-        "inputs": _input_stamp(state=state_path, a1=a1_path, a2=a2_path),
+        "inputs": inputs,
     }
     _emit(serialize.dumps_json(payload), args.output)
     return EXIT_PASS if payload["pass"] else EXIT_STAT_FAIL
@@ -209,27 +198,39 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    state_path = Path(args.state)
-    state = serialize.state_from_json(
-        serialize.load_json_file(state_path, "state"), "state"
-    )
+    inputs = {}
+    state = _load(inputs, "state", args.state, serialize.state_from_json)
     sym = _naming("state", classify_symmetry, state, tol=args.tol)
     payload = serialize.symmetry_to_json(sym)
     payload["tol"] = args.tol
     payload["version"] = __version__
-    payload["inputs"] = _input_stamp(state=state_path)
+    payload["inputs"] = inputs
     _emit(serialize.dumps_json(payload), args.output)
     return EXIT_PASS
 
 
 def _write_transformed(state, args, extra: dict) -> int:
     cov = build_covariance(state, _parse_epsilon(args.epsilon))
+    paths = {field: Path(getattr(args, field)) for field in ("output_state", "output_covariance")}
+    # Open both outputs before writing either.  Append mode creates a
+    # missing file and leaves an existing one as it is, so when an open
+    # fails, removing the files this call created undoes it.
+    created = []
+    try:
+        for field, path in paths.items():
+            existed = path.exists()
+            _naming(field, open, path, "a").close()
+            if not existed:
+                created.append(path)
+    except PcsftError:
+        for path in created:
+            path.unlink()
+        raise
     for field, doc in (
         ("output_state", serialize.state_to_json(state)),
         ("output_covariance", serialize.covariance_to_json(cov)),
     ):
-        text = serialize.dumps_json(doc)
-        _naming(field, Path(getattr(args, field)).write_text, text, encoding="utf-8")
+        _naming(field, paths[field].write_text, serialize.dumps_json(doc), encoding="utf-8")
     payload = {
         "output_state": str(args.output_state),
         "output_covariance": str(args.output_covariance),
@@ -242,14 +243,9 @@ def _write_transformed(state, args, extra: dict) -> int:
 
 
 def cmd_propagate(args) -> int:
-    state_path = Path(args.state)
-    ham_path = Path(args.hamiltonian)
-    state = serialize.state_from_json(
-        serialize.load_json_file(state_path, "state"), "state"
-    )
-    ham = serialize.hamiltonian_from_json(
-        serialize.load_json_file(ham_path, "hamiltonian"), "hamiltonian"
-    )
+    inputs = {}
+    state = _load(inputs, "state", args.state, serialize.state_from_json)
+    ham = _load(inputs, "hamiltonian", args.hamiltonian, serialize.hamiltonian_from_json)
     try:
         channel = evolution_channel(ham, args.t)
     except OverflowError as exc:
@@ -257,18 +253,12 @@ def cmd_propagate(args) -> int:
     except ValueError as exc:
         raise PcsftError(f"field 'hamiltonian': {exc}") from None
     out = _naming("hamiltonian", apply_to_state, channel, state)
-    return _write_transformed(
-        out,
-        args,
-        {"t": args.t, "inputs": _input_stamp(state=state_path, hamiltonian=ham_path)},
-    )
+    return _write_transformed(out, args, {"t": args.t, "inputs": inputs})
 
 
 def cmd_channel(args) -> int:
-    state_path = Path(args.state)
-    state = serialize.state_from_json(
-        serialize.load_json_file(state_path, "state"), "state"
-    )
+    inputs = {}
+    state = _load(inputs, "state", args.state, serialize.state_from_json)
     if args.channel == "beamsplitter5050":
         dim = state.d1
         if state.d2 != dim or dim % 2 != 0:
@@ -277,14 +267,9 @@ def cmd_channel(args) -> int:
             )
         u = np.kron(beamsplitter_unitary(), np.eye(dim // 2, dtype=complex))
         channel = UnitaryChannel(u1=u, u2=u)
-        inputs = _input_stamp(state=state_path)
         inputs["channel"] = {"preset": "beamsplitter5050"}
     else:
-        channel_path = Path(args.channel)
-        channel = serialize.channel_from_json(
-            serialize.load_json_file(channel_path, "channel"), "channel"
-        )
-        inputs = _input_stamp(state=state_path, channel=channel_path)
+        channel = _load(inputs, "channel", args.channel, serialize.channel_from_json)
     out = _naming("channel", apply_to_state, channel, state)
     return _write_transformed(out, args, {"inputs": inputs})
 

@@ -23,6 +23,7 @@ from .covariance import SYMMETRY_TOL, build_covariance, classify_symmetry
 from .hilbert import BipartiteState
 from .quadratic import Estimate, QuadraticForm, cross_estimates
 from .sampler import PRNG_ID
+from . import serialize
 
 PORTS = ("R", "L")
 PORT_INDEX = {"R": 0, "L": 1}
@@ -55,13 +56,7 @@ class ExperimentReport:
 def report_to_json(report: ExperimentReport) -> dict:
     """The report as a JSON object (the CLI adds ``version``)."""
     g = {
-        key: {
-            "analytic": est.analytic,
-            "value": est.value,
-            "std_error": est.std_error,
-            "n": est.n,
-            "passed": est.within(),
-        }
+        key: {**serialize.estimate_to_json(est), "passed": est.within()}
         for key, est in report.g.items()
     }
     return {

@@ -28,7 +28,7 @@ import numpy as np
 from .covariance import BlockCovariance
 from .errors import DimensionError
 from .hilbert import as_real, require_selfadjoint
-from .sampler import _BLOCK_ROWS, draw_chunks
+from .sampler import _BLOCK_ROWS, draw_chunks, factor_covariance
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,7 +343,10 @@ def cross_estimates(
 ) -> list[list[Estimate]]:
     """Entry [i][j]: the covariance of left[i] and right[j] on ``count``
     fresh samples, analytic_cov attached.  Every analytic value, and so
-    every dimension check, comes before the one draw of form_moments."""
+    every dimension check, comes before the one draw of form_moments, and
+    after the factor's residual check, which the draw reuses: an epsilon
+    too large for float64 is rejected before a trace against D overflows."""
+    factor_covariance(cov)
     analytic = [[analytic_cov(cov, f, g) for g in right] for f in left]
     moments = form_moments(cov, seed, count, [*left, *right])
     k = len(left)

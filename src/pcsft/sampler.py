@@ -39,6 +39,7 @@ tests pin known-answer values of the stream.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from typing import Callable
@@ -49,6 +50,9 @@ from .covariance import BlockCovariance
 from .errors import NotPositiveError, PcsftError
 
 PRNG_ID = "sfc64:ziggurat:v3"
+
+# Seeds are below this bound: SeedSequence would take any nonnegative integer.
+SEED_BOUND = 2**64
 
 # Largest admissible max |F F† - D| of the factor, an absolute bound.
 FACTOR_RESIDUAL_TOL = 1e-8
@@ -87,17 +91,19 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def _substream(seed: int, chunk: int) -> np.random.SFC64:
-    # SeedSequence would take any nonnegative integers: check the range.
-    if not 0 <= seed < 2**64:
+    if not 0 <= seed < SEED_BOUND:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
     if chunk >= 2**56:
         raise ValueError("chunk index out of range")
     return np.random.SFC64(np.random.SeedSequence([seed, chunk]))
 
 
+# Kept for the latest covariance, which is immutable: cross_estimates checks
+# the factor before its analytic traces, and the draw reuses it.
+@functools.lru_cache(maxsize=1)
 def factor_covariance(cov: BlockCovariance) -> np.ndarray:
     """The positive semi-definite square root F = V sqrt(L) V† of the
-    assembled covariance, so F F† equals it.
+    assembled covariance, so F F† equals it, read-only.
 
     Built from a Hermitian eigendecomposition of the assembled matrix.
     The covariance is PSD by construction, so eigenvalues below zero are
@@ -116,6 +122,7 @@ def factor_covariance(cov: BlockCovariance) -> np.ndarray:
             f"factorization residual {residual:.3e} exceeds {FACTOR_RESIDUAL_TOL:.0e} "
             f"(largest covariance entry {scale:.3e})"
         )
+    f.setflags(write=False)
     return f
 
 

@@ -9,6 +9,7 @@ documents.  Validation errors name the offending field.
 from __future__ import annotations
 
 import cmath
+import hashlib
 import json
 import math
 from typing import Any
@@ -177,11 +178,12 @@ def hamiltonian_from_json(obj: Any, field: str = "hamiltonian") -> Hamiltonian:
 
 
 def estimate_to_json(est: Estimate) -> dict:
+    """The estimate's fields, in the column order of the experiment CSV."""
     return {
+        "analytic": est.analytic,
         "value": est.value,
         "std_error": est.std_error,
         "n": est.n,
-        "analytic": est.analytic,
     }
 
 
@@ -197,10 +199,13 @@ def dumps_json(payload: Any) -> str:
     return text + "\n"
 
 
-def load_json_file(path, what: str = "input"):
+def load_json_file(path, what: str = "input") -> tuple[Any, str]:
+    """(document, SHA-256 hex digest) of the JSON file at ``path``: one
+    read, so the digest is that of the bytes the document was parsed from."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
     except OSError as exc:
         raise SchemaError(f"field '{what}': cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

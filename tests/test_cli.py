@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, determinism, file handling."""
 
 import ast
+import builtins
+import hashlib
+import io
 import json
 import math
 import os
@@ -573,6 +576,10 @@ class TestInvalidNumbers:
             # Valid, but beyond float64's reach for the factor's residual bound.
             ("experiment", "--epsilon=1e8", "epsilon"),
             ("verify-identity", "--epsilon=1e8", "epsilon"),
+            # So large that a trace against D would overflow: the factor's
+            # residual check must reject it first.
+            ("experiment", "--epsilon=1e300", "epsilon"),
+            ("verify-identity", "--epsilon=1e160", "epsilon"),
         ],
     )
     def test_exits_2_naming_the_field(
@@ -807,6 +814,21 @@ class TestUnwritableOutput:
         assert captured.out == ""
         assert captured.err.startswith(f"error: field '{field}': ")
         assert str(paths[field]) in captured.err
+        # Both outputs are opened before either is written: a failed run
+        # leaves no other output behind.
+        for name in names:
+            if name != field:
+                assert not paths[name].exists()
+
+    def test_existing_output_keeps_its_bytes(self, tmp_path, singlet_file, capsys):
+        state_out = tmp_path / "old_state.json"
+        state_out.write_bytes(b"earlier bytes\n")
+        missing = tmp_path / "missing" / "cov.json"
+        code = main(["channel", str(singlet_file), "beamsplitter5050",
+                     f"--output-state={state_out}", f"--output-covariance={missing}"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: field 'output_covariance': ")
+        assert state_out.read_bytes() == b"earlier bytes\n"
 
 
 # Values no amplitude component may take: non-finite, so large that |a|^2
@@ -1059,6 +1081,50 @@ class TestDeterminismAcrossCommands:
         with pytest.raises(SystemExit) as exc_info:
             main(["--version"])
         assert exc_info.value.code == 0
+
+
+class TestInputHashes:
+    """Each report records, per input file, its path and the SHA-256 of
+    the bytes it was parsed from, and each input file is opened once."""
+
+    @pytest.mark.parametrize("command", ["verify-identity", "classify", "propagate", "channel"])
+    def test_records_each_input_read_once(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        write_state(tmp_path / "state.json", SINGLET)
+        write_operator(tmp_path / "a1.json", PROJ_R)
+        write_operator(tmp_path / "a2.json", PROJ_L)
+        write_pair(tmp_path / "h.json", "H1", "H2", np.eye(2), np.diag([1.0, -1.0]))
+        write_pair(tmp_path / "u.json", "U1", "U2", np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        outputs = ["--output-state=s_out.json", "--output-covariance=c_out.json"]
+        inputs, options = {
+            "verify-identity": (
+                {"state": "./state.json", "a1": "a1.json", "a2": str(tmp_path / "a2.json")},
+                ["--samples=2000"],
+            ),
+            "classify": ({"state": "./state.json"}, []),
+            "propagate": ({"state": "state.json", "hamiltonian": "./h.json"}, ["--t=1", *outputs]),
+            "channel": ({"state": "./state.json", "channel": "u.json"}, outputs),
+        }[command]
+        expected = {
+            field: {"path": str(Path(arg)), "sha256": hashlib.sha256(Path(arg).read_bytes()).hexdigest()}
+            for field, arg in inputs.items()
+        }
+        resolved = [Path(arg).resolve() for arg in inputs.values()]
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opened.append(Path(file).resolve())
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        code = main([command, *inputs.values(), *options])
+        monkeypatch.undo()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["inputs"] == expected
+        assert [opened.count(path) for path in resolved] == [1] * len(inputs)
 
 
 class TestParserReuse:

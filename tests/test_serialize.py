@@ -185,5 +185,6 @@ class TestStateFileHelpers:
         path.write_text(
             serialize.dumps_json(serialize.state_to_json(state)), encoding="utf-8"
         )
-        loaded = serialize.state_from_json(serialize.load_json_file(path))
+        document, _ = serialize.load_json_file(path)
+        loaded = serialize.state_from_json(document)
         np.testing.assert_allclose(loaded.amplitudes, state.amplitudes)
