@@ -211,7 +211,11 @@ def cmd_classify(args) -> int:
 
 def _write_transformed(state, args, extra: dict) -> int:
     cov = build_covariance(state, _parse_epsilon(args.epsilon))
-    paths = {field: Path(getattr(args, field)) for field in ("output_state", "output_covariance")}
+    docs = {
+        "output_state": serialize.state_to_json(state),
+        "output_covariance": serialize.covariance_to_json(cov),
+    }
+    paths = {field: Path(getattr(args, field)) for field in docs}
     # Open both outputs before writing either.  Append mode creates a
     # missing file and leaves an existing one as it is, so when an open
     # fails, removing the files this call created undoes it.
@@ -226,10 +230,7 @@ def _write_transformed(state, args, extra: dict) -> int:
         for path in created:
             path.unlink()
         raise
-    for field, doc in (
-        ("output_state", serialize.state_to_json(state)),
-        ("output_covariance", serialize.covariance_to_json(cov)),
-    ):
+    for field, doc in docs.items():
         _naming(field, paths[field].write_text, serialize.dumps_json(doc), encoding="utf-8")
     payload = {
         "output_state": str(args.output_state),
