@@ -218,7 +218,8 @@ def _write_transformed(state, args, extra: dict) -> int:
     paths = {field: Path(getattr(args, field)) for field in docs}
     # Open both outputs before writing either.  Append mode creates a
     # missing file and leaves an existing one as it is, so when an open
-    # fails, removing the files this call created undoes it.
+    # fails, or both paths name one file, removing the files this call
+    # created undoes it.
     created = []
     try:
         for field, path in paths.items():
@@ -226,6 +227,11 @@ def _write_transformed(state, args, extra: dict) -> int:
             _naming(field, open, path, "a").close()
             if not existed:
                 created.append(path)
+        if paths["output_state"].samefile(paths["output_covariance"]):
+            raise PcsftError(
+                f"field 'output_covariance': {paths['output_covariance']} is also "
+                f"the output_state file {paths['output_state']}"
+            )
     except PcsftError:
         for path in created:
             path.unlink()

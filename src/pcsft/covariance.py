@@ -82,7 +82,7 @@ class BlockCovariance:
         if not math.isfinite(eps):
             raise ValueError(f"epsilon must be a finite number, got {eps}")
         object.__setattr__(self, "d12", psi)
-        object.__setattr__(self, "epsilon", max(eps, 0.0))
+        object.__setattr__(self, "epsilon", eps if eps > 0.0 else 0.0)  # never -0.0
 
     @property
     def d11(self) -> np.ndarray:

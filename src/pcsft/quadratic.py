@@ -28,7 +28,7 @@ import numpy as np
 from .covariance import BlockCovariance
 from .errors import DimensionError
 from .hilbert import as_real, require_selfadjoint
-from .sampler import _BLOCK_ROWS, draw_chunks, factor_covariance
+from .sampler import draw_chunks, factor_covariance
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,59 +139,47 @@ def _readout(
 def _intensities(phi: np.ndarray, out: np.ndarray) -> np.ndarray:
     """|phi|^2 of every entry of a block, all columns in one pass: square
     phi's float64 view in place, then add its re and im columns into
-    ``out`` (rows × columns).  Overwrites phi."""
+    ``out``, mode-major (columns × rows).  Overwrites phi."""
     v = phi.view(np.float64)
     np.square(v, out=v)
-    return np.add(v[:, 0::2], v[:, 1::2], out=out)
+    return np.add(v[:, 0::2].T, v[:, 1::2].T, out=out)
 
 
 class _Workspace:
     """One sampler worker's scratch for form_moments, allocated once when
-    the worker starts and reused for every block it is handed:
-
-    - the moment rows, (1 + 2k) × rows: form j's values go to row 1 + j
-      and Moments.add fills the others;
-    - the intensities of the block's m columns (the forms' rows of R
-      phi), rows × m, one pass per block.  The forms with at most two
-      weights, each ±1, round once in any summation order, so stacked
-      weights (a row per form, zero off its columns) write them in one
-      product per run of adjacent such forms; any other form has its
-      own, so no form's values depend on which forms share its product.
-
-    (1 + 2k + m) × ``_BLOCK_ROWS`` floats in all.  A block reshapes a
-    prefix of each flat buffer, so a short last block gets the contiguous
-    layout a fresh array would have, and the values equal a fresh
-    evaluation bit for bit.
+    the worker starts and reused for every block: the moment rows,
+    (1 + 2k) × rows, and the intensities of the block's m columns (the
+    forms' rows of R phi), m × rows, one pass per block.  Form j's values,
+    in row 1 + j, are its weights times its own intensity rows, summed
+    term by term in row order, each term after the first built in row
+    1 + k + j, which Moments.add overwrites.  No BLAS call: the values
+    depend neither on the BLAS kernel nor on the other forms.  A block
+    reshapes a prefix of each flat buffer, so a short last block gets the
+    layout a fresh array would have, and the same values bit for bit.
     """
 
     def __init__(self, plans: Sequence[tuple[slice, np.ndarray]], block_rows: int):
-        width = sum(len(w) for _, w in plans)
-        weights = np.zeros((len(plans), width))
-        stacked, self._single = [], []
-        for j, (columns, w) in enumerate(plans):
-            if len(w) <= 2 and np.isin(w, (-1.0, 1.0)).all():
-                stacked.append(j)
-                weights[j, columns] = w
-            else:
-                self._single.append((j, columns, w))
-        # One product per run of adjacent stacked forms: one in every experiment.
-        starts = [j for j in stacked if j - 1 not in stacked]
-        stops = [j + 1 for j in stacked if j + 1 not in stacked]
-        self._runs = [(weights[a:b], slice(1 + a, 1 + b)) for a, b in zip(starts, stops)]
+        self._plans = plans
         self._height = 1 + 2 * len(plans)
         self._rows = np.empty(self._height * block_rows)
-        self._intensity = np.empty(width * block_rows)
+        self._intensity = np.empty(sum(len(w) for _, w in plans) * block_rows)
 
     def rows(self, phi: np.ndarray) -> np.ndarray:
         """The moment rows of block ``phi``, form j's values in row 1 + j.
         Overwrites phi."""
         n, width = phi.shape
+        k = len(self._plans)
         rows = self._rows[: self._height * n].reshape(self._height, n)
-        intensity = _intensities(phi, self._intensity[: n * width].reshape(n, width))
-        for weights, run in self._runs:
-            np.matmul(weights, intensity.T, out=rows[run])
-        for j, columns, weights in self._single:
-            np.matmul(intensity[:, columns], weights, out=rows[1 + j])
+        intensity = _intensities(phi, self._intensity[: width * n].reshape(width, n))
+        for j, (columns, weights) in enumerate(self._plans):
+            values, term, own = rows[1 + j], rows[1 + k + j], intensity[columns]
+            if not len(weights):  # a zero operator has no rows
+                values.fill(0.0)
+                continue
+            np.multiply(own[0], weights[0], out=values)
+            for row, weight in zip(own[1:], weights[1:]):
+                np.multiply(row, weight, out=term)
+                values += term
         return rows
 
 
@@ -316,22 +304,22 @@ def form_moments(
     for (cov, seed, count): side-1 forms on phi1, side-2 forms on
     conj(phi2), the pairing of the joint operators.  The sampler hands its
     workers R phi for the forms' readout R, each form's rows in form
-    order, and each worker evaluates every form once per block from one
-    intensity pass and folds the values into the moments, in a _Workspace
-    it allocates once: memory is O(workers × (1 + 2k + m) × _BLOCK_ROWS)
-    floats for k forms and m readout rows, whatever ``count`` is.  Pass
-    each distinct form once; the result is bit-identical for any worker
-    count.
+    order.  Each worker makes one consumer for its blocks of
+    ``block_rows`` rows, with a _Workspace it allocates once: memory is
+    O(workers × (1 + 2k + m) × block_rows) floats for k forms and m
+    readout rows, whatever ``count`` is.  The consumer evaluates every
+    form once per block from one intensity pass and folds the values into
+    the moments as block ``index`` of the sampler's tiling.  Pass each
+    distinct form once; the result is bit-identical for any worker count.
     """
     # The centre moves only rounding: it needs no reality check.
     centre = [_trace_dm(cov, form).real for form in forms]
     readout, plans = _readout(forms, cov.d1, cov.d2)
     moments = Moments(centre)
-    block_rows = min(_BLOCK_ROWS, count)
 
-    def make_consumer():
+    def make_consumer(block_rows):
         workspace = _Workspace(plans, block_rows)
-        return lambda start, phi: moments.add(start // _BLOCK_ROWS, workspace.rows(phi))
+        return lambda index, y: moments.add(index, workspace.rows(y))
 
     draw_chunks(cov, seed, count, make_consumer, readout, workers)
     return moments

@@ -28,10 +28,9 @@ Regenerating with the same (covariance, seed, count) is therefore
 bit-identical for any worker count.  Every draw is read through a readout
 R, folded into F once, so the workers hand over R times each sample; the
 identity R hands over the samples themselves.  Each worker also builds
-its own block consumer once, so a consumer can keep per-worker scratch:
-``form_moments`` keeps a workspace of (1 + 2k + m) × ``_BLOCK_ROWS``
-floats for k forms and m readout rows, and after its first block a
-worker allocates nothing of a block's size.  The generator identity is
+its own block consumer once, for blocks of a given row count, so a
+consumer can keep per-worker scratch, and hands it each block with its
+index, so the tiling stays inside the sampler.  The generator identity is
 recorded on every report as ``prng_id``.  numpy does not promise that
 ``Generator`` streams stay the same across versions (NEP 19), so the
 tests pin known-answer values of the stream.
@@ -130,23 +129,24 @@ def draw_chunks(
     cov: BlockCovariance,
     seed: int,
     count: int,
-    make_consumer: Callable[[], Callable[[int, np.ndarray], None]],
+    make_consumer: Callable[[int], Callable[[int, np.ndarray], None]],
     readout: np.ndarray,
     workers: int | None = None,
 ) -> None:
     """Draw ``count`` samples block by block and hand each block over.
 
-    Each worker calls ``make_consumer()`` once when it starts, so a
-    consumer can own scratch buffers for every block it is handed.  The
-    worker then takes the next ``CHUNK_SIZE`` chunk until none is left and
-    fills it in blocks of ``_BLOCK_ROWS`` rows, in two buffers it reuses:
-    the normals w, then ``y = w @ (R F)^T`` (shape (rows, m)), the readout
-    R ((m, d1 + d2)) applied to the joint samples phi (components side by
+    Each worker calls ``make_consumer(block_rows)`` once when it starts,
+    with ``block_rows = min(_BLOCK_ROWS, count)``, so a consumer can own
+    scratch buffers for every block it is handed.  The worker then takes
+    the next ``CHUNK_SIZE`` chunk until none is left and fills it in
+    blocks of ``block_rows`` rows, in two buffers it reuses: the normals
+    w, then ``y = w @ (R F)^T`` (shape (rows, m)), the readout R
+    ((m, d1 + d2)) applied to the joint samples phi (components side by
     side), with R folded into the factor once.  It calls
-    ``consume(start, y)`` per block, where ``start`` is the index of the
-    block's first sample, a multiple of ``_BLOCK_ROWS``; the consumer may
-    overwrite ``y``, and the worker overwrites it after the call
-    returns.  Calls of different workers run concurrently on disjoint
+    ``consume(index, y)`` for block ``index``, which starts at sample
+    ``index * block_rows`` (only the last block may be shorter); the
+    consumer may overwrite ``y``, and the worker overwrites it after the
+    call returns.  Calls of different workers run concurrently on disjoint
     blocks; the values a block carries never depend on the worker count.
     Memory is two buffers per worker, whatever ``count``, plus what the
     consumers hold.  If a worker raises, the others stop at their next
@@ -170,11 +170,11 @@ def draw_chunks(
             return taken - 1
 
     def work(slot: int):
-        rows = min(_BLOCK_ROWS, count)
-        w = np.empty((rows, ft.shape[0]), dtype=complex)
-        phi = np.empty((rows, ft.shape[1]), dtype=complex)
+        block_rows = min(_BLOCK_ROWS, count)
+        w = np.empty((block_rows, ft.shape[0]), dtype=complex)
+        phi = np.empty((block_rows, ft.shape[1]), dtype=complex)
         try:
-            consume = make_consumer()
+            consume = make_consumer(block_rows)
             while (chunk := next_chunk()) is not None:
                 gen = np.random.Generator(_substream(seed, chunk))
                 start = chunk * CHUNK_SIZE
@@ -183,7 +183,7 @@ def draw_chunks(
                     rows = min(_BLOCK_ROWS, size - offset)
                     gen.standard_normal(out=w[:rows].view(np.float64))
                     np.matmul(w[:rows], ft, out=phi[:rows])
-                    consume(start + offset, phi[:rows])
+                    consume((start + offset) // _BLOCK_ROWS, phi[:rows])
         except BaseException as exc:  # re-raised below, after every join
             failed.set()  # the other workers stop at their next chunk
             errors[slot] = exc

@@ -27,10 +27,13 @@ def draw_samples(
     identity readout, stored in order."""
     out = np.empty((count, cov.d1 + cov.d2), dtype=complex)
 
-    def store(start: int, phi: np.ndarray):
-        out[start : start + phi.shape[0]] = phi
+    def make_store(block_rows: int):
+        def store(index: int, phi: np.ndarray):
+            out[index * block_rows : index * block_rows + phi.shape[0]] = phi
 
-    draw_chunks(cov, seed, count, lambda: store, np.eye(cov.d1 + cov.d2), workers)
+        return store
+
+    draw_chunks(cov, seed, count, make_store, np.eye(cov.d1 + cov.d2), workers)
     return out
 
 

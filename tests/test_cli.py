@@ -466,22 +466,29 @@ class TestChannelCommand:
 
     def test_epsilon_printed_is_the_covariance_epsilon(self, tmp_path, capsys):
         # epsilon_min = 0 for a product state; -5e-13 is within the
-        # 1e-12 slack of build_covariance, which uses 0.0.
+        # 1e-12 slack of build_covariance, which uses 0.0, and -0.0 prints
+        # 0.0 too, on stdout, in the covariance file and in verify-identity.
         state = write_state(tmp_path / "state.json", np.diag([1.0, 0.0]))
+        a1 = str(write_operator(tmp_path / "a1.json", PROJ_R))
         out_cov = tmp_path / "out_cov.json"
-        code = main(
-            [
-                "channel",
-                str(state),
-                "beamsplitter5050",
-                "--epsilon=-5e-13",
-                f"--output-state={tmp_path / 'out_state.json'}",
-                f"--output-covariance={out_cov}",
-            ]
-        )
-        assert code == 0
-        printed = json.loads(capsys.readouterr().out)["epsilon"]
-        assert printed == json.loads(out_cov.read_text())["epsilon"] == 0.0
+        for epsilon in ("-5e-13", "-0.0"):
+            code = main(
+                [
+                    "channel",
+                    str(state),
+                    "beamsplitter5050",
+                    f"--epsilon={epsilon}",
+                    f"--output-state={tmp_path / 'out_state.json'}",
+                    f"--output-covariance={out_cov}",
+                ]
+            )
+            assert code == 0
+            printed = capsys.readouterr().out
+            main(["verify-identity", str(state), a1, a1, f"--epsilon={epsilon}",
+                  "--samples=2000"])
+            verified = capsys.readouterr().out
+            for text in (printed, out_cov.read_text(), verified):
+                assert '"epsilon": 0.0' in text, epsilon
 
     def test_channel_file(self, tmp_path, singlet_file, capsys):
         from pcsft.experiments import beamsplitter_unitary
@@ -819,6 +826,32 @@ class TestUnwritableOutput:
         for name in names:
             if name != field:
                 assert not paths[name].exists()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("spelling", ["out.json", "./out.json"])
+    @pytest.mark.parametrize("command", ["propagate", "channel"])
+    def test_one_file_for_both_outputs_exits_2(
+        self, tmp_path, singlet_file, capsys, monkeypatch, command, spelling, existing
+    ):
+        # The covariance would overwrite the state: one file named for both
+        # outputs, in any spelling, exits 2 naming output_covariance and
+        # leaves no file the call created, nor new bytes in an old one.
+        ham = str(write_pair(tmp_path / "h.json", "H1", "H2", np.eye(2), np.eye(2)))
+        operands = {"propagate": [ham, "--t=1"], "channel": ["beamsplitter5050"]}[command]
+        out = tmp_path / "out.json"
+        if existing:
+            out.write_bytes(b"earlier bytes\n")
+        monkeypatch.chdir(tmp_path)
+        code = main([command, str(singlet_file), *operands,
+                     "--output-state=out.json", f"--output-covariance={spelling}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: field 'output_covariance': ")
+        if existing:
+            assert out.read_bytes() == b"earlier bytes\n"
+        else:
+            assert not out.exists()
 
     def test_existing_output_keeps_its_bytes(self, tmp_path, singlet_file, capsys):
         state_out = tmp_path / "old_state.json"

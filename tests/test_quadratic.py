@@ -1,11 +1,17 @@
 """Quadratic-form observables: analytic statistics and MC estimators."""
 
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pcsft
 from pcsft.errors import DimensionError, SelfAdjointnessError
 from pcsft.hilbert import marginal_average, matricize, quantum_average_tensor
 from pcsft.covariance import build_covariance, epsilon_min, phase_transform
@@ -32,9 +38,16 @@ from pcsft.experiments import (
 from conftest import draw_samples, rand_complex, rand_selfadjoint, rand_state, schmidt_states
 
 
+def weighted_sum(intensity, weights):
+    """Reference weighting: the columns of ``intensity`` times their
+    weights, added term by term in column order (zeros for no weight)."""
+    terms = [intensity[:, t] * w for t, w in enumerate(weights)]
+    return sum(terms[1:], start=terms[0]) if terms else np.zeros(len(intensity))
+
+
 def _diagonal_values(phi, weights):
     """Reference for the intensity branch: <A phi_n, phi_n> for A = diag(weights)."""
-    return (phi.real**2 + phi.imag**2) @ weights
+    return weighted_sum(phi.real**2 + phi.imag**2, weights)
 
 
 def _complex_values(phi, operator, conjugate):
@@ -510,11 +523,11 @@ class TestSampleForms:
 
     def test_each_form_evaluated_once_per_chunk(self, monkeypatch):
         # run_beamsplitter evaluates its 4 port intensities once per
-        # sample, all in one stacked product per block: the moments have 4
-        # columns, the rows each column sees sum to n, every workspace
-        # plans one product over moment rows 1 to 4, and the port
-        # projectors' supports are disjoint and in mode order, so the
-        # readout is the identity and the sampler hands over phi itself.
+        # sample: the moments have 4 columns, the rows each column sees
+        # sum to n, every workspace weighs each port's own 2 intensity
+        # rows by 1, and the port projectors' supports are disjoint and in
+        # mode order, so the readout is the identity and the sampler hands
+        # over phi itself.
         import pcsft.quadratic as quadratic
         from pcsft.sampler import CHUNK_SIZE
         from pcsft.experiments import run_beamsplitter
@@ -546,8 +559,9 @@ class TestSampleForms:
         assert readouts and all(np.array_equal(readout, np.eye(8)) for readout in readouts)
         assert workspaces
         for workspace in workspaces:
-            assert [run for _, run in workspace._runs] == [slice(1, 5)]
-            assert workspace._single == []
+            assert [(span, list(w)) for span, w in workspace._plans] == [
+                (slice(2 * j, 2 * j + 2), [1.0, 1.0]) for j in range(4)
+            ]
 
     @pytest.mark.parametrize(
         "case",
@@ -634,18 +648,62 @@ class AllocatingMoments(Moments):
 def allocating_moments(cov, seed, count, forms, workers):
     """form_moments as it was before the workspace: fresh arrays for every
     block, on the same readout, with the intensities y.real**2 + y.imag**2
-    of each form's columns of the block y, its weights applied on their
-    own, and the moments centred on the analytic means."""
+    of each form's columns of the block y, weighted term by term, and the
+    moments centred on the analytic means."""
     moments = AllocatingMoments([analytic_mean(cov, form) for form in forms])
     readout, plans = _readout(forms, cov.d1, cov.d2)
 
-    def consume(start, y):
+    def consume(index, y):
         parts = [y[:, span] for span, _ in plans]
-        columns = [(part.real**2 + part.imag**2) @ w for part, (_, w) in zip(parts, plans)]
-        moments.add(start // _BLOCK_ROWS, columns)
+        columns = [weighted_sum(p.real**2 + p.imag**2, w) for p, (_, w) in zip(parts, plans)]
+        moments.add(index, columns)
 
-    draw_chunks(cov, seed, count, lambda: consume, readout, workers)
+    draw_chunks(cov, seed, count, lambda block_rows: consume, readout, workers)
     return moments
+
+
+# Form weights: unit ones, zeros (rows a form drops) and any others.
+WEIGHTS = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1e6, 1e6))
+
+# Form values of fixed seeded blocks, hashed in a child process: diagonal
+# forms with general weights, and a dense form's plan (its eigenvalues
+# over its rows of R phi), on a full block and a short one.  Nothing
+# before the workspace calls BLAS or LAPACK.
+KERNEL_PROBE = """
+import hashlib
+import numpy as np
+from pcsft.quadratic import QuadraticForm, _Workspace, _readout
+
+rng = np.random.default_rng(117)
+forms = [
+    QuadraticForm(operator=np.diag(rng.standard_normal(d)), side=side)
+    for d, side in ((3, 1), (4, 2), (3, 1), (4, 2))
+]
+readout, plans = _readout(forms, 3, 4)
+m = len(readout)
+plans.append((slice(m, m + 4), np.sort(rng.standard_normal(4))))
+workspace, digest = _Workspace(plans, 4096), hashlib.sha256()
+for n in (4096, 1234):
+    y = rng.standard_normal((n, 2 * (m + 4))).view(complex)
+    digest.update(workspace.rows(y)[1 : 1 + len(plans)].tobytes())
+print(digest.hexdigest())
+"""
+
+
+def openblas_coretypes():
+    """OpenBLAS kernels to force in turn: the host's own (None), two
+    without FMA, and the FMA ones the CPU flags allow; five at most."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        lines = []
+    flags = set(next((line.split() for line in lines if line.startswith("flags")), []))
+    kernels = [None, "Nehalem", "Katmai"]
+    if {"avx2", "fma"} <= flags:
+        kernels.append("Haswell")
+    if "avx512f" in flags:
+        kernels.append("SkylakeX")
+    return kernels
 
 
 def experiment_case(statistics, spin):
@@ -660,9 +718,9 @@ def experiment_case(statistics, spin):
 
 
 def split_diagonal_case(seed):
-    """Forms in the order [diagonal, dense, diagonal, diagonal]: the first
-    two diagonal forms go through the stacked product but their moment
-    rows are not adjacent; the last has a product of its own."""
+    """Forms in the order [diagonal, dense, diagonal, diagonal]: the
+    first two diagonal forms have unit weights, but their moment rows are
+    not adjacent; the last has general weights."""
     rng = np.random.default_rng(seed)
     cov = build_covariance(rand_state(rng, 3, 2), "auto")
     forms = [
@@ -676,8 +734,8 @@ def split_diagonal_case(seed):
 
 def diagonal_weights(rng, kind, d):
     """Weights of a random diagonal operator of dimension d: "unit" ones
-    (at most two ±1, the rest 0), which the stacked product takes, or
-    "general" ones (standard normal), which get a product of their own."""
+    (at most two ±1, the rest 0), whose sum rounds once in any order, or
+    "general" ones (standard normal)."""
     if kind == "general":
         return rng.standard_normal(d)
     weights = np.zeros(d)
@@ -737,13 +795,13 @@ class TestWorkspace:
         extra = []
 
         def measuring_draw(cov, seed, count, make_consumer, readout, workers):
-            def make():
-                consume = make_consumer()
+            def make(block_rows):
+                consume = make_consumer(block_rows)
 
-                def measured(start, phi):
+                def measured(index, phi):
                     before = tracemalloc.get_traced_memory()[0]
                     tracemalloc.reset_peak()
-                    consume(start, phi)
+                    consume(index, phi)
                     extra.append(tracemalloc.get_traced_memory()[1] - before)
 
                 return measured
@@ -769,6 +827,28 @@ class TestWorkspace:
                 tracemalloc.stop()
             assert len(extra) == 4
             assert max(extra) < column / 2, extra
+
+
+class TestBlasIndependence:
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="x86 kernels")
+    def test_form_values_do_not_depend_on_the_blas_kernel(self):
+        # One child process per kernel, one at a time: the form values'
+        # bytes are the same under every OpenBLAS kernel, with FMA or not.
+        src = str(Path(pcsft.__file__).resolve().parent.parent)
+        digests = {}
+        for kernel in openblas_coretypes():
+            env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            env.pop("OPENBLAS_CORETYPE", None)
+            if kernel is not None:
+                env["OPENBLAS_CORETYPE"] = kernel
+            child = subprocess.run(
+                [sys.executable, "-c", KERNEL_PROBE],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert child.returncode == 0, child.stderr
+            digests[kernel] = child.stdout.strip()
+        assert len(set(digests.values())) == 1, digests
 
 
 class TestFormKernel:
@@ -823,12 +903,11 @@ class TestFormKernel:
     def test_diagonal_operator_takes_intensity_branch(self):
         # A diagonal form is evaluated from the intensities of phi's own
         # modes: its readout rows are the identity rows of its nonzero
-        # weights.  At most two weights, each ±1, go through the stacked
-        # product, others through a product of their own.  Either way the
-        # values are the intensities times the weights, bit for bit.
+        # weights, and its values are the intensities times the weights,
+        # added term by term, bit for bit, whatever the weights.
         rng = np.random.default_rng(99)
         joint = draw_samples(build_covariance(rand_state(rng, 3, 2), 0.3), 0, 100)
-        for weights, stacked in (([1.0, -2.0, 0.5], False), ([1.0, 0.0, -1.0], True)):
+        for weights in ([1.0, -2.0, 0.5], [1.0, 0.0, -1.0]):
             weights = np.array(weights)
             keep = weights != 0.0
             form = QuadraticForm(operator=np.diag(weights), side=1)
@@ -836,10 +915,6 @@ class TestFormKernel:
             assert np.array_equal(readout, np.eye(5)[:3][keep])
             assert plans[0][0] == slice(0, np.count_nonzero(keep))
             assert np.array_equal(plans[0][1], weights[keep])
-            workspace = _Workspace(plans, 100)
-            runs = [(list(w[0]), run) for w, run in workspace._runs]
-            assert runs == ([(list(weights[keep]), slice(1, 2))] if stacked else [])
-            assert len(workspace._single) == (not stacked)
             assert np.array_equal(
                 block_values(form, joint, 3), _diagonal_values(joint[:, :3], weights)
             )
@@ -854,8 +929,7 @@ class TestFormKernel:
     def test_diagonal_values_do_not_depend_on_other_forms(self, d1, d2, kinds, seed):
         # Each diagonal form's values in a workspace shared with other
         # diagonal forms equal its values in a workspace of its own, bit
-        # for bit, whether it is stacked (weights in {-1, 0, 1}, at most
-        # two nonzero) or has its own product.
+        # for bit, whether its weights are unit or general ones.
         rng = np.random.default_rng(seed)
         forms = []
         for kind in kinds:
@@ -870,9 +944,11 @@ class TestFormKernel:
 
     @pytest.mark.parametrize("statistics", ["boson", "fermion"])
     @pytest.mark.parametrize("spin", ["0", "half"])
-    def test_stacked_product_equals_per_form_weights(self, statistics, spin, monkeypatch):
-        # With 0/1 weights and at most two terms per form, one product for
-        # all diagonal forms gives each form's per-form value bit for bit.
+    def test_experiment_forms_equal_per_form_weights(self, statistics, spin, monkeypatch):
+        # Each port form's values in form_moments are its weights times
+        # its side's intensities added term by term, bit for bit; with 0/1
+        # weights, at most two of them nonzero, that sum rounds once, so
+        # it is also the product of the intensities with the weights.
         import pcsft.quadratic as quadratic
 
         cov, forms = experiment_case(statistics, spin)
@@ -893,7 +969,9 @@ class TestFormKernel:
             intensity = phi.real**2 + phi.imag**2
             for j, form in enumerate(forms):
                 weights = np.diagonal(form.operator).real.copy()
-                assert np.array_equal(values[j], intensity[:, sides[form.side]] @ weights)
+                own = intensity[:, sides[form.side]]
+                assert np.array_equal(values[j], weighted_sum(own, weights))
+                assert np.array_equal(values[j], own @ weights)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -942,23 +1020,18 @@ class TestFormKernel:
         ]
 
     def test_diagonal_rows_need_not_be_adjacent(self):
-        # [diagonal, dense, diagonal, diagonal]: the two stacked forms are
-        # not adjacent, so each run has its own product, into moment rows 1
-        # and 3; the dense form's eigenvalues and the last form's weights
-        # are not ±1, so each has its own product, into rows 2 and 4.  The
-        # readout holds each form's own rows in form order: modes 0 and 2
-        # of side 1 (its zero weight has none), the dense form's
-        # eigenbasis (3 rows), then side 2's two modes once for each of
-        # the last two forms, which both read them.
+        # [diagonal, dense, diagonal, diagonal]: the readout holds each
+        # form's own rows in form order: modes 0 and 2 of side 1 (its
+        # zero weight has none), the dense form's eigenbasis (3 rows),
+        # then side 2's two modes once for each of the last two forms,
+        # which both read them.  Each form weighs its own rows, into moment
+        # rows 1 to 4, whichever forms lie between.
         cov, forms = split_diagonal_case(112)
         block = draw_samples(cov, 113, 300)
         readout, plans = _readout(forms, cov.d1, cov.d2)
         assert readout.shape == (9, 5)
         assert [span for span, _ in plans] == [slice(0, 2), slice(2, 5), slice(5, 7), slice(7, 9)]
         assert np.array_equal(readout[[0, 1, 5, 6, 7, 8]], np.eye(5)[[0, 2, 3, 4, 3, 4]])
-        workspace = _Workspace(plans, 300)
-        assert [run for _, run in workspace._runs] == [slice(1, 2), slice(3, 4)]
-        assert [j for j, _, _ in workspace._single] == [1, 3]
         rows = workspace_rows(forms, block, cov.d1)
         for j, form in enumerate(forms):
             phi = block[:, : cov.d1] if form.side == 1 else block[:, cov.d1 :]
@@ -970,6 +1043,44 @@ class TestFormKernel:
             np.testing.assert_allclose(
                 rows[1 + j], expected, rtol=1e-12, atol=1e-12 * scale.max()
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d1=st.integers(1, 4),
+        d2=st.integers(1, 4),
+        specs=st.lists(
+            st.tuples(
+                st.sampled_from([1, 2]),
+                st.one_of(st.just("dense"), st.lists(WEIGHTS, min_size=4, max_size=4)),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_form_is_its_term_by_term_sum(self, d1, d2, specs, seed):
+        # For any weights and forms, each form's values are its weights
+        # times its own intensity rows of R phi, added term by term in row
+        # order, bit for bit; a form of no rows has zeros.
+        rng = np.random.default_rng(seed)
+        dims = {1: d1, 2: d2}
+        forms = [
+            QuadraticForm(
+                operator=(
+                    rand_selfadjoint(rng, dims[side])
+                    if spec == "dense"
+                    else np.diag(spec[: dims[side]])
+                ),
+                side=side,
+            )
+            for side, spec in specs
+        ]
+        readout, plans = _readout(forms, d1, d2)
+        y = rand_complex(rng, 64, d1 + d2) @ readout.T
+        intensity = y.real**2 + y.imag**2
+        rows = _Workspace(plans, len(y)).rows(y)
+        for j, (span, weights) in enumerate(plans):
+            assert np.array_equal(rows[1 + j], weighted_sum(intensity[:, span], weights))
 
     def test_zero_operator_has_no_rows(self):
         # A zero operator has no nonzero weight, so its form reads no row:

@@ -125,7 +125,7 @@ class TestDrawMoments:
     def test_count_validation(self):
         cov = build_covariance(BELL_SINGLET, 0.3)
         with pytest.raises(ValueError):
-            draw_chunks(cov, 0, 0, lambda: lambda start, phi: None, np.eye(4))
+            draw_chunks(cov, 0, 0, lambda block_rows: lambda index, phi: None, np.eye(4))
 
 
 class TestDeterminism:
@@ -218,29 +218,35 @@ class TestSubstreamKey:
 
 class TestDrawChunks:
     def test_blocks_tile_the_draw(self):
+        # Every worker's consumer is made for blocks of min(_BLOCK_ROWS,
+        # count) rows, and block i holds the rows from i times that on.
         cov = build_covariance(BELL_SINGLET, 0.3)
-        count = 2 * CHUNK_SIZE + _BLOCK_ROWS + 7
-        starts = []
-        draw_chunks(
-            cov, 0, count, lambda: lambda start, phi: starts.append((start, len(phi))),
-            np.eye(4), 2,
-        )
-        assert sorted(starts) == [
-            (start, min(_BLOCK_ROWS, count - start))
-            for start in range(0, count, _BLOCK_ROWS)
-        ]
+        for count in (2 * CHUNK_SIZE + _BLOCK_ROWS + 7, _BLOCK_ROWS - 5):
+            block_rows = min(_BLOCK_ROWS, count)
+            made, blocks = [], []
+
+            def make_consumer(rows):
+                made.append(rows)
+                return lambda index, phi: blocks.append((index, len(phi)))
+
+            draw_chunks(cov, 0, count, make_consumer, np.eye(4), 2)
+            assert made == [block_rows] * min(2, -(-count // CHUNK_SIZE))
+            assert sorted(blocks) == [
+                (index, min(block_rows, count - index * block_rows))
+                for index in range(-(-count // block_rows))
+            ]
 
     def test_failure_stops_the_other_workers(self):
         cov = build_covariance(BELL_SINGLET, 0.3)
         seen = []
 
-        def consume(start, phi):
-            seen.append(start)
-            if start == CHUNK_SIZE:
+        def consume(index, phi):
+            seen.append(index)
+            if index == CHUNK_SIZE // _BLOCK_ROWS:  # the first block of chunk 1
                 raise RuntimeError("consumer failed")
 
         with pytest.raises(RuntimeError, match="consumer failed"):
-            draw_chunks(cov, 0, 16 * CHUNK_SIZE, lambda: consume, np.eye(4), workers=2)
+            draw_chunks(cov, 0, 16 * CHUNK_SIZE, lambda rows: consume, np.eye(4), workers=2)
         assert len(seen) < 16 * CHUNK_SIZE // _BLOCK_ROWS
 
 
