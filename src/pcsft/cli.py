@@ -33,7 +33,6 @@ from .channels import UnitaryChannel, apply_to_state, evolution_channel
 from .covariance import SYMMETRY_TOL, build_covariance, classify_symmetry
 from .errors import DimensionError, NotPositiveError, PcsftError, SelfAdjointnessError
 from .experiments import (
-    MIN_SAMPLES,
     beamsplitter_unitary,
     report_to_csv_rows,
     report_to_json,
@@ -44,8 +43,8 @@ from .hilbert import (
     quantum_average_trace,
     require_selfadjoint,
 )
-from .quadratic import QuadraticForm, cross_estimates
-from .sampler import PRNG_ID, SEED_BOUND
+from .quadratic import MIN_SAMPLES, QuadraticForm, cross_estimates
+from .sampler import MAX_SAMPLES, PRNG_ID, SEED_BOUND
 from . import serialize
 
 EXIT_PASS = 0
@@ -105,9 +104,9 @@ def _check_numbers(args):
     """Reject an out-of-range numeric option, naming its field, before any
     computation; a subcommand checks the options it has."""
     options = vars(args)
-    least = MIN_SAMPLES if args.func is cmd_experiment else 2
     for name, admissible, expected in (
-        ("samples", lambda v: v >= least, f"an integer >= {least}"),
+        ("samples", lambda v: MIN_SAMPLES <= v <= MAX_SAMPLES,
+         f"an integer in [{MIN_SAMPLES}, {MAX_SAMPLES}]"),
         ("seed", lambda v: 0 <= v < SEED_BOUND, "an integer in [0, 2**64)"),
         ("t", math.isfinite, "a finite number"),
         ("tol", lambda v: 0 < v < math.inf, "a finite positive number"),
@@ -215,6 +214,9 @@ def _write_transformed(state, args, extra: dict) -> int:
         "output_state": serialize.state_to_json(state),
         "output_covariance": serialize.covariance_to_json(cov),
     }
+    for field in docs:
+        if getattr(args, field) == "-":
+            raise PcsftError(f"field '{field}': expected a file path, got '-'")
     paths = {field: Path(getattr(args, field)) for field in docs}
     # Open both outputs before writing either.  Append mode creates a
     # missing file and leaves an existing one as it is, so when an open

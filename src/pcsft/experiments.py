@@ -21,14 +21,12 @@ import numpy as np
 from .channels import UnitaryChannel, apply_to_state
 from .covariance import SYMMETRY_TOL, build_covariance, classify_symmetry
 from .hilbert import BipartiteState
-from .quadratic import Estimate, QuadraticForm, cross_estimates
+from .quadratic import MIN_SAMPLES, Estimate, QuadraticForm, cross_estimates
 from .sampler import PRNG_ID
 from . import serialize
 
 PORTS = ("R", "L")
 PORT_INDEX = {"R": 0, "L": 1}
-
-MIN_SAMPLES = 1000  # fewest samples an experiment accepts
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ level, and equal to <A1 (x) A2 Ψ, Ψ> when D12 is a state's coefficients.
 Every form is weighted intensities: a diagonal A's of phi's own modes,
 any other A's of phi in A's eigenbasis, planned once when the form is
 built.  The readout R stacks every form's rows; the sampler folds it into
-its factor, so one intensity pass per block serves every form.
+its factor, and each form reads only its own rows of R phi.
 """
 
 from __future__ import annotations
@@ -72,6 +72,10 @@ class QuadraticForm:
 # Acceptance band for a Monte Carlo estimate against its analytic value,
 # in standard errors.
 SE_BAND = 5.0
+
+# Fewest samples a command gates on SE_BAND: below it the plug-in standard
+# error is too noisy to judge a miss by.
+MIN_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -136,49 +140,42 @@ def _readout(
     return readout, plans
 
 
-def _intensities(phi: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|phi|^2 of every entry of a block, all columns in one pass: square
-    phi's float64 view in place, then add its re and im columns into
-    ``out``, mode-major (columns × rows).  Overwrites phi."""
-    v = phi.view(np.float64)
-    np.square(v, out=v)
-    return np.add(v[:, 0::2].T, v[:, 1::2].T, out=out)
-
-
 class _Workspace:
-    """One sampler worker's scratch for form_moments, allocated once when
-    the worker starts and reused for every block: the moment rows,
-    (1 + 2k) × rows, and the intensities of the block's m columns (the
-    forms' rows of R phi), m × rows, one pass per block.  Form j's values,
-    in row 1 + j, are its weights times its own intensity rows, summed
-    term by term in row order, each term after the first built in row
-    1 + k + j, which Moments.add overwrites.  No BLAS call: the values
-    depend neither on the BLAS kernel nor on the other forms.  A block
-    reshapes a prefix of each flat buffer, so a short last block gets the
-    layout a fresh array would have, and the same values bit for bit.
+    """One sampler worker's scratch for form_moments: the moment rows,
+    (1 + 2k) × rows, allocated once when the worker starts and reused for
+    every block.  Form j's values, in row 1 + j, are its weights times the
+    intensities |·|² of its own columns of the block, summed term by term
+    in column order, each term after the first built in row 1 + k + j,
+    which Moments.add overwrites.  No BLAS call: the values depend neither
+    on the BLAS kernel nor on the other forms.  A block reshapes a prefix
+    of the flat buffer, so a short last block gets the layout a fresh
+    array would have, and the same values bit for bit.
     """
 
     def __init__(self, plans: Sequence[tuple[slice, np.ndarray]], block_rows: int):
         self._plans = plans
         self._height = 1 + 2 * len(plans)
         self._rows = np.empty(self._height * block_rows)
-        self._intensity = np.empty(sum(len(w) for _, w in plans) * block_rows)
 
     def rows(self, phi: np.ndarray) -> np.ndarray:
         """The moment rows of block ``phi``, form j's values in row 1 + j.
-        Overwrites phi."""
-        n, width = phi.shape
+        Squares phi's float64 view in place."""
+        n = phi.shape[0]
         k = len(self._plans)
         rows = self._rows[: self._height * n].reshape(self._height, n)
-        intensity = _intensities(phi, self._intensity[: width * n].reshape(width, n))
+        v = phi.view(np.float64)
+        np.square(v, out=v)
         for j, (columns, weights) in enumerate(self._plans):
-            values, term, own = rows[1 + j], rows[1 + k + j], intensity[columns]
+            values, term = rows[1 + j], rows[1 + k + j]
             if not len(weights):  # a zero operator has no rows
                 values.fill(0.0)
                 continue
-            np.multiply(own[0], weights[0], out=values)
-            for row, weight in zip(own[1:], weights[1:]):
-                np.multiply(row, weight, out=term)
+            c = columns.start
+            np.add(v[:, 2 * c], v[:, 2 * c + 1], out=values)
+            values *= weights[0]
+            for c, weight in zip(range(c + 1, columns.stop), weights[1:]):
+                np.add(v[:, 2 * c], v[:, 2 * c + 1], out=term)
+                term *= weight
                 values += term
         return rows
 
@@ -306,11 +303,11 @@ def form_moments(
     workers R phi for the forms' readout R, each form's rows in form
     order.  Each worker makes one consumer for its blocks of
     ``block_rows`` rows, with a _Workspace it allocates once: memory is
-    O(workers × (1 + 2k + m) × block_rows) floats for k forms and m
-    readout rows, whatever ``count`` is.  The consumer evaluates every
-    form once per block from one intensity pass and folds the values into
-    the moments as block ``index`` of the sampler's tiling.  Pass each
-    distinct form once; the result is bit-identical for any worker count.
+    O(workers × (1 + 2k) × block_rows) floats for k forms, whatever
+    ``count`` is.  The consumer evaluates every form once per block, from
+    its own rows of R phi, and folds the values into the moments as block
+    ``index`` of the sampler's tiling.  Pass each distinct form once; the
+    result is bit-identical for any worker count.
     """
     # The centre moves only rounding: it needs no reality check.
     centre = [_trace_dm(cov, form).real for form in forms]

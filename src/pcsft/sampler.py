@@ -11,7 +11,8 @@ Determinism contract
 --------------------
 All randomness flows through SFC64, one generator per fixed-size chunk:
 chunk ``c`` of a draw with seed ``s`` uses the substream
-``SFC64(SeedSequence([s, c]))``, with s below 2**64 and c below 2**56.
+``SFC64(SeedSequence([s, c]))``, with s below 2**64 and c below 2**56,
+so a draw has at most ``MAX_SAMPLES`` samples.
 numpy's ziggurat sampler (``Generator.standard_normal``) turns the
 substream's words into standard normals, written straight into a complex
 buffer: row k holds the real and imaginary parts of sample k's modes,
@@ -53,12 +54,15 @@ PRNG_ID = "sfc64:ziggurat:v3"
 # Seeds are below this bound: SeedSequence would take any nonnegative integer.
 SEED_BOUND = 2**64
 
-# Largest admissible max |F F† - D| of the factor, an absolute bound.
-FACTOR_RESIDUAL_TOL = 1e-8
-
 # Samples per substream chunk.  Part of the determinism contract: changing
 # it changes every draw.
 CHUNK_SIZE = 16384
+
+# Largest sample count: the stream is defined for chunk indices below 2**56.
+MAX_SAMPLES = CHUNK_SIZE * 2**56
+
+# Largest admissible max |F F† - D| of the factor, an absolute bound.
+FACTOR_RESIDUAL_TOL = 1e-8
 
 # Rows a worker fills and transforms at a time.  It divides CHUNK_SIZE, so
 # the blocks tile every draw at multiples of _BLOCK_ROWS.  It moves no
@@ -92,8 +96,6 @@ def resolve_workers(workers: int | None = None) -> int:
 def _substream(seed: int, chunk: int) -> np.random.SFC64:
     if not 0 <= seed < SEED_BOUND:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
-    if chunk >= 2**56:
-        raise ValueError("chunk index out of range")
     return np.random.SFC64(np.random.SeedSequence([seed, chunk]))
 
 
@@ -153,8 +155,8 @@ def draw_chunks(
     chunk and the first worker's exception, in worker order, is
     re-raised.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    if not 1 <= count <= MAX_SAMPLES:
+        raise ValueError(f"count must be in [1, {MAX_SAMPLES}], got {count}")
     ft = (readout @ factor_covariance(cov)).T * np.sqrt(0.5)
     nchunks = -(-count // CHUNK_SIZE)
     taken = 0  # chunks handed out so far

@@ -576,6 +576,10 @@ class TestInvalidNumbers:
             ("classify", "--tol=inf", "tol"),
             ("classify", "--tol=1e400", "tol"),
             ("experiment", "--samples=999", "samples"),
+            ("verify-identity", "--samples=999", "samples"),
+            # Past the last chunk the stream defines (about 1.18e21 samples).
+            ("experiment", f"--samples={10**23}", "samples"),
+            ("verify-identity", f"--samples={10**23}", "samples"),
             ("verify-identity", "--epsilon=0.01", "epsilon"),
             ("experiment", "--epsilon=0.01", "epsilon"),
             ("propagate", "--epsilon=0.01", "epsilon"),
@@ -852,6 +856,25 @@ class TestUnwritableOutput:
             assert out.read_bytes() == b"earlier bytes\n"
         else:
             assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["output_state", "output_covariance"])
+    @pytest.mark.parametrize("command", ["propagate", "channel"])
+    def test_dash_is_not_an_output_file(
+        self, tmp_path, singlet_file, capsys, monkeypatch, command, field
+    ):
+        # Their stdout carries the summary, so '-' cannot mean stdout here:
+        # it exits 2 naming the field and makes no file, '-' or other.
+        ham = str(write_pair(tmp_path / "h.json", "H1", "H2", np.eye(2), np.eye(2)))
+        operands = {"propagate": [ham, "--t=1"], "channel": ["beamsplitter5050"]}[command]
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        code = main([command, str(singlet_file), *operands,
+                     f"--{field.replace('_', '-')}", "-"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: field '{field}': ")
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_existing_output_keeps_its_bytes(self, tmp_path, singlet_file, capsys):
         state_out = tmp_path / "old_state.json"

@@ -593,28 +593,18 @@ class TestSampleForms:
             assert abs(near.value - far.value) <= 1e-12 * near.std_error
             assert abs(near.std_error - far.std_error) <= 1e-12 * near.std_error
 
-    def test_intensity_computed_once_per_side_and_chunk(self, monkeypatch):
-        # The 4 port projectors of run_beamsplitter share the intensities
-        # of both sides: one pass per block over both sides (4 + 4
-        # modes), whose rows sum to n.
-        import pcsft.quadratic as quadratic
-        from pcsft.sampler import _BLOCK_ROWS, CHUNK_SIZE
-        from pcsft.experiments import run_beamsplitter
-
-        calls = []
-        real_intensities = quadratic._intensities
-
-        def counting_intensities(phi, out):
-            calls.append(phi.shape)
-            return real_intensities(phi, out)
-
-        monkeypatch.setattr(quadratic, "_intensities", counting_intensities)
-        n = 3 * CHUNK_SIZE + 5
-        run_beamsplitter("boson", "half", seed=96, n_samples=n)
-        blocks = -(-n // _BLOCK_ROWS)
-        assert len(calls) == blocks
-        assert {width for _, width in calls} == {8}
-        assert sum(size for size, _ in calls) == n
+    @pytest.mark.parametrize(
+        "case", [("boson", "half"), (4, 3, 110)], ids=["boson-half", "4x3"]
+    )
+    def test_workspace_holds_only_the_moment_rows(self, case):
+        # A worker's scratch for k forms is its (1 + 2k) × block_rows
+        # moment rows alone: each form reads its own columns of the block,
+        # so no buffer holds the intensities of all the readout's columns.
+        cov, forms = experiment_case(*case) if len(case) == 2 else verify_case(*case)
+        _, plans = _readout(forms, cov.d1, cov.d2)
+        workspace = _Workspace(plans, _BLOCK_ROWS)
+        held = [a for a in vars(workspace).values() if isinstance(a, np.ndarray)]
+        assert sum(a.size for a in held) == (1 + 2 * len(forms)) * _BLOCK_ROWS
 
     def test_dimension_mismatch(self):
         cov, _ = random_dense_case(97)

@@ -11,6 +11,7 @@ from pcsft.covariance import BlockCovariance, build_covariance, epsilon_min
 from pcsft.sampler import (
     _BLOCK_ROWS,
     CHUNK_SIZE,
+    MAX_SAMPLES,
     _substream,
     draw_chunks,
     factor_covariance,
@@ -207,7 +208,7 @@ class TestKnownAnswers:
 class TestSubstreamKey:
     # SeedSequence accepts any nonnegative integers, so the key's range
     # must be checked by the sampler itself.
-    @pytest.mark.parametrize("seed, chunk", [(-1, 0), (2**64, 0), (0, 2**56)])
+    @pytest.mark.parametrize("seed, chunk", [(-1, 0), (2**64, 0)])
     def test_rejects_key_out_of_range(self, seed, chunk):
         with pytest.raises(ValueError):
             _substream(seed, chunk)
@@ -235,6 +236,16 @@ class TestDrawChunks:
                 (index, min(block_rows, count - index * block_rows))
                 for index in range(-(-count // block_rows))
             ]
+
+    def test_rejects_a_count_past_the_last_chunk(self):
+        # The stream is defined for chunk indices below 2**56, so a longer
+        # draw is refused before any worker starts.
+        cov = build_covariance(BELL_SINGLET, 0.3)
+        made = []
+        with pytest.raises(ValueError, match="count"):
+            draw_chunks(cov, 0, MAX_SAMPLES + 1, made.append, np.eye(4))
+        assert made == []
+        assert -(-MAX_SAMPLES // CHUNK_SIZE) == 2**56
 
     def test_failure_stops_the_other_workers(self):
         cov = build_covariance(BELL_SINGLET, 0.3)
