@@ -30,7 +30,9 @@ import numpy as np
 
 from . import __version__
 from .channels import UnitaryChannel, apply_to_state, evolution_channel
-from .covariance import SYMMETRY_TOL, build_covariance, classify_symmetry
+from .covariance import (
+    AUTO_EPSILON_MARGIN, SYMMETRY_TOL, build_covariance, classify_symmetry,
+)
 from .errors import DimensionError, NotPositiveError, PcsftError, SelfAdjointnessError
 from .experiments import (
     beamsplitter_unitary,
@@ -51,6 +53,8 @@ EXIT_PASS = 0
 EXIT_STAT_FAIL = 1
 EXIT_INPUT_ERROR = 2
 
+# Tolerance of the verify-identity checks, relative to max |A1| · max |A2|
+# once that exceeds 1: the averages scale with it, and so does their rounding.
 IDENTITY_TOL = 1e-10
 
 # Largest entry modulus of a verify-identity observable.  The standard
@@ -115,14 +119,24 @@ def _check_numbers(args):
             raise PcsftError(f"field '{name}': expected {expected}, got {value}")
 
 
-def _add_common_sampling(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    parser.add_argument(
-        "--samples", type=int, default=200_000, help="Monte Carlo sample count"
-    )
-    parser.add_argument(
-        "--epsilon", default="auto", help="background level, a number or 'auto'"
-    )
+# Options that several subcommands take, each defined once.  The summary
+# goes to stdout, so '-' is no file name for the transformed outputs.
+_OPTIONS = {
+    "--seed": dict(type=int, default=0, help="PRNG seed (default 0)"),
+    "--samples": dict(type=int, default=200_000, help="Monte Carlo sample count"),
+    "--epsilon": dict(default="auto", help="background level, a number or 'auto' "
+                      f"(the default: epsilon_min + {AUTO_EPSILON_MARGIN})"),
+    "--output": dict(help="output file (default or '-': stdout)"),
+    "--output-state": dict(default="state_out.json",
+                           help="state file (default %(default)s; '-' is refused)"),
+    "--output-covariance": dict(default="covariance_out.json",
+                                help="covariance file (default %(default)s; '-' is refused)"),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, *names: str):
+    for name in names:
+        parser.add_argument(name, **_OPTIONS[name])
 
 
 def cmd_verify_identity(args) -> int:
@@ -151,9 +165,10 @@ def cmd_verify_identity(args) -> int:
     f2 = QuadraticForm(operator=a2, side=2)
     [[est]] = cross_estimates(cov, [f1], [f2], seed=args.seed, count=args.samples)
 
+    tol = IDENTITY_TOL * max(1.0, float(np.max(np.abs(a1)) * np.max(np.abs(a2))))
     checks = {
-        "trace_vs_tensor": abs(trace - tensor) <= IDENTITY_TOL,
-        "cov_vs_tensor": abs(est.analytic - tensor) <= IDENTITY_TOL,
+        "trace_vs_tensor": abs(trace - tensor) <= tol,
+        "cov_vs_tensor": abs(est.analytic - tensor) <= tol,
         "mc_within_5_se": est.within(),
     }
     payload = {
@@ -302,32 +317,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", help="state JSON file")
     p.add_argument("a1", help="observable on component 1, operator JSON")
     p.add_argument("a2", help="observable on component 2, operator JSON")
-    _add_common_sampling(p)
-    p.add_argument("--output", default=None, help="output path (default stdout)")
+    _add_options(p, "--seed", "--samples", "--epsilon", "--output")
     p.set_defaults(func=cmd_verify_identity)
 
     p = sub.add_parser("experiment", help="run a turn-key experiment")
     p.add_argument("--experiment", required=True, choices=["beamsplitter"])
     p.add_argument("--statistics", required=True, choices=["boson", "fermion"])
     p.add_argument("--spin", default="0", choices=["0", "half"])
-    _add_common_sampling(p)
-    p.add_argument("--output", default=None, help="report path (default stdout)")
+    _add_options(p, "--seed", "--samples", "--epsilon", "--output")
     p.add_argument("--format", default="json", choices=["json", "csv"])
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("classify", help="exchange-symmetry class of a state")
     p.add_argument("state", help="state JSON file")
     p.add_argument("--tol", type=float, default=SYMMETRY_TOL)
-    p.add_argument("--output", default=None, help="output path (default stdout)")
+    _add_options(p, "--output")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("propagate", help="evolve a state for time t")
     p.add_argument("state", help="state JSON file")
     p.add_argument("hamiltonian", help="hamiltonian JSON file ({H1, H2, hbar})")
     p.add_argument("--t", type=float, required=True, help="evolution time")
-    p.add_argument("--epsilon", default="auto")
-    p.add_argument("--output-state", default="state_out.json")
-    p.add_argument("--output-covariance", default="covariance_out.json")
+    _add_options(p, "--epsilon", "--output-state", "--output-covariance")
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("channel", help="apply a factorized unitary channel")
@@ -335,9 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "channel", help="channel JSON file ({U1, U2}) or preset 'beamsplitter5050'"
     )
-    p.add_argument("--epsilon", default="auto")
-    p.add_argument("--output-state", default="state_out.json")
-    p.add_argument("--output-covariance", default="covariance_out.json")
+    _add_options(p, "--epsilon", "--output-state", "--output-covariance")
     p.set_defaults(func=cmd_channel)
 
     return parser

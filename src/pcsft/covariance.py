@@ -42,6 +42,9 @@ AUTO_EPSILON_MARGIN = 0.05
 # default of `pcsft classify --tol`.
 SYMMETRY_TOL = 1e-10
 
+# Largest admissible max |F F† - D| of the factor, an absolute bound.
+FACTOR_RESIDUAL_TOL = 1e-8
+
 
 def _epsilon_min(psi: np.ndarray) -> float:
     s = np.linalg.svd(psi, compute_uv=False)
@@ -112,6 +115,32 @@ class BlockCovariance:
         top = np.hstack([self.d11, self.d12])
         bottom = np.hstack([self.d21, self.d22])
         return np.vstack([top, bottom])
+
+
+def factor_covariance(cov: BlockCovariance) -> np.ndarray:
+    """The positive semi-definite square root F = V sqrt(L) V† of the
+    assembled covariance, so F F† equals it, read-only.
+
+    Built from a Hermitian eigendecomposition of the assembled matrix.
+    The covariance is PSD by construction, so eigenvalues below zero are
+    rounding (exact zero modes at epsilon = epsilon_min) and are clipped
+    to zero.  The root is unique, so it does not depend on the eigenvector
+    basis chosen inside a repeated eigenvalue.  Raises NotPositiveError
+    when max |F F† - D| exceeds FACTOR_RESIDUAL_TOL (epsilon too large).
+    """
+    assembled = cov.assembled()
+    evals, evecs = np.linalg.eigh(assembled)
+    evals = np.clip(evals, 0.0, None)
+    f = (evecs * np.sqrt(evals)[None, :]) @ evecs.conj().T
+    residual = float(np.max(np.abs(f @ f.conj().T - assembled)))
+    if residual > FACTOR_RESIDUAL_TOL:
+        scale = float(np.max(np.abs(assembled)))
+        raise NotPositiveError(
+            f"factorization residual {residual:.3e} exceeds {FACTOR_RESIDUAL_TOL:.0e} "
+            f"(largest covariance entry {scale:.3e})"
+        )
+    f.setflags(write=False)
+    return f
 
 
 class SymmetryTag(enum.Enum):

@@ -13,8 +13,9 @@ level, and equal to <A1 (x) A2 Ψ, Ψ> when D12 is a state's coefficients.
 
 Every form is weighted intensities: a diagonal A's of phi's own modes,
 any other A's of phi in A's eigenbasis, planned once when the form is
-built.  The readout R stacks every form's rows; the sampler folds it into
-its factor, and each form reads only its own rows of R phi.
+built.  The readout R stacks every form's rows; the sampler draws through
+R F for the covariance's factor F, and each form reads only its own rows
+of R phi.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .covariance import BlockCovariance
+from .covariance import BlockCovariance, factor_covariance
 from .errors import DimensionError
 from .hilbert import as_real, require_selfadjoint
-from .sampler import draw_chunks, factor_covariance
+from .sampler import draw_chunks
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,8 +299,11 @@ def form_moments(
     means.
 
     Column j of the moments is form j on the samples ``draw_chunks`` draws
-    for (cov, seed, count): side-1 forms on phi1, side-2 forms on
-    conj(phi2), the pairing of the joint operators.  The sampler hands its
+    through the factor F of ``cov`` for (seed, count): side-1 forms on
+    phi1, side-2 forms on conj(phi2), the pairing of the joint operators.
+    F comes first, so its residual check rejects an epsilon too large for
+    float64 before a trace against D overflows; the centres then check
+    every form's dimension before the draw.  The sampler hands its
     workers R phi for the forms' readout R, each form's rows in form
     order.  Each worker makes one consumer for its blocks of
     ``block_rows`` rows, with a _Workspace it allocates once: memory is
@@ -309,6 +313,7 @@ def form_moments(
     ``index`` of the sampler's tiling.  Pass each distinct form once; the
     result is bit-identical for any worker count.
     """
+    factor = factor_covariance(cov)
     # The centre moves only rounding: it needs no reality check.
     centre = [_trace_dm(cov, form).real for form in forms]
     readout, plans = _readout(forms, cov.d1, cov.d2)
@@ -318,7 +323,7 @@ def form_moments(
         workspace = _Workspace(plans, block_rows)
         return lambda index, y: moments.add(index, workspace.rows(y))
 
-    draw_chunks(cov, seed, count, make_consumer, readout, workers)
+    draw_chunks(readout @ factor, seed, count, make_consumer, workers)
     return moments
 
 
@@ -327,18 +332,12 @@ def cross_estimates(
     seed: int, count: int,
 ) -> list[list[Estimate]]:
     """Entry [i][j]: the covariance of left[i] and right[j] on ``count``
-    fresh samples, analytic_cov attached.  Every analytic value, and so
-    every dimension check, comes before the one draw of form_moments, and
-    after the factor's residual check, which the draw reuses: an epsilon
-    too large for float64 is rejected before a trace against D overflows."""
-    factor_covariance(cov)
-    analytic = [[analytic_cov(cov, f, g) for g in right] for f in left]
+    fresh samples of one form_moments draw, which checks every dimension
+    before drawing, with analytic_cov attached."""
     moments = form_moments(cov, seed, count, [*left, *right])
     k = len(left)
-    return [
-        [moments.cov(i, k + j, analytic=value) for j, value in enumerate(row)]
-        for i, row in enumerate(analytic)
-    ]
+    return [[moments.cov(i, k + j, analytic_cov(cov, f, g)) for j, g in enumerate(right)]
+            for i, f in enumerate(left)]
 
 
 def analytic_mean(cov: BlockCovariance, form: QuadraticForm) -> float:

@@ -1,11 +1,12 @@
 """Seeded sampling of complex Gaussian bi-signals.
 
-Samples are circularly-symmetric complex Gaussians: zero mean, covariance
-E[z z†] equal to the assembled block covariance, and vanishing
-pseudo-covariance E[z zᵀ] = 0.  Circularity is a model choice: only the
-covariance itself is prescribed by the encoding of a state, and the
-zero-pseudo-covariance completion is the one under which the quadratic
-form correlation identities of :mod:`pcsft.quadratic` hold.
+The sampler hands over ``w @ T^T / sqrt(2)`` for the matrix T its caller
+passes and seeded standard complex normals w.  For T T† = D the rows are
+circularly-symmetric complex Gaussians: zero mean, covariance E[z z†] =
+D, and vanishing pseudo-covariance E[z zᵀ] = 0.  Circularity is a model
+choice: only the covariance itself is prescribed by the encoding of a
+state, and the zero-pseudo-covariance completion is the one under which
+the quadratic form correlation identities of :mod:`pcsft.quadratic` hold.
 
 Determinism contract
 --------------------
@@ -21,33 +22,25 @@ w.  A worker fills a chunk block by block, ``_BLOCK_ROWS`` rows at a
 time, from the chunk's one generator; the ziggurat consumes the words in
 order, so the blocks of a chunk are the same stream as one fill of the
 whole chunk.  Hence a chunk never depends on the worker count and a
-shorter draw is a prefix of a longer one.  Samples are
-``w @ F^T / sqrt(2)`` with F the unique positive semi-definite square
-root of the covariance, which, unlike an eigenvector factor, does not
-depend on the basis LAPACK picks inside a repeated eigenvalue.
-Regenerating with the same (covariance, seed, count) is therefore
-bit-identical for any worker count.  Every draw is read through a readout
-R, folded into F once, so the workers hand over R times each sample; the
-identity R hands over the samples themselves.  Each worker also builds
-its own block consumer once, for blocks of a given row count, so a
-consumer can keep per-worker scratch, and hands it each block with its
-index, so the tiling stays inside the sampler.  The generator identity is
-recorded on every report as ``prng_id``.  numpy does not promise that
-``Generator`` streams stay the same across versions (NEP 19), so the
-tests pin known-answer values of the stream.
+shorter draw is a prefix of a longer one.  Regenerating with the same
+(T, seed, count) is therefore bit-identical for any worker count.  Each
+worker also builds its own block consumer once, for blocks of a given
+row count, so a consumer can keep per-worker scratch, and hands it each
+block with its index, so the tiling stays inside the sampler.  The
+generator identity is recorded on every report as ``prng_id``.  numpy
+does not promise that ``Generator`` streams stay the same across
+versions (NEP 19), so the tests pin known-answer values of the stream.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 from typing import Callable
 
 import numpy as np
 
-from .covariance import BlockCovariance
-from .errors import NotPositiveError, PcsftError
+from .errors import PcsftError
 
 PRNG_ID = "sfc64:ziggurat:v3"
 
@@ -60,9 +53,6 @@ CHUNK_SIZE = 16384
 
 # Largest sample count: the stream is defined for chunk indices below 2**56.
 MAX_SAMPLES = CHUNK_SIZE * 2**56
-
-# Largest admissible max |F F† - D| of the factor, an absolute bound.
-FACTOR_RESIDUAL_TOL = 1e-8
 
 # Rows a worker fills and transforms at a time.  It divides CHUNK_SIZE, so
 # the blocks tile every draw at multiples of _BLOCK_ROWS.  It moves no
@@ -94,45 +84,14 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def _substream(seed: int, chunk: int) -> np.random.SFC64:
-    if not 0 <= seed < SEED_BOUND:
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
     return np.random.SFC64(np.random.SeedSequence([seed, chunk]))
 
 
-# Kept for the latest covariance, which is immutable: cross_estimates checks
-# the factor before its analytic traces, and the draw reuses it.
-@functools.lru_cache(maxsize=1)
-def factor_covariance(cov: BlockCovariance) -> np.ndarray:
-    """The positive semi-definite square root F = V sqrt(L) V† of the
-    assembled covariance, so F F† equals it, read-only.
-
-    Built from a Hermitian eigendecomposition of the assembled matrix.
-    The covariance is PSD by construction, so eigenvalues below zero are
-    rounding (exact zero modes at epsilon = epsilon_min) and are clipped
-    to zero.  The root is unique, so it does not depend on the eigenvector
-    basis chosen inside a repeated eigenvalue.
-    """
-    assembled = cov.assembled()
-    evals, evecs = np.linalg.eigh(assembled)
-    evals = np.clip(evals, 0.0, None)
-    f = (evecs * np.sqrt(evals)[None, :]) @ evecs.conj().T
-    residual = float(np.max(np.abs(f @ f.conj().T - assembled)))
-    if residual > FACTOR_RESIDUAL_TOL:
-        scale = float(np.max(np.abs(assembled)))
-        raise NotPositiveError(
-            f"factorization residual {residual:.3e} exceeds {FACTOR_RESIDUAL_TOL:.0e} "
-            f"(largest covariance entry {scale:.3e})"
-        )
-    f.setflags(write=False)
-    return f
-
-
 def draw_chunks(
-    cov: BlockCovariance,
+    transform: np.ndarray,
     seed: int,
     count: int,
     make_consumer: Callable[[int], Callable[[int, np.ndarray], None]],
-    readout: np.ndarray,
     workers: int | None = None,
 ) -> None:
     """Draw ``count`` samples block by block and hand each block over.
@@ -142,9 +101,8 @@ def draw_chunks(
     scratch buffers for every block it is handed.  The worker then takes
     the next ``CHUNK_SIZE`` chunk until none is left and fills it in
     blocks of ``block_rows`` rows, in two buffers it reuses: the normals
-    w, then ``y = w @ (R F)^T`` (shape (rows, m)), the readout R
-    ((m, d1 + d2)) applied to the joint samples phi (components side by
-    side), with R folded into the factor once.  It calls
+    w, then ``y = w @ transform^T / sqrt(2)`` (shape (rows, m) for an
+    (m, n) transform, w having n columns).  It calls
     ``consume(index, y)`` for block ``index``, which starts at sample
     ``index * block_rows`` (only the last block may be shorter); the
     consumer may overwrite ``y``, and the worker overwrites it after the
@@ -153,11 +111,14 @@ def draw_chunks(
     Memory is two buffers per worker, whatever ``count``, plus what the
     consumers hold.  If a worker raises, the others stop at their next
     chunk and the first worker's exception, in worker order, is
-    re-raised.
+    re-raised.  The count and the seed are checked before any worker
+    starts.
     """
     if not 1 <= count <= MAX_SAMPLES:
         raise ValueError(f"count must be in [1, {MAX_SAMPLES}], got {count}")
-    ft = (readout @ factor_covariance(cov)).T * np.sqrt(0.5)
+    if not 0 <= seed < SEED_BOUND:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+    ft = transform.T * np.sqrt(0.5)
     nchunks = -(-count // CHUNK_SIZE)
     taken = 0  # chunks handed out so far
     lock = threading.Lock()

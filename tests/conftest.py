@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from pcsft.hilbert import BipartiteState
-from pcsft.covariance import BlockCovariance
+from pcsft.covariance import BlockCovariance, factor_covariance
 from pcsft.sampler import draw_chunks
 
 # One line per acceptance criterion, replayed in the terminal summary.
@@ -24,7 +24,7 @@ def draw_samples(
     cov: BlockCovariance, seed: int, count: int, workers: int | None = None
 ) -> np.ndarray:
     """The joint (count, d1 + d2) samples draw_chunks draws through the
-    identity readout, stored in order."""
+    covariance's factor, stored in order."""
     out = np.empty((count, cov.d1 + cov.d2), dtype=complex)
 
     def make_store(block_rows: int):
@@ -33,7 +33,7 @@ def draw_samples(
 
         return store
 
-    draw_chunks(cov, seed, count, make_store, np.eye(cov.d1 + cov.d2), workers)
+    draw_chunks(factor_covariance(cov), seed, count, make_store, workers)
     return out
 
 

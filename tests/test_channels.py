@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from pcsft.errors import DimensionError
 from pcsft.hilbert import matricize, quantum_average_tensor
-from pcsft.covariance import BlockCovariance, build_covariance, epsilon_min
-from pcsft.sampler import factor_covariance
+from pcsft.covariance import (
+    BlockCovariance, build_covariance, epsilon_min, factor_covariance,
+)
 from pcsft.quadratic import QuadraticForm, analytic_cov
 from pcsft.channels import (
     Hamiltonian,

@@ -23,7 +23,7 @@ from pcsft import serialize
 from pcsft import __version__
 from pcsft.cli import main
 from pcsft.sampler import PRNG_ID
-from conftest import states_equal_up_to_phase
+from conftest import rand_selfadjoint, rand_state, states_equal_up_to_phase
 
 C = 1.0 / np.sqrt(2.0)
 SINGLET = np.array([[0.0, C], [-C, 0.0]])
@@ -187,6 +187,37 @@ class TestVerifyIdentity:
         assert code == 0
         assert out["epsilon"] == 1e3
         assert out["pass"] is True
+
+    @staticmethod
+    def large_case(tmp_path, scale=1e3):
+        # Dense observables with entries around ``scale`` on a 3 x 4 state.
+        rng = np.random.default_rng(121)
+        state = write_state(tmp_path / "state.json", rand_state(rng, 3, 4).amplitudes)
+        a1, a2 = scale * rand_selfadjoint(rng, 3), scale * rand_selfadjoint(rng, 4)
+        files = [str(write_operator(tmp_path / f"a{i}.json", a)) for i, a in ((1, a1), (2, a2))]
+        return ["verify-identity", str(state), *files, "--samples=20000"], a1, a2
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_large_observables_pass(self, tmp_path, capsys, scale):
+        # The averages reach 1e5 to 1e11, and the trace, tensor and
+        # covariance routes round apart by about 1e-15 of them, above 1e-10
+        # in absolute terms; the checks scale their tolerance with
+        # max |A1| · max |A2|.
+        argv, _, _ = self.large_case(tmp_path, scale)
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+    def test_trace_off_by_ten_tolerances_fails(self, tmp_path, monkeypatch, capsys):
+        import pcsft.cli as cli
+
+        argv, a1, a2 = self.large_case(tmp_path)
+        tol = cli.IDENTITY_TOL * float(np.max(np.abs(a1)) * np.max(np.abs(a2)))
+        assert tol > 10 * cli.IDENTITY_TOL
+        trace = cli.quantum_average_trace
+        monkeypatch.setattr(cli, "quantum_average_trace", lambda *args: trace(*args) + 10 * tol)
+        assert main(argv) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks == {"cov_vs_tensor": True, "mc_within_5_se": True, "trace_vs_tensor": False}
 
 
 class TestExperimentCommand:
@@ -1221,6 +1252,30 @@ class TestParserReuse:
             ), argv
 
 
+class TestHelp:
+    EPSILON = "--epsilon EPSILON background level, a number or 'auto' (the default:"
+    OUTPUTS = [
+        "--output-state OUTPUT_STATE state file (default state_out.json; '-' is refused)",
+        "--output-covariance OUTPUT_COVARIANCE covariance file "
+        "(default covariance_out.json; '-' is refused)",
+    ]
+
+    @pytest.mark.parametrize(
+        "command, transformed",
+        [("verify-identity", False), ("experiment", False), ("propagate", True),
+         ("channel", True)],
+    )
+    def test_shared_options_are_described(self, capsys, command, transformed):
+        # Each shared option is defined once, so every subcommand that
+        # takes it shows its help text.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert self.EPSILON in text
+        assert all((line in text) == transformed for line in self.OUTPUTS)
+
+
 class TestOneSvdPerState:
     """epsilon="auto" and the covariance share one epsilon_min."""
 
@@ -1314,9 +1369,11 @@ class TestImportPath:
 
     def test_module_graph(self):
         # Only the CLI imports experiments, so lower layers never know the
-        # report, and the package imports no submodule.
+        # report, the sampler imports no pcsft module but errors, so it
+        # draws from the matrix it is handed, and the package imports no
+        # submodule.
         package = Path(__file__).resolve().parents[1] / "src" / "pcsft"
-        importers = set()
+        importers, sampler_imports = set(), set()
         for path in package.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.ImportFrom):
@@ -1329,4 +1386,7 @@ class TestImportPath:
                     pytest.fail(f"__init__.py imports {names}")
                 if any(name.split(".")[-1] == "experiments" for name in names):
                     importers.add(path.stem)
+                if path.stem == "sampler" and isinstance(node, ast.ImportFrom) and node.level:
+                    sampler_imports.add(node.module)
         assert importers == {"cli"}
+        assert sampler_imports == {"errors"}

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import pcsft
 from pcsft.errors import DimensionError, SelfAdjointnessError
 from pcsft.hilbert import marginal_average, matricize, quantum_average_tensor
-from pcsft.covariance import build_covariance, epsilon_min, phase_transform
+from pcsft.covariance import build_covariance, epsilon_min, factor_covariance, phase_transform
 from pcsft.sampler import _BLOCK_ROWS, CHUNK_SIZE, draw_chunks
 from pcsft.quadratic import (
     QuadraticForm,
@@ -526,16 +526,17 @@ class TestSampleForms:
         # sample: the moments have 4 columns, the rows each column sees
         # sum to n, every workspace weighs each port's own 2 intensity
         # rows by 1, and the port projectors' supports are disjoint and in
-        # mode order, so the readout is the identity and the sampler hands
-        # over phi itself.
+        # mode order, so the readout is the identity, R F is F bit for bit,
+        # and the sampler hands over phi itself.
         import pcsft.quadratic as quadratic
         from pcsft.sampler import CHUNK_SIZE
         from pcsft.experiments import run_beamsplitter
 
-        rows, workspaces, readouts = {}, [], []
+        rows, workspaces, covs, transforms = {}, [], [], []
         real_add = quadratic.Moments.add
         real_init = quadratic._Workspace.__init__
         real_draw = quadratic.draw_chunks
+        real_factor = quadratic.factor_covariance
 
         def counting_add(moments, index, block):
             for j in range(moments.k):
@@ -546,17 +547,25 @@ class TestSampleForms:
             real_init(workspace, *args)
             workspaces.append(workspace)
 
-        def recording_draw(cov, seed, count, make_consumer, readout, workers):
-            readouts.append(readout)
-            real_draw(cov, seed, count, make_consumer, readout, workers)
+        def recording_factor(cov):
+            covs.append(cov)
+            return real_factor(cov)
+
+        def recording_draw(transform, seed, count, make_consumer, workers):
+            transforms.append(transform)
+            real_draw(transform, seed, count, make_consumer, workers)
 
         monkeypatch.setattr(quadratic.Moments, "add", counting_add)
         monkeypatch.setattr(quadratic._Workspace, "__init__", recording_init)
+        monkeypatch.setattr(quadratic, "factor_covariance", recording_factor)
         monkeypatch.setattr(quadratic, "draw_chunks", recording_draw)
         n = 3 * CHUNK_SIZE + 5
         run_beamsplitter("boson", "half", seed=96, n_samples=n)
         assert list(rows.values()) == [n, n, n, n]
-        assert readouts and all(np.array_equal(readout, np.eye(8)) for readout in readouts)
+        assert len(covs) == len(transforms) == 1
+        factor = real_factor(covs[0])
+        assert transforms[0].shape == factor.shape == (8, 8)
+        assert transforms[0].tobytes() == factor.tobytes()
         assert workspaces
         for workspace in workspaces:
             assert [(span, list(w)) for span, w in workspace._plans] == [
@@ -648,7 +657,7 @@ def allocating_moments(cov, seed, count, forms, workers):
         columns = [weighted_sum(p.real**2 + p.imag**2, w) for p, (_, w) in zip(parts, plans)]
         moments.add(index, columns)
 
-    draw_chunks(cov, seed, count, lambda block_rows: consume, readout, workers)
+    draw_chunks(readout @ factor_covariance(cov), seed, count, lambda block_rows: consume, workers)
     return moments
 
 
@@ -784,7 +793,7 @@ class TestWorkspace:
         real_draw = quadratic.draw_chunks
         extra = []
 
-        def measuring_draw(cov, seed, count, make_consumer, readout, workers):
+        def measuring_draw(transform, seed, count, make_consumer, workers):
             def make(block_rows):
                 consume = make_consumer(block_rows)
 
@@ -796,7 +805,7 @@ class TestWorkspace:
 
                 return measured
 
-            real_draw(cov, seed, count, make, readout, workers)
+            real_draw(transform, seed, count, make, workers)
 
         monkeypatch.setattr(quadratic, "draw_chunks", measuring_draw)
         mixed_cov, mixed_forms = random_dense_case(102)  # dense and diagonal

@@ -7,15 +7,8 @@ import numpy as np
 import pytest
 
 from pcsft.hilbert import matricize
-from pcsft.covariance import BlockCovariance, build_covariance, epsilon_min
-from pcsft.sampler import (
-    _BLOCK_ROWS,
-    CHUNK_SIZE,
-    MAX_SAMPLES,
-    _substream,
-    draw_chunks,
-    factor_covariance,
-)
+from pcsft.covariance import BlockCovariance, build_covariance, epsilon_min, factor_covariance
+from pcsft.sampler import _BLOCK_ROWS, CHUNK_SIZE, MAX_SAMPLES, _substream, draw_chunks
 from pcsft.quadratic import QuadraticForm, form_moments
 from pcsft.channels import UnitaryChannel, apply_to_state
 from pcsft.experiments import beamsplitter_unitary
@@ -126,7 +119,7 @@ class TestDrawMoments:
     def test_count_validation(self):
         cov = build_covariance(BELL_SINGLET, 0.3)
         with pytest.raises(ValueError):
-            draw_chunks(cov, 0, 0, lambda block_rows: lambda index, phi: None, np.eye(4))
+            draw_chunks(factor_covariance(cov), 0, 0, lambda block_rows: lambda index, phi: None)
 
 
 class TestDeterminism:
@@ -207,11 +200,15 @@ class TestKnownAnswers:
 
 class TestSubstreamKey:
     # SeedSequence accepts any nonnegative integers, so the key's range
-    # must be checked by the sampler itself.
+    # must be checked by the sampler itself, once per draw, before any
+    # worker starts.
     @pytest.mark.parametrize("seed, chunk", [(-1, 0), (2**64, 0)])
     def test_rejects_key_out_of_range(self, seed, chunk):
-        with pytest.raises(ValueError):
-            _substream(seed, chunk)
+        cov = build_covariance(BELL_SINGLET, 0.3)
+        made = []
+        with pytest.raises(ValueError, match="seed"):
+            draw_chunks(factor_covariance(cov), seed, CHUNK_SIZE * (chunk + 1), made.append)
+        assert made == []
 
     def test_accepts_the_largest_key(self):
         assert isinstance(_substream(2**64 - 1, 2**56 - 1), np.random.SFC64)
@@ -230,7 +227,7 @@ class TestDrawChunks:
                 made.append(rows)
                 return lambda index, phi: blocks.append((index, len(phi)))
 
-            draw_chunks(cov, 0, count, make_consumer, np.eye(4), 2)
+            draw_chunks(factor_covariance(cov), 0, count, make_consumer, 2)
             assert made == [block_rows] * min(2, -(-count // CHUNK_SIZE))
             assert sorted(blocks) == [
                 (index, min(block_rows, count - index * block_rows))
@@ -243,7 +240,7 @@ class TestDrawChunks:
         cov = build_covariance(BELL_SINGLET, 0.3)
         made = []
         with pytest.raises(ValueError, match="count"):
-            draw_chunks(cov, 0, MAX_SAMPLES + 1, made.append, np.eye(4))
+            draw_chunks(factor_covariance(cov), 0, MAX_SAMPLES + 1, made.append)
         assert made == []
         assert -(-MAX_SAMPLES // CHUNK_SIZE) == 2**56
 
@@ -257,7 +254,7 @@ class TestDrawChunks:
                 raise RuntimeError("consumer failed")
 
         with pytest.raises(RuntimeError, match="consumer failed"):
-            draw_chunks(cov, 0, 16 * CHUNK_SIZE, lambda rows: consume, np.eye(4), workers=2)
+            draw_chunks(factor_covariance(cov), 0, 16 * CHUNK_SIZE, lambda rows: consume, workers=2)
         assert len(seen) < 16 * CHUNK_SIZE // _BLOCK_ROWS
 
 
