@@ -321,16 +321,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_identity)
 
     p = sub.add_parser("experiment", help="run a turn-key experiment")
-    p.add_argument("--experiment", required=True, choices=["beamsplitter"])
-    p.add_argument("--statistics", required=True, choices=["boson", "fermion"])
-    p.add_argument("--spin", default="0", choices=["0", "half"])
+    p.add_argument("--experiment", required=True, choices=["beamsplitter"],
+                   help="experiment to run: the 50/50 beam splitter")
+    p.add_argument("--statistics", required=True, choices=["boson", "fermion"],
+                   help="exchange symmetry of the input pair")
+    p.add_argument("--spin", default="0", choices=["0", "half"],
+                   help="spin of each particle (default %(default)s)")
     _add_options(p, "--seed", "--samples", "--epsilon", "--output")
-    p.add_argument("--format", default="json", choices=["json", "csv"])
+    p.add_argument("--format", default="json", choices=["json", "csv"],
+                   help="report format (default %(default)s)")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("classify", help="exchange-symmetry class of a state")
     p.add_argument("state", help="state JSON file")
-    p.add_argument("--tol", type=float, default=SYMMETRY_TOL)
+    p.add_argument("--tol", type=float, default=SYMMETRY_TOL,
+                   help="max-norm tolerance of the symmetry conditions "
+                        "(default %(default)s)")
     _add_options(p, "--output")
     p.set_defaults(func=cmd_classify)
 

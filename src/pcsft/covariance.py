@@ -12,21 +12,21 @@ a pure state Ψ is
     D11 = Ψ̂Ψ̂† + eps I,   D12 = Ψ̂,
     D21 = Ψ̂†,             D22 = Ψ̂†Ψ̂ + eps I,
 
-so it is fixed by the pair (Ψ̂, eps), and that pair is all a covariance
-stores.  In the Schmidt basis of Ψ̂ = U diag(s) V† the assembled matrix
+so it is fixed by the pair (Ψ̂, eps).  A covariance assembles D once,
+on construction, and its blocks are read-only views of it.  In the
+Schmidt basis of Ψ̂ = U diag(s) V† the assembled matrix
 splits into 2 x 2 blocks [[s² + eps, s], [s, s² + eps]] plus eps on the
 unpaired modes, with eigenvalues s² + eps ± s and eps; it is positive
 semidefinite exactly when eps >= epsilon_min = max(0, max s (1 - s)).
 The off-diagonal block carries all cross-component information, so
-phase transforms touch only D12/D21 and exchange symmetry is read off
-the (anti)symmetry of D12.
+exchange symmetry is read off the (anti)symmetry of D12.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,16 +58,17 @@ class BlockCovariance:
     """The covariance fixed by D12 = Ψ̂ (any finite d1 x d2 matrix) and
     the background level epsilon.
 
-    Only the pair is stored; D11, D21 and D22 are derived from it on each
-    access.  Construction validates with one SVD of Ψ̂: epsilon="auto"
-    resolves to epsilon_min + AUTO_EPSILON_MARGIN, a value below
-    epsilon_min - 1e-12 raises NotPositiveError (carrying epsilon_min),
-    a value that is not a finite number raises ValueError, and a value in
-    [-1e-12, 0) becomes 0.
+    D is assembled once, on construction, and stored read-only; D11, D21
+    and D22 are read-only views of its blocks.  Construction validates
+    with one SVD of Ψ̂: epsilon="auto" resolves to epsilon_min +
+    AUTO_EPSILON_MARGIN, a value below epsilon_min - 1e-12 raises
+    NotPositiveError (carrying epsilon_min), a value that is not a finite
+    number raises ValueError, and a value in [-1e-12, 0) becomes 0.
     """
 
     d12: np.ndarray
     epsilon: float
+    _assembled: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         psi = _as_matrix(self.d12, "D12").copy()
@@ -84,23 +85,31 @@ class BlockCovariance:
             )
         if not math.isfinite(eps):
             raise ValueError(f"epsilon must be a finite number, got {eps}")
+        eps = eps if eps > 0.0 else 0.0  # never -0.0
+        d1, d2 = psi.shape
+        d21 = psi.conj().T
+        top = np.hstack([psi @ d21 + eps * np.eye(d1), psi])
+        bottom = np.hstack([d21, d21 @ psi + eps * np.eye(d2)])
+        assembled = np.vstack([top, bottom])
+        assembled.setflags(write=False)
         object.__setattr__(self, "d12", psi)
-        object.__setattr__(self, "epsilon", eps if eps > 0.0 else 0.0)  # never -0.0
+        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "_assembled", assembled)
 
     @property
     def d11(self) -> np.ndarray:
         """D11 = Ψ̂Ψ̂† + eps I."""
-        return self.d12 @ self.d12.conj().T + self.epsilon * np.eye(self.d1)
+        return self._assembled[: self.d1, : self.d1]
 
     @property
     def d21(self) -> np.ndarray:
         """D21 = Ψ̂†."""
-        return self.d12.conj().T
+        return self._assembled[self.d1 :, : self.d1]
 
     @property
     def d22(self) -> np.ndarray:
         """D22 = Ψ̂†Ψ̂ + eps I."""
-        return self.d12.conj().T @ self.d12 + self.epsilon * np.eye(self.d2)
+        return self._assembled[self.d1 :, self.d1 :]
 
     @property
     def d1(self) -> int:
@@ -111,10 +120,8 @@ class BlockCovariance:
         return self.d12.shape[1]
 
     def assembled(self) -> np.ndarray:
-        """The (d1+d2) x (d1+d2) covariance matrix."""
-        top = np.hstack([self.d11, self.d12])
-        bottom = np.hstack([self.d21, self.d22])
-        return np.vstack([top, bottom])
+        """The (d1+d2) x (d1+d2) covariance matrix, read-only."""
+        return self._assembled
 
 
 def factor_covariance(cov: BlockCovariance) -> np.ndarray:
@@ -181,39 +188,6 @@ def build_covariance(state: BipartiteState, epsilon: float | str) -> BlockCovari
     ``epsilon`` is the level it uses: a value in [-1e-12, 0) becomes 0.
     """
     return BlockCovariance(d12=state.amplitudes, epsilon=epsilon)
-
-
-def phase_transform(
-    cov: BlockCovariance, gamma1: float, gamma2: float
-) -> BlockCovariance:
-    """Covariance of (e^{i gamma1} phi1, e^{i gamma2} phi2).
-
-    D12 picks up e^{i (gamma1 - gamma2)}, which leaves the diagonal blocks
-    as they were.
-    """
-    factor = np.exp(1j * (float(gamma1) - float(gamma2)))
-    return BlockCovariance(d12=factor * cov.d12, epsilon=cov.epsilon)
-
-
-def permutation_transform(cov: BlockCovariance, variant: str) -> BlockCovariance:
-    """Covariance after exchanging conjugated components.
-
-    variant="sigma_star" maps (phi1, phi2) -> (conj(phi2), conj(phi1)):
-    diagonal blocks swap and conjugate, D12 becomes its plain transpose.
-    variant="sigma_star_minus" additionally flips the sign of the first
-    output component, negating the off-diagonal blocks.
-    """
-    if cov.d1 != cov.d2:
-        raise DimensionError(
-            f"permutation needs equal component dimensions, got {cov.d1} and {cov.d2}"
-        )
-    if variant == "sigma_star":
-        sign = 1.0
-    elif variant == "sigma_star_minus":
-        sign = -1.0
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return BlockCovariance(d12=sign * cov.d12.T, epsilon=cov.epsilon)
 
 
 def classify_symmetry(state: BipartiteState, tol: float) -> SymmetryClass:

@@ -126,23 +126,11 @@ class BipartiteState:
     def d2(self) -> int:
         return self.amplitudes.shape[1]
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
-
-def matricize(coeffs: np.ndarray, renormalize: bool = False) -> BipartiteState:
-    """Build a BipartiteState whose coefficient matrix is exactly ``coeffs``.
-
-    Without ``renormalize`` the matrix is stored as given, and BipartiteState
-    checks its norm; with it, any nonzero matrix is rescaled to unit norm.
-    """
-    coeffs = _as_matrix(coeffs, "coeffs")
-    if renormalize:
-        norm = float(np.linalg.norm(coeffs))
-        if norm == 0.0:
-            raise NormalizationError("cannot renormalize the zero matrix")
-        coeffs = coeffs / norm
-    return BipartiteState(coeffs)
+def matricize(coeffs: np.ndarray) -> BipartiteState:
+    """Build a BipartiteState whose coefficient matrix is exactly ``coeffs``;
+    BipartiteState checks its norm."""
+    return BipartiteState(_as_matrix(coeffs, "coeffs"))
 
 
 def _check_pair(state: BipartiteState, a1: np.ndarray, a2: np.ndarray):

@@ -119,11 +119,6 @@ def _joint(cov: BlockCovariance, form: QuadraticForm) -> np.ndarray:
     return joint
 
 
-def _trace_dm(cov: BlockCovariance, form: QuadraticForm) -> complex:
-    """Tr(D M) for the form's joint operator M, before the reality check."""
-    return np.trace(cov.assembled() @ _joint(cov, form))
-
-
 def _readout(
     forms: Sequence[QuadraticForm], d1: int, d2: int
 ) -> tuple[np.ndarray, list[tuple[slice, np.ndarray]]]:
@@ -315,7 +310,8 @@ def form_moments(
     """
     factor = factor_covariance(cov)
     # The centre moves only rounding: it needs no reality check.
-    centre = [_trace_dm(cov, form).real for form in forms]
+    d = cov.assembled()
+    centre = [np.trace(d @ _joint(cov, form)).real for form in forms]
     readout, plans = _readout(forms, cov.d1, cov.d2)
     moments = Moments(centre)
 
@@ -340,15 +336,11 @@ def cross_estimates(
             for i, f in enumerate(left)]
 
 
-def analytic_mean(cov: BlockCovariance, form: QuadraticForm) -> float:
-    """E f_A = Tr(D M): Tr[D11 A] on side 1, Tr[D22 conj(A)] on side 2."""
-    return as_real(_trace_dm(cov, form))
-
-
 def renormalized_mean(cov: BlockCovariance, form: QuadraticForm) -> float:
     """Classical mean with the background subtracted, Tr(D M) - epsilon
     Tr M: for covariances built from a state, the marginal average."""
-    return as_real(_trace_dm(cov, form) - cov.epsilon * np.trace(_joint(cov, form)))
+    joint = _joint(cov, form)
+    return as_real(np.trace(cov.assembled() @ joint) - cov.epsilon * np.trace(joint))
 
 
 def analytic_cov(cov: BlockCovariance, f: QuadraticForm, g: QuadraticForm) -> float:

@@ -141,7 +141,7 @@ class TestApplyToState:
         rng = np.random.default_rng(86)
         state = rand_state(rng, 3, 4)
         ch = rand_channel(rng, 3, 4)
-        assert apply_to_state(ch, state).norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(apply_to_state(ch, state).amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_coefficient_transform_matches_tensor_action(self):
         # Guards the transpose convention: U1 Ψ̂ U2ᵀ must equal kron(U1, U2)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, file handling."""
 
+import argparse
 import ast
 import builtins
 import hashlib
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from pcsft.hilbert import matricize
 from pcsft import serialize
 from pcsft import __version__
-from pcsft.cli import main
+from pcsft.cli import build_parser, main
 from pcsft.sampler import PRNG_ID
 from conftest import rand_selfadjoint, rand_state, states_equal_up_to_phase
 
@@ -140,7 +141,7 @@ class TestVerifyIdentity:
 
         rng = np.random.default_rng(120)
         g = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        state = matricize(g, renormalize=True)
+        state = matricize(g / np.linalg.norm(g))
         m1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         m2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         a1 = 0.5 * (m1 + m1.conj().T)
@@ -1275,6 +1276,17 @@ class TestHelp:
         assert self.EPSILON in text
         assert all((line in text) == transformed for line in self.OUTPUTS)
 
+    def test_every_option_has_help(self):
+        parser = build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        missing = [
+            (command, action.dest)
+            for command, sub in subparsers.choices.items()
+            for action in sub._actions
+            if "-h" not in action.option_strings and not action.help
+        ]
+        assert missing == []
+
 
 class TestOneSvdPerState:
     """epsilon="auto" and the covariance share one epsilon_min."""
@@ -1343,6 +1355,38 @@ class TestOneEighPerForm:
         argv = ["verify-identity", str(singlet_file), str(a1), str(a2), "--samples=2000"]
         assert main(argv) == 0
         assert eigh_calls == calls
+
+
+class TestOneAssemblyPerRequest:
+    """D is assembled once per request, when its covariance is built; the
+    factor, the centres and every analytic covariance read that array."""
+
+    @pytest.fixture
+    def assemblies(self, monkeypatch):
+        # np.vstack is the one call pcsft.covariance assembles D with.
+        calls = []
+        vstack = np.vstack
+
+        def counting_vstack(*args, **kwargs):
+            out = vstack(*args, **kwargs)
+            calls.append(out.shape)
+            return out
+
+        monkeypatch.setattr(np, "vstack", counting_vstack)
+        return calls
+
+    def test_experiment(self, capsys, assemblies):
+        argv = ["experiment", "--experiment", "beamsplitter", "--statistics", "boson",
+                "--spin", "half", "--samples=2000"]
+        assert main(argv) == 0
+        assert assemblies == [(8, 8)]
+
+    def test_verify_identity(self, tmp_path, singlet_file, capsys, assemblies):
+        a1 = write_operator(tmp_path / "a1.json", PROJ_R)
+        a2 = write_operator(tmp_path / "a2.json", PROJ_L)
+        argv = ["verify-identity", str(singlet_file), str(a1), str(a2), "--samples=2000"]
+        assert main(argv) == 0
+        assert assemblies == [(4, 4)]
 
 
 class TestImportPath:

@@ -15,8 +15,6 @@ from pcsft.covariance import (
     build_covariance,
     classify_symmetry,
     epsilon_min,
-    permutation_transform,
-    phase_transform,
 )
 from conftest import bisect_epsilon_min, rand_state, schmidt_states
 
@@ -81,6 +79,29 @@ class TestBuildCovariance:
             build_covariance(PRODUCT, -0.1)
 
 
+class TestAssembledOnce:
+    """D is assembled once, on construction, with the resolved epsilon:
+    assembled() returns that read-only array and D11, D21, D22 are views
+    of its blocks, bit-equal to their defining expressions."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(state=schmidt_states(max_dim=5), delta=st.floats(-1e-12, 10.0))
+    def test_blocks_are_views_of_one_read_only_array(self, state, delta):
+        cov = build_covariance(state, epsilon_min(state) + delta)
+        d = cov.assembled()
+        assert d is cov.assembled()
+        assert not d.flags.writeable
+        psi, eps, (d1, d2) = state.amplitudes, cov.epsilon, state.amplitudes.shape
+        for block, expected in (
+            (cov.d11, psi @ psi.conj().T + eps * np.eye(d1)),
+            (cov.d21, psi.conj().T),
+            (cov.d22, psi.conj().T @ psi + eps * np.eye(d2)),
+        ):
+            assert np.shares_memory(block, d)
+            assert not block.flags.writeable
+            assert np.array_equal(block, expected)
+
+
 class TestEpsilonMin:
     def test_product_state_is_zero(self):
         assert epsilon_min(PRODUCT) == pytest.approx(0.0, abs=1e-12)
@@ -120,122 +141,6 @@ class TestEpsilonMin:
             state = rand_state(rng, 3, 3)
             cov = build_covariance(state, epsilon_min(state))
             assert np.linalg.eigvalsh(cov.assembled()).min() >= -1e-10
-
-
-class TestPhaseTransform:
-    def test_equal_phases_identity(self):
-        cov = build_covariance(BELL_SINGLET, 0.25)
-        out = phase_transform(cov, np.pi, np.pi)
-        np.testing.assert_allclose(out.assembled(), cov.assembled(), atol=1e-15)
-
-    def test_pi_shift_flips_off_diagonal_sign(self):
-        cov = build_covariance(BOSONIC, 0.25)
-        out = phase_transform(cov, np.pi, 0.0)
-        np.testing.assert_allclose(out.d12, -cov.d12, atol=1e-12)
-        np.testing.assert_allclose(out.d11, cov.d11)
-        np.testing.assert_allclose(out.d22, cov.d22)
-
-    def test_full_turn_is_identity(self):
-        cov = build_covariance(BOSONIC, 0.25)
-        out = phase_transform(cov, 2.0 * np.pi, 0.0)
-        np.testing.assert_allclose(out.assembled(), cov.assembled(), atol=1e-12)
-
-    def test_diagonal_blocks_invariant_for_any_phase(self):
-        rng = np.random.default_rng(25)
-        cov = build_covariance(rand_state(rng, 3, 3), 0.3)
-        for _ in range(20):
-            gamma = rng.uniform(0, 2 * np.pi, size=2)
-            out = phase_transform(cov, *gamma)
-            np.testing.assert_allclose(out.d11, cov.d11)
-            np.testing.assert_allclose(out.d22, cov.d22)
-            assert out.epsilon == cov.epsilon
-
-
-ANGLES = st.floats(-2.0 * np.pi, 2.0 * np.pi)
-MARGINS = st.floats(0.0, 1.0)
-
-
-def assert_same_covariance(out, expected):
-    np.testing.assert_allclose(out.assembled(), expected.assembled(), rtol=0, atol=1e-12)
-    assert out.epsilon == expected.epsilon
-
-
-class TestTransformProperties:
-    """A transform of a built covariance is the covariance built from the
-    correspondingly transformed state, for square states of any Schmidt
-    spectrum and any admissible background level."""
-
-    @pytest.mark.parametrize("variant, sign", [("sigma_star", 1), ("sigma_star_minus", -1)])
-    @settings(max_examples=100, deadline=None)
-    @given(state=schmidt_states(square=True), margin=MARGINS)
-    def test_permutation_transposes_the_state(self, variant, sign, state, margin):
-        eps = epsilon_min(state) + margin
-        out = permutation_transform(build_covariance(state, eps), variant)
-        expected = build_covariance(matricize(sign * state.amplitudes.T), eps)
-        assert_same_covariance(out, expected)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        state=schmidt_states(square=True), margin=MARGINS, g1=ANGLES, g2=ANGLES
-    )
-    def test_phase_multiplies_the_state(self, state, margin, g1, g2):
-        eps = epsilon_min(state) + margin
-        out = phase_transform(build_covariance(state, eps), g1, g2)
-        phased = np.exp(1j * (g1 - g2)) * state.amplitudes
-        expected = build_covariance(matricize(phased), eps)
-        assert_same_covariance(out, expected)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        state=schmidt_states(square=True),
-        margin=MARGINS,
-        angles=st.lists(ANGLES, min_size=4, max_size=4),
-    )
-    def test_phases_compose_by_adding_angles(self, state, margin, angles):
-        a1, a2, b1, b2 = angles
-        cov = build_covariance(state, epsilon_min(state) + margin)
-        twice = phase_transform(phase_transform(cov, a1, a2), b1, b2)
-        assert_same_covariance(twice, phase_transform(cov, a1 + b1, a2 + b2))
-
-
-class TestPermutationTransform:
-    def test_bosonic_invariant_under_sigma_star(self):
-        cov = build_covariance(BOSONIC, 0.25)
-        out = permutation_transform(cov, "sigma_star")
-        np.testing.assert_allclose(out.assembled(), cov.assembled(), atol=1e-12)
-
-    def test_fermionic_flips_off_diagonals(self):
-        cov = build_covariance(BELL_SINGLET, 0.25)
-        out = permutation_transform(cov, "sigma_star")
-        np.testing.assert_allclose(out.d12, -cov.d12, atol=1e-12)
-        np.testing.assert_allclose(out.d21, -cov.d21, atol=1e-12)
-        np.testing.assert_allclose(out.d11, cov.d11, atol=1e-12)
-        np.testing.assert_allclose(out.d22, cov.d22, atol=1e-12)
-
-    def test_fermionic_invariant_under_sigma_star_minus(self):
-        cov = build_covariance(BELL_SINGLET, 0.25)
-        out = permutation_transform(cov, "sigma_star_minus")
-        np.testing.assert_allclose(out.assembled(), cov.assembled(), atol=1e-12)
-
-    def test_involution(self):
-        rng = np.random.default_rng(26)
-        cov = build_covariance(rand_state(rng, 3, 3), 0.3)
-        twice = permutation_transform(permutation_transform(cov, "sigma_star"), "sigma_star")
-        np.testing.assert_allclose(twice.assembled(), cov.assembled(), atol=1e-12)
-
-    def test_diagonal_blocks_swap_conjugated(self):
-        rng = np.random.default_rng(27)
-        cov = build_covariance(rand_state(rng, 3, 3), 0.3)
-        out = permutation_transform(cov, "sigma_star")
-        np.testing.assert_allclose(out.d11, np.conj(cov.d22))
-        np.testing.assert_allclose(out.d22, np.conj(cov.d11))
-        np.testing.assert_allclose(out.d12, cov.d12.T)
-
-    def test_rectangular_rejected(self):
-        rng = np.random.default_rng(28)
-        cov = build_covariance(rand_state(rng, 2, 3), 0.3)
-        with pytest.raises(DimensionError):
-            permutation_transform(cov, "sigma_star")
 
 
 class TestClassifySymmetry:
@@ -279,7 +184,7 @@ class TestClassifySymmetry:
         # perturbation so the bosonic/fermionic gates cannot fire first.
         a = np.array([[0.0, C], [-C, 0.0]], dtype=complex)
         a[0, 1] *= np.exp(1j * 1e-8)
-        state = matricize(a, renormalize=True)
+        state = matricize(a / np.linalg.norm(a))
         sym = classify_symmetry(state, tol=1e-6)
         assert sym.tag in (SymmetryTag.FERMIONIC, SymmetryTag.ANYONIC)
 

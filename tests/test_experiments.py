@@ -54,7 +54,7 @@ class TestInputStates:
 
     def test_normalized(self):
         for statistics in ("boson", "fermion"):
-            assert input_state(statistics).norm() == pytest.approx(1.0)
+            assert np.linalg.norm(input_state(statistics).amplitudes) == pytest.approx(1.0)
 
     def test_unknown_statistics(self):
         with pytest.raises(ValueError):
@@ -68,7 +68,7 @@ class TestSpinStates:
         nonzero = np.abs(amp) > 0
         assert nonzero.sum() == 4
         assert np.allclose(np.abs(amp[nonzero]), 0.5)
-        assert state.norm() == pytest.approx(1.0)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0)
 
     def test_sb5_is_transpose_symmetric(self):
         amp = spin_state("sb5").amplitudes

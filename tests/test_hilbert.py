@@ -43,10 +43,6 @@ class TestMatricize:
         with pytest.raises(NormalizationError):
             matricize(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
-    def test_renormalize_flag(self):
-        state = matricize(np.array([[3.0, 0.0], [0.0, 4.0]]), renormalize=True)
-        np.testing.assert_allclose(state.amplitudes, [[0.6, 0], [0, 0.8]])
-
     def test_zero_dimension_rejected(self):
         with pytest.raises(DimensionError):
             matricize(np.zeros((0, 2)))

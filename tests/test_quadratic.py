@@ -14,12 +14,11 @@ from hypothesis import given, settings, strategies as st
 import pcsft
 from pcsft.errors import DimensionError, SelfAdjointnessError
 from pcsft.hilbert import marginal_average, matricize, quantum_average_tensor
-from pcsft.covariance import build_covariance, epsilon_min, factor_covariance, phase_transform
+from pcsft.covariance import BlockCovariance, build_covariance, epsilon_min, factor_covariance
 from pcsft.sampler import _BLOCK_ROWS, CHUNK_SIZE, draw_chunks
 from pcsft.quadratic import (
     QuadraticForm,
     analytic_cov,
-    analytic_mean,
     Moments,
     _Workspace,
     _readout,
@@ -131,12 +130,12 @@ class TestAnalyticMean:
     def test_bell_with_background(self):
         cov = build_covariance(BELL_SINGLET, 0.25)
         form = QuadraticForm(operator=PROJ_R, side=1)
-        assert analytic_mean(cov, form) == pytest.approx(0.75)
+        assert _block_mean(cov, form).real == pytest.approx(0.75)
 
     def test_identity_gives_trace(self):
         cov = build_covariance(BELL_SINGLET, 0.25)
         form = QuadraticForm(operator=np.eye(2), side=1)
-        assert analytic_mean(cov, form) == pytest.approx(
+        assert _block_mean(cov, form).real == pytest.approx(
             np.trace(cov.d11).real
         )
 
@@ -147,7 +146,7 @@ class TestAnalyticMean:
         a = rand_selfadjoint(rng, 3)
         form = QuadraticForm(operator=a, side=2)
         moments = form_moments(cov, seed=62, count=100_000, forms=[form])
-        est = moments.mean(0, analytic=analytic_mean(cov, form))
+        est = moments.mean(0, analytic=_block_mean(cov, form).real)
         assert est.within()
 
 
@@ -162,14 +161,14 @@ class TestRenormalizedMean:
         sigma_z = np.diag([1.0, -1.0]).astype(complex)
         form = QuadraticForm(operator=sigma_z, side=1)
         assert renormalized_mean(cov, form) == pytest.approx(
-            analytic_mean(cov, form)
+            _block_mean(cov, form).real
         )
 
     def test_zero_epsilon_is_identity(self):
         state = matricize(np.array([[1.0, 0.0], [0.0, 0.0]]))
         cov = build_covariance(state, 0.0)
         form = QuadraticForm(operator=PROJ_R, side=1)
-        assert renormalized_mean(cov, form) == analytic_mean(cov, form)
+        assert renormalized_mean(cov, form) == _block_mean(cov, form).real
 
     def test_matches_marginal_average_both_sides(self):
         rng = np.random.default_rng(63)
@@ -240,10 +239,9 @@ class TestAnalyticCov:
         f2 = QuadraticForm(operator=rand_selfadjoint(rng, 2), side=2)
         base = analytic_cov(cov, f1, f2)
         for _ in range(10):
-            gamma = rng.uniform(0, 2 * np.pi, size=2)
-            assert analytic_cov(phase_transform(cov, *gamma), f1, f2) == pytest.approx(
-                base, abs=1e-12
-            )
+            g1, g2 = rng.uniform(0, 2 * np.pi, size=2)
+            phased = BlockCovariance(d12=np.exp(1j * (g1 - g2)) * cov.d12, epsilon=cov.epsilon)
+            assert analytic_cov(phased, f1, f2) == pytest.approx(base, abs=1e-12)
 
     def test_bilinearity(self):
         rng = np.random.default_rng(67)
@@ -266,7 +264,8 @@ class TestAnalyticCov:
         u /= np.linalg.norm(u)
         v = rand_complex(rng, 2)
         v /= np.linalg.norm(v)
-        state = matricize(np.outer(u, v), renormalize=True)
+        g = np.outer(u, v)
+        state = matricize(g / np.linalg.norm(g))
         cov = build_covariance(state, epsilon_min(state) + 0.05)
         a1 = rand_selfadjoint(rng, 3)
         a2 = rand_selfadjoint(rng, 2)
@@ -339,9 +338,8 @@ class TestJointOperator:
         cross = analytic_cov(cov, f1, f2)
         assert abs(cross - _block_cross_cov(cov, f1, f2)) <= 1e-12 * size**2 * norm(f1, f2)
         for form in (f1, f2):
-            assert abs(analytic_mean(cov, form) - _block_mean(cov, form)) <= (
-                1e-12 * size * norm(form)
-            )
+            trace_path = renormalized_mean(cov, form) + cov.epsilon * np.trace(form.operator).real
+            assert abs(trace_path - _block_mean(cov, form).real) <= 1e-12 * size * norm(form)
         for f, g in ((f1, f2), (f1, g1), (f2, g1), (f1, f1)):
             assert abs(analytic_cov(cov, f, g) - analytic_cov(cov, g, f)) <= (
                 1e-12 * size**2 * norm(f, g)
@@ -649,7 +647,7 @@ def allocating_moments(cov, seed, count, forms, workers):
     block, on the same readout, with the intensities y.real**2 + y.imag**2
     of each form's columns of the block y, weighted term by term, and the
     moments centred on the analytic means."""
-    moments = AllocatingMoments([analytic_mean(cov, form) for form in forms])
+    moments = AllocatingMoments([_block_mean(cov, form).real for form in forms])
     readout, plans = _readout(forms, cov.d1, cov.d2)
 
     def consume(index, y):
@@ -1097,7 +1095,7 @@ class TestFormKernel:
             moments = form_moments(cov, seed=116, count=5_000, forms=forms)
             for est in (moments.mean(0), moments.cov(0, 1)):
                 assert (est.value, est.std_error) == (0.0, 0.0)
-            assert moments.mean(1, analytic=analytic_mean(cov, forms[1])).within()
+            assert moments.mean(1, analytic=_block_mean(cov, forms[1]).real).within()
 
     @pytest.mark.parametrize("diagonal_side", [1, 2])
     def test_readout_reads_only_the_sides_diagonal_forms_read(self, diagonal_side):
