@@ -28,7 +28,7 @@ import numpy as np
 
 from .covariance import BlockCovariance
 from .errors import DimensionError
-from .hilbert import BipartiteState, _as_matrix, max_defect, require_selfadjoint
+from .hilbert import BipartiteState, _as_matrix, _store, max_defect, require_selfadjoint
 
 UNITARY_TOL = 1e-10
 
@@ -53,12 +53,7 @@ class UnitaryChannel:
     u2: np.ndarray
 
     def __post_init__(self):
-        u1 = _require_unitary(self.u1, "U1").copy()
-        u2 = _require_unitary(self.u2, "U2").copy()
-        u1.setflags(write=False)
-        u2.setflags(write=False)
-        object.__setattr__(self, "u1", u1)
-        object.__setattr__(self, "u2", u2)
+        _store(self, u1=_require_unitary(self.u1, "U1"), u2=_require_unitary(self.u2, "U2"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,24 +65,24 @@ class Hamiltonian:
     hbar: float = 1.0
 
     def __post_init__(self):
-        h1 = require_selfadjoint(self.h1, name="H1").copy()
-        h2 = require_selfadjoint(self.h2, name="H2").copy()
+        h1 = require_selfadjoint(self.h1, name="H1")
+        h2 = require_selfadjoint(self.h2, name="H2")
         if not float(self.hbar) > 0.0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
-        h1.setflags(write=False)
-        h2.setflags(write=False)
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h2", h2)
-        object.__setattr__(self, "hbar", float(self.hbar))
+        _store(self, h1=h1, h2=h2, hbar=float(self.hbar))
+
+
+def _require_fit(ch: UnitaryChannel, what: str, operand) -> None:
+    """Raise DimensionError unless ``operand`` (a state or a covariance)
+    has the channel's dims."""
+    dims, channel = (operand.d1, operand.d2), (ch.u1.shape[0], ch.u2.shape[0])
+    if dims != channel:
+        raise DimensionError(f"{what} dims {dims} do not match channel {channel}")
 
 
 def apply_to_state(ch: UnitaryChannel, state: BipartiteState) -> BipartiteState:
     """Transformed state: coefficient matrix U1 Ψ̂ U2ᵀ."""
-    if state.d1 != ch.u1.shape[0] or state.d2 != ch.u2.shape[0]:
-        raise DimensionError(
-            f"state dims ({state.d1}, {state.d2}) do not match channel "
-            f"({ch.u1.shape[0]}, {ch.u2.shape[0]})"
-        )
+    _require_fit(ch, "state", state)
     return BipartiteState(ch.u1 @ state.amplitudes @ ch.u2.T)
 
 
@@ -100,11 +95,7 @@ def apply_to_covariance(ch: UnitaryChannel, cov: BlockCovariance) -> BlockCovari
     built from a state maps to the covariance built from the transformed
     state.
     """
-    if cov.d1 != ch.u1.shape[0] or cov.d2 != ch.u2.shape[0]:
-        raise DimensionError(
-            f"covariance dims ({cov.d1}, {cov.d2}) do not match channel "
-            f"({ch.u1.shape[0]}, {ch.u2.shape[0]})"
-        )
+    _require_fit(ch, "covariance", cov)
     return BlockCovariance(d12=ch.u1 @ cov.d12 @ ch.u2.T, epsilon=cov.epsilon)
 
 

@@ -45,7 +45,7 @@ from .hilbert import (
     quantum_average_trace,
     require_selfadjoint,
 )
-from .quadratic import MIN_SAMPLES, QuadraticForm, cross_estimates
+from .quadratic import DEFAULT_SAMPLES, MIN_SAMPLES, QuadraticForm, cross_estimates
 from .sampler import MAX_SAMPLES, PRNG_ID, SEED_BOUND
 from . import serialize
 
@@ -123,7 +123,8 @@ def _check_numbers(args):
 # goes to stdout, so '-' is no file name for the transformed outputs.
 _OPTIONS = {
     "--seed": dict(type=int, default=0, help="PRNG seed (default 0)"),
-    "--samples": dict(type=int, default=200_000, help="Monte Carlo sample count"),
+    "--samples": dict(type=int, default=DEFAULT_SAMPLES,
+                      help="Monte Carlo sample count (default %(default)s)"),
     "--epsilon": dict(default="auto", help="background level, a number or 'auto' "
                       f"(the default: epsilon_min + {AUTO_EPSILON_MARGIN})"),
     "--output": dict(help="output file (default or '-': stdout)"),

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NotPositiveError
-from .hilbert import BipartiteState, _as_matrix
+from .hilbert import BipartiteState, _as_matrix, _store
 
 # Margin added to epsilon_min when epsilon="auto": keeps the covariance
 # factorization away from its singular boundary while adding little
@@ -71,8 +71,7 @@ class BlockCovariance:
     _assembled: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        psi = _as_matrix(self.d12, "D12").copy()
-        psi.setflags(write=False)
+        psi = _as_matrix(self.d12, "D12")
         eps_min = _epsilon_min(psi)
         if self.epsilon == "auto":
             eps = eps_min + AUTO_EPSILON_MARGIN
@@ -90,11 +89,7 @@ class BlockCovariance:
         d21 = psi.conj().T
         top = np.hstack([psi @ d21 + eps * np.eye(d1), psi])
         bottom = np.hstack([d21, d21 @ psi + eps * np.eye(d2)])
-        assembled = np.vstack([top, bottom])
-        assembled.setflags(write=False)
-        object.__setattr__(self, "d12", psi)
-        object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "_assembled", assembled)
+        _store(self, d12=psi, epsilon=eps, _assembled=np.vstack([top, bottom]))
 
     @property
     def d11(self) -> np.ndarray:

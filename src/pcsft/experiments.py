@@ -21,7 +21,7 @@ import numpy as np
 from .channels import UnitaryChannel, apply_to_state
 from .covariance import SYMMETRY_TOL, build_covariance, classify_symmetry
 from .hilbert import BipartiteState
-from .quadratic import MIN_SAMPLES, Estimate, QuadraticForm, cross_estimates
+from .quadratic import DEFAULT_SAMPLES, MIN_SAMPLES, Estimate, QuadraticForm, cross_estimates
 from .sampler import PRNG_ID
 from . import serialize
 
@@ -106,15 +106,10 @@ def spin_state(variant: str) -> BipartiteState:
     sb5k = (|RL> + |LR>)/sqrt2 (x) (|+-> - |-+>)/sqrt2: antisymmetric
            overall (fermionic).
     """
-    if variant == "sb5":
-        space_sign = -1.0
-    elif variant == "sb5k":
-        space_sign = 1.0
-    else:
+    if variant not in ("sb5", "sb5k"):
         raise ValueError(f"variant must be 'sb5' or 'sb5k', got {variant!r}")
-    c = 1.0 / np.sqrt(2.0)
-    space = np.array([[0.0, c], [space_sign * c, 0.0]], dtype=complex)
-    spin = np.array([[0.0, c], [-c, 0.0]], dtype=complex)
+    space = input_state("fermion" if variant == "sb5" else "boson").amplitudes
+    spin = input_state("fermion").amplitudes
     # Component index = 2 * space + internal (space major): amplitude of
     # |x s> (x) |y t> is space[x, y] * spin[s, t].
     amp = np.einsum("xy,st->xsyt", space, spin).reshape(4, 4)
@@ -152,7 +147,7 @@ def run_beamsplitter(
     spin: str = "0",
     epsilon: float | str = "auto",
     seed: int = 0,
-    n_samples: int = 200_000,
+    n_samples: int = DEFAULT_SAMPLES,
 ) -> ExperimentReport:
     """Full pipeline: input state -> beam splitter -> covariance ->
     analytic g-matrix and seeded Monte Carlo confirmation.

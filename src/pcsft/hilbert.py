@@ -72,6 +72,16 @@ def _as_matrix(a: np.ndarray, name: str = "operator") -> np.ndarray:
     return a
 
 
+def _store(obj, **fields) -> None:
+    """Set the fields of the frozen dataclass ``obj``, each array as a
+    read-only copy, so no caller's array can change a stored value."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value = value.copy()
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+
+
 def max_defect(a: np.ndarray, b: np.ndarray) -> float:
     """max |a - b| over the entries, the defect every matrix identity
     check compares with its tolerance.  Computed without floating-point
@@ -114,9 +124,7 @@ class BipartiteState:
             norm_sq = float(np.sum(np.abs(amp) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise NormalizationError(f"state has squared norm {norm_sq!r}, expected 1")
-        amp = amp.copy()
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
+        _store(self, amplitudes=amp)
 
     @property
     def d1(self) -> int:
@@ -172,21 +180,11 @@ def quantum_average_trace(
 
 
 def marginal_average(state: BipartiteState, a: np.ndarray, side: int) -> float:
-    """Expectation of a one-sided observable: Tr[Ψ̂Ψ̂† A] or Tr[Ψ̂†Ψ̂ Ā]."""
-    a = require_selfadjoint(a, name="A")
-    psi = state.amplitudes
+    """Expectation of a one-sided observable, <A (x) I Ψ, Ψ> (side 1) or
+    <I (x) A Ψ, Ψ> (side 2): the trace route with the identity on the
+    other side, Tr[Ψ̂ Ī Ψ̂† A] = Tr[Ψ̂Ψ̂† A]."""
     if side == 1:
-        if a.shape != (state.d1, state.d1):
-            raise DimensionError(
-                f"A has shape {a.shape}, side 1 needs ({state.d1}, {state.d1})"
-            )
-        value = np.trace(psi @ psi.conj().T @ a)
-    elif side == 2:
-        if a.shape != (state.d2, state.d2):
-            raise DimensionError(
-                f"A has shape {a.shape}, side 2 needs ({state.d2}, {state.d2})"
-            )
-        value = np.trace(psi.conj().T @ psi @ np.conj(a))
-    else:
-        raise ValueError(f"side must be 1 or 2, got {side!r}")
-    return as_real(value, tol=AVERAGE_REAL_TOL)
+        return quantum_average_trace(state, a, np.eye(state.d2))
+    if side == 2:
+        return quantum_average_trace(state, np.eye(state.d1), a)
+    raise ValueError(f"side must be 1 or 2, got {side!r}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .covariance import BlockCovariance, factor_covariance
 from .errors import DimensionError
-from .hilbert import as_real, require_selfadjoint
+from .hilbert import _store, as_real, require_selfadjoint
 from .sampler import draw_chunks
 
 
@@ -50,7 +50,7 @@ class QuadraticForm:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        op = require_selfadjoint(self.operator, name="operator").copy()
+        op = require_selfadjoint(self.operator, name="operator")
         if self.side not in (1, 2):
             raise ValueError(f"side must be 1 or 2, got {self.side!r}")
         diag = np.diagonal(op)
@@ -60,10 +60,7 @@ class QuadraticForm:
             weights, q = np.linalg.eigh(0.5 * (op + op.conj().T))
             basis = q.conj().T if self.side == 1 else q.T
         keep = weights != 0.0
-        planned = {"operator": op, "basis": basis[keep], "weights": weights[keep]}
-        for name, value in planned.items():
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        _store(self, operator=op, basis=basis[keep], weights=weights[keep])
 
     @property
     def dim(self) -> int:
@@ -77,6 +74,9 @@ SE_BAND = 5.0
 # Fewest samples a command gates on SE_BAND: below it the plug-in standard
 # error is too noisy to judge a miss by.
 MIN_SAMPLES = 1000
+
+# Sample count of an experiment or a verify-identity run unless one is given.
+DEFAULT_SAMPLES = 200_000
 
 
 @dataclass(frozen=True)

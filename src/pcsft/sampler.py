@@ -65,12 +65,16 @@ def resolve_workers(workers: int | None = None) -> int:
     """Worker count for chunk-parallel generation.
 
     Explicit argument wins; otherwise the PCSFT_THREADS environment
-    variable, capped at the CPU count, and by default the CPU count.
-    Results never depend on the resolved value.
+    variable, capped at the CPUs this process may run on (its affinity
+    set where the OS reports one, else the CPU count), and by default
+    that number.  Results never depend on the resolved value.
     """
     if workers is not None:
         return max(1, int(workers))
-    cpus = max(1, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = max(1, os.cpu_count() or 1)
     env = os.environ.get("PCSFT_THREADS")
     if env is None:
         return cpus

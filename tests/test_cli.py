@@ -1276,6 +1276,13 @@ class TestHelp:
         assert self.EPSILON in text
         assert all((line in text) == transformed for line in self.OUTPUTS)
 
+    @pytest.mark.parametrize("command", ["verify-identity", "experiment"])
+    def test_samples_default_is_shown(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--samples SAMPLES Monte Carlo sample count (default 200000)" in text
+
     def test_every_option_has_help(self):
         parser = build_parser()
         (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -1415,11 +1422,17 @@ class TestImportPath:
         # Only the CLI imports experiments, so lower layers never know the
         # report, the sampler imports no pcsft module but errors, so it
         # draws from the matrix it is handed, and the package imports no
-        # submodule.
+        # submodule.  Only hilbert calls object.__setattr__: every value
+        # type stores its fields through hilbert._store.
         package = Path(__file__).resolve().parents[1] / "src" / "pcsft"
-        importers, sampler_imports = set(), set()
+        importers, sampler_imports, setattr_callers = set(), set(), set()
         for path in package.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"
+                ):
+                    setattr_callers.add(path.stem)
                 if isinstance(node, ast.ImportFrom):
                     names = [node.module or ""] + [a.name for a in node.names]
                 elif isinstance(node, ast.Import):
@@ -1434,3 +1447,4 @@ class TestImportPath:
                     sampler_imports.add(node.module)
         assert importers == {"cli"}
         assert sampler_imports == {"errors"}
+        assert setattr_callers == {"hilbert"}

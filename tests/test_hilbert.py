@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from pcsft.channels import Hamiltonian, UnitaryChannel
+from pcsft.covariance import BlockCovariance
 from pcsft.errors import (
     DimensionError,
     NormalizationError,
@@ -10,13 +12,17 @@ from pcsft.errors import (
     SelfAdjointnessError,
 )
 from pcsft.hilbert import (
+    BipartiteState,
     as_real,
     marginal_average,
     matricize,
     quantum_average_tensor,
     quantum_average_trace,
 )
-from conftest import kron_average, rand_complex, rand_selfadjoint, rand_state
+from pcsft.quadratic import QuadraticForm
+from conftest import (
+    kron_average, rand_complex, rand_selfadjoint, rand_state, rand_unitary,
+)
 
 C = 1.0 / np.sqrt(2.0)
 SINGLET = np.array([[0.0, C], [-C, 0.0]], dtype=complex)
@@ -170,6 +176,44 @@ class TestMarginalAverage:
         state = matricize(SINGLET)
         with pytest.raises(DimensionError):
             marginal_average(state, np.eye(3), 1)
+
+
+def _value_type_args(name: str, rng: np.random.Generator) -> tuple[type, dict]:
+    """A value type and constructor arguments whose arrays the caller owns."""
+    psi = np.array(rand_state(rng, 2, 3).amplitudes)  # writeable
+    return {
+        "BipartiteState": (BipartiteState, {"amplitudes": psi}),
+        "BlockCovariance": (BlockCovariance, {"d12": psi, "epsilon": 0.3}),
+        "UnitaryChannel": (
+            UnitaryChannel, {"u1": rand_unitary(rng, 2), "u2": rand_unitary(rng, 3)},
+        ),
+        "Hamiltonian": (
+            Hamiltonian, {"h1": rand_selfadjoint(rng, 2), "h2": rand_selfadjoint(rng, 3)},
+        ),
+        "QuadraticForm": (QuadraticForm, {"operator": rand_selfadjoint(rng, 3), "side": 2}),
+    }[name]
+
+
+class TestStoredReadOnly:
+    """Every value type stores read-only copies of its arrays."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["BipartiteState", "BlockCovariance", "UnitaryChannel", "Hamiltonian",
+         "QuadraticForm"],
+    )
+    def test_caller_arrays_are_copied_and_frozen(self, name):
+        cls, kwargs = _value_type_args(name, np.random.default_rng(22))
+        obj = cls(**kwargs)
+        stored = {k: v for k, v in vars(obj).items() if isinstance(v, np.ndarray)}
+        assert stored
+        before = {k: v.copy() for k, v in stored.items()}
+        for value in kwargs.values():
+            if isinstance(value, np.ndarray):
+                value[...] = 5.0
+        for key, value in stored.items():
+            assert not value.flags.writeable, key
+            assert np.array_equal(vars(obj)[key], before[key]), key
 
 
 class TestAsReal:

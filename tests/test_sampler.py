@@ -316,8 +316,9 @@ class TestWorkerResolution:
     def test_env_variable_caps_workers(self, monkeypatch):
         from pcsft.sampler import os, resolve_workers
 
-        # The value is capped at the CPU count; fix it so the test does not
-        # depend on the host.
+        # The value is capped at the CPU count, the cap of an OS without
+        # affinity sets; fix it so the test does not depend on the host.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setenv("PCSFT_THREADS", "2")
         assert resolve_workers() == 2
@@ -342,6 +343,7 @@ class TestWorkerResolution:
         # Only resolves the count; no thread is started.
         from pcsft import sampler
 
+        monkeypatch.delattr(sampler.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(sampler.os, "cpu_count", lambda: 3)
         monkeypatch.setenv("PCSFT_THREADS", "100000")
         assert sampler.resolve_workers() == 3
@@ -349,6 +351,18 @@ class TestWorkerResolution:
         assert sampler.resolve_workers() == 1
         monkeypatch.setattr(sampler.os, "cpu_count", lambda: None)
         monkeypatch.setenv("PCSFT_THREADS", "8")
+        assert sampler.resolve_workers() == 1
+
+    def test_capped_at_affinity_set(self, monkeypatch):
+        # A process pinned to one CPU gets one worker, however many the
+        # machine has.  Only resolves the count; no thread is started.
+        from pcsft import sampler
+
+        monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(sampler.os, "cpu_count", lambda: 8)
+        monkeypatch.delenv("PCSFT_THREADS", raising=False)
+        assert sampler.resolve_workers() == 1
+        monkeypatch.setenv("PCSFT_THREADS", "2")
         assert sampler.resolve_workers() == 1
 
     def test_env_split_matches_serial(self, monkeypatch):
