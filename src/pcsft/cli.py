@@ -29,22 +29,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import UnitaryChannel, apply_to_state, evolution_channel
+from .channels import apply_to_state, evolution_channel
 from .covariance import (
     AUTO_EPSILON_MARGIN, SYMMETRY_TOL, build_covariance, classify_symmetry,
 )
 from .errors import DimensionError, NotPositiveError, PcsftError, SelfAdjointnessError
 from .experiments import (
-    beamsplitter_unitary,
+    beamsplitter_channel,
     report_to_csv_rows,
     report_to_json,
     run_beamsplitter,
 )
-from .hilbert import (
-    quantum_average_tensor,
-    quantum_average_trace,
-    require_selfadjoint,
-)
+from .hilbert import quantum_average_tensor, quantum_average_trace, require_observable
 from .quadratic import DEFAULT_SAMPLES, MIN_SAMPLES, QuadraticForm, cross_estimates
 from .sampler import MAX_SAMPLES, PRNG_ID, SEED_BOUND
 from . import serialize
@@ -75,10 +71,11 @@ def _load(inputs: dict, field: str, path: str, parse):
 
 def _naming(field: str, call, *args, **kwargs):
     """call(*args, **kwargs), naming ``field`` when its operands do not
-    fit or the file it writes cannot be written."""
+    fit, an operator is not self-adjoint or the file it writes cannot be
+    written."""
     try:
         return call(*args, **kwargs)
-    except (DimensionError, OSError) as exc:
+    except (DimensionError, SelfAdjointnessError, OSError) as exc:
         raise PcsftError(f"field '{field}': {exc}") from None
 
 
@@ -146,14 +143,7 @@ def cmd_verify_identity(args) -> int:
     a1 = _load(inputs, "a1", args.a1, serialize.operator_from_json)
     a2 = _load(inputs, "a2", args.a2, serialize.operator_from_json)
     for name, a, dim in (("a1", a1, state.d1), ("a2", a2, state.d2)):
-        if a.shape != (dim, dim):
-            raise PcsftError(
-                f"field '{name}': shape {a.shape}, the state needs ({dim}, {dim})"
-            )
-        try:
-            require_selfadjoint(a, name=name.upper())
-        except SelfAdjointnessError as exc:
-            raise PcsftError(f"field '{name}': {exc}") from None
+        _naming(name, require_observable, a, dim, name.upper())
         if np.max(np.abs(a)) > MAX_OPERATOR_ENTRY:
             raise PcsftError(
                 f"field '{name}': an entry exceeds {MAX_OPERATOR_ENTRY:.0e} in modulus"
@@ -285,13 +275,11 @@ def cmd_channel(args) -> int:
     inputs = {}
     state = _load(inputs, "state", args.state, serialize.state_from_json)
     if args.channel == "beamsplitter5050":
-        dim = state.d1
-        if state.d2 != dim or dim % 2 != 0:
+        if state.d2 != state.d1 or state.d1 % 2 != 0:
             raise PcsftError(
                 "field 'channel': beamsplitter5050 needs equal even dimensions"
             )
-        u = np.kron(beamsplitter_unitary(), np.eye(dim // 2, dtype=complex))
-        channel = UnitaryChannel(u1=u, u2=u)
+        channel = beamsplitter_channel(state.d1 // 2)
         inputs["channel"] = {"preset": "beamsplitter5050"}
     else:
         channel = _load(inputs, "channel", args.channel, serialize.channel_from_json)

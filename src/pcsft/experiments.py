@@ -14,7 +14,7 @@ and intensities summed over the internal index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,22 +53,13 @@ class ExperimentReport:
 
 def report_to_json(report: ExperimentReport) -> dict:
     """The report as a JSON object (the CLI adds ``version``)."""
-    g = {
+    payload = {field.name: getattr(report, field.name) for field in fields(ExperimentReport)}
+    payload["g"] = {
         key: {**serialize.estimate_to_json(est), "passed": est.within()}
         for key, est in report.g.items()
     }
-    return {
-        "experiment": report.experiment,
-        "statistics": report.statistics,
-        "spin": report.spin,
-        "epsilon": report.epsilon,
-        "seed": report.seed,
-        "n_samples": report.n_samples,
-        "g": g,
-        "pass": report.passed,
-        "prng_id": report.prng_id,
-        "classified_symmetry": report.classified_symmetry,
-    }
+    payload["pass"] = report.passed
+    return payload
 
 
 def report_to_csv_rows(report: ExperimentReport) -> list[dict]:
@@ -80,6 +71,13 @@ def report_to_csv_rows(report: ExperimentReport) -> list[dict]:
 def beamsplitter_unitary() -> np.ndarray:
     """50/50 beam splitter in the [R, L] basis: rotation by pi/4."""
     return np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
+
+
+def beamsplitter_channel(internal_dim: int) -> UnitaryChannel:
+    """The beam splitter on both components, C^2_space (x) C^internal_dim
+    (space major), acting on the space factor only."""
+    u = np.kron(beamsplitter_unitary(), np.eye(internal_dim, dtype=complex))
+    return UnitaryChannel(u1=u, u2=u)
 
 
 def input_state(statistics: str) -> BipartiteState:
@@ -163,9 +161,7 @@ def run_beamsplitter(
     psi_in, internal_dim = _experiment_input(statistics, spin)
     symmetry = classify_symmetry(psi_in, tol=SYMMETRY_TOL)
 
-    u = np.kron(beamsplitter_unitary(), np.eye(internal_dim, dtype=complex))
-    channel = UnitaryChannel(u1=u, u2=u)
-    psi_out = apply_to_state(channel, psi_in)
+    psi_out = apply_to_state(beamsplitter_channel(internal_dim), psi_in)
 
     cov = build_covariance(psi_out, epsilon)
     side1 = [intensity_observable(x, internal_dim, side=1) for x in PORTS]

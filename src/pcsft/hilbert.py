@@ -91,18 +91,26 @@ def max_defect(a: np.ndarray, b: np.ndarray) -> float:
     return defect if defect <= math.inf else math.inf
 
 
-def require_selfadjoint(
-    a: np.ndarray, tol: float = SELFADJOINT_TOL, name: str = "operator"
-) -> np.ndarray:
+def require_selfadjoint(a: np.ndarray, name: str = "operator") -> np.ndarray:
     """Validate A = A† in max-norm and return A as a complex array."""
     a = _as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise SelfAdjointnessError(f"{name} is not square: shape {a.shape}")
     defect = max_defect(a, a.conj().T)
-    if defect > tol:
+    if defect > SELFADJOINT_TOL:
         raise SelfAdjointnessError(
-            f"{name} is not self-adjoint: max |A - A†| = {defect:.3e} > {tol:.1e}"
+            f"{name} is not self-adjoint: max |A - A†| = {defect:.3e} "
+            f"> {SELFADJOINT_TOL:.1e}"
         )
+    return a
+
+
+def require_observable(a: np.ndarray, dim: int, name: str) -> np.ndarray:
+    """Validate an observable of a side of dimension ``dim``: a self-adjoint
+    dim x dim matrix.  Returns it as a complex array."""
+    a = require_selfadjoint(a, name)
+    if a.shape != (dim, dim):
+        raise DimensionError(f"{name} has shape {a.shape}, state needs ({dim}, {dim})")
     return a
 
 
@@ -137,29 +145,16 @@ class BipartiteState:
 
 def matricize(coeffs: np.ndarray) -> BipartiteState:
     """Build a BipartiteState whose coefficient matrix is exactly ``coeffs``;
-    BipartiteState checks its norm."""
-    return BipartiteState(_as_matrix(coeffs, "coeffs"))
-
-
-def _check_pair(state: BipartiteState, a1: np.ndarray, a2: np.ndarray):
-    a1 = require_selfadjoint(a1, name="A1")
-    a2 = require_selfadjoint(a2, name="A2")
-    if a1.shape != (state.d1, state.d1):
-        raise DimensionError(
-            f"A1 has shape {a1.shape}, state needs ({state.d1}, {state.d1})"
-        )
-    if a2.shape != (state.d2, state.d2):
-        raise DimensionError(
-            f"A2 has shape {a2.shape}, state needs ({state.d2}, {state.d2})"
-        )
-    return a1, a2
+    BipartiteState checks it."""
+    return BipartiteState(coeffs)
 
 
 def quantum_average_tensor(
     state: BipartiteState, a1: np.ndarray, a2: np.ndarray
 ) -> float:
     """<A1 (x) A2 Ψ, Ψ> by explicit contraction over the amplitudes."""
-    a1, a2 = _check_pair(state, a1, a2)
+    a1 = require_observable(a1, state.d1, "A1")
+    a2 = require_observable(a2, state.d2, "A2")
     psi = state.amplitudes
     value = np.einsum("ik,jl,kl,ij->", a1, a2, psi, psi.conj())
     return as_real(value, tol=AVERAGE_REAL_TOL)
@@ -173,7 +168,8 @@ def quantum_average_trace(
     Agrees with quantum_average_tensor to within 1e-12 for all valid
     inputs; the two code paths are kept independent on purpose.
     """
-    a1, a2 = _check_pair(state, a1, a2)
+    a1 = require_observable(a1, state.d1, "A1")
+    a2 = require_observable(a2, state.d2, "A2")
     psi = state.amplitudes
     value = np.trace(psi @ np.conj(a2) @ psi.conj().T @ a1)
     return as_real(value, tol=AVERAGE_REAL_TOL)

@@ -86,21 +86,39 @@ def _int_field(obj: dict, key: str, parent: str = "") -> int:
     return value
 
 
+def _declared_matrix(
+    obj: Any, field: str, rows_key: str, cols_key: str, entries_key: str
+) -> np.ndarray:
+    """The matrix under ``entries_key``, checked against the dimensions
+    declared under ``rows_key`` and ``cols_key``."""
+    rows = _int_field(obj, rows_key, field)
+    cols = _int_field(obj, cols_key, field)
+    path = f"{field}.{entries_key}"
+    entries = _matrix_from_entries(_require_key(obj, entries_key, field), path)
+    if entries.shape != (rows, cols):
+        raise SchemaError(
+            f"field '{path}': shape {entries.shape} does not match "
+            f"declared ({rows}, {cols})"
+        )
+    return entries
+
+
+def _construct(field: str, cls, *args, **kwargs):
+    """cls(*args, **kwargs), turning a value type's rejection into a
+    SchemaError that names ``field``."""
+    try:
+        return cls(*args, **kwargs)
+    except (PcsftError, ValueError) as exc:
+        raise SchemaError(f"field '{field}': {exc}") from exc
+
+
 def operator_to_json(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=complex)
     return {"rows": a.shape[0], "cols": a.shape[1], "entries": _matrix_entries(a)}
 
 
 def operator_from_json(obj: Any, field: str = "operator") -> np.ndarray:
-    rows = _int_field(obj, "rows", field)
-    cols = _int_field(obj, "cols", field)
-    entries = _matrix_from_entries(_require_key(obj, "entries", field), f"{field}.entries")
-    if entries.shape != (rows, cols):
-        raise SchemaError(
-            f"field '{field}.entries': shape {entries.shape} does not match "
-            f"declared ({rows}, {cols})"
-        )
-    return entries
+    return _declared_matrix(obj, field, "rows", "cols", "entries")
 
 
 def state_to_json(state: BipartiteState) -> dict:
@@ -112,20 +130,8 @@ def state_to_json(state: BipartiteState) -> dict:
 
 
 def state_from_json(obj: Any, field: str = "state") -> BipartiteState:
-    d1 = _int_field(obj, "d1", field)
-    d2 = _int_field(obj, "d2", field)
-    amp = _matrix_from_entries(
-        _require_key(obj, "amplitudes", field), f"{field}.amplitudes"
-    )
-    if amp.shape != (d1, d2):
-        raise SchemaError(
-            f"field '{field}.amplitudes': shape {amp.shape} does not match "
-            f"declared ({d1}, {d2})"
-        )
-    try:
-        return BipartiteState(amp)
-    except PcsftError as exc:
-        raise SchemaError(f"field '{field}.amplitudes': {exc}") from exc
+    amp = _declared_matrix(obj, field, "d1", "d2", "amplitudes")
+    return _construct(f"{field}.amplitudes", BipartiteState, amp)
 
 
 def covariance_to_json(cov: BlockCovariance) -> dict:
@@ -143,10 +149,7 @@ def covariance_to_json(cov: BlockCovariance) -> dict:
 def channel_from_json(obj: Any, field: str = "channel") -> UnitaryChannel:
     u1 = operator_from_json(_require_key(obj, "U1", field), f"{field}.U1")
     u2 = operator_from_json(_require_key(obj, "U2", field), f"{field}.U2")
-    try:
-        return UnitaryChannel(u1=u1, u2=u2)
-    except (PcsftError, ValueError) as exc:
-        raise SchemaError(f"field '{field}': {exc}") from exc
+    return _construct(field, UnitaryChannel, u1=u1, u2=u2)
 
 
 def hamiltonian_from_json(obj: Any, field: str = "hamiltonian") -> Hamiltonian:
@@ -171,10 +174,7 @@ def hamiltonian_from_json(obj: Any, field: str = "hamiltonian") -> Hamiltonian:
         raise SchemaError(
             f"field '{field}.hbar': expected a finite positive number, got {hbar}"
         )
-    try:
-        return Hamiltonian(h1=h1, h2=h2, hbar=hbar)
-    except (PcsftError, ValueError) as exc:
-        raise SchemaError(f"field '{field}': {exc}") from exc
+    return _construct(field, Hamiltonian, h1=h1, h2=h2, hbar=hbar)
 
 
 def estimate_to_json(est: Estimate) -> dict:

@@ -656,6 +656,7 @@ class TestInvalidNumbers:
             ("verify-identity", "a1", serialize.operator_to_json(np.eye(3)), "a1"),
             ("verify-identity", "a2", serialize.operator_to_json(np.eye(3)), "a2"),
             ("verify-identity", "a1", serialize.operator_to_json(np.triu(np.ones((2, 2)))), "a1"),
+            ("verify-identity", "a2", serialize.operator_to_json(np.triu(np.ones((2, 2)))), "a2"),
             (
                 "classify",
                 "state",
@@ -731,6 +732,7 @@ class TestInvalidNumbers:
             "a1-size",
             "a2-size",
             "a1-not-selfadjoint",
+            "a2-not-selfadjoint",
             "huge-amplitudes",
             "a1-huge-not-selfadjoint",
             "a1-1e100",
@@ -1423,9 +1425,12 @@ class TestImportPath:
         # report, the sampler imports no pcsft module but errors, so it
         # draws from the matrix it is handed, and the package imports no
         # submodule.  Only hilbert calls object.__setattr__: every value
-        # type stores its fields through hilbert._store.
+        # type stores its fields through hilbert._store.  The CLI checks an
+        # observable with hilbert.require_observable and takes the beam
+        # splitter from experiments.beamsplitter_channel.
         package = Path(__file__).resolve().parents[1] / "src" / "pcsft"
         importers, sampler_imports, setattr_callers = set(), set(), set()
+        cli_names = set()
         for path in package.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if (
@@ -1445,6 +1450,23 @@ class TestImportPath:
                     importers.add(path.stem)
                 if path.stem == "sampler" and isinstance(node, ast.ImportFrom) and node.level:
                     sampler_imports.add(node.module)
+                if path.stem == "cli":
+                    cli_names.update(names)
         assert importers == {"cli"}
         assert sampler_imports == {"errors"}
         assert setattr_callers == {"hilbert"}
+        assert {"require_observable", "beamsplitter_channel"} <= cli_names
+        assert not cli_names & {"require_selfadjoint", "UnitaryChannel"}
+
+
+class TestVersion:
+    def test_pyproject_reads_the_package_version(self):
+        # The version is defined once, in pcsft.__version__.
+        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+        path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        config = tomllib.loads(path.read_text(encoding="utf-8"))
+        assert "version" not in config["project"]
+        assert config["project"]["dynamic"] == ["version"]
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "pcsft.__version__"
+        }

@@ -1,5 +1,7 @@
 """Hilbert-space core: states, conjugation conventions, averages."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from pcsft.hilbert import (
     matricize,
     quantum_average_tensor,
     quantum_average_trace,
+    require_observable,
 )
 from pcsft.quadratic import QuadraticForm
 from conftest import (
@@ -143,6 +146,29 @@ class TestQuantumAverages:
             lhs = np.trace(np.conj(rho) @ np.conj(a))
             rhs = np.trace(rho @ a)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+class TestRequireObservable:
+    """The one observable check of the averages and verify-identity."""
+
+    @pytest.mark.parametrize(
+        "a, error, text",
+        [
+            (np.eye(3), DimensionError, "A1 has shape (3, 3), state needs (2, 2)"),
+            (np.ones((2, 3)), SelfAdjointnessError, "A1 is not square"),
+            (np.triu(np.ones((2, 2))), SelfAdjointnessError, "A1 is not self-adjoint"),
+            (np.array([[1.0, 2.0], [2.0, -1.0]]), None, None),
+        ],
+        ids=["wrong-size", "non-square", "not-selfadjoint", "valid"],
+    )
+    def test_checks_a_side_observable(self, a, error, text):
+        if error is not None:
+            with pytest.raises(error, match=re.escape(text)):
+                require_observable(a, 2, "A1")
+            return
+        out = require_observable(a, 2, "A1")
+        assert out.dtype == complex
+        np.testing.assert_array_equal(out, a)
 
 
 class TestMarginalAverage:
