@@ -38,6 +38,9 @@ from .hilbert import BipartiteState, _as_matrix, _store
 # background variance to the estimators.
 AUTO_EPSILON_MARGIN = 0.05
 
+# Rounding below epsilon_min that construction still admits, as epsilon_min.
+EPSILON_SLACK = 1e-12
+
 # Max-norm tolerance of classify_symmetry in the experiments, and the
 # default of `pcsft classify --tol`.
 SYMMETRY_TOL = 1e-10
@@ -61,9 +64,9 @@ class BlockCovariance:
     D is assembled once, on construction, and stored read-only; D11, D21
     and D22 are read-only views of its blocks.  Construction validates
     with one SVD of Ψ̂: epsilon="auto" resolves to epsilon_min +
-    AUTO_EPSILON_MARGIN, a value below epsilon_min - 1e-12 raises
+    AUTO_EPSILON_MARGIN, a value below epsilon_min - EPSILON_SLACK raises
     NotPositiveError (carrying epsilon_min), a value that is not a finite
-    number raises ValueError, and a value in [-1e-12, 0) becomes 0.
+    number raises ValueError, and a value in [-EPSILON_SLACK, 0) becomes 0.
     """
 
     d12: np.ndarray
@@ -77,7 +80,7 @@ class BlockCovariance:
             eps = eps_min + AUTO_EPSILON_MARGIN
         else:
             eps = float(self.epsilon)
-        if eps < eps_min - 1e-12:
+        if eps < eps_min - EPSILON_SLACK:
             raise NotPositiveError(
                 f"epsilon = {eps} is below the minimal admissible value {eps_min}",
                 epsilon_min=eps_min,
@@ -179,8 +182,8 @@ def build_covariance(state: BipartiteState, epsilon: float | str) -> BlockCovari
 
     epsilon="auto" resolves to epsilon_min(state) + AUTO_EPSILON_MARGIN.
     Raises NotPositiveError (carrying the minimal admissible value) when
-    epsilon is below epsilon_min(state) - 1e-12.  The covariance's
-    ``epsilon`` is the level it uses: a value in [-1e-12, 0) becomes 0.
+    epsilon is below epsilon_min(state) - EPSILON_SLACK.  The covariance's
+    ``epsilon`` is the level it uses: [-EPSILON_SLACK, 0) becomes 0.
     """
     return BlockCovariance(d12=state.amplitudes, epsilon=epsilon)
 

@@ -20,7 +20,6 @@ of R phi.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -142,7 +141,7 @@ class _Workspace:
     every block.  Form j's values, in row 1 + j, are its weights times the
     intensities |·|² of its own columns of the block, summed term by term
     in column order, each term after the first built in row 1 + k + j,
-    which Moments.add overwrites.  No BLAS call: the values depend neither
+    which the fold overwrites.  No BLAS call: the values depend neither
     on the BLAS kernel nor on the other forms.  A block reshapes a prefix
     of the flat buffer, so a short last block gets the layout a fresh
     array would have, and the same values bit for bit.
@@ -175,6 +174,19 @@ class _Workspace:
                 values += term
         return rows
 
+    def gram(self, phi: np.ndarray, centre: np.ndarray) -> np.ndarray:
+        """The Gram matrix of [1, d, d²], d = value - centre, on block
+        ``phi``, built in the moment rows: row 0 becomes ones, the values
+        their deviations d, and rows 1 + k on the squares d²."""
+        k = len(self._plans)
+        rows = self.rows(phi)
+        rows[0] = 1.0
+        d = rows[1 : 1 + k]
+        for column, c in zip(d, centre):  # row by row: no broadcast buffer
+            column -= c
+        np.square(d, out=rows[1 + k :])
+        return rows @ rows.T
+
 
 def _shift_map(delta: np.ndarray) -> np.ndarray:
     """The matrix L with L [1, d, d²] = [1, d + delta, (d + delta)²]."""
@@ -189,60 +201,26 @@ def _shift_map(delta: np.ndarray) -> np.ndarray:
 
 class Moments:
     """Count, means and central moments up to order four of k value
-    columns, accumulated in one pass over index-ordered blocks of rows.
-
-    ``add(index, rows)`` takes block ``index`` of a fixed tiling of the
-    rows (blocks 0, 1, 2, ... in row order) in a buffer the caller owns,
-    one row per column, and works on it in place, so adding a block
-    allocates nothing of its size.  Each block is centred on one fixed
-    ``centre`` (k values) and reduced to the Gram matrix of [1, d, d²],
-    d = value - centre: one (1 + 2k)² matrix product.  The Grams are
-    summed in index order; a block that arrives early waits for its
-    predecessors, so the result never depends on which thread added which
-    block, and memory does not grow with the row count.  The estimates
-    move the total onto the sample means once, by the exact linear map
-    d -> d - (mean - centre): they are the sample statistics (the two-pass
-    formulas) whatever the centre, which moves only their rounding, least
-    when it is near the means, as the analytic means are.  Thread-safe.
+    columns, read off ``gram``, the Gram matrix of [1, d, d²] summed over
+    the rows, d = value - ``centre`` (k values).  Plain arithmetic on one
+    matrix, with no lock: the sampler sums the per-block Grams in block
+    order.  The estimates move it onto the sample means once, by the exact
+    linear map d -> d - (mean - centre): they are the sample statistics
+    (the two-pass formulas) whatever the centre, which moves only their
+    rounding, least when it is near the means, as the analytic means are.
     """
 
-    def __init__(self, centre):
+    def __init__(self, centre, gram: np.ndarray):
         self.centre = np.array(centre, dtype=float)
         self.k = len(self.centre)
-        self._gram = np.zeros((1 + 2 * self.k, 1 + 2 * self.k))
-        self._next = 0
-        self._pending: dict[int, np.ndarray] = {}
-        self._lock = threading.Lock()
+        self._gram = gram
 
     @property
     def count(self) -> int:
         return int(self._gram[0, 0])
 
-    def add(self, index: int, rows: np.ndarray):
-        """Add block ``index`` from ``rows``, a caller-owned (1 + 2k, n)
-        buffer whose rows 1 to k hold the k columns on the block's n rows.
-        The buffer is reused in place: row 0 becomes ones, the columns
-        their deviations d from the centre, and rows 1 + k on the squares
-        d²."""
-        k = self.k
-        rows[0] = 1.0
-        d = rows[1 : 1 + k]
-        for column, c in zip(d, self.centre):  # row by row: no broadcast buffer
-            column -= c
-        np.square(d, out=rows[1 + k :])
-        gram = rows @ rows.T
-        with self._lock:
-            self._pending[index] = gram
-            while self._next in self._pending:
-                self._gram += self._pending.pop(self._next)
-                self._next += 1
-
     def _centred(self) -> tuple[int, np.ndarray, np.ndarray]:
         """(n, means, Gram matrix of [1, d, d²] with d = value - mean)."""
-        if self._pending:
-            raise ValueError(
-                f"blocks {sorted(self._pending)} wait for block {self._next}"
-            )
         n = self.count
         if n < 2:
             raise ValueError(f"need at least 2 samples, got {n}")
@@ -304,23 +282,21 @@ def form_moments(
     ``block_rows`` rows, with a _Workspace it allocates once: memory is
     O(workers × (1 + 2k) × block_rows) floats for k forms, whatever
     ``count`` is.  The consumer evaluates every form once per block, from
-    its own rows of R phi, and folds the values into the moments as block
-    ``index`` of the sampler's tiling.  Pass each distinct form once; the
-    result is bit-identical for any worker count.
+    its own rows of R phi, and returns the block's Gram about the centre;
+    the sampler sums the Grams in block-index order.  Pass each distinct
+    form once; the result is bit-identical for any worker count.
     """
     factor = factor_covariance(cov)
     # The centre moves only rounding: it needs no reality check.
     d = cov.assembled()
-    centre = [np.trace(d @ _joint(cov, form)).real for form in forms]
+    centre = np.array([np.trace(d @ _joint(cov, form)).real for form in forms])
     readout, plans = _readout(forms, cov.d1, cov.d2)
-    moments = Moments(centre)
 
     def make_consumer(block_rows):
         workspace = _Workspace(plans, block_rows)
-        return lambda index, y: moments.add(index, workspace.rows(y))
+        return lambda index, y: workspace.gram(y, centre)
 
-    draw_chunks(readout @ factor, seed, count, make_consumer, workers)
-    return moments
+    return Moments(centre, draw_chunks(readout @ factor, seed, count, make_consumer, workers))
 
 
 def cross_estimates(

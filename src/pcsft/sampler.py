@@ -26,9 +26,10 @@ shorter draw is a prefix of a longer one.  Regenerating with the same
 (T, seed, count) is therefore bit-identical for any worker count.  Each
 worker also builds its own block consumer once, for blocks of a given
 row count, so a consumer can keep per-worker scratch, and hands it each
-block with its index, so the tiling stays inside the sampler.  The
-generator identity is recorded on every report as ``prng_id``.  numpy
-does not promise that ``Generator`` streams stay the same across
+block with its index; the sampler sums what the consumers return in
+block-index order, so the tiling and the order of that sum stay inside
+it.  The generator identity is recorded on every report as ``prng_id``.
+numpy does not promise that ``Generator`` streams stay the same across
 versions (NEP 19), so the tests pin known-answer values of the stream.
 """
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -56,8 +57,8 @@ MAX_SAMPLES = CHUNK_SIZE * 2**56
 
 # Rows a worker fills and transforms at a time.  It divides CHUNK_SIZE, so
 # the blocks tile every draw at multiples of _BLOCK_ROWS.  It moves no
-# sample, but Moments sums one Gram matrix per block, so the tiling sets
-# the rounding of every estimate, and with it the report bytes.
+# sample, but draw_chunks sums one Gram matrix per block for form_moments,
+# so the tiling sets the rounding of every estimate, and the report bytes.
 _BLOCK_ROWS = 4096
 
 
@@ -95,10 +96,11 @@ def draw_chunks(
     transform: np.ndarray,
     seed: int,
     count: int,
-    make_consumer: Callable[[int], Callable[[int, np.ndarray], None]],
+    make_consumer: Callable[[int], Callable[[int, np.ndarray], Any]],
     workers: int | None = None,
-) -> None:
-    """Draw ``count`` samples block by block and hand each block over.
+) -> Any:
+    """Draw ``count`` samples block by block, hand each block over, and
+    return the sum of what the consumers return, in block-index order.
 
     Each worker calls ``make_consumer(block_rows)`` once when it starts,
     with ``block_rows = min(_BLOCK_ROWS, count)``, so a consumer can own
@@ -112,11 +114,15 @@ def draw_chunks(
     consumer may overwrite ``y``, and the worker overwrites it after the
     call returns.  Calls of different workers run concurrently on disjoint
     blocks; the values a block carries never depend on the worker count.
-    Memory is two buffers per worker, whatever ``count``, plus what the
-    consumers hold.  If a worker raises, the others stop at their next
-    chunk and the first worker's exception, in worker order, is
-    re-raised.  The count and the seed are checked before any worker
-    starts.
+    A consumer returns its block's part of the total (a float or an
+    array; None adds nothing).  The total starts at 0.0 and adds each
+    part, under the lock that hands out the chunks, once every earlier
+    block's part is in; an early part waits, so the total is the serial
+    in-order sum, bit for bit.  Memory is two buffers per worker, whatever
+    ``count``, plus the consumers' and the waiting parts.  If a worker
+    raises, the others stop at their next chunk and the first worker's
+    exception, in worker order, is re-raised.  The count and the seed are
+    checked before any worker starts.
     """
     if not 1 <= count <= MAX_SAMPLES:
         raise ValueError(f"count must be in [1, {MAX_SAMPLES}], got {count}")
@@ -125,18 +131,29 @@ def draw_chunks(
     ft = transform.T * np.sqrt(0.5)
     nchunks = -(-count // CHUNK_SIZE)
     taken = 0  # chunks handed out so far
+    total, summed, early = 0.0, 0, {}  # the sum of blocks [0, summed), parts waiting
     lock = threading.Lock()
-    failed = threading.Event()
 
     def next_chunk() -> int | None:
         nonlocal taken
         with lock:
-            if taken == nchunks or failed.is_set():
+            if taken == nchunks:
                 return None
             taken += 1
             return taken - 1
 
+    def add(index: int, part):
+        nonlocal total, summed
+        with lock:
+            early[index] = part
+            while summed in early:
+                part = early.pop(summed)
+                if part is not None:
+                    total += part
+                summed += 1
+
     def work(slot: int):
+        nonlocal taken
         block_rows = min(_BLOCK_ROWS, count)
         w = np.empty((block_rows, ft.shape[0]), dtype=complex)
         phi = np.empty((block_rows, ft.shape[1]), dtype=complex)
@@ -150,9 +167,11 @@ def draw_chunks(
                     rows = min(_BLOCK_ROWS, size - offset)
                     gen.standard_normal(out=w[:rows].view(np.float64))
                     np.matmul(w[:rows], ft, out=phi[:rows])
-                    consume((start + offset) // _BLOCK_ROWS, phi[:rows])
+                    index = (start + offset) // _BLOCK_ROWS
+                    add(index, consume(index, phi[:rows]))
         except BaseException as exc:  # re-raised below, after every join
-            failed.set()  # the other workers stop at their next chunk
+            with lock:
+                taken = nchunks  # the other workers stop at their next chunk
             errors[slot] = exc
 
     # Worker 0 runs on the calling thread, the others on their own.
@@ -167,3 +186,4 @@ def draw_chunks(
     for error in errors:
         if error is not None:
             raise error
+    return total

@@ -1424,12 +1424,14 @@ class TestImportPath:
         # Only the CLI imports experiments, so lower layers never know the
         # report, the sampler imports no pcsft module but errors, so it
         # draws from the matrix it is handed, and the package imports no
-        # submodule.  Only hilbert calls object.__setattr__: every value
+        # submodule.  Only the sampler imports threading: it sums the block
+        # results in order, so no other module needs a lock.  Only hilbert calls object.__setattr__: every value
         # type stores its fields through hilbert._store.  The CLI checks an
         # observable with hilbert.require_observable and takes the beam
         # splitter from experiments.beamsplitter_channel.
         package = Path(__file__).resolve().parents[1] / "src" / "pcsft"
         importers, sampler_imports, setattr_callers = set(), set(), set()
+        threading_importers = set()
         cli_names = set()
         for path in package.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -1448,12 +1450,15 @@ class TestImportPath:
                     pytest.fail(f"__init__.py imports {names}")
                 if any(name.split(".")[-1] == "experiments" for name in names):
                     importers.add(path.stem)
+                if "threading" in names:
+                    threading_importers.add(path.stem)
                 if path.stem == "sampler" and isinstance(node, ast.ImportFrom) and node.level:
                     sampler_imports.add(node.module)
                 if path.stem == "cli":
                     cli_names.update(names)
         assert importers == {"cli"}
         assert sampler_imports == {"errors"}
+        assert threading_importers == {"sampler"}
         assert setattr_callers == {"hilbert"}
         assert {"require_observable", "beamsplitter_channel"} <= cli_names
         assert not cli_names & {"require_selfadjoint", "UnitaryChannel"}

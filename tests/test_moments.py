@@ -1,7 +1,4 @@
-"""The one-pass moment accumulator against the two-pass formulas."""
-
-import sys
-import threading
+"""The moments read off one Gram matrix against the two-pass formulas."""
 
 import numpy as np
 import pytest
@@ -36,33 +33,25 @@ def two_pass_mean(x):
     return x.mean() + d.mean(), d.std(ddof=1) / np.sqrt(x.shape[0])
 
 
-def block_rows(block):
-    """The (1 + 2k, n) buffer Moments.add takes for a block (n, k) of
-    values: its k columns in rows 1 to k."""
-    n, k = block.shape
-    rows = np.empty((1 + 2 * k, n))
-    rows[1 : 1 + k] = block.T
-    return rows
-
-
-def accumulate(values, order=None, centre=None):
-    """Moments of the columns of ``values`` (n, k) in the block tiling,
-    centred on ``centre`` (the first row by default), adding the blocks
-    in ``order`` (index order by default)."""
-    starts = list(range(0, values.shape[0], _BLOCK_ROWS))
-    moments = Moments(values[0] if centre is None else centre)
-    for index in order if order is not None else range(len(starts)):
-        block = values[starts[index] : starts[index] + _BLOCK_ROWS]
-        moments.add(index, block_rows(block))
-    return moments
+def accumulate(values, centre=None):
+    """Moments of the columns of ``values`` (n, k) centred on ``centre``
+    (the first row by default): the Gram matrix of [1, d, d²], d = value -
+    centre, of each block of the tiling, summed in block order."""
+    centre = values[0] if centre is None else centre
+    gram = 0.0
+    for start in range(0, values.shape[0], _BLOCK_ROWS):
+        d = (values[start : start + _BLOCK_ROWS] - centre).T
+        rows = np.vstack([np.ones((1, d.shape[1])), d, d**2])
+        gram += rows @ rows.T
+    return Moments(centre, gram)
 
 
 @st.composite
-def value_matrices(draw, min_blocks=0):
+def value_matrices(draw):
     """Correlated, skewed columns (like quadratic forms of Gaussians) at a
     random scale, each column offset by up to 1e6 of its spread; whole
     blocks plus a remainder."""
-    blocks = draw(st.integers(min_blocks, 3))
+    blocks = draw(st.integers(0, 3))
     n = blocks * _BLOCK_ROWS + draw(st.integers(0 if blocks else 2, _BLOCK_ROWS - 1))
     k = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -107,30 +96,9 @@ def test_matches_two_pass_formulas(values, spreads):
             )
 
 
-@settings(max_examples=20, deadline=None)
-@given(value_matrices(min_blocks=2), st.randoms(use_true_random=False))
-def test_block_arrival_order_does_not_matter(values, random):
-    order = list(range(-(-values.shape[0] // _BLOCK_ROWS)))
-    random.shuffle(order)
-    in_order, shuffled = accumulate(values), accumulate(values, order)
-    k = values.shape[1]
-    assert [in_order.mean(i) for i in range(k)] == [shuffled.mean(i) for i in range(k)]
-    assert [in_order.cov(i, j) for i in range(k) for j in range(k)] == [
-        shuffled.cov(i, j) for i in range(k) for j in range(k)
-    ]
-
-
-def test_missing_block_is_an_error():
-    moments = Moments([0.0])
-    moments.add(1, block_rows(np.arange(4.0)[:, None]))
-    with pytest.raises(ValueError, match="wait for block 0"):
-        moments.mean(0)
-
-
 def test_needs_two_samples():
-    moments = Moments([0.0])
-    moments.add(0, block_rows(np.array([[1.0]])))
-    with pytest.raises(ValueError):
+    moments = accumulate(np.array([[1.0]]), centre=[0.0])
+    with pytest.raises(ValueError, match="at least 2 samples"):
         moments.mean(0)
 
 
@@ -152,39 +120,3 @@ def test_bit_identical_for_worker_counts_one_to_three():
             + [moments.cov(i, j) for i in range(3) for j in range(3)]
         )
     assert results[0] == results[1] == results[2]
-
-
-def test_concurrent_adds_lose_no_block():
-    # More threads than cores, switching often, each adding blocks in a
-    # scrambled order: the total equals the serial one and counts every row.
-    rng = np.random.default_rng(122)
-    rows = 4
-    values = rng.standard_normal((2000 * rows + 3, 3))
-    blocks = [values[start : start + rows] for start in range(0, len(values), rows)]
-    serial = Moments(values[0])
-    for index, block in enumerate(blocks):
-        serial.add(index, block_rows(block))
-    shared = Moments(values[0])
-    order = rng.permutation(len(blocks))
-    threads = [
-        threading.Thread(
-            target=lambda part=order[t::8]: [
-                shared.add(int(index), block_rows(blocks[index])) for index in part
-            ]
-        )
-        for t in range(8)
-    ]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert shared.count == len(values)
-    assert [shared.cov(i, j) for i in range(3) for j in range(3)] == [
-        serial.cov(i, j) for i in range(3) for j in range(3)
-    ]

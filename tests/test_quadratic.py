@@ -85,6 +85,22 @@ def workspace_rows(forms, block, d1) -> np.ndarray:
     return _Workspace(plans, len(block)).rows(np.asarray(block, dtype=complex) @ readout.T)
 
 
+def record_block_values(monkeypatch) -> list:
+    """Records the form values of every block a workspace evaluates, in
+    the order evaluated, each a copy of its (k, rows) value rows."""
+    import pcsft.quadratic as quadratic
+
+    blocks, real_rows = [], quadratic._Workspace.rows
+
+    def recording_rows(workspace, phi):
+        rows = real_rows(workspace, phi)
+        blocks.append(np.array(rows[1 : 1 + len(workspace._plans)]))
+        return rows
+
+    monkeypatch.setattr(quadratic._Workspace, "rows", recording_rows)
+    return blocks
+
+
 def block_values(form, block, d1) -> np.ndarray:
     """f_A on each row of a joint block (rows, d1 + d2), evaluated the way
     form_moments evaluates a sampler block; the block is left intact."""
@@ -471,26 +487,18 @@ class TestSampleForms:
 
     @pytest.mark.parametrize("case", ["projectors", "dense"])
     def test_columns_equal_batch_evaluation(self, case, monkeypatch):
-        # The values form_moments accumulates, block by block, are each
-        # form's complex definition on the samples draw_chunks draws.
-        import pcsft.quadratic as quadratic
-
+        # The values form_moments folds, block by block, are each form's
+        # complex definition on the samples draw_chunks draws.  One worker
+        # hands the workspace the blocks in index order.
         if case == "projectors":
             cov, forms = spin_half_cov(), spin_half_projectors()
         else:
             cov, forms = random_dense_case(92)
-        blocks = {}
-        real_add = quadratic.Moments.add
-
-        def recording_add(self, index, rows):
-            blocks[index] = np.array(rows[1 : 1 + self.k])
-            real_add(self, index, rows)
-
-        monkeypatch.setattr(quadratic.Moments, "add", recording_add)
-        form_moments(cov, seed=93, count=40_000, forms=forms)
+        blocks = record_block_values(monkeypatch)
+        form_moments(cov, seed=93, count=40_000, forms=forms, workers=1)
         joint = draw_samples(cov, seed=93, count=40_000)
         for j, form in enumerate(forms):
-            values = np.concatenate([blocks[b][j] for b in range(len(blocks))])
+            values = np.concatenate([block[j] for block in blocks])
             phi = joint[:, : cov.d1] if form.side == 1 else joint[:, cov.d1 :]
             expected = _complex_values(phi, form.operator, form.side == 2)
             scale = np.max(np.abs(form.operator)) * np.sum(np.abs(phi) ** 2, axis=1)
@@ -521,8 +529,8 @@ class TestSampleForms:
 
     def test_each_form_evaluated_once_per_chunk(self, monkeypatch):
         # run_beamsplitter evaluates its 4 port intensities once per
-        # sample: the moments have 4 columns, the rows each column sees
-        # sum to n, every workspace weighs each port's own 2 intensity
+        # sample: the Gram the sampler totals has 4 columns of values and
+        # counts n rows, every workspace weighs each port's own 2 intensity
         # rows by 1, and the port projectors' supports are disjoint and in
         # mode order, so the readout is the identity, R F is F bit for bit,
         # and the sampler hands over phi itself.
@@ -530,16 +538,10 @@ class TestSampleForms:
         from pcsft.sampler import CHUNK_SIZE
         from pcsft.experiments import run_beamsplitter
 
-        rows, workspaces, covs, transforms = {}, [], [], []
-        real_add = quadratic.Moments.add
+        workspaces, covs, transforms, totals = [], [], [], []
         real_init = quadratic._Workspace.__init__
         real_draw = quadratic.draw_chunks
         real_factor = quadratic.factor_covariance
-
-        def counting_add(moments, index, block):
-            for j in range(moments.k):
-                rows[j] = rows.get(j, 0) + block.shape[1]
-            real_add(moments, index, block)
 
         def recording_init(workspace, *args):
             real_init(workspace, *args)
@@ -551,16 +553,16 @@ class TestSampleForms:
 
         def recording_draw(transform, seed, count, make_consumer, workers):
             transforms.append(transform)
-            real_draw(transform, seed, count, make_consumer, workers)
+            totals.append(real_draw(transform, seed, count, make_consumer, workers))
+            return totals[-1]
 
-        monkeypatch.setattr(quadratic.Moments, "add", counting_add)
         monkeypatch.setattr(quadratic._Workspace, "__init__", recording_init)
         monkeypatch.setattr(quadratic, "factor_covariance", recording_factor)
         monkeypatch.setattr(quadratic, "draw_chunks", recording_draw)
         n = 3 * CHUNK_SIZE + 5
         run_beamsplitter("boson", "half", seed=96, n_samples=n)
-        assert list(rows.values()) == [n, n, n, n]
-        assert len(covs) == len(transforms) == 1
+        assert len(covs) == len(transforms) == len(totals) == 1
+        assert totals[0].shape == (9, 9) and totals[0][0, 0] == n
         factor = real_factor(covs[0])
         assert transforms[0].shape == factor.shape == (8, 8)
         assert transforms[0].tobytes() == factor.tobytes()
@@ -576,7 +578,7 @@ class TestSampleForms:
         ids=["boson-0", "fermion-0", "boson-half", "fermion-half", "3x4"],
     )
     def test_centre_changes_only_rounding(self, case, monkeypatch):
-        # The moments are centred on the analytic means; centred a spread
+        # The workspaces fold about the analytic means; folded a spread
         # (hundreds of SEs) away instead, every estimate moves by rounding
         # only, so no estimate borrows the analytic value its gate compares
         # it with.  The rounding grows with the square of the offset and
@@ -589,10 +591,19 @@ class TestSampleForms:
         k = len(forms)
         analytic = form_moments(cov, 109, count, forms)
         spreads = np.array([analytic.mean(i).std_error for i in range(k)]) * np.sqrt(count)
+        centre = analytic.centre + spreads
+        real_gram, real_draw, totals = quadratic._Workspace.gram, quadratic.draw_chunks, []
+
+        def recording_draw(*args):
+            totals.append(real_draw(*args))
+            return totals[-1]
+
         monkeypatch.setattr(
-            quadratic, "Moments", lambda centre: Moments(np.add(centre, spreads))
+            quadratic._Workspace, "gram", lambda workspace, y, _: real_gram(workspace, y, centre)
         )
-        shifted = form_moments(cov, 109, count, forms)
+        monkeypatch.setattr(quadratic, "draw_chunks", recording_draw)
+        form_moments(cov, 109, count, forms)
+        shifted = Moments(centre, totals[0])
         pairs = [(analytic.mean(i), shifted.mean(i)) for i in range(k)] + [
             (analytic.cov(i, j), shifted.cov(i, j)) for i in range(k) for j in range(k)
         ]
@@ -620,43 +631,31 @@ class TestSampleForms:
             form_moments(cov, seed=0, count=100, forms=[form])
 
 
-class AllocatingMoments(Moments):
-    """Moments with the fold form_moments used before its workspace: a
-    fresh (1 + 2k, n) array per block with each column copied into it,
-    centred on the fixed centre, squared, and rows @ rows.T."""
-
-    def add(self, index, columns):
-        k = self.k
-        rows = np.empty((1 + 2 * k, columns[0].shape[0]))
-        rows[0] = 1.0
-        d = rows[1 : 1 + k]
-        for j, column in enumerate(columns):
-            d[j] = column
-        d -= self.centre[:, None]
-        np.square(d, out=rows[1 + k :])
-        gram = rows @ rows.T
-        with self._lock:
-            self._pending[index] = gram
-            while self._next in self._pending:
-                self._gram += self._pending.pop(self._next)
-                self._next += 1
-
-
 def allocating_moments(cov, seed, count, forms, workers):
     """form_moments as it was before the workspace: fresh arrays for every
     block, on the same readout, with the intensities y.real**2 + y.imag**2
-    of each form's columns of the block y, weighted term by term, and the
-    moments centred on the analytic means."""
-    moments = AllocatingMoments([_block_mean(cov, form).real for form in forms])
+    of each form's columns of the block y, weighted term by term, copied
+    into a fresh (1 + 2k, n) array, centred on the analytic means,
+    squared, and folded to rows @ rows.T."""
+    centre = np.array([_block_mean(cov, form).real for form in forms])
     readout, plans = _readout(forms, cov.d1, cov.d2)
 
     def consume(index, y):
         parts = [y[:, span] for span, _ in plans]
         columns = [weighted_sum(p.real**2 + p.imag**2, w) for p, (_, w) in zip(parts, plans)]
-        moments.add(index, columns)
+        k = len(columns)
+        rows = np.empty((1 + 2 * k, y.shape[0]))
+        rows[0] = 1.0
+        d = rows[1 : 1 + k]
+        for j, column in enumerate(columns):
+            d[j] = column
+        d -= centre[:, None]
+        np.square(d, out=rows[1 + k :])
+        return rows @ rows.T
 
-    draw_chunks(readout @ factor_covariance(cov), seed, count, lambda block_rows: consume, workers)
-    return moments
+    factor = factor_covariance(cov)
+    gram = draw_chunks(readout @ factor, seed, count, lambda block_rows: consume, workers)
+    return Moments(centre, gram)
 
 
 # Form weights: unit ones, zeros (rows a form drops) and any others.
@@ -798,12 +797,13 @@ class TestWorkspace:
                 def measured(index, phi):
                     before = tracemalloc.get_traced_memory()[0]
                     tracemalloc.reset_peak()
-                    consume(index, phi)
+                    part = consume(index, phi)
                     extra.append(tracemalloc.get_traced_memory()[1] - before)
+                    return part
 
                 return measured
 
-            real_draw(transform, seed, count, make, workers)
+            return real_draw(transform, seed, count, make, workers)
 
         monkeypatch.setattr(quadratic, "draw_chunks", measuring_draw)
         mixed_cov, mixed_forms = random_dense_case(102)  # dense and diagonal
@@ -945,23 +945,15 @@ class TestFormKernel:
         # Each port form's values in form_moments are its weights times
         # its side's intensities added term by term, bit for bit; with 0/1
         # weights, at most two of them nonzero, that sum rounds once, so
-        # it is also the product of the intensities with the weights.
-        import pcsft.quadratic as quadratic
-
+        # it is also the product of the intensities with the weights.  One
+        # worker hands the workspace the blocks in index order.
         cov, forms = experiment_case(statistics, spin)
         count = CHUNK_SIZE + 2 * _BLOCK_ROWS + 77
-        blocks = {}
-        real_add = quadratic.Moments.add
-
-        def recording_add(self, index, rows):
-            blocks[index] = np.array(rows[1 : 1 + self.k])
-            real_add(self, index, rows)
-
-        monkeypatch.setattr(quadratic.Moments, "add", recording_add)
-        form_moments(cov, seed=111, count=count, forms=forms)
+        blocks = record_block_values(monkeypatch)
+        form_moments(cov, seed=111, count=count, forms=forms, workers=1)
         joint = draw_samples(cov, seed=111, count=count)
         sides = {1: slice(0, cov.d1), 2: slice(cov.d1, None)}
-        for index, values in blocks.items():
+        for index, values in enumerate(blocks):
             phi = joint[index * _BLOCK_ROWS : (index + 1) * _BLOCK_ROWS]
             intensity = phi.real**2 + phi.imag**2
             for j, form in enumerate(forms):

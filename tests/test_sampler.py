@@ -1,6 +1,8 @@
 """Seeded Gaussian sampling: factorization, moments, determinism."""
 
 import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -214,6 +216,13 @@ class TestSubstreamKey:
         assert isinstance(_substream(2**64 - 1, 2**56 - 1), np.random.SFC64)
 
 
+def order_sensitive_part(index: int) -> float:
+    """Block ``index``'s part of a sum that depends on the order of
+    addition: 1e16, 1, -1e16, 1, 1, repeating every 5 blocks, so whole
+    chunks of 4 blocks added out of order change it too."""
+    return (1e16, 1.0, -1e16, 1.0, 1.0)[index % 5]
+
+
 class TestDrawChunks:
     def test_blocks_tile_the_draw(self):
         # Every worker's consumer is made for blocks of min(_BLOCK_ROWS,
@@ -233,6 +242,64 @@ class TestDrawChunks:
                 (index, min(block_rows, count - index * block_rows))
                 for index in range(-(-count // block_rows))
             ]
+
+    def test_parts_are_summed_in_block_order(self):
+        # Chunk 0's blocks return last, so every other part arrives early
+        # and waits: the total is still the serial in-order sum, bit for
+        # bit, for 1, 2 and 3 workers.
+        cov = build_covariance(BELL_SINGLET, 0.3)
+        count = 8 * CHUNK_SIZE + _BLOCK_ROWS + 7  # 9 chunks, 34 blocks
+        nblocks = -(-count // _BLOCK_ROWS)
+        others = nblocks - CHUNK_SIZE // _BLOCK_ROWS
+        serial = 0.0
+        for index in range(nblocks):
+            serial += order_sensitive_part(index)
+        for workers in (1, 2, 3):
+            returned, rest_done = [], threading.Event()
+
+            def consume(index, phi):
+                if index == 0 and workers > 1:
+                    assert rest_done.wait(timeout=60)
+                returned.append(index)
+                if len(returned) >= others:
+                    rest_done.set()
+                return order_sensitive_part(index)
+
+            total = draw_chunks(factor_covariance(cov), 0, count, lambda rows: consume, workers)
+            assert sorted(returned) == list(range(nblocks))
+            assert returned.index(0) == (0 if workers == 1 else others)
+            assert total == serial, workers
+
+    def test_concurrent_parts_lose_no_block(self):
+        # More workers than cores, switching often: the array total counts
+        # every block once and equals the serial in-order sum bit for bit.
+        cov = build_covariance(BELL_SINGLET, 0.3)
+        count = 8 * CHUNK_SIZE + 3 * _BLOCK_ROWS + 5  # 9 chunks, 36 blocks
+        nblocks = -(-count // _BLOCK_ROWS)
+        serial = 0.0
+        for index in range(nblocks):
+            serial += np.array([1.0, order_sensitive_part(index)])
+
+        def consume(index, phi):
+            return np.array([1.0, order_sensitive_part(index)])
+
+        totals = []
+        runner = threading.Thread(target=lambda: totals.extend(
+            draw_chunks(factor_covariance(cov), 0, count, lambda rows: consume, 3)
+            for _ in range(3)
+        ))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert len(totals) == 3
+        for total in totals:
+            assert total[0] == nblocks
+            assert total.tobytes() == serial.tobytes()
 
     def test_rejects_a_count_past_the_last_chunk(self):
         # The stream is defined for chunk indices below 2**56, so a longer
