@@ -26,7 +26,6 @@ from .sampler import PRNG_ID
 from . import serialize
 
 PORTS = ("R", "L")
-PORT_INDEX = {"R": 0, "L": 1}
 
 
 @dataclass(frozen=True)
@@ -121,10 +120,10 @@ def intensity_observable(port: str, internal_dim: int, side: int) -> QuadraticFo
     Evaluating the form gives the port intensity sum_s |phi^s(port)|^2
     of the chosen component.
     """
-    if port not in PORT_INDEX:
+    if port not in PORTS:
         raise ValueError(f"port must be one of {PORTS}, got {port!r}")
     proj = np.zeros((len(PORTS), len(PORTS)), dtype=complex)
-    k = PORT_INDEX[port]
+    k = PORTS.index(port)
     proj[k, k] = 1.0
     op = np.kron(proj, np.eye(internal_dim, dtype=complex))
     return QuadraticForm(operator=op, side=side)

@@ -35,25 +35,23 @@ from .errors import (
 # rejected, never silently symmetrized.
 SELFADJOINT_TOL = 1e-12
 
-# A complex scalar is reported as real when |imag| <= REAL_TOL * max(1, |real|).
-REAL_TOL = 1e-10
-
 # A state is normalized when |‖ψ‖² - 1| <= NORM_TOL.
 NORM_TOL = 2e-9
 
-# Reality tolerance of the quantum averages, tighter than REAL_TOL.
+# A quantum average is reported as real when
+# |imag| <= AVERAGE_REAL_TOL * max(1, |real|).
 AVERAGE_REAL_TOL = 1e-12
 
 
-def as_real(value: complex, tol: float = REAL_TOL) -> float:
+def as_real(value: complex) -> float:
     """Convert a scalar that must be real, rejecting stray imaginary parts.
 
-    Raises RealityError when |imag| exceeds tol * max(1, |real|); such a
-    failure almost always indicates a conjugation-convention mistake in
-    the caller.
+    Raises RealityError when |imag| exceeds AVERAGE_REAL_TOL * max(1,
+    |real|); such a failure almost always indicates a conjugation-
+    convention mistake in the caller.
     """
     value = complex(value)
-    if abs(value.imag) > tol * max(1.0, abs(value.real)):
+    if abs(value.imag) > AVERAGE_REAL_TOL * max(1.0, abs(value.real)):
         raise RealityError(
             f"expected a real scalar, got {value!r} "
             f"(|imag| = {abs(value.imag):.3e} above tolerance)"
@@ -157,7 +155,7 @@ def quantum_average_tensor(
     a2 = require_observable(a2, state.d2, "A2")
     psi = state.amplitudes
     value = np.einsum("ik,jl,kl,ij->", a1, a2, psi, psi.conj())
-    return as_real(value, tol=AVERAGE_REAL_TOL)
+    return as_real(value)
 
 
 def quantum_average_trace(
@@ -172,7 +170,7 @@ def quantum_average_trace(
     a2 = require_observable(a2, state.d2, "A2")
     psi = state.amplitudes
     value = np.trace(psi @ np.conj(a2) @ psi.conj().T @ a1)
-    return as_real(value, tol=AVERAGE_REAL_TOL)
+    return as_real(value)
 
 
 def marginal_average(state: BipartiteState, a: np.ndarray, side: int) -> float:

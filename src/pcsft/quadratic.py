@@ -2,20 +2,20 @@
 
 A classical observable is f_A(phi) = <A phi, phi> for a self-adjoint A,
 read off one component of the bi-signal: side-1 forms read phi1, side-2
-forms conj(phi2).  On the joint sample z = (phi1, phi2) every form is
-z†Mz, its joint operator M holding A (side 1) or conj(A) (side 2) in its
-side's diagonal block.  For circular z of covariance D (Isserlis):
+forms conj(phi2).  Every form is weighted intensities: a diagonal A's of
+phi's own modes, any other A's of phi in A's eigenbasis, planned once
+when the form is built.  The readout R stacks every form's rows; the
+sampler draws through R F for the covariance's factor F, and each form
+reads only its own rows of y = R phi.
 
-    E f = Tr(D M),    cov(f, g) = Tr(D M_f D M_g),  forms on any sides.
+For circular phi of covariance D, y is circular of covariance
+C = R D R†, and Isserlis gives every analytic value from C:
 
-A cross pair is Tr[A1 D12 conj(A2) D12†], independent of the background
-level, and equal to <A1 (x) A2 Ψ, Ψ> when D12 is a state's coefficients.
+    E f = Σ_r w_r C_rr,    cov(f, g) = Σ_rs w_r w_s |C_rs|²,
 
-Every form is weighted intensities: a diagonal A's of phi's own modes,
-any other A's of phi in A's eigenbasis, planned once when the form is
-built.  The readout R stacks every form's rows; the sampler draws through
-R F for the covariance's factor F, and each form reads only its own rows
-of R phi.
+r over f's rows and s over g's, forms on any sides.  A cross pair reads
+only D12, so it is independent of the background level, and equals
+<A1 (x) A2 Ψ, Ψ> when D12 is a state's coefficients.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .covariance import BlockCovariance, factor_covariance
 from .errors import DimensionError
-from .hilbert import _store, as_real, require_selfadjoint
+from .hilbert import _store, require_selfadjoint
 from .sampler import draw_chunks
 
 
@@ -101,38 +101,39 @@ class Estimate:
         return abs(self.value - self.analytic) <= SE_BAND * self.std_error
 
 
-def _side_modes(side: int, d1: int, d2: int) -> slice:
-    """The modes of side ``side`` in the joint sample z = (phi1, phi2)."""
-    return slice(0, d1) if side == 1 else slice(d1, d1 + d2)
-
-
-def _joint(cov: BlockCovariance, form: QuadraticForm) -> np.ndarray:
-    """The form's joint operator M, f_A = z†Mz: A (side 1) or conj(A)
-    (side 2) in its side's diagonal block of a zero (d1 + d2)² matrix."""
-    modes = _side_modes(form.side, cov.d1, cov.d2)
-    dim = modes.stop - modes.start
-    if form.dim != dim:
-        raise DimensionError(f"operator dim {form.dim} != d{form.side} = {dim}")
-    joint = np.zeros((cov.d1 + cov.d2,) * 2, dtype=complex)
-    joint[modes, modes] = form.operator if form.side == 1 else np.conj(form.operator)
-    return joint
-
-
 def _readout(
     forms: Sequence[QuadraticForm], d1: int, d2: int
 ) -> tuple[np.ndarray, list[tuple[slice, np.ndarray]]]:
     """The readout R, every form's basis rows zero-padded to d1 + d2
     columns and stacked in form order, and each form's (columns, weights):
     its values are the weights applied to the intensities of those
-    columns of R phi."""
+    columns of R phi.  A form must fit its side's modes."""
     readout = np.zeros((sum(len(form.weights) for form in forms), d1 + d2), dtype=complex)
     plans, start = [], 0
     for form in forms:
+        first, dim = (0, d1) if form.side == 1 else (d1, d2)
+        if form.dim != dim:
+            raise DimensionError(f"operator dim {form.dim} != d{form.side} = {dim}")
         rows = slice(start, start + len(form.weights))
-        readout[rows, _side_modes(form.side, d1, d2)] = form.basis
+        readout[rows, first : first + dim] = form.basis
         plans.append((rows, form.weights))
         start = rows.stop
     return readout, plans
+
+
+def _readout_covariance(
+    cov: BlockCovariance, forms: Sequence[QuadraticForm]
+) -> tuple[np.ndarray, list[tuple[slice, np.ndarray]], np.ndarray]:
+    """The forms' readout R and plans, and C = R D R†, the covariance of
+    the rows y = R phi that every analytic value is read off."""
+    readout, plans = _readout(forms, cov.d1, cov.d2)
+    return readout, plans, readout @ cov.assembled() @ readout.conj().T
+
+
+def _cov(c: np.ndarray, f: tuple[slice, np.ndarray], g: tuple[slice, np.ndarray]) -> float:
+    """cov(f, g) = Σ_rs w_r w_s |C_rs|² over f's rows r and g's rows s."""
+    (rows_f, weights_f), (rows_g, weights_g) = f, g
+    return float(weights_f @ np.abs(c[rows_f, rows_g]) ** 2 @ weights_g)
 
 
 class _Workspace:
@@ -269,28 +270,24 @@ def form_moments(
 ) -> Moments:
     """Moments of the forms' values on ``count`` fresh samples, drawn,
     evaluated and accumulated in one pass, centred on the forms' analytic
-    means.
+    means Σ_r w_r Re C_rr, C = R D R† for the forms' readout R.
 
     Column j of the moments is form j on the samples ``draw_chunks`` draws
-    through the factor F of ``cov`` for (seed, count): side-1 forms on
-    phi1, side-2 forms on conj(phi2), the pairing of the joint operators.
-    F comes first, so its residual check rejects an epsilon too large for
-    float64 before a trace against D overflows; the centres then check
-    every form's dimension before the draw.  The sampler hands its
-    workers R phi for the forms' readout R, each form's rows in form
-    order.  Each worker makes one consumer for its blocks of
-    ``block_rows`` rows, with a _Workspace it allocates once: memory is
-    O(workers × (1 + 2k) × block_rows) floats for k forms, whatever
-    ``count`` is.  The consumer evaluates every form once per block, from
-    its own rows of R phi, and returns the block's Gram about the centre;
-    the sampler sums the Grams in block-index order.  Pass each distinct
-    form once; the result is bit-identical for any worker count.
+    through R F, F the factor of ``cov``, for (seed, count).  F comes
+    first, so its residual check rejects an epsilon too large for float64
+    before R D R† overflows; the readout then checks every form's
+    dimension before the draw.  Each sampler worker makes one consumer
+    for its blocks of ``block_rows`` rows of R phi, with a _Workspace it
+    allocates once: memory is O(workers × (1 + 2k) × block_rows) floats
+    for k forms, whatever ``count`` is.  The consumer evaluates every form
+    once per block, from its own rows, and returns the block's Gram about
+    the centre; the sampler sums the Grams in block-index order.  Pass
+    each distinct form once; the result is bit-identical for any worker
+    count.
     """
     factor = factor_covariance(cov)
-    # The centre moves only rounding: it needs no reality check.
-    d = cov.assembled()
-    centre = np.array([np.trace(d @ _joint(cov, form)).real for form in forms])
-    readout, plans = _readout(forms, cov.d1, cov.d2)
+    readout, plans, c = _readout_covariance(cov, forms)
+    centre = np.array([weights @ c.diagonal()[rows].real for rows, weights in plans])
 
     def make_consumer(block_rows):
         workspace = _Workspace(plans, block_rows)
@@ -305,23 +302,27 @@ def cross_estimates(
 ) -> list[list[Estimate]]:
     """Entry [i][j]: the covariance of left[i] and right[j] on ``count``
     fresh samples of one form_moments draw, which checks every dimension
-    before drawing, with analytic_cov attached."""
-    moments = form_moments(cov, seed, count, [*left, *right])
+    before drawing, with its analytic value Σ_rs w_r w_s |C_rs|² attached,
+    every pair read off one C."""
+    forms = [*left, *right]
+    moments = form_moments(cov, seed, count, forms)
+    _, plans, c = _readout_covariance(cov, forms)
     k = len(left)
-    return [[moments.cov(i, k + j, analytic_cov(cov, f, g)) for j, g in enumerate(right)]
-            for i, f in enumerate(left)]
+    return [[moments.cov(i, k + j, _cov(c, plans[i], plans[k + j])) for j in range(len(right))]
+            for i in range(k)]
 
 
 def renormalized_mean(cov: BlockCovariance, form: QuadraticForm) -> float:
-    """Classical mean with the background subtracted, Tr(D M) - epsilon
-    Tr M: for covariances built from a state, the marginal average."""
-    joint = _joint(cov, form)
-    return as_real(np.trace(cov.assembled() @ joint) - cov.epsilon * np.trace(joint))
+    """Classical mean with the background subtracted, Σ_r w_r (Re C_rr -
+    epsilon) = E f - epsilon Tr A: for covariances built from a state,
+    the marginal average."""
+    _, [(rows, weights)], c = _readout_covariance(cov, [form])
+    return float(weights @ (c.diagonal()[rows].real - cov.epsilon))
 
 
 def analytic_cov(cov: BlockCovariance, f: QuadraticForm, g: QuadraticForm) -> float:
-    """Covariance of the forms f and g, on any sides: Tr(D M_f D M_g).  A
-    cross pair reads only D12, so it does not depend on the background
+    """Covariance of the forms f and g, on any sides: Σ_rs w_r w_s |C_rs|².
+    A cross pair reads only D12, so it does not depend on the background
     level; a same-side pair reads its side's diagonal block, which does."""
-    d = cov.assembled()
-    return as_real(np.trace(d @ _joint(cov, f) @ d @ _joint(cov, g)))
+    _, plans, c = _readout_covariance(cov, [f, g])
+    return _cov(c, *plans)

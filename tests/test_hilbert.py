@@ -251,7 +251,8 @@ class TestAsReal:
             as_real(1.0 + 1e-3j)
 
     def test_relative_scaling(self):
-        # tolerance scales with |real| above 1
-        assert as_real(1e6 + 1e-5j) == 1e6
+        # tolerance scales with |real| above 1: 1e-7 is below 1e-12 * 1e6,
+        # 1e-11 above 1e-12 * max(1, 1e-6)
+        assert as_real(1e6 + 1e-7j) == 1e6
         with pytest.raises(RealityError):
-            as_real(1e-6 + 1e-9j)
+            as_real(1e-6 + 1e-11j)

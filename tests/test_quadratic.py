@@ -34,7 +34,14 @@ from pcsft.experiments import (
     intensity_observable,
     spin_state,
 )
-from conftest import draw_samples, rand_complex, rand_selfadjoint, rand_state, schmidt_states
+from conftest import (
+    draw_samples,
+    rand_complex,
+    rand_selfadjoint,
+    rand_state,
+    rand_unitary,
+    schmidt_states,
+)
 
 
 def weighted_sum(intensity, weights):
@@ -330,9 +337,72 @@ def _block_cross_cov(cov, f1, f2) -> complex:
     return np.trace(f1.operator @ cov.d12 @ np.conj(f2.operator) @ cov.d12.conj().T)
 
 
+def _joint(cov, form) -> np.ndarray:
+    """The form's joint operator M, f_A = z†Mz on z = (phi1, phi2): A
+    (side 1) or conj(A) (side 2) in its side's diagonal block of a zero
+    (d1 + d2)² matrix."""
+    modes = slice(0, cov.d1) if form.side == 1 else slice(cov.d1, cov.d1 + cov.d2)
+    joint = np.zeros((cov.d1 + cov.d2,) * 2, dtype=complex)
+    joint[modes, modes] = form.operator if form.side == 1 else np.conj(form.operator)
+    return joint
+
+
+OPERATOR_KINDS = ("dense", "diagonal", "repeated", "zero")
+
+
+def kind_operator(rng, kind: str, d: int) -> np.ndarray:
+    """A self-adjoint d × d operator of the given kind: dense, diagonal
+    (some entries zero), with a repeated eigenvalue, or zero."""
+    if kind == "dense":
+        return rand_selfadjoint(rng, d)
+    if kind == "diagonal":
+        return np.diag(rng.standard_normal(d) * rng.integers(0, 2, d))
+    if kind == "repeated":
+        u = rand_unitary(rng, d)
+        a = u @ np.diag(rng.standard_normal(2)[rng.integers(0, 2, d)]) @ u.conj().T
+        return 0.5 * (a + a.conj().T)
+    return np.zeros((d, d))
+
+
 class TestJointOperator:
-    """Every analytic moment is a trace against D of the joint operators;
-    the same moments written with the covariance blocks are the oracle."""
+    """The analytic moments, read off C = R D R†, against the traces of
+    the zero-padded joint operators, E f = Tr(D M) and cov(f, g) =
+    Tr(D M_f D M_g), and against the same moments written with the
+    covariance blocks."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        state=schmidt_states(),
+        margin=st.floats(0.0, 2.0),
+        kinds=st.lists(st.sampled_from(OPERATOR_KINDS), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_moments_equal_zero_padded_traces(self, state, margin, kinds, seed):
+        rng = np.random.default_rng(seed)
+        cov = build_covariance(state, epsilon_min(state) + margin)
+        sides = ((state.d1, 1), (state.d1, 1), (state.d2, 2), (state.d2, 2))
+        forms = [
+            QuadraticForm(operator=kind_operator(rng, kind, d), side=side)
+            for kind, (d, side) in zip(kinds, sides)
+        ]
+        d = cov.assembled()
+        joints = [_joint(cov, form) for form in forms]
+
+        def scale(*terms):
+            norms = [np.linalg.norm(d) * np.linalg.norm(form.operator) for form in terms]
+            return max(1.0, np.prod(norms))
+
+        centre = form_moments(cov, seed=0, count=2, forms=forms, workers=1).centre
+        for form, joint, c in zip(forms, joints, centre):
+            mean = np.trace(d @ joint).real
+            assert abs(c - mean) <= 1e-12 * scale(form)
+            renormalized = mean - cov.epsilon * np.trace(joint).real
+            assert abs(renormalized_mean(cov, form) - renormalized) <= 1e-12 * scale(form)
+        for i, j in ((0, 2), (1, 3), (3, 0), (0, 1), (2, 3), (0, 0), (3, 3)):
+            value = np.trace(d @ joints[i] @ d @ joints[j]).real
+            assert abs(analytic_cov(cov, forms[i], forms[j]) - value) <= (
+                1e-12 * scale(forms[i], forms[j])
+            )
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -631,13 +701,12 @@ class TestSampleForms:
             form_moments(cov, seed=0, count=100, forms=[form])
 
 
-def allocating_moments(cov, seed, count, forms, workers):
+def allocating_moments(cov, seed, count, forms, workers, centre):
     """form_moments as it was before the workspace: fresh arrays for every
     block, on the same readout, with the intensities y.real**2 + y.imag**2
     of each form's columns of the block y, weighted term by term, copied
-    into a fresh (1 + 2k, n) array, centred on the analytic means,
-    squared, and folded to rows @ rows.T."""
-    centre = np.array([_block_mean(cov, form).real for form in forms])
+    into a fresh (1 + 2k, n) array, centred on ``centre``, squared, and
+    folded to rows @ rows.T."""
     readout, plans = _readout(forms, cov.d1, cov.d2)
 
     def consume(index, y):
@@ -772,7 +841,7 @@ class TestWorkspace:
         k = len(forms)
         for workers in (1, 2, 3):
             fused = form_moments(cov, 107, count, forms, workers=workers)
-            reference = allocating_moments(cov, 107, count, forms, workers)
+            reference = allocating_moments(cov, 107, count, forms, workers, fused.centre)
             for moments in (fused, reference):
                 assert moments.count == count
             for i in range(k):

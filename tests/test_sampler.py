@@ -301,6 +301,51 @@ class TestDrawChunks:
             assert total[0] == nblocks
             assert total.tobytes() == serial.tobytes()
 
+    def test_parts_are_added_under_the_lock(self, monkeypatch):
+        # Every lock records the thread that holds it, and every part checks
+        # that the thread adding it to the total holds one, so an addition
+        # outside draw_chunks' lock fails at once, however the threads run.
+        allocate, locks = threading.Lock, []
+
+        class OwnedLock:
+            def __init__(self):
+                self._lock, self.owner = allocate(), None
+                locks.append(self)
+
+            def acquire(self, blocking=True, timeout=-1):
+                acquired = self._lock.acquire(blocking, timeout)
+                if acquired:
+                    self.owner = threading.get_ident()
+                return acquired
+
+            def release(self):
+                self.owner = None
+                self._lock.release()
+
+            __enter__ = acquire
+
+            def __exit__(self, *exc):
+                self.release()
+
+        class Part:
+            def __init__(self, blocks):
+                self.blocks = blocks
+
+            def __add__(self, other):
+                assert any(lock.owner == threading.get_ident() for lock in locks)
+                return Part(self.blocks + getattr(other, "blocks", []))
+
+            __radd__ = __add__
+
+        monkeypatch.setattr("pcsft.sampler.threading.Lock", OwnedLock)
+        cov = build_covariance(BELL_SINGLET, 0.3)
+        count = 2 * CHUNK_SIZE + _BLOCK_ROWS + 5  # 3 chunks, 10 blocks
+        for workers in (2, 3):
+            total = draw_chunks(
+                factor_covariance(cov), 0, count, lambda rows: lambda i, phi: Part([i]), workers
+            )
+            assert total.blocks == list(range(-(-count // _BLOCK_ROWS)))
+
     def test_rejects_a_count_past_the_last_chunk(self):
         # The stream is defined for chunk indices below 2**56, so a longer
         # draw is refused before any worker starts.
