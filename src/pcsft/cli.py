@@ -33,7 +33,7 @@ from .channels import apply_to_state, evolution_channel
 from .covariance import (
     AUTO_EPSILON_MARGIN, SYMMETRY_TOL, build_covariance, classify_symmetry,
 )
-from .errors import DimensionError, NotPositiveError, PcsftError, SelfAdjointnessError
+from .errors import NotPositiveError, PcsftError
 from .experiments import (
     beamsplitter_channel,
     report_to_csv_rows,
@@ -53,10 +53,12 @@ EXIT_INPUT_ERROR = 2
 # once that exceeds 1: the averages scale with it, and so does their rounding.
 IDENTITY_TOL = 1e-10
 
-# Largest entry modulus of a verify-identity observable.  The standard
-# error reads fourth moments of the form values, which grow with the
-# fourth power of the entries: from 1e50 they stay far below the float
-# range for any sample count; from 1e75 they overflow.
+# A nonzero verify-identity observable's largest entry modulus lies in
+# [1 / MAX_OPERATOR_ENTRY, MAX_OPERATOR_ENTRY].  The standard error reads
+# fourth moments of the form values, which scale with the fourth power of
+# the entries: within [1e-50, 1e50] they stay far inside the normal float
+# range for any sample count; from 1e75 they overflow, and from about
+# 1e-80 they underflow, so a correct run would fail its gate at zero width.
 MAX_OPERATOR_ENTRY = 1e50
 
 
@@ -69,21 +71,11 @@ def _load(inputs: dict, field: str, path: str, parse):
     return parse(document, field)
 
 
-def _naming(field: str, call, *args, **kwargs):
-    """call(*args, **kwargs), naming ``field`` when its operands do not
-    fit, an operator is not self-adjoint or the file it writes cannot be
-    written."""
-    try:
-        return call(*args, **kwargs)
-    except (DimensionError, SelfAdjointnessError, OSError) as exc:
-        raise PcsftError(f"field '{field}': {exc}") from None
-
-
 def _emit(text: str, output: str | None):
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
-        _naming("output", Path(output).write_text, text, encoding="utf-8")
+        serialize.naming("output", Path(output).write_text, text, encoding="utf-8")
 
 
 def _parse_epsilon(spec: str) -> float | str:
@@ -143,10 +135,12 @@ def cmd_verify_identity(args) -> int:
     a1 = _load(inputs, "a1", args.a1, serialize.operator_from_json)
     a2 = _load(inputs, "a2", args.a2, serialize.operator_from_json)
     for name, a, dim in (("a1", a1, state.d1), ("a2", a2, state.d2)):
-        _naming(name, require_observable, a, dim, name.upper())
-        if np.max(np.abs(a)) > MAX_OPERATOR_ENTRY:
+        serialize.naming(name, require_observable, a, dim, name.upper())
+        peak = np.max(np.abs(a))
+        if peak and not 1 / MAX_OPERATOR_ENTRY <= peak <= MAX_OPERATOR_ENTRY:
             raise PcsftError(
-                f"field '{name}': an entry exceeds {MAX_OPERATOR_ENTRY:.0e} in modulus"
+                f"field '{name}': expected the largest entry modulus in "
+                f"[{1 / MAX_OPERATOR_ENTRY:.0e}, {MAX_OPERATOR_ENTRY:.0e}], got {peak:.3g}"
             )
 
     tensor = quantum_average_tensor(state, a1, a2)
@@ -205,7 +199,7 @@ def cmd_experiment(args) -> int:
 def cmd_classify(args) -> int:
     inputs = {}
     state = _load(inputs, "state", args.state, serialize.state_from_json)
-    sym = _naming("state", classify_symmetry, state, tol=args.tol)
+    sym = serialize.naming("state", classify_symmetry, state, tol=args.tol)
     payload = serialize.symmetry_to_json(sym)
     payload["tol"] = args.tol
     payload["version"] = __version__
@@ -232,7 +226,7 @@ def _write_transformed(state, args, extra: dict) -> int:
     try:
         for field, path in paths.items():
             existed = path.exists()
-            _naming(field, open, path, "a").close()
+            serialize.naming(field, open, path, "a").close()
             if not existed:
                 created.append(path)
         if paths["output_state"].samefile(paths["output_covariance"]):
@@ -245,7 +239,8 @@ def _write_transformed(state, args, extra: dict) -> int:
             path.unlink()
         raise
     for field, doc in docs.items():
-        _naming(field, paths[field].write_text, serialize.dumps_json(doc), encoding="utf-8")
+        text = serialize.dumps_json(doc)
+        serialize.naming(field, paths[field].write_text, text, encoding="utf-8")
     payload = {
         "output_state": str(args.output_state),
         "output_covariance": str(args.output_covariance),
@@ -262,12 +257,10 @@ def cmd_propagate(args) -> int:
     state = _load(inputs, "state", args.state, serialize.state_from_json)
     ham = _load(inputs, "hamiltonian", args.hamiltonian, serialize.hamiltonian_from_json)
     try:
-        channel = evolution_channel(ham, args.t)
+        channel = serialize.naming("hamiltonian", evolution_channel, ham, args.t)
     except OverflowError as exc:
         raise PcsftError(f"field 't': {exc}") from None
-    except ValueError as exc:
-        raise PcsftError(f"field 'hamiltonian': {exc}") from None
-    out = _naming("hamiltonian", apply_to_state, channel, state)
+    out = serialize.naming("hamiltonian", apply_to_state, channel, state)
     return _write_transformed(out, args, {"t": args.t, "inputs": inputs})
 
 
@@ -283,7 +276,7 @@ def cmd_channel(args) -> int:
         inputs["channel"] = {"preset": "beamsplitter5050"}
     else:
         channel = _load(inputs, "channel", args.channel, serialize.channel_from_json)
-    out = _naming("channel", apply_to_state, channel, state)
+    out = serialize.naming("channel", apply_to_state, channel, state)
     return _write_transformed(out, args, {"inputs": inputs})
 
 

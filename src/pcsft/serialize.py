@@ -8,7 +8,6 @@ documents.  Validation errors name the offending field.
 
 from __future__ import annotations
 
-import cmath
 import hashlib
 import json
 import math
@@ -34,22 +33,25 @@ def _matrix_entries(a: np.ndarray) -> list[list[list[float]]]:
     return [[_pair(z) for z in row] for row in np.asarray(a, dtype=complex)]
 
 
-def _entry_from_pair(value: Any, field: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
-        # bool is an int subclass, but JSON true/false is not a number.
-        or any(isinstance(v, bool) for v in value)
-    ):
-        raise SchemaError(f"field '{field}': expected [re, im] pair, got {value!r}")
+def _number(value: Any, field: str, positive: bool = False) -> float:
+    """The JSON number ``value`` as a finite float, positive if asked."""
+    # bool is an int subclass, but JSON true/false is not a number.
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SchemaError(f"field '{field}': expected a number, got {value!r}")
     try:
-        z = complex(float(value[0]), float(value[1]))
+        number = float(value)
     except OverflowError:  # an integer beyond the float range
-        z = complex(math.inf)
-    if not cmath.isfinite(z):
-        raise SchemaError(f"field '{field}': expected finite numbers")
-    return z
+        number = math.inf
+    if not (0.0 if positive else -math.inf) < number < math.inf:
+        expected = "a finite positive number" if positive else "a finite number"
+        raise SchemaError(f"field '{field}': expected {expected}, got {number}")
+    return number
+
+
+def _entry_from_pair(value: Any, field: str) -> complex:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise SchemaError(f"field '{field}': expected [re, im] pair, got {value!r}")
+    return complex(_number(value[0], field), _number(value[1], field))
 
 
 def _matrix_from_entries(entries: Any, field: str) -> np.ndarray:
@@ -70,19 +72,17 @@ def _matrix_from_entries(entries: Any, field: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _require_key(obj: Any, key: str, parent: str = "") -> Any:
-    path = f"{parent}.{key}" if parent else key
+def _require_key(obj: Any, key: str, parent: str, integer: bool = False) -> Any:
+    """obj[key], naming '<parent>.<key>' when it is missing or, if
+    ``integer``, not a JSON integer, and ``parent`` when obj is no object."""
     if not isinstance(obj, dict):
-        raise SchemaError(f"field '{parent or key}': expected a JSON object")
+        raise SchemaError(f"field '{parent}': expected a JSON object")
+    path = f"{parent}.{key}"
     if key not in obj:
         raise SchemaError(f"field '{path}': missing")
-    return obj[key]
-
-
-def _int_field(obj: dict, key: str, parent: str = "") -> int:
-    value = _require_key(obj, key, parent)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"field '{parent + '.' if parent else ''}{key}': expected an integer")
+    value = obj[key]
+    if integer and (not isinstance(value, int) or isinstance(value, bool)):
+        raise SchemaError(f"field '{path}': expected an integer")
     return value
 
 
@@ -91,8 +91,8 @@ def _declared_matrix(
 ) -> np.ndarray:
     """The matrix under ``entries_key``, checked against the dimensions
     declared under ``rows_key`` and ``cols_key``."""
-    rows = _int_field(obj, rows_key, field)
-    cols = _int_field(obj, cols_key, field)
+    rows = _require_key(obj, rows_key, field, integer=True)
+    cols = _require_key(obj, cols_key, field, integer=True)
     path = f"{field}.{entries_key}"
     entries = _matrix_from_entries(_require_key(obj, entries_key, field), path)
     if entries.shape != (rows, cols):
@@ -103,12 +103,12 @@ def _declared_matrix(
     return entries
 
 
-def _construct(field: str, cls, *args, **kwargs):
-    """cls(*args, **kwargs), turning a value type's rejection into a
-    SchemaError that names ``field``."""
+def naming(field: str, call, *args, **kwargs):
+    """call(*args, **kwargs), turning its rejection of an input (a
+    PcsftError, ValueError or OSError) into a SchemaError naming ``field``."""
     try:
-        return cls(*args, **kwargs)
-    except (PcsftError, ValueError) as exc:
+        return call(*args, **kwargs)
+    except (PcsftError, ValueError, OSError) as exc:
         raise SchemaError(f"field '{field}': {exc}") from exc
 
 
@@ -131,7 +131,7 @@ def state_to_json(state: BipartiteState) -> dict:
 
 def state_from_json(obj: Any, field: str = "state") -> BipartiteState:
     amp = _declared_matrix(obj, field, "d1", "d2", "amplitudes")
-    return _construct(f"{field}.amplitudes", BipartiteState, amp)
+    return naming(f"{field}.amplitudes", BipartiteState, amp)
 
 
 def covariance_to_json(cov: BlockCovariance) -> dict:
@@ -149,7 +149,7 @@ def covariance_to_json(cov: BlockCovariance) -> dict:
 def channel_from_json(obj: Any, field: str = "channel") -> UnitaryChannel:
     u1 = operator_from_json(_require_key(obj, "U1", field), f"{field}.U1")
     u2 = operator_from_json(_require_key(obj, "U2", field), f"{field}.U2")
-    return _construct(field, UnitaryChannel, u1=u1, u2=u2)
+    return naming(field, UnitaryChannel, u1=u1, u2=u2)
 
 
 def hamiltonian_from_json(obj: Any, field: str = "hamiltonian") -> Hamiltonian:
@@ -163,18 +163,8 @@ def hamiltonian_from_json(obj: Any, field: str = "hamiltonian") -> Hamiltonian:
                 )
     h1 = operator_from_json(_require_key(obj, "H1", field), f"{field}.H1")
     h2 = operator_from_json(_require_key(obj, "H2", field), f"{field}.H2")
-    hbar = obj.get("hbar", 1.0)
-    if not isinstance(hbar, (int, float)) or isinstance(hbar, bool):
-        raise SchemaError(f"field '{field}.hbar': expected a number")
-    try:
-        hbar = float(hbar)
-    except OverflowError:  # an integer beyond the float range
-        hbar = math.inf
-    if not 0.0 < hbar < math.inf:
-        raise SchemaError(
-            f"field '{field}.hbar': expected a finite positive number, got {hbar}"
-        )
-    return _construct(field, Hamiltonian, h1=h1, h2=h2, hbar=hbar)
+    hbar = _number(obj.get("hbar", 1.0), f"{field}.hbar", positive=True)
+    return naming(field, Hamiltonian, h1=h1, h2=h2, hbar=hbar)
 
 
 def estimate_to_json(est: Estimate) -> dict:
@@ -210,5 +200,7 @@ def load_json_file(path, what: str = "input") -> tuple[Any, str]:
         raise SchemaError(f"field '{what}': cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"field '{what}': {path} is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError: a JSONDecodeError, or an integer past Python's digit
+    # limit; RecursionError: arrays or objects nested past its depth limit.
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"field '{what}': invalid JSON in {path}: {exc}") from exc

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -207,6 +208,31 @@ class TestVerifyIdentity:
         argv, _, _ = self.large_case(tmp_path, scale)
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
+
+    @staticmethod
+    def scaled_run(tmp_path, singlet_file, capsys, scale):
+        """verify-identity on the singlet with A1 = A2 = scale · M."""
+        a = write_operator(tmp_path / "a.json", scale * np.array([[1.0, 0.3], [0.3, -0.5]]))
+        code = main(["verify-identity", str(singlet_file), str(a), str(a), "--samples=1000"])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("scale", [1e-50, 1e50])
+    def test_scale_range_edges_scale_the_unit_run(self, tmp_path, singlet_file, capsys, scale):
+        code, captured = self.scaled_run(tmp_path, singlet_file, capsys, scale)
+        _, unit = self.scaled_run(tmp_path, singlet_file, capsys, 1.0)
+        assert code == 0
+        mc, unit_mc = json.loads(captured.out)["mc"], json.loads(unit.out)["mc"]
+        for key in ("analytic", "value", "std_error"):
+            assert mc[key] == pytest.approx(scale**2 * unit_mc[key], rel=1e-12)
+
+    def test_tiny_observables_exit_2_naming_the_field(self, tmp_path, singlet_file, capsys):
+        # Below 1e-50 the fourth moments behind the standard error lose
+        # digits, then underflow: at 1e-100 this correct run reported
+        # std_error 0.0 and exited 1.
+        code, captured = self.scaled_run(tmp_path, singlet_file, capsys, 1e-100)
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: field 'a1': ")
 
     def test_trace_off_by_ten_tolerances_fails(self, tmp_path, monkeypatch, capsys):
         import pcsft.cli as cli
@@ -540,6 +566,25 @@ class TestChannelCommand:
         )
         assert code == 0
 
+    def test_norm_lost_within_the_unitarity_tolerance_names_channel(self, tmp_path, capsys):
+        # U = (I + c J)^½ at d = 25, J all ones, passes the unitarity check:
+        # max |U†U - I| = c = 0.99e-10.  Ψ = v vᵀ with v = ones / 5, an
+        # eigenvector of J, goes to (1 + 25 c) Ψ, whose squared norm is off
+        # by about 4.95e-9, more than a state's norm tolerance.
+        d, c = 25, 0.99e-10
+        v = np.ones(d) / 5
+        u = np.eye(d) + (np.sqrt(1 + d * c) - 1) * np.outer(v, v)
+        state = write_state(tmp_path / "state.json", np.outer(v, v))
+        channel = write_pair(tmp_path / "channel.json", "U1", "U2", u, u)
+        code = main(["channel", str(state), str(channel),
+                     f"--output-state={tmp_path / 'out_state.json'}",
+                     f"--output-covariance={tmp_path / 'out_cov.json'}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: field 'channel': ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["channel.json", "state.json"]
+
     def test_group_law_regression(self, tmp_path, singlet_file, capsys):
         # propagate twice by t then once by 2t; states must agree
         h1, h2 = [[0.0, 1.0], [1.0, 0.0]], np.diag([0.5, -0.5])
@@ -587,6 +632,19 @@ class TestChannelCommand:
         )
         assert code == 2
         assert "'epsilon'" in capsys.readouterr().err
+
+
+# Every file operand of every command.
+FILE_OPERANDS = [
+    ("verify-identity", "state"),
+    ("verify-identity", "a1"),
+    ("verify-identity", "a2"),
+    ("classify", "state"),
+    ("channel", "state"),
+    ("channel", "channel"),
+    ("propagate", "state"),
+    ("propagate", "hamiltonian"),
+]
 
 
 class TestInvalidNumbers:
@@ -775,24 +833,10 @@ class TestInvalidNumbers:
         assert f"field '{field}'" in captured.err
         assert not (tmp_path / "out_state.json").exists()
 
-    @pytest.mark.parametrize(
-        "command, operand",
-        [
-            ("verify-identity", "state"),
-            ("verify-identity", "a1"),
-            ("verify-identity", "a2"),
-            ("classify", "state"),
-            ("channel", "state"),
-            ("channel", "channel"),
-            ("propagate", "state"),
-            ("propagate", "hamiltonian"),
-        ],
-    )
-    def test_non_utf8_file_exits_2_naming_the_field(
-        self, tmp_path, singlet_file, capsys, command, operand
-    ):
-        # A valid document saved as UTF-16, so the file starts with the
-        # bytes FF FE, which UTF-8 cannot decode.
+    @staticmethod
+    def run_with_file(tmp_path, singlet_file, command, operand, content):
+        """main on valid inputs, except that ``operand``'s file holds the
+        bytes content(text of its valid document)."""
         files = {
             "state": singlet_file,
             "a1": write_operator(tmp_path / "a1.json", PROJ_R),
@@ -801,7 +845,7 @@ class TestInvalidNumbers:
             "hamiltonian": write_pair(tmp_path / "h.json", "H1", "H2", np.eye(2), np.eye(2)),
         }
         path = files[operand]
-        path.write_bytes(b"\xff\xfe" + path.read_text(encoding="utf-8").encode("utf-16-le"))
+        path.write_bytes(content(path.read_text(encoding="utf-8")))
         outputs = [
             f"--output-state={tmp_path / 'out_state.json'}",
             f"--output-covariance={tmp_path / 'out_cov.json'}",
@@ -814,13 +858,46 @@ class TestInvalidNumbers:
         }[command]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main([command, *(str(files.get(arg, arg)) for arg in argv)])
+            return main([command, *(str(files.get(arg, arg)) for arg in argv)])
+
+    @pytest.mark.parametrize("command, operand", FILE_OPERANDS)
+    def test_non_utf8_file_exits_2_naming_the_field(
+        self, tmp_path, singlet_file, capsys, command, operand
+    ):
+        # A valid document saved as UTF-16, so the file starts with the
+        # bytes FF FE, which UTF-8 cannot decode.
+        code = self.run_with_file(
+            tmp_path, singlet_file, command, operand,
+            lambda text: b"\xff\xfe" + text.encode("utf-16-le"),
+        )
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert f"field '{operand}'" in captured.err
         assert "not UTF-8" in captured.err
         assert not (tmp_path / "out_state.json").exists()
+
+    @pytest.mark.parametrize("command, operand", FILE_OPERANDS)
+    @pytest.mark.parametrize(
+        "document",
+        [
+            "[" * 2000 + "]" * 2000,  # nested past the JSON parser's depth limit
+            "1" * 4301,  # past Python's 4300-digit limit on integer strings
+        ],
+        ids=["deep", "long-integer"],
+    )
+    def test_undecodable_file_exits_2_naming_the_field(
+        self, tmp_path, singlet_file, capsys, command, operand, document
+    ):
+        code = self.run_with_file(
+            tmp_path, singlet_file, command, operand, lambda text: document.encode()
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: field '{operand}': ")
+        assert not (tmp_path / "out_state.json").exists()
+        assert not (tmp_path / "out_cov.json").exists()
 
 
 class TestUnwritableOutput:
@@ -944,13 +1021,26 @@ NOT_AN_INTEGER = st.one_of(
     st.none(),
     st.lists(st.integers(), max_size=1),
 )
+# Text json.dumps cannot write: arrays nested past the JSON parser's depth
+# limit, and integers past Python's 4300-digit limit on integer strings.
+# Drawn as strings, dump() writes them unquoted.
+UNDECODABLE = st.one_of(
+    st.integers(2000, 20000).map(lambda n: "[" * n + "]" * n),
+    st.integers(4301, 5000).map(lambda n: "9" * n),
+)
 NOT_A_MATRIX = st.one_of(
     st.none(),
     st.integers(),
     st.text(max_size=3),
     st.just([]),
     st.lists(st.integers(), min_size=1, max_size=2),
+    UNDECODABLE,
 )
+
+
+def dump(doc) -> str:
+    """json.dumps(doc), with every UNDECODABLE string in it unquoted."""
+    return re.sub(r'"(\[{2000,}\]+|\d{4301,})"', r"\1", json.dumps(doc))
 
 
 @st.composite
@@ -998,7 +1088,7 @@ class TestStateFuzz:
     @given(doc=malformed_states())
     def test_malformed_state_exits_2_naming_a_field(self, tmp_path, capsys, doc):
         path = tmp_path / "state.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(dump(doc), encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["classify", str(path)])
@@ -1041,8 +1131,9 @@ def malformed_operators(draw, kind, faults=OPERATOR_FAULTS):
         entries[i][j] = draw(NOT_A_PAIR)
     elif fault == "perturb":
         entries[i][i][1] += 1e-3
-    elif fault == "scale":
-        scale = draw(st.floats(1e51, 1e308)) / float(np.max(np.abs(a)))
+    elif fault == "scale":  # the largest entry modulus outside [1e-50, 1e50]
+        peak = draw(st.one_of(st.floats(1e51, 1e308), st.floats(1e-300, 1e-51)))
+        scale = peak / float(np.max(np.abs(a)))
         doc["entries"] = [[[scale * x for x in pair] for pair in row] for row in entries]
     elif fault == "ragged":
         entries[i].pop()
@@ -1093,7 +1184,7 @@ class TestOperandFuzz:
 
     def assert_rejected(self, tmp_path, capsys, argv, doc):
         path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(dump(doc), encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main([arg if arg != "DOC" else str(path) for arg in argv])
