@@ -11,9 +11,12 @@ propagate         evolve a state under an interaction-free Hamiltonian
 channel           apply a factorized unitary channel (or the
                   "beamsplitter5050" preset)
 
-Exit codes: 0 all checks passed, 1 a statistical test failed, 2 invalid
-input.  Output is UTF-8 JSON with sorted keys; every run is
-deterministic given its arguments, so reruns are byte-identical.
+Each subcommand returns its report.  ``main`` adds ``version``, and
+``inputs`` when files were read; renders it as UTF-8 JSON with sorted
+keys, or as CSV under ``--format csv``; writes it to ``--output``, or to
+stdout when that is absent or '-'; and exits 1 when the report's ``pass``
+is false, 2 on invalid input, 0 otherwise.  Every run is deterministic
+given its arguments, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -71,31 +74,10 @@ def _load(inputs: dict, field: str, path: str, parse):
     return parse(document, field)
 
 
-def _emit(text: str, output: str | None):
-    if output is None or output == "-":
-        sys.stdout.write(text)
-    else:
-        serialize.naming("output", Path(output).write_text, text, encoding="utf-8")
-
-
-def _parse_epsilon(spec: str) -> float | str:
-    """The --epsilon value: 'auto' or a finite number."""
-    if spec == "auto":
-        return spec
-    try:
-        value = float(spec)
-    except ValueError:
-        raise PcsftError(
-            f"field 'epsilon': expected a number or 'auto', got {spec!r}"
-        ) from None
-    if not np.isfinite(value):
-        raise PcsftError(f"field 'epsilon': expected a finite number, got {spec!r}")
-    return value
-
-
-def _check_numbers(args):
-    """Reject an out-of-range numeric option, naming its field, before any
-    computation; a subcommand checks the options it has."""
+def _check_options(args):
+    """Reject an invalid option, naming its field, before any file is read;
+    a subcommand checks the options it has.  --epsilon becomes 'auto' or a
+    finite number."""
     options = vars(args)
     for name, admissible, expected in (
         ("samples", lambda v: MIN_SAMPLES <= v <= MAX_SAMPLES,
@@ -106,6 +88,15 @@ def _check_numbers(args):
     ):
         if name in options and not admissible(value := options[name]):
             raise PcsftError(f"field '{name}': expected {expected}, got {value}")
+    if (spec := options.get("epsilon", "auto")) != "auto":
+        try:
+            args.epsilon = float(spec)
+        except ValueError:
+            raise PcsftError(
+                f"field 'epsilon': expected a number or 'auto', got {spec!r}"
+            ) from None
+        if not math.isfinite(args.epsilon):
+            raise PcsftError(f"field 'epsilon': expected a finite number, got {spec!r}")
 
 
 # Options that several subcommands take, each defined once.  The summary
@@ -129,8 +120,7 @@ def _add_options(parser: argparse.ArgumentParser, *names: str):
         parser.add_argument(name, **_OPTIONS[name])
 
 
-def cmd_verify_identity(args) -> int:
-    inputs = {}
+def cmd_verify_identity(args, inputs: dict) -> dict:
     state = _load(inputs, "state", args.state, serialize.state_from_json)
     a1 = _load(inputs, "a1", args.a1, serialize.operator_from_json)
     a2 = _load(inputs, "a2", args.a2, serialize.operator_from_json)
@@ -145,7 +135,7 @@ def cmd_verify_identity(args) -> int:
 
     tensor = quantum_average_tensor(state, a1, a2)
     trace = quantum_average_trace(state, a1, a2)
-    cov = build_covariance(state, _parse_epsilon(args.epsilon))
+    cov = build_covariance(state, args.epsilon)
     f1 = QuadraticForm(operator=a1, side=1)
     f2 = QuadraticForm(operator=a2, side=2)
     [[est]] = cross_estimates(cov, [f1], [f2], seed=args.seed, count=args.samples)
@@ -156,7 +146,7 @@ def cmd_verify_identity(args) -> int:
         "cov_vs_tensor": abs(est.analytic - tensor) <= tol,
         "mc_within_5_se": est.within(),
     }
-    payload = {
+    return {
         "tensor": tensor,
         "trace": trace,
         "analytic_cov": est.analytic,
@@ -167,49 +157,25 @@ def cmd_verify_identity(args) -> int:
         "checks": checks,
         "pass": all(checks.values()),
         "prng_id": PRNG_ID,
-        "version": __version__,
-        "inputs": inputs,
     }
-    _emit(serialize.dumps_json(payload), args.output)
-    return EXIT_PASS if payload["pass"] else EXIT_STAT_FAIL
 
 
-def cmd_experiment(args) -> int:
-    report = run_beamsplitter(
-        statistics=args.statistics,
-        spin=args.spin,
-        epsilon=_parse_epsilon(args.epsilon),
-        seed=args.seed,
-        n_samples=args.samples,
-    )
-    payload = report_to_json(report)
-    payload["version"] = __version__
-    if args.format == "json":
-        _emit(serialize.dumps_json(payload), args.output)
-    else:
-        buf = io.StringIO()
-        rows = report_to_csv_rows(report)
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-        _emit(buf.getvalue(), args.output)
-    return EXIT_PASS if report.passed else EXIT_STAT_FAIL
+def cmd_experiment(args, inputs: dict) -> dict:
+    report = run_beamsplitter(args.statistics, args.spin, epsilon=args.epsilon,
+                              seed=args.seed, n_samples=args.samples)
+    return report_to_json(report)
 
 
-def cmd_classify(args) -> int:
-    inputs = {}
+def cmd_classify(args, inputs: dict) -> dict:
     state = _load(inputs, "state", args.state, serialize.state_from_json)
     sym = serialize.naming("state", classify_symmetry, state, tol=args.tol)
     payload = serialize.symmetry_to_json(sym)
     payload["tol"] = args.tol
-    payload["version"] = __version__
-    payload["inputs"] = inputs
-    _emit(serialize.dumps_json(payload), args.output)
-    return EXIT_PASS
+    return payload
 
 
-def _write_transformed(state, args, extra: dict) -> int:
-    cov = build_covariance(state, _parse_epsilon(args.epsilon))
+def _write_transformed(state, args) -> dict:
+    cov = build_covariance(state, args.epsilon)
     docs = {
         "output_state": serialize.state_to_json(state),
         "output_covariance": serialize.covariance_to_json(cov),
@@ -241,19 +207,14 @@ def _write_transformed(state, args, extra: dict) -> int:
     for field, doc in docs.items():
         text = serialize.dumps_json(doc)
         serialize.naming(field, paths[field].write_text, text, encoding="utf-8")
-    payload = {
+    return {
         "output_state": str(args.output_state),
         "output_covariance": str(args.output_covariance),
         "epsilon": cov.epsilon,
-        "version": __version__,
-        **extra,
     }
-    _emit(serialize.dumps_json(payload), None)
-    return EXIT_PASS
 
 
-def cmd_propagate(args) -> int:
-    inputs = {}
+def cmd_propagate(args, inputs: dict) -> dict:
     state = _load(inputs, "state", args.state, serialize.state_from_json)
     ham = _load(inputs, "hamiltonian", args.hamiltonian, serialize.hamiltonian_from_json)
     try:
@@ -261,11 +222,10 @@ def cmd_propagate(args) -> int:
     except OverflowError as exc:
         raise PcsftError(f"field 't': {exc}") from None
     out = serialize.naming("hamiltonian", apply_to_state, channel, state)
-    return _write_transformed(out, args, {"t": args.t, "inputs": inputs})
+    return {**_write_transformed(out, args), "t": args.t}
 
 
-def cmd_channel(args) -> int:
-    inputs = {}
+def cmd_channel(args, inputs: dict) -> dict:
     state = _load(inputs, "state", args.state, serialize.state_from_json)
     if args.channel == "beamsplitter5050":
         if state.d2 != state.d1 or state.d1 % 2 != 0:
@@ -277,7 +237,7 @@ def cmd_channel(args) -> int:
     else:
         channel = _load(inputs, "channel", args.channel, serialize.channel_from_json)
     out = serialize.naming("channel", apply_to_state, channel, state)
-    return _write_transformed(out, args, {"inputs": inputs})
+    return _write_transformed(out, args)
 
 
 @functools.cache  # one parser per process, shared by every in-process main()
@@ -341,11 +301,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand, apply the output rule (see the module
+    docstring) to the report it returns, and return the exit code."""
+    args = build_parser().parse_args(argv)
+    options = vars(args)
+    inputs = {}
     try:
-        _check_numbers(args)
-        return args.func(args)
+        _check_options(args)
+        report = args.func(args, inputs)
+        report["version"] = __version__
+        if inputs:
+            report["inputs"] = inputs
+        if options.get("format") == "csv":
+            rows = report_to_csv_rows(report)
+            buf = io.StringIO()
+            writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+            text = buf.getvalue()
+        else:
+            text = serialize.dumps_json(report)
+        output = options.get("output")
+        if output is None or output == "-":
+            sys.stdout.write(text)
+        else:
+            serialize.naming("output", Path(output).write_text, text, encoding="utf-8")
     except PcsftError as exc:
         # A covariance built from a valid state fails its checks only
         # through --epsilon: below epsilon_min, or so large that the
@@ -356,6 +336,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    return EXIT_PASS if report.get("pass", True) else EXIT_STAT_FAIL
 
 
 if __name__ == "__main__":

@@ -61,10 +61,10 @@ def report_to_json(report: ExperimentReport) -> dict:
     return payload
 
 
-def report_to_csv_rows(report: ExperimentReport) -> list[dict]:
-    """One row per (x, y) port pair, for the CSV export."""
-    g = report_to_json(report)["g"]
-    return [{"x": x, "y": y, **g[x + y]} for x in PORTS for y in PORTS]
+def report_to_csv_rows(payload: dict) -> list[dict]:
+    """One row per (x, y) port pair of a report_to_json payload, for the
+    CSV export."""
+    return [{"x": x, "y": y, **payload["g"][x + y]} for x in PORTS for y in PORTS]
 
 
 def beamsplitter_unitary() -> np.ndarray:

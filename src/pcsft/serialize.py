@@ -3,7 +3,8 @@
 Complex scalars are encoded as two-element arrays [re, im].  Matrices
 are nested lists of those pairs, row-major.  All emitted JSON uses
 sorted keys and UTF-8 so that identical inputs produce byte-identical
-documents.  Validation errors name the offending field.
+documents.  Validation errors name the offending field and echo a value
+of the document through ``reprlib.repr``, so a long one stays short.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import reprlib
 from typing import Any
 
 import numpy as np
@@ -37,7 +39,7 @@ def _number(value: Any, field: str, positive: bool = False) -> float:
     """The JSON number ``value`` as a finite float, positive if asked."""
     # bool is an int subclass, but JSON true/false is not a number.
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise SchemaError(f"field '{field}': expected a number, got {value!r}")
+        raise SchemaError(f"field '{field}': expected a number, got {reprlib.repr(value)}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
@@ -50,7 +52,7 @@ def _number(value: Any, field: str, positive: bool = False) -> float:
 
 def _entry_from_pair(value: Any, field: str) -> complex:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise SchemaError(f"field '{field}': expected [re, im] pair, got {value!r}")
+        raise SchemaError(f"field '{field}': expected [re, im] pair, got {reprlib.repr(value)}")
     return complex(_number(value[0], field), _number(value[1], field))
 
 
@@ -98,7 +100,7 @@ def _declared_matrix(
     if entries.shape != (rows, cols):
         raise SchemaError(
             f"field '{path}': shape {entries.shape} does not match "
-            f"declared ({rows}, {cols})"
+            f"declared {reprlib.repr((rows, cols))}"
         )
     return entries
 

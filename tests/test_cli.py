@@ -3,6 +3,8 @@
 import argparse
 import ast
 import builtins
+import csv
+import functools
 import hashlib
 import io
 import json
@@ -63,6 +65,24 @@ def write_pair(path, first, second, a, b, **extra):
 @pytest.fixture
 def singlet_file(tmp_path):
     return write_state(tmp_path / "state.json", SINGLET)
+
+
+def fail_every_gate(monkeypatch):
+    """Make the CLI's beam-splitter runs report every g entry 10 standard
+    errors off its analytic value, so the report fails its gate."""
+    import pcsft.cli as cli_module
+
+    real_run = cli_module.run_beamsplitter
+
+    def failing_run(*args, **kwargs):
+        report = real_run(*args, **kwargs)
+        g = {
+            key: replace(est, value=est.analytic + 10 * est.std_error)
+            for key, est in report.g.items()
+        }
+        return replace(report, g=g)
+
+    monkeypatch.setattr(cli_module, "run_beamsplitter", failing_run)
 
 
 class TestVerifyIdentity:
@@ -363,19 +383,7 @@ class TestExperimentCommand:
 
     def test_statistical_failure_exits_1(self, monkeypatch, capsys):
         # exercise the exit-code mapping by forcing a failed report
-        import pcsft.cli as cli_module
-
-        real_run = cli_module.run_beamsplitter
-
-        def failing_run(*args, **kwargs):
-            report = real_run(*args, **kwargs)
-            g = {
-                key: replace(est, value=est.analytic + 10 * est.std_error)
-                for key, est in report.g.items()
-            }
-            return replace(report, g=g)
-
-        monkeypatch.setattr(cli_module, "run_beamsplitter", failing_run)
+        fail_every_gate(monkeypatch)
         code = main(
             [
                 "experiment",
@@ -708,6 +716,25 @@ class TestInvalidNumbers:
         assert f"field '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "out_state.json").exists()
 
+    @pytest.mark.parametrize("command", ["verify-identity", "propagate", "channel"])
+    def test_epsilon_is_checked_before_any_file_is_read(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # Two faults: a missing state file and a bad --epsilon.  Options
+        # are checked first, so the message names epsilon.
+        monkeypatch.chdir(tmp_path)
+        operands = {
+            "verify-identity": ["missing.json", "a1.json", "a2.json"],
+            "propagate": ["missing.json", "h.json", "--t=1"],
+            "channel": ["missing.json", "beamsplitter5050"],
+        }[command]
+        code = main([command, *operands, "--epsilon=abc"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: field 'epsilon': expected a number or 'auto', got 'abc'\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "command, operand, document, field",
         [
@@ -998,6 +1025,17 @@ class TestUnwritableOutput:
         assert state_out.read_bytes() == b"earlier bytes\n"
 
 
+# Values an error message could echo, long enough that echoed whole they
+# would run past any bound on the message: a list of up to 5000 numbers, a
+# list nested up to 300 deep (json and repr stay inside the recursion limit
+# under pytest) and a string of up to 10 000 characters.
+LONG_VALUES = st.one_of(
+    st.integers(1000, 5000).map(lambda n: [0.5] * n),
+    st.integers(100, 300).map(lambda n: functools.reduce(lambda v, _: [v], range(n), 0.5)),
+    st.integers(1000, 10_000).map(lambda n: "x" * n),
+)
+# A declared dimension of up to 4000 digits.
+HUGE_INTEGERS = st.integers(10**200, 10**4000 - 1)
 # Values no amplitude component may take: non-finite, so large that |a|^2
 # overflows, beyond the float range, or not a number at all.
 BAD_NUMBERS = st.one_of(
@@ -1005,6 +1043,7 @@ BAD_NUMBERS = st.one_of(
     st.floats(min_value=1e154, max_value=1.7e308),
     st.integers(min_value=2**1024, max_value=10**400),
     st.booleans(),
+    LONG_VALUES,
 )
 NOT_A_PAIR = st.one_of(
     st.none(),
@@ -1013,6 +1052,7 @@ NOT_A_PAIR = st.one_of(
     st.lists(st.floats(-1.0, 1.0), max_size=1),
     st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=4),
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    LONG_VALUES,
 )
 NOT_AN_INTEGER = st.one_of(
     st.booleans(),
@@ -1035,12 +1075,20 @@ NOT_A_MATRIX = st.one_of(
     st.just([]),
     st.lists(st.integers(), min_size=1, max_size=2),
     UNDECODABLE,
+    LONG_VALUES,
 )
 
 
 def dump(doc) -> str:
     """json.dumps(doc), with every UNDECODABLE string in it unquoted."""
     return re.sub(r'"(\[{2000,}\]+|\d{4301,})"', r"\1", json.dumps(doc))
+
+
+def assert_short_message(err: str, path: Path):
+    """An error message stays short whatever the document holds: under
+    200 characters once the operand's path, which the message may name,
+    is left out."""
+    assert len(err.replace(str(path), "")) < 200, err[:300]
 
 
 @st.composite
@@ -1071,7 +1119,7 @@ def malformed_states(draw):
     elif fault == "dims":
         key = draw(st.sampled_from(["d1", "d2"]))
         wrong = st.integers(-2, 5).filter(lambda v: v != doc[key])
-        doc[key] = draw(st.one_of(wrong, NOT_AN_INTEGER))
+        doc[key] = draw(st.one_of(wrong, NOT_AN_INTEGER, HUGE_INTEGERS))
     elif fault == "matrix":
         doc["amplitudes"] = draw(NOT_A_MATRIX)
     else:
@@ -1096,6 +1144,7 @@ class TestStateFuzz:
         assert code == 2
         assert captured.out == ""
         assert "field '" in captured.err
+        assert_short_message(captured.err, path)
 
 
 # Numbers no operator entry may take: non-finite, beyond the float range,
@@ -1104,6 +1153,7 @@ NON_NUMBERS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf]),
     st.integers(min_value=2**1024, max_value=10**400),
     st.booleans(),
+    LONG_VALUES,
 )
 OPERATOR_FAULTS = (
     "number", "huge", "entry", "perturb", "ragged", "dims", "matrix", "document", "size"
@@ -1140,7 +1190,7 @@ def malformed_operators(draw, kind, faults=OPERATOR_FAULTS):
     elif fault == "dims":
         key = draw(st.sampled_from(["rows", "cols"]))
         wrong = st.integers(-2, 5).filter(lambda v: v != d)
-        doc[key] = draw(st.one_of(wrong, NOT_AN_INTEGER))
+        doc[key] = draw(st.one_of(wrong, NOT_AN_INTEGER, HUGE_INTEGERS))
     elif fault == "matrix":
         doc["entries"] = draw(NOT_A_MATRIX)
     elif fault == "document":
@@ -1192,6 +1242,7 @@ class TestOperandFuzz:
         assert code == 2
         assert captured.out == ""
         assert "field '" in captured.err
+        assert_short_message(captured.err, path)
         assert not (tmp_path / "out_state.json").exists()
 
     @FUZZ
@@ -1489,6 +1540,91 @@ class TestOneAssemblyPerRequest:
         assert assemblies == [(4, 4)]
 
 
+class TestOutputRule:
+    """main adds version to every report and inputs when files were read,
+    renders and writes the report, and exits 1 exactly when its pass is
+    false."""
+
+    @staticmethod
+    def sha256(path: str) -> str:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "command",
+        ["verify-identity", "experiment", "classify", "propagate", "channel", "channel-preset"],
+    )
+    def test_version_and_the_files_read(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        write_state(tmp_path / "state.json", SINGLET)
+        write_operator(tmp_path / "a1.json", PROJ_R)
+        write_operator(tmp_path / "a2.json", PROJ_L)
+        write_pair(tmp_path / "h.json", "H1", "H2", np.eye(2), np.eye(2))
+        write_pair(tmp_path / "u.json", "U1", "U2", np.eye(2), np.eye(2))
+        outputs = ["--output-state=s_out.json", "--output-covariance=c_out.json"]
+        argv, read = {
+            "verify-identity": (
+                ["verify-identity", "state.json", "a1.json", "a2.json", "--samples=2000"],
+                {"state": "state.json", "a1": "a1.json", "a2": "a2.json"},
+            ),
+            "experiment": (
+                ["experiment", "--experiment=beamsplitter", "--statistics=fermion",
+                 "--samples=2000"],
+                {},
+            ),
+            "classify": (["classify", "state.json"], {"state": "state.json"}),
+            "propagate": (
+                ["propagate", "state.json", "h.json", "--t=1", *outputs],
+                {"state": "state.json", "hamiltonian": "h.json"},
+            ),
+            "channel": (
+                ["channel", "state.json", "u.json", *outputs],
+                {"state": "state.json", "channel": "u.json"},
+            ),
+            "channel-preset": (
+                ["channel", "state.json", "beamsplitter5050", *outputs],
+                {"state": "state.json"},
+            ),
+        }[command]
+        code = main(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["version"] == __version__
+        expected = {
+            field: {"path": path, "sha256": self.sha256(path)} for field, path in read.items()
+        }
+        if command == "channel-preset":
+            expected["channel"] = {"preset": "beamsplitter5050"}
+        if expected:
+            assert report["inputs"] == expected
+        else:
+            assert "inputs" not in report
+        # A report with no pass key exits 0.
+        if command in ("classify", "propagate", "channel", "channel-preset"):
+            assert "pass" not in report
+
+    def test_csv_rows_are_the_json_g_entries(self, capsys):
+        argv = ["experiment", "--experiment=beamsplitter", "--statistics=boson",
+                "--spin=half", "--seed=5", "--samples=2000"]
+        assert main(argv) == 0
+        g = json.loads(capsys.readouterr().out)["g"]
+        assert main([*argv, "--format=csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows == [
+            {"x": x, "y": y, **{key: str(value) for key, value in g[x + y].items()}}
+            for x in ("R", "L") for y in ("R", "L")
+        ]
+
+    def test_failing_gate_exits_1_under_csv(self, tmp_path, monkeypatch, capsys):
+        fail_every_gate(monkeypatch)
+        out = tmp_path / "report.csv"
+        code = main(["experiment", "--experiment=beamsplitter", "--statistics=fermion",
+                     "--samples=2000", "--format=csv", f"--output={out}"])
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        rows = list(csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"))))
+        assert [row["passed"] for row in rows] == ["False"] * 4
+
+
 class TestImportPath:
     def test_cli_import_loads_no_scipy(self):
         # A fresh process, so modules other tests imported do not count.
@@ -1553,6 +1689,27 @@ class TestImportPath:
         assert setattr_callers == {"hilbert"}
         assert {"require_observable", "beamsplitter_channel"} <= cli_names
         assert not cli_names & {"require_selfadjoint", "UnitaryChannel"}
+
+        # One output rule: main alone stamps the version on a report,
+        # renders it, writes it to stdout and picks exit 0 or 1.
+        # build_parser names __version__ for --version, and
+        # _write_transformed renders the output state and covariance files.
+        tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+        names = {
+            node.name: {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            for node in tree.body if isinstance(node, ast.FunctionDef)
+        }
+
+        def users(name):
+            return {function for function, used in names.items() if name in used}
+
+        assert users("__version__") == {"build_parser", "main"}
+        assert users("dumps_json") == {"_write_transformed", "main"}
+        for name in ("stdout", "report_to_csv_rows", "EXIT_PASS", "EXIT_STAT_FAIL"):
+            assert users(name) == {"main"}, name
 
 
 class TestVersion:

@@ -137,7 +137,7 @@ class TestReportEncoding:
 
     def test_csv_rows(self):
         report = run_beamsplitter("boson", spin="0", seed=4, n_samples=1000)
-        rows = report_to_csv_rows(report)
+        rows = report_to_csv_rows(report_to_json(report))
         assert len(rows) == 4
         assert {(r["x"], r["y"]) for r in rows} == {
             ("R", "R"),
