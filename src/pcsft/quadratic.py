@@ -71,7 +71,8 @@ class QuadraticForm:
 SE_BAND = 5.0
 
 # Fewest samples a command gates on SE_BAND: below it the plug-in standard
-# error is too noisy to judge a miss by.
+# error is too noisy to judge a miss by.  Even at it, a correct run fails
+# its gate for about 5e-4 to 7.5e-4 of seeds (README, "Command line").
 MIN_SAMPLES = 1000
 
 # Sample count of an experiment or a verify-identity run unless one is given.
@@ -266,7 +267,6 @@ def form_moments(
     seed: int,
     count: int,
     forms: Sequence[QuadraticForm],
-    workers: int | None = None,
 ) -> Moments:
     """Moments of the forms' values on ``count`` fresh samples, drawn,
     evaluated and accumulated in one pass, centred on the forms' analytic
@@ -293,7 +293,7 @@ def form_moments(
         workspace = _Workspace(plans, block_rows)
         return lambda index, y: workspace.gram(y, centre)
 
-    return Moments(centre, draw_chunks(readout @ factor, seed, count, make_consumer, workers))
+    return Moments(centre, draw_chunks(readout @ factor, seed, count, make_consumer))
 
 
 def cross_estimates(

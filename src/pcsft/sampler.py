@@ -61,21 +61,22 @@ MAX_SAMPLES = CHUNK_SIZE * 2**56
 # so the tiling sets the rounding of every estimate, and the report bytes.
 _BLOCK_ROWS = 4096
 
+# Rows of one block product call.  OpenBLAS runs 768 rows by an up to
+# 8 × 8 transform on the calling thread.  Slices equal the whole-block
+# product bit for bit on every kernel tested (512 did not on Haswell).  A
+# 1-row rest joins the last slice: numpy multiplies a single row by another
+# routine, which rounds differently.
+_PRODUCT_ROWS = 768
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count for chunk-parallel generation.
 
-    Explicit argument wins; otherwise the PCSFT_THREADS environment
-    variable, capped at the CPUs this process may run on (its affinity
-    set where the OS reports one, else the CPU count), and by default
-    that number.  Results never depend on the resolved value.
+def resolve_workers() -> int:
+    """Worker count for chunk-parallel generation: the PCSFT_THREADS
+    environment variable, capped at the CPUs this process may run on (its
+    affinity set where the OS reports one, else the CPU count), and by
+    default that number.  Results never depend on it.
     """
-    if workers is not None:
-        return max(1, int(workers))
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = max(1, os.cpu_count() or 1)
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     env = os.environ.get("PCSFT_THREADS")
     if env is None:
         return cpus
@@ -97,7 +98,6 @@ def draw_chunks(
     seed: int,
     count: int,
     make_consumer: Callable[[int], Callable[[int, np.ndarray], Any]],
-    workers: int | None = None,
 ) -> Any:
     """Draw ``count`` samples block by block, hand each block over, and
     return the sum of what the consumers return, in block-index order.
@@ -108,21 +108,21 @@ def draw_chunks(
     the next ``CHUNK_SIZE`` chunk until none is left and fills it in
     blocks of ``block_rows`` rows, in two buffers it reuses: the normals
     w, then ``y = w @ transform^T / sqrt(2)`` (shape (rows, m) for an
-    (m, n) transform, w having n columns).  It calls
-    ``consume(index, y)`` for block ``index``, which starts at sample
-    ``index * block_rows`` (only the last block may be shorter); the
-    consumer may overwrite ``y``, and the worker overwrites it after the
-    call returns.  Calls of different workers run concurrently on disjoint
-    blocks; the values a block carries never depend on the worker count.
-    A consumer returns its block's part of the total (a float or an
-    array; None adds nothing).  The total starts at 0.0 and adds each
-    part, under the lock that hands out the chunks, once every earlier
-    block's part is in; an early part waits, so the total is the serial
-    in-order sum, bit for bit.  Memory is two buffers per worker, whatever
-    ``count``, plus the consumers' and the waiting parts.  If a worker
-    raises, the others stop at their next chunk and the first worker's
-    exception, in worker order, is re-raised.  The count and the seed are
-    checked before any worker starts.
+    (m, n) transform, w having n columns), in slices of ``_PRODUCT_ROWS``
+    rows.  It calls ``consume(index, y)`` for block ``index``, which
+    starts at sample ``index * block_rows`` (only the last block may be
+    shorter); the consumer may overwrite ``y``, and the worker overwrites
+    it after the call returns.  Calls of different workers run
+    concurrently on disjoint blocks; the values a block carries never
+    depend on the worker count.  A consumer returns its block's part of
+    the total (a float or an array; None adds nothing).  The total starts
+    at 0.0 and adds each part, under the lock that hands out the chunks,
+    once every earlier block's part is in; an early part waits, so the
+    total is the serial in-order sum, bit for bit.  Memory is two buffers
+    per worker, whatever ``count``, plus the consumers' and the waiting
+    parts.  If a worker raises, the others stop at their next chunk and
+    the first worker's exception, in worker order, is re-raised.  The
+    count and the seed are checked before any worker starts.
     """
     if not 1 <= count <= MAX_SAMPLES:
         raise ValueError(f"count must be in [1, {MAX_SAMPLES}], got {count}")
@@ -166,7 +166,9 @@ def draw_chunks(
                 for offset in range(0, size, _BLOCK_ROWS):
                     rows = min(_BLOCK_ROWS, size - offset)
                     gen.standard_normal(out=w[:rows].view(np.float64))
-                    np.matmul(w[:rows], ft, out=phi[:rows])
+                    for lo in range(0, max(rows - 1, 1), _PRODUCT_ROWS):
+                        hi = rows if rows - lo <= _PRODUCT_ROWS + 1 else lo + _PRODUCT_ROWS
+                        np.matmul(w[lo:hi], ft, out=phi[lo:hi])
                     index = (start + offset) // _BLOCK_ROWS
                     add(index, consume(index, phi[:rows]))
         except BaseException as exc:  # re-raised below, after every join
@@ -175,7 +177,7 @@ def draw_chunks(
             errors[slot] = exc
 
     # Worker 0 runs on the calling thread, the others on their own.
-    nworkers = min(resolve_workers(workers), nchunks)
+    nworkers = min(resolve_workers(), nchunks)
     errors: list[BaseException | None] = [None] * nworkers
     threads = [threading.Thread(target=work, args=(slot,)) for slot in range(1, nworkers)]
     for thread in threads:

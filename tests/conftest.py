@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from pcsft.hilbert import BipartiteState
@@ -20,9 +23,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def draw_samples(
-    cov: BlockCovariance, seed: int, count: int, workers: int | None = None
-) -> np.ndarray:
+@pytest.fixture
+def set_workers(monkeypatch):
+    """A function that makes the draws after it run ``n`` workers, through
+    PCSFT_THREADS, the one thread setting.  When the process may run on
+    fewer than ``n`` CPUs, it also widens the set os.sched_getaffinity
+    reports, which caps the setting."""
+
+    def use(n: int):
+        monkeypatch.setenv("PCSFT_THREADS", str(n))
+        if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < n:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return use
+
+
+def draw_samples(cov: BlockCovariance, seed: int, count: int) -> np.ndarray:
     """The joint (count, d1 + d2) samples draw_chunks draws through the
     covariance's factor, stored in order."""
     out = np.empty((count, cov.d1 + cov.d2), dtype=complex)
@@ -33,7 +49,7 @@ def draw_samples(
 
         return store
 
-    draw_chunks(factor_covariance(cov), seed, count, make_store, workers)
+    draw_chunks(factor_covariance(cov), seed, count, make_store)
     return out
 
 

@@ -1309,6 +1309,35 @@ class TestDeterminismAcrossCommands:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    def test_default_blas_threads_give_the_pinned_bytes(self, tmp_path):
+        # Fresh processes with two sampler workers each: with no BLAS thread
+        # variable set, OpenBLAS may start threads of its own, and the
+        # reports still equal those of BLAS pinned to one thread.
+        rng = np.random.default_rng(131)
+        state = write_state(tmp_path / "state.json", rand_state(rng, 4, 4).amplitudes)
+        a1 = write_operator(tmp_path / "a1.json", rand_selfadjoint(rng, 4))
+        a2 = write_operator(tmp_path / "a2.json", rand_selfadjoint(rng, 4))
+        runs = [
+            ["experiment", "--experiment=beamsplitter", "--statistics=boson", "--spin=half",
+             "--samples=20000"],
+            ["verify-identity", str(state), str(a1), str(a2), "--samples=20000"],
+        ]
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        default = {key: value for key, value in os.environ.items() if key not in blas}
+        default["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        default["PCSFT_THREADS"] = "2"
+        pinned = {**default, **dict.fromkeys(blas, "1")}
+        for argv in runs:
+            default_run, pinned_run = (
+                subprocess.run(
+                    [sys.executable, "-m", "pcsft.cli", *argv], env=env,
+                    capture_output=True, text=True, timeout=120,
+                )
+                for env in (default, pinned)
+            )
+            assert pinned_run.returncode == 0, pinned_run.stderr
+            assert default_run.stdout == pinned_run.stdout, argv
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["--version"])

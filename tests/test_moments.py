@@ -102,7 +102,7 @@ def test_needs_two_samples():
         moments.mean(0)
 
 
-def test_bit_identical_for_worker_counts_one_to_three():
+def test_bit_identical_for_worker_counts_one_to_three(set_workers):
     rng = np.random.default_rng(120)
     state = rand_state(rng, 3, 2)
     cov = build_covariance(state, epsilon_min(state) + 0.1)
@@ -114,7 +114,8 @@ def test_bit_identical_for_worker_counts_one_to_three():
     count = 2 * CHUNK_SIZE + 3 * _BLOCK_ROWS + 123  # three chunks
     results = []
     for workers in (1, 2, 3):
-        moments = form_moments(cov, seed=121, count=count, forms=forms, workers=workers)
+        set_workers(workers)
+        moments = form_moments(cov, seed=121, count=count, forms=forms)
         results.append(
             [moments.mean(i) for i in range(3)]
             + [moments.cov(i, j) for i in range(3) for j in range(3)]

@@ -15,7 +15,7 @@ import pcsft
 from pcsft.errors import DimensionError, SelfAdjointnessError
 from pcsft.hilbert import marginal_average, matricize, quantum_average_tensor
 from pcsft.covariance import BlockCovariance, build_covariance, epsilon_min, factor_covariance
-from pcsft.sampler import _BLOCK_ROWS, CHUNK_SIZE, draw_chunks
+from pcsft.sampler import _BLOCK_ROWS, _PRODUCT_ROWS, CHUNK_SIZE, _substream, draw_chunks
 from pcsft.quadratic import (
     QuadraticForm,
     analytic_cov,
@@ -392,7 +392,7 @@ class TestJointOperator:
             norms = [np.linalg.norm(d) * np.linalg.norm(form.operator) for form in terms]
             return max(1.0, np.prod(norms))
 
-        centre = form_moments(cov, seed=0, count=2, forms=forms, workers=1).centre
+        centre = form_moments(cov, seed=0, count=2, forms=forms).centre
         for form, joint, c in zip(forms, joints, centre):
             mean = np.trace(d @ joint).real
             assert abs(c - mean) <= 1e-12 * scale(form)
@@ -547,16 +547,18 @@ def all_estimates(moments, forms):
 
 
 class TestSampleForms:
-    def test_bit_identical_across_worker_counts(self):
+    def test_bit_identical_across_worker_counts(self, set_workers):
         cov, forms = random_dense_case(90)
         forms.append(QuadraticForm(operator=np.diag([0.5, 0.0, 2.0]), side=1))
-        single = form_moments(cov, seed=91, count=50_000, forms=forms, workers=1)
-        split = form_moments(cov, seed=91, count=50_000, forms=forms, workers=3)
+        set_workers(1)
+        single = form_moments(cov, seed=91, count=50_000, forms=forms)
+        set_workers(3)
+        split = form_moments(cov, seed=91, count=50_000, forms=forms)
         assert single.count == 50_000
         assert all_estimates(single, forms) == all_estimates(split, forms)
 
     @pytest.mark.parametrize("case", ["projectors", "dense"])
-    def test_columns_equal_batch_evaluation(self, case, monkeypatch):
+    def test_columns_equal_batch_evaluation(self, case, monkeypatch, set_workers):
         # The values form_moments folds, block by block, are each form's
         # complex definition on the samples draw_chunks draws.  One worker
         # hands the workspace the blocks in index order.
@@ -565,7 +567,8 @@ class TestSampleForms:
         else:
             cov, forms = random_dense_case(92)
         blocks = record_block_values(monkeypatch)
-        form_moments(cov, seed=93, count=40_000, forms=forms, workers=1)
+        set_workers(1)
+        form_moments(cov, seed=93, count=40_000, forms=forms)
         joint = draw_samples(cov, seed=93, count=40_000)
         for j, form in enumerate(forms):
             values = np.concatenate([block[j] for block in blocks])
@@ -621,9 +624,9 @@ class TestSampleForms:
             covs.append(cov)
             return real_factor(cov)
 
-        def recording_draw(transform, seed, count, make_consumer, workers):
+        def recording_draw(transform, seed, count, make_consumer):
             transforms.append(transform)
-            totals.append(real_draw(transform, seed, count, make_consumer, workers))
+            totals.append(real_draw(transform, seed, count, make_consumer))
             return totals[-1]
 
         monkeypatch.setattr(quadratic._Workspace, "__init__", recording_init)
@@ -701,7 +704,7 @@ class TestSampleForms:
             form_moments(cov, seed=0, count=100, forms=[form])
 
 
-def allocating_moments(cov, seed, count, forms, workers, centre):
+def allocating_moments(cov, seed, count, forms, centre):
     """form_moments as it was before the workspace: fresh arrays for every
     block, on the same readout, with the intensities y.real**2 + y.imag**2
     of each form's columns of the block y, weighted term by term, copied
@@ -723,7 +726,7 @@ def allocating_moments(cov, seed, count, forms, workers, centre):
         return rows @ rows.T
 
     factor = factor_covariance(cov)
-    gram = draw_chunks(readout @ factor, seed, count, lambda block_rows: consume, workers)
+    gram = draw_chunks(readout @ factor, seed, count, lambda block_rows: consume)
     return Moments(centre, gram)
 
 
@@ -820,6 +823,41 @@ def verify_case(d1, d2, seed):
     return cov, forms
 
 
+def sliced_block_mismatches() -> tuple[int, list]:
+    """(blocks, mismatches): every block draw_chunks hands over, for the
+    fermion/0 factor, the boson/half factor and a dense 4 × 4 readout,
+    against ``w @ ft`` computed whole from the same substream normals.
+    The counts end on a short block of four slices and a 320-row rest,
+    make one block of 1000 rows, and one whose 1-row rest joins the last
+    slice.  A mismatch names a block whose bytes differ."""
+    transforms = {
+        "fermion-0": factor_covariance(experiment_case("fermion", "0")[0]),
+        "boson-half": factor_covariance(experiment_case("boson", "half")[0]),
+    }
+    cov, forms = verify_case(4, 4, 118)
+    transforms["dense-4x4"] = _readout(forms, 4, 4)[0] @ factor_covariance(cov)
+    blocks, mismatches = [], []
+    for name, transform in transforms.items():
+        ft = transform.T * np.sqrt(0.5)
+        for count in (CHUNK_SIZE + 3392, 1000, 2 * _PRODUCT_ROWS + 1):
+            block_rows = min(_BLOCK_ROWS, count)
+            w = np.concatenate([
+                np.random.Generator(_substream(0, chunk))
+                .standard_normal((min(CHUNK_SIZE, count - start), 2 * len(ft)))
+                .view(complex)
+                for chunk, start in enumerate(range(0, count, CHUNK_SIZE))
+            ])
+
+            def check(index, phi):
+                whole = w[index * block_rows : index * block_rows + len(phi)] @ ft
+                blocks.append(index)
+                if phi.tobytes() != whole.tobytes():
+                    mismatches.append(f"{name}/{count}/{index}")
+
+            draw_chunks(transform, 0, count, lambda rows: check)
+    return len(blocks), mismatches
+
+
 class TestWorkspace:
     @pytest.mark.parametrize(
         "case",
@@ -834,14 +872,15 @@ class TestWorkspace:
         ],
         ids=["boson-0", "fermion-0", "boson-half", "fermion-half", "3x4", "4x4", "2x3"],
     )
-    def test_equals_the_allocating_fold_exactly(self, case):
+    def test_equals_the_allocating_fold_exactly(self, case, set_workers):
         # Same ufuncs, same order: every estimate is equal, not close.
         cov, forms = experiment_case(*case) if len(case) == 2 else verify_case(*case)
         count = 2 * CHUNK_SIZE + 3 * _BLOCK_ROWS + 123  # a short last block
         k = len(forms)
         for workers in (1, 2, 3):
-            fused = form_moments(cov, 107, count, forms, workers=workers)
-            reference = allocating_moments(cov, 107, count, forms, workers, fused.centre)
+            set_workers(workers)
+            fused = form_moments(cov, 107, count, forms)
+            reference = allocating_moments(cov, 107, count, forms, fused.centre)
             for moments in (fused, reference):
                 assert moments.count == count
             for i in range(k):
@@ -859,7 +898,7 @@ class TestWorkspace:
         real_draw = quadratic.draw_chunks
         extra = []
 
-        def measuring_draw(transform, seed, count, make_consumer, workers):
+        def measuring_draw(transform, seed, count, make_consumer):
             def make(block_rows):
                 consume = make_consumer(block_rows)
 
@@ -872,7 +911,7 @@ class TestWorkspace:
 
                 return measured
 
-            return real_draw(transform, seed, count, make, workers)
+            return real_draw(transform, seed, count, make)
 
         monkeypatch.setattr(quadratic, "draw_chunks", measuring_draw)
         mixed_cov, mixed_forms = random_dense_case(102)  # dense and diagonal
@@ -888,7 +927,7 @@ class TestWorkspace:
             extra.clear()
             tracemalloc.start()
             try:
-                form_moments(cov, seed=103, count=4 * _BLOCK_ROWS, forms=forms, workers=1)
+                form_moments(cov, seed=103, count=4 * _BLOCK_ROWS, forms=forms)
             finally:
                 tracemalloc.stop()
             assert len(extra) == 4
@@ -915,6 +954,34 @@ class TestBlasIndependence:
             assert child.returncode == 0, child.stderr
             digests[kernel] = child.stdout.strip()
         assert len(set(digests.values())) == 1, digests
+
+
+class TestProductSlices:
+    # draw_chunks computes each block's product in slices of _PRODUCT_ROWS
+    # rows, so that OpenBLAS keeps it on the worker's thread; the blocks
+    # it hands over must be the whole-block products, bit for bit.
+    def test_slices_equal_the_whole_product(self):
+        assert sliced_block_mismatches() == (21, [])
+
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="x86 kernels")
+    def test_slices_equal_the_whole_product_under_every_kernel(self):
+        # One child process per kernel, one at a time, as in
+        # TestBlasIndependence: the kernels round the product differently,
+        # but each rounds the slices as it rounds the whole block.
+        tests = str(Path(__file__).resolve().parent)
+        src = str(Path(pcsft.__file__).resolve().parent.parent)
+        probe = "import test_quadratic as t; blocks, bad = t.sliced_block_mismatches(); print(blocks, *bad)"
+        for kernel in openblas_coretypes():
+            env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
+            env.pop("OPENBLAS_CORETYPE", None)
+            if kernel is not None:
+                env["OPENBLAS_CORETYPE"] = kernel
+            child = subprocess.run(
+                [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert child.returncode == 0, child.stderr
+            assert child.stdout.split() == ["21"], kernel
 
 
 class TestFormKernel:
@@ -1010,7 +1077,9 @@ class TestFormKernel:
 
     @pytest.mark.parametrize("statistics", ["boson", "fermion"])
     @pytest.mark.parametrize("spin", ["0", "half"])
-    def test_experiment_forms_equal_per_form_weights(self, statistics, spin, monkeypatch):
+    def test_experiment_forms_equal_per_form_weights(
+        self, statistics, spin, monkeypatch, set_workers
+    ):
         # Each port form's values in form_moments are its weights times
         # its side's intensities added term by term, bit for bit; with 0/1
         # weights, at most two of them nonzero, that sum rounds once, so
@@ -1019,7 +1088,8 @@ class TestFormKernel:
         cov, forms = experiment_case(statistics, spin)
         count = CHUNK_SIZE + 2 * _BLOCK_ROWS + 77
         blocks = record_block_values(monkeypatch)
-        form_moments(cov, seed=111, count=count, forms=forms, workers=1)
+        set_workers(1)
+        form_moments(cov, seed=111, count=count, forms=forms)
         joint = draw_samples(cov, seed=111, count=count)
         sides = {1: slice(0, cov.d1), 2: slice(cov.d1, None)}
         for index, values in enumerate(blocks):

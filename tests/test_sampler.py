@@ -1,6 +1,7 @@
 """Seeded Gaussian sampling: factorization, moments, determinism."""
 
 import hashlib
+import inspect
 import sys
 import threading
 import tracemalloc
@@ -131,10 +132,12 @@ class TestDeterminism:
         b = draw_samples(cov, seed=46, count=40_000)
         assert np.array_equal(a, b)
 
-    def test_worker_split_equals_single_worker(self):
+    def test_worker_split_equals_single_worker(self, set_workers):
         cov = build_covariance(BELL_SINGLET, 0.3)
-        single = draw_samples(cov, seed=47, count=50_000, workers=1)
-        split = draw_samples(cov, seed=47, count=50_000, workers=4)
+        set_workers(1)
+        single = draw_samples(cov, seed=47, count=50_000)
+        set_workers(4)
+        split = draw_samples(cov, seed=47, count=50_000)
         assert np.array_equal(single, split)
 
     def test_seed_changes_stream(self):
@@ -224,10 +227,11 @@ def order_sensitive_part(index: int) -> float:
 
 
 class TestDrawChunks:
-    def test_blocks_tile_the_draw(self):
+    def test_blocks_tile_the_draw(self, set_workers):
         # Every worker's consumer is made for blocks of min(_BLOCK_ROWS,
         # count) rows, and block i holds the rows from i times that on.
         cov = build_covariance(BELL_SINGLET, 0.3)
+        set_workers(2)
         for count in (2 * CHUNK_SIZE + _BLOCK_ROWS + 7, _BLOCK_ROWS - 5):
             block_rows = min(_BLOCK_ROWS, count)
             made, blocks = [], []
@@ -236,14 +240,14 @@ class TestDrawChunks:
                 made.append(rows)
                 return lambda index, phi: blocks.append((index, len(phi)))
 
-            draw_chunks(factor_covariance(cov), 0, count, make_consumer, 2)
+            draw_chunks(factor_covariance(cov), 0, count, make_consumer)
             assert made == [block_rows] * min(2, -(-count // CHUNK_SIZE))
             assert sorted(blocks) == [
                 (index, min(block_rows, count - index * block_rows))
                 for index in range(-(-count // block_rows))
             ]
 
-    def test_parts_are_summed_in_block_order(self):
+    def test_parts_are_summed_in_block_order(self, set_workers):
         # Chunk 0's blocks return last, so every other part arrives early
         # and waits: the total is still the serial in-order sum, bit for
         # bit, for 1, 2 and 3 workers.
@@ -255,6 +259,7 @@ class TestDrawChunks:
         for index in range(nblocks):
             serial += order_sensitive_part(index)
         for workers in (1, 2, 3):
+            set_workers(workers)
             returned, rest_done = [], threading.Event()
 
             def consume(index, phi):
@@ -265,12 +270,12 @@ class TestDrawChunks:
                     rest_done.set()
                 return order_sensitive_part(index)
 
-            total = draw_chunks(factor_covariance(cov), 0, count, lambda rows: consume, workers)
+            total = draw_chunks(factor_covariance(cov), 0, count, lambda rows: consume)
             assert sorted(returned) == list(range(nblocks))
             assert returned.index(0) == (0 if workers == 1 else others)
             assert total == serial, workers
 
-    def test_concurrent_parts_lose_no_block(self):
+    def test_concurrent_parts_lose_no_block(self, set_workers):
         # More workers than cores, switching often: the array total counts
         # every block once and equals the serial in-order sum bit for bit.
         cov = build_covariance(BELL_SINGLET, 0.3)
@@ -284,8 +289,9 @@ class TestDrawChunks:
             return np.array([1.0, order_sensitive_part(index)])
 
         totals = []
+        set_workers(3)
         runner = threading.Thread(target=lambda: totals.extend(
-            draw_chunks(factor_covariance(cov), 0, count, lambda rows: consume, 3)
+            draw_chunks(factor_covariance(cov), 0, count, lambda rows: consume)
             for _ in range(3)
         ))
         interval = sys.getswitchinterval()
@@ -301,7 +307,7 @@ class TestDrawChunks:
             assert total[0] == nblocks
             assert total.tobytes() == serial.tobytes()
 
-    def test_parts_are_added_under_the_lock(self, monkeypatch):
+    def test_parts_are_added_under_the_lock(self, monkeypatch, set_workers):
         # Every lock records the thread that holds it, and every part checks
         # that the thread adding it to the total holds one, so an addition
         # outside draw_chunks' lock fails at once, however the threads run.
@@ -341,8 +347,9 @@ class TestDrawChunks:
         cov = build_covariance(BELL_SINGLET, 0.3)
         count = 2 * CHUNK_SIZE + _BLOCK_ROWS + 5  # 3 chunks, 10 blocks
         for workers in (2, 3):
+            set_workers(workers)
             total = draw_chunks(
-                factor_covariance(cov), 0, count, lambda rows: lambda i, phi: Part([i]), workers
+                factor_covariance(cov), 0, count, lambda rows: lambda i, phi: Part([i])
             )
             assert total.blocks == list(range(-(-count // _BLOCK_ROWS)))
 
@@ -356,7 +363,7 @@ class TestDrawChunks:
         assert made == []
         assert -(-MAX_SAMPLES // CHUNK_SIZE) == 2**56
 
-    def test_failure_stops_the_other_workers(self):
+    def test_failure_stops_the_other_workers(self, set_workers):
         cov = build_covariance(BELL_SINGLET, 0.3)
         seen = []
 
@@ -365,21 +372,23 @@ class TestDrawChunks:
             if index == CHUNK_SIZE // _BLOCK_ROWS:  # the first block of chunk 1
                 raise RuntimeError("consumer failed")
 
+        set_workers(2)
         with pytest.raises(RuntimeError, match="consumer failed"):
-            draw_chunks(factor_covariance(cov), 0, 16 * CHUNK_SIZE, lambda rows: consume, workers=2)
+            draw_chunks(factor_covariance(cov), 0, 16 * CHUNK_SIZE, lambda rows: consume)
         assert len(seen) < 16 * CHUNK_SIZE // _BLOCK_ROWS
 
 
 class TestBatchMemory:
-    def test_draw_hands_over_its_arrays(self):
+    def test_draw_hands_over_its_arrays(self, set_workers):
         # 200k spin-1/2 samples stored into one 25.6 MB array: draw_chunks
         # hands its blocks over, so the only other allocations are each
         # worker's two block buffers (1 MB).
         cov = experiment_cov("boson", "half")
         for workers in (1, 2):
+            set_workers(workers)
             tracemalloc.start()
             try:
-                joint = draw_samples(cov, seed=0, count=200_000, workers=workers)
+                joint = draw_samples(cov, seed=0, count=200_000)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -437,11 +446,22 @@ class TestWorkerResolution:
         monkeypatch.delenv("PCSFT_THREADS")
         assert resolve_workers() >= 1
 
-    def test_explicit_argument_wins(self, monkeypatch):
+    def test_env_variable_is_the_only_setting(self, set_workers):
+        # No function takes a worker count: PCSFT_THREADS alone sets how
+        # many workers a draw runs, each making its one consumer.
         from pcsft.sampler import resolve_workers
 
-        monkeypatch.setenv("PCSFT_THREADS", "8")
-        assert resolve_workers(3) == 3
+        for function in (resolve_workers, draw_chunks, form_moments):
+            assert "workers" not in inspect.signature(function).parameters
+        cov = build_covariance(BELL_SINGLET, 0.3)
+        for workers in (1, 2, 3):
+            set_workers(workers)
+            made = []
+            draw_chunks(
+                factor_covariance(cov), 0, 4 * CHUNK_SIZE,
+                lambda rows: made.append(rows) or (lambda index, phi: None),
+            )
+            assert made == [_BLOCK_ROWS] * workers
 
     def test_non_integer_env_names_variable(self, monkeypatch):
         from pcsft.errors import PcsftError
@@ -477,10 +497,11 @@ class TestWorkerResolution:
         monkeypatch.setenv("PCSFT_THREADS", "2")
         assert sampler.resolve_workers() == 1
 
-    def test_env_split_matches_serial(self, monkeypatch):
+    def test_env_split_matches_serial(self, set_workers):
         cov = build_covariance(BELL_SINGLET, 0.3)
-        serial = draw_samples(cov, seed=60, count=40_000, workers=1)
-        monkeypatch.setenv("PCSFT_THREADS", "4")
+        set_workers(1)
+        serial = draw_samples(cov, seed=60, count=40_000)
+        set_workers(4)
         split = draw_samples(cov, seed=60, count=40_000)
         assert np.array_equal(serial, split)
 
