@@ -141,12 +141,6 @@ class BipartiteState:
         return self.amplitudes.shape[1]
 
 
-def matricize(coeffs: np.ndarray) -> BipartiteState:
-    """Build a BipartiteState whose coefficient matrix is exactly ``coeffs``;
-    BipartiteState checks it."""
-    return BipartiteState(coeffs)
-
-
 def quantum_average_tensor(
     state: BipartiteState, a1: np.ndarray, a2: np.ndarray
 ) -> float:

@@ -61,12 +61,15 @@ MAX_SAMPLES = CHUNK_SIZE * 2**56
 # so the tiling sets the rounding of every estimate, and the report bytes.
 _BLOCK_ROWS = 4096
 
-# Rows of one block product call.  OpenBLAS runs 768 rows by an up to
-# 8 × 8 transform on the calling thread.  Slices equal the whole-block
-# product bit for bit on every kernel tested (512 did not on Haswell).  A
-# 1-row rest joins the last slice: numpy multiplies a single row by another
-# routine, which rounds differently.
-_PRODUCT_ROWS = 768
+
+def _product_rows(ft: np.ndarray) -> int:
+    """Rows of one block product call by an (n, m) ``ft``: the largest
+    multiple of 384 that keeps rows × m × n below 65536, and at least 384.
+    OpenBLAS keeps a complex product on the calling thread below that bound,
+    so transforms up to 13 × 13 start no BLAS thread; wider ones may.  Such
+    slices equal the whole-block product bit for bit on every kernel tested;
+    a 1-row rest joins the last slice, as numpy rounds a lone row differently."""
+    return max(1, 65535 // (384 * max(ft.size, 1))) * 384
 
 
 def resolve_workers() -> int:
@@ -108,11 +111,12 @@ def draw_chunks(
     the next ``CHUNK_SIZE`` chunk until none is left and fills it in
     blocks of ``block_rows`` rows, in two buffers it reuses: the normals
     w, then ``y = w @ transform^T / sqrt(2)`` (shape (rows, m) for an
-    (m, n) transform, w having n columns), in slices of ``_PRODUCT_ROWS``
-    rows.  It calls ``consume(index, y)`` for block ``index``, which
-    starts at sample ``index * block_rows`` (only the last block may be
-    shorter); the consumer may overwrite ``y``, and the worker overwrites
-    it after the call returns.  Calls of different workers run
+    (m, n) transform, w having n columns), in row slices of
+    ``_product_rows(ft)`` that OpenBLAS keeps on the worker's thread.  It
+    calls ``consume(index, y)`` for block ``index``, which starts at
+    sample ``index * block_rows`` (only the last block may be shorter);
+    the consumer may overwrite ``y``, and the worker overwrites it after
+    the call returns.  Calls of different workers run
     concurrently on disjoint blocks; the values a block carries never
     depend on the worker count.  A consumer returns its block's part of
     the total (a float or an array; None adds nothing).  The total starts
@@ -129,6 +133,7 @@ def draw_chunks(
     if not 0 <= seed < SEED_BOUND:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
     ft = transform.T * np.sqrt(0.5)
+    slice_rows = _product_rows(ft)
     nchunks = -(-count // CHUNK_SIZE)
     taken = 0  # chunks handed out so far
     total, summed, early = 0.0, 0, {}  # the sum of blocks [0, summed), parts waiting
@@ -166,8 +171,8 @@ def draw_chunks(
                 for offset in range(0, size, _BLOCK_ROWS):
                     rows = min(_BLOCK_ROWS, size - offset)
                     gen.standard_normal(out=w[:rows].view(np.float64))
-                    for lo in range(0, max(rows - 1, 1), _PRODUCT_ROWS):
-                        hi = rows if rows - lo <= _PRODUCT_ROWS + 1 else lo + _PRODUCT_ROWS
+                    for lo in range(0, max(rows - 1, 1), slice_rows):
+                        hi = rows if rows - lo <= slice_rows + 1 else lo + slice_rows
                         np.matmul(w[lo:hi], ft, out=phi[lo:hi])
                     index = (start + offset) // _BLOCK_ROWS
                     add(index, consume(index, phi[:rows]))

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from pcsft.hilbert import (
+    BipartiteState,
     marginal_average,
-    matricize,
     quantum_average_tensor,
     quantum_average_trace,
 )
@@ -220,8 +220,8 @@ def test_criterion_7_epsilon_positivity():
 
 def test_criterion_8_symmetry_suite():
     rng = np.random.default_rng(2008)
-    bosonic = matricize(np.array([[0.0, C], [C, 0.0]]))
-    fermionic = matricize(np.array([[0.0, C], [-C, 0.0]]))
+    bosonic = BipartiteState(np.array([[0.0, C], [C, 0.0]]))
+    fermionic = BipartiteState(np.array([[0.0, C], [-C, 0.0]]))
     sym_b = classify_symmetry(bosonic, tol=1e-12)
     sym_f = classify_symmetry(fermionic, tol=1e-12)
     ok = (
@@ -233,7 +233,7 @@ def test_criterion_8_symmetry_suite():
     for state, tag in ((bosonic, SymmetryTag.BOSONIC), (fermionic, SymmetryTag.FERMIONIC)):
         for _ in range(25):
             theta = float(rng.uniform(0.0, 2.0 * np.pi))
-            shifted = matricize(np.exp(1j * theta) * state.amplitudes)
+            shifted = BipartiteState(np.exp(1j * theta) * state.amplitudes)
             ok = ok and classify_symmetry(shifted, tol=1e-10).tag is tag
     report_line(
         8,
@@ -278,7 +278,7 @@ def test_criterion_9_channel_consistency():
 
 
 def test_criterion_10_cli_determinism(tmp_path, capsys):
-    singlet = matricize(np.array([[0.0, C], [-C, 0.0]]))
+    singlet = BipartiteState(np.array([[0.0, C], [-C, 0.0]]))
     from pcsft import serialize
 
     state_path = tmp_path / "state.json"

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from pcsft.errors import DimensionError
-from pcsft.hilbert import matricize, quantum_average_tensor
+from pcsft.hilbert import BipartiteState, quantum_average_tensor
 from pcsft.covariance import (
     BlockCovariance, build_covariance, epsilon_min, factor_covariance,
 )
@@ -271,7 +271,7 @@ class TestPropagate:
 
     def test_singlet_invariant_under_matched_rotations(self):
         c = 1.0 / np.sqrt(2.0)
-        singlet = matricize(np.array([[0.0, c], [-c, 0.0]]))
+        singlet = BipartiteState(np.array([[0.0, c], [-c, 0.0]]))
         h = Hamiltonian(h1=SIGMA_Z, h2=SIGMA_Z)
         proj_r = np.diag([1.0, 0.0]).astype(complex)
         proj_l = np.diag([0.0, 1.0]).astype(complex)

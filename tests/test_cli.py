@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pcsft.hilbert import matricize
+from pcsft.hilbert import BipartiteState
 from pcsft import serialize
 from pcsft import __version__
 from pcsft.cli import build_parser, main
@@ -36,7 +36,7 @@ PROJ_L = np.diag([0.0, 1.0])
 
 
 def write_state(path, amplitudes):
-    state = matricize(np.asarray(amplitudes, dtype=complex))
+    state = BipartiteState(np.asarray(amplitudes, dtype=complex))
     path.write_text(
         serialize.dumps_json(serialize.state_to_json(state)), encoding="utf-8"
     )
@@ -162,7 +162,7 @@ class TestVerifyIdentity:
 
         rng = np.random.default_rng(120)
         g = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        state = matricize(g / np.linalg.norm(g))
+        state = BipartiteState(g / np.linalg.norm(g))
         m1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         m2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         a1 = 0.5 * (m1 + m1.conj().T)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcsft.errors import DimensionError, NotPositiveError
-from pcsft.hilbert import matricize
+from pcsft.hilbert import BipartiteState
 from pcsft.covariance import (
     AUTO_EPSILON_MARGIN,
     BlockCovariance,
@@ -19,9 +19,9 @@ from pcsft.covariance import (
 from conftest import bisect_epsilon_min, rand_state, schmidt_states
 
 C = 1.0 / np.sqrt(2.0)
-BELL_SINGLET = matricize(np.array([[0.0, C], [-C, 0.0]]))
-BOSONIC = matricize(np.array([[0.0, C], [C, 0.0]]))
-PRODUCT = matricize(np.array([[1.0, 0.0], [0.0, 0.0]]))
+BELL_SINGLET = BipartiteState(np.array([[0.0, C], [-C, 0.0]]))
+BOSONIC = BipartiteState(np.array([[0.0, C], [C, 0.0]]))
+PRODUCT = BipartiteState(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 class TestBuildCovariance:
@@ -163,7 +163,7 @@ class TestClassifySymmetry:
         for state, tag in [(BOSONIC, SymmetryTag.BOSONIC), (BELL_SINGLET, SymmetryTag.FERMIONIC)]:
             for _ in range(10):
                 theta = float(rng.uniform(0, 2 * np.pi))
-                shifted = matricize(np.exp(1j * theta) * state.amplitudes)
+                shifted = BipartiteState(np.exp(1j * theta) * state.amplitudes)
                 assert classify_symmetry(shifted, tol=1e-10).tag is tag
 
     def test_generic_state_is_none(self):
@@ -184,7 +184,7 @@ class TestClassifySymmetry:
         # perturbation so the bosonic/fermionic gates cannot fire first.
         a = np.array([[0.0, C], [-C, 0.0]], dtype=complex)
         a[0, 1] *= np.exp(1j * 1e-8)
-        state = matricize(a / np.linalg.norm(a))
+        state = BipartiteState(a / np.linalg.norm(a))
         sym = classify_symmetry(state, tol=1e-6)
         assert sym.tag in (SymmetryTag.FERMIONIC, SymmetryTag.ANYONIC)
 

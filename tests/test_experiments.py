@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pcsft.hilbert import matricize, quantum_average_tensor
+from pcsft.hilbert import BipartiteState, quantum_average_tensor
 from pcsft.covariance import (
     SymmetryTag,
     build_covariance,
@@ -212,7 +212,7 @@ class TestFactorization:
             sign = -1.0 if variant == "sb5" else 1.0
             c = 1.0 / np.sqrt(2.0)
             space = np.array([[0.0, c], [sign * c, 0.0]], dtype=complex)
-            space_state = apply_to_state(UnitaryChannel(u1=u, u2=u), matricize(space))
+            space_state = apply_to_state(UnitaryChannel(u1=u, u2=u), BipartiteState(space))
             for x, px in (("R", np.diag([1.0, 0.0])), ("L", np.diag([0.0, 1.0]))):
                 for y, py in (("R", np.diag([1.0, 0.0])), ("L", np.diag([0.0, 1.0]))):
                     full = quantum_average_tensor(

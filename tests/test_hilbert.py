@@ -17,7 +17,6 @@ from pcsft.hilbert import (
     BipartiteState,
     as_real,
     marginal_average,
-    matricize,
     quantum_average_tensor,
     quantum_average_trace,
     require_observable,
@@ -35,29 +34,30 @@ PROJ_L = np.diag([0.0, 1.0]).astype(complex)
 
 
 class TestMatricize:
+    # A BipartiteState is its state's coefficient matrix, checked.
     def test_product_state(self):
-        state = matricize(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        state = BipartiteState(np.array([[1.0, 0.0], [0.0, 0.0]]))
         np.testing.assert_allclose(state.amplitudes, [[1, 0], [0, 0]])
         assert (state.d1, state.d2) == (2, 2)
 
     def test_symmetric_pair_state(self):
-        state = matricize(SYMMETRIC)
+        state = BipartiteState(SYMMETRIC)
         np.testing.assert_allclose(state.amplitudes, SYMMETRIC)
 
     def test_antisymmetric_pair_state(self):
-        state = matricize(SINGLET)
+        state = BipartiteState(SINGLET)
         np.testing.assert_allclose(state.amplitudes, SINGLET)
 
     def test_rejects_unnormalized_without_flag(self):
         with pytest.raises(NormalizationError):
-            matricize(np.array([[1.0, 1.0], [0.0, 0.0]]))
+            BipartiteState(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(DimensionError):
-            matricize(np.zeros((0, 2)))
+            BipartiteState(np.zeros((0, 2)))
 
     def test_stored_matrix_is_readonly(self):
-        state = matricize(SINGLET)
+        state = BipartiteState(SINGLET)
         with pytest.raises(ValueError):
             state.amplitudes[0, 0] = 1.0
 
@@ -90,17 +90,17 @@ class TestConjugationOperations:
 
 class TestQuantumAverages:
     def test_singlet_same_port(self):
-        state = matricize(SINGLET)
+        state = BipartiteState(SINGLET)
         assert abs(quantum_average_tensor(state, PROJ_R, PROJ_R)) < 1e-15
         assert abs(quantum_average_trace(state, PROJ_R, PROJ_R)) < 1e-15
 
     def test_singlet_opposite_ports(self):
-        state = matricize(SINGLET)
+        state = BipartiteState(SINGLET)
         assert quantum_average_tensor(state, PROJ_R, PROJ_L) == pytest.approx(0.5)
         assert quantum_average_trace(state, PROJ_R, PROJ_L) == pytest.approx(0.5)
 
     def test_product_eigenstate(self):
-        state = matricize(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        state = BipartiteState(np.array([[1.0, 0.0], [0.0, 0.0]]))
         assert quantum_average_tensor(state, PROJ_R, PROJ_R) == pytest.approx(1.0)
 
     def test_identity_pair_gives_norm(self):
@@ -131,7 +131,7 @@ class TestQuantumAverages:
                 assert abs(lhs - rhs) <= 1e-10
 
     def test_rejects_non_selfadjoint(self):
-        state = matricize(SINGLET)
+        state = BipartiteState(SINGLET)
         with pytest.raises(SelfAdjointnessError):
             quantum_average_tensor(state, np.array([[0.0, 1.0], [0.0, 0.0]]), PROJ_R)
 
@@ -173,11 +173,11 @@ class TestRequireObservable:
 
 class TestMarginalAverage:
     def test_singlet_marginal_is_half(self):
-        state = matricize(SINGLET)
+        state = BipartiteState(SINGLET)
         assert marginal_average(state, PROJ_R, 1) == pytest.approx(0.5)
 
     def test_product_state_marginal(self):
-        state = matricize(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        state = BipartiteState(np.array([[1.0, 0.0], [0.0, 0.0]]))
         assert marginal_average(state, PROJ_R, 1) == pytest.approx(1.0)
 
     def test_identity_on_side_two(self):
@@ -199,7 +199,7 @@ class TestMarginalAverage:
             )
 
     def test_dimension_mismatch(self):
-        state = matricize(SINGLET)
+        state = BipartiteState(SINGLET)
         with pytest.raises(DimensionError):
             marginal_average(state, np.eye(3), 1)
 

@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import pcsft
 from pcsft.errors import DimensionError, SelfAdjointnessError
-from pcsft.hilbert import marginal_average, matricize, quantum_average_tensor
+from pcsft.hilbert import BipartiteState, marginal_average, quantum_average_tensor
 from pcsft.covariance import BlockCovariance, build_covariance, epsilon_min, factor_covariance
-from pcsft.sampler import _BLOCK_ROWS, _PRODUCT_ROWS, CHUNK_SIZE, _substream, draw_chunks
+from pcsft.sampler import _BLOCK_ROWS, CHUNK_SIZE, _product_rows, _substream, draw_chunks
 from pcsft.quadratic import (
     QuadraticForm,
     analytic_cov,
@@ -63,7 +63,7 @@ def _complex_values(phi, operator, conjugate):
     return np.einsum("nk,nk->n", psi @ operator.T, np.conj(psi)).real
 
 C = 1.0 / np.sqrt(2.0)
-BELL_SINGLET = matricize(np.array([[0.0, C], [-C, 0.0]]))
+BELL_SINGLET = BipartiteState(np.array([[0.0, C], [-C, 0.0]]))
 PROJ_R = np.diag([1.0, 0.0]).astype(complex)
 PROJ_L = np.diag([0.0, 1.0]).astype(complex)
 
@@ -143,7 +143,7 @@ class TestEvalForm:
             )
 
     def test_dimension_mismatch(self):
-        cov = build_covariance(matricize(np.array([[1.0], [0.0]])), 0.3)
+        cov = build_covariance(BipartiteState(np.array([[1.0], [0.0]])), 0.3)
         form = QuadraticForm(operator=np.eye(2), side=2)
         with pytest.raises(DimensionError):
             form_moments(cov, seed=0, count=10, forms=[form])
@@ -188,7 +188,7 @@ class TestRenormalizedMean:
         )
 
     def test_zero_epsilon_is_identity(self):
-        state = matricize(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        state = BipartiteState(np.array([[1.0, 0.0], [0.0, 0.0]]))
         cov = build_covariance(state, 0.0)
         form = QuadraticForm(operator=PROJ_R, side=1)
         assert renormalized_mean(cov, form) == _block_mean(cov, form).real
@@ -288,7 +288,7 @@ class TestAnalyticCov:
         v = rand_complex(rng, 2)
         v /= np.linalg.norm(v)
         g = np.outer(u, v)
-        state = matricize(g / np.linalg.norm(g))
+        state = BipartiteState(g / np.linalg.norm(g))
         cov = build_covariance(state, epsilon_min(state) + 0.05)
         a1 = rand_selfadjoint(rng, 3)
         a2 = rand_selfadjoint(rng, 2)
@@ -438,7 +438,7 @@ class TestJointOperator:
             raise AssertionError("drew samples")
 
         monkeypatch.setattr(quadratic, "draw_chunks", no_draw)
-        cov = build_covariance(matricize(np.array([[1.0], [0.0]])), 0.3)
+        cov = build_covariance(BipartiteState(np.array([[1.0], [0.0]])), 0.3)
         f1 = QuadraticForm(operator=PROJ_R, side=1)
         f2 = QuadraticForm(operator=np.eye(2), side=2)
         with pytest.raises(DimensionError, match=r"operator dim 2 != d2 = 1"):
@@ -760,13 +760,16 @@ print(digest.hexdigest())
 
 def openblas_coretypes():
     """OpenBLAS kernels to force in turn: the host's own (None), two
-    without FMA, and the FMA ones the CPU flags allow; five at most."""
+    without AVX, Sandybridge (AVX without FMA) and the FMA ones, each where
+    the CPU flags allow it; six at most."""
     try:
         lines = Path("/proc/cpuinfo").read_text().splitlines()
     except OSError:
         lines = []
     flags = set(next((line.split() for line in lines if line.startswith("flags")), []))
     kernels = [None, "Nehalem", "Katmai"]
+    if "avx" in flags:
+        kernels.append("Sandybridge")
     if {"avx2", "fma"} <= flags:
         kernels.append("Haswell")
     if "avx512f" in flags:
@@ -825,21 +828,27 @@ def verify_case(d1, d2, seed):
 
 def sliced_block_mismatches() -> tuple[int, list]:
     """(blocks, mismatches): every block draw_chunks hands over, for the
-    fermion/0 factor, the boson/half factor and a dense 4 × 4 readout,
+    fermion/0 factor (4 modes), the boson/half factor and a dense 4 × 4
+    readout (8), a dense 5 × 5 readout (10) and a 6 × 7 factor (13),
     against ``w @ ft`` computed whole from the same substream normals.
-    The counts end on a short block of four slices and a 320-row rest,
-    make one block of 1000 rows, and one whose 1-row rest joins the last
-    slice.  A mismatch names a block whose bytes differ."""
+    The counts end on a short block of whole slices and a rest, make one
+    block of 1000 rows, and one whose 1-row rest joins the last of the
+    transform's slices.  A mismatch names a block whose bytes differ."""
     transforms = {
         "fermion-0": factor_covariance(experiment_case("fermion", "0")[0]),
         "boson-half": factor_covariance(experiment_case("boson", "half")[0]),
+        "factor-6x7": factor_covariance(
+            build_covariance(rand_state(np.random.default_rng(119), 6, 7), "auto")
+        ),
     }
-    cov, forms = verify_case(4, 4, 118)
-    transforms["dense-4x4"] = _readout(forms, 4, 4)[0] @ factor_covariance(cov)
+    for d, seed in ((4, 118), (5, 120)):
+        cov, forms = verify_case(d, d, seed)
+        transforms[f"dense-{d}x{d}"] = _readout(forms, d, d)[0] @ factor_covariance(cov)
     blocks, mismatches = [], []
     for name, transform in transforms.items():
         ft = transform.T * np.sqrt(0.5)
-        for count in (CHUNK_SIZE + 3392, 1000, 2 * _PRODUCT_ROWS + 1):
+        step = _product_rows(ft)
+        for count in (CHUNK_SIZE + 3392, 1000, (_BLOCK_ROWS - 1) // step * step + 1):
             block_rows = min(_BLOCK_ROWS, count)
             w = np.concatenate([
                 np.random.Generator(_substream(0, chunk))
@@ -957,11 +966,12 @@ class TestBlasIndependence:
 
 
 class TestProductSlices:
-    # draw_chunks computes each block's product in slices of _PRODUCT_ROWS
-    # rows, so that OpenBLAS keeps it on the worker's thread; the blocks
-    # it hands over must be the whole-block products, bit for bit.
+    # draw_chunks computes each block's product in slices of
+    # _product_rows(ft) rows, so that OpenBLAS keeps it on the worker's
+    # thread; the blocks it hands over must be the whole-block products,
+    # bit for bit.
     def test_slices_equal_the_whole_product(self):
-        assert sliced_block_mismatches() == (21, [])
+        assert sliced_block_mismatches() == (35, [])
 
     @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="x86 kernels")
     def test_slices_equal_the_whole_product_under_every_kernel(self):
@@ -981,7 +991,7 @@ class TestProductSlices:
                 [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
             )
             assert child.returncode == 0, child.stderr
-            assert child.stdout.split() == ["21"], kernel
+            assert child.stdout.split() == ["35"], kernel
 
 
 class TestFormKernel:

@@ -9,16 +9,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pcsft.hilbert import matricize
+from pcsft.hilbert import BipartiteState
 from pcsft.covariance import BlockCovariance, build_covariance, epsilon_min, factor_covariance
-from pcsft.sampler import _BLOCK_ROWS, CHUNK_SIZE, MAX_SAMPLES, _substream, draw_chunks
+from pcsft.sampler import (
+    _BLOCK_ROWS,
+    CHUNK_SIZE,
+    MAX_SAMPLES,
+    _product_rows,
+    _substream,
+    draw_chunks,
+)
 from pcsft.quadratic import QuadraticForm, form_moments
 from pcsft.channels import UnitaryChannel, apply_to_state
 from pcsft.experiments import beamsplitter_unitary
 from conftest import draw_samples, rand_selfadjoint, rand_state
 
 C = 1.0 / np.sqrt(2.0)
-BELL_SINGLET = matricize(np.array([[0.0, C], [-C, 0.0]]))
+BELL_SINGLET = BipartiteState(np.array([[0.0, C], [-C, 0.0]]))
 
 
 def experiment_cov(statistics: str, spin: str) -> BlockCovariance:
@@ -53,7 +60,7 @@ class TestFactorCovariance:
             s = rng.uniform(0.0, 1.0, size=2)
             psi = np.zeros((2, 3))
             psi[[0, 1], [0, 1]] = s / np.linalg.norm(s)
-            state = matricize(psi)
+            state = BipartiteState(psi)
             for shift in EPSILON_SHIFTS:
                 cov = build_covariance(state, epsilon_min(state) + shift)
                 f = factor_covariance(cov)
@@ -376,6 +383,36 @@ class TestDrawChunks:
         with pytest.raises(RuntimeError, match="consumer failed"):
             draw_chunks(factor_covariance(cov), 0, 16 * CHUNK_SIZE, lambda rows: consume)
         assert len(seen) < 16 * CHUNK_SIZE // _BLOCK_ROWS
+
+
+class TestProductRows:
+    # Each block product runs in slices of the largest multiple of 384
+    # rows that keeps rows × m × n below 65536, OpenBLAS's single-thread
+    # bound, and of never fewer than 384 rows.
+    @pytest.mark.parametrize("modes", range(2, 14))
+    def test_slices_stay_below_the_single_thread_bound(self, modes):
+        rows = _product_rows(np.empty((modes, modes)))
+        assert rows % 384 == 0
+        assert rows * modes * modes < 65536 <= (rows + 384) * modes * modes
+
+    def test_eight_modes_keep_768_rows_and_wider_transforms_384(self):
+        assert _product_rows(np.empty((8, 8))) == 768
+        for modes in (14, 15, 20, 64):
+            assert _product_rows(np.empty((modes, modes))) == 384
+
+    def test_draw_multiplies_in_slices_and_joins_a_1_row_rest(self, monkeypatch, set_workers):
+        # 10 modes: 384-row slices.  A full block ends on a 256-row slice;
+        # a 769-row block on 385 rows, not on a lone row.
+        set_workers(1)
+        calls, matmul = [], np.matmul
+
+        def spy(a, b, out):
+            calls.append(len(a))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        draw_chunks(np.eye(10), 0, _BLOCK_ROWS + 769, lambda rows: lambda index, phi: None)
+        assert calls == [384] * 10 + [256] + [384, 385]
 
 
 class TestBatchMemory:

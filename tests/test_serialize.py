@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pcsft.errors import InteractionError, SchemaError
-from pcsft.hilbert import matricize
+from pcsft.hilbert import BipartiteState
 from pcsft.covariance import build_covariance
 from pcsft.experiments import report_to_csv_rows, report_to_json, run_beamsplitter
 from pcsft import serialize
@@ -180,7 +180,7 @@ class TestStateFileHelpers:
             serialize.load_json_file(path, "state")
 
     def test_full_state_file_roundtrip(self, tmp_path):
-        state = matricize(np.array([[0.0, C], [-C, 0.0]]))
+        state = BipartiteState(np.array([[0.0, C], [-C, 0.0]]))
         path = tmp_path / "state.json"
         path.write_text(
             serialize.dumps_json(serialize.state_to_json(state)), encoding="utf-8"
