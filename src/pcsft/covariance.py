@@ -151,7 +151,6 @@ def factor_covariance(cov: BlockCovariance) -> np.ndarray:
 class SymmetryTag(enum.Enum):
     BOSONIC = "Bosonic"
     FERMIONIC = "Fermionic"
-    ANYONIC = "Anyonic"
     NONE = "None"
 
 
@@ -159,13 +158,12 @@ class SymmetryTag(enum.Enum):
 class SymmetryClass:
     """Exchange-symmetry classification of a bi-signal / state.
 
-    residual is the max-norm defect of the best-fitting condition;
-    theta is set only for the anyonic tag.
+    residual is the max-norm defect of the condition the tag names; for
+    the none tag, of the condition nearer in Frobenius norm.
     """
 
     tag: SymmetryTag
     residual: float
-    theta: float | None = None
 
 
 def epsilon_min(state: BipartiteState) -> float:
@@ -189,14 +187,15 @@ def build_covariance(state: BipartiteState, epsilon: float | str) -> BlockCovari
 
 
 def classify_symmetry(state: BipartiteState, tol: float) -> SymmetryClass:
-    """Classify the exchange symmetry of a state's coefficient matrix.
+    """Classify the exchange symmetry of a state's coefficient matrix ψ.
 
-    Bosonic when the matrix is symmetric within tol (max-norm), fermionic
-    when antisymmetric, anyonic when it equals e^{i theta} times its
-    transpose for the least-squares-aligned theta, otherwise none.  For a
-    nonzero matrix an exact anyonic relation forces e^{2 i theta} = 1, so
-    only theta in {0, pi} (i.e. the bosonic/fermionic cases) occur
-    exactly; the anyonic branch can still fire on near-degenerate input.
+    Bosonic when ψ is symmetric within tol (max-norm), fermionic when
+    antisymmetric, otherwise none.  No other exchange phase needs a class:
+    ψ = e^{iθ} ψᵀ forces e^{2iθ} = 1 for a nonzero ψ.  Since
+    ||ψ ∓ ψᵀ||²_F = 2||ψ||²_F ∓ 2 Tr(ψ ψ̄), with Tr(ψ ψ̄) =
+    Σ_ij ψ_ij conj(ψ_ji) real, a none state reports the defect of the
+    condition nearer in Frobenius norm: the symmetric one when
+    Re Tr(ψ ψ̄) >= 0, else the antisymmetric one.
     """
     if state.d1 != state.d2:
         raise DimensionError(
@@ -211,10 +210,5 @@ def classify_symmetry(state: BipartiteState, tol: float) -> SymmetryClass:
         if r_bos <= r_fer:
             return SymmetryClass(tag=SymmetryTag.BOSONIC, residual=r_bos)
         return SymmetryClass(tag=SymmetryTag.FERMIONIC, residual=r_fer)
-    overlap = complex(np.sum(psi * np.conj(psi.T)))
-    theta = float(np.angle(overlap)) % (2.0 * math.pi) if overlap != 0 else 0.0
-    r_any = float(np.max(np.abs(psi - np.exp(1j * theta) * psi.T)))
-    if r_any <= tol:
-        return SymmetryClass(tag=SymmetryTag.ANYONIC, residual=r_any, theta=theta)
-    return SymmetryClass(tag=SymmetryTag.NONE, residual=r_any)
-
+    bosonic_nearer = np.sum(psi * np.conj(psi.T)).real >= 0.0
+    return SymmetryClass(tag=SymmetryTag.NONE, residual=r_bos if bosonic_nearer else r_fer)

@@ -95,24 +95,6 @@ def input_state(statistics: str) -> BipartiteState:
     return BipartiteState(amp)
 
 
-def spin_state(variant: str) -> BipartiteState:
-    """Spin-1/2 bi-signal states on (C^2_space (x) C^2_int) per component.
-
-    sb5  = (|RL> - |LR>)/sqrt2 (x) (|+-> - |-+>)/sqrt2: both factors
-           antisymmetric, overall coefficient matrix symmetric (bosonic).
-    sb5k = (|RL> + |LR>)/sqrt2 (x) (|+-> - |-+>)/sqrt2: antisymmetric
-           overall (fermionic).
-    """
-    if variant not in ("sb5", "sb5k"):
-        raise ValueError(f"variant must be 'sb5' or 'sb5k', got {variant!r}")
-    space = input_state("fermion" if variant == "sb5" else "boson").amplitudes
-    spin = input_state("fermion").amplitudes
-    # Component index = 2 * space + internal (space major): amplitude of
-    # |x s> (x) |y t> is space[x, y] * spin[s, t].
-    amp = np.einsum("xy,st->xsyt", space, spin).reshape(4, 4)
-    return BipartiteState(amp)
-
-
 def intensity_observable(port: str, internal_dim: int, side: int) -> QuadraticForm:
     """Projector onto one output port, summed over internal indices.
 
@@ -130,13 +112,25 @@ def intensity_observable(port: str, internal_dim: int, side: int) -> QuadraticFo
 
 
 def _experiment_input(statistics: str, spin: str) -> tuple[BipartiteState, int]:
-    """The input state and the internal dimension of each component."""
+    """The input state and the internal dimension of each component.
+
+    The state is a space factor (x) an internal factor on C^2_space (x)
+    C^internal per component, space major.  At spin 0 the internal factor
+    is [[1]].  At spin 1/2 it is the antisymmetric pair (|+-> - |-+>)/sqrt2,
+    so the space factor takes the opposite symmetry and the product has
+    the symmetry of ``statistics``.
+    """
     if spin == "0":
-        return input_state(statistics), 1
-    if spin == "half":
-        variant = "sb5" if statistics == "boson" else "sb5k"
-        return spin_state(variant), 2
-    raise ValueError(f"spin must be '0' or 'half', got {spin!r}")
+        space, internal = statistics, np.ones((1, 1))
+    elif spin == "half":
+        # An unknown name passes through, for input_state to reject.
+        space = {"boson": "fermion", "fermion": "boson"}.get(statistics, statistics)
+        internal = input_state("fermion").amplitudes
+    else:
+        raise ValueError(f"spin must be '0' or 'half', got {spin!r}")
+    # Space major: the amplitude of |x s> (x) |y t> is space[x, y] * internal[s, t].
+    amp = np.einsum("xy,st->xsyt", input_state(space).amplitudes, internal)
+    return BipartiteState(amp.reshape(2 * len(internal), -1)), len(internal)
 
 
 def run_beamsplitter(

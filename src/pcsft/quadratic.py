@@ -206,32 +206,28 @@ class Moments:
     columns, read off ``gram``, the Gram matrix of [1, d, d²] summed over
     the rows, d = value - ``centre`` (k values).  Plain arithmetic on one
     matrix, with no lock: the sampler sums the per-block Grams in block
-    order.  The estimates move it onto the sample means once, by the exact
-    linear map d -> d - (mean - centre): they are the sample statistics
-    (the two-pass formulas) whatever the centre, which moves only their
-    rounding, least when it is near the means, as the analytic means are.
+    order.  The constructor moves the Gram onto the sample means once, by
+    the exact linear map d -> d - (mean - centre), and raises ValueError
+    below 2 samples; every estimate reads that one centred Gram.  They are
+    the sample statistics (the two-pass formulas) whatever the centre,
+    which moves only their rounding, least when it is near the means, as
+    the analytic means are.
     """
 
     def __init__(self, centre, gram: np.ndarray):
         self.centre = np.array(centre, dtype=float)
         self.k = len(self.centre)
-        self._gram = gram
-
-    @property
-    def count(self) -> int:
-        return int(self._gram[0, 0])
-
-    def _centred(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """(n, means, Gram matrix of [1, d, d²] with d = value - mean)."""
-        n = self.count
+        self.count = n = int(gram[0, 0])
         if n < 2:
             raise ValueError(f"need at least 2 samples, got {n}")
         # Sums of d about the centre, so the means are centre + offset.
-        offset = self._gram[0, 1 : 1 + self.k] / n
+        offset = gram[0, 1 : 1 + self.k] / n
         shift = _shift_map(-offset)
-        return n, self.centre + offset, shift @ self._gram @ shift.T
+        self._means = self.centre + offset
+        self._gram = shift @ gram @ shift.T
 
-    def _estimate(self, value, variance, n, analytic) -> Estimate:
+    def _estimate(self, value, variance, analytic) -> Estimate:
+        n = self.count
         return Estimate(
             value=float(value),
             std_error=float(np.sqrt(max(variance, 0.0) / n)),
@@ -242,8 +238,8 @@ class Moments:
     def mean(self, i: int, analytic: float | None = None) -> Estimate:
         """Sample mean of column i; the standard error is the
         Bessel-corrected standard deviation over sqrt(n)."""
-        n, means, gram = self._centred()
-        return self._estimate(means[i], gram[1 + i, 1 + i] / (n - 1), n, analytic)
+        variance = self._gram[1 + i, 1 + i] / (self.count - 1)
+        return self._estimate(self._means[i], variance, analytic)
 
     def cov(self, i: int, j: int, analytic: float | None = None) -> Estimate:
         """Sample covariance of columns i and j, with standard error.
@@ -254,12 +250,27 @@ class Moments:
         products over sqrt(n)).  Quadratic forms of Gaussians have finite
         fourth moments, so the CLT applies.
         """
-        n, _, gram = self._centred()
-        k = self.k
+        n, gram, k = self.count, self._gram, self.k
         products = gram[1 + i, 1 + j]
         squares = gram[1 + k + i, 1 + k + j]
         variance = (squares - products * products / n) / (n - 1)
-        return self._estimate(products / (n - 1), variance, n, analytic)
+        return self._estimate(products / (n - 1), variance, analytic)
+
+
+def _draw_moments(
+    cov: BlockCovariance, seed: int, count: int, forms: Sequence[QuadraticForm]
+) -> tuple[Moments, list[tuple[slice, np.ndarray]], np.ndarray]:
+    """form_moments, with the plans and C = R D R† it read the centres off."""
+    factor = factor_covariance(cov)
+    readout, plans, c = _readout_covariance(cov, forms)
+    centre = np.array([weights @ c.diagonal()[rows].real for rows, weights in plans])
+
+    def make_consumer(block_rows):
+        workspace = _Workspace(plans, block_rows)
+        return lambda index, y: workspace.gram(y, centre)
+
+    gram = draw_chunks(readout @ factor, seed, count, make_consumer)
+    return Moments(centre, gram), plans, c
 
 
 def form_moments(
@@ -285,15 +296,7 @@ def form_moments(
     each distinct form once; the result is bit-identical for any worker
     count.
     """
-    factor = factor_covariance(cov)
-    readout, plans, c = _readout_covariance(cov, forms)
-    centre = np.array([weights @ c.diagonal()[rows].real for rows, weights in plans])
-
-    def make_consumer(block_rows):
-        workspace = _Workspace(plans, block_rows)
-        return lambda index, y: workspace.gram(y, centre)
-
-    return Moments(centre, draw_chunks(readout @ factor, seed, count, make_consumer))
+    return _draw_moments(cov, seed, count, forms)[0]
 
 
 def cross_estimates(
@@ -303,10 +306,8 @@ def cross_estimates(
     """Entry [i][j]: the covariance of left[i] and right[j] on ``count``
     fresh samples of one form_moments draw, which checks every dimension
     before drawing, with its analytic value Σ_rs w_r w_s |C_rs|² attached,
-    every pair read off one C."""
-    forms = [*left, *right]
-    moments = form_moments(cov, seed, count, forms)
-    _, plans, c = _readout_covariance(cov, forms)
+    every pair read off the C the centres were read off."""
+    moments, plans, c = _draw_moments(cov, seed, count, [*left, *right])
     k = len(left)
     return [[moments.cov(i, k + j, _cov(c, plans[i], plans[k + j])) for j in range(len(right))]
             for i in range(k)]

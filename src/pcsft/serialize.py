@@ -180,7 +180,7 @@ def estimate_to_json(est: Estimate) -> dict:
 
 
 def symmetry_to_json(sym: SymmetryClass) -> dict:
-    return {"tag": sym.tag.value, "theta": sym.theta, "residual": sym.residual}
+    return {"tag": sym.tag.value, "residual": sym.residual}
 
 
 def dumps_json(payload: Any) -> str:

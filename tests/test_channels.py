@@ -228,6 +228,10 @@ class TestPropagate:
         out = apply_to_state(evolution_channel(h, 0.0), state)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
 
+    def test_hbar_must_be_positive(self):
+        with pytest.raises(ValueError, match="hbar must be positive, got 0.0"):
+            Hamiltonian(h1=SIGMA_Z, h2=SIGMA_Z, hbar=0.0)
+
     def test_exponential_is_unitary(self):
         rng = np.random.default_rng(92)
         for _ in range(30):

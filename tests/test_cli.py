@@ -530,6 +530,19 @@ class TestChannelCommand:
         state = serialize.state_from_json(json.loads(out_state.read_text()))
         assert states_equal_up_to_phase(state.amplitudes, SINGLET, tol=1e-12)
 
+    @pytest.mark.parametrize("amplitudes", [np.eye(2, 3) / np.sqrt(2), np.eye(3) / np.sqrt(3)],
+                             ids=["2x3", "3x3"])
+    def test_beamsplitter_preset_needs_equal_even_dimensions(self, tmp_path, capsys, amplitudes):
+        state = write_state(tmp_path / "state.json", amplitudes)
+        outputs = [tmp_path / "out_state.json", tmp_path / "out_cov.json"]
+        code = main(["channel", str(state), "beamsplitter5050",
+                     f"--output-state={outputs[0]}", f"--output-covariance={outputs[1]}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: field 'channel': beamsplitter5050 needs equal even dimensions\n"
+        assert captured.out == ""
+        assert not any(path.exists() for path in outputs)
+
     def test_epsilon_printed_is_the_covariance_epsilon(self, tmp_path, capsys):
         # epsilon_min = 0 for a product state; -5e-13 is within the
         # 1e-12 slack of build_covariance, which uses 0.0, and -0.0 prints

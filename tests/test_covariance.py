@@ -16,12 +16,33 @@ from pcsft.covariance import (
     classify_symmetry,
     epsilon_min,
 )
-from conftest import bisect_epsilon_min, rand_state, schmidt_states
+from conftest import bisect_epsilon_min, rand_complex, rand_state, schmidt_states
 
 C = 1.0 / np.sqrt(2.0)
 BELL_SINGLET = BipartiteState(np.array([[0.0, C], [-C, 0.0]]))
 BOSONIC = BipartiteState(np.array([[0.0, C], [C, 0.0]]))
 PRODUCT = BipartiteState(np.array([[1.0, 0.0], [0.0, 0.0]]))
+# The singlet with a relative phase of 1e-8 between its transposed entries.
+_TWISTED = np.array([[0.0, C * np.exp(1e-8j)], [-C, 0.0]])
+NEAR_ANYONIC = BipartiteState(_TWISTED / np.linalg.norm(_TWISTED))
+
+
+@st.composite
+def near_symmetric_states(draw, max_dim: int = 5):
+    """Square states: random, near-symmetric or near-antisymmetric (a
+    (anti)symmetric matrix plus a perturbation of random size), and the
+    near-anyonic fixture."""
+    kind = draw(st.sampled_from(["random", "symmetric", "antisymmetric", "near-anyonic"]))
+    if kind == "near-anyonic":
+        return NEAR_ANYONIC
+    if kind == "random":
+        return draw(schmidt_states(max_dim=max_dim, square=True))
+    d = draw(st.integers(2, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rand_complex(rng, d, d)
+    sign = 1.0 if kind == "symmetric" else -1.0
+    psi = g + sign * g.T + 10.0 ** draw(st.floats(-15.0, 0.0)) * rand_complex(rng, d, d)
+    return BipartiteState(psi / np.linalg.norm(psi))
 
 
 class TestBuildCovariance:
@@ -178,15 +199,36 @@ class TestClassifySymmetry:
             classify_symmetry(rand_state(rng, 2, 3), tol=1e-10)
 
     def test_anyonic_branch_recovers_theta(self):
-        # Near-anyonic input: symmetric magnitude pattern with an explicit
-        # relative phase between transposed entries.  Exact solutions only
-        # exist for theta in {0, pi}; feed theta = pi and a tiny symmetric
-        # perturbation so the bosonic/fermionic gates cannot fire first.
-        a = np.array([[0.0, C], [-C, 0.0]], dtype=complex)
-        a[0, 1] *= np.exp(1j * 1e-8)
-        state = BipartiteState(a / np.linalg.norm(a))
-        sym = classify_symmetry(state, tol=1e-6)
-        assert sym.tag in (SymmetryTag.FERMIONIC, SymmetryTag.ANYONIC)
+        # A near-anyonic input, the singlet with a relative phase of 1e-8
+        # between transposed entries, is fermionic: psi = e^{i theta} psiᵀ
+        # holds only for theta in {0, pi}, so no anyonic class exists.
+        sym = classify_symmetry(NEAR_ANYONIC, tol=1e-6)
+        assert sym.tag is SymmetryTag.FERMIONIC
+        assert sym.residual <= 1e-6
+
+    def test_tol_must_be_positive(self):
+        with pytest.raises(ValueError, match="tol must be positive, got 0.0"):
+            classify_symmetry(BOSONIC, tol=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(state=near_symmetric_states(), tol=st.sampled_from([1e-12, 1e-10, 1e-6]))
+    def test_only_bosonic_fermionic_or_none(self, state, tol):
+        # Tr(psi conj(psi)) = Σ_ij psi_ij conj(psi_ji) is real, so the
+        # only phase relations psi = e^{i theta} psiᵀ are theta = 0 and pi,
+        # and a none state reports the defect of the nearer of the two.
+        psi = state.amplitudes
+        overlap = np.sum(psi * np.conj(psi.T))
+        assert abs(overlap.imag) <= 1e-14
+        sym = classify_symmetry(state, tol=tol)
+        assert sym.tag in (SymmetryTag.BOSONIC, SymmetryTag.FERMIONIC, SymmetryTag.NONE)
+        if sym.tag is not SymmetryTag.NONE:
+            return
+        defects = [float(np.max(np.abs(psi - sign * psi.T))) for sign in (1, -1)]
+        distances = [np.linalg.norm(psi - sign * psi.T) for sign in (1, -1)]
+        if abs(distances[0] - distances[1]) <= 1e-12:  # a tie within rounding
+            assert sym.residual in defects
+        else:
+            assert sym.residual == defects[int(np.argmin(distances))]
 
 
 class TestBlockCovarianceValidation:

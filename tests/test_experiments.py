@@ -19,8 +19,8 @@ from pcsft.experiments import (
     beamsplitter_unitary,
     input_state,
     intensity_observable,
+    _experiment_input,
     run_beamsplitter,
-    spin_state,
 )
 
 SPIN0 = 1  # internal dimension of a component
@@ -62,32 +62,44 @@ class TestInputStates:
 
 
 class TestSpinStates:
+    """The spin-1/2 inputs, space factor (x) the antisymmetric internal
+    pair: sb5 is the bosonic one, sb5k the fermionic one."""
+
     def test_sb5_amplitudes(self):
-        state = spin_state("sb5")
+        state, internal_dim = _experiment_input("boson", "half")
         amp = state.amplitudes
         nonzero = np.abs(amp) > 0
+        assert internal_dim == SPIN_HALF
         assert nonzero.sum() == 4
         assert np.allclose(np.abs(amp[nonzero]), 0.5)
         assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0)
 
     def test_sb5_is_transpose_symmetric(self):
-        amp = spin_state("sb5").amplitudes
+        state, _ = _experiment_input("boson", "half")
+        amp = state.amplitudes
         assert np.max(np.abs(amp - amp.T)) == 0.0
-        assert classify_symmetry(spin_state("sb5"), 1e-12).tag is SymmetryTag.BOSONIC
+        assert classify_symmetry(state, 1e-12).tag is SymmetryTag.BOSONIC
 
     def test_sb5k_is_antisymmetric(self):
-        amp = spin_state("sb5k").amplitudes
+        state, _ = _experiment_input("fermion", "half")
+        amp = state.amplitudes
         assert np.max(np.abs(amp + amp.T)) == 0.0
-        assert classify_symmetry(spin_state("sb5k"), 1e-12).tag is SymmetryTag.FERMIONIC
+        assert classify_symmetry(state, 1e-12).tag is SymmetryTag.FERMIONIC
 
     def test_expected_nonzero_positions(self):
         # layout: index = 2*space + internal; entries at (R+,L-), (R-,L+),
         # (L+,R-), (L-,R+)
-        amp = spin_state("sb5").amplitudes
+        amp = _experiment_input("boson", "half")[0].amplitudes
         assert amp[0, 3] == pytest.approx(0.5)
         assert amp[1, 2] == pytest.approx(-0.5)
         assert amp[2, 1] == pytest.approx(-0.5)
         assert amp[3, 0] == pytest.approx(0.5)
+
+    def test_spin0_is_the_two_port_input(self):
+        for statistics in ("boson", "fermion"):
+            state, internal_dim = _experiment_input(statistics, "0")
+            assert internal_dim == SPIN0
+            assert np.array_equal(state.amplitudes, input_state(statistics).amplitudes)
 
 
 class TestIntensityObservable:
@@ -138,6 +150,15 @@ class TestRunBeamsplitterAnalytic:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             run_beamsplitter("fermion", n_samples=100)
+
+    def test_unknown_spin(self):
+        with pytest.raises(ValueError, match="spin must be '0' or 'half', got '1'"):
+            run_beamsplitter("boson", spin="1")
+
+    @pytest.mark.parametrize("spin", ["0", "half"])
+    def test_unknown_statistics(self, spin):
+        with pytest.raises(ValueError, match="statistics must be 'boson' or 'fermion', got 'anyon'"):
+            run_beamsplitter("anyon", spin=spin)
 
     def test_auto_epsilon_margin(self):
         report = run_beamsplitter("fermion", spin="0", seed=1, n_samples=1000)
@@ -204,12 +225,12 @@ class TestFactorization:
         # each g entry equals the 2x2 spatial tensor average times the
         # squared spin norm (= 1), checked against the 16-dim contraction.
         u = beamsplitter_unitary()
-        for variant, statistics in (("sb5", "boson"), ("sb5k", "fermion")):
-            state = spin_state(variant)
+        for statistics in ("boson", "fermion"):
+            state, _ = _experiment_input(statistics, "half")
             big = np.kron(u, np.eye(2, dtype=complex))
             out = apply_to_state(UnitaryChannel(u1=big, u2=big), state)
 
-            sign = -1.0 if variant == "sb5" else 1.0
+            sign = -1.0 if statistics == "boson" else 1.0
             c = 1.0 / np.sqrt(2.0)
             space = np.array([[0.0, c], [sign * c, 0.0]], dtype=complex)
             space_state = apply_to_state(UnitaryChannel(u1=u, u2=u), BipartiteState(space))

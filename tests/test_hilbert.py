@@ -56,6 +56,14 @@ class TestMatricize:
         with pytest.raises(DimensionError):
             BipartiteState(np.zeros((0, 2)))
 
+    def test_one_dimensional_rejected(self):
+        with pytest.raises(DimensionError, match=r"amplitudes must be a 2-d matrix, got shape \(2,\)"):
+            BipartiteState(np.array([1.0, 0.0]))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="amplitudes contains non-finite entries"):
+            BipartiteState(np.array([[1.0, np.nan], [0.0, 0.0]]))
+
     def test_stored_matrix_is_readonly(self):
         state = BipartiteState(SINGLET)
         with pytest.raises(ValueError):
@@ -202,6 +210,10 @@ class TestMarginalAverage:
         state = BipartiteState(SINGLET)
         with pytest.raises(DimensionError):
             marginal_average(state, np.eye(3), 1)
+
+    def test_unknown_side(self):
+        with pytest.raises(ValueError, match="side must be 1 or 2, got 3"):
+            marginal_average(BipartiteState(SINGLET), PROJ_R, side=3)
 
 
 def _value_type_args(name: str, rng: np.random.Generator) -> tuple[type, dict]:

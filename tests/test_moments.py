@@ -97,9 +97,26 @@ def test_matches_two_pass_formulas(values, spreads):
 
 
 def test_needs_two_samples():
-    moments = accumulate(np.array([[1.0]]), centre=[0.0])
     with pytest.raises(ValueError, match="at least 2 samples"):
-        moments.mean(0)
+        accumulate(np.array([[1.0]]), centre=[0.0])
+
+
+def test_shifts_the_gram_once(monkeypatch):
+    # The Gram moves onto the sample means once, when the Moments is
+    # built, however many estimates read it.
+    import pcsft.quadratic as quadratic
+
+    calls = []
+    real_shift_map = quadratic._shift_map
+    monkeypatch.setattr(
+        quadratic, "_shift_map", lambda delta: calls.append(delta) or real_shift_map(delta)
+    )
+    values = np.random.default_rng(122).standard_normal((100, 3))
+    moments = accumulate(values)
+    estimates = [moments.mean(i) for i in range(3)]
+    estimates += [moments.cov(i, j) for i in range(3) for j in range(3)]
+    assert len(calls) == 1
+    assert all(est.n == 100 for est in estimates)
 
 
 def test_bit_identical_for_worker_counts_one_to_three(set_workers):

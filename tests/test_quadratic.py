@@ -32,7 +32,6 @@ from pcsft.experiments import (
     beamsplitter_unitary,
     input_state,
     intensity_observable,
-    spin_state,
 )
 from conftest import (
     draw_samples,
@@ -477,9 +476,33 @@ class TestMcCov:
         cov = build_covariance(BELL_SINGLET, 0.3)
         f1 = QuadraticForm(operator=PROJ_R, side=1)
         f2 = QuadraticForm(operator=PROJ_R, side=2)
-        moments = form_moments(cov, 76, 1, [f1, f2])
-        with pytest.raises(ValueError):
-            moments.cov(0, 1)
+        with pytest.raises(ValueError, match="at least 2 samples, got 1"):
+            form_moments(cov, 76, 1, [f1, f2])
+
+    def test_cross_estimates_forms_c_once(self, monkeypatch):
+        # One draw's centres and every pair read one C = R D R†; the
+        # estimates are form_moments' with analytic_cov attached.
+        import pcsft.quadratic as quadratic
+
+        calls = []
+        real = quadratic._readout_covariance
+        monkeypatch.setattr(
+            quadratic, "_readout_covariance", lambda *args: calls.append(args) or real(*args)
+        )
+        cov, (f1, f2) = random_dense_case(80)
+        left = [f1, QuadraticForm(operator=np.diag([1.0, 0.0, 0.5]), side=1)]
+        right = [f2, QuadraticForm(operator=PROJ_L, side=2)]
+        estimates = quadratic.cross_estimates(cov, left, right, seed=81, count=5000)
+        assert len(calls) == 1
+        moments = form_moments(cov, 81, 5000, [*left, *right])
+        for i, f in enumerate(left):
+            for j, g in enumerate(right):
+                est, expected = estimates[i][j], moments.cov(i, len(left) + j)
+                assert (est.value, est.std_error, est.n) == (
+                    expected.value, expected.std_error, expected.n
+                )
+                # analytic_cov reads another readout's C: equal to rounding.
+                assert est.analytic == pytest.approx(analytic_cov(cov, f, g), abs=1e-14)
 
     def test_epsilon_invariance_within_errors(self):
         rng = np.random.default_rng(77)
@@ -503,6 +526,12 @@ class TestEstimate:
         with pytest.raises(ValueError):
             Estimate(value=0.0, std_error=0.0, n=1)
 
+    def test_rejects_negative_std_error(self):
+        from pcsft.quadratic import Estimate
+
+        with pytest.raises(ValueError, match="std_error must be nonnegative"):
+            Estimate(value=0.0, std_error=-1.0, n=2)
+
     def test_within_needs_analytic(self):
         from pcsft.quadratic import Estimate
 
@@ -519,7 +548,7 @@ def spin_half_projectors():
 
 def spin_half_cov():
     u = np.kron(beamsplitter_unitary(), np.eye(2))
-    state = apply_to_state(UnitaryChannel(u1=u, u2=u), spin_state("sb5"))
+    state = apply_to_state(UnitaryChannel(u1=u, u2=u), _experiment_input("boson", "half")[0])
     return build_covariance(state, epsilon_min(state) + 0.05)
 
 
