@@ -15,17 +15,20 @@ Each subcommand returns its report.  ``main`` adds ``version``, and
 ``inputs`` when files were read; renders it as UTF-8 JSON with sorted
 keys, or as CSV under ``--format csv``; writes it to ``--output``, or to
 stdout when that is absent or '-'; and exits 1 when the report's ``pass``
-is false, 2 on invalid input, 0 otherwise.  Every run is deterministic
-given its arguments, so reruns are byte-identical.
+is false, 2 on a rejected input (one ``error:`` line, parser errors
+included), 0 otherwise.  Every run is deterministic given its arguments,
+so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import math
+import reprlib
 import sys
 from pathlib import Path
 
@@ -36,7 +39,7 @@ from .channels import apply_to_state, evolution_channel
 from .covariance import (
     AUTO_EPSILON_MARGIN, SYMMETRY_TOL, build_covariance, classify_symmetry,
 )
-from .errors import NotPositiveError, PcsftError
+from .errors import REJECTED_INPUT, NotPositiveError, PcsftError
 from .experiments import (
     beamsplitter_channel,
     report_to_csv_rows,
@@ -74,39 +77,37 @@ def _load(inputs: dict, field: str, path: str, parse):
     return parse(document, field)
 
 
-def _check_options(args):
-    """Reject an invalid option, naming its field, before any file is read;
-    a subcommand checks the options it has.  --epsilon becomes 'auto' or a
-    finite number."""
-    options = vars(args)
-    for name, admissible, expected in (
-        ("samples", lambda v: MIN_SAMPLES <= v <= MAX_SAMPLES,
-         f"an integer in [{MIN_SAMPLES}, {MAX_SAMPLES}]"),
-        ("seed", lambda v: 0 <= v < SEED_BOUND, "an integer in [0, 2**64)"),
-        ("t", math.isfinite, "a finite number"),
-        ("tol", lambda v: 0 < v < math.inf, "a finite positive number"),
-    ):
-        if name in options and not admissible(value := options[name]):
-            raise PcsftError(f"field '{name}': expected {expected}, got {value}")
-    if (spec := options.get("epsilon", "auto")) != "auto":
-        try:
-            args.epsilon = float(spec)
-        except ValueError:
-            raise PcsftError(
-                f"field 'epsilon': expected a number or 'auto', got {spec!r}"
-            ) from None
-        if not math.isfinite(args.epsilon):
-            raise PcsftError(f"field 'epsilon': expected a finite number, got {spec!r}")
+def _checked(field: str, parse, admissible, expected: str):
+    """An argparse type: parse(text) if admissible, else a PcsftError naming ``field``."""
+    def convert(text: str):
+        with contextlib.suppress(ValueError):  # unparsable
+            if admissible(value := parse(text)):
+                return value
+        raise PcsftError(f"field '{field}': expected {expected}, got {reprlib.repr(text)}")
+    return convert
 
 
-# Options that several subcommands take, each defined once.  The summary
-# goes to stdout, so '-' is no file name for the transformed outputs.
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose own errors are rejected inputs, not exits."""
+
+    def error(self, message):
+        raise PcsftError(message)
+
+
+# Options that several subcommands take, each defined once with its rule.  The
+# summary goes to stdout, so '-' names no file for the transformed outputs.
 _OPTIONS = {
-    "--seed": dict(type=int, default=0, help="PRNG seed (default 0)"),
-    "--samples": dict(type=int, default=DEFAULT_SAMPLES,
-                      help="Monte Carlo sample count (default %(default)s)"),
-    "--epsilon": dict(default="auto", help="background level, a number or 'auto' "
-                      f"(the default: epsilon_min + {AUTO_EPSILON_MARGIN})"),
+    "--seed": dict(default=0, help="PRNG seed (default 0)", type=_checked(
+        "seed", int, lambda v: 0 <= v < SEED_BOUND, "an integer in [0, 2**64)")),
+    "--samples": dict(
+        default=DEFAULT_SAMPLES, help="Monte Carlo sample count (default %(default)s)",
+        type=_checked("samples", int, lambda v: MIN_SAMPLES <= v <= MAX_SAMPLES,
+                      f"an integer in [{MIN_SAMPLES}, {MAX_SAMPLES}]")),
+    "--epsilon": dict(
+        default="auto", help="background level, a number or 'auto' "
+        f"(the default: epsilon_min + {AUTO_EPSILON_MARGIN})",
+        type=_checked("epsilon", lambda s: s if s == "auto" else float(s),
+                      lambda v: v == "auto" or math.isfinite(v), "a number or 'auto'")),
     "--output": dict(help="output file (default or '-': stdout)"),
     "--output-state": dict(default="state_out.json",
                            help="state file (default %(default)s; '-' is refused)"),
@@ -242,7 +243,7 @@ def cmd_channel(args, inputs: dict) -> dict:
 
 @functools.cache  # one parser per process, shared by every in-process main()
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pcsft",
         description=(
             "Simulate classical Gaussian bi-signals that reproduce quantum "
@@ -276,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="exchange-symmetry class of a state")
     p.add_argument("state", help="state JSON file")
-    p.add_argument("--tol", type=float, default=SYMMETRY_TOL,
+    p.add_argument("--tol", type=_checked("tol", float, lambda v: 0 < v < math.inf,
+                                          "a finite positive number"), default=SYMMETRY_TOL,
                    help="max-norm tolerance of the symmetry conditions "
                         "(default %(default)s)")
     _add_options(p, "--output")
@@ -285,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("propagate", help="evolve a state for time t")
     p.add_argument("state", help="state JSON file")
     p.add_argument("hamiltonian", help="hamiltonian JSON file ({H1, H2, hbar})")
-    p.add_argument("--t", type=float, required=True, help="evolution time")
+    p.add_argument("--t", type=_checked("t", float, math.isfinite, "a finite number"),
+                   required=True, help="evolution time")
     _add_options(p, "--epsilon", "--output-state", "--output-covariance")
     p.set_defaults(func=cmd_propagate)
 
@@ -301,18 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand, apply the output rule (see the module
-    docstring) to the report it returns, and return the exit code."""
-    args = build_parser().parse_args(argv)
-    options = vars(args)
+    """Parse ``argv``, run its subcommand, apply the output rule (see the
+    module docstring) to the report it returns, and return the exit code."""
     inputs = {}
     try:
-        _check_options(args)
+        args = build_parser().parse_args(argv)
         report = args.func(args, inputs)
         report["version"] = __version__
         if inputs:
             report["inputs"] = inputs
-        if options.get("format") == "csv":
+        if getattr(args, "format", "json") == "csv":
             rows = report_to_csv_rows(report)
             buf = io.StringIO()
             writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
@@ -321,20 +322,16 @@ def main(argv=None) -> int:
             text = buf.getvalue()
         else:
             text = serialize.dumps_json(report)
-        output = options.get("output")
-        if output is None or output == "-":
+        if (output := getattr(args, "output", None)) in (None, "-"):
             sys.stdout.write(text)
         else:
             serialize.naming("output", Path(output).write_text, text, encoding="utf-8")
-    except PcsftError as exc:
+    except REJECTED_INPUT as exc:
         # A covariance built from a valid state fails its checks only
         # through --epsilon: below epsilon_min, or so large that the
         # factor's residual bound no longer holds in float64.
         field = "field 'epsilon': " if isinstance(exc, NotPositiveError) else ""
         print(f"error: {field}{exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return EXIT_PASS if report.get("pass", True) else EXIT_STAT_FAIL
 

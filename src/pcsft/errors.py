@@ -45,3 +45,6 @@ class SchemaError(PcsftError):
 
     The message names the offending field.
     """
+
+
+REJECTED_INPUT = (PcsftError, ValueError, OSError)  # what rejecting an input raises

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channels import Hamiltonian, UnitaryChannel
 from .covariance import BlockCovariance, SymmetryClass
-from .errors import InteractionError, PcsftError, SchemaError
+from .errors import REJECTED_INPUT, InteractionError, SchemaError
 from .hilbert import BipartiteState
 from .quadratic import Estimate
 
@@ -106,11 +106,11 @@ def _declared_matrix(
 
 
 def naming(field: str, call, *args, **kwargs):
-    """call(*args, **kwargs), turning its rejection of an input (a
-    PcsftError, ValueError or OSError) into a SchemaError naming ``field``."""
+    """call(*args, **kwargs), turning its rejection of an input (one of
+    REJECTED_INPUT) into a SchemaError naming ``field``."""
     try:
         return call(*args, **kwargs)
-    except (PcsftError, ValueError, OSError) as exc:
+    except REJECTED_INPUT as exc:
         raise SchemaError(f"field '{field}': {exc}") from exc
 
 

@@ -26,7 +26,8 @@ from pcsft.hilbert import BipartiteState
 from pcsft import serialize
 from pcsft import __version__
 from pcsft.cli import build_parser, main
-from pcsft.sampler import PRNG_ID
+from pcsft.quadratic import MIN_SAMPLES
+from pcsft.sampler import MAX_SAMPLES, PRNG_ID, SEED_BOUND
 from conftest import rand_selfadjoint, rand_state, states_equal_up_to_phase
 
 C = 1.0 / np.sqrt(2.0)
@@ -359,9 +360,8 @@ class TestExperimentCommand:
 
     def test_invalid_enum_exits_2(self, capsys):
         for experiment, statistics in (("beamsplitter", "anyon"), ("foo", "boson")):
-            with pytest.raises(SystemExit) as exc_info:
-                main(["experiment", "--experiment", experiment, "--statistics", statistics])
-            assert exc_info.value.code == 2
+            argv = ["experiment", "--experiment", experiment, "--statistics", statistics]
+            assert main(argv) == 2
 
     @pytest.mark.parametrize("epsilon", ["abc", "nan", "inf", ""])
     def test_invalid_epsilon_exits_2(self, epsilon, capsys):
@@ -397,6 +397,20 @@ class TestExperimentCommand:
         )
         capsys.readouterr()
         assert code == 1
+
+    @pytest.mark.parametrize("exc", [OSError("disk gone"), ValueError("no such value")])
+    def test_bare_error_of_a_subcommand_exits_2(self, monkeypatch, capsys, exc):
+        # An OSError or ValueError that no field wrapper named still
+        # rejects the input: one error line, exit 2.
+        import pcsft.cli as cli_module
+
+        def raising(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli_module, "run_beamsplitter", raising)
+        code = main(["experiment", "--experiment=beamsplitter", "--statistics=boson"])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {exc}\n")
 
 
 class TestClassifyCommand:
@@ -653,6 +667,36 @@ class TestChannelCommand:
         )
         assert code == 2
         assert "'epsilon'" in capsys.readouterr().err
+
+
+class TestNegativeValuesInExponentNotation:
+    """argparse reads a separate '-1e3' as a flag, so such a value is
+    given in the '--t=-1e3' form (README, "Command line")."""
+
+    @staticmethod
+    def outputs(tmp_path):
+        return [
+            f"--output-state={tmp_path / 'out_state.json'}",
+            f"--output-covariance={tmp_path / 'out_cov.json'}",
+        ]
+
+    def test_t_runs_in_the_equals_form(self, tmp_path, singlet_file, capsys):
+        ham = write_pair(tmp_path / "h.json", "H1", "H2", np.diag([1.0, -1.0]), np.eye(2))
+        argv = ["propagate", str(singlet_file), str(ham), *self.outputs(tmp_path)]
+        assert main([*argv, "--t=-1e3"]) == 0
+        assert json.loads(capsys.readouterr().out)["t"] == -1000.0
+        assert main([*argv, "--t", "-1e3"]) == 2
+        assert capsys.readouterr().err == "error: argument --t: expected one argument\n"
+
+    def test_epsilon_within_the_slack_below_zero_reports_zero(self, tmp_path, capsys):
+        # A product state has epsilon_min 0, and a level in
+        # [-EPSILON_SLACK, 0) is used, and reported, as 0.
+        state = write_state(tmp_path / "product.json", [[1.0, 0.0], [0.0, 0.0]])
+        identity = write_pair(tmp_path / "ch.json", "U1", "U2", np.eye(2), np.eye(2))
+        argv = ["channel", str(state), str(identity), *self.outputs(tmp_path)]
+        assert main([*argv, "--epsilon=-1e-13"]) == 0
+        assert json.loads(capsys.readouterr().out)["epsilon"] == 0.0
+        assert json.loads((tmp_path / "out_cov.json").read_text())["epsilon"] == 0.0
 
 
 # Every file operand of every command.
@@ -1300,6 +1344,140 @@ class TestOperandFuzz:
             f"--output-state={tmp_path / 'out_state.json'}",
             f"--output-covariance={tmp_path / 'out_cov.json'}",
         ]
+
+
+def parses(parse, text: str) -> bool:
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
+
+
+NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e999"])
+
+# Per value option, values its rule rejects: unparsable, out of range or
+# not finite.
+BAD_VALUES = {
+    "seed": st.one_of(
+        st.text().filter(lambda s: not parses(int, s)),
+        st.integers(max_value=-1).map(str),
+        st.integers(min_value=SEED_BOUND).map(str),
+    ),
+    "samples": st.one_of(
+        st.text().filter(lambda s: not parses(int, s)),
+        st.integers(max_value=MIN_SAMPLES - 1).map(str),
+        st.integers(min_value=MAX_SAMPLES + 1).map(str),
+    ),
+    "epsilon": st.one_of(
+        st.text().filter(lambda s: s != "auto" and not parses(float, s)), NON_FINITE
+    ),
+    "t": st.one_of(st.text().filter(lambda s: not parses(float, s)), NON_FINITE),
+    "tol": st.one_of(
+        st.text().filter(lambda s: not parses(float, s)),
+        NON_FINITE,
+        st.floats(max_value=0.0, allow_nan=False, allow_infinity=False).map(repr),
+    ),
+}
+
+# Per subcommand: its operands, its required options, its other options
+# with an admissible value, and its options with choices.
+COMMAND_LINES = {
+    "verify-identity": (
+        ["state", "a1", "a2"], {}, {"--seed": "7", "--samples": "1000", "--epsilon": "auto"}, {}
+    ),
+    "experiment": (
+        [],
+        {"--experiment": "beamsplitter", "--statistics": "boson"},
+        {"--seed": "7", "--samples": "1000", "--epsilon": "0.5"},
+        {"--experiment": ["beamsplitter"], "--statistics": ["boson", "fermion"],
+         "--spin": ["0", "half"], "--format": ["json", "csv"]},
+    ),
+    "classify": (["state"], {}, {"--tol": "1e-10"}, {}),
+    "propagate": (["state", "hamiltonian"], {"--t": "-1.5"}, {"--epsilon": "auto"}, {}),
+    "channel": (["state", "channel"], {}, {"--epsilon": "0.5"}, {}),
+}
+
+
+@st.composite
+def rejected_command_lines(draw, command, tmp_path):
+    """(argv, name): a ``command`` line with exactly one rejected piece, and
+    the option, operand or field the error must name.  Every operand names a
+    missing file in ``tmp_path``, and every output a file there."""
+    names, required, others, choices = COMMAND_LINES[command]
+    operands = [str(tmp_path / f"{name}.json") for name in names]
+    options = {**required, **others}
+    if command in ("propagate", "channel"):
+        options["--output-state"] = str(tmp_path / "out_state.json")
+        options["--output-covariance"] = str(tmp_path / "out_cov.json")
+    else:
+        options["--output"] = str(tmp_path / "out.json")
+    faults = ["value", "unknown flag", "missing operand", "bad command"]
+    fault = draw(st.sampled_from(faults + ["bad choice"] * bool(choices)))
+    if fault == "value":
+        field = draw(st.sampled_from([o[2:] for o in options if o[2:] in BAD_VALUES]))
+        options[f"--{field}"] = draw(BAD_VALUES[field])
+        expected = f"field '{field}'"
+    elif fault == "bad choice":
+        expected = draw(st.sampled_from(sorted(choices)))
+        options[expected] = draw(st.text().filter(lambda s: s not in choices[expected]))
+    elif fault == "missing operand":
+        dropped = draw(st.sampled_from([*range(len(operands)), *required]))
+        if isinstance(dropped, int):
+            del operands[dropped]
+            expected = names[-1]  # the operands left fill the first names
+        else:
+            del options[dropped]
+            expected = dropped
+    pieces = draw(st.permutations(operands + [f"{o}={v}" for o, v in options.items()]))
+    if fault == "unknown flag":
+        actions = subcommand_parser(command)._actions
+        known = [option for action in actions for option in action.option_strings]
+        expected = draw(
+            st.from_regex(r"--[a-z][a-z-]{1,12}", fullmatch=True).filter(
+                lambda flag: not any(option.startswith(flag) for option in known)
+            )
+        )
+        pieces.insert(draw(st.integers(0, len(pieces))), expected)
+    elif fault == "bad command":
+        command = draw(
+            st.from_regex(r"[a-z][a-z0-9-]{0,15}", fullmatch=True).filter(
+                lambda name: name not in COMMAND_LINES
+            )
+        )
+        expected = "command"
+    return [command, *pieces], expected
+
+
+def subcommand_parser(command: str) -> argparse.ArgumentParser:
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return subparsers.choices[command]
+
+
+class TestRejectedCommandLines:
+    """Every rejected command line, whether the parser or an option's rule
+    rejects it, makes in-process main return 2 after one error line on
+    stderr naming what was rejected, before any file is read or written."""
+
+    @pytest.mark.parametrize("command", list(COMMAND_LINES))
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_exits_2_with_one_line_naming_it(self, tmp_path, capsys, command, data):
+        argv, expected = data.draw(rejected_command_lines(command, tmp_path))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert expected in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminismAcrossCommands:
