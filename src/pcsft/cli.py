@@ -11,13 +11,13 @@ propagate         evolve a state under an interaction-free Hamiltonian
 channel           apply a factorized unitary channel (or the
                   "beamsplitter5050" preset)
 
-Each subcommand returns its report.  ``main`` adds ``version``, and
-``inputs`` when files were read; renders it as UTF-8 JSON with sorted
-keys, or as CSV under ``--format csv``; writes it to ``--output``, or to
-stdout when that is absent or '-'; and exits 1 when the report's ``pass``
-is false, 2 on a rejected input (one ``error:`` line, parser errors
-included), 0 otherwise.  Every run is deterministic given its arguments,
-so reruns are byte-identical.
+Each subcommand assembles and returns its report.  ``main`` adds
+``version``, and ``inputs`` when files were read; renders it as UTF-8
+JSON with sorted keys, or as CSV under ``--format csv``; writes it to
+``--output``, or to stdout when that is absent or '-'; and exits 1 when
+the report's ``pass`` is false, 2 on a rejected input (one ``error:``
+line, parser errors included), 0 otherwise.  Every run is deterministic
+given its arguments, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -40,12 +40,7 @@ from .covariance import (
     AUTO_EPSILON_MARGIN, SYMMETRY_TOL, build_covariance, classify_symmetry,
 )
 from .errors import REJECTED_INPUT, NotPositiveError, PcsftError
-from .experiments import (
-    beamsplitter_channel,
-    report_to_csv_rows,
-    report_to_json,
-    run_beamsplitter,
-)
+from .experiments import PORTS, beamsplitter_channel, run_beamsplitter
 from .hilbert import quantum_average_tensor, quantum_average_trace, require_observable
 from .quadratic import DEFAULT_SAMPLES, MIN_SAMPLES, QuadraticForm, cross_estimates
 from .sampler import MAX_SAMPLES, PRNG_ID, SEED_BOUND
@@ -162,9 +157,23 @@ def cmd_verify_identity(args, inputs: dict) -> dict:
 
 
 def cmd_experiment(args, inputs: dict) -> dict:
-    report = run_beamsplitter(args.statistics, args.spin, epsilon=args.epsilon,
-                              seed=args.seed, n_samples=args.samples)
-    return report_to_json(report)
+    """The run's results with the arguments that fix it; each ``g`` entry
+    is also a CSV row."""
+    run = run_beamsplitter(args.statistics, args.spin, epsilon=args.epsilon,
+                           seed=args.seed, n_samples=args.samples)
+    return {
+        "experiment": args.experiment,
+        "statistics": args.statistics,
+        "spin": args.spin,
+        "epsilon": run.epsilon,
+        "seed": args.seed,
+        "n_samples": args.samples,
+        "g": {key: {**serialize.estimate_to_json(est), "passed": est.within()}
+              for key, est in run.g.items()},
+        "pass": run.passed,
+        "prng_id": PRNG_ID,
+        "classified_symmetry": run.classified_symmetry,
+    }
 
 
 def cmd_classify(args, inputs: dict) -> dict:
@@ -314,7 +323,7 @@ def main(argv=None) -> int:
         if inputs:
             report["inputs"] = inputs
         if getattr(args, "format", "json") == "csv":
-            rows = report_to_csv_rows(report)
+            rows = [{"x": x, "y": y, **report["g"][x + y]} for x in PORTS for y in PORTS]
             buf = io.StringIO()
             writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
             writer.writeheader()
@@ -331,7 +340,9 @@ def main(argv=None) -> int:
         # through --epsilon: below epsilon_min, or so large that the
         # factor's residual bound no longer holds in float64.
         field = "field 'epsilon': " if isinstance(exc, NotPositiveError) else ""
-        print(f"error: {field}{exc}", file=sys.stderr)
+        # Escaping line breaks keeps it one line, whatever the message echoes.
+        message = f"{field}{exc}".replace("\r", "\\r").replace("\n", "\\n")
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return EXIT_PASS if report.get("pass", True) else EXIT_STAT_FAIL
 

@@ -14,7 +14,7 @@ and intensities summed over the internal index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,49 +22,25 @@ from .channels import UnitaryChannel, apply_to_state
 from .covariance import SYMMETRY_TOL, build_covariance, classify_symmetry
 from .hilbert import BipartiteState
 from .quadratic import DEFAULT_SAMPLES, MIN_SAMPLES, Estimate, QuadraticForm, cross_estimates
-from .sampler import PRNG_ID
-from . import serialize
 
 PORTS = ("R", "L")
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """One experiment run; ``g`` maps each output-port pair x + y, for x,
-    y in PORTS, to the Monte Carlo estimate of its intensity covariance
-    g_xy, with the analytic value attached.  An entry passes when it lies
-    within SE_BAND standard errors of that value."""
+    """What one experiment run computed.  ``g`` maps each output-port pair
+    x + y, for x, y in PORTS, to the Monte Carlo estimate of its intensity
+    covariance g_xy, with the analytic value attached; an entry passes when
+    it lies within SE_BAND standard errors of that value.  The CLI adds the
+    run's inputs when it lays out the report."""
 
-    experiment: str
-    statistics: str
-    spin: str
     epsilon: float
-    seed: int
-    n_samples: int
     g: dict[str, Estimate]
-    prng_id: str
     classified_symmetry: str
 
     @property
     def passed(self) -> bool:
         return all(est.within() for est in self.g.values())
-
-
-def report_to_json(report: ExperimentReport) -> dict:
-    """The report as a JSON object (the CLI adds ``version``)."""
-    payload = {field.name: getattr(report, field.name) for field in fields(ExperimentReport)}
-    payload["g"] = {
-        key: {**serialize.estimate_to_json(est), "passed": est.within()}
-        for key, est in report.g.items()
-    }
-    payload["pass"] = report.passed
-    return payload
-
-
-def report_to_csv_rows(payload: dict) -> list[dict]:
-    """One row per (x, y) port pair of a report_to_json payload, for the
-    CSV export."""
-    return [{"x": x, "y": y, **payload["g"][x + y]} for x in PORTS for y in PORTS]
 
 
 def beamsplitter_unitary() -> np.ndarray:
@@ -147,7 +123,8 @@ def run_beamsplitter(
     entry passes when |mc - analytic| <= SE_BAND standard errors.  The
     four port intensities are evaluated once per sample and reduced to
     their moments as they are drawn; g_xy pairs port x's side-1 form
-    with port y's side-2 form.
+    with port y's side-2 form.  The report holds only what the run
+    computed; ``pcsft experiment`` adds the inputs it echoes.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need n_samples >= {MIN_SAMPLES}, got {n_samples}")
@@ -161,14 +138,4 @@ def run_beamsplitter(
     side2 = [intensity_observable(y, internal_dim, side=2) for y in PORTS]
     estimates = cross_estimates(cov, side1, side2, seed=seed, count=n_samples)
     g = {x + y: est for x, row in zip(PORTS, estimates) for y, est in zip(PORTS, row)}
-    return ExperimentReport(
-        experiment="beamsplitter",
-        statistics=statistics,
-        spin=spin,
-        epsilon=cov.epsilon,
-        seed=int(seed),
-        n_samples=int(n_samples),
-        g=g,
-        prng_id=PRNG_ID,
-        classified_symmetry=symmetry.tag.value,
-    )
+    return ExperimentReport(epsilon=cov.epsilon, g=g, classified_symmetry=symmetry.tag.value)

@@ -14,7 +14,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from pcsft.hilbert import BipartiteState
 from pcsft import serialize
 from pcsft import __version__
 from pcsft.cli import build_parser, main
+from pcsft.experiments import ExperimentReport
 from pcsft.quadratic import MIN_SAMPLES
 from pcsft.sampler import MAX_SAMPLES, PRNG_ID, SEED_BOUND
 from conftest import rand_selfadjoint, rand_state, states_equal_up_to_phase
@@ -1380,6 +1381,15 @@ BAD_VALUES = {
     ),
 }
 
+# Text an error message may echo whole: a file name or an unknown argument.
+# Any line break in it is escaped, so the error stays one line.
+ECHOED = st.text(alphabet="ab\n\r", max_size=3)
+
+
+def one_line(text: str) -> str:
+    return text.replace("\r", "\\r").replace("\n", "\\n")
+
+
 # Per subcommand: its operands, its required options, its other options
 # with an admissible value, and its options with choices.
 COMMAND_LINES = {
@@ -1403,9 +1413,10 @@ COMMAND_LINES = {
 def rejected_command_lines(draw, command, tmp_path):
     """(argv, name): a ``command`` line with exactly one rejected piece, and
     the option, operand or field the error must name.  Every operand names a
-    missing file in ``tmp_path``, and every output a file there."""
+    missing file in ``tmp_path``, and every output a file there; file names
+    and unknown flags may hold line breaks."""
     names, required, others, choices = COMMAND_LINES[command]
-    operands = [str(tmp_path / f"{name}.json") for name in names]
+    operands = [str(tmp_path / f"{name}{draw(ECHOED)}.json") for name in names]
     options = {**required, **others}
     if command in ("propagate", "channel"):
         options["--output-state"] = str(tmp_path / "out_state.json")
@@ -1413,8 +1424,11 @@ def rejected_command_lines(draw, command, tmp_path):
     else:
         options["--output"] = str(tmp_path / "out.json")
     faults = ["value", "unknown flag", "missing operand", "bad command"]
-    fault = draw(st.sampled_from(faults + ["bad choice"] * bool(choices)))
-    if fault == "value":
+    faults += ["bad choice"] * bool(choices) + ["missing file"] * bool(names)
+    fault = draw(st.sampled_from(faults))
+    if fault == "missing file":
+        expected = f"field '{names[0]}'"  # the first file read
+    elif fault == "value":
         field = draw(st.sampled_from([o[2:] for o in options if o[2:] in BAD_VALUES]))
         options[f"--{field}"] = draw(BAD_VALUES[field])
         expected = f"field '{field}'"
@@ -1434,7 +1448,7 @@ def rejected_command_lines(draw, command, tmp_path):
         actions = subcommand_parser(command)._actions
         known = [option for action in actions for option in action.option_strings]
         expected = draw(
-            st.from_regex(r"--[a-z][a-z-]{1,12}", fullmatch=True).filter(
+            st.from_regex(r"--[a-z][a-z\n\r-]{1,12}", fullmatch=True).filter(
                 lambda flag: not any(option.startswith(flag) for option in known)
             )
         )
@@ -1457,9 +1471,9 @@ def subcommand_parser(command: str) -> argparse.ArgumentParser:
 
 
 class TestRejectedCommandLines:
-    """Every rejected command line, whether the parser or an option's rule
-    rejects it, makes in-process main return 2 after one error line on
-    stderr naming what was rejected, before any file is read or written."""
+    """Every rejected command line, whether the parser, an option's rule or
+    a missing input file rejects it, makes in-process main return 2 after
+    one error line on stderr naming what was rejected, and writes no file."""
 
     @pytest.mark.parametrize("command", list(COMMAND_LINES))
     @settings(
@@ -1476,7 +1490,8 @@ class TestRejectedCommandLines:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
-        assert expected in captured.err
+        assert "\r" not in captured.err
+        assert one_line(expected) in captured.err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -1869,7 +1884,9 @@ class TestImportPath:
 
     def test_module_graph(self):
         # Only the CLI imports experiments, so lower layers never know the
-        # report, the sampler imports no pcsft module but errors, so it
+        # report.  experiments imports neither serialize nor sampler: its
+        # report holds only what the run computed, and the CLI lays it out.
+        # The sampler imports no pcsft module but errors, so it
         # draws from the matrix it is handed, and the package imports no
         # submodule.  Only the sampler imports threading: it sums the block
         # results in order, so no other module needs a lock.  Only hilbert calls object.__setattr__: every value
@@ -1878,6 +1895,7 @@ class TestImportPath:
         # splitter from experiments.beamsplitter_channel.
         package = Path(__file__).resolve().parents[1] / "src" / "pcsft"
         importers, sampler_imports, setattr_callers = set(), set(), set()
+        experiments_names = set()
         threading_importers = set()
         cli_names = set()
         for path in package.glob("*.py"):
@@ -1903,15 +1921,22 @@ class TestImportPath:
                     sampler_imports.add(node.module)
                 if path.stem == "cli":
                     cli_names.update(names)
+                if path.stem == "experiments":
+                    experiments_names.update(names)
         assert importers == {"cli"}
         assert sampler_imports == {"errors"}
+        assert not experiments_names & {"serialize", "sampler", "PRNG_ID"}
+        assert [f.name for f in fields(ExperimentReport)] == [
+            "epsilon", "g", "classified_symmetry"
+        ]
         assert threading_importers == {"sampler"}
         assert setattr_callers == {"hilbert"}
         assert {"require_observable", "beamsplitter_channel"} <= cli_names
         assert not cli_names & {"require_selfadjoint", "UnitaryChannel"}
 
         # One output rule: main alone stamps the version on a report,
-        # renders it, writes it to stdout and picks exit 0 or 1.
+        # renders it, lays out the CSV rows from its g, writes it to stdout
+        # and picks exit 0 or 1.
         # build_parser names __version__ for --version, and
         # _write_transformed renders the output state and covariance files.
         tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
@@ -1928,7 +1953,7 @@ class TestImportPath:
 
         assert users("__version__") == {"build_parser", "main"}
         assert users("dumps_json") == {"_write_transformed", "main"}
-        for name in ("stdout", "report_to_csv_rows", "EXIT_PASS", "EXIT_STAT_FAIL"):
+        for name in ("stdout", "DictWriter", "PORTS", "EXIT_PASS", "EXIT_STAT_FAIL"):
             assert users(name) == {"main"}, name
 
 

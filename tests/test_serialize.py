@@ -1,12 +1,16 @@
 """JSON encodings: roundtrips and schema validation."""
 
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
 
 from pcsft.errors import InteractionError, SchemaError
 from pcsft.hilbert import BipartiteState
 from pcsft.covariance import build_covariance
-from pcsft.experiments import report_to_csv_rows, report_to_json, run_beamsplitter
+from pcsft.cli import main
 from pcsft import serialize
 from conftest import rand_selfadjoint, rand_state, rand_unitary
 
@@ -116,9 +120,13 @@ class TestChannelAndHamiltonian:
 
 
 class TestReportEncoding:
-    def test_report_schema_keys(self):
-        report = run_beamsplitter("fermion", spin="0", seed=3, n_samples=1000)
-        obj = report_to_json(report)
+    # The experiment report is laid out by the CLI, so its layout is read
+    # off main's output.
+    ARGV = ["experiment", "--experiment=beamsplitter", "--samples=1000"]
+
+    def test_report_schema_keys(self, capsys):
+        assert main([*self.ARGV, "--statistics=fermion", "--seed=3"]) == 0
+        obj = json.loads(capsys.readouterr().out)
         assert set(obj) == {
             "experiment",
             "statistics",
@@ -130,14 +138,17 @@ class TestReportEncoding:
             "pass",
             "prng_id",
             "classified_symmetry",
+            "version",
         }
         assert set(obj["g"]) == {"RR", "RL", "LR", "LL"}
         entry = obj["g"]["RL"]
         assert set(entry) == {"analytic", "value", "std_error", "n", "passed"}
 
-    def test_csv_rows(self):
-        report = run_beamsplitter("boson", spin="0", seed=4, n_samples=1000)
-        rows = report_to_csv_rows(report_to_json(report))
+    def test_csv_rows(self, capsys):
+        assert main([*self.ARGV, "--statistics=boson", "--seed=4", "--format=csv"]) == 0
+        reader = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        rows = list(reader)
+        assert reader.fieldnames == ["x", "y", "analytic", "value", "std_error", "n", "passed"]
         assert len(rows) == 4
         assert {(r["x"], r["y"]) for r in rows} == {
             ("R", "R"),
