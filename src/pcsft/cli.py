@@ -118,16 +118,17 @@ def _add_options(parser: argparse.ArgumentParser, *names: str):
 
 def cmd_verify_identity(args, inputs: dict) -> dict:
     state = _load(inputs, "state", args.state, serialize.state_from_json)
-    a1 = _load(inputs, "a1", args.a1, serialize.operator_from_json)
-    a2 = _load(inputs, "a2", args.a2, serialize.operator_from_json)
-    for name, a, dim in (("a1", a1, state.d1), ("a2", a2, state.d2)):
-        serialize.naming(name, require_observable, a, dim, name.upper())
+    ops = {name: _load(inputs, name, getattr(args, name), serialize.operator_from_json)
+           for name in ("a1", "a2")}
+    for name, dim in (("a1", state.d1), ("a2", state.d2)):
+        ops[name] = a = serialize.naming(name, require_observable, ops[name], dim, name.upper())
         peak = np.max(np.abs(a))
         if peak and not 1 / MAX_OPERATOR_ENTRY <= peak <= MAX_OPERATOR_ENTRY:
             raise PcsftError(
                 f"field '{name}': expected the largest entry modulus in "
                 f"[{1 / MAX_OPERATOR_ENTRY:.0e}, {MAX_OPERATOR_ENTRY:.0e}], got {peak:.3g}"
             )
+    a1, a2 = ops.values()
 
     tensor = quantum_average_tensor(state, a1, a2)
     trace = quantum_average_trace(state, a1, a2)
@@ -179,9 +180,7 @@ def cmd_experiment(args, inputs: dict) -> dict:
 def cmd_classify(args, inputs: dict) -> dict:
     state = _load(inputs, "state", args.state, serialize.state_from_json)
     sym = serialize.naming("state", classify_symmetry, state, tol=args.tol)
-    payload = serialize.symmetry_to_json(sym)
-    payload["tol"] = args.tol
-    return payload
+    return {"tag": sym.tag.value, "residual": sym.residual, "tol": args.tol}
 
 
 def _write_transformed(state, args) -> dict:

@@ -31,27 +31,28 @@ from .errors import (
     SelfAdjointnessError,
 )
 
-# Max-norm tolerance for the self-adjointness check; offending inputs are
-# rejected, never silently symmetrized.
+# Max-norm tolerance for the self-adjointness check: an input within it
+# becomes its Hermitian part, one beyond it is rejected.
 SELFADJOINT_TOL = 1e-12
 
 # A state is normalized when |‖ψ‖² - 1| <= NORM_TOL.
 NORM_TOL = 2e-9
 
 # A quantum average is reported as real when
-# |imag| <= AVERAGE_REAL_TOL * max(1, |real|).
+# |imag| <= AVERAGE_REAL_TOL * max(1, scale), scale = max |A1| · max |A2|.
 AVERAGE_REAL_TOL = 1e-12
 
 
-def as_real(value: complex) -> float:
+def as_real(value: complex, scale: float) -> float:
     """Convert a scalar that must be real, rejecting stray imaginary parts.
 
     Raises RealityError when |imag| exceeds AVERAGE_REAL_TOL * max(1,
-    |real|); such a failure almost always indicates a conjugation-
-    convention mistake in the caller.
+    scale): an average of exactly Hermitian A1, A2 is real up to rounding,
+    which grows with max |A1| · max |A2|, not with the average, which may
+    cancel.  A failure almost always indicates a conjugation mistake.
     """
     value = complex(value)
-    if abs(value.imag) > AVERAGE_REAL_TOL * max(1.0, abs(value.real)):
+    if abs(value.imag) > AVERAGE_REAL_TOL * max(1.0, scale):
         raise RealityError(
             f"expected a real scalar, got {value!r} "
             f"(|imag| = {abs(value.imag):.3e} above tolerance)"
@@ -90,22 +91,24 @@ def max_defect(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def require_selfadjoint(a: np.ndarray, name: str = "operator") -> np.ndarray:
-    """Validate A = A† in max-norm and return A as a complex array."""
+    """Validate A = A† in max-norm and return the one matrix every use of A
+    reads: its Hermitian part, summed from halves; bit for bit A where A = A†."""
     a = _as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise SelfAdjointnessError(f"{name} is not square: shape {a.shape}")
-    defect = max_defect(a, a.conj().T)
+    adjoint = a.conj().T
+    defect = max_defect(a, adjoint)
     if defect > SELFADJOINT_TOL:
         raise SelfAdjointnessError(
             f"{name} is not self-adjoint: max |A - A†| = {defect:.3e} "
             f"> {SELFADJOINT_TOL:.1e}"
         )
-    return a
+    return np.where(a == adjoint, a, 0.5 * a + 0.5 * adjoint)
 
 
 def require_observable(a: np.ndarray, dim: int, name: str) -> np.ndarray:
     """Validate an observable of a side of dimension ``dim``: a self-adjoint
-    dim x dim matrix.  Returns it as a complex array."""
+    dim x dim matrix.  Returns its matrix, as require_selfadjoint does."""
     a = require_selfadjoint(a, name)
     if a.shape != (dim, dim):
         raise DimensionError(f"{name} has shape {a.shape}, state needs ({dim}, {dim})")
@@ -149,7 +152,7 @@ def quantum_average_tensor(
     a2 = require_observable(a2, state.d2, "A2")
     psi = state.amplitudes
     value = np.einsum("ik,jl,kl,ij->", a1, a2, psi, psi.conj())
-    return as_real(value)
+    return as_real(value, float(np.max(np.abs(a1))) * float(np.max(np.abs(a2))))
 
 
 def quantum_average_trace(
@@ -164,7 +167,7 @@ def quantum_average_trace(
     a2 = require_observable(a2, state.d2, "A2")
     psi = state.amplitudes
     value = np.trace(psi @ np.conj(a2) @ psi.conj().T @ a1)
-    return as_real(value)
+    return as_real(value, float(np.max(np.abs(a1))) * float(np.max(np.abs(a2))))
 
 
 def marginal_average(state: BipartiteState, a: np.ndarray, side: int) -> float:

@@ -35,7 +35,8 @@ from .sampler import draw_chunks
 class QuadraticForm:
     """Observable f_A(phi) = <A phi, phi> on signal component ``side``.
 
-    Planned once, on construction: f_A is ``weights`` applied to the
+    Planned once, on construction, from ``operator``, the exactly Hermitian
+    matrix require_selfadjoint returns: f_A is ``weights`` applied to the
     intensities of ``basis`` · phi_side, both read-only.  A diagonal A
     weights its side's own modes (identity rows) by its diagonal.  Any
     other A = QΛQ† weights those of Q†psi by Λ; on side 2, psi =
@@ -56,7 +57,7 @@ class QuadraticForm:
         if np.array_equal(op, np.diag(diag)):
             weights, basis = diag.real, np.eye(len(diag), dtype=complex)
         else:
-            weights, q = np.linalg.eigh(0.5 * (op + op.conj().T))
+            weights, q = np.linalg.eigh(op)
             basis = q.conj().T if self.side == 1 else q.T
         keep = weights != 0.0
         _store(self, operator=op, basis=basis[keep], weights=weights[keep])

@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .channels import Hamiltonian, UnitaryChannel
-from .covariance import BlockCovariance, SymmetryClass
+from .covariance import BlockCovariance
 from .errors import REJECTED_INPUT, InteractionError, SchemaError
 from .hilbert import BipartiteState
 from .quadratic import Estimate
@@ -177,10 +177,6 @@ def estimate_to_json(est: Estimate) -> dict:
         "std_error": est.std_error,
         "n": est.n,
     }
-
-
-def symmetry_to_json(sym: SymmetryClass) -> dict:
-    return {"tag": sym.tag.value, "residual": sym.residual}
 
 
 def dumps_json(payload: Any) -> str:

@@ -29,7 +29,7 @@ from pcsft.cli import build_parser, main
 from pcsft.experiments import ExperimentReport
 from pcsft.quadratic import MIN_SAMPLES
 from pcsft.sampler import MAX_SAMPLES, PRNG_ID, SEED_BOUND
-from conftest import rand_selfadjoint, rand_state, states_equal_up_to_phase
+from conftest import kron_average, rand_selfadjoint, rand_state, states_equal_up_to_phase
 
 C = 1.0 / np.sqrt(2.0)
 SINGLET = np.array([[0.0, C], [-C, 0.0]])
@@ -193,9 +193,9 @@ class TestVerifyIdentity:
 
     def test_nearly_hermitian_operator_with_large_epsilon(self, tmp_path, singlet_file, capsys):
         # A1 passes the self-adjointness check with stray imaginary parts
-        # of 4e-13 on its diagonal; at epsilon 1e3 the trace Tr[D11 A1]
-        # then has an imaginary part near 1e-9, too large for a reported
-        # real value, but the Monte Carlo centre only needs its real part.
+        # of 4e-13 on its diagonal.  Every use of A1 reads its Hermitian
+        # part, which drops them, so at epsilon 1e3 they cannot reach the
+        # Monte Carlo centre Tr[D11 A1] as an imaginary part near 1e-9.
         a1 = np.array([[1.0 + 4e-13j, 0.3], [0.3, -1.0 + 4e-13j]])
         code = main(
             [
@@ -211,6 +211,44 @@ class TestVerifyIdentity:
         assert code == 0
         assert out["epsilon"] == 1e3
         assert out["pass"] is True
+
+    @staticmethod
+    def assert_identities_hold(tmp_path, capsys, amplitudes, a1, a2):
+        argv = [
+            "verify-identity",
+            str(write_state(tmp_path / "state.json", amplitudes)),
+            str(write_operator(tmp_path / "a1.json", a1)),
+            str(write_operator(tmp_path / "a2.json", a2)),
+            "--samples=20000",
+        ]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        out = json.loads(captured.out)
+        assert isinstance(out["tensor"], float) and isinstance(out["trace"], float)
+        assert out["checks"]["trace_vs_tensor"] is True
+        assert out["checks"]["cov_vs_tensor"] is True
+        assert out["pass"] is True
+
+    def test_cancelling_average_of_large_observables(self, tmp_path, capsys):
+        # Exactly Hermitian observables with entries around 1e6, A2 shifted
+        # by a real multiple of I so that <A1 (x) A2> nearly cancels.  The
+        # averages' imaginary rounding, about 3e-5, is small beside
+        # max |A1| · max |A2| = 1e12 though not beside the average, and
+        # must not reject the input.
+        rng = np.random.default_rng(0)
+        psi = rand_state(rng, 3, 3).amplitudes
+        a1, a2 = 1e6 * rand_selfadjoint(rng, 3), 1e6 * rand_selfadjoint(rng, 3)
+        shift = kron_average(psi, a1, a2).real / kron_average(psi, a1, np.eye(3)).real
+        self.assert_identities_hold(tmp_path, capsys, psi, a1, a2 - shift * np.eye(3))
+
+    def test_accepted_defect_meets_a_large_observable(self, tmp_path, capsys):
+        # A1's 9e-13 self-adjointness defect is accepted; the averages read
+        # its Hermitian part, so A2's 1e10 cannot turn the defect into an
+        # imaginary part of the average.
+        a1 = np.array([[0.0, 1j], [-1j + 9e-13j, 0.0]])
+        a2 = np.diag([1e10, 0.0])
+        self.assert_identities_hold(tmp_path, capsys, [[C, 0.0], [C, 0.0]], a1, a2)
 
     @staticmethod
     def large_case(tmp_path, scale=1e3):
@@ -1345,6 +1383,61 @@ class TestOperandFuzz:
             f"--output-state={tmp_path / 'out_state.json'}",
             f"--output-covariance={tmp_path / 'out_cov.json'}",
         ]
+
+
+@st.composite
+def admissible_observables(draw):
+    """A d1 x d2 state, d1, d2 <= 4, and two exactly Hermitian observables,
+    each with its largest entry modulus 10^x for x in [-50, 50] (kept 1e-12
+    inside the accepted range, so rounding cannot push it out); A2 is
+    sometimes shifted by a real multiple of I so that <A1 (x) A2> nearly
+    cancels, and either sometimes carries a self-adjointness defect within
+    tolerance."""
+    d1, d2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = rand_state(rng, d1, d2).amplitudes
+    a1, a2 = rand_selfadjoint(rng, d1), rand_selfadjoint(rng, d2)
+    if draw(st.booleans()):
+        shift = kron_average(psi, a1, a2).real / kron_average(psi, a1, np.eye(d2)).real
+        a2 = a2 - shift * np.eye(d2)
+    observables = []
+    for a in (a1, a2):
+        peak = min(max(10.0 ** draw(st.floats(-50, 50)), 1e-50 * (1 + 1e-12)), 1e50 * (1 - 1e-12))
+        if np.any(a):  # a shift cancels a 1 x 1 A2 to zero, itself admissible
+            a = a * (peak / np.max(np.abs(a)))
+        if draw(st.booleans()):
+            i, j = draw(st.integers(0, len(a) - 1)), draw(st.integers(0, len(a) - 1))
+            # A - A† holds twice a diagonal entry's imaginary part.
+            a[i, j] += draw(st.floats(-1.0, 1.0)) * (4.5e-13 if i == j else 9e-13) * 1j
+        observables.append(a)
+    return psi, *observables
+
+
+class TestAdmissibleObservables:
+    """The counterpart of TestOperandFuzz: verify-identity never rejects an
+    admissible state and observable pair, and both identities hold.  A rare
+    5-SE miss of the Monte Carlo check, exit 1, is a correct run."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=admissible_observables())
+    def test_identities_hold(self, tmp_path, capsys, case):
+        psi, a1, a2 = case
+        argv = [
+            "verify-identity",
+            str(write_state(tmp_path / "state.json", psi)),
+            str(write_operator(tmp_path / "a1.json", a1)),
+            str(write_operator(tmp_path / "a2.json", a2)),
+            "--samples=1000",
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1), captured.err
+        checks = json.loads(captured.out)["checks"]
+        assert checks["trace_vs_tensor"] is True
+        assert checks["cov_vs_tensor"] is True
 
 
 def parses(parse, text: str) -> bool:

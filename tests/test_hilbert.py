@@ -14,12 +14,14 @@ from pcsft.errors import (
     SelfAdjointnessError,
 )
 from pcsft.hilbert import (
+    SELFADJOINT_TOL,
     BipartiteState,
     as_real,
     marginal_average,
     quantum_average_tensor,
     quantum_average_trace,
     require_observable,
+    require_selfadjoint,
 )
 from pcsft.quadratic import QuadraticForm
 from conftest import (
@@ -256,15 +258,72 @@ class TestStoredReadOnly:
 
 class TestAsReal:
     def test_accepts_tiny_imaginary(self):
-        assert as_real(1.0 + 1e-14j) == 1.0
+        assert as_real(1.0 + 1e-14j, 1.0) == 1.0
 
     def test_rejects_large_imaginary(self):
         with pytest.raises(RealityError):
-            as_real(1.0 + 1e-3j)
+            as_real(1.0 + 1e-3j, 1.0)
 
     def test_relative_scaling(self):
-        # tolerance scales with |real| above 1: 1e-7 is below 1e-12 * 1e6,
-        # 1e-11 above 1e-12 * max(1, 1e-6)
-        assert as_real(1e6 + 1e-7j) == 1e6
+        # tolerance scales with the scale argument above 1, not with the
+        # value: 1e-7 is below 1e-12 * 1e6 even on a value near zero, 1e-11
+        # above 1e-12 * max(1, 1e-6), and a large value widens nothing
+        assert as_real(-2e-5 + 1e-7j, 1e6) == -2e-5
         with pytest.raises(RealityError):
-            as_real(1e-6 + 1e-11j)
+            as_real(1e-6 + 1e-11j, 1e-6)
+        with pytest.raises(RealityError):
+            as_real(1e6 + 1e-7j, 1.0)
+
+
+def exactly_hermitian(rng, d: int, peak: float) -> np.ndarray:
+    """A random d x d matrix equal to its adjoint entry for entry, with
+    every real and imaginary part in [-peak, peak]."""
+    m = rng.uniform(-1.0, 1.0, (d, d)) + 1j * rng.uniform(-1.0, 1.0, (d, d))
+    upper = np.triu(m, 1) * peak
+    return upper + upper.conj().T + np.diag(m.diagonal().real * peak)
+
+
+def with_defect(peak: float) -> np.ndarray:
+    """A 3 x 3 operator whose entries reach ``peak``, with self-adjointness
+    defects of 9e-13 off the diagonal and 8e-13 on it, both accepted."""
+    return np.array(
+        [[peak + 4e-13j, peak + 9e-13j, 0.5], [peak, -peak, 1j], [0.5, -1j, 0.0]]
+    )
+
+
+class TestRequireSelfadjoint:
+    """require_selfadjoint returns the one matrix every use of an accepted
+    observable reads: its Hermitian part."""
+
+    @pytest.mark.parametrize("peak", [1.0, 1e6, 1.7e308])
+    def test_exactly_hermitian_input_is_kept_bit_for_bit(self, peak):
+        rng = np.random.default_rng(23)
+        for d in (1, 2, 3, 4):
+            for _ in range(20):
+                a = exactly_hermitian(rng, d, peak)
+                assert require_selfadjoint(a).tobytes() == a.tobytes()
+
+    def test_subnormal_and_signed_zero_entries_are_kept(self):
+        # Halving 5e-324 rounds it to zero, and adding a -0.0 to itself
+        # conjugated gives +0.0: neither may reach an exactly Hermitian input.
+        tiny = 5e-324
+        a = np.array([[complex(tiny, -0.0), complex(-0.0, tiny)],
+                      [complex(-0.0, -tiny), complex(-0.0, 0.0)]])
+        assert require_selfadjoint(a).tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("peak", [1.0, 1e6, 1.7e308])
+    def test_defect_within_tolerance_gives_the_hermitian_part(self, peak):
+        a = with_defect(peak)
+        out = require_selfadjoint(a)
+        assert np.array_equal(out, out.conj().T)
+        assert np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))
+        # The Hermitian part lies half the 9e-13 defect from A.
+        assert float(np.max(np.abs(out - a))) <= 0.5 * SELFADJOINT_TOL
+
+    def test_forms_and_hamiltonians_store_that_matrix(self):
+        a = with_defect(1.0)
+        np.testing.assert_array_equal(require_selfadjoint(a), 0.5 * (a + a.conj().T))
+        expected = require_selfadjoint(a).tobytes()
+        assert require_observable(a, 3, "A1").tobytes() == expected
+        assert QuadraticForm(operator=a, side=2).operator.tobytes() == expected
+        assert Hamiltonian(h1=a, h2=np.eye(2)).h1.tobytes() == expected
