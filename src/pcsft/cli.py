@@ -39,7 +39,7 @@ from .channels import apply_to_state, evolution_channel
 from .covariance import (
     AUTO_EPSILON_MARGIN, SYMMETRY_TOL, build_covariance, classify_symmetry,
 )
-from .errors import REJECTED_INPUT, NotPositiveError, PcsftError
+from .errors import REJECTED_INPUT, PcsftError, SchemaError
 from .experiments import PORTS, beamsplitter_channel, run_beamsplitter
 from .hilbert import quantum_average_tensor, quantum_average_trace, require_observable
 from .quadratic import DEFAULT_SAMPLES, MIN_SAMPLES, QuadraticForm, cross_estimates
@@ -50,8 +50,9 @@ EXIT_PASS = 0
 EXIT_STAT_FAIL = 1
 EXIT_INPUT_ERROR = 2
 
-# Tolerance of the verify-identity checks, relative to max |A1| · max |A2|
-# once that exceeds 1: the averages scale with it, and so does their rounding.
+# Tolerance of the verify-identity checks, relative to max |A1| · max |A2| at every
+# scale, as their rounding is.  The peak gate keeps that product at or above 1e-100,
+# or exactly 0, where all three routes give exact zeros.
 IDENTITY_TOL = 1e-10
 
 # A nonzero verify-identity observable's largest entry modulus lies in
@@ -73,12 +74,12 @@ def _load(inputs: dict, field: str, path: str, parse):
 
 
 def _checked(field: str, parse, admissible, expected: str):
-    """An argparse type: parse(text) if admissible, else a PcsftError naming ``field``."""
+    """An argparse type: parse(text) if admissible, else a SchemaError naming ``field``."""
     def convert(text: str):
         with contextlib.suppress(ValueError):  # unparsable
             if admissible(value := parse(text)):
                 return value
-        raise PcsftError(f"field '{field}': expected {expected}, got {reprlib.repr(text)}")
+        raise SchemaError(field, f"expected {expected}, got {reprlib.repr(text)}")
     return convert
 
 
@@ -124,10 +125,8 @@ def cmd_verify_identity(args, inputs: dict) -> dict:
         ops[name] = a = serialize.naming(name, require_observable, ops[name], dim, name.upper())
         peak = np.max(np.abs(a))
         if peak and not 1 / MAX_OPERATOR_ENTRY <= peak <= MAX_OPERATOR_ENTRY:
-            raise PcsftError(
-                f"field '{name}': expected the largest entry modulus in "
-                f"[{1 / MAX_OPERATOR_ENTRY:.0e}, {MAX_OPERATOR_ENTRY:.0e}], got {peak:.3g}"
-            )
+            bounds = f"[{1 / MAX_OPERATOR_ENTRY:.0e}, {MAX_OPERATOR_ENTRY:.0e}]"
+            raise SchemaError(name, f"expected the largest entry modulus in {bounds}, got {peak:.3g}")
     a1, a2 = ops.values()
 
     tensor = quantum_average_tensor(state, a1, a2)
@@ -137,7 +136,7 @@ def cmd_verify_identity(args, inputs: dict) -> dict:
     f2 = QuadraticForm(operator=a2, side=2)
     [[est]] = cross_estimates(cov, [f1], [f2], seed=args.seed, count=args.samples)
 
-    tol = IDENTITY_TOL * max(1.0, float(np.max(np.abs(a1)) * np.max(np.abs(a2))))
+    tol = IDENTITY_TOL * float(np.max(np.abs(a1))) * float(np.max(np.abs(a2)))
     checks = {
         "trace_vs_tensor": abs(trace - tensor) <= tol,
         "cov_vs_tensor": abs(est.analytic - tensor) <= tol,
@@ -191,7 +190,7 @@ def _write_transformed(state, args) -> dict:
     }
     for field in docs:
         if getattr(args, field) == "-":
-            raise PcsftError(f"field '{field}': expected a file path, got '-'")
+            raise SchemaError(field, "expected a file path, got '-'")
     paths = {field: Path(getattr(args, field)) for field in docs}
     # Open both outputs before writing either.  Append mode creates a
     # missing file and leaves an existing one as it is, so when an open
@@ -205,10 +204,8 @@ def _write_transformed(state, args) -> dict:
             if not existed:
                 created.append(path)
         if paths["output_state"].samefile(paths["output_covariance"]):
-            raise PcsftError(
-                f"field 'output_covariance': {paths['output_covariance']} is also "
-                f"the output_state file {paths['output_state']}"
-            )
+            raise SchemaError("output_covariance", f"{paths['output_covariance']} is also "
+                              f"the output_state file {paths['output_state']}")
     except PcsftError:
         for path in created:
             path.unlink()
@@ -229,7 +226,7 @@ def cmd_propagate(args, inputs: dict) -> dict:
     try:
         channel = serialize.naming("hamiltonian", evolution_channel, ham, args.t)
     except OverflowError as exc:
-        raise PcsftError(f"field 't': {exc}") from None
+        raise SchemaError("t", exc) from None
     out = serialize.naming("hamiltonian", apply_to_state, channel, state)
     return {**_write_transformed(out, args), "t": args.t}
 
@@ -238,9 +235,7 @@ def cmd_channel(args, inputs: dict) -> dict:
     state = _load(inputs, "state", args.state, serialize.state_from_json)
     if args.channel == "beamsplitter5050":
         if state.d2 != state.d1 or state.d1 % 2 != 0:
-            raise PcsftError(
-                "field 'channel': beamsplitter5050 needs equal even dimensions"
-            )
+            raise SchemaError("channel", "beamsplitter5050 needs equal even dimensions")
         channel = beamsplitter_channel(state.d1 // 2)
         inputs["channel"] = {"preset": "beamsplitter5050"}
     else:
@@ -335,12 +330,8 @@ def main(argv=None) -> int:
         else:
             serialize.naming("output", Path(output).write_text, text, encoding="utf-8")
     except REJECTED_INPUT as exc:
-        # A covariance built from a valid state fails its checks only
-        # through --epsilon: below epsilon_min, or so large that the
-        # factor's residual bound no longer holds in float64.
-        field = "field 'epsilon': " if isinstance(exc, NotPositiveError) else ""
         # Escaping line breaks keeps it one line, whatever the message echoes.
-        message = f"{field}{exc}".replace("\r", "\\r").replace("\n", "\\n")
+        message = str(exc).replace("\r", "\\r").replace("\n", "\\n")
         print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return EXIT_PASS if report.get("pass", True) else EXIT_STAT_FAIL

@@ -21,30 +21,30 @@ class RealityError(PcsftError):
     """A quantity that must be real carries a non-negligible imaginary part."""
 
 
-class NotPositiveError(PcsftError):
-    """A covariance operator is not positive semidefinite.
+class SchemaError(PcsftError):
+    """A rejected input; ``SchemaError(field, reason)`` is the one place
+    the message prefix ``field '<field>': `` naming its field is written."""
 
-    When raised because the background level is too small,
-    ``epsilon_min`` carries the minimal admissible value.
-    """
-
-    def __init__(self, message: str, epsilon_min: float | None = None):
-        super().__init__(message)
-        self.epsilon_min = epsilon_min
+    def __init__(self, field: str, reason: object):
+        super().__init__(f"field '{field}': {reason}")
 
 
-class InteractionError(PcsftError):
+class InteractionError(SchemaError):
     """A Hamiltonian couples the two signal components.
 
     Only factorized dynamics (one generator per component) are supported.
     """
 
 
-class SchemaError(PcsftError):
-    """A JSON document does not match the expected schema.
+class NotPositiveError(SchemaError):
+    """A covariance is not positive semidefinite, which for a valid state
+    happens only through its background level (below epsilon_min, or too
+    large for the factor's residual bound in float64), so the message names
+    ``epsilon``.  ``epsilon_min``, when known, is the least admissible value."""
 
-    The message names the offending field.
-    """
+    def __init__(self, reason: str, epsilon_min: float | None = None):
+        super().__init__("epsilon", reason)
+        self.epsilon_min = epsilon_min
 
 
 REJECTED_INPUT = (PcsftError, ValueError, OSError)  # what rejecting an input raises

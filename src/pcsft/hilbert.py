@@ -31,8 +31,9 @@ from .errors import (
     SelfAdjointnessError,
 )
 
-# Max-norm tolerance for the self-adjointness check: an input within it
-# becomes its Hermitian part, one beyond it is rejected.
+# Tolerance of the self-adjointness check, relative to max(max |Re A|, max |Im A|),
+# finite for any finite A (max |A| may overflow): an input within it becomes its
+# Hermitian part, one beyond it is rejected.
 SELFADJOINT_TOL = 1e-12
 
 # A state is normalized when |‖ψ‖² - 1| <= NORM_TOL.
@@ -91,17 +92,19 @@ def max_defect(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def require_selfadjoint(a: np.ndarray, name: str = "operator") -> np.ndarray:
-    """Validate A = A† in max-norm and return the one matrix every use of A
-    reads: its Hermitian part, summed from halves; bit for bit A where A = A†."""
+    """Validate A = A† in max-norm, relative to A's largest real or imaginary
+    part, and return the one matrix every use of A reads: its Hermitian
+    part, summed from halves; bit for bit A where A = A†."""
     a = _as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise SelfAdjointnessError(f"{name} is not square: shape {a.shape}")
     adjoint = a.conj().T
     defect = max_defect(a, adjoint)
-    if defect > SELFADJOINT_TOL:
+    tol = SELFADJOINT_TOL * max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
+    if defect > tol:
         raise SelfAdjointnessError(
-            f"{name} is not self-adjoint: max |A - A†| = {defect:.3e} "
-            f"> {SELFADJOINT_TOL:.1e}"
+            f"{name} is not self-adjoint: max |A - A†| = {defect:.3e} > {tol:.3e} "
+            f"= {SELFADJOINT_TOL:.0e} × max(max |Re A|, max |Im A|)"
         )
     return np.where(a == adjoint, a, 0.5 * a + 0.5 * adjoint)
 

@@ -39,35 +39,35 @@ def _number(value: Any, field: str, positive: bool = False) -> float:
     """The JSON number ``value`` as a finite float, positive if asked."""
     # bool is an int subclass, but JSON true/false is not a number.
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise SchemaError(f"field '{field}': expected a number, got {reprlib.repr(value)}")
+        raise SchemaError(field, f"expected a number, got {reprlib.repr(value)}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf
     if not (0.0 if positive else -math.inf) < number < math.inf:
         expected = "a finite positive number" if positive else "a finite number"
-        raise SchemaError(f"field '{field}': expected {expected}, got {number}")
+        raise SchemaError(field, f"expected {expected}, got {number}")
     return number
 
 
 def _entry_from_pair(value: Any, field: str) -> complex:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise SchemaError(f"field '{field}': expected [re, im] pair, got {reprlib.repr(value)}")
+        raise SchemaError(field, f"expected [re, im] pair, got {reprlib.repr(value)}")
     return complex(_number(value[0], field), _number(value[1], field))
 
 
 def _matrix_from_entries(entries: Any, field: str) -> np.ndarray:
     if not isinstance(entries, list) or not entries:
-        raise SchemaError(f"field '{field}': expected a non-empty list of rows")
+        raise SchemaError(field, "expected a non-empty list of rows")
     rows = []
     width = None
     for i, row in enumerate(entries):
         if not isinstance(row, list) or not row:
-            raise SchemaError(f"field '{field}[{i}]': expected a non-empty row")
+            raise SchemaError(f"{field}[{i}]", "expected a non-empty row")
         if width is None:
             width = len(row)
         elif len(row) != width:
-            raise SchemaError(f"field '{field}[{i}]': ragged row length {len(row)}")
+            raise SchemaError(f"{field}[{i}]", f"ragged row length {len(row)}")
         rows.append(
             [_entry_from_pair(v, f"{field}[{i}][{j}]") for j, v in enumerate(row)]
         )
@@ -78,13 +78,13 @@ def _require_key(obj: Any, key: str, parent: str, integer: bool = False) -> Any:
     """obj[key], naming '<parent>.<key>' when it is missing or, if
     ``integer``, not a JSON integer, and ``parent`` when obj is no object."""
     if not isinstance(obj, dict):
-        raise SchemaError(f"field '{parent}': expected a JSON object")
+        raise SchemaError(parent, "expected a JSON object")
     path = f"{parent}.{key}"
     if key not in obj:
-        raise SchemaError(f"field '{path}': missing")
+        raise SchemaError(path, "missing")
     value = obj[key]
     if integer and (not isinstance(value, int) or isinstance(value, bool)):
-        raise SchemaError(f"field '{path}': expected an integer")
+        raise SchemaError(path, "expected an integer")
     return value
 
 
@@ -98,10 +98,8 @@ def _declared_matrix(
     path = f"{field}.{entries_key}"
     entries = _matrix_from_entries(_require_key(obj, entries_key, field), path)
     if entries.shape != (rows, cols):
-        raise SchemaError(
-            f"field '{path}': shape {entries.shape} does not match "
-            f"declared {reprlib.repr((rows, cols))}"
-        )
+        raise SchemaError(path, f"shape {entries.shape} does not match "
+                                f"declared {reprlib.repr((rows, cols))}")
     return entries
 
 
@@ -111,7 +109,7 @@ def naming(field: str, call, *args, **kwargs):
     try:
         return call(*args, **kwargs)
     except REJECTED_INPUT as exc:
-        raise SchemaError(f"field '{field}': {exc}") from exc
+        raise SchemaError(field, exc) from exc
 
 
 def operator_to_json(a: np.ndarray) -> dict:
@@ -159,9 +157,9 @@ def hamiltonian_from_json(obj: Any, field: str = "hamiltonian") -> Hamiltonian:
         for key in _INTERACTION_KEYS:
             if key in obj:
                 raise InteractionError(
-                    f"field '{field}.{key}': interaction terms are not supported; "
-                    "only Hamiltonians of the form H1 (x) I + I (x) H2 define a "
-                    "classical signal channel"
+                    f"{field}.{key}",
+                    "interaction terms are not supported; only Hamiltonians of the "
+                    "form H1 (x) I + I (x) H2 define a classical signal channel",
                 )
     h1 = operator_from_json(_require_key(obj, "H1", field), f"{field}.H1")
     h2 = operator_from_json(_require_key(obj, "H2", field), f"{field}.H2")
@@ -195,10 +193,10 @@ def load_json_file(path, what: str = "input") -> tuple[Any, str]:
             data = fh.read()
         return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
     except OSError as exc:
-        raise SchemaError(f"field '{what}': cannot read {path}: {exc}") from exc
+        raise SchemaError(what, f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"field '{what}': {path} is not UTF-8: {exc}") from exc
+        raise SchemaError(what, f"{path} is not UTF-8: {exc}") from exc
     # ValueError: a JSONDecodeError, or an integer past Python's digit
     # limit; RecursionError: arrays or objects nested past its depth limit.
     except (ValueError, RecursionError) as exc:
-        raise SchemaError(f"field '{what}': invalid JSON in {path}: {exc}") from exc
+        raise SchemaError(what, f"invalid JSON in {path}: {exc}") from exc

@@ -294,12 +294,35 @@ class TestVerifyIdentity:
         assert captured.out == ""
         assert captured.err.startswith("error: field 'a1': ")
 
-    def test_trace_off_by_ten_tolerances_fails(self, tmp_path, monkeypatch, capsys):
+    def test_tiny_observable_with_a_large_defect_exits_2(self, tmp_path, capsys):
+        # A1's defect of 1e-13 is below 1e-12 but far above its entries of
+        # 1e-50: accepted, its Hermitian part would carry the average.
+        state = write_state(tmp_path / "state.json", [[C, 0.0], [1j * C, 0.0]])
+        a1 = write_operator(tmp_path / "a1.json", [[1e-50, 1e-13j], [0.0, 1e-50]])
+        a2 = write_operator(tmp_path / "a2.json", np.diag([1e-50, 0.0]))
+        code = main(["verify-identity", str(state), str(a1), str(a2), "--samples=1000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: field 'a1': A1 is not self-adjoint: ")
+
+    @staticmethod
+    def small_case(tmp_path):
+        # A1 = A2 = diag(1e-6, -1e-6) on diag(c, c): the average is 1e-12.
+        a = np.diag([1e-6, -1e-6])
+        state = write_state(tmp_path / "state.json", np.diag([C, C]))
+        files = [str(write_operator(tmp_path / f"a{i}.json", a)) for i in (1, 2)]
+        return ["verify-identity", str(state), *files, "--samples=20000"], a, a
+
+    @pytest.mark.parametrize("case", ["large_case", "small_case"])
+    def test_trace_off_by_ten_tolerances_fails(self, tmp_path, monkeypatch, capsys, case):
+        # The tolerance scales with max |A1| · max |A2| both ways: a floor
+        # of 1e-10 would hide the small case's offset of 1e-21.
         import pcsft.cli as cli
 
-        argv, a1, a2 = self.large_case(tmp_path)
-        tol = cli.IDENTITY_TOL * float(np.max(np.abs(a1)) * np.max(np.abs(a2)))
-        assert tol > 10 * cli.IDENTITY_TOL
+        argv, a1, a2 = getattr(self, case)(tmp_path)
+        tol = cli.IDENTITY_TOL * float(np.max(np.abs(a1))) * float(np.max(np.abs(a2)))
+        assert tol > 10 * cli.IDENTITY_TOL if case == "large_case" else 10 * tol < cli.IDENTITY_TOL
         trace = cli.quantum_average_trace
         monkeypatch.setattr(cli, "quantum_average_trace", lambda *args: trace(*args) + 10 * tol)
         assert main(argv) == 1
@@ -1392,7 +1415,7 @@ def admissible_observables(draw):
     inside the accepted range, so rounding cannot push it out); A2 is
     sometimes shifted by a real multiple of I so that <A1 (x) A2> nearly
     cancels, and either sometimes carries a self-adjointness defect within
-    tolerance."""
+    tolerance, relative to its largest real or imaginary part."""
     d1, d2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     psi = rand_state(rng, d1, d2).amplitudes
@@ -1407,8 +1430,9 @@ def admissible_observables(draw):
             a = a * (peak / np.max(np.abs(a)))
         if draw(st.booleans()):
             i, j = draw(st.integers(0, len(a) - 1)), draw(st.integers(0, len(a) - 1))
+            scale = max(np.max(np.abs(a.real)), np.max(np.abs(a.imag)))
             # A - A† holds twice a diagonal entry's imaginary part.
-            a[i, j] += draw(st.floats(-1.0, 1.0)) * (4.5e-13 if i == j else 9e-13) * 1j
+            a[i, j] += draw(st.floats(-1.0, 1.0)) * (4.5e-13 if i == j else 9e-13) * scale * 1j
         observables.append(a)
     return psi, *observables
 
@@ -2048,6 +2072,32 @@ class TestImportPath:
         assert users("dumps_json") == {"_write_transformed", "main"}
         for name in ("stdout", "DictWriter", "PORTS", "EXIT_PASS", "EXIT_STAT_FAIL"):
             assert users(name) == {"main"}, name
+
+    def test_one_field_prefix(self):
+        # errors.SchemaError(field, reason) alone writes a rejected input's
+        # "field '<name>': " prefix, and NotPositiveError names epsilon
+        # itself, so main prints every rejection as it is, with no branch
+        # on its type.
+        package = Path(__file__).resolve().parents[1] / "src" / "pcsft"
+        writers, calls = set(), []
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                # f-string parts are string constants too.
+                if isinstance(node, ast.Constant) and "field '" in str(node.value):
+                    writers.add(path.stem)
+                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in (
+                    "SchemaError", "InteractionError"
+                ):
+                    calls.append(node)
+        assert writers == {"errors"}
+        assert len(calls) > 20
+        for call in calls:
+            assert len(call.args) + len(call.keywords) == 2, ast.unparse(call)
+            assert not any(isinstance(a, ast.Starred) for a in call.args), ast.unparse(call)
+        cli_source = (package / "cli.py").read_text(encoding="utf-8")
+        assert "NotPositiveError" not in cli_source
+        (main_def,) = [f for f in ast.parse(cli_source).body if getattr(f, "name", "") == "main"]
+        assert "isinstance" not in ast.unparse(main_def)
 
 
 class TestVersion:

@@ -61,7 +61,9 @@ class TestBuildCovariance:
         assert np.linalg.eigvalsh(cov.assembled()).min() >= -1e-10
 
     def test_bell_rejected_at_zero(self):
-        with pytest.raises(NotPositiveError) as exc_info:
+        # The error names the one field that can cause it for a valid state.
+        match = r"^field 'epsilon': epsilon = 0\.0 is below"
+        with pytest.raises(NotPositiveError, match=match) as exc_info:
             build_covariance(BELL_SINGLET, 0.0)
         carried = exc_info.value.epsilon_min
         assert carried == pytest.approx((np.sqrt(2) - 1) / 2, abs=1e-12)

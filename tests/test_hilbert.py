@@ -167,9 +167,18 @@ class TestRequireObservable:
             (np.eye(3), DimensionError, "A1 has shape (3, 3), state needs (2, 2)"),
             (np.ones((2, 3)), SelfAdjointnessError, "A1 is not square"),
             (np.triu(np.ones((2, 2))), SelfAdjointnessError, "A1 is not self-adjoint"),
+            # Beside entries of 1e-50, a defect of 1e-13 is the whole matrix,
+            # though below 1e-12 in absolute terms.
+            (np.array([[1e-50, 1e-13j], [0.0, 1e-50]]), SelfAdjointnessError,
+             "A1 is not self-adjoint: max |A - A†| = 1.000e-13 > 1.000e-25"),
+            # 1.5e308 (1 + i) is finite but its modulus is not: the bound reads
+            # the real and imaginary parts apart, so it stays finite.
+            (np.array([[0.0, 1.5e308 * (1 + 1j)], [0.0, 0.0]]), SelfAdjointnessError,
+             "A1 is not self-adjoint: max |A - A†| = inf > 1.500e+296"),
             (np.array([[1.0, 2.0], [2.0, -1.0]]), None, None),
         ],
-        ids=["wrong-size", "non-square", "not-selfadjoint", "valid"],
+        ids=["wrong-size", "non-square", "not-selfadjoint", "tiny-entries-defect",
+             "overflowing-modulus", "valid"],
     )
     def test_checks_a_side_observable(self, a, error, text):
         if error is not None:
@@ -319,6 +328,14 @@ class TestRequireSelfadjoint:
         assert np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))
         # The Hermitian part lies half the 9e-13 defect from A.
         assert float(np.max(np.abs(out - a))) <= 0.5 * SELFADJOINT_TOL
+
+    def test_one_ulp_of_rounding_at_1e50_is_accepted(self):
+        # A defect of about 5e33 is one ulp of 3e49: rounding of the input,
+        # far below 1e-12 of the entries.
+        off = 3e49 * (1 + np.finfo(float).eps)
+        a = np.array([[1e50, 3e49], [off, -1e50]])
+        out = require_selfadjoint(a)
+        assert np.array_equal(out, out.conj().T)
 
     def test_forms_and_hamiltonians_store_that_matrix(self):
         a = with_defect(1.0)
