@@ -16,8 +16,9 @@ Each subcommand assembles and returns its report.  ``main`` adds
 JSON with sorted keys, or as CSV under ``--format csv``; writes it to
 ``--output``, or to stdout when that is absent or '-'; and exits 1 when
 the report's ``pass`` is false, 2 on a rejected input (one ``error:``
-line, parser errors included), 0 otherwise.  Every run is deterministic
-given its arguments, so reruns are byte-identical.
+line, parser errors included), 3 on a program fault (its traceback on
+stderr), 0 otherwise.  Every run is deterministic given its arguments,
+so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from . import serialize
 EXIT_PASS = 0
 EXIT_STAT_FAIL = 1
 EXIT_INPUT_ERROR = 2
+EXIT_FAULT = 3
 
 # Tolerance of the verify-identity checks, relative to max |A1| · max |A2| at every
 # scale, as their rounding is.  The peak gate keeps that product at or above 1e-100,
@@ -334,6 +336,11 @@ def main(argv=None) -> int:
         message = str(exc).replace("\r", "\\r").replace("\n", "\\n")
         print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception:  # a fault of the program: neither a rejected input nor a missed gate
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_FAULT
     return EXIT_PASS if report.get("pass", True) else EXIT_STAT_FAIL
 
 

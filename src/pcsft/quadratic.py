@@ -4,9 +4,20 @@ A classical observable is f_A(phi) = <A phi, phi> for a self-adjoint A,
 read off one component of the bi-signal: side-1 forms read phi1, side-2
 forms conj(phi2).  Every form is weighted intensities: a diagonal A's of
 phi's own modes, any other A's of phi in A's eigenbasis, planned once
-when the form is built.  The readout R stacks every form's rows; the
-sampler draws through R F for the covariance's factor F, and each form
-reads only its own rows of y = R phi.
+when the form is built.  The readout R stacks every form's rows, and
+each form reads only its own rows of y = R phi.
+
+The sampler hands over seeded standard complex normals w, and nothing
+else; this module turns them into the field.  For the covariance's
+factor F, F F† = D, phi = F w / sqrt(2) is circularly-symmetric complex
+Gaussian: zero mean, covariance E[phi phi†] = D, and vanishing
+pseudo-covariance E[phi phiᵀ] = 0.  Circularity is a model choice: only
+the covariance itself is prescribed by the encoding of a state, and the
+zero-pseudo-covariance completion is the one under which the
+correlation identities below hold.  A worker applies the one transform
+R F to each block, so its rows are y = w (R F)ᵀ / sqrt(2) = R phi, and
+this module makes every BLAS call of the sample loop: that product and
+the Gram of the moments.
 
 For circular phi of covariance D, y is circular of covariance
 C = R D R†, and Isserlis gives every analytic value from C:
@@ -138,30 +149,54 @@ def _cov(c: np.ndarray, f: tuple[slice, np.ndarray], g: tuple[slice, np.ndarray]
     return float(weights_f @ np.abs(c[rows_f, rows_g]) ** 2 @ weights_g)
 
 
+def _product_rows(ft: np.ndarray) -> int:
+    """Rows of one block product call by an (n, m) ``ft``: the largest
+    multiple of 384 that keeps rows × m × n below 65536, and at least 384.
+    OpenBLAS keeps a complex product on the calling thread below that bound,
+    so transforms up to 13 × 13 start no BLAS thread; wider ones may.  Such
+    slices equal the whole-block product bit for bit on every kernel tested;
+    a 1-row rest joins the last slice, as numpy rounds a lone row differently."""
+    return max(1, 65535 // (384 * max(ft.size, 1))) * 384
+
+
 class _Workspace:
-    """One sampler worker's scratch for form_moments: the moment rows,
-    (1 + 2k) × rows, allocated once when the worker starts and reused for
-    every block.  Form j's values, in row 1 + j, are its weights times the
-    intensities |·|² of its own columns of the block, summed term by term
-    in column order, each term after the first built in row 1 + k + j,
-    which the fold overwrites.  No BLAS call: the values depend neither
-    on the BLAS kernel nor on the other forms.  A block reshapes a prefix
-    of the flat buffer, so a short last block gets the layout a fresh
-    array would have, and the same values bit for bit.
+    """One sampler worker's scratch for form_moments, allocated once when
+    the worker starts and reused for every block: y, the block's rows of
+    R phi (rows × m for the (m, n) transform R F), and the moment rows,
+    (1 + 2k) × rows.  Form j's values, in row 1 + j, are its weights
+    times the intensities |·|² of its own columns of y, summed term by
+    term in column order, each term after the first built in row
+    1 + k + j, which the fold overwrites.  They take no BLAS call: given
+    y, they depend neither on the BLAS kernel nor on the other forms; the
+    product and the fold's Gram are the BLAS calls.  A block reshapes a
+    prefix of the flat buffer, so a short last block gets the layout a
+    fresh array would have, and the same values bit for bit.
     """
 
-    def __init__(self, plans: Sequence[tuple[slice, np.ndarray]], block_rows: int):
+    def __init__(self, transform: np.ndarray, plans: Sequence, block_rows: int):
+        self._ft = transform.T * np.sqrt(0.5)
+        self._y = np.empty((block_rows, len(transform)), dtype=complex)
         self._plans = plans
         self._height = 1 + 2 * len(plans)
         self._rows = np.empty(self._height * block_rows)
 
-    def rows(self, phi: np.ndarray) -> np.ndarray:
-        """The moment rows of block ``phi``, form j's values in row 1 + j.
-        Squares phi's float64 view in place."""
-        n = phi.shape[0]
+    def product(self, w: np.ndarray) -> np.ndarray:
+        """y = w (R F)ᵀ / sqrt(2) of the normals ``w``, in the workspace's
+        buffer, in row slices of ``_product_rows`` that OpenBLAS keeps on
+        the worker's thread."""
+        n, step, y = len(w), _product_rows(self._ft), self._y[: len(w)]
+        for lo in range(0, max(n - 1, 1), step):
+            hi = n if n - lo <= step + 1 else lo + step
+            np.matmul(w[lo:hi], self._ft, out=y[lo:hi])
+        return y
+
+    def rows(self, y: np.ndarray) -> np.ndarray:
+        """The moment rows of the block ``y`` of R phi, form j's values in
+        row 1 + j.  Squares y's float64 view in place."""
+        n = y.shape[0]
         k = len(self._plans)
         rows = self._rows[: self._height * n].reshape(self._height, n)
-        v = phi.view(np.float64)
+        v = y.view(np.float64)
         np.square(v, out=v)
         for j, (columns, weights) in enumerate(self._plans):
             values, term = rows[1 + j], rows[1 + k + j]
@@ -177,12 +212,12 @@ class _Workspace:
                 values += term
         return rows
 
-    def gram(self, phi: np.ndarray, centre: np.ndarray) -> np.ndarray:
-        """The Gram matrix of [1, d, d²], d = value - centre, on block
-        ``phi``, built in the moment rows: row 0 becomes ones, the values
-        their deviations d, and rows 1 + k on the squares d²."""
+    def gram(self, w: np.ndarray, centre: np.ndarray) -> np.ndarray:
+        """The Gram matrix of [1, d, d²], d = value - centre, on the block
+        of normals ``w``, built in the moment rows: row 0 becomes ones, the
+        values their deviations d, and rows 1 + k on the squares d²."""
         k = len(self._plans)
-        rows = self.rows(phi)
+        rows = self.rows(self.product(w))
         rows[0] = 1.0
         d = rows[1 : 1 + k]
         for column, c in zip(d, centre):  # row by row: no broadcast buffer
@@ -264,13 +299,14 @@ def _draw_moments(
     """form_moments, with the plans and C = R D R† it read the centres off."""
     factor = factor_covariance(cov)
     readout, plans, c = _readout_covariance(cov, forms)
+    transform = readout @ factor
     centre = np.array([weights @ c.diagonal()[rows].real for rows, weights in plans])
 
     def make_consumer(block_rows):
-        workspace = _Workspace(plans, block_rows)
-        return lambda index, y: workspace.gram(y, centre)
+        workspace = _Workspace(transform, plans, block_rows)
+        return lambda index, w: workspace.gram(w, centre)
 
-    gram = draw_chunks(readout @ factor, seed, count, make_consumer)
+    gram = draw_chunks(transform.shape[1], seed, count, make_consumer)
     return Moments(centre, gram), plans, c
 
 
@@ -284,18 +320,19 @@ def form_moments(
     evaluated and accumulated in one pass, centred on the forms' analytic
     means Σ_r w_r Re C_rr, C = R D R† for the forms' readout R.
 
-    Column j of the moments is form j on the samples ``draw_chunks`` draws
-    through R F, F the factor of ``cov``, for (seed, count).  F comes
-    first, so its residual check rejects an epsilon too large for float64
-    before R D R† overflows; the readout then checks every form's
-    dimension before the draw.  Each sampler worker makes one consumer
-    for its blocks of ``block_rows`` rows of R phi, with a _Workspace it
-    allocates once: memory is O(workers × (1 + 2k) × block_rows) floats
-    for k forms, whatever ``count`` is.  The consumer evaluates every form
-    once per block, from its own rows, and returns the block's Gram about
-    the centre; the sampler sums the Grams in block-index order.  Pass
-    each distinct form once; the result is bit-identical for any worker
-    count.
+    Column j of the moments is form j on y = R phi, phi = F w / sqrt(2)
+    for the normals w ``draw_chunks`` draws for (seed, count) and F the
+    factor of ``cov``.  F comes first, so its residual check rejects an
+    epsilon too large for float64 before R D R† overflows; the readout
+    then checks every form's dimension before the draw.  Each sampler
+    worker makes one consumer for its blocks of ``block_rows`` rows of
+    normals, with a _Workspace it allocates once: memory is
+    O(workers × (m + 1 + 2k) × block_rows) for m readout rows and k
+    forms, whatever ``count`` is.  The consumer applies R F to the block,
+    evaluates every form once, from its own rows, and returns the block's
+    Gram about the centre; the sampler sums the Grams in block-index
+    order.  Pass each distinct form once; the result is bit-identical for
+    any worker count.
     """
     return _draw_moments(cov, seed, count, forms)[0]
 

@@ -1,12 +1,10 @@
-"""Seeded sampling of complex Gaussian bi-signals.
+"""Seeded standard complex normals, drawn block by block.
 
-The sampler hands over ``w @ T^T / sqrt(2)`` for the matrix T its caller
-passes and seeded standard complex normals w.  For T T† = D the rows are
-circularly-symmetric complex Gaussians: zero mean, covariance E[z z†] =
-D, and vanishing pseudo-covariance E[z zᵀ] = 0.  Circularity is a model
-choice: only the covariance itself is prescribed by the encoding of a
-state, and the zero-pseudo-covariance completion is the one under which
-the quadratic form correlation identities of :mod:`pcsft.quadratic` hold.
+The sampler is exactly the stream ``PRNG_ID`` names: it hands each block
+consumer the seeded standard complex normals w (rows × modes), and
+nothing else.  What a consumer makes of them, such as the circular
+Gaussian field :mod:`pcsft.quadratic` builds by applying R F, is the
+consumer's.
 
 Determinism contract
 --------------------
@@ -23,7 +21,8 @@ time, from the chunk's one generator; the ziggurat consumes the words in
 order, so the blocks of a chunk are the same stream as one fill of the
 whole chunk.  Hence a chunk never depends on the worker count and a
 shorter draw is a prefix of a longer one.  Regenerating with the same
-(T, seed, count) is therefore bit-identical for any worker count.  Each
+(modes, seed, count) is therefore bit-identical for any worker count,
+and on any BLAS kernel: no BLAS call touches the normals.  Each
 worker also builds its own block consumer once, for blocks of a given
 row count, so a consumer can keep per-worker scratch, and hands it each
 block with its index; the sampler sums what the consumers return in
@@ -55,21 +54,11 @@ CHUNK_SIZE = 16384
 # Largest sample count: the stream is defined for chunk indices below 2**56.
 MAX_SAMPLES = CHUNK_SIZE * 2**56
 
-# Rows a worker fills and transforms at a time.  It divides CHUNK_SIZE, so
-# the blocks tile every draw at multiples of _BLOCK_ROWS.  It moves no
-# sample, but draw_chunks sums one Gram matrix per block for form_moments,
-# so the tiling sets the rounding of every estimate, and the report bytes.
+# Rows a worker fills at a time.  It divides CHUNK_SIZE, so the blocks
+# tile every draw at multiples of _BLOCK_ROWS.  It moves no sample, but
+# draw_chunks sums one Gram matrix per block for form_moments, so the
+# tiling sets the rounding of every estimate, and the report bytes.
 _BLOCK_ROWS = 4096
-
-
-def _product_rows(ft: np.ndarray) -> int:
-    """Rows of one block product call by an (n, m) ``ft``: the largest
-    multiple of 384 that keeps rows × m × n below 65536, and at least 384.
-    OpenBLAS keeps a complex product on the calling thread below that bound,
-    so transforms up to 13 × 13 start no BLAS thread; wider ones may.  Such
-    slices equal the whole-block product bit for bit on every kernel tested;
-    a 1-row rest joins the last slice, as numpy rounds a lone row differently."""
-    return max(1, 65535 // (384 * max(ft.size, 1))) * 384
 
 
 def resolve_workers() -> int:
@@ -97,32 +86,31 @@ def _substream(seed: int, chunk: int) -> np.random.SFC64:
 
 
 def draw_chunks(
-    transform: np.ndarray,
+    modes: int,
     seed: int,
     count: int,
     make_consumer: Callable[[int], Callable[[int, np.ndarray], Any]],
 ) -> Any:
-    """Draw ``count`` samples block by block, hand each block over, and
-    return the sum of what the consumers return, in block-index order.
+    """Draw ``count`` samples of ``modes`` standard complex normals block
+    by block, hand each block over, and return the sum of what the
+    consumers return, in block-index order.
 
     Each worker calls ``make_consumer(block_rows)`` once when it starts,
     with ``block_rows = min(_BLOCK_ROWS, count)``, so a consumer can own
     scratch buffers for every block it is handed.  The worker then takes
     the next ``CHUNK_SIZE`` chunk until none is left and fills it in
-    blocks of ``block_rows`` rows, in two buffers it reuses: the normals
-    w, then ``y = w @ transform^T / sqrt(2)`` (shape (rows, m) for an
-    (m, n) transform, w having n columns), in row slices of
-    ``_product_rows(ft)`` that OpenBLAS keeps on the worker's thread.  It
-    calls ``consume(index, y)`` for block ``index``, which starts at
-    sample ``index * block_rows`` (only the last block may be shorter);
-    the consumer may overwrite ``y``, and the worker overwrites it after
-    the call returns.  Calls of different workers run
-    concurrently on disjoint blocks; the values a block carries never
-    depend on the worker count.  A consumer returns its block's part of
+    blocks of ``block_rows`` rows with the standard complex normals w,
+    shape (rows, modes), in one buffer it reuses.  It calls
+    ``consume(index, w)`` for block ``index``, which starts at sample
+    ``index * block_rows`` (only the last block may be shorter); the
+    consumer may overwrite ``w``, and the worker overwrites it after the
+    call returns.  Calls of different workers run concurrently on
+    disjoint blocks; the values a block carries never depend on the
+    worker count.  A consumer returns its block's part of
     the total (a float or an array; None adds nothing).  The total starts
     at 0.0 and adds each part, under the lock that hands out the chunks,
     once every earlier block's part is in; an early part waits, so the
-    total is the serial in-order sum, bit for bit.  Memory is two buffers
+    total is the serial in-order sum, bit for bit.  Memory is one buffer
     per worker, whatever ``count``, plus the consumers' and the waiting
     parts.  If a worker raises, the others stop at their next chunk and
     the first worker's exception, in worker order, is re-raised.  The
@@ -132,8 +120,6 @@ def draw_chunks(
         raise ValueError(f"count must be in [1, {MAX_SAMPLES}], got {count}")
     if not 0 <= seed < SEED_BOUND:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
-    ft = transform.T * np.sqrt(0.5)
-    slice_rows = _product_rows(ft)
     nchunks = -(-count // CHUNK_SIZE)
     taken = 0  # chunks handed out so far
     total, summed, early = 0.0, 0, {}  # the sum of blocks [0, summed), parts waiting
@@ -159,23 +145,16 @@ def draw_chunks(
 
     def work(slot: int):
         nonlocal taken
-        block_rows = min(_BLOCK_ROWS, count)
-        w = np.empty((block_rows, ft.shape[0]), dtype=complex)
-        phi = np.empty((block_rows, ft.shape[1]), dtype=complex)
+        w = np.empty((min(_BLOCK_ROWS, count), modes), dtype=complex)
         try:
-            consume = make_consumer(block_rows)
+            consume = make_consumer(len(w))
             while (chunk := next_chunk()) is not None:
                 gen = np.random.Generator(_substream(seed, chunk))
                 start = chunk * CHUNK_SIZE
-                size = min(CHUNK_SIZE, count - start)
-                for offset in range(0, size, _BLOCK_ROWS):
-                    rows = min(_BLOCK_ROWS, size - offset)
-                    gen.standard_normal(out=w[:rows].view(np.float64))
-                    for lo in range(0, max(rows - 1, 1), slice_rows):
-                        hi = rows if rows - lo <= slice_rows + 1 else lo + slice_rows
-                        np.matmul(w[lo:hi], ft, out=phi[lo:hi])
-                    index = (start + offset) // _BLOCK_ROWS
-                    add(index, consume(index, phi[:rows]))
+                for lo in range(start, min(start + CHUNK_SIZE, count), _BLOCK_ROWS):
+                    block = w[: min(_BLOCK_ROWS, count - lo)]
+                    gen.standard_normal(out=block.view(np.float64))
+                    add(lo // _BLOCK_ROWS, consume(lo // _BLOCK_ROWS, block))
         except BaseException as exc:  # re-raised below, after every join
             with lock:
                 taken = nchunks  # the other workers stop at their next chunk

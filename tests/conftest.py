@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pcsft.hilbert import BipartiteState
 from pcsft.covariance import BlockCovariance, factor_covariance
+from pcsft.quadratic import _Workspace
 from pcsft.sampler import draw_chunks
 
 # One line per acceptance criterion, replayed in the terminal summary.
@@ -39,17 +40,21 @@ def set_workers(monkeypatch):
 
 
 def draw_samples(cov: BlockCovariance, seed: int, count: int) -> np.ndarray:
-    """The joint (count, d1 + d2) samples draw_chunks draws through the
-    covariance's factor, stored in order."""
-    out = np.empty((count, cov.d1 + cov.d2), dtype=complex)
+    """The joint (count, d1 + d2) samples phi = F w / sqrt(2), stored in
+    order: quadratic's product of the covariance's factor F with the
+    normals w draw_chunks draws."""
+    factor = factor_covariance(cov)
+    out = np.empty((count, len(factor)), dtype=complex)
 
     def make_store(block_rows: int):
-        def store(index: int, phi: np.ndarray):
-            out[index * block_rows : index * block_rows + phi.shape[0]] = phi
+        workspace = _Workspace(factor, [], block_rows)
+
+        def store(index: int, w: np.ndarray):
+            out[index * block_rows : index * block_rows + w.shape[0]] = workspace.product(w)
 
         return store
 
-    draw_chunks(factor_covariance(cov), seed, count, make_store)
+    draw_chunks(len(factor), seed, count, make_store)
     return out
 
 

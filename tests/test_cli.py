@@ -6,6 +6,7 @@ import builtins
 import csv
 import functools
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -28,7 +29,7 @@ from pcsft import __version__
 from pcsft.cli import build_parser, main
 from pcsft.experiments import ExperimentReport
 from pcsft.quadratic import MIN_SAMPLES
-from pcsft.sampler import MAX_SAMPLES, PRNG_ID, SEED_BOUND
+from pcsft.sampler import MAX_SAMPLES, PRNG_ID, SEED_BOUND, draw_chunks
 from conftest import kron_average, rand_selfadjoint, rand_state, states_equal_up_to_phase
 
 C = 1.0 / np.sqrt(2.0)
@@ -473,6 +474,26 @@ class TestExperimentCommand:
         code = main(["experiment", "--experiment=beamsplitter", "--statistics=boson"])
         assert code == 2
         assert capsys.readouterr() == ("", f"error: {exc}\n")
+
+    def test_program_fault_exits_3_with_its_traceback(self, monkeypatch, capsys):
+        # Any other exception is a fault of the program, neither a rejected
+        # input (2) nor a missed gate (1): main prints its traceback to
+        # stderr, writes nothing to stdout and returns 3.
+        import pcsft.cli as cli_module
+
+        def faulty(*args, **kwargs):
+            return 1 / 0
+
+        monkeypatch.setattr(cli_module, "run_beamsplitter", faulty)
+        code = main(["experiment", "--experiment=beamsplitter", "--statistics=boson",
+                     "--samples=1000"])
+        out, err = capsys.readouterr()
+        assert code == cli_module.EXIT_FAULT == 3
+        assert (cli_module.EXIT_PASS, cli_module.EXIT_STAT_FAIL, cli_module.EXIT_INPUT_ERROR) == (
+            0, 1, 2
+        )
+        assert out == ""
+        assert err.startswith("Traceback") and "ZeroDivisionError: division by zero" in err
 
 
 class TestClassifyCommand:
@@ -1984,12 +2005,12 @@ class TestImportPath:
         # nor the logging it imports is loaded either.  numpy loads
         # numpy.random on first use, which costs a cold process over 10 ms,
         # and only the sampler needs it: classify, channel and propagate
-        # never do.
+        # never do.  main imports traceback only to report a program fault.
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
             "import sys, pcsft.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'concurrent', 'logging') "
+            "if m.split('.')[0] in ('scipy', 'concurrent', 'logging', 'traceback') "
             "or m.startswith('numpy.random')))"
         )
         env = {**os.environ, "PYTHONPATH": str(src)}
@@ -2003,8 +2024,10 @@ class TestImportPath:
         # Only the CLI imports experiments, so lower layers never know the
         # report.  experiments imports neither serialize nor sampler: its
         # report holds only what the run computed, and the CLI lays it out.
-        # The sampler imports no pcsft module but errors, so it
-        # draws from the matrix it is handed, and the package imports no
+        # The sampler imports no pcsft module but errors and draws only the
+        # stream: draw_chunks takes a mode count, not a transform, and
+        # sampler.py has no matmul, no @ product and no sqrt(0.5) scale;
+        # quadratic alone defines _product_rows.  The package imports no
         # submodule.  Only the sampler imports threading: it sums the block
         # results in order, so no other module needs a lock.  Only hilbert calls object.__setattr__: every value
         # type stores its fields through hilbert._store.  The CLI checks an
@@ -2012,7 +2035,7 @@ class TestImportPath:
         # splitter from experiments.beamsplitter_channel.
         package = Path(__file__).resolve().parents[1] / "src" / "pcsft"
         importers, sampler_imports, setattr_callers = set(), set(), set()
-        experiments_names = set()
+        experiments_names, sampler_products, product_rows_definers = set(), [], set()
         threading_importers = set()
         cli_names = set()
         for path in package.glob("*.py"):
@@ -2022,6 +2045,14 @@ class TestImportPath:
                     and isinstance(node.value, ast.Name) and node.value.id == "object"
                 ):
                     setattr_callers.add(path.stem)
+                if isinstance(node, ast.FunctionDef) and node.name == "_product_rows":
+                    product_rows_definers.add(path.stem)
+                if path.stem == "sampler" and (
+                    isinstance(node, ast.MatMult)
+                    or isinstance(node, ast.Attribute) and node.attr in ("matmul", "sqrt")
+                    or isinstance(node, ast.Name) and node.id in ("matmul", "sqrt")
+                ):
+                    sampler_products.append(ast.dump(node))
                 if isinstance(node, ast.ImportFrom):
                     names = [node.module or ""] + [a.name for a in node.names]
                 elif isinstance(node, ast.Import):
@@ -2042,6 +2073,12 @@ class TestImportPath:
                     experiments_names.update(names)
         assert importers == {"cli"}
         assert sampler_imports == {"errors"}
+        assert list(inspect.signature(draw_chunks).parameters) == [
+            "modes", "seed", "count", "make_consumer"
+        ]
+        assert sampler_products == []
+        assert "sqrt(0.5)" not in (package / "sampler.py").read_text(encoding="utf-8")
+        assert product_rows_definers == {"quadratic"}
         assert not experiments_names & {"serialize", "sampler", "PRNG_ID"}
         assert [f.name for f in fields(ExperimentReport)] == [
             "epsilon", "g", "classified_symmetry"
@@ -2070,7 +2107,7 @@ class TestImportPath:
 
         assert users("__version__") == {"build_parser", "main"}
         assert users("dumps_json") == {"_write_transformed", "main"}
-        for name in ("stdout", "DictWriter", "PORTS", "EXIT_PASS", "EXIT_STAT_FAIL"):
+        for name in ("stdout", "DictWriter", "PORTS", "EXIT_PASS", "EXIT_STAT_FAIL", "EXIT_FAULT"):
             assert users(name) == {"main"}, name
 
     def test_one_field_prefix(self):

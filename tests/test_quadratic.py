@@ -15,13 +15,14 @@ import pcsft
 from pcsft.errors import DimensionError, SelfAdjointnessError
 from pcsft.hilbert import BipartiteState, marginal_average, quantum_average_tensor
 from pcsft.covariance import BlockCovariance, build_covariance, epsilon_min, factor_covariance
-from pcsft.sampler import _BLOCK_ROWS, CHUNK_SIZE, _product_rows, _substream, draw_chunks
+from pcsft.sampler import _BLOCK_ROWS, CHUNK_SIZE, draw_chunks
 from pcsft.quadratic import (
     QuadraticForm,
     analytic_cov,
     Moments,
     _Workspace,
     _cov,
+    _product_rows,
     _readout,
     _readout_covariance,
     form_moments,
@@ -86,11 +87,12 @@ class TestQuadraticForm:
 
 def workspace_rows(forms, block, d1) -> np.ndarray:
     """The moment rows form_moments writes for the forms on a joint block
-    (rows, d1 + d2): the forms' readout R applied to the block (the
-    sampler folds it into its factor instead), then one workspace; the
+    (rows, d1 + d2): the forms' readout R applied to the block (a
+    workspace folds it into the factor instead), then one workspace; the
     block is left intact."""
     readout, plans = _readout(forms, d1, np.shape(block)[1] - d1)
-    return _Workspace(plans, len(block)).rows(np.asarray(block, dtype=complex) @ readout.T)
+    workspace = _Workspace(readout, plans, len(block))
+    return workspace.rows(np.asarray(block, dtype=complex) @ readout.T)
 
 
 def record_block_values(monkeypatch) -> list:
@@ -637,7 +639,7 @@ class TestSampleForms:
         # counts n rows, every workspace weighs each port's own 2 intensity
         # rows by 1, and the port projectors' supports are disjoint and in
         # mode order, so the readout is the identity, R F is F bit for bit,
-        # and the sampler hands over phi itself.
+        # and every workspace's product is phi itself.
         import pcsft.quadratic as quadratic
         from pcsft.sampler import CHUNK_SIZE
         from pcsft.experiments import run_beamsplitter
@@ -647,17 +649,18 @@ class TestSampleForms:
         real_draw = quadratic.draw_chunks
         real_factor = quadratic.factor_covariance
 
-        def recording_init(workspace, *args):
-            real_init(workspace, *args)
+        def recording_init(workspace, transform, *args):
+            real_init(workspace, transform, *args)
             workspaces.append(workspace)
+            transforms.append(transform)
 
         def recording_factor(cov):
             covs.append(cov)
             return real_factor(cov)
 
-        def recording_draw(transform, seed, count, make_consumer):
-            transforms.append(transform)
-            totals.append(real_draw(transform, seed, count, make_consumer))
+        def recording_draw(modes, seed, count, make_consumer):
+            assert modes == 8
+            totals.append(real_draw(modes, seed, count, make_consumer))
             return totals[-1]
 
         monkeypatch.setattr(quadratic._Workspace, "__init__", recording_init)
@@ -665,12 +668,13 @@ class TestSampleForms:
         monkeypatch.setattr(quadratic, "draw_chunks", recording_draw)
         n = 3 * CHUNK_SIZE + 5
         run_beamsplitter("boson", "half", seed=96, n_samples=n)
-        assert len(covs) == len(transforms) == len(totals) == 1
+        assert len(covs) == len(totals) == 1
         assert totals[0].shape == (9, 9) and totals[0][0, 0] == n
         factor = real_factor(covs[0])
-        assert transforms[0].shape == factor.shape == (8, 8)
-        assert transforms[0].tobytes() == factor.tobytes()
-        assert workspaces
+        assert transforms and len(transforms) == len(workspaces)
+        for transform in transforms:
+            assert transform.shape == factor.shape == (8, 8)
+            assert transform.tobytes() == factor.tobytes()
         for workspace in workspaces:
             assert [(span, list(w)) for span, w in workspace._plans] == [
                 (slice(2 * j, 2 * j + 2), [1.0, 1.0]) for j in range(4)
@@ -719,14 +723,19 @@ class TestSampleForms:
         "case", [("boson", "half"), (4, 3, 110)], ids=["boson-half", "4x3"]
     )
     def test_workspace_holds_only_the_moment_rows(self, case):
-        # A worker's scratch for k forms is its (1 + 2k) × block_rows
-        # moment rows alone: each form reads its own columns of the block,
-        # so no buffer holds the intensities of all the readout's columns.
+        # A worker's block-sized scratch for k forms and m readout rows is
+        # the block's product, block_rows × m, and its (1 + 2k) ×
+        # block_rows moment rows alone: each form reads its own columns of
+        # the block, so no buffer holds the intensities of all the
+        # readout's columns.  Besides them it keeps only the transform.
         cov, forms = experiment_case(*case) if len(case) == 2 else verify_case(*case)
-        _, plans = _readout(forms, cov.d1, cov.d2)
-        workspace = _Workspace(plans, _BLOCK_ROWS)
+        readout, plans = _readout(forms, cov.d1, cov.d2)
+        transform = readout @ factor_covariance(cov)
+        workspace = _Workspace(transform, plans, _BLOCK_ROWS)
         held = [a for a in vars(workspace).values() if isinstance(a, np.ndarray)]
-        assert sum(a.size for a in held) == (1 + 2 * len(forms)) * _BLOCK_ROWS
+        assert sum(a.size for a in held) == (
+            (len(readout) + 1 + 2 * len(forms)) * _BLOCK_ROWS + transform.size
+        )
 
     def test_dimension_mismatch(self):
         cov, _ = random_dense_case(97)
@@ -737,13 +746,16 @@ class TestSampleForms:
 
 def allocating_moments(cov, seed, count, forms, centre):
     """form_moments as it was before the workspace: fresh arrays for every
-    block, on the same readout, with the intensities y.real**2 + y.imag**2
-    of each form's columns of the block y, weighted term by term, copied
+    block, on the same readout, with the whole-block product y of each
+    block of normals w and the transform, the intensities y.real**2 +
+    y.imag**2 of each form's columns of y, weighted term by term, copied
     into a fresh (1 + 2k, n) array, centred on ``centre``, squared, and
     folded to rows @ rows.T."""
     readout, plans = _readout(forms, cov.d1, cov.d2)
+    ft = (readout @ factor_covariance(cov)).T * np.sqrt(0.5)
 
-    def consume(index, y):
+    def consume(index, w):
+        y = w @ ft
         parts = [y[:, span] for span, _ in plans]
         columns = [weighted_sum(p.real**2 + p.imag**2, w) for p, (_, w) in zip(parts, plans)]
         k = len(columns)
@@ -756,8 +768,7 @@ def allocating_moments(cov, seed, count, forms, centre):
         np.square(d, out=rows[1 + k :])
         return rows @ rows.T
 
-    factor = factor_covariance(cov)
-    gram = draw_chunks(readout @ factor, seed, count, lambda block_rows: consume)
+    gram = draw_chunks(len(ft), seed, count, lambda block_rows: consume)
     return Moments(centre, gram)
 
 
@@ -781,7 +792,7 @@ forms = [
 readout, plans = _readout(forms, 3, 4)
 m = len(readout)
 plans.append((slice(m, m + 4), np.sort(rng.standard_normal(4))))
-workspace, digest = _Workspace(plans, 4096), hashlib.sha256()
+workspace, digest = _Workspace(np.eye(m + 4), plans, 4096), hashlib.sha256()
 for n in (4096, 1234):
     y = rng.standard_normal((n, 2 * (m + 4))).view(complex)
     digest.update(workspace.rows(y)[1 : 1 + len(plans)].tobytes())
@@ -858,10 +869,11 @@ def verify_case(d1, d2, seed):
 
 
 def sliced_block_mismatches() -> tuple[int, list]:
-    """(blocks, mismatches): every block draw_chunks hands over, for the
-    fermion/0 factor (4 modes), the boson/half factor and a dense 4 × 4
-    readout (8), a dense 5 × 5 readout (10) and a 6 × 7 factor (13),
-    against ``w @ ft`` computed whole from the same substream normals.
+    """(blocks, mismatches): the workspace's product of every block of
+    normals draw_chunks hands over, for the fermion/0 factor (4 modes),
+    the boson/half factor and a dense 4 × 4 readout (8), a dense 5 × 5
+    readout (10) and a 6 × 7 factor (13), against ``w @ ft`` computed
+    whole from the same normals.
     The counts end on a short block of whole slices and a rest, make one
     block of 1000 rows, and one whose 1-row rest joins the last of the
     transform's slices.  A mismatch names a block whose bytes differ."""
@@ -880,21 +892,17 @@ def sliced_block_mismatches() -> tuple[int, list]:
         ft = transform.T * np.sqrt(0.5)
         step = _product_rows(ft)
         for count in (CHUNK_SIZE + 3392, 1000, (_BLOCK_ROWS - 1) // step * step + 1):
-            block_rows = min(_BLOCK_ROWS, count)
-            w = np.concatenate([
-                np.random.Generator(_substream(0, chunk))
-                .standard_normal((min(CHUNK_SIZE, count - start), 2 * len(ft)))
-                .view(complex)
-                for chunk, start in enumerate(range(0, count, CHUNK_SIZE))
-            ])
 
-            def check(index, phi):
-                whole = w[index * block_rows : index * block_rows + len(phi)] @ ft
-                blocks.append(index)
-                if phi.tobytes() != whole.tobytes():
-                    mismatches.append(f"{name}/{count}/{index}")
+            def make_check(rows):
+                def check(index, w):
+                    blocks.append(index)
+                    if workspace.product(w).tobytes() != (w @ ft).tobytes():
+                        mismatches.append(f"{name}/{count}/{index}")
 
-            draw_chunks(transform, 0, count, lambda rows: check)
+                workspace = _Workspace(transform, [], rows)
+                return check
+
+            draw_chunks(len(ft), 0, count, make_check)
     return len(blocks), mismatches
 
 
@@ -929,16 +937,17 @@ class TestWorkspace:
                     assert fused.cov(i, j) == reference.cov(i, j)
 
     def test_blocks_allocate_no_block_sized_scratch(self, monkeypatch):
-        # tracemalloc sees numpy's data buffers.  While a worker evaluates
-        # and folds a block, traced memory rises by far less than one
-        # form's values on that block: the values, intensities and moment
-        # rows live in the worker's workspace, whatever the readout.
+        # tracemalloc sees numpy's data buffers.  While a worker multiplies,
+        # evaluates and folds a block, traced memory rises by far less than one
+        # form's values on that block: the block's product, the values,
+        # intensities and moment rows live in the worker's workspace,
+        # whatever the readout.
         import pcsft.quadratic as quadratic
 
         real_draw = quadratic.draw_chunks
         extra = []
 
-        def measuring_draw(transform, seed, count, make_consumer):
+        def measuring_draw(modes, seed, count, make_consumer):
             def make(block_rows):
                 consume = make_consumer(block_rows)
 
@@ -951,7 +960,7 @@ class TestWorkspace:
 
                 return measured
 
-            return real_draw(transform, seed, count, make)
+            return real_draw(modes, seed, count, make)
 
         monkeypatch.setattr(quadratic, "draw_chunks", measuring_draw)
         mixed_cov, mixed_forms = random_dense_case(102)  # dense and diagonal
@@ -997,10 +1006,9 @@ class TestBlasIndependence:
 
 
 class TestProductSlices:
-    # draw_chunks computes each block's product in slices of
+    # The workspace computes each block's product in slices of
     # _product_rows(ft) rows, so that OpenBLAS keeps it on the worker's
-    # thread; the blocks it hands over must be the whole-block products,
-    # bit for bit.
+    # thread; the products must be the whole-block products, bit for bit.
     def test_slices_equal_the_whole_product(self):
         assert sliced_block_mismatches() == (35, [])
 
@@ -1247,7 +1255,7 @@ class TestFormKernel:
         readout, plans = _readout(forms, d1, d2)
         y = rand_complex(rng, 64, d1 + d2) @ readout.T
         intensity = y.real**2 + y.imag**2
-        rows = _Workspace(plans, len(y)).rows(y)
+        rows = _Workspace(readout, plans, len(y)).rows(y)
         for j, (span, weights) in enumerate(plans):
             assert np.array_equal(rows[1 + j], weighted_sum(intensity[:, span], weights))
 
@@ -1332,22 +1340,22 @@ def cubature_error(monkeypatch, cov, forms, scale: float = 1.0) -> float:
     """The largest error of the rule-weighted Gram of [1, d, d²] against
     E 1 = 1, E d = 0 and E d_i d_j = cov(f_i, f_j) read off C by Isserlis,
     relative to max |C|² · max |w|².  Each weight class of Stroud 5-2 is
-    one draw_chunks call through R F, ``scale`` times, with the consumer
-    form_moments uses, about the analytic means.  E d and E d d are of
+    one draw_chunks call, with the consumer form_moments uses on R F,
+    ``scale`` times, about the analytic means.  E d and E d d are of
     degree 2 and 4 in the normals, so the rule gives them exactly."""
     readout, plans, c = _readout_covariance(cov, forms)
     centre = np.array([weights @ c.diagonal()[rows].real for rows, weights in plans])
     transform = scale * (readout @ factor_covariance(cov))
 
     def make_consumer(block_rows):
-        workspace = _Workspace(plans, block_rows)
-        return lambda index, y: workspace.gram(y, centre)
+        workspace = _Workspace(transform, plans, block_rows)
+        return lambda index, w: workspace.gram(w, centre)
 
     total = 0.0
     for weight, points in stroud_5_2(2 * transform.shape[1]):
         source = PointSource(points)
         monkeypatch.setattr(np.random, "Generator", lambda bits: source)
-        total = total + weight * draw_chunks(transform, 0, len(points), make_consumer)
+        total = total + weight * draw_chunks(transform.shape[1], 0, len(points), make_consumer)
         assert source.taken == len(points)
     k = len(forms)
     expected = np.zeros((1 + k, 1 + k))
@@ -1388,7 +1396,7 @@ class TestCubatureOracle:
     @pytest.mark.parametrize("d1, d2", [(2, 3), (4, 4), (7, 7)])
     def test_dense_pairs(self, monkeypatch, d1, d2):
         # 7 × 7 has 14 modes and 1569 points: the pair class is one block
-        # the sampler multiplies in several 384-row slices.
+        # the workspace multiplies in several 384-row slices.
         cov, forms = verify_case(d1, d2, 116 + d1)
         if d1 == 7:
             assert _product_rows(np.empty((14, 14))) == 384

@@ -11,15 +11,8 @@ import pytest
 
 from pcsft.hilbert import BipartiteState
 from pcsft.covariance import BlockCovariance, build_covariance, epsilon_min, factor_covariance
-from pcsft.sampler import (
-    _BLOCK_ROWS,
-    CHUNK_SIZE,
-    MAX_SAMPLES,
-    _product_rows,
-    _substream,
-    draw_chunks,
-)
-from pcsft.quadratic import QuadraticForm, form_moments
+from pcsft.sampler import _BLOCK_ROWS, CHUNK_SIZE, MAX_SAMPLES, _substream, draw_chunks
+from pcsft.quadratic import QuadraticForm, _Workspace, _product_rows, form_moments
 from pcsft.channels import UnitaryChannel, apply_to_state
 from pcsft.experiments import beamsplitter_unitary
 from conftest import draw_samples, rand_selfadjoint, rand_state
@@ -127,9 +120,8 @@ class TestDrawMoments:
         assert np.all(np.abs(pseudo) <= 5.0 * se)
 
     def test_count_validation(self):
-        cov = build_covariance(BELL_SINGLET, 0.3)
         with pytest.raises(ValueError):
-            draw_chunks(factor_covariance(cov), 0, 0, lambda block_rows: lambda index, phi: None)
+            draw_chunks(4, 0, 0, lambda block_rows: lambda index, w: None)
 
 
 class TestDeterminism:
@@ -183,8 +175,14 @@ class TestDeterminism:
 
 class TestKnownAnswers:
     """Pinned values of stream v3.  numpy does not promise that
-    Generator streams stay the same across versions (NEP 19); if one of
-    these fails, the stream moved and PRNG_ID needs a new version."""
+    Generator streams stay the same across versions (NEP 19).  The
+    normals, and their first-chunk digests, are the stream PRNG_ID names
+    and nothing else: no BLAS call touches them, so if one of these
+    fails, the stream moved and PRNG_ID needs a new version.  The y
+    digests of test_first_chunk_digest also pin the OpenBLAS kernel they
+    were taken on (SkylakeX): the factor's eigh and the product
+    w (R F)ᵀ round differently per kernel, so under another
+    OPENBLAS_CORETYPE they may fail while the normals digests pass."""
 
     def test_first_normals_of_substream(self):
         normals = np.random.Generator(_substream(0, 0)).standard_normal(8)
@@ -209,6 +207,27 @@ class TestKnownAnswers:
         joint = samples.astype("<c16")
         assert hashlib.sha256(joint.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "2618e4058c798f951bd33768d13628b70fd476883a56b0c9cf54bb9e2ed6413f"),
+            (7, "c3dbdb5bbd0f7bcff920884d5b071324eeabc95709df5c27f69f8db214353707"),
+        ],
+    )
+    def test_first_chunk_normals_digest(self, seed, digest):
+        # The normals draw_chunks hands out for the first chunk of an
+        # eight-mode draw (boson/half's mode count), stored in block order.
+        normals = np.empty((CHUNK_SIZE, 8), dtype="<c16")
+
+        def make_store(block_rows):
+            def store(index, w):
+                normals[index * block_rows : index * block_rows + len(w)] = w
+
+            return store
+
+        draw_chunks(8, seed, CHUNK_SIZE, make_store)
+        assert hashlib.sha256(normals.tobytes()).hexdigest() == digest
+
 
 class TestSubstreamKey:
     # SeedSequence accepts any nonnegative integers, so the key's range
@@ -216,10 +235,9 @@ class TestSubstreamKey:
     # worker starts.
     @pytest.mark.parametrize("seed, chunk", [(-1, 0), (2**64, 0)])
     def test_rejects_key_out_of_range(self, seed, chunk):
-        cov = build_covariance(BELL_SINGLET, 0.3)
         made = []
         with pytest.raises(ValueError, match="seed"):
-            draw_chunks(factor_covariance(cov), seed, CHUNK_SIZE * (chunk + 1), made.append)
+            draw_chunks(4, seed, CHUNK_SIZE * (chunk + 1), made.append)
         assert made == []
 
     def test_accepts_the_largest_key(self):
@@ -237,7 +255,6 @@ class TestDrawChunks:
     def test_blocks_tile_the_draw(self, set_workers):
         # Every worker's consumer is made for blocks of min(_BLOCK_ROWS,
         # count) rows, and block i holds the rows from i times that on.
-        cov = build_covariance(BELL_SINGLET, 0.3)
         set_workers(2)
         for count in (2 * CHUNK_SIZE + _BLOCK_ROWS + 7, _BLOCK_ROWS - 5):
             block_rows = min(_BLOCK_ROWS, count)
@@ -247,7 +264,7 @@ class TestDrawChunks:
                 made.append(rows)
                 return lambda index, phi: blocks.append((index, len(phi)))
 
-            draw_chunks(factor_covariance(cov), 0, count, make_consumer)
+            draw_chunks(4, 0, count, make_consumer)
             assert made == [block_rows] * min(2, -(-count // CHUNK_SIZE))
             assert sorted(blocks) == [
                 (index, min(block_rows, count - index * block_rows))
@@ -258,7 +275,6 @@ class TestDrawChunks:
         # Chunk 0's blocks return last, so every other part arrives early
         # and waits: the total is still the serial in-order sum, bit for
         # bit, for 1, 2 and 3 workers.
-        cov = build_covariance(BELL_SINGLET, 0.3)
         count = 8 * CHUNK_SIZE + _BLOCK_ROWS + 7  # 9 chunks, 34 blocks
         nblocks = -(-count // _BLOCK_ROWS)
         others = nblocks - CHUNK_SIZE // _BLOCK_ROWS
@@ -277,7 +293,7 @@ class TestDrawChunks:
                     rest_done.set()
                 return order_sensitive_part(index)
 
-            total = draw_chunks(factor_covariance(cov), 0, count, lambda rows: consume)
+            total = draw_chunks(4, 0, count, lambda rows: consume)
             assert sorted(returned) == list(range(nblocks))
             assert returned.index(0) == (0 if workers == 1 else others)
             assert total == serial, workers
@@ -285,7 +301,6 @@ class TestDrawChunks:
     def test_concurrent_parts_lose_no_block(self, set_workers):
         # More workers than cores, switching often: the array total counts
         # every block once and equals the serial in-order sum bit for bit.
-        cov = build_covariance(BELL_SINGLET, 0.3)
         count = 8 * CHUNK_SIZE + 3 * _BLOCK_ROWS + 5  # 9 chunks, 36 blocks
         nblocks = -(-count // _BLOCK_ROWS)
         serial = 0.0
@@ -298,7 +313,7 @@ class TestDrawChunks:
         totals = []
         set_workers(3)
         runner = threading.Thread(target=lambda: totals.extend(
-            draw_chunks(factor_covariance(cov), 0, count, lambda rows: consume)
+            draw_chunks(4, 0, count, lambda rows: consume)
             for _ in range(3)
         ))
         interval = sys.getswitchinterval()
@@ -351,27 +366,22 @@ class TestDrawChunks:
             __radd__ = __add__
 
         monkeypatch.setattr("pcsft.sampler.threading.Lock", OwnedLock)
-        cov = build_covariance(BELL_SINGLET, 0.3)
         count = 2 * CHUNK_SIZE + _BLOCK_ROWS + 5  # 3 chunks, 10 blocks
         for workers in (2, 3):
             set_workers(workers)
-            total = draw_chunks(
-                factor_covariance(cov), 0, count, lambda rows: lambda i, phi: Part([i])
-            )
+            total = draw_chunks(4, 0, count, lambda rows: lambda i, w: Part([i]))
             assert total.blocks == list(range(-(-count // _BLOCK_ROWS)))
 
     def test_rejects_a_count_past_the_last_chunk(self):
         # The stream is defined for chunk indices below 2**56, so a longer
         # draw is refused before any worker starts.
-        cov = build_covariance(BELL_SINGLET, 0.3)
         made = []
         with pytest.raises(ValueError, match="count"):
-            draw_chunks(factor_covariance(cov), 0, MAX_SAMPLES + 1, made.append)
+            draw_chunks(4, 0, MAX_SAMPLES + 1, made.append)
         assert made == []
         assert -(-MAX_SAMPLES // CHUNK_SIZE) == 2**56
 
     def test_failure_stops_the_other_workers(self, set_workers):
-        cov = build_covariance(BELL_SINGLET, 0.3)
         seen = []
 
         def consume(index, phi):
@@ -381,7 +391,7 @@ class TestDrawChunks:
 
         set_workers(2)
         with pytest.raises(RuntimeError, match="consumer failed"):
-            draw_chunks(factor_covariance(cov), 0, 16 * CHUNK_SIZE, lambda rows: consume)
+            draw_chunks(4, 0, 16 * CHUNK_SIZE, lambda rows: consume)
         assert len(seen) < 16 * CHUNK_SIZE // _BLOCK_ROWS
 
 
@@ -402,7 +412,8 @@ class TestProductRows:
 
     def test_draw_multiplies_in_slices_and_joins_a_1_row_rest(self, monkeypatch, set_workers):
         # 10 modes: 384-row slices.  A full block ends on a 256-row slice;
-        # a 769-row block on 385 rows, not on a lone row.
+        # a 769-row block on 385 rows, not on a lone row.  The workspace
+        # multiplies each block of normals the sampler hands it.
         set_workers(1)
         calls, matmul = [], np.matmul
 
@@ -410,8 +421,15 @@ class TestProductRows:
             calls.append(len(a))
             return matmul(a, b, out=out)
 
+        def make_consumer(rows):
+            def consume(index, w):
+                workspace.product(w)
+
+            workspace = _Workspace(np.eye(10), [], rows)
+            return consume
+
         monkeypatch.setattr(np, "matmul", spy)
-        draw_chunks(np.eye(10), 0, _BLOCK_ROWS + 769, lambda rows: lambda index, phi: None)
+        draw_chunks(10, 0, _BLOCK_ROWS + 769, make_consumer)
         assert calls == [384] * 10 + [256] + [384, 385]
 
 
@@ -419,7 +437,8 @@ class TestBatchMemory:
     def test_draw_hands_over_its_arrays(self, set_workers):
         # 200k spin-1/2 samples stored into one 25.6 MB array: draw_chunks
         # hands its blocks over, so the only other allocations are each
-        # worker's two block buffers (1 MB).
+        # worker's two block buffers (1 MB): the sampler's normals and the
+        # workspace's product.
         cov = experiment_cov("boson", "half")
         for workers in (1, 2):
             set_workers(workers)
@@ -490,13 +509,11 @@ class TestWorkerResolution:
 
         for function in (resolve_workers, draw_chunks, form_moments):
             assert "workers" not in inspect.signature(function).parameters
-        cov = build_covariance(BELL_SINGLET, 0.3)
         for workers in (1, 2, 3):
             set_workers(workers)
             made = []
             draw_chunks(
-                factor_covariance(cov), 0, 4 * CHUNK_SIZE,
-                lambda rows: made.append(rows) or (lambda index, phi: None),
+                4, 0, 4 * CHUNK_SIZE, lambda rows: made.append(rows) or (lambda index, w: None)
             )
             assert made == [_BLOCK_ROWS] * workers
 
