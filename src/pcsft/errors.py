@@ -38,11 +38,10 @@ class InteractionError(SchemaError):
 
 class NotPositiveError(SchemaError):
     """A covariance is not positive semidefinite, which for a valid state
-    happens only through its background level (below epsilon_min, or too
-    large for the factor's residual bound in float64), so the message names
-    ``epsilon``.  ``epsilon_min``, when known, is the least admissible value."""
+    happens only through a background level below epsilon_min, so the
+    message names ``epsilon``.  ``epsilon_min`` is the least admissible value."""
 
-    def __init__(self, reason: str, epsilon_min: float | None = None):
+    def __init__(self, reason: str, epsilon_min: float):
         super().__init__("epsilon", reason)
         self.epsilon_min = epsilon_min
 

@@ -151,12 +151,13 @@ def _cov(c: np.ndarray, f: tuple[slice, np.ndarray], g: tuple[slice, np.ndarray]
 
 def _product_rows(ft: np.ndarray) -> int:
     """Rows of one block product call by an (n, m) ``ft``: the largest
-    multiple of 384 that keeps rows × m × n below 65536, and at least 384.
+    multiple of 192 that keeps rows × m × n below 65536, and at least 192.
     OpenBLAS keeps a complex product on the calling thread below that bound,
-    so transforms up to 13 × 13 start no BLAS thread; wider ones may.  Such
-    slices equal the whole-block product bit for bit on every kernel tested;
-    a 1-row rest joins the last slice, as numpy rounds a lone row differently."""
-    return max(1, 65535 // (384 * max(ft.size, 1))) * 384
+    so transforms up to 18 × 18 start no BLAS thread; wider ones may.  Such
+    slices equal the whole-block product bit for bit on every kernel tested
+    (units of 64, 128, 256 and 320 rows do not); a 1-row rest joins the last
+    slice, as numpy rounds a lone row differently."""
+    return max(1, 65535 // (192 * max(ft.size, 1))) * 192
 
 
 class _Workspace:
@@ -322,9 +323,9 @@ def form_moments(
 
     Column j of the moments is form j on y = R phi, phi = F w / sqrt(2)
     for the normals w ``draw_chunks`` draws for (seed, count) and F the
-    factor of ``cov``.  F comes first, so its residual check rejects an
-    epsilon too large for float64 before R D R† overflows; the readout
-    then checks every form's dimension before the draw.  Each sampler
+    factor of ``cov``.  F comes first, so an epsilon above MAX_EPSILON is
+    rejected before R D R† is formed; the readout then checks every
+    form's dimension before the draw.  Each sampler
     worker makes one consumer for its blocks of ``block_rows`` rows of
     normals, with a _Workspace it allocates once: memory is
     O(workers × (m + 1 + 2k) × block_rows) for m readout rows and k

@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 from pcsft.hilbert import BipartiteState
 from pcsft import serialize
 from pcsft import __version__
-from pcsft.cli import build_parser, main
+from pcsft.cli import MAX_OPERATOR_ENTRY, build_parser, main
+from pcsft.covariance import MAX_EPSILON
 from pcsft.experiments import ExperimentReport
 from pcsft.quadratic import MIN_SAMPLES
 from pcsft.sampler import MAX_SAMPLES, PRNG_ID, SEED_BOUND, draw_chunks
@@ -627,6 +628,17 @@ class TestChannelCommand:
         state = serialize.state_from_json(json.loads(out_state.read_text()))
         assert states_equal_up_to_phase(state.amplitudes, SINGLET, tol=1e-12)
 
+    def test_huge_epsilon_writes_its_covariance(self, tmp_path, singlet_file, capsys):
+        # MAX_EPSILON bounds draws only: a channel draws nothing, so any
+        # finite level at or above epsilon_min is written as it is.
+        out_cov = tmp_path / "out_cov.json"
+        code = main(["channel", str(singlet_file), "beamsplitter5050", "--epsilon=1e300",
+                     f"--output-state={tmp_path / 'out_state.json'}",
+                     f"--output-covariance={out_cov}"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["epsilon"] == 1e300
+        assert json.loads(out_cov.read_text())["epsilon"] == 1e300
+
     @pytest.mark.parametrize("amplitudes", [np.eye(2, 3) / np.sqrt(2), np.eye(3) / np.sqrt(3)],
                              ids=["2x3", "3x3"])
     def test_beamsplitter_preset_needs_equal_even_dimensions(self, tmp_path, capsys, amplitudes):
@@ -822,11 +834,8 @@ class TestInvalidNumbers:
             ("experiment", "--epsilon=0.01", "epsilon"),
             ("propagate", "--epsilon=0.01", "epsilon"),
             ("channel", "--epsilon=0.01", "epsilon"),
-            # Valid, but beyond float64's reach for the factor's residual bound.
-            ("experiment", "--epsilon=1e8", "epsilon"),
-            ("verify-identity", "--epsilon=1e8", "epsilon"),
-            # So large that a trace against D would overflow: the factor's
-            # residual check must reject it first.
+            # Above MAX_EPSILON, and so large that a trace against D would
+            # overflow: the factor's ceiling must reject it first.
             ("experiment", "--epsilon=1e300", "epsilon"),
             ("verify-identity", "--epsilon=1e160", "epsilon"),
         ],
@@ -1065,6 +1074,84 @@ class TestInvalidNumbers:
         assert captured.err.startswith(f"error: field '{operand}': ")
         assert not (tmp_path / "out_state.json").exists()
         assert not (tmp_path / "out_cov.json").exists()
+
+
+class TestEpsilonCeiling:
+    # Every draw admits epsilon up to MAX_EPSILON: the factor's residual is
+    # bounded relative to max |D|, so a large level is no longer rejected
+    # for rounding, and above the ceiling a draw exits 2 naming it.  Exit 0
+    # means a finite report, as dumps_json refuses NaN and the infinities.
+    @staticmethod
+    def draw_argv(tmp_path, case, epsilon, peak=None):
+        """argv of one 1000-sample draw at ``epsilon``: an experiment
+        (statistics, spin), or "dense", a verify-identity of a random 2 × 3
+        state and dense observables, scaled so the largest entry modulus
+        is ``peak``."""
+        if case != "dense":
+            statistics, spin = case
+            return ["experiment", "--experiment", "beamsplitter", "--statistics", statistics,
+                    "--spin", spin, "--samples=1000", f"--epsilon={epsilon!r}"]
+        rng = np.random.default_rng(131)
+        state = write_state(tmp_path / "state.json", rand_state(rng, 2, 3).amplitudes)
+        files = []
+        for name, d in (("a1", 2), ("a2", 3)):
+            a = rand_selfadjoint(rng, d)
+            if peak is not None:
+                a = a * (peak / np.max(np.abs(a)))
+            files.append(str(write_operator(tmp_path / f"{name}.json", a)))
+        return ["verify-identity", str(state), *files, "--samples=1000", f"--epsilon={epsilon!r}"]
+
+    CASES = [("fermion", "0"), ("boson", "0"), ("fermion", "half"), ("boson", "half"), "dense"]
+    IDS = ["fermion-0", "boson-0", "fermion-half", "boson-half", "dense"]
+
+    @pytest.mark.parametrize("epsilon", [1e7, 3e7, 1e8], ids=["1e7", "3e7", "1e8"])
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_large_epsilon_draws(self, tmp_path, capsys, case, epsilon):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(self.draw_argv(tmp_path, case, epsilon))
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["epsilon"] == epsilon
+
+    @pytest.mark.parametrize("case", [("boson", "half"), "dense"], ids=["boson-half", "dense"])
+    def test_above_the_ceiling_exits_2_naming_it(self, tmp_path, capsys, case):
+        code = main(self.draw_argv(tmp_path, case, float(np.nextafter(MAX_EPSILON, np.inf))))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: field 'epsilon': ")
+        assert f"{MAX_EPSILON:g}" in captured.err
+
+    @pytest.mark.parametrize("case", [("boson", "half"), "dense"], ids=["boson-half", "dense"])
+    def test_reports_at_the_ceiling_are_finite(self, tmp_path, capsys, case):
+        # The fourth moments the standard error reads stay finite at
+        # MAX_EPSILON, with observables whose largest entry modulus is
+        # MAX_OPERATOR_ENTRY.
+        argv = self.draw_argv(tmp_path, case, MAX_EPSILON, peak=MAX_OPERATOR_ENTRY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        report = json.loads(captured.out)
+        assert report["epsilon"] == MAX_EPSILON
+        estimates = report["g"].values() if "g" in report else [report["mc"]]
+        assert all(est["std_error"] > 0.0 for est in estimates)
+
+    def test_a_factor_beyond_its_residual_bound_is_a_fault(self, monkeypatch, capsys):
+        # An admitted epsilon cannot break the relative bound, so a factor
+        # that does is the program's fault: exit 3 with its traceback.
+        import pcsft.covariance as covariance
+
+        monkeypatch.setattr(covariance, "FACTOR_RESIDUAL_TOL", 0.0)
+        code = main(["experiment", "--experiment", "beamsplitter", "--statistics", "boson",
+                     "--spin", "half", "--samples=1000"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "Traceback" in captured.err
+        assert "field 'epsilon'" not in captured.err
 
 
 class TestUnwritableOutput:

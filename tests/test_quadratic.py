@@ -19,6 +19,7 @@ from pcsft.sampler import _BLOCK_ROWS, CHUNK_SIZE, draw_chunks
 from pcsft.quadratic import (
     QuadraticForm,
     analytic_cov,
+    cross_estimates,
     Moments,
     _Workspace,
     _cov,
@@ -35,6 +36,7 @@ from pcsft.experiments import (
     beamsplitter_unitary,
     input_state,
     intensity_observable,
+    run_beamsplitter,
 )
 from conftest import (
     draw_samples,
@@ -544,6 +546,45 @@ class TestEstimate:
             est.within()
 
 
+class TestCalibration:
+    """A tripwire for a wrong standard-error formula: over 500 seeds at
+    1000 samples the z-scores (estimate - analytic) / std_error have mean
+    near 0 and spread near 1.  A slip of sqrt(2) in the standard error
+    moves the spread to about 0.7 or 1.4.  Measured: boson/0 mean -0.15,
+    sd 1.07 (2000 z-scores); the dense pair mean -0.14, sd 0.98.  At 1000
+    samples the plug-in standard error correlates with the estimate, so
+    the mean sits a little below 0.  The seeds are disjoint from every
+    seed another test pins."""
+
+    SEEDS = range(10**6, 10**6 + 500)
+
+    @staticmethod
+    def assert_calibrated(z):
+        z = np.asarray(z)
+        assert abs(z.mean()) <= 0.3, z.mean()
+        assert 0.85 <= z.std(ddof=1) <= 1.25, z.std(ddof=1)
+
+    def test_boson_0(self):
+        z = [
+            (est.value - est.analytic) / est.std_error
+            for seed in self.SEEDS
+            for est in run_beamsplitter("boson", "0", seed=seed, n_samples=1000).g.values()
+        ]
+        assert len(z) == 2000
+        self.assert_calibrated(z)
+
+    def test_dense_pair(self):
+        rng = np.random.default_rng(133)
+        cov = build_covariance(rand_state(rng, 2, 2), "auto")
+        f1 = QuadraticForm(operator=rand_selfadjoint(rng, 2), side=1)
+        f2 = QuadraticForm(operator=rand_selfadjoint(rng, 2), side=2)
+        z = []
+        for seed in self.SEEDS:
+            [[est]] = cross_estimates(cov, [f1], [f2], seed, 1000)
+            z.append((est.value - est.analytic) / est.std_error)
+        self.assert_calibrated(z)
+
+
 def spin_half_projectors():
     return [
         intensity_observable(port, 2, side) for side in (1, 2) for port in "RL"
@@ -872,8 +913,9 @@ def sliced_block_mismatches() -> tuple[int, list]:
     """(blocks, mismatches): the workspace's product of every block of
     normals draw_chunks hands over, for the fermion/0 factor (4 modes),
     the boson/half factor and a dense 4 × 4 readout (8), a dense 5 × 5
-    readout (10) and a 6 × 7 factor (13), against ``w @ ft`` computed
-    whole from the same normals.
+    readout (10), a 6 × 7 factor (13), a dense 7 × 7 readout (14) and a
+    9 × 9 factor (18), against ``w @ ft`` computed whole from the same
+    normals.
     The counts end on a short block of whole slices and a rest, make one
     block of 1000 rows, and one whose 1-row rest joins the last of the
     transform's slices.  A mismatch names a block whose bytes differ."""
@@ -883,8 +925,11 @@ def sliced_block_mismatches() -> tuple[int, list]:
         "factor-6x7": factor_covariance(
             build_covariance(rand_state(np.random.default_rng(119), 6, 7), "auto")
         ),
+        "factor-9x9": factor_covariance(
+            build_covariance(rand_state(np.random.default_rng(134), 9, 9), "auto")
+        ),
     }
-    for d, seed in ((4, 118), (5, 120)):
+    for d, seed in ((4, 118), (5, 120), (7, 135)):
         cov, forms = verify_case(d, d, seed)
         transforms[f"dense-{d}x{d}"] = _readout(forms, d, d)[0] @ factor_covariance(cov)
     blocks, mismatches = [], []
@@ -1010,7 +1055,7 @@ class TestProductSlices:
     # _product_rows(ft) rows, so that OpenBLAS keeps it on the worker's
     # thread; the products must be the whole-block products, bit for bit.
     def test_slices_equal_the_whole_product(self):
-        assert sliced_block_mismatches() == (35, [])
+        assert sliced_block_mismatches() == (49, [])
 
     @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="x86 kernels")
     def test_slices_equal_the_whole_product_under_every_kernel(self):
@@ -1030,7 +1075,7 @@ class TestProductSlices:
                 [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
             )
             assert child.returncode == 0, child.stderr
-            assert child.stdout.split() == ["35"], kernel
+            assert child.stdout.split() == ["49"], kernel
 
 
 class TestFormKernel:
@@ -1396,10 +1441,10 @@ class TestCubatureOracle:
     @pytest.mark.parametrize("d1, d2", [(2, 3), (4, 4), (7, 7)])
     def test_dense_pairs(self, monkeypatch, d1, d2):
         # 7 × 7 has 14 modes and 1569 points: the pair class is one block
-        # the workspace multiplies in several 384-row slices.
+        # the workspace multiplies in several 192-row slices.
         cov, forms = verify_case(d1, d2, 116 + d1)
         if d1 == 7:
-            assert _product_rows(np.empty((14, 14))) == 384
+            assert _product_rows(np.empty((14, 14))) == 192
         assert cubature_error(monkeypatch, cov, forms) < 1e-12
 
     @settings(max_examples=25, deadline=None)

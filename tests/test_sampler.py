@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import re
 import sys
 import threading
 import tracemalloc
@@ -10,7 +11,11 @@ import numpy as np
 import pytest
 
 from pcsft.hilbert import BipartiteState
-from pcsft.covariance import BlockCovariance, build_covariance, epsilon_min, factor_covariance
+from pcsft.covariance import (
+    FACTOR_RESIDUAL_TOL, MAX_EPSILON, BlockCovariance, build_covariance, epsilon_min,
+    factor_covariance,
+)
+from pcsft.errors import SchemaError
 from pcsft.sampler import _BLOCK_ROWS, CHUNK_SIZE, MAX_SAMPLES, _substream, draw_chunks
 from pcsft.quadratic import QuadraticForm, _Workspace, _product_rows, form_moments
 from pcsft.channels import UnitaryChannel, apply_to_state
@@ -82,6 +87,29 @@ class TestFactorCovariance:
         np.testing.assert_allclose(f, f.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(f).min() >= -1e-12
         np.testing.assert_allclose(f @ f, cov.assembled(), atol=1e-12)
+
+    @pytest.mark.parametrize("epsilon", [1e3, 1e12, MAX_EPSILON])
+    def test_residual_is_bounded_relative_to_the_covariance(self, epsilon):
+        # The bound scales with max |D|: at 1e12 the residual is near 1e-3
+        # in absolute terms, and still rounding.
+        rng = np.random.default_rng(132)
+        for d1, d2 in ((1, 1), (2, 3), (4, 4), (7, 7)):
+            cov = build_covariance(rand_state(rng, d1, d2), epsilon)
+            d, f = cov.assembled(), factor_covariance(cov)
+            residual = np.max(np.abs(f @ f.conj().T - d))
+            assert residual <= FACTOR_RESIDUAL_TOL * np.max(np.abs(d))
+
+    def test_ceiling_is_checked_before_the_decomposition(self, monkeypatch):
+        # A covariance admits any finite level; a draw, which factors it
+        # first, stops above MAX_EPSILON and names the ceiling.
+        cov = build_covariance(BELL_SINGLET, float(np.nextafter(MAX_EPSILON, np.inf)))
+
+        def refuse(a):
+            raise AssertionError("eigh called above the ceiling")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        with pytest.raises(SchemaError, match="^field 'epsilon': .*" + re.escape(f"{MAX_EPSILON:g}")):
+            factor_covariance(cov)
 
 
 class TestDrawMoments:
@@ -396,23 +424,25 @@ class TestDrawChunks:
 
 
 class TestProductRows:
-    # Each block product runs in slices of the largest multiple of 384
+    # Each block product runs in slices of the largest multiple of 192
     # rows that keeps rows × m × n below 65536, OpenBLAS's single-thread
-    # bound, and of never fewer than 384 rows.
-    @pytest.mark.parametrize("modes", range(2, 14))
+    # bound, and of never fewer than 192 rows: up to 18 modes no slice
+    # starts a BLAS thread.
+    @pytest.mark.parametrize("modes", range(2, 19))
     def test_slices_stay_below_the_single_thread_bound(self, modes):
         rows = _product_rows(np.empty((modes, modes)))
-        assert rows % 384 == 0
-        assert rows * modes * modes < 65536 <= (rows + 384) * modes * modes
+        assert rows % 192 == 0
+        assert rows * modes * modes < 65536 <= (rows + 192) * modes * modes
 
-    def test_eight_modes_keep_768_rows_and_wider_transforms_384(self):
-        assert _product_rows(np.empty((8, 8))) == 768
-        for modes in (14, 15, 20, 64):
-            assert _product_rows(np.empty((modes, modes))) == 384
+    def test_eight_modes_keep_960_rows_and_wider_transforms_192(self):
+        assert _product_rows(np.empty((4, 4))) == 4032
+        assert _product_rows(np.empty((8, 8))) == 960
+        for modes in (14, 18, 19, 20, 64):
+            assert _product_rows(np.empty((modes, modes))) == 192
 
     def test_draw_multiplies_in_slices_and_joins_a_1_row_rest(self, monkeypatch, set_workers):
-        # 10 modes: 384-row slices.  A full block ends on a 256-row slice;
-        # a 769-row block on 385 rows, not on a lone row.  The workspace
+        # 10 modes: 576-row slices.  A full block ends on a 64-row slice;
+        # a 1153-row block on 577 rows, not on a lone row.  The workspace
         # multiplies each block of normals the sampler hands it.
         set_workers(1)
         calls, matmul = [], np.matmul
@@ -429,8 +459,8 @@ class TestProductRows:
             return consume
 
         monkeypatch.setattr(np, "matmul", spy)
-        draw_chunks(10, 0, _BLOCK_ROWS + 769, make_consumer)
-        assert calls == [384] * 10 + [256] + [384, 385]
+        draw_chunks(10, 0, _BLOCK_ROWS + 1153, make_consumer)
+        assert calls == [576] * 7 + [64] + [576, 577]
 
 
 class TestBatchMemory:
