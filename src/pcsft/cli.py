@@ -53,17 +53,9 @@ EXIT_INPUT_ERROR = 2
 EXIT_FAULT = 3
 
 # Tolerance of the verify-identity checks, relative to max |A1| · max |A2| at every
-# scale, as their rounding is.  The peak gate keeps that product at or above 1e-100,
-# or exactly 0, where all three routes give exact zeros.
+# scale, as their rounding is.  The draw's admissible range keeps that product at or
+# above 1e-100, or exactly 0, where all three routes give exact zeros.
 IDENTITY_TOL = 1e-10
-
-# A nonzero verify-identity observable's largest entry modulus lies in
-# [1 / MAX_OPERATOR_ENTRY, MAX_OPERATOR_ENTRY].  The standard error reads
-# fourth moments of the form values, which scale with the fourth power of
-# the entries: within [1e-50, 1e50] they stay far inside the normal float
-# range for any sample count; from 1e75 they overflow, and from about
-# 1e-80 they underflow, so a correct run would fail its gate at zero width.
-MAX_OPERATOR_ENTRY = 1e50
 
 
 def _load(inputs: dict, field: str, path: str, parse):
@@ -107,10 +99,10 @@ _OPTIONS = {
         type=_checked("epsilon", lambda s: s if s == "auto" else float(s),
                       lambda v: v == "auto" or math.isfinite(v), "a number or 'auto'")),
     "--output": dict(help="output file (default or '-': stdout)"),
-    "--output-state": dict(default="state_out.json",
-                           help="state file (default %(default)s; '-' is refused)"),
-    "--output-covariance": dict(default="covariance_out.json",
-                                help="covariance file (default %(default)s; '-' is refused)"),
+    **{f"--output-{name}": dict(
+        default=f"{name}_out.json", help=f"{name} file (default %(default)s; '-' is refused)",
+        type=_checked(f"output_{name}", str, lambda v: v != "-", "a file path"))
+       for name in ("state", "covariance")},
 }
 
 
@@ -123,20 +115,16 @@ def cmd_verify_identity(args, inputs: dict) -> dict:
     state = _load(inputs, "state", args.state, serialize.state_from_json)
     ops = {name: _load(inputs, name, getattr(args, name), serialize.operator_from_json)
            for name in ("a1", "a2")}
-    for name, dim in (("a1", state.d1), ("a2", state.d2)):
-        ops[name] = a = serialize.naming(name, require_observable, ops[name], dim, name.upper())
-        peak = np.max(np.abs(a))
-        if peak and not 1 / MAX_OPERATOR_ENTRY <= peak <= MAX_OPERATOR_ENTRY:
-            bounds = f"[{1 / MAX_OPERATOR_ENTRY:.0e}, {MAX_OPERATOR_ENTRY:.0e}]"
-            raise SchemaError(name, f"expected the largest entry modulus in {bounds}, got {peak:.3g}")
-    a1, a2 = ops.values()
-
-    tensor = quantum_average_tensor(state, a1, a2)
-    trace = quantum_average_trace(state, a1, a2)
+    a1, a2 = (serialize.naming(name, require_observable, ops[name], dim, name.upper())
+              for name, dim in (("a1", state.d1), ("a2", state.d2)))
+    # The draw comes first: it rejects an observable outside its range
+    # before anything computes with it.
     cov = build_covariance(state, args.epsilon)
     f1 = QuadraticForm(operator=a1, side=1)
     f2 = QuadraticForm(operator=a2, side=2)
     [[est]] = cross_estimates(cov, [f1], [f2], seed=args.seed, count=args.samples)
+    tensor = quantum_average_tensor(state, a1, a2)
+    trace = quantum_average_trace(state, a1, a2)
 
     tol = IDENTITY_TOL * float(np.max(np.abs(a1))) * float(np.max(np.abs(a2)))
     checks = {
@@ -190,9 +178,6 @@ def _write_transformed(state, args) -> dict:
         "output_state": serialize.state_to_json(state),
         "output_covariance": serialize.covariance_to_json(cov),
     }
-    for field in docs:
-        if getattr(args, field) == "-":
-            raise SchemaError(field, "expected a file path, got '-'")
     paths = {field: Path(getattr(args, field)) for field in docs}
     # Open both outputs before writing either.  Append mode creates a
     # missing file and leaves an existing one as it is, so when an open

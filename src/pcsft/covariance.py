@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NotPositiveError, SchemaError
+from .errors import DimensionError, NotPositiveError
 from .hilbert import BipartiteState, _as_matrix, _store
 
 # Margin added to epsilon_min when epsilon="auto": keeps the covariance
@@ -45,20 +45,10 @@ EPSILON_SLACK = 1e-12
 # default of `pcsft classify --tol`.
 SYMMETRY_TOL = 1e-10
 
-# Largest max |F F† - D| of the factor, relative to max |D|.  Measured at
-# most 6.9e-15 over random states up to 50 × 50 and epsilon from
-# epsilon_min to 1e300, so an admitted epsilon cannot exceed it.
+# Largest max |F F† - D| of the factor, relative to max |D|, on top of
+# what clipping its eigenvalues moved.  Measured at most 6.9e-15 over
+# random states up to 50 × 50 and epsilon from epsilon_min to 1e300.
 FACTOR_RESIDUAL_TOL = 1e-12
-
-# Largest epsilon a Monte Carlo draw admits.  The standard error reads
-# fourth moments of the form values, which sum to about n (entry ×
-# epsilon)⁴ × c over n samples, c growing with the observable's size (at
-# most 3.6e4 measured for dense ones up to 8 × 8, about 9 d⁴ for d × d).
-# At MAX_SAMPLES (1.2e21), entries up to the CLI's MAX_OPERATOR_ENTRY
-# (1e50) and epsilon 1e20 that is 1.2e301 × c, finite for observables up
-# to about 36 × 36 at any sample count; from about 1e21 it overflows.  A
-# covariance itself admits any finite epsilon.
-MAX_EPSILON = 1e20
 
 
 def _epsilon_min(psi: np.ndarray) -> float:
@@ -138,28 +128,26 @@ def factor_covariance(cov: BlockCovariance) -> np.ndarray:
     """The positive semi-definite square root F = V sqrt(L) V† of the
     assembled covariance, so F F† equals it, read-only.
 
-    Raises SchemaError naming epsilon above MAX_EPSILON, before anything
-    else.  Built from a Hermitian eigendecomposition of the assembled
-    matrix.  The covariance is PSD by construction, so eigenvalues below
-    zero are rounding (exact zero modes at epsilon = epsilon_min) and are
-    clipped to zero.  The root is unique, so it does not depend on the
-    eigenvector basis chosen inside a repeated eigenvalue.  A residual
-    max |F F† - D| above FACTOR_RESIDUAL_TOL × max |D| is a fault of the
-    program, not of the input: it raises FloatingPointError.
+    Built from a Hermitian eigendecomposition of the assembled matrix.
+    The covariance is PSD by construction, so eigenvalues below zero are
+    rounding, or an admitted epsilon at most EPSILON_SLACK below
+    epsilon_min, and are clipped to zero.  The root is unique, so it does
+    not depend on the eigenvector basis chosen inside a repeated
+    eigenvalue.  A residual max |F F† - D| above FACTOR_RESIDUAL_TOL ×
+    max |D| plus the clipped amount, capped at EPSILON_SLACK, is a fault
+    of the program, not of the input: it raises FloatingPointError.
     """
-    if cov.epsilon > MAX_EPSILON:
-        raise SchemaError("epsilon", f"a draw takes at most MAX_EPSILON = {MAX_EPSILON:g}, "
-                                     f"got {cov.epsilon!r}")
     assembled = cov.assembled()
     evals, evecs = np.linalg.eigh(assembled)
+    clipped = min(max(-float(evals[0]), 0.0), EPSILON_SLACK)  # eigh sorts them ascending
     evals = np.clip(evals, 0.0, None)
     f = (evecs * np.sqrt(evals)[None, :]) @ evecs.conj().T
     residual = float(np.max(np.abs(f @ f.conj().T - assembled)))
     scale = float(np.max(np.abs(assembled)))
-    if residual > FACTOR_RESIDUAL_TOL * scale:
+    if residual > FACTOR_RESIDUAL_TOL * scale + clipped:
         raise FloatingPointError(
             f"factorization residual {residual:.3e} exceeds {FACTOR_RESIDUAL_TOL:.0e} "
-            f"of the largest covariance entry {scale:.3e}"
+            f"of the largest covariance entry {scale:.3e} plus {clipped:.3e} clipped"
         )
     f.setflags(write=False)
     return f

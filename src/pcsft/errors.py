@@ -2,7 +2,7 @@
 
 
 class PcsftError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for the inputs this package rejects."""
 
 
 class DimensionError(PcsftError):
@@ -17,8 +17,10 @@ class SelfAdjointnessError(PcsftError):
     """An operator that must be self-adjoint is not."""
 
 
-class RealityError(PcsftError):
-    """A quantity that must be real carries a non-negligible imaginary part."""
+class RealityError(ArithmeticError):
+    """A quantity that must be real carries a non-negligible imaginary part.
+    Averages read exactly Hermitian matrices, so it is a fault of the
+    program, not a rejected input, like the factor's FloatingPointError."""
 
 
 class SchemaError(PcsftError):

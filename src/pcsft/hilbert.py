@@ -50,7 +50,8 @@ def as_real(value: complex, scale: float) -> float:
     Raises RealityError when |imag| exceeds AVERAGE_REAL_TOL * max(1,
     scale): an average of exactly Hermitian A1, A2 is real up to rounding,
     which grows with max |A1| · max |A2|, not with the average, which may
-    cancel.  A failure almost always indicates a conjugation mistake.
+    cancel.  A failure is a conjugation mistake of the program, not a
+    rejected input, so the CLI exits 3 on it.
     """
     value = complex(value)
     if abs(value.imag) > AVERAGE_REAL_TOL * max(1.0, scale):

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .covariance import BlockCovariance, factor_covariance
-from .errors import DimensionError
+from .errors import DimensionError, SchemaError
 from .hilbert import _store, require_selfadjoint
 from .sampler import draw_chunks
 
@@ -89,6 +89,17 @@ MIN_SAMPLES = 1000
 
 # Sample count of an experiment or a verify-identity run unless one is given.
 DEFAULT_SAMPLES = 200_000
+
+# A draw's admissible range.  The standard errors read fourth moments of the
+# form values, about n (entry × epsilon)⁴ × c over n samples for a form's
+# largest entry modulus, c about 9 d⁴ for a dense d × d form (at most 3.6e4
+# measured up to 8 × 8).  At MAX_SAMPLES (1.2e21), MAX_OPERATOR_ENTRY and
+# MAX_EPSILON that is 1.2e301 × c, finite up to about 36 × 36; entries from
+# 1e75, or epsilon from 1e21, overflow.  Entries down to 1/MAX_OPERATOR_ENTRY
+# stay in the normal range; from about 1e-80 they underflow, and a correct
+# draw fails its gate at a standard error of 0.  A zero form is admitted.
+MAX_EPSILON = 1e20
+MAX_OPERATOR_ENTRY = 1e50
 
 
 @dataclass(frozen=True)
@@ -298,6 +309,15 @@ def _draw_moments(
     cov: BlockCovariance, seed: int, count: int, forms: Sequence[QuadraticForm]
 ) -> tuple[Moments, list[tuple[slice, np.ndarray]], np.ndarray]:
     """form_moments, with the plans and C = R D R† it read the centres off."""
+    for form in forms:
+        peak = np.max(np.abs(form.operator))
+        if peak and not 1 / MAX_OPERATOR_ENTRY <= peak <= MAX_OPERATOR_ENTRY:
+            bounds = f"[{1 / MAX_OPERATOR_ENTRY:.0e}, {MAX_OPERATOR_ENTRY:.0e}]"
+            raise SchemaError(f"a{form.side}", f"expected the largest entry modulus in {bounds}, "
+                                               f"got {peak:.3g}")
+    if cov.epsilon > MAX_EPSILON:
+        raise SchemaError("epsilon", f"a draw takes at most MAX_EPSILON = {MAX_EPSILON:g}, "
+                                     f"got {cov.epsilon!r}")
     factor = factor_covariance(cov)
     readout, plans, c = _readout_covariance(cov, forms)
     transform = readout @ factor
@@ -323,9 +343,10 @@ def form_moments(
 
     Column j of the moments is form j on y = R phi, phi = F w / sqrt(2)
     for the normals w ``draw_chunks`` draws for (seed, count) and F the
-    factor of ``cov``.  F comes first, so an epsilon above MAX_EPSILON is
-    rejected before R D R† is formed; the readout then checks every
-    form's dimension before the draw.  Each sampler
+    factor of ``cov``.  The admissible range is checked first, before F
+    is formed (SchemaError naming a1 or a2 by the form's side, or
+    epsilon); the readout then checks every form's dimension before the
+    draw.  Each sampler
     worker makes one consumer for its blocks of ``block_rows`` rows of
     normals, with a _Workspace it allocates once: memory is
     O(workers × (m + 1 + 2k) × block_rows) for m readout rows and k
@@ -343,9 +364,9 @@ def cross_estimates(
     seed: int, count: int,
 ) -> list[list[Estimate]]:
     """Entry [i][j]: the covariance of left[i] and right[j] on ``count``
-    fresh samples of one form_moments draw, which checks every dimension
-    before drawing, with its analytic value Σ_rs w_r w_s |C_rs|² attached,
-    every pair read off the C the centres were read off."""
+    fresh samples of one form_moments draw, which checks the admissible range
+    and every dimension first, with its analytic value Σ_rs w_r w_s |C_rs|²
+    attached, every pair read off the C the centres were read off."""
     moments, plans, c = _draw_moments(cov, seed, count, [*left, *right])
     k = len(left)
     return [[moments.cov(i, k + j, _cov(c, plans[i], plans[k + j])) for j in range(len(right))]

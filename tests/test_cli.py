@@ -26,10 +26,9 @@ from hypothesis import strategies as st
 from pcsft.hilbert import BipartiteState
 from pcsft import serialize
 from pcsft import __version__
-from pcsft.cli import MAX_OPERATOR_ENTRY, build_parser, main
-from pcsft.covariance import MAX_EPSILON
+from pcsft.cli import build_parser, main
 from pcsft.experiments import ExperimentReport
-from pcsft.quadratic import MIN_SAMPLES
+from pcsft.quadratic import MAX_EPSILON, MAX_OPERATOR_ENTRY, MIN_SAMPLES
 from pcsft.sampler import MAX_SAMPLES, PRNG_ID, SEED_BOUND, draw_chunks
 from conftest import kron_average, rand_selfadjoint, rand_state, states_equal_up_to_phase
 
@@ -330,6 +329,39 @@ class TestVerifyIdentity:
         assert main(argv) == 1
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert checks == {"cov_vs_tensor": True, "mc_within_5_se": True, "trace_vs_tensor": False}
+
+    def test_a_stray_imaginary_average_is_a_fault(self, tmp_path, singlet_file, monkeypatch,
+                                                  capsys):
+        # Averages read exactly Hermitian matrices, so an imaginary part
+        # beyond rounding is a conjugation mistake of the program: exit 3
+        # with its traceback, not a rejected input.
+        import pcsft.cli as cli
+        from pcsft.hilbert import as_real
+
+        trace = cli.quantum_average_trace
+        monkeypatch.setattr(cli, "quantum_average_trace",
+                            lambda *args: as_real(trace(*args) + 1e-3j, 1.0))
+        a = str(write_operator(tmp_path / "a.json", PROJ_R))
+        code = main(["verify-identity", str(singlet_file), a, a, "--samples=1000"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_FAULT
+        assert out == ""
+        assert err.startswith("Traceback") and "RealityError: expected a real scalar" in err
+
+    @pytest.mark.parametrize("d", [16, 9])
+    def test_admitted_epsilon_below_epsilon_min_draws(self, tmp_path, capsys, d):
+        # The maximally entangled d × d state, epsilon_min = (1 - 1/√d)/√d
+        # (0.1875 for d = 16), at a level EPSILON_SLACK admits below it:
+        # the factor clips eigenvalues near -9e-13, and the draw reports
+        # the level as typed.
+        state = write_state(tmp_path / "state.json", np.eye(d) / np.sqrt(d))
+        a = str(write_operator(tmp_path / "a.json", np.diag(np.arange(d) % 2)))
+        epsilon = float((1 - 1 / np.sqrt(d)) / np.sqrt(d)) - 9e-13
+        code = main(["verify-identity", str(state), a, a, "--samples=1000",
+                     f"--epsilon={epsilon!r}"])
+        captured = capsys.readouterr()
+        assert code in (0, 1), captured.err
+        assert json.loads(captured.out)["epsilon"] == epsilon
 
 
 class TestExperimentCommand:
@@ -1240,6 +1272,16 @@ class TestUnwritableOutput:
         assert captured.out == ""
         assert captured.err.startswith(f"error: field '{field}': ")
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("field", ["output_state", "output_covariance"])
+    def test_dash_is_refused_before_any_input_is_read(self, tmp_path, capsys, field):
+        # '-' is refused by the option's parser type, like every value
+        # option's rule, so a missing state file is never reached.
+        code = main(["channel", str(tmp_path / "missing.json"), "beamsplitter5050",
+                     f"--{field.replace('_', '-')}", "-"])
+        assert code == 2
+        message = f"error: field '{field}': expected a file path, got '-'\n"
+        assert capsys.readouterr() == ("", message)
 
     def test_existing_output_keeps_its_bytes(self, tmp_path, singlet_file, capsys):
         state_out = tmp_path / "old_state.json"

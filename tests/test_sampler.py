@@ -6,18 +6,22 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from pcsft.hilbert import BipartiteState
 from pcsft.covariance import (
-    FACTOR_RESIDUAL_TOL, MAX_EPSILON, BlockCovariance, build_covariance, epsilon_min,
+    EPSILON_SLACK, FACTOR_RESIDUAL_TOL, BlockCovariance, build_covariance, epsilon_min,
     factor_covariance,
 )
 from pcsft.errors import SchemaError
 from pcsft.sampler import _BLOCK_ROWS, CHUNK_SIZE, MAX_SAMPLES, _substream, draw_chunks
-from pcsft.quadratic import QuadraticForm, _Workspace, _product_rows, form_moments
+from pcsft.quadratic import (
+    MAX_EPSILON, MAX_OPERATOR_ENTRY, QuadraticForm, _Workspace, _product_rows, cross_estimates,
+    form_moments,
+)
 from pcsft.channels import UnitaryChannel, apply_to_state
 from pcsft.experiments import beamsplitter_unitary
 from conftest import draw_samples, rand_selfadjoint, rand_state
@@ -88,10 +92,11 @@ class TestFactorCovariance:
         assert np.linalg.eigvalsh(f).min() >= -1e-12
         np.testing.assert_allclose(f @ f, cov.assembled(), atol=1e-12)
 
-    @pytest.mark.parametrize("epsilon", [1e3, 1e12, MAX_EPSILON])
+    @pytest.mark.parametrize("epsilon", [1e3, 1e12, MAX_EPSILON, 1e300])
     def test_residual_is_bounded_relative_to_the_covariance(self, epsilon):
         # The bound scales with max |D|: at 1e12 the residual is near 1e-3
-        # in absolute terms, and still rounding.
+        # in absolute terms, and still rounding.  A covariance admits any
+        # finite level, and its factor stays within the bound up to 1e300.
         rng = np.random.default_rng(132)
         for d1, d2 in ((1, 1), (2, 3), (4, 4), (7, 7)):
             cov = build_covariance(rand_state(rng, d1, d2), epsilon)
@@ -99,17 +104,66 @@ class TestFactorCovariance:
             residual = np.max(np.abs(f @ f.conj().T - d))
             assert residual <= FACTOR_RESIDUAL_TOL * np.max(np.abs(d))
 
+    @pytest.mark.parametrize("d", [16, 9])
+    def test_admitted_level_below_epsilon_min_factors(self, d):
+        # Construction admits epsilon down to epsilon_min - EPSILON_SLACK,
+        # so the factor clips eigenvalues down to -EPSILON_SLACK, and its
+        # residual may exceed the relative bound by what it clipped.  The
+        # maximally entangled d × d state: epsilon_min = (1 - 1/√d)/√d.
+        state = BipartiteState(np.eye(d) / np.sqrt(d))
+        level = epsilon_min(state) - 0.9 * EPSILON_SLACK
+        cov = build_covariance(state, level)
+        assert cov.epsilon == level
+        d_matrix, f = cov.assembled(), factor_covariance(cov)
+        residual = np.max(np.abs(f @ f.conj().T - d_matrix))
+        assert residual <= FACTOR_RESIDUAL_TOL * np.max(np.abs(d_matrix)) + EPSILON_SLACK
+
     def test_ceiling_is_checked_before_the_decomposition(self, monkeypatch):
-        # A covariance admits any finite level; a draw, which factors it
-        # first, stops above MAX_EPSILON and names the ceiling.
+        # A covariance admits any finite level; a draw stops above
+        # MAX_EPSILON and names the ceiling before it reaches eigh.
         cov = build_covariance(BELL_SINGLET, float(np.nextafter(MAX_EPSILON, np.inf)))
+        forms = [QuadraticForm(np.diag([1.0, 0.0]), side) for side in (1, 2)]
 
         def refuse(a):
             raise AssertionError("eigh called above the ceiling")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         with pytest.raises(SchemaError, match="^field 'epsilon': .*" + re.escape(f"{MAX_EPSILON:g}")):
-            factor_covariance(cov)
+            form_moments(cov, seed=0, count=1000, forms=forms)
+
+
+class TestAdmissibleRange:
+    # A draw checks its admissible range first, before the factor or any
+    # product: a form's largest entry modulus in [1 / MAX_OPERATOR_ENTRY,
+    # MAX_OPERATOR_ENTRY] or zero, and epsilon at most MAX_EPSILON.
+    @staticmethod
+    def forms(peak, side):
+        """A dense observable of largest entry modulus ``peak`` on ``side``,
+        and a projector on the other side."""
+        dense = np.array([[peak, 0.5 * peak], [0.5 * peak, 0.0]])
+        return QuadraticForm(dense, side), QuadraticForm(np.diag([1.0, 0.0]), 3 - side)
+
+    @pytest.mark.parametrize("peak", [1e-90, 1e80])
+    def test_observable_outside_the_entry_range_names_its_side(self, peak):
+        # At 1e-90 the fourth moments underflow and the standard error is
+        # 0; at 1e80 they overflow.  Either is rejected before the draw.
+        cov = build_covariance(BELL_SINGLET, 0.3)
+        (a1, other2), (a2, other1) = self.forms(peak, 1), self.forms(peak, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError, match=r"^field 'a1': .*\[1e-50, 1e\+50\]"):
+                cross_estimates(cov, [a1], [other2], seed=0, count=1000)
+            with pytest.raises(SchemaError, match="^field 'a2': "):
+                cross_estimates(cov, [other1], [a2], seed=0, count=1000)
+
+    @pytest.mark.parametrize("peak", [1 / MAX_OPERATOR_ENTRY, MAX_OPERATOR_ENTRY, 0.0])
+    def test_entries_at_the_bounds_draw(self, peak):
+        cov = build_covariance(BELL_SINGLET, 0.3)
+        a1, other2 = self.forms(peak, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [[est]] = cross_estimates(cov, [a1], [other2], seed=0, count=1000)
+        assert (est.std_error > 0.0) == (peak > 0.0)
 
 
 class TestDrawMoments:
